@@ -139,6 +139,20 @@ type Service struct {
 	// commit arrives, so the commit safely fails instead of hijacking the
 	// new object's entry.
 	passMu sync.Mutex
+	// copyMu is held by ConcurrentDefragPass from just before an entry
+	// turns moving until its speculative copy is done, and taken once by
+	// an accessor whose translation faulted on a moving entry
+	// (RevalidateFaultHandler): the copy that abort orphaned may still be
+	// reading the source, and the accessor may be about to store to it.
+	// The paper lets that race run — the torn copy is discarded — but
+	// mem.Space copies with no lock and Go has no racy load, so the
+	// accessor waits the one object copy out. Only the abort path pays.
+	// Free waits the same way when it frees the object being copied
+	// (moving, guarded by mu): its block is about to be handed to a new
+	// object and filled. Lock order: mu, then copyMu; a fault handler
+	// runs with neither.
+	copyMu sync.Mutex
+	moving *objInfo
 	// deferred holds source blocks vacated by ConcurrentDefragPass that
 	// cannot be reused until every thread alive at commit time has crossed
 	// a safepoint (a reader that translated just before the commit may
@@ -285,6 +299,10 @@ func (s *Service) Free(id uint32, _ mem.Addr, _ uint64) error {
 	info := s.byID[id]
 	if info == nil {
 		return fmt.Errorf("anchorage: free of unknown handle %d", id)
+	}
+	if info == s.moving {
+		s.copyMu.Lock() // the pass is still reading this block: see copyMu
+		s.copyMu.Unlock()
 	}
 	sh := s.heaps[info.heap]
 	delete(sh.objs, info.off)
@@ -547,12 +565,17 @@ func (s *Service) NumSubHeaps() int {
 
 // RevalidateFaultHandler returns the accessor side of the §7 protocol for
 // runtimes that run ConcurrentDefragPass: a translation that faults on a
-// moving entry revalidates it in place, aborting the in-flight move, and
-// retries at the original address. Install via rt.WithFaultHandler (or
-// chain it with a swap handler).
+// moving entry revalidates it in place, aborting the in-flight move, waits
+// for the mover's now-orphaned copy to stop reading the object (see
+// Service.copyMu), and retries at the original address. Install via
+// rt.WithFaultHandler (or chain it with a swap handler).
 func RevalidateFaultHandler() rt.FaultHandler {
 	return func(r *rt.Runtime, id uint32) error {
 		_, err := r.Table.Revalidate(id)
+		if s, ok := r.Service().(*Service); ok {
+			s.copyMu.Lock()
+			s.copyMu.Unlock()
+		}
 		return err
 	}
 }
@@ -620,8 +643,12 @@ func (s *Service) ConcurrentDefragPass(budget uint64) uint64 {
 				s.mu.Unlock()
 				continue // freed meanwhile, or demonstrably pinned
 			}
+			// Taken before the entry turns moving, so an accessor that
+			// faults on it finds copyMu held until the copy is over.
+			s.copyMu.Lock()
 			entry, err := s.rt.Table.BeginSpeculativeMove(info.id)
 			if err != nil {
+				s.copyMu.Unlock()
 				s.mu.Unlock()
 				continue // freed or already moving
 			}
@@ -633,30 +660,36 @@ func (s *Service) ConcurrentDefragPass(budget uint64) uint64 {
 			// commit — so the recheck closes the window.
 			if s.rt.Table.PinCount(info.id) > 0 {
 				_, _ = s.rt.Table.Revalidate(info.id)
+				s.copyMu.Unlock()
 				s.mu.Unlock()
 				continue
 			}
 			dhi, doff, ok := s.allocBlockForMove(info.block, hi, off)
 			if !ok {
 				_, _ = s.rt.Table.Revalidate(info.id)
+				s.copyMu.Unlock()
 				s.mu.Unlock()
 				continue
 			}
 			dst := s.heaps[dhi].region.Base() + mem.Addr(doff)
 			size, block := info.size, info.block
+			s.moving = info
 			s.mu.Unlock()
 
 			// Copy outside the service lock: the destination block is
 			// reserved, the entry is in the moving state, and allocators
 			// are free to run.
 			committed := false
-			if err := s.space.Copy(dst, entry.Backing, size); err != nil {
+			err = s.space.Copy(dst, entry.Backing, size)
+			s.copyMu.Unlock()
+			if err != nil {
 				_, _ = s.rt.Table.Revalidate(info.id)
 			} else if s.rt.Table.CommitSpeculativeMove(info.id, dst) {
 				committed = true
 			}
 
 			s.mu.Lock()
+			s.moving = nil
 			if !committed {
 				// A concurrent accessor revalidated the entry (or it was
 				// freed mid-copy): the object stays put; discard the copy.

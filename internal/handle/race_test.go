@@ -74,9 +74,10 @@ func TestShardedTableRace(t *testing.T) {
 
 	// Shared victims for the speculative-move/revalidate/translate race.
 	const nVictims = 64
+	victimHome := func(i int) mem.Addr { return mem.Addr(0x100000 + uint64(i)*256) }
 	victims := make([]uint32, nVictims)
 	for i := range victims {
-		id, err := tb.Alloc(mem.Addr(0x100000+uint64(i)*256), 256)
+		id, err := tb.Alloc(victimHome(i), 256)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,16 +142,21 @@ func TestShardedTableRace(t *testing.T) {
 						}
 					}
 				case 8: // mover side of §7 on a shared victim
-					id := victims[rng.Intn(nVictims)]
-					entry, err := tb.BeginSpeculativeMove(id)
-					if err != nil {
+					vi := rng.Intn(nVictims)
+					id, home := victims[vi], victimHome(vi)
+					if _, err := tb.BeginSpeculativeMove(id); err != nil {
 						continue // already moving — another mover won
 					}
-					dst := entry.Backing ^ 0x8000000
-					if tb.CommitSpeculativeMove(id, dst) {
+					if tb.CommitSpeculativeMove(id, home^0x8000000) {
 						commits.Add(1)
-						// Swing it back so victim backings stay in a known set.
-						if err := tb.SetBacking(id, entry.Backing); err != nil {
+						// Swing it back home. Home is the victim's fixed
+						// address, not the backing Begin observed: another
+						// mover may begin between this commit and this
+						// swing-back, observe the flipped address, and would
+						// "restore" the victim to it. Every commit is followed
+						// by its own swing-back to the same address, so the
+						// last write to any victim is home.
+						if err := tb.SetBacking(id, home); err != nil {
 							t.Error(err)
 							return
 						}
@@ -189,7 +195,7 @@ func TestShardedTableRace(t *testing.T) {
 			t.Errorf("victim %d: %v", i, err)
 			continue
 		}
-		if want := mem.Addr(0x100000 + uint64(i)*256); a != want {
+		if want := victimHome(i); a != want {
 			t.Errorf("victim %d backing = %#x, want %#x", i, a, want)
 		}
 	}

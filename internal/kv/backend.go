@@ -380,8 +380,9 @@ func (s *handleSession) Read(ref Ref, off uint64, b []byte) error {
 	if err != nil {
 		return err
 	}
-	defer unpin()
-	return s.space.Read(a, b)
+	err = s.space.Read(a, b)
+	unpin()
+	return err
 }
 
 func (s *handleSession) Write(ref Ref, off uint64, b []byte) error {
@@ -389,8 +390,9 @@ func (s *handleSession) Write(ref Ref, off uint64, b []byte) error {
 	if err != nil {
 		return err
 	}
-	defer unpin()
-	return s.space.Write(a, b)
+	err = s.space.Write(a, b)
+	unpin()
+	return err
 }
 
 func (s *handleSession) Safepoint() { s.th.Safepoint() }

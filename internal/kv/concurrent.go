@@ -167,12 +167,28 @@ type shard struct {
 }
 
 // noteTail republishes the LRU tail's recency stamp. Caller holds sh.mu
-// and must invoke it after any mutation that can change the tail.
+// and must invoke it after any mutation that can change the tail or the
+// tail's lastUsed, keeping the invariant evictColdest reads through:
+// outside sh.mu, tailStamp == lru.back().lastUsed (MaxInt64 when empty).
 func (sh *shard) noteTail() {
 	if tail := sh.lru.back(); tail != nil {
 		sh.tailStamp.Store(tail.lastUsed)
 	} else {
 		sh.tailStamp.Store(math.MaxInt64)
+	}
+}
+
+// markUsed stamps e used at now and makes it the MRU entry. The tail stamp is
+// republished only when e was the tail: otherwise neither the tail nor its
+// lastUsed changed, the invariant above already holds, and a hit skips
+// both the store and the load of the (cold) tail entry. Caller holds
+// sh.mu.
+func (sh *shard) markUsed(e *entry, now time.Time) {
+	e.lastUsed = now.UnixNano()
+	wasTail := sh.lru.back() == e
+	sh.lru.moveToFront(e)
+	if wasTail {
+		sh.noteTail()
 	}
 }
 
@@ -384,10 +400,8 @@ func (s *ShardedStore) insertLocked(sh *shard, sess Session, key []byte, value [
 		old.size = uint64(len(value))
 		old.storedAt = at
 		old.fetched = false
-		old.lastUsed = now.UnixNano()
 		sh.setDeadline(old, expireAt)
-		sh.lru.moveToFront(old)
-		sh.noteTail()
+		sh.markUsed(old, now)
 		if record && s.mlog != nil {
 			s.mlog.LogSet(key, value, expireAt, at)
 		}
@@ -637,9 +651,7 @@ func (s *ShardedStore) apply(sess Session, sh *shard, key []byte, needValue bool
 	case ApplyTouch:
 		if found {
 			sh.setDeadline(e, op.Expire)
-			e.lastUsed = s.now().UnixNano()
-			sh.lru.moveToFront(e)
-			sh.noteTail()
+			sh.markUsed(e, s.now())
 			if s.mlog != nil {
 				s.mlog.LogTouch(key, op.Expire)
 			}
@@ -751,9 +763,7 @@ func (s *ShardedStore) getInto(sess Session, sh *shard, key []byte, touch bool, 
 	}
 	sh.stats.hits.Add(1)
 	e.fetched = true
-	e.lastUsed = now.UnixNano()
-	sh.lru.moveToFront(e)
-	sh.noteTail()
+	sh.markUsed(e, now)
 	buf = growBytes(buf, int(e.size))
 	out := buf[:e.size]
 	if err := sess.Read(e.ref, 0, out); err != nil {

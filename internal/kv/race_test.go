@@ -6,8 +6,13 @@ package kv
 // Anchorage controller stops the world and compacts underneath them. Every
 // translation in every session races relocation through the sharded
 // lock-free handle table. Run under `go test -race ./internal/kv`.
+//
+// The second test holds the rule mem.Space's unlocked copy leans on: a
+// pinned object's bytes are never released (DontNeed) or reused before
+// the unpin plus a grace period, with the pause-free mover live.
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -16,6 +21,8 @@ import (
 	"time"
 
 	"alaska/internal/anchorage"
+	"alaska/internal/handle"
+	"alaska/internal/rt"
 )
 
 func TestShardedStoreConcurrentDefragRace(t *testing.T) {
@@ -112,4 +119,165 @@ func TestShardedStoreConcurrentDefragRace(t *testing.T) {
 	}
 	t.Logf("%d workers × %d ops over %d keys: %d defrag passes, %d bytes moved, frag %.3f",
 		workers, ops, store.Len(), backend.Svc.Passes, backend.Svc.MovedBytes, backend.Svc.Fragmentation())
+}
+
+// TestPinnedBytesStableUnderConcurrentDefrag: mem.Space.Read/Write copy
+// with no lock held, so nothing in the space stops a block from being
+// zeroed or handed to another object mid-copy. What does is the layer
+// above: the mover skips a pinned object, and a vacated block is neither
+// truncated away nor reused until every thread that could still hold its
+// address has crossed a safepoint. Holders read their object through the
+// raw address of a long-lived pin; stragglers read through an unpinned
+// translation they keep until their next safepoint (the grace period);
+// both must see their own bytes every time while the server's defrag
+// loop (ConcurrentDefragPass + DrainDeferred, plus the barrier pass that
+// truncates) runs and churning sets recycle every block that comes free.
+// Under -race a reuse or a DontNeed overlapping a reader's copy is also a
+// reported data race.
+func TestPinnedBytesStableUnderConcurrentDefrag(t *testing.T) {
+	cfg := anchorage.DefaultConfig()
+	cfg.SubHeapSize = 256 * 1024
+	cfg.FragHigh = 1.1
+	cfg.FragLow = 1.05
+	cfg.WakeInterval = time.Millisecond
+	backend, err := NewAnchorageBackend(cfg, rt.WithPinMode(rt.CountedPins))
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := NewShardedStore(backend, 8, 0)
+	rounds := 1500
+	if testing.Short() {
+		rounds = 300
+	}
+
+	stop := make(chan struct{})
+	var bg sync.WaitGroup
+	bg.Add(1)
+	go func() { // alaskad's maintenance loop, compressed
+		defer bg.Done()
+		for now := time.Duration(0); ; now += 2 * time.Millisecond {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			backend.Svc.ConcurrentDefragPass(64 << 10)
+			backend.Svc.DrainDeferred()
+			backend.Maintain(now)
+			time.Sleep(50 * time.Microsecond)
+		}
+	}()
+	for w := 0; w < 2; w++ { // churn: fragments the heap and reuses freed blocks
+		bg.Add(1)
+		go func(w int) {
+			defer bg.Done()
+			sess := store.NewSession()
+			defer sess.Close()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for op := 0; ; op++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				sess.Safepoint()
+				key := fmt.Sprintf("c%d-%03d", w, rng.Intn(256))
+				if rng.Intn(3) == 0 {
+					if _, err := store.Del(sess, key); err != nil {
+						t.Error(err)
+						return
+					}
+					continue
+				}
+				if err := store.Set(sess, key, make([]byte, 32+rng.Intn(480))); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+
+	var readers sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		readers.Add(1)
+		go func(w int) {
+			defer readers.Done()
+			th := backend.Runtime.NewThread()
+			defer func() {
+				if err := th.Destroy(); err != nil {
+					t.Error(err)
+				}
+			}()
+			rng := rand.New(rand.NewSource(int64(100 + w)))
+			pinned := w%2 == 0 // holders pin; stragglers only translate
+			for i := 0; i < rounds; i++ {
+				th.Safepoint()
+				size := uint64(64 + rng.Intn(960))
+				ref, err := backend.Alloc(size)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				h, tag := handle.Handle(ref), byte(w<<6|i&0x3f|1)
+				want := make([]byte, size)
+				for j := range want {
+					want[j] = tag
+				}
+				a, unpin, err := th.Pin(h)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				err = backend.Space.Write(a, want)
+				unpin()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got := make([]byte, size)
+				for k := 0; k < 4; k++ {
+					th.Safepoint() // unpinned here: the mover may take the object
+					unpin = func() {}
+					if pinned {
+						a, unpin, err = th.Pin(h)
+					} else {
+						a, err = th.Translate(h)
+					}
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					// No safepoint inside this loop: a stays usable for all
+					// of it, through the pin or through the grace period.
+					for n := 0; n < 8 && err == nil; n++ {
+						err = backend.Space.Read(a, got)
+						if err == nil && !bytes.Equal(got, want) {
+							err = fmt.Errorf("reader %d (pinned=%v): %d-byte object at %#x reads %x..., want all %#x",
+								w, pinned, size, a, got[:8], tag)
+						}
+						runtime.Gosched()
+					}
+					unpin()
+					if err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				if err := backend.Free(ref, size); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	readers.Wait()
+	close(stop)
+	bg.Wait()
+
+	m := backend.Svc.MetricsSnapshot()
+	if m.ConcurrentPasses == 0 || m.MovedBytes == 0 {
+		t.Errorf("mover idle (%d concurrent passes, %d bytes moved); the test raced nothing", m.ConcurrentPasses, m.MovedBytes)
+	}
+	t.Logf("%d concurrent + %d barrier passes, %d bytes moved, %d truncated, %d move aborts",
+		m.ConcurrentPasses, m.Passes, m.MovedBytes, m.Truncated, m.MoveAborts)
 }

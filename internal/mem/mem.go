@@ -16,13 +16,46 @@
 // and supports returning pages to the simulated kernel (DontNeed), which
 // zeroes them and removes them from the resident set — precisely the
 // semantics Anchorage relies on in §4.3 of the paper.
+//
+// # Concurrency
+//
+// All methods are safe for concurrent use, and the access path — Read,
+// Write, the fixed-width loads and stores, Copy, Resolve, RSS, Faults —
+// takes no lock: the region list is an immutable sorted slice behind an
+// atomic pointer (Map/MapAt/Unmap copy it, serialised among themselves by
+// a plain mutex), residency is one bit per page in atomic words, and the
+// RSS and fault counters are atomics bumped only by the goroutine whose
+// own read-modify-write flipped a page's bit. The accounting is therefore
+// exact once callers quiesce: RSS() is PageSize × the set bits of every
+// mapped region and Faults() is the number of 0→1 flips; a reader racing a
+// flip may see either side of it.
+//
+// The space orders nothing about the bytes themselves, exactly like
+// hardware: two overlapping accesses, one of them a store, are the
+// callers' race. In particular DontNeed may run concurrently with
+// accesses to *other* pages of the same region, and Unmap concurrently
+// with accesses to other regions, but whoever releases a page or a region
+// must know nobody is still using it — Anchorage does, because a block is
+// only truncated or reused after its handle was unpinned and a grace
+// period has passed (see anchorage.ConcurrentDefragPass). An access that
+// resolved its region just before Unmap is still memory-safe (the region
+// keeps its bytes until the garbage collector takes them) and leaves the
+// accounting exact: touch undoes its own flip when it finds the region
+// unmapped.
+//
+// The bit flips are Load/CompareAndSwap loops rather than
+// atomic.Uint64.Or/And: on the pinned go1.24.0/amd64 toolchain those two
+// miscompile when their result is used (the register holding the receiver
+// is clobbered and the next use of it dereferences garbage).
 package mem
 
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 	"sync"
+	"sync/atomic"
 )
 
 // PageSize is the simulated hardware page size in bytes.
@@ -45,26 +78,52 @@ type Region struct {
 	base     Addr
 	size     uint64 // bytes, multiple of PageSize
 	data     []byte
-	resident []bool // one entry per page
-	nRes     int    // number of resident pages
+	resident []atomic.Uint64 // one bit per page
+	// unmapped is set by Unmap before it sweeps the bitmap, so an access
+	// that resolved the region earlier can tell its flip came too late.
+	unmapped atomic.Bool
 }
 
 // Space is a simulated process address space. All methods are safe for
-// concurrent use.
+// concurrent use; see the package doc for what is lock-free.
 type Space struct {
-	mu       sync.RWMutex
-	regions  []*Region // sorted by base
+	// regions is the immutable base-sorted region list; mapMu serialises
+	// the writers that replace it (Map, MapAt, Unmap) and guards nextBase.
+	regions  atomic.Pointer[[]*Region]
+	mapMu    sync.Mutex
 	nextBase Addr
-	rssPages int64
 
+	rssPages atomic.Int64
 	// faults counts demand-paging events (first touch of a page), which is
 	// useful for tests asserting that DontNeed actually released pages.
-	faults int64
+	faults atomic.Int64
 }
 
 // NewSpace returns an empty address space.
 func NewSpace() *Space {
-	return &Space{nextBase: baseStart}
+	s := &Space{nextBase: baseStart}
+	s.regions.Store(new([]*Region))
+	return s
+}
+
+// insertLocked publishes a copy of the region list with a fresh region
+// [base, base+size) inserted in base order. Caller holds s.mapMu.
+func (s *Space) insertLocked(base Addr, size uint64) *Region {
+	r := &Region{
+		space:    s,
+		base:     base,
+		size:     size,
+		data:     make([]byte, size),
+		resident: make([]atomic.Uint64, (size/PageSize+63)/64),
+	}
+	old := *s.regions.Load()
+	i := 0
+	for i < len(old) && old[i].base < base {
+		i++
+	}
+	next := slices.Insert(slices.Clone(old), i, r)
+	s.regions.Store(&next)
+	return r
 }
 
 // roundUpPage rounds n up to a multiple of PageSize.
@@ -80,21 +139,13 @@ func (s *Space) Map(size uint64) (*Region, error) {
 		return nil, fmt.Errorf("mem: Map of zero bytes")
 	}
 	size = roundUpPage(size)
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mapMu.Lock()
+	defer s.mapMu.Unlock()
 	base := s.nextBase
 	// Leave a one-page guard gap between regions so out-of-bounds addresses
 	// fault instead of silently landing in a neighbour.
 	s.nextBase += Addr(size) + PageSize
-	r := &Region{
-		space:    s,
-		base:     base,
-		size:     size,
-		data:     make([]byte, size),
-		resident: make([]bool, size/PageSize),
-	}
-	s.regions = append(s.regions, r)
-	return r, nil
+	return s.insertLocked(base, size), nil
 }
 
 // MapAt reserves a region at a caller-chosen base address. Alaska places its
@@ -109,52 +160,49 @@ func (s *Space) MapAt(base Addr, size uint64) (*Region, error) {
 		return nil, fmt.Errorf("mem: MapAt of zero bytes")
 	}
 	size = roundUpPage(size)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, r := range s.regions {
+	s.mapMu.Lock()
+	defer s.mapMu.Unlock()
+	for _, r := range *s.regions.Load() {
 		if base < r.base+Addr(r.size) && r.base < base+Addr(size) {
 			return nil, fmt.Errorf("mem: MapAt [%#x,%#x) overlaps region [%#x,%#x)",
 				base, base+Addr(size), r.base, r.base+Addr(r.size))
 		}
 	}
-	r := &Region{
-		space:    s,
-		base:     base,
-		size:     size,
-		data:     make([]byte, size),
-		resident: make([]bool, size/PageSize),
-	}
-	s.regions = append(s.regions, r)
-	sort.Slice(s.regions, func(i, j int) bool { return s.regions[i].base < s.regions[j].base })
 	if base+Addr(size) > s.nextBase {
 		s.nextBase = base + Addr(size) + PageSize
 	}
-	return r, nil
+	return s.insertLocked(base, size), nil
 }
 
 // Unmap removes a region from the space, releasing its resident pages.
 func (s *Space) Unmap(r *Region) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i, got := range s.regions {
-		if got == r {
-			s.rssPages -= int64(r.nRes)
-			r.nRes = 0
-			s.regions = append(s.regions[:i], s.regions[i+1:]...)
-			r.space = nil
-			return nil
-		}
+	s.mapMu.Lock()
+	defer s.mapMu.Unlock()
+	old := *s.regions.Load()
+	i := slices.Index(old, r)
+	if i < 0 {
+		return fmt.Errorf("mem: Unmap of region not in space")
 	}
-	return fmt.Errorf("mem: Unmap of region not in space")
+	next := slices.Delete(slices.Clone(old), i, i+1)
+	s.regions.Store(&next)
+	// Flag first, sweep second: a touch that flips a bit after the sweep
+	// passed its word is guaranteed to see the flag and undo itself.
+	r.unmapped.Store(true)
+	for w := range r.resident {
+		s.rssPages.Add(-int64(bits.OnesCount64(r.resident[w].Swap(0))))
+	}
+	return nil
 }
 
-// find returns the region containing addr, or nil. Caller holds s.mu (read).
+// find returns the region containing addr in the current region list, or
+// nil.
 func (s *Space) find(addr Addr) *Region {
 	// Binary search over sorted regions.
-	lo, hi := 0, len(s.regions)
+	regions := *s.regions.Load()
+	lo, hi := 0, len(regions)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		r := s.regions[mid]
+		r := regions[mid]
 		switch {
 		case addr < r.base:
 			hi = mid
@@ -169,8 +217,6 @@ func (s *Space) find(addr Addr) *Region {
 
 // Resolve returns the region containing addr and the byte offset within it.
 func (s *Space) Resolve(addr Addr) (*Region, uint64, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	r := s.find(addr)
 	if r == nil {
 		return nil, 0, &Fault{Addr: addr, Op: "resolve"}
@@ -189,20 +235,44 @@ func (f *Fault) Error() string {
 	return fmt.Sprintf("mem: %s fault at unmapped address %#x", f.Op, f.Addr)
 }
 
-// touch marks all pages overlapping [off, off+n) resident.
-// Caller holds s.mu (read) — page accounting uses the region's own fields,
-// so we upgrade via atomic-free double-check under the space lock by
-// requiring callers that mutate residency to hold the write lock. To keep
-// the locking simple and correct, all touching methods take the write lock.
+// setResident flips page p's residency bit to on and reports whether this
+// call did the flip; exactly one of any number of racing callers does, and
+// that one owns the accounting. (A CAS loop, not Uint64.Or/And: see the
+// package doc.)
+func (r *Region) setResident(p uint64, on bool) bool {
+	w, mask := &r.resident[p/64], uint64(1)<<(p%64)
+	for {
+		old := w.Load()
+		if (old&mask != 0) == on {
+			return false
+		}
+		next := old | mask
+		if !on {
+			next = old &^ mask
+		}
+		if w.CompareAndSwap(old, next) {
+			return true
+		}
+	}
+}
+
+// touch marks all pages overlapping [off, off+n) resident. The already-
+// resident case — every access but a page's first — is one atomic load
+// per page and no store.
 func (r *Region) touch(off, n uint64) {
 	first := off / PageSize
 	last := (off + n - 1) / PageSize
 	for p := first; p <= last; p++ {
-		if !r.resident[p] {
-			r.resident[p] = true
-			r.nRes++
-			r.space.rssPages++
-			r.space.faults++
+		if !r.setResident(p, true) {
+			continue
+		}
+		r.space.rssPages.Add(1)
+		r.space.faults.Add(1)
+		// The region was resolved without a lock, so Unmap may have swept
+		// the bitmap already; its flag is then visible, and the page must
+		// not stay counted.
+		if r.unmapped.Load() && r.setResident(p, false) {
+			r.space.rssPages.Add(-1)
 		}
 	}
 }
@@ -213,8 +283,6 @@ func (s *Space) access(addr Addr, n uint64, op string) (*Region, uint64, error) 
 	if n == 0 {
 		return nil, 0, fmt.Errorf("mem: zero-length %s at %#x", op, addr)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	r := s.find(addr)
 	if r == nil {
 		return nil, 0, &Fault{Addr: addr, Op: op}
@@ -336,8 +404,6 @@ func (s *Space) DontNeed(addr Addr, n uint64) error {
 	if n == 0 {
 		return nil
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	r := s.find(addr)
 	if r == nil {
 		return &Fault{Addr: addr, Op: "madvise"}
@@ -350,11 +416,8 @@ func (s *Space) DontNeed(addr Addr, n uint64) error {
 	start := (off + PageSize - 1) &^ (PageSize - 1)
 	end := (off + n) &^ (PageSize - 1)
 	for p := start; p+PageSize <= end; p += PageSize {
-		pi := p / PageSize
-		if r.resident[pi] {
-			r.resident[pi] = false
-			r.nRes--
-			s.rssPages--
+		if r.setResident(p/PageSize, false) {
+			s.rssPages.Add(-1)
 		}
 		clear(r.data[p : p+PageSize])
 	}
@@ -363,24 +426,16 @@ func (s *Space) DontNeed(addr Addr, n uint64) error {
 
 // RSS returns the resident set size of the space in bytes.
 func (s *Space) RSS() uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return uint64(s.rssPages) * PageSize
+	// A release can land between a racing touch's flip and its increment;
+	// clamp that transient instead of wrapping.
+	return uint64(max(s.rssPages.Load(), 0)) * PageSize
 }
 
 // Faults returns the cumulative count of demand-paging events.
-func (s *Space) Faults() int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.faults
-}
+func (s *Space) Faults() int64 { return s.faults.Load() }
 
 // NumRegions returns the number of live mappings.
-func (s *Space) NumRegions() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.regions)
-}
+func (s *Space) NumRegions() int { return len(*s.regions.Load()) }
 
 // Base returns the region's base address.
 func (r *Region) Base() Addr { return r.base }
@@ -390,12 +445,11 @@ func (r *Region) Size() uint64 { return r.size }
 
 // ResidentPages returns how many of the region's pages are resident.
 func (r *Region) ResidentPages() int {
-	if r.space == nil {
-		return 0
+	n := 0
+	for w := range r.resident {
+		n += bits.OnesCount64(r.resident[w].Load())
 	}
-	r.space.mu.RLock()
-	defer r.space.mu.RUnlock()
-	return r.nRes
+	return n
 }
 
 // Contains reports whether addr falls inside the region.

@@ -34,12 +34,21 @@ type Thread struct {
 	// pointer obtained before a given moment.
 	epoch atomic.Uint64
 
-	// frames is the stack of pin sets. Only the owning goroutine mutates
-	// it, and the barrier initiator reads it only after the thread has
-	// quiesced (parked or external), so no per-slot synchronization is
-	// needed — the same argument the paper makes for why stack pin sets
-	// need no atomics.
-	frames [][]handle.Handle
+	// slots is the pin stack: every live pin set laid end to end in one
+	// grow-only arena, the way the compiled pin arrays sit in consecutive
+	// stack frames. frames[i] is where invocation i's set starts, so the
+	// current set is slots[frames[len(frames)-1]:] and a push or pop moves
+	// two lengths and allocates nothing once the arena has grown. Only the
+	// owning goroutine mutates either, and the barrier initiator reads
+	// them only after the thread has quiesced (parked or external), so no
+	// per-slot synchronization is needed — the same argument the paper
+	// makes for why stack pin sets need no atomics.
+	slots  []handle.Handle
+	frames []int
+	// unpin is PopFrame bound once at NewThread: Pin hands it out on
+	// every call, and a fresh t.PopFrame method value would be a heap
+	// allocation each time.
+	unpin func()
 }
 
 // NewThread registers a new application thread. If a barrier is in flight,
@@ -47,6 +56,7 @@ type Thread struct {
 // concurrently with a relocation.
 func (r *Runtime) NewThread() *Thread {
 	t := &Thread{rt: r}
+	t.unpin = t.PopFrame
 	r.mu.Lock()
 	for r.stopRequest.Load() {
 		r.resumeCond.Wait()
@@ -76,7 +86,10 @@ func (t *Thread) Runtime() *Runtime { return t.rt }
 // PushFrame allocates a pin set of n slots for a function invocation. The
 // compiler computes n statically via interference-graph colouring.
 func (t *Thread) PushFrame(n int) {
-	t.frames = append(t.frames, make([]handle.Handle, n))
+	t.frames = append(t.frames, len(t.slots))
+	// The compiler extends in place and zeroes the new slots; no
+	// temporary slice is built.
+	t.slots = append(t.slots, make([]handle.Handle, n)...)
 }
 
 // PopFrame discards the current invocation's pin set, implicitly unpinning
@@ -86,13 +99,15 @@ func (t *Thread) PopFrame() {
 		panic("rt: PopFrame on empty pin stack")
 	}
 	last := len(t.frames) - 1
+	base := t.frames[last]
 	if t.rt.pinMode == CountedPins {
-		for _, h := range t.frames[last] {
+		for _, h := range t.slots[base:] {
 			if h.IsHandle() {
 				_ = t.rt.Table.AddPin(h.ID(), -1)
 			}
 		}
 	}
+	t.slots = t.slots[:base]
 	t.frames = t.frames[:last]
 }
 
@@ -111,7 +126,7 @@ func (t *Thread) TranslateAndPin(h handle.Handle, slot int) (mem.Addr, error) {
 	if len(t.frames) == 0 {
 		return 0, fmt.Errorf("rt: TranslateAndPin with no pin frame")
 	}
-	fr := t.frames[len(t.frames)-1]
+	fr := t.slots[t.frames[len(t.frames)-1]:]
 	if slot < 0 || slot >= len(fr) {
 		return 0, fmt.Errorf("rt: pin slot %d out of range (frame has %d)", slot, len(fr))
 	}
@@ -133,7 +148,11 @@ func (t *Thread) TranslateAndPin(h handle.Handle, slot int) (mem.Addr, error) {
 
 // Pin is the scoped-pin convenience used by hand-written runtime clients
 // (the KV store, examples): it pushes a one-slot frame, pins h, and returns
-// the raw address plus an unpin func that pops the frame.
+// the raw address plus an unpin func that pops the frame. Pins nest like
+// the frames they are. The pair is allocation-free — the frame is a window
+// into the thread's slot arena and the func is the thread's cached
+// PopFrame value — so a pinned access costs what Figure 7 charges it, a
+// pin-set store and a table load, and no allocator work.
 func (t *Thread) Pin(h handle.Handle) (mem.Addr, func(), error) {
 	t.PushFrame(1)
 	a, err := t.TranslateAndPin(h, 0)
@@ -141,7 +160,7 @@ func (t *Thread) Pin(h handle.Handle) (mem.Addr, func(), error) {
 		t.PopFrame()
 		return 0, nil, err
 	}
-	return a, t.PopFrame, nil
+	return a, t.unpin, nil
 }
 
 // Translate resolves a handle without pinning it. The caller must not hold
@@ -209,11 +228,9 @@ func (t *Thread) ExitExternal() {
 // pinnedInto adds every handle currently held in the thread's pin sets to
 // set. Called by the barrier initiator after the thread has quiesced.
 func (t *Thread) pinnedInto(set map[uint32]bool) {
-	for _, fr := range t.frames {
-		for _, h := range fr {
-			if h.IsHandle() {
-				set[h.ID()] = true
-			}
+	for _, h := range t.slots {
+		if h.IsHandle() {
+			set[h.ID()] = true
 		}
 	}
 }

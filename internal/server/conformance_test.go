@@ -36,7 +36,8 @@ func startServer(t *testing.T, backend kv.Backend, cfg Config) *Server {
 	return srv
 }
 
-func startAnchorageServer(t *testing.T, cfg Config) *Server {
+// anchorageBackend builds the anchorage backend the way cmd/alaskad does.
+func anchorageBackend(t *testing.T) kv.Backend {
 	t.Helper()
 	// CountedPins: the pin-visibility mode required when writers run
 	// concurrently with the pause-free defrag pass (§7 contract).
@@ -44,7 +45,12 @@ func startAnchorageServer(t *testing.T, cfg Config) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return startServer(t, backend, cfg)
+	return backend
+}
+
+func startAnchorageServer(t *testing.T, cfg Config) *Server {
+	t.Helper()
+	return startServer(t, anchorageBackend(t), cfg)
 }
 
 // forEachBackend runs fn against a fresh server on each of the three

@@ -68,9 +68,13 @@ type pollConn struct {
 	sched  atomic.Int32
 	killed atomic.Bool
 	slow   atomic.Bool
-	// lastActive is the Config.Clock unixnano of the last completed
-	// command or write progress — the idle reaper's input. Partial
-	// request bytes never touch it (memcached's last_cmd_time rule).
+	// lastActive is the Config.Clock unixnano of the last burst that
+	// completed a command, or of the last write progress — the idle
+	// reaper's input. It is stamped once per process() call, not per
+	// command: a burst is at most burstCmdBudget commands and the reaper
+	// works in seconds, so the sweep cannot tell, and a pipelined command
+	// pays no clock read for it. Partial request bytes never touch it
+	// (memcached's last_cmd_time rule).
 	lastActive atomic.Int64
 	// writeStall is the Config.Clock unixnano since which reply bytes
 	// have been pending with no write progress (0 = none pending): the
@@ -91,7 +95,7 @@ type pollConn struct {
 	discardCmd  cmdCode // opcode to attribute the discard's reply to
 }
 
-// touch stamps activity (completed command / write progress).
+// touch stamps activity (a burst's completed commands / write progress).
 func (pc *pollConn) touch(nowNano int64) { pc.lastActive.Store(nowNano) }
 
 // evStatus is process()'s verdict on why it stopped consuming input.
@@ -411,8 +415,21 @@ func updateTail(tail *[2]byte, chunk []byte) {
 // buffered command. It only ever dispatches a command whose complete
 // line — and, for storage commands, complete data block — is already in
 // memory, so the shared dispatch code never blocks mid-command and the
-// "resumable state machine" lives entirely in this framing layer.
+// "resumable state machine" lives entirely in this framing layer. A call
+// that completed at least one command stamps the connection active on its
+// way out.
 func (e *eventIO) process(cmds *int) evStatus {
+	before := *cmds
+	st := e.dispatchBuffered(cmds)
+	if *cmds > before {
+		e.pc.touch(e.h.srv.cfg.Clock().UnixNano())
+	}
+	return st
+}
+
+// dispatchBuffered is process()'s loop, counting completed commands into
+// *cmds.
+func (e *eventIO) dispatchBuffered(cmds *int) evStatus {
 	h := e.h
 	srv := h.srv
 	maxLine := srv.cfg.MaxLineLen
@@ -467,7 +484,6 @@ func (e *eventIO) process(cmds *int) evStatus {
 			}
 			h.lastCmd = pc.discardCmd
 			srv.recordOp(h, pc.id, 0)
-			pc.touch(srv.cfg.Clock().UnixNano())
 			*cmds++
 			continue
 		}
@@ -531,7 +547,6 @@ func (e *eventIO) process(cmds *int) evStatus {
 			return evFatal
 		}
 		srv.recordOp(h, pc.id, time.Since(start))
-		pc.touch(srv.cfg.Clock().UnixNano())
 		h.sess.Safepoint()
 		*cmds++
 		if quit {

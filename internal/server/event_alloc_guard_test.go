@@ -8,8 +8,9 @@ package server
 // in the worker buffer exactly as replies do before a writev) through
 // process() — framing scan, storage prescan, dispatch, reply append,
 // recordOp — and pin GET-hit, SET, and a pipelined batch at exactly 0
-// allocs/op. (Excluded under -race: the detector's instrumentation
-// allocates.)
+// allocs/op on each backend (forEachGuardBackend; a store on anchorage
+// is held to hallocAllocs). (Excluded under -race: the detector's
+// instrumentation allocates.)
 
 import (
 	"bytes"
@@ -18,11 +19,11 @@ import (
 	"alaska/internal/kv"
 )
 
-// eventGuardEngine builds a detached event engine over a fresh
-// malloc-backed store. ConnModel "goroutine" keeps New from opening a
-// real epoll instance — the engine under test is driven directly.
-func eventGuardEngine() *eventIO {
-	store := kv.NewShardedStore(kv.NewMallocBackend(), 8, 0)
+// eventGuardEngine builds a detached event engine over a fresh store
+// over backend. ConnModel "goroutine" keeps New from opening a real
+// epoll instance — the engine under test is driven directly.
+func eventGuardEngine(backend kv.Backend) *eventIO {
+	store := kv.NewShardedStore(backend, 8, 0)
 	srv := New(store, Config{Version: "guard", MaxReplyBacklog: -1, ConnModel: "goroutine"})
 	h := &connHandler{srv: srv, sess: store.NewSession()}
 	e := &eventIO{h: h}
@@ -51,63 +52,69 @@ func runEventBatch(tb testing.TB, e *eventIO, req []byte, want int) {
 }
 
 func TestEventAllocFreeGetHit(t *testing.T) {
-	e := eventGuardEngine()
-	set := []byte("set bench:key 7 0 512\r\n" + string(bytes.Repeat([]byte{'v'}, 512)) + "\r\n")
-	get := []byte("get bench:key\r\n")
-	runEventBatch(t, e, set, 1)
-	for i := 0; i < 8; i++ {
-		runEventBatch(t, e, get, 1)
-	}
-	avg := testing.AllocsPerRun(200, func() {
-		runEventBatch(t, e, get, 1)
+	forEachGuardBackend(t, func(t *testing.T, backend kv.Backend) {
+		e := eventGuardEngine(backend)
+		set := []byte("set bench:key 7 0 512\r\n" + string(bytes.Repeat([]byte{'v'}, 512)) + "\r\n")
+		get := []byte("get bench:key\r\n")
+		runEventBatch(t, e, set, 1)
+		for i := 0; i < 8; i++ {
+			runEventBatch(t, e, get, 1)
+		}
+		avg := testing.AllocsPerRun(200, func() {
+			runEventBatch(t, e, get, 1)
+		})
+		if avg != 0 {
+			t.Fatalf("event-engine GET hit allocates %.2f allocs/op in steady state, want 0", avg)
+		}
 	})
-	if avg != 0 {
-		t.Fatalf("event-engine GET hit allocates %.2f allocs/op in steady state, want 0", avg)
-	}
 }
 
 func TestEventAllocFreeSetSteadyState(t *testing.T) {
-	e := eventGuardEngine()
-	set := []byte("set bench:key 7 0 512\r\n" + string(bytes.Repeat([]byte{'v'}, 512)) + "\r\n")
-	for i := 0; i < 8; i++ {
-		runEventBatch(t, e, set, 1)
-	}
-	avg := testing.AllocsPerRun(200, func() {
-		runEventBatch(t, e, set, 1)
+	forEachGuardBackend(t, func(t *testing.T, backend kv.Backend) {
+		e := eventGuardEngine(backend)
+		set := []byte("set bench:key 7 0 512\r\n" + string(bytes.Repeat([]byte{'v'}, 512)) + "\r\n")
+		for i := 0; i < 8; i++ {
+			runEventBatch(t, e, set, 1)
+		}
+		avg := testing.AllocsPerRun(200, func() {
+			runEventBatch(t, e, set, 1)
+		})
+		if want := hallocAllocs(backend); avg != want {
+			t.Fatalf("event-engine steady-state SET allocates %.2f allocs/op, want %.0f", avg, want)
+		}
 	})
-	if avg != 0 {
-		t.Fatalf("event-engine steady-state SET allocates %.2f allocs/op, want 0", avg)
-	}
 }
 
 // TestEventAllocFreePipelinedMixed covers the burst path proper: five
 // commands framed, prescanned, and dispatched out of one input buffer,
 // as a pipelining client would deliver them in a single readiness event.
 func TestEventAllocFreePipelinedMixed(t *testing.T) {
-	e := eventGuardEngine()
-	val := string(bytes.Repeat([]byte{'x'}, 64))
-	batch := []byte(
-		"set a 1 0 64\r\n" + val + "\r\n" +
-			"set b 2 0 64\r\n" + val + "\r\n" +
-			"get a b\r\n" +
-			"delete nosuch\r\n" +
-			"gets a\r\n")
-	for i := 0; i < 8; i++ {
-		runEventBatch(t, e, batch, 5)
-	}
-	avg := testing.AllocsPerRun(100, func() {
-		runEventBatch(t, e, batch, 5)
+	forEachGuardBackend(t, func(t *testing.T, backend kv.Backend) {
+		e := eventGuardEngine(backend)
+		val := string(bytes.Repeat([]byte{'x'}, 64))
+		batch := []byte(
+			"set a 1 0 64\r\n" + val + "\r\n" +
+				"set b 2 0 64\r\n" + val + "\r\n" +
+				"get a b\r\n" +
+				"delete nosuch\r\n" +
+				"gets a\r\n")
+		for i := 0; i < 8; i++ {
+			runEventBatch(t, e, batch, 5)
+		}
+		avg := testing.AllocsPerRun(100, func() {
+			runEventBatch(t, e, batch, 5)
+		})
+		if want := 2 * hallocAllocs(backend); avg != want {
+			t.Fatalf("event-engine pipelined batch allocates %.2f allocs/batch in steady state, want %.0f", avg, want)
+		}
 	})
-	if avg != 0 {
-		t.Fatalf("event-engine pipelined batch allocates %.2f allocs/batch in steady state, want 0", avg)
-	}
 }
 
 // TestEventParkReleasesMemory is the satellite guarantee in unit form: a
 // connection parked with no residue sheds its spill buffers entirely —
 // the memory cost of a parked idle connection is the bare pollConn.
 func TestEventParkReleasesMemory(t *testing.T) {
-	e := eventGuardEngine()
+	e := eventGuardEngine(kv.NewMallocBackend())
 	pc := e.pc
 	// A burst that leaves residue: partial command in the input buffer,
 	// undrained reply bytes (fd < 0 means tryFlush drains nothing).

@@ -155,8 +155,8 @@ func TestSlowRingWraparoundAndTruncation(t *testing.T) {
 }
 
 // TestSlowRingConcurrent hammers record from many goroutines while a
-// reader snapshots — under -race this proves the seqlock keeps readers
-// and writers apart without locks.
+// reader snapshots — under -race this proves the per-entry locks keep
+// readers and writers apart.
 func TestSlowRingConcurrent(t *testing.T) {
 	r := newSlowRing()
 	var wg sync.WaitGroup

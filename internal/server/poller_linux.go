@@ -363,14 +363,18 @@ func (p *epollPoller) closeConn(pc *pollConn) {
 	if slot := p.slot(pc.fd); slot != nil {
 		slot.pc.CompareAndSwap(pc, nil)
 	}
+	s := p.srv
+	// Kicks are counted before the close: the peer sees EOF the moment
+	// the fd closes and may read the stat right after.
+	if pc.slow.Load() {
+		s.slowKicks.Add(1)
+	}
 	_ = syscall.EpollCtl(p.epfd, syscall.EPOLL_CTL_DEL, pc.fd, nil)
 	_ = syscall.Close(pc.fd)
 	pc.inSpill, pc.outSpill = nil, nil
 	p.live.Add(-1)
-	s := p.srv
 	s.currConns.Add(-1)
 	if pc.slow.Load() {
-		s.slowKicks.Add(1)
 		s.cfg.Logger.Debugf("conn %d: kicked (slow client)", pc.id)
 	} else {
 		s.cfg.Logger.Debugf("conn %d: closed", pc.id)
@@ -378,21 +382,35 @@ func (p *epollPoller) closeConn(pc *pollConn) {
 	s.releaseConnSlot()
 }
 
-// kill requests a close. Reports whether this call won the close intent
-// (so each reap is counted exactly once); the close itself happens here
-// if the connection was parked, or on its current owner's next check.
-func (p *epollPoller) kill(pc *pollConn, slow bool) bool {
+// kickReason says why kill wants a connection closed, i.e. which kick
+// counter (if any) the reap belongs to.
+type kickReason int
+
+const (
+	kickShutdown kickReason = iota
+	kickIdle
+	kickSlow
+)
+
+// kill requests a close. Only the call that wins the close intent counts
+// the reap (so each is counted exactly once), and it does so before the
+// close can become visible to the peer: idle_kicks here,
+// slow_client_kicks in closeConn. The close itself happens here if the
+// connection was parked, or on its current owner's next check.
+func (p *epollPoller) kill(pc *pollConn, why kickReason) {
 	if !pc.killed.CompareAndSwap(false, true) {
-		return false
+		return
 	}
-	if slow {
+	switch why {
+	case kickIdle:
+		p.srv.idleKicks.Add(1)
+	case kickSlow:
 		pc.slow.Store(true)
 	}
 	if pc.sched.CompareAndSwap(schedParked, schedScheduled) {
 		p.parked.Add(-1)
 		p.closeConn(pc)
 	}
-	return true
 }
 
 // pollOnce runs one epoll_wait batch as the leader: validate each event
@@ -636,14 +654,12 @@ func (p *epollPoller) sweep() {
 			continue
 		}
 		if idle > 0 && now-pc.lastActive.Load() > int64(idle) {
-			if p.kill(pc, false) {
-				srv.idleKicks.Add(1)
-			}
+			p.kill(pc, kickIdle)
 			continue
 		}
 		if wto > 0 {
 			if ws := pc.writeStall.Load(); ws != 0 && now-ws > int64(wto) {
-				p.kill(pc, true) // slow_client_kicks counted at close
+				p.kill(pc, kickSlow)
 			}
 		}
 	}
@@ -658,7 +674,7 @@ func (p *epollPoller) killAll() {
 			continue
 		}
 		if pc := slot.pc.Load(); pc != nil {
-			p.kill(pc, false)
+			p.kill(pc, kickShutdown)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -11,12 +12,12 @@ import (
 // `stats slow` on the wire, /debug/slowops on the admin port — without
 // keeping a log or allocating on the request path.
 //
-// The record path is lock-free and allocation-free: a slot is claimed
-// with one atomic add on the cursor, and the entry is filled under a
-// per-entry seqlock (sequence odd while writing, even when stable) so
-// a reader that races a writer detects the torn entry and skips it
-// instead of reporting garbage. The key is truncated into a fixed
-// array — the ring never references request memory.
+// The record path is allocation-free: a slot is claimed with one atomic
+// add on the cursor, and the entry is filled under its own mutex, so
+// writers only ever meet a reader (or a writer a whole lap ahead) on
+// the one entry both want. Only commands already over the threshold
+// come here, so an uncontended lock is noise. The key is truncated
+// into a fixed array — the ring never references request memory.
 
 const (
 	// slowRingSize is the ring capacity; a power of two so the cursor
@@ -28,11 +29,9 @@ const (
 	slowOpKeyLen = 32
 )
 
-// slowEntry is one recorded operation. Fields are plain (not atomic):
-// the seqlock orders them — a writer publishes with seq even, a reader
-// rejects any entry whose seq was odd or changed across the copy.
+// slowEntry is one recorded operation; mu guards every field.
 type slowEntry struct {
-	seq      atomic.Uint64
+	mu       sync.Mutex
 	whenNs   int64 // wall clock, unixnano
 	latNs    int64
 	connID   uint64
@@ -42,7 +41,7 @@ type slowEntry struct {
 	truncKey bool // key was longer than the recorded prefix
 }
 
-// slowRing is the fixed-size lock-free ring.
+// slowRing is the fixed-size ring.
 type slowRing struct {
 	cur     atomic.Uint64 // total records ever; next slot is cur & mask
 	entries [slowRingSize]slowEntry
@@ -56,14 +55,14 @@ func newSlowRing() *slowRing { return &slowRing{} }
 // the one an operator debugging a latency spike wants.
 func (r *slowRing) record(cmd cmdCode, key []byte, lat time.Duration, connID uint64, now time.Time) {
 	e := &r.entries[r.cur.Add(1)&(slowRingSize-1)]
-	seq := e.seq.Add(1) // odd: writing
+	e.mu.Lock()
 	e.whenNs = now.UnixNano()
 	e.latNs = lat.Nanoseconds()
 	e.connID = connID
 	e.cmd = cmd
 	e.keyLen = uint8(copy(e.key[:], key))
 	e.truncKey = len(key) > slowOpKeyLen
-	e.seq.Store(seq + 1) // even: stable
+	e.mu.Unlock()
 }
 
 // SlowOp is one captured slow operation, decoded for the reporting
@@ -76,8 +75,9 @@ type SlowOp struct {
 	When    time.Time     `json:"when"`
 }
 
-// snapshot copies the stable entries out, newest first. Reporting path
-// only — it allocates freely.
+// snapshot copies the entries out, newest first. Reporting path only —
+// it allocates freely. A slot claimed but not yet filled reads as its
+// previous occupant (or is skipped if it never had one).
 func (r *slowRing) snapshot() []SlowOp {
 	out := make([]SlowOp, 0, slowRingSize)
 	cur := r.cur.Load()
@@ -87,10 +87,7 @@ func (r *slowRing) snapshot() []SlowOp {
 	}
 	for i := uint64(0); i < n; i++ {
 		e := &r.entries[(cur-i)&(slowRingSize-1)]
-		s1 := e.seq.Load()
-		if s1&1 != 0 {
-			continue // mid-write
-		}
+		e.mu.Lock()
 		op := SlowOp{
 			Cmd:     cmdNames[e.cmd],
 			Latency: time.Duration(e.latNs),
@@ -102,10 +99,11 @@ func (r *slowRing) snapshot() []SlowOp {
 			key += "..."
 		}
 		op.Key = key
-		if e.seq.Load() != s1 {
-			continue // torn: a writer overtook the copy
+		filled := e.whenNs != 0
+		e.mu.Unlock()
+		if filled {
+			out = append(out, op)
 		}
-		out = append(out, op)
 	}
 	return out
 }
