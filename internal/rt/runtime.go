@@ -101,6 +101,7 @@ type Runtime struct {
 }
 
 // Stats counts runtime events; all fields are monotonically increasing.
+// Translates counts successful translations only.
 type Stats struct {
 	Hallocs     atomic.Int64
 	Hfrees      atomic.Int64
@@ -154,8 +155,21 @@ func (r *Runtime) Close() error {
 // Service returns the attached service.
 func (r *Runtime) Service() Service { return r.svc }
 
-// Stats returns a pointer to the runtime's event counters.
-func (r *Runtime) Stats() *Stats { return &r.stats }
+// Stats brings the runtime's event counters up to date and returns a
+// pointer to them. Pins and Translates are counted per thread, off the
+// shared cache line, and this call is what moves every registered
+// thread's counts into the totals (Destroy moves an exiting thread's): a
+// caller that keeps the pointer reads those two as of its last Stats
+// call. Safe from inside a barrier callback — Barrier does not hold r.mu
+// while fn runs.
+func (r *Runtime) Stats() *Stats {
+	r.mu.Lock()
+	for t := range r.threads {
+		t.drainStats()
+	}
+	r.mu.Unlock()
+	return &r.stats
+}
 
 // Halloc allocates size bytes of handle-managed memory and returns the
 // handle word the program will treat as a pointer.
@@ -225,7 +239,6 @@ func (r *Runtime) translate(h handle.Handle) (mem.Addr, error) {
 	for {
 		a, err := r.Table.Translate(h)
 		if err == nil {
-			r.stats.Translates.Add(1)
 			return a, nil
 		}
 		if !errors.Is(err, handle.ErrHandleFault) {

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"alaska/internal/handle"
 	"alaska/internal/mem"
@@ -520,4 +521,104 @@ func TestConcurrentPinningAndBarriers(t *testing.T) {
 	}
 	close(quit)
 	wg.Wait()
+}
+
+// TestStatsDrainsThreadCounters pins from many threads — half of which
+// exit mid-run — while a reader polls Stats: Pins and Translates are
+// counted on the threads and only moved into the totals by Stats and
+// Destroy, so the totals must never step backwards at any poll, and once
+// the pinners stop they must be exact, with the surviving threads still
+// registered (drain on read) and the rest long gone (drain on exit). Also
+// reads Stats from inside a barrier callback, which must not deadlock.
+// Run under -race.
+func TestStatsDrainsThreadCounters(t *testing.T) {
+	for name, mode := range map[string]PinMode{"stack": StackPins, "counted": CountedPins} {
+		t.Run(name, func(t *testing.T) {
+			const threads, pinsEach = 8, 5000
+			r, _ := newTestRuntime(t, WithPinMode(mode))
+			h, err := r.Halloc(64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want int64
+			var wg sync.WaitGroup
+			survivors := make(chan *Thread, threads)
+			for i := 0; i < threads; i++ {
+				n, exits := pinsEach, i%2 == 1
+				if exits {
+					n /= 2 // gone while the others are still pinning
+				}
+				want += int64(n)
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					th := r.NewThread()
+					for j := 0; j < n; j++ {
+						_, unpin, err := th.Pin(h)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						unpin()
+						th.Safepoint()
+					}
+					if !exits {
+						th.EnterExternal() // parked, still registered
+						survivors <- th
+						return
+					}
+					if err := th.Destroy(); err != nil {
+						t.Error(err)
+					}
+				}()
+			}
+			stop, polled := make(chan struct{}), make(chan struct{})
+			go func() {
+				defer close(polled)
+				var lastPins, lastTr int64
+				for polls := 0; ; polls++ {
+					st := r.Stats()
+					pins, tr := st.Pins.Load(), st.Translates.Load()
+					if pins < lastPins || tr < lastTr {
+						t.Errorf("poll %d: totals went backwards: pins %d -> %d, translates %d -> %d", polls, lastPins, pins, lastTr, tr)
+						return
+					}
+					lastPins, lastTr = pins, tr
+					if polls%64 == 0 {
+						r.Barrier(nil, func(*BarrierScope) { r.Stats() })
+					}
+					select {
+					case <-stop:
+						return
+					default:
+					}
+				}
+			}()
+			wg.Wait()
+			close(stop)
+			<-polled
+			st := r.Stats()
+			if pins, tr := st.Pins.Load(), st.Translates.Load(); pins != want || tr != want {
+				t.Fatalf("pins = %d, translates = %d, want %d each", pins, tr, want)
+			}
+			close(survivors)
+			for th := range survivors {
+				th.ExitExternal()
+				if err := th.Destroy(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if pins := r.Stats().Pins.Load(); pins != want {
+				t.Fatalf("pins = %d after every thread exited, want %d", pins, want)
+			}
+		})
+	}
+}
+
+// A Thread must fill a whole number of cache lines, or two threads'
+// counters share one (see the padding in Thread).
+func TestThreadFillsCacheLines(t *testing.T) {
+	if sz := unsafe.Sizeof(Thread{}); sz%64 != 0 {
+		t.Fatalf("sizeof(Thread) = %d, want a multiple of 64", sz)
+	}
 }

@@ -49,6 +49,24 @@ type Thread struct {
 	// every call, and a fresh t.PopFrame method value would be a heap
 	// allocation each time.
 	unpin func()
+
+	// pins and translates are this thread's share of Stats.Pins and
+	// Stats.Translates: bumped here, where no other thread writes, and
+	// moved into the runtime's totals by Runtime.Stats and Destroy. The
+	// padding rounds Thread up to 128 B, a size class whose objects start
+	// on cache-line boundaries, so two threads' counters (and epochs) never
+	// share a line.
+	pins       atomic.Int64
+	translates atomic.Int64
+	_          [32]byte
+}
+
+// drainStats moves the thread's counts into the runtime's totals; r.mu
+// must be held. A count leaves the thread by an atomic swap, so a pin
+// racing the drain is in this drain or the next, never both.
+func (t *Thread) drainStats() {
+	t.rt.stats.Pins.Add(t.pins.Swap(0))
+	t.rt.stats.Translates.Add(t.translates.Swap(0))
 }
 
 // NewThread registers a new application thread. If a barrier is in flight,
@@ -74,6 +92,7 @@ func (t *Thread) Destroy() error {
 	// If a barrier is in flight it may be waiting for this thread to
 	// quiesce; removing the thread must wake the initiator.
 	t.rt.mu.Lock()
+	t.drainStats()
 	delete(t.rt.threads, t)
 	t.rt.quiesceCond.Broadcast()
 	t.rt.mu.Unlock()
@@ -142,8 +161,8 @@ func (t *Thread) TranslateAndPin(h handle.Handle, slot int) (mem.Addr, error) {
 		}
 	}
 	fr[slot] = h
-	t.rt.stats.Pins.Add(1)
-	return t.rt.translate(h)
+	t.pins.Add(1)
+	return t.translate(h)
 }
 
 // Pin is the scoped-pin convenience used by hand-written runtime clients
@@ -167,7 +186,17 @@ func (t *Thread) Pin(h handle.Handle) (mem.Addr, func(), error) {
 // the resulting address across a safepoint; it exists for momentary reads
 // in code that polls no safepoints in between (and for tests).
 func (t *Thread) Translate(h handle.Handle) (mem.Addr, error) {
-	return t.rt.translate(h)
+	return t.translate(h)
+}
+
+// translate is Runtime.translate plus the per-thread count of the ones
+// that succeeded.
+func (t *Thread) translate(h handle.Handle) (mem.Addr, error) {
+	a, err := t.rt.translate(h)
+	if err == nil {
+		t.translates.Add(1)
+	}
+	return a, err
 }
 
 // Safepoint is the poll the compiler inserts on loop back edges, function

@@ -61,14 +61,18 @@ func guardHandlerCfg(backend kv.Backend, cfg Config) (*connHandler, *bytes.Reade
 	store := kv.NewShardedStore(backend, 8, 0)
 	srv := New(store, cfg)
 	src := bytes.NewReader(nil)
-	h := &connHandler{
-		srv:  srv,
-		c:    &conn{clock: srv.cfg.Clock},
-		sess: store.NewSession(),
-		r:    bufio.NewReaderSize(src, 16<<10),
-		w:    bufio.NewWriterSize(io.Discard, 64<<10),
-	}
-	return h, src
+	return blockingGuardHandler(srv, store, src), src
+}
+
+// blockingGuardHandler attaches in-memory I/O to a handler from the
+// server's own constructor (so it records into a latency stripe like any
+// other).
+func blockingGuardHandler(srv *Server, store *kv.ShardedStore, src *bytes.Reader) *connHandler {
+	h := srv.newConnHandler(store.NewSession())
+	h.c = &conn{clock: srv.cfg.Clock}
+	h.r = bufio.NewReaderSize(src, 16<<10)
+	h.w = bufio.NewWriterSize(io.Discard, 64<<10)
+	return h
 }
 
 // runCommand feeds one pre-built request through the handler exactly as

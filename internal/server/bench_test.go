@@ -13,10 +13,12 @@ import (
 	"bytes"
 	"fmt"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
 	"alaska/internal/kv"
+	"alaska/internal/ycsb"
 )
 
 // benchServer boots a malloc-backed loopback server tuned for
@@ -165,3 +167,104 @@ func BenchmarkLoopbackSetGet(b *testing.B) {
 		}
 	}
 }
+
+// detachedEngine attaches a worker's protocol engine to srv with no
+// socket under it (fd < 0: replies accumulate in the worker buffer exactly
+// as they do before a writev), for driving process() directly.
+func detachedEngine(srv *Server) *eventIO {
+	h := srv.newConnHandler(srv.store.NewSession())
+	e := &eventIO{h: h}
+	h.ev = e
+	pc := &pollConn{fd: -1, id: 1}
+	pc.sched.Store(schedScheduled)
+	e.begin(pc)
+	return e
+}
+
+// runEventBatch feeds one pre-built request buffer through process() as
+// a single readiness burst and resets the reply buffer, exactly as a
+// worker would between bursts (minus the writev).
+func runEventBatch(tb testing.TB, e *eventIO, req []byte, want int) {
+	if cmds, st := processBatch(e, req); st != evNeedInput || cmds != want {
+		tb.Fatalf("process dispatched %d commands with status %d, want %d with evNeedInput", cmds, st, want)
+	}
+}
+
+// processBatch is runEventBatch without the verdict, for goroutines that
+// may not call Fatal.
+func processBatch(e *eventIO, req []byte) (cmds int, st evStatus) {
+	e.in = append(e.in[:0], req...)
+	e.rpos = 0
+	st = e.process(&cmds)
+	e.out = e.out[:0]
+	e.outOff = 0
+	return cmds, st
+}
+
+// benchEventPipelinedGet is the server-side half of the benchmark's
+// get_pipelined workload with the wire taken away: `engines` detached
+// event engines, one goroutine each, on one store built the way
+// cmd/alaskad builds it (anchorage + CountedPins, 32 shards) holding
+// 20 000 × 512 B, each engine fed b.N pre-rendered bursts of 32 single-key
+// GETs over seeded zipfian keys. ns/get is wall time over all engines'
+// GETs, so two engines scaling perfectly on two CPUs read half of one.
+func benchEventPipelinedGet(b *testing.B, engines int) {
+	const (
+		records = 20000
+		burst   = 32
+		bursts  = 512 // distinct pre-rendered bursts per engine, cycled
+	)
+	store := kv.NewShardedStore(anchorageBackend(b), 32, 0)
+	srv := New(store, Config{Version: "bench", MaxReplyBacklog: -1, ConnModel: "goroutine"})
+	load := store.NewSession()
+	val := benchValue(512)
+	for i := 0; i < records; i++ {
+		if _, err := store.SetExBytes(load, []byte(ycsb.Key(uint64(i))), val, kv.SetAlways, time.Time{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	load.Close()
+	es := make([]*eventIO, engines)
+	reqs := make([][][]byte, engines)
+	for w := range es {
+		es[w] = detachedEngine(srv)
+		gen, err := ycsb.NewGenerator(ycsb.WorkloadC, records, len(val), int64(w+1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		reqs[w] = make([][]byte, bursts)
+		for i := range reqs[w] {
+			for j := 0; j < burst; j++ {
+				reqs[w][i] = append(reqs[w][i], "get "+gen.Next().Key+"\r\n"...)
+			}
+		}
+		runEventBatch(b, es[w], reqs[w][0], burst) // grow the worker buffers
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for w := range es {
+		wg.Add(1)
+		go func(e *eventIO, mine [][]byte) {
+			defer wg.Done()
+			for i := 0; i < b.N; i++ {
+				if cmds, st := processBatch(e, mine[i%len(mine)]); st != evNeedInput || cmds != burst {
+					b.Errorf("process dispatched %d commands with status %d", cmds, st)
+					return
+				}
+			}
+		}(es[w], reqs[w])
+	}
+	wg.Wait()
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*burst*engines), "ns/get")
+	for _, e := range es {
+		e.h.sess.Close()
+	}
+	if got := srv.OpLatency("get").Count(); got != int64((b.N+1)*burst*engines) {
+		b.Fatalf("recorded %d gets, want %d", got, (b.N+1)*burst*engines)
+	}
+}
+
+func BenchmarkEventPipelinedGet(b *testing.B)     { benchEventPipelinedGet(b, 1) }
+func BenchmarkEventPipelinedGetPar2(b *testing.B) { benchEventPipelinedGet(b, 2) }

@@ -37,7 +37,7 @@ func startServer(t *testing.T, backend kv.Backend, cfg Config) *Server {
 }
 
 // anchorageBackend builds the anchorage backend the way cmd/alaskad does.
-func anchorageBackend(t *testing.T) kv.Backend {
+func anchorageBackend(t testing.TB) kv.Backend {
 	t.Helper()
 	// CountedPins: the pin-visibility mode required when writers run
 	// concurrently with the pause-free defrag pass (§7 contract).

@@ -428,11 +428,17 @@ func (e *eventIO) process(cmds *int) evStatus {
 }
 
 // dispatchBuffered is process()'s loop, counting completed commands into
-// *cmds.
+// *cmds. It reads the clock once per command: a base taken just before the
+// first dispatch of the call (not at entry — most calls in a burst find
+// nothing to dispatch), then one monotonic reading after each command,
+// whose latency is the step from the reading before it. See recordOp for
+// what that interval covers.
 func (e *eventIO) dispatchBuffered(cmds *int) evStatus {
 	h := e.h
 	srv := h.srv
 	maxLine := srv.cfg.MaxLineLen
+	var base time.Time
+	var prev time.Duration
 	for {
 		if *cmds >= burstCmdBudget && e.rpos < len(e.in) {
 			return evYield
@@ -537,7 +543,9 @@ func (e *eventIO) dispatchBuffered(cmds *int) evStatus {
 			}
 		}
 		e.rpos += i + 1
-		start := time.Now()
+		if base.IsZero() {
+			base = time.Now()
+		}
 		quit, err := h.dispatch(line)
 		if err != nil {
 			if quit {
@@ -546,7 +554,9 @@ func (e *eventIO) dispatchBuffered(cmds *int) evStatus {
 			}
 			return evFatal
 		}
-		srv.recordOp(h, pc.id, time.Since(start))
+		t := time.Since(base)
+		srv.recordOp(h, pc.id, t-prev)
+		prev = t
 		h.sess.Safepoint()
 		*cmds++
 		if quit {

@@ -25,30 +25,7 @@ import (
 func eventGuardEngine(backend kv.Backend) *eventIO {
 	store := kv.NewShardedStore(backend, 8, 0)
 	srv := New(store, Config{Version: "guard", MaxReplyBacklog: -1, ConnModel: "goroutine"})
-	h := &connHandler{srv: srv, sess: store.NewSession()}
-	e := &eventIO{h: h}
-	h.ev = e
-	pc := &pollConn{fd: -1, id: 1}
-	pc.sched.Store(schedScheduled)
-	e.begin(pc)
-	return e
-}
-
-// runEventBatch feeds one pre-built request buffer through process() as
-// a single readiness burst and resets the reply buffer, exactly as a
-// worker would between bursts (minus the writev).
-func runEventBatch(tb testing.TB, e *eventIO, req []byte, want int) {
-	e.in = append(e.in[:0], req...)
-	e.rpos = 0
-	cmds := 0
-	if st := e.process(&cmds); st != evNeedInput {
-		tb.Fatalf("process status = %d, want evNeedInput", st)
-	}
-	if cmds != want {
-		tb.Fatalf("process dispatched %d commands, want %d", cmds, want)
-	}
-	e.out = e.out[:0]
-	e.outOff = 0
+	return detachedEngine(srv)
 }
 
 func TestEventAllocFreeGetHit(t *testing.T) {

@@ -26,8 +26,9 @@ type registryState struct {
 // MetricsRegistry returns the server's Prometheus registry, building it
 // on first use. Registration happens exactly once; afterwards the only
 // shared work is at scrape time — the request path never sees the
-// registry at all (it records into the same atomics and latency
-// recorders the registry renders from).
+// registry at all (it bumps the atomics the registry renders from, and
+// records latency into per-worker stripes that a scrape folds into the
+// recorders the registry renders).
 func (s *Server) MetricsRegistry() *metrics.Registry {
 	s.registryOnce.Do(func() {
 		s.registry = s.buildRegistry()
@@ -38,7 +39,10 @@ func (s *Server) MetricsRegistry() *metrics.Registry {
 func (s *Server) buildRegistry() *registryState {
 	st := &registryState{reg: metrics.NewRegistry()}
 	r := st.reg
-	r.OnScrape(func() { st.snap = s.store.Snapshot() })
+	r.OnScrape(func() {
+		st.snap = s.store.Snapshot()
+		s.foldLatency()
+	})
 
 	// Identity and lifetime.
 	r.Family("alaskad_info", metrics.KindGauge,
@@ -49,17 +53,18 @@ func (s *Server) buildRegistry() *registryState {
 		func() float64 { return s.cfg.Clock().Sub(s.start).Seconds() })
 
 	// Per-opcode command latency: the tentpole histogram family. The
-	// children are the same recorders the hot path writes, so exposing
-	// them costs nothing per request.
+	// children are the published recorders, which the OnScrape hook above
+	// brings up to date from the per-worker stripes the hot path writes;
+	// exposing them costs nothing per request.
 	if s.instr {
 		f := r.Family("alaskad_op_latency_seconds", metrics.KindHistogram,
-			"Command latency by opcode, measured from dispatch to reply generation.")
+			"Command latency by opcode: server-side time per command, reply generation included; a pipelined command is timed from the end of the one before it.")
 		for i, rec := range s.perOp {
 			f.Histogram(`op="`+cmdNames[i]+`"`, rec)
 		}
 	}
 	r.Histogram("alaskad_command_latency_seconds",
-		"Command latency across all opcodes.", s.lat)
+		"Command latency across all opcodes: the sum of the alaskad_op_latency_seconds series, same interval.", s.lat)
 
 	// Socket byte totals (counted in the conn read/write wrappers).
 	r.CounterFunc("alaskad_bytes_read_total", "Bytes read from client sockets.",

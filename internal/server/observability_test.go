@@ -8,8 +8,11 @@ package server
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -18,6 +21,13 @@ import (
 	"alaska/internal/kv"
 	"alaska/internal/logx"
 )
+
+// aggregateCount reads the all-opcodes recorder the way every product
+// reader does: fold the stripes in, then look.
+func aggregateCount(srv *Server) int64 {
+	srv.foldLatency()
+	return srv.lat.Count()
+}
 
 func TestStatsResetConformance(t *testing.T) {
 	forEachBackend(t, Config{Addr: "127.0.0.1:0"}, func(t *testing.T, srv *Server) {
@@ -52,8 +62,8 @@ func TestStatsResetZeroesLatencyAndBytes(t *testing.T) {
 	})
 	// The `stats reset` command itself is recorded after dispatch
 	// returns, so at most that one op may appear; the set must be gone.
-	if srv.lat.Count() > 1 {
-		t.Fatalf("post-reset latency count=%d, want <=1", srv.lat.Count())
+	if n := aggregateCount(srv); n > 1 {
+		t.Fatalf("post-reset latency count=%d, want <=1", n)
 	}
 	if got := srv.OpLatency("set").Count(); got != 0 {
 		t.Fatalf("post-reset per-op set count=%d, want 0", got)
@@ -234,7 +244,7 @@ func TestDisableInstrumentation(t *testing.T) {
 	if got := srv.SlowOps(); got != nil {
 		t.Fatalf("slow ring must be off: %+v", got)
 	}
-	if srv.lat.Count() == 0 {
+	if aggregateCount(srv) == 0 {
 		t.Fatal("aggregate latency recorder must stay on")
 	}
 	if srv.bytesRead.Load() != 0 {
@@ -344,3 +354,156 @@ func TestVerbosityMovesLogLevel(t *testing.T) {
 type nopWriter struct{}
 
 func (nopWriter) Write(p []byte) (int, error) { return len(p), nil }
+
+// metricCount scrapes the registry and returns the value of one
+// `<series> <n>` sample line.
+func metricCount(t *testing.T, srv *Server, series string) int64 {
+	t.Helper()
+	var sb strings.Builder
+	if _, err := srv.MetricsRegistry().WriteTo(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, series+" "); ok {
+			n, err := strconv.ParseInt(rest, 10, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("/metrics has no %q sample", series)
+	return 0
+}
+
+// sendBursts writes burst n times down one connection, reading the
+// exact reply after each. (runTranscript without t.Fatal, for goroutines.)
+func sendBursts(addr, burst, reply string, n int) error {
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		return err
+	}
+	defer c.Close()
+	_ = c.SetDeadline(time.Now().Add(10 * time.Second))
+	buf := make([]byte, len(reply))
+	for i := 0; i < n; i++ {
+		if _, err := c.Write([]byte(burst)); err != nil {
+			return err
+		}
+		if _, err := io.ReadFull(c, buf); err != nil {
+			return fmt.Errorf("burst %d: %w (got %q)", i, err, buf)
+		}
+		if string(buf) != reply {
+			return fmt.Errorf("burst %d: got %q", i, buf)
+		}
+	}
+	return nil
+}
+
+// TestLatencyFoldConservesCounts drives pipelined bursts down several
+// connections at once — so several latency stripes are being recorded
+// into — while a reader keeps folding them through every read surface,
+// on both connection models and with instrumentation on and off. Every
+// command must be counted exactly once wherever it is read: per opcode,
+// in the aggregate, in /metrics; the published counts may never step
+// backwards between resets; and a `stats reset` must not leave behind
+// observations that were still sitting in a stripe. Run under -race.
+func TestLatencyFoldConservesCounts(t *testing.T) {
+	const conns, bursts, perBurst = 4, 20, 32 // each burst: 1 set + 31 gets
+	const total = conns * bursts * perBurst
+	burst := "set k 0 0 3\r\nabc\r\n" + strings.Repeat("get k\r\n", perBurst-1)
+	reply := "STORED\r\n" + strings.Repeat("VALUE k 0 3\r\nabc\r\nEND\r\n", perBurst-1)
+	for _, model := range []string{"goroutine", "event"} {
+		for _, noInstr := range []bool{false, true} {
+			name := model + "/instrumented"
+			if noInstr {
+				name = model + "/uninstrumented"
+			}
+			t.Run(name, func(t *testing.T) {
+				srv := startServer(t, kv.NewMallocBackend(), Config{
+					Addr: "127.0.0.1:0", ConnModel: model, Workers: 3, DisableInstrumentation: noInstr,
+				})
+				if model == "event" && srv.ConnModel() != "event" {
+					t.Skip("no readiness poller on this platform")
+				}
+				stop, polled := make(chan struct{}), make(chan struct{})
+				go func() {
+					defer close(polled)
+					var last int64
+					for {
+						// Every read surface, each folding first.
+						srv.StatsSnapshot()
+						srv.OpLatency("get")
+						_, _ = srv.MetricsRegistry().WriteTo(io.Discard)
+						n := aggregateCount(srv)
+						if n < last {
+							t.Errorf("published aggregate went backwards: %d -> %d", last, n)
+							return
+						}
+						last = n
+						select {
+						case <-stop:
+							return
+						default:
+						}
+					}
+				}()
+				var wg sync.WaitGroup
+				for c := 0; c < conns; c++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						if err := sendBursts(srv.Addr(), burst, reply, bursts); err != nil {
+							t.Error(err)
+						}
+					}()
+				}
+				wg.Wait()
+				close(stop)
+				<-polled
+
+				if got := aggregateCount(srv); got != total {
+					t.Errorf("aggregate count = %d, want %d", got, total)
+				}
+				if got := metricCount(t, srv, "alaskad_command_latency_seconds_count"); got != total {
+					t.Errorf("/metrics aggregate count = %d, want %d", got, total)
+				}
+				if noInstr {
+					if srv.OpLatency("get") != nil {
+						t.Error("per-op recorders must be nil when instrumentation is disabled")
+					}
+				} else {
+					var byOp int64
+					for _, op := range cmdNames {
+						byOp += srv.OpLatency(op).Count()
+					}
+					gets, sets := srv.OpLatency("get").Count(), srv.OpLatency("set").Count()
+					if byOp != total || sets != conns*bursts || gets != total-sets {
+						t.Errorf("per-op counts: all=%d get=%d set=%d, want %d/%d/%d", byOp, gets, sets, total, total-conns*bursts, conns*bursts)
+					}
+					if got := metricCount(t, srv, `alaskad_op_latency_seconds_count{op="get"}`); got != gets {
+						t.Errorf("/metrics get count = %d, OpLatency says %d", got, gets)
+					}
+				}
+
+				// A reset must also empty the stripes. The burst before it
+				// is read by nobody, so it is still in one when the reset
+				// runs; one command after it reads as one (plus the reset
+				// command itself, recorded after it ran), not 33.
+				runTranscript(t, srv.Addr(), []step{
+					{burst, reply},
+					{"stats reset\r\n", "RESET\r\n"},
+					{"get k\r\n", "VALUE k 0 3\r\nabc\r\nEND\r\n"},
+				})
+				if got := aggregateCount(srv); got != 2 {
+					t.Errorf("aggregate count after reset + one get = %d, want 2", got)
+				}
+				if !noInstr {
+					if got := srv.OpLatency("get").Count(); got != 1 {
+						t.Errorf("get count after reset + one get = %d, want 1", got)
+					}
+				}
+			})
+		}
+	}
+}

@@ -472,7 +472,7 @@ func (p *epollPoller) worker() {
 	defer p.wg.Done()
 	sess := p.srv.store.NewSession()
 	defer sess.Close()
-	h := &connHandler{srv: p.srv, sess: sess}
+	h := p.srv.newConnHandler(sess)
 	e := &eventIO{h: h}
 	h.ev = e
 	r := newEpollReaper()

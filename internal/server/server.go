@@ -213,16 +213,22 @@ type Server struct {
 	barrierPauseNs atomic.Int64
 	bytesRead      atomic.Int64
 	bytesWritten   atomic.Int64
-	lat            *stats.LatencyRecorder
 
-	// Observability plane. perOp splits command latency by opcode (the
-	// per-op recorders behind /metrics); slowOps is the slow-command
-	// flight recorder. instr/slowThreshNs are the precomputed hot-path
-	// gates. connIDs labels connections for slow-op attribution — it is
-	// separate from totalConns so `stats reset` never reuses an id.
+	// Observability plane. lat and perOp are the published command-latency
+	// recorders (all opcodes, and split by opcode behind /metrics). No
+	// command records into them: a handler records into its own latStripe
+	// and every reader calls foldLatency first, which drains the stripes
+	// in. slowOps is the slow-command flight recorder. instr/slowThreshNs
+	// are the precomputed hot-path gates. connIDs labels connections for
+	// slow-op attribution — it is separate from totalConns so `stats
+	// reset` never reuses an id.
 	instr        bool
 	slowThreshNs int64
+	lat          *stats.LatencyRecorder
 	perOp        [cmdCount]*stats.LatencyRecorder
+	stripes      []latStripe
+	nextStripe   atomic.Uint32
+	foldMu       sync.Mutex // held to fold the stripes in, and to reset what they fold into
 	slowOps      *slowRing
 	connIDs      atomic.Uint64
 
@@ -348,6 +354,19 @@ func New(store *kv.ShardedStore, cfg Config) *Server {
 		start: time.Now(),
 	}
 	s.instr = !s.cfg.DisableInstrumentation
+	// Stripe by stripe, so one worker's recorders sit together and apart
+	// from the next worker's.
+	s.stripes = make([]latStripe, s.cfg.Workers)
+	for i := range s.stripes {
+		st := &s.stripes[i]
+		if !s.instr {
+			st.lat = stats.NewLatencyRecorder()
+			continue
+		}
+		for op := range st.perOp {
+			st.perOp[op] = stats.NewLatencyRecorder()
+		}
+	}
 	if s.instr {
 		for i := range s.perOp {
 			s.perOp[i] = stats.NewLatencyRecorder()
@@ -809,6 +828,48 @@ type connHandler struct {
 	lastCmd  cmdCode
 	opKey    [slowOpKeyLen]byte
 	opKeyLen uint8
+	stripe   *latStripe // where recordOp records; taken once, at construction
+}
+
+// latStripe is one worker's private command-latency recorders: by opcode,
+// or the single lat when DisableInstrumentation leaves only the aggregate.
+// There are cfg.Workers of them, so each event-model worker records into
+// lines no other worker writes; goroutine-model handlers share them
+// round-robin.
+type latStripe struct {
+	perOp [cmdCount]*stats.LatencyRecorder
+	lat   *stats.LatencyRecorder
+}
+
+// newConnHandler builds a handler over sess and hands it the next stripe.
+// The caller attaches the I/O side: c/r/w for the blocking engine, ev for
+// the event engine.
+func (s *Server) newConnHandler(sess kv.Session) *connHandler {
+	n := s.nextStripe.Add(1) - 1
+	return &connHandler{srv: s, sess: sess, stripe: &s.stripes[n%uint32(len(s.stripes))]}
+}
+
+// foldLatency drains every stripe into the published recorders; every
+// reader of s.lat or s.perOp calls it first. Nothing else adds to them
+// and only a reset subtracts, so a caller taking deltas of Sum/Count
+// never sees one go backwards.
+func (s *Server) foldLatency() {
+	s.foldMu.Lock()
+	defer s.foldMu.Unlock()
+	s.foldLatencyLocked()
+}
+
+func (s *Server) foldLatencyLocked() {
+	for i := range s.stripes {
+		st := &s.stripes[i]
+		if !s.instr {
+			st.lat.DrainInto(s.lat)
+			continue
+		}
+		for op, rec := range st.perOp {
+			rec.DrainInto(s.perOp[op], s.lat)
+		}
+	}
 }
 
 func (s *Server) handleConn(c *conn) {
@@ -834,13 +895,10 @@ func (s *Server) handleConn(c *conn) {
 	if s.cfg.MaxLineLen+2 > rsize {
 		rsize = s.cfg.MaxLineLen + 2
 	}
-	h := &connHandler{
-		srv:  s,
-		c:    c,
-		sess: s.store.NewSession(),
-		r:    bufio.NewReaderSize(c, rsize),
-		w:    bufio.NewWriterSize(c, 16<<10),
-	}
+	h := s.newConnHandler(s.store.NewSession())
+	h.c = c
+	h.r = bufio.NewReaderSize(c, rsize)
+	h.w = bufio.NewWriterSize(c, 16<<10)
 	defer h.sess.Close()
 	for {
 		line, err := h.readLine()
@@ -888,17 +946,26 @@ func (s *Server) handleConn(c *conn) {
 	}
 }
 
-// recordOp folds one completed command into the aggregate and
-// per-opcode latency recorders and, past the slow threshold, the
-// slow-op ring. Atomics and fixed arrays only — the allocation guards
-// run this exact path with instrumentation fully enabled.
+// recordOp records one completed command's latency — once, into the
+// handler's stripe (the per-opcode recorder; the all-opcodes aggregate is
+// their sum, made by foldLatency) — and, past the slow threshold, into the
+// slow-op ring. Atomics and fixed arrays only — the allocation guards run
+// this exact path with instrumentation fully enabled.
+//
+// What d covers depends on the engine. The blocking engine times each
+// command from just before dispatch to reply generation. The event engine
+// reads the clock once per command, after it: the first command of a
+// process() call is timed the same way, and each later one from the end of
+// the command before it, so its d also covers that command's recordOp and
+// safepoint poll and its own framing scan.
 func (s *Server) recordOp(h *connHandler, connID uint64, d time.Duration) {
-	s.lat.Record(d)
-	if s.instr {
-		s.perOp[h.lastCmd].Record(d)
-		if s.slowThreshNs > 0 && d.Nanoseconds() >= s.slowThreshNs {
-			s.slowOps.record(h.lastCmd, h.opKey[:h.opKeyLen], d, connID, s.cfg.Clock())
-		}
+	if !s.instr {
+		h.stripe.lat.Record(d)
+		return
+	}
+	h.stripe.perOp[h.lastCmd].Record(d)
+	if s.slowThreshNs > 0 && d.Nanoseconds() >= s.slowThreshNs {
+		s.slowOps.record(h.lastCmd, h.opKey[:h.opKeyLen], d, connID, s.cfg.Clock())
 	}
 }
 
@@ -1350,7 +1417,7 @@ func (h *connHandler) doGat(args [][]byte, withCAS bool) error {
 	if perr != nil {
 		return h.replyError(respBadFormat)
 	}
-	deadline := deadlineFor(exptime, h.srv.cfg.Clock())
+	deadline := h.deadline(exptime)
 	for _, key := range keys {
 		stored, hit, err := h.srv.store.GetAndTouchInto(h.sess, key, deadline, h.val[:0])
 		if cap(stored) > cap(h.val) {
@@ -1442,6 +1509,16 @@ func (h *connHandler) doStore(op storeOp, args [][]byte) error {
 	return h.reply(resp)
 }
 
+// deadline is deadlineFor on the server's clock, read only when the
+// answer depends on it: exptime 0 — every plain `set k f 0 n` — never
+// expires, whatever the time.
+func (h *connHandler) deadline(exptime int64) time.Time {
+	if exptime == 0 {
+		return time.Time{}
+	}
+	return deadlineFor(exptime, h.srv.cfg.Clock())
+}
+
 // executeStore runs a parsed storage command against the store and
 // returns the response line; errLine marks an in-band error reply
 // (oversized concatenation, header decode failure) that must be counted
@@ -1454,7 +1531,7 @@ func (h *connHandler) doStore(op storeOp, args [][]byte) error {
 // append/prepend — stores without allocating.
 func (h *connHandler) executeStore(op storeOp, sa storageArgsB, data []byte) (resp string, errLine bool, err error) {
 	newCas := h.srv.casCounter.Add(1)
-	deadline := deadlineFor(sa.exptime, h.srv.cfg.Clock())
+	deadline := h.deadline(sa.exptime)
 	switch op {
 	case opSet, opAdd, opReplace:
 		mode := kv.SetAlways
@@ -1645,7 +1722,7 @@ func (h *connHandler) doTouch(args [][]byte) error {
 	if perr != nil {
 		return h.replyError(respBadFormat)
 	}
-	deadline := deadlineFor(exptime, h.srv.cfg.Clock())
+	deadline := h.deadline(exptime)
 	found, err := h.srv.store.TouchBytes(h.sess, key, deadline)
 	if err != nil {
 		return h.replyError("SERVER_ERROR " + err.Error())
@@ -1746,6 +1823,7 @@ func (s *Server) StatsSnapshot() []struct{ Name, Value string } {
 }
 
 func (s *Server) statLines() []statLine {
+	s.foldLatency()
 	snap := s.store.Snapshot()
 	uptime := time.Since(s.start)
 	parked, active, queued := s.pollerGauges()
@@ -1871,12 +1949,17 @@ func (s *Server) ResetStats() {
 	s.bytesRead.Store(0)
 	s.bytesWritten.Store(0)
 	s.drainedBytes.Store(0)
+	// Fold first, or observations still in a stripe from before the reset
+	// would reappear after it.
+	s.foldMu.Lock()
+	s.foldLatencyLocked()
 	s.lat.Reset()
 	if s.instr {
 		for _, r := range s.perOp {
 			r.Reset()
 		}
 	}
+	s.foldMu.Unlock()
 	s.passLat.Reset()
 	s.pauseLat.Reset()
 	s.safepointLat.Reset()
@@ -1902,11 +1985,15 @@ func (s *Server) slowOpTotal() uint64 {
 
 // OpLatency returns the latency recorder for one opcode label (e.g.
 // "get"), or nil when unknown or instrumentation is disabled. The
-// metrics registry and tests read histograms through this.
+// recorder is the published one, brought up to date by this call: a
+// caller that keeps it reads it as of its last OpLatency call (or the last
+// `stats` or scrape). For what one observation covers, see recordOp. The
+// benchmark ledger and tests read histograms through this.
 func (s *Server) OpLatency(op string) *stats.LatencyRecorder {
 	if !s.instr {
 		return nil
 	}
+	s.foldLatency()
 	for i, name := range cmdNames {
 		if name == op {
 			return s.perOp[i]

@@ -9,7 +9,6 @@ package server
 // mid-measurement would be caught too (the accounting is process-wide).
 
 import (
-	"bufio"
 	"bytes"
 	"io"
 	"testing"
@@ -41,14 +40,7 @@ func guardHandlerWAL(t *testing.T, backend kv.Backend) (*connHandler, *bytes.Rea
 	t.Cleanup(func() { _ = wlog.Close() })
 	srv := New(store, Config{Version: "guard", MaxReplyBacklog: -1, WAL: wlog})
 	src := bytes.NewReader(nil)
-	h := &connHandler{
-		srv:  srv,
-		c:    &conn{clock: srv.cfg.Clock},
-		sess: store.NewSession(),
-		r:    bufio.NewReaderSize(src, 16<<10),
-		w:    bufio.NewWriterSize(io.Discard, 64<<10),
-	}
-	return h, src
+	return blockingGuardHandler(srv, store, src), src
 }
 
 // warmWAL runs the mutation through once and sleeps past a flush window

@@ -40,11 +40,17 @@ var latencyBoundsNs = func() []int64 {
 // the counters without stopping writers; a query racing a Record may see
 // an observation in the count but not yet the sum (or vice versa), the
 // usual relaxed-snapshot guarantee of stats surfaces.
+//
+// A hot path with several writers should give each its own recorder and
+// fold them with DrainInto on read. The struct is padded to one cache
+// line, a size whose allocations start on line boundaries, so recorders
+// allocated side by side for different writers share none.
 type LatencyRecorder struct {
 	counts []atomic.Int64 // len(latencyBounds)+1: last bucket is overflow
 	n      atomic.Int64
 	sumNs  atomic.Int64
 	maxNs  atomic.Int64
+	_      [16]byte
 }
 
 // NewLatencyRecorder returns an empty recorder.
@@ -73,6 +79,11 @@ func (r *LatencyRecorder) Record(d time.Duration) {
 	r.counts[bucketFor(ns)].Add(1)
 	r.n.Add(1)
 	r.sumNs.Add(ns)
+	r.raiseMax(ns)
+}
+
+// raiseMax lifts the running maximum to ns if it is below it.
+func (r *LatencyRecorder) raiseMax(ns int64) {
 	for {
 		cur := r.maxNs.Load()
 		if ns <= cur || r.maxNs.CompareAndSwap(cur, ns) {
@@ -93,12 +104,33 @@ func (r *LatencyRecorder) Merge(other *LatencyRecorder) {
 	}
 	r.n.Add(other.n.Load())
 	r.sumNs.Add(other.sumNs.Load())
-	max := other.maxNs.Load()
-	for {
-		cur := r.maxNs.Load()
-		if max <= cur || r.maxNs.CompareAndSwap(cur, max) {
-			return
+	r.raiseMax(other.maxNs.Load())
+}
+
+// DrainInto moves r's observations into every dst and leaves r empty: the
+// read side of a recorder striped per writer, where each writer records
+// into a private stripe and readers fold the stripes into the published
+// recorders before looking. Every counter leaves r by an atomic swap, so
+// an increment racing the drain lands in this drain or the next — never
+// both, never neither — and the dsts, which nothing ever subtracts from,
+// only grow. One Record's bucket, count and sum may still straddle two
+// drains (the relaxed-snapshot guarantee every query has); once writers
+// quiesce, a final drain leaves the dsts exact.
+func (r *LatencyRecorder) DrainInto(dsts ...*LatencyRecorder) {
+	for i := range r.counts {
+		if r.counts[i].Load() == 0 {
+			continue // leave the writer's line clean; a racing Add waits for the next drain
 		}
+		c := r.counts[i].Swap(0)
+		for _, d := range dsts {
+			d.counts[i].Add(c)
+		}
+	}
+	n, sum, max := r.n.Swap(0), r.sumNs.Swap(0), r.maxNs.Swap(0)
+	for _, d := range dsts {
+		d.n.Add(n)
+		d.sumNs.Add(sum)
+		d.raiseMax(max)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestLatencyRecorderPercentiles(t *testing.T) {
@@ -91,5 +92,88 @@ func TestHistogramMergeMismatch(t *testing.T) {
 	c := NewHistogram([]float64{1, 2, 4})
 	if err := a.Merge(c); err == nil {
 		t.Fatal("merge of mismatched bounds succeeded")
+	}
+}
+
+// TestDrainIntoUnderRecord is the fold a striped recorder relies on:
+// writers Record known durations into one stripe while a reader keeps
+// draining it into two destinations. Once the writers stop and a last
+// drain has run, each destination holds every observation exactly once —
+// count, sum, bucket by bucket — and the true maximum. A drain that read
+// and then cleared a counter in two steps, not one swap, would lose the
+// increments landing between them (run under -race).
+func TestDrainIntoUnderRecord(t *testing.T) {
+	const writers, perWriter = 4, 20000
+	// Four durations in four different buckets; writer w uses durs[w].
+	durs := [writers]time.Duration{3 * time.Microsecond, 40 * time.Microsecond, 700 * time.Microsecond, 9 * time.Millisecond}
+	src, a, b := NewLatencyRecorder(), NewLatencyRecorder(), NewLatencyRecorder()
+
+	// The drainer runs from before the first Record until after the last.
+	started, stop, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	drains := 0
+	go func() {
+		defer close(done)
+		close(started)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				src.DrainInto(a, b)
+				drains++
+			}
+		}
+	}()
+	<-started
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(d time.Duration) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				src.Record(d)
+			}
+		}(durs[w])
+	}
+	wg.Wait()
+	close(stop)
+	<-done
+	src.DrainInto(a, b)
+	t.Logf("%d drains raced %d records", drains, writers*perWriter)
+
+	var wantSum time.Duration
+	for _, d := range durs {
+		wantSum += perWriter * d
+	}
+	for name, dst := range map[string]*LatencyRecorder{"a": a, "b": b} {
+		if got := dst.Count(); got != writers*perWriter {
+			t.Errorf("%s: count = %d, want %d", name, got, writers*perWriter)
+		}
+		if got := dst.Sum(); got != wantSum {
+			t.Errorf("%s: sum = %v, want %v", name, got, wantSum)
+		}
+		if got := dst.Max(); got != durs[writers-1] {
+			t.Errorf("%s: max = %v, want %v", name, got, durs[writers-1])
+		}
+		perBucket := map[int64]int64{}
+		dst.ForEachBucket(func(_ int64, c int64) {
+			if c != 0 {
+				perBucket[c]++
+			}
+		})
+		if perBucket[perWriter] != writers || len(perBucket) != 1 {
+			t.Errorf("%s: buckets hold %v (count -> buckets), want %d buckets of %d", name, perBucket, writers, perWriter)
+		}
+	}
+	if src.Count() != 0 || src.Sum() != 0 || src.Max() != 0 {
+		t.Errorf("source not empty after the last drain: n=%d sum=%v max=%v", src.Count(), src.Sum(), src.Max())
+	}
+}
+
+// Recorders are allocated side by side, one per writer; each must fill
+// whole cache lines or two writers share one (see the struct's padding).
+func TestLatencyRecorderFillsCacheLines(t *testing.T) {
+	if sz := unsafe.Sizeof(LatencyRecorder{}); sz%64 != 0 {
+		t.Fatalf("sizeof(LatencyRecorder) = %d, want a multiple of 64", sz)
 	}
 }
