@@ -6,6 +6,19 @@
 // The store allocates every value from a pluggable Backend so the same
 // workload can run over the baseline allocator, Redis-style activedefrag,
 // Mesh, or Alaska+Anchorage — the four curves of Figure 9.
+//
+// Time on the sharded store's request path: one instant decides
+// everything a command does — liveness (deadline and flush_all epoch),
+// storedAt, lastUsed and the eviction scan's reclaim-vs-evict verdicts.
+// The …At entry points and the server-only methods (GetAndTouchInto,
+// ApplyInto, TouchBytes, DelBytes) take that instant from the caller;
+// the no-now forms (Get, GetInto, SetExBytes, …) read the store's Clock
+// once, before taking the shard lock. Either way the reading predates
+// the shard-lock wait and is stale by at most that wait: two commands
+// racing for one shard may apply in the opposite order of their
+// readings, exactly as two clients racing memcached's once-a-second
+// current_time may. Maintenance (SweepExpired, ItemsSnapshot, Dump, WAL
+// replay) reads its own clock.
 package kv
 
 import (

@@ -54,8 +54,8 @@ type ShardedStore struct {
 // but readers (Snapshot, the stats command under load) never have to
 // take that lock — hot-path counting never waits on a stats poll.
 type shardCounters struct {
-	sets, gets               atomic.Int64
-	hits, misses             atomic.Int64
+	sets                     atomic.Int64
+	hits, misses             atomic.Int64 // gets = hits + misses (see addTo)
 	deleteHits, deleteMisses atomic.Int64
 	evictions, expired       atomic.Int64
 	// reclaimed counts dead entries the eviction walk removed under
@@ -100,7 +100,6 @@ func (c *shardCounters) bump(stat RMWStat) {
 // after their counter is zeroed; either order is a legal relaxed cut.
 func (c *shardCounters) reset() {
 	c.sets.Store(0)
-	c.gets.Store(0)
 	c.hits.Store(0)
 	c.misses.Store(0)
 	c.deleteHits.Store(0)
@@ -123,9 +122,12 @@ func (c *shardCounters) reset() {
 // addTo folds the counters into a snapshot.
 func (c *shardCounters) addTo(out *StatsSnapshot) {
 	out.Sets += c.sets.Load()
-	out.Gets += c.gets.Load()
-	out.Hits += c.hits.Load()
-	out.Misses += c.misses.Load()
+	// Every get bumps exactly one of hits / misses, so the total needs no
+	// counter of its own on the request path.
+	hits, misses := c.hits.Load(), c.misses.Load()
+	out.Gets += hits + misses
+	out.Hits += hits
+	out.Misses += misses
 	out.DeleteHits += c.deleteHits.Load()
 	out.DeleteMisses += c.deleteMisses.Load()
 	out.Evictions += c.evictions.Load()
@@ -242,6 +244,12 @@ func (s *ShardedStore) Backend() Backend { return s.backend }
 // NewSession opens a worker session.
 func (s *ShardedStore) NewSession() Session { return s.backend.NewSession() }
 
+// now reads the store's clock. The request path never calls it under a
+// shard lock: every …At entry point (and the methods that take now
+// outright) is handed the command's one reading by its caller. What is
+// left are the no-now public wrappers, which read it once before
+// dispatching, and the maintenance paths (SweepExpired, ItemsSnapshot,
+// Dump, replay), which read their own.
 func (s *ShardedStore) now() time.Time {
 	if s.Clock != nil {
 		return s.Clock()
@@ -354,13 +362,14 @@ func (s *ShardedStore) lookupLockedB(sh *shard, key []byte, now time.Time) (*ent
 // the ceiling) allocates nothing; only a brand-new key interns a
 // string. Caller holds sh.mu.
 //
-// storedAt is the store timestamp recorded on the entry: zero means
-// "now" (every live path); WAL replay passes the record's original
+// now is the command's one reading: it stamps lastUsed and judges the
+// eviction scan's victims, the same instant the caller's existence check
+// used. storedAt is the store timestamp recorded on the entry: zero
+// means now (every live path); WAL replay passes the record's original
 // timestamp so the flush_all-epoch check stays correct across a
 // restart. record=false suppresses the mutation-log hook — replay must
 // not re-log the records it is applying.
-func (s *ShardedStore) insertLocked(sh *shard, sess Session, key []byte, value []byte, expireAt, storedAt time.Time, record bool) error {
-	now := s.now()
+func (s *ShardedStore) insertLocked(sh *shard, sess Session, key []byte, value []byte, expireAt, storedAt, now time.Time, record bool) error {
 	at := storedAt
 	if at.IsZero() {
 		at = now
@@ -564,7 +573,7 @@ func (s *ShardedStore) SetWith(sess Session, key string, value []byte, mode SetM
 // counts as absent — `add` succeeds over a dead value, `replace` does
 // not revive one.
 func (s *ShardedStore) SetEx(sess Session, key string, value []byte, mode SetMode, expireAt time.Time) (bool, error) {
-	return s.setEx(sess, s.shardFor(key), unsafeKeyBytes(key), value, mode, expireAt)
+	return s.setEx(sess, s.shardFor(key), unsafeKeyBytes(key), value, mode, expireAt, s.now())
 }
 
 // SetExBytes is SetEx for a key arriving as bytes out of a network
@@ -572,14 +581,21 @@ func (s *ShardedStore) SetEx(sess Session, key string, value []byte, mode SetMod
 // created. The caller may reuse both key and value the moment the call
 // returns (the store copies the value into its heap under the lock).
 func (s *ShardedStore) SetExBytes(sess Session, key, value []byte, mode SetMode, expireAt time.Time) (bool, error) {
-	return s.setEx(sess, s.shardForB(key), key, value, mode, expireAt)
+	return s.setEx(sess, s.shardForB(key), key, value, mode, expireAt, s.now())
 }
 
-func (s *ShardedStore) setEx(sess Session, sh *shard, key, value []byte, mode SetMode, expireAt time.Time) (bool, error) {
+// SetExBytesAt is SetExBytes at the caller's reading of the clock: now
+// decides whether the key already exists, stamps storedAt and lastUsed,
+// and judges the eviction scan — one instant for the whole command.
+func (s *ShardedStore) SetExBytesAt(sess Session, key, value []byte, mode SetMode, expireAt, now time.Time) (bool, error) {
+	return s.setEx(sess, s.shardForB(key), key, value, mode, expireAt, now)
+}
+
+func (s *ShardedStore) setEx(sess Session, sh *shard, key, value []byte, mode SetMode, expireAt, now time.Time) (bool, error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	sh.stats.sets.Add(1)
-	_, exists := s.lookupLockedB(sh, key, s.now())
+	_, exists := s.lookupLockedB(sh, key, now)
 	switch mode {
 	case SetAdd:
 		if exists {
@@ -590,7 +606,7 @@ func (s *ShardedStore) setEx(sess Session, sh *shard, key, value []byte, mode Se
 			return false, nil
 		}
 	}
-	if err := s.insertLocked(sh, sess, key, value, expireAt, time.Time{}, true); err != nil {
+	if err := s.insertLocked(sh, sess, key, value, expireAt, time.Time{}, now, true); err != nil {
 		return false, err
 	}
 	return true, nil
@@ -606,26 +622,28 @@ func (s *ShardedStore) setEx(sess Session, sh *shard, key, value []byte, mode Se
 // mover. fn must be fast and must not call back into the store. The old
 // slice is only valid for the duration of fn.
 func (s *ShardedStore) Apply(sess Session, key string, fn func(old []byte, found bool) ApplyOp) error {
-	_, err := s.apply(sess, s.shardFor(key), unsafeKeyBytes(key), true, nil, fn)
+	_, err := s.apply(sess, s.shardFor(key), unsafeKeyBytes(key), true, nil, s.now(), fn)
 	return err
 }
 
-// ApplyInto is Apply for a byte-slice key, with the old-value copy-out
-// landing in the caller's scratch buffer instead of a fresh allocation.
-// It returns the (possibly grown) scratch for the caller to keep for the
-// next call; fn's ApplyOp.Value may alias that scratch. A nil scratch is
-// fine — the first call sizes it.
-func (s *ShardedStore) ApplyInto(sess Session, key []byte, scratch []byte, fn func(old []byte, found bool) ApplyOp) ([]byte, error) {
-	return s.apply(sess, s.shardForB(key), key, true, scratch, fn)
+// ApplyInto is Apply for a byte-slice key at the caller's reading of the
+// clock, with the old-value copy-out landing in the caller's scratch
+// buffer instead of a fresh allocation. It returns the (possibly grown)
+// scratch for the caller to keep for the next call; fn's ApplyOp.Value
+// may alias that scratch. A nil scratch is fine — the first call sizes
+// it.
+func (s *ShardedStore) ApplyInto(sess Session, key []byte, scratch []byte, now time.Time, fn func(old []byte, found bool) ApplyOp) ([]byte, error) {
+	return s.apply(sess, s.shardForB(key), key, true, scratch, now, fn)
 }
 
 // apply is the shared RMW core; needValue false skips the copy-out
 // (Touch's callback never looks at the bytes — a touch of a large value
-// must not copy it under the shard lock).
-func (s *ShardedStore) apply(sess Session, sh *shard, key []byte, needValue bool, scratch []byte, fn func(old []byte, found bool) ApplyOp) ([]byte, error) {
+// must not copy it under the shard lock). now judges the lookup and
+// stamps whatever the verdict writes.
+func (s *ShardedStore) apply(sess Session, sh *shard, key []byte, needValue bool, scratch []byte, now time.Time, fn func(old []byte, found bool) ApplyOp) ([]byte, error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	e, found := s.lookupLockedB(sh, key, s.now())
+	e, found := s.lookupLockedB(sh, key, now)
 	var old []byte
 	if found && needValue {
 		scratch = growBytes(scratch, int(e.size))
@@ -651,7 +669,7 @@ func (s *ShardedStore) apply(sess Session, sh *shard, key []byte, needValue bool
 	case ApplyTouch:
 		if found {
 			sh.setDeadline(e, op.Expire)
-			sh.markUsed(e, s.now())
+			sh.markUsed(e, now)
 			if s.mlog != nil {
 				s.mlog.LogTouch(key, op.Expire)
 			}
@@ -661,7 +679,7 @@ func (s *ShardedStore) apply(sess Session, sh *shard, key []byte, needValue bool
 		if op.KeepExpire && found {
 			expire = e.expireAt
 		}
-		if err := s.insertLocked(sh, sess, key, op.Value, expire, time.Time{}, true); err != nil {
+		if err := s.insertLocked(sh, sess, key, op.Value, expire, time.Time{}, now, true); err != nil {
 			return scratch, err
 		}
 	default:
@@ -685,13 +703,14 @@ func (s *ShardedStore) CompareAndSwap(sess Session, key string, expected, next [
 // whether the key was present and alive. Implemented over apply so the
 // touch semantics live in exactly one place per store.
 func (s *ShardedStore) Touch(sess Session, key string, expireAt time.Time) (found bool, err error) {
-	_, err = s.apply(sess, s.shardFor(key), unsafeKeyBytes(key), false, nil, touchApply(expireAt, &found))
+	_, err = s.apply(sess, s.shardFor(key), unsafeKeyBytes(key), false, nil, s.now(), touchApply(expireAt, &found))
 	return found, err
 }
 
-// TouchBytes is Touch for a byte-slice key.
-func (s *ShardedStore) TouchBytes(sess Session, key []byte, expireAt time.Time) (found bool, err error) {
-	_, err = s.apply(sess, s.shardForB(key), key, false, nil, touchApply(expireAt, &found))
+// TouchBytes is Touch for a byte-slice key at the caller's reading of
+// the clock.
+func (s *ShardedStore) TouchBytes(sess Session, key []byte, expireAt, now time.Time) (found bool, err error) {
+	_, err = s.apply(sess, s.shardForB(key), key, false, nil, now, touchApply(expireAt, &found))
 	return found, err
 }
 
@@ -699,7 +718,7 @@ func (s *ShardedStore) TouchBytes(sess Session, key []byte, expireAt time.Time) 
 // The returned slice is freshly allocated and owned by the caller; the
 // allocation-free variant is GetInto.
 func (s *ShardedStore) Get(sess Session, key string) ([]byte, error) {
-	v, hit, err := s.getInto(sess, s.shardFor(key), unsafeKeyBytes(key), false, time.Time{}, nil)
+	v, hit, err := s.getInto(sess, s.shardFor(key), unsafeKeyBytes(key), false, time.Time{}, nil, s.now())
 	if !hit {
 		return nil, err
 	}
@@ -713,7 +732,7 @@ func (s *ShardedStore) Get(sess Session, key string) ([]byte, error) {
 // section (memcached `gat`/`gats`). It bumps both the get and the touch
 // counters, like memcached.
 func (s *ShardedStore) GetAndTouch(sess Session, key string, expireAt time.Time) ([]byte, error) {
-	v, hit, err := s.getInto(sess, s.shardFor(key), unsafeKeyBytes(key), true, expireAt, nil)
+	v, hit, err := s.getInto(sess, s.shardFor(key), unsafeKeyBytes(key), true, expireAt, nil, s.now())
 	if !hit {
 		return nil, err
 	}
@@ -730,12 +749,20 @@ func (s *ShardedStore) GetAndTouch(sess Session, key string, expireAt time.Time)
 // (aliasing buf's storage), whether the key was present, and any read
 // error. The value is only valid until the caller's next use of buf.
 func (s *ShardedStore) GetInto(sess Session, key []byte, buf []byte) ([]byte, bool, error) {
-	return s.getInto(sess, s.shardForB(key), key, false, time.Time{}, buf)
+	return s.getInto(sess, s.shardForB(key), key, false, time.Time{}, buf, s.now())
 }
 
-// GetAndTouchInto is GetInto plus a deadline update on a hit.
-func (s *ShardedStore) GetAndTouchInto(sess Session, key []byte, expireAt time.Time, buf []byte) ([]byte, bool, error) {
-	return s.getInto(sess, s.shardForB(key), key, true, expireAt, buf)
+// GetIntoAt is GetInto at the caller's reading of the clock: now decides
+// whether the entry is still alive and stamps its recency. The server
+// passes each command's one reading, so a GET reads no clock under the
+// shard lock.
+func (s *ShardedStore) GetIntoAt(sess Session, key []byte, buf []byte, now time.Time) ([]byte, bool, error) {
+	return s.getInto(sess, s.shardForB(key), key, false, time.Time{}, buf, now)
+}
+
+// GetAndTouchInto is GetIntoAt plus a deadline update on a hit.
+func (s *ShardedStore) GetAndTouchInto(sess Session, key []byte, expireAt time.Time, buf []byte, now time.Time) ([]byte, bool, error) {
+	return s.getInto(sess, s.shardForB(key), key, true, expireAt, buf, now)
 }
 
 // getInto is the copy-out core shared by every retrieval path.
@@ -748,11 +775,9 @@ func (s *ShardedStore) GetAndTouchInto(sess Session, key []byte, expireAt time.T
 // item-reference discipline reduced to its simplest correct form; under
 // Alaska the session additionally pins the handle so a concurrent
 // relocation pass cannot move the object mid-copy.
-func (s *ShardedStore) getInto(sess Session, sh *shard, key []byte, touch bool, expireAt time.Time, buf []byte) ([]byte, bool, error) {
+func (s *ShardedStore) getInto(sess Session, sh *shard, key []byte, touch bool, expireAt time.Time, buf []byte, now time.Time) ([]byte, bool, error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	sh.stats.gets.Add(1)
-	now := s.now()
 	e, ok := s.lookupLockedB(sh, key, now)
 	if !ok {
 		sh.stats.misses.Add(1)
@@ -786,18 +811,19 @@ func (s *ShardedStore) getInto(sess Session, sh *shard, key []byte, touch bool, 
 // existed. A dead (expired) entry is reclaimed but reported as a miss,
 // like memcached's delete of an expired item.
 func (s *ShardedStore) Del(sess Session, key string) (bool, error) {
-	return s.del(s.shardFor(key), unsafeKeyBytes(key))
+	return s.del(s.shardFor(key), unsafeKeyBytes(key), s.now())
 }
 
-// DelBytes is Del for a byte-slice key.
-func (s *ShardedStore) DelBytes(sess Session, key []byte) (bool, error) {
-	return s.del(s.shardForB(key), key)
+// DelBytes is Del for a byte-slice key at the caller's reading of the
+// clock.
+func (s *ShardedStore) DelBytes(sess Session, key []byte, now time.Time) (bool, error) {
+	return s.del(s.shardForB(key), key, now)
 }
 
-func (s *ShardedStore) del(sh *shard, key []byte) (bool, error) {
+func (s *ShardedStore) del(sh *shard, key []byte, now time.Time) (bool, error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	e, ok := s.lookupLockedB(sh, key, s.now())
+	e, ok := s.lookupLockedB(sh, key, now)
 	if !ok {
 		sh.stats.deleteMisses.Add(1)
 		return false, nil

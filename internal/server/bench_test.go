@@ -201,19 +201,24 @@ func processBatch(e *eventIO, req []byte) (cmds int, st evStatus) {
 	return cmds, st
 }
 
-// benchEventPipelinedGet is the server-side half of the benchmark's
-// get_pipelined workload with the wire taken away: `engines` detached
-// event engines, one goroutine each, on one store built the way
-// cmd/alaskad builds it (anchorage + CountedPins, 32 shards) holding
-// 20 000 × 512 B, each engine fed b.N pre-rendered bursts of 32 single-key
-// GETs over seeded zipfian keys. ns/get is wall time over all engines'
-// GETs, so two engines scaling perfectly on two CPUs read half of one.
-func benchEventPipelinedGet(b *testing.B, engines int) {
+// benchEventPipelined is the server-side half of the benchmark's pipelined
+// workloads with the wire taken away: `engines` detached event engines,
+// one goroutine each, on one store built the way cmd/alaskad builds it
+// (anchorage + CountedPins, 32 shards) holding 20 000 × 512 B, each engine
+// fed b.N pre-rendered bursts of `burst` single-key commands over seeded
+// zipfian keys — all GETs (get_pipelined's shape), or with mixed every
+// second one a `set … 0 0 512` (persist_mixed's, minus the WAL). The
+// metric is wall time over all engines' commands, so two engines scaling
+// perfectly on two CPUs read half of one.
+func benchEventPipelined(b *testing.B, engines, burst int, mixed bool) {
 	const (
 		records = 20000
-		burst   = 32
 		bursts  = 512 // distinct pre-rendered bursts per engine, cycled
 	)
+	unit, gets := "ns/get", burst
+	if mixed {
+		unit, gets = "ns/cmd", burst/2
+	}
 	store := kv.NewShardedStore(anchorageBackend(b), 32, 0)
 	srv := New(store, Config{Version: "bench", MaxReplyBacklog: -1, ConnModel: "goroutine"})
 	load := store.NewSession()
@@ -235,7 +240,12 @@ func benchEventPipelinedGet(b *testing.B, engines int) {
 		reqs[w] = make([][]byte, bursts)
 		for i := range reqs[w] {
 			for j := 0; j < burst; j++ {
-				reqs[w][i] = append(reqs[w][i], "get "+gen.Next().Key+"\r\n"...)
+				if key := gen.Next().Key; mixed && j%2 == 1 {
+					reqs[w][i] = append(reqs[w][i], "set "+key+" 0 0 512\r\n"...)
+					reqs[w][i] = append(append(reqs[w][i], val...), "\r\n"...)
+				} else {
+					reqs[w][i] = append(reqs[w][i], "get "+key+"\r\n"...)
+				}
 			}
 		}
 		runEventBatch(b, es[w], reqs[w][0], burst) // grow the worker buffers
@@ -257,14 +267,21 @@ func benchEventPipelinedGet(b *testing.B, engines int) {
 	}
 	wg.Wait()
 	b.StopTimer()
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*burst*engines), "ns/get")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*burst*engines), unit)
 	for _, e := range es {
 		e.h.sess.Close()
 	}
-	if got := srv.OpLatency("get").Count(); got != int64((b.N+1)*burst*engines) {
-		b.Fatalf("recorded %d gets, want %d", got, (b.N+1)*burst*engines)
+	if got := srv.OpLatency("get").Count(); got != int64((b.N+1)*gets*engines) {
+		b.Fatalf("recorded %d gets, want %d", got, (b.N+1)*gets*engines)
+	}
+	if got := srv.OpLatency("set").Count(); got != int64((b.N+1)*(burst-gets)*engines) {
+		b.Fatalf("recorded %d sets, want %d", got, (b.N+1)*(burst-gets)*engines)
 	}
 }
 
-func BenchmarkEventPipelinedGet(b *testing.B)     { benchEventPipelinedGet(b, 1) }
-func BenchmarkEventPipelinedGetPar2(b *testing.B) { benchEventPipelinedGet(b, 2) }
+func BenchmarkEventPipelinedGet(b *testing.B)     { benchEventPipelined(b, 1, 32, false) }
+func BenchmarkEventPipelinedGetPar2(b *testing.B) { benchEventPipelined(b, 2, 32, false) }
+
+// BenchmarkEventPipelinedMixed is the SET side of the per-command path: 8
+// per burst, 50/50 get / set of 512 B.
+func BenchmarkEventPipelinedMixed(b *testing.B) { benchEventPipelined(b, 1, 8, true) }

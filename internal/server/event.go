@@ -71,10 +71,10 @@ type pollConn struct {
 	// lastActive is the Config.Clock unixnano of the last burst that
 	// completed a command, or of the last write progress — the idle
 	// reaper's input. It is stamped once per process() call, not per
-	// command: a burst is at most burstCmdBudget commands and the reaper
-	// works in seconds, so the sweep cannot tell, and a pipelined command
-	// pays no clock read for it. Partial request bytes never touch it
-	// (memcached's last_cmd_time rule).
+	// command, with the time of the call's last command: a burst is at
+	// most burstCmdBudget commands and the reaper works in seconds, so the
+	// sweep cannot tell, and no command reads the clock for it. Partial
+	// request bytes never touch it (memcached's last_cmd_time rule).
 	lastActive atomic.Int64
 	// writeStall is the Config.Clock unixnano since which reply bytes
 	// have been pending with no write progress (0 = none pending): the
@@ -134,6 +134,11 @@ type eventIO struct {
 	spillOff int
 	out      []byte // replies generated this burst; [outOff:] undrained
 	outOff   int
+
+	// stamped is set once process() has stamped pc.lastActive in this
+	// wake, so a write that drains everything need not read the clock to
+	// stamp it again.
+	stamped bool
 }
 
 // begin attaches the engine to a woken connection, loading its spill.
@@ -150,6 +155,7 @@ func (e *eventIO) begin(pc *pollConn) {
 	e.spillOff = 0
 	e.out = e.out[:0]
 	e.outOff = 0
+	e.stamped = false
 }
 
 // park writes unconsumed input and undrained output back to the
@@ -234,6 +240,10 @@ func (e *eventIO) pendingOut() int {
 // residue parks with the connection and EPOLLOUT finishes the job.
 // Write progress counts as activity; pending bytes with no progress
 // start the write-stall clock the sweeper enforces WriteTimeout with.
+// The common case — this wake ran commands and the write drained their
+// replies whole — reads no clock: process() already stamped the activity.
+// A partial write always reads it (the stall origin must be fresh), as
+// does a wake that only drained a parked spill.
 func (e *eventIO) tryFlush() error {
 	pc := e.pc
 	if pc.fd < 0 {
@@ -258,12 +268,15 @@ func (e *eventIO) tryFlush() error {
 			} else {
 				e.spillOff += n
 			}
-			now := srv.cfg.Clock().UnixNano()
-			pc.touch(now)
 			if e.pendingOut() == 0 {
+				if !e.stamped {
+					pc.touch(srv.cfg.Clock().UnixNano())
+				}
 				pc.writeStall.Store(0)
 				return nil
 			}
+			now := srv.cfg.Clock().UnixNano()
+			pc.touch(now)
 			pc.writeStall.Store(now) // progress resets the stall deadline
 		}
 		if err != nil {
@@ -417,12 +430,13 @@ func updateTail(tail *[2]byte, chunk []byte) {
 // memory, so the shared dispatch code never blocks mid-command and the
 // "resumable state machine" lives entirely in this framing layer. A call
 // that completed at least one command stamps the connection active on its
-// way out.
+// way out, at the time of the last of them.
 func (e *eventIO) process(cmds *int) evStatus {
 	before := *cmds
 	st := e.dispatchBuffered(cmds)
 	if *cmds > before {
-		e.pc.touch(e.h.srv.cfg.Clock().UnixNano())
+		e.pc.touch(e.h.now.UnixNano())
+		e.stamped = true
 	}
 	return st
 }
@@ -433,6 +447,13 @@ func (e *eventIO) process(cmds *int) evStatus {
 // nothing to dispatch), then one monotonic reading after each command,
 // whose latency is the step from the reading before it. See recordOp for
 // what that interval covers.
+//
+// The same readings are the commands' times (h.now): base for the first,
+// base plus the reading taken after the command before for each later one
+// — a sequence that only advances, so a deadline, a flush epoch or a
+// storedAt written by one command of a burst is in the past for the next,
+// exactly as if each had read the clock itself. An operator-supplied
+// Config.Clock is called per command instead.
 func (e *eventIO) dispatchBuffered(cmds *int) evStatus {
 	h := e.h
 	srv := h.srv
@@ -489,6 +510,7 @@ func (e *eventIO) dispatchBuffered(cmds *int) evStatus {
 				return evFatal
 			}
 			h.lastCmd = pc.discardCmd
+			e.commandTime(&base, prev)
 			srv.recordOp(h, pc.id, 0)
 			*cmds++
 			continue
@@ -543,9 +565,7 @@ func (e *eventIO) dispatchBuffered(cmds *int) evStatus {
 			}
 		}
 		e.rpos += i + 1
-		if base.IsZero() {
-			base = time.Now()
-		}
+		e.commandTime(&base, prev)
 		quit, err := h.dispatch(line)
 		if err != nil {
 			if quit {
@@ -563,6 +583,21 @@ func (e *eventIO) dispatchBuffered(cmds *int) evStatus {
 			return evQuit
 		}
 	}
+}
+
+// commandTime sets h.now for the command about to complete or dispatch:
+// the loop's latest reading (taking the base on first use), or one call
+// of the operator's clock.
+func (e *eventIO) commandTime(base *time.Time, prev time.Duration) {
+	h := e.h
+	if base.IsZero() {
+		*base = time.Now()
+	}
+	if h.srv.ownClock {
+		h.now = h.srv.cfg.Clock()
+		return
+	}
+	h.now = base.Add(prev)
 }
 
 // connPoller is what Server sees of the event-driven core; the epoll

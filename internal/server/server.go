@@ -45,8 +45,14 @@ type Config struct {
 	// Clock supplies the wall-clock time used for TTL decisions — exptime
 	// normalization here and expiry checks in the store (the server
 	// installs it as the store's Clock). It also drives the idle reaper's
-	// notion of "now". Default time.Now; swap in a fake to make expiry and
-	// idle reaping deterministically testable.
+	// notion of "now". Every command has exactly one time, which its
+	// deadline, flush epoch, expiry checks, storedAt and LRU stamp all
+	// share. nil (the default): the engine derives it from one monotonic
+	// reading per command — a pipelined burst reads time.Now once and then
+	// steps it by the same time.Since that times each command — and
+	// maintenance reads time.Now. Non-nil: Clock is called once per
+	// command; swap in a fake to make expiry and idle reaping
+	// deterministically testable.
 	Clock func() time.Time
 
 	// MaxConns caps concurrent connections (memcached's -c): at the cap
@@ -231,6 +237,10 @@ type Server struct {
 	foldMu       sync.Mutex // held to fold the stripes in, and to reset what they fold into
 	slowOps      *slowRing
 	connIDs      atomic.Uint64
+	// ownClock records that the operator supplied Config.Clock, so each
+	// command's time is one call of it rather than a step of the engine's
+	// monotonic reading (a fake clock must be what every command sees).
+	ownClock bool
 
 	// Defragmentation telemetry, fed by the maintenance loop: pass
 	// duration and stop-the-world pause histograms, the barrier
@@ -354,6 +364,7 @@ func New(store *kv.ShardedStore, cfg Config) *Server {
 		start: time.Now(),
 	}
 	s.instr = !s.cfg.DisableInstrumentation
+	s.ownClock = cfg.Clock != nil // before withDefaults filled it in
 	// Stripe by stripe, so one worker's recorders sit together and apart
 	// from the next worker's.
 	s.stripes = make([]latStripe, s.cfg.Workers)
@@ -829,6 +840,14 @@ type connHandler struct {
 	opKey    [slowOpKeyLen]byte
 	opKeyLen uint8
 	stripe   *latStripe // where recordOp records; taken once, at construction
+
+	// now is the time of the command being dispatched — the only time it
+	// uses: its deadline, its flush epoch, every store call it makes (so
+	// expiry, storedAt and the LRU stamp agree with both), and its slow-op
+	// stamp. The engine sets it before each dispatch from the one reading
+	// it takes per command (see Config.Clock); successive commands on a
+	// connection never see it go backwards.
+	now time.Time
 }
 
 // latStripe is one worker's private command-latency recorders: by opcode,
@@ -918,10 +937,15 @@ func (s *Server) handleConn(c *conn) {
 		if err != nil {
 			return // EOF, reap, or connection failure
 		}
-		// A completed command line is activity for the idle reaper;
-		// partial bytes never are.
-		c.touch(s.cfg.Clock())
+		// One reading is the latency origin, the command's time, and —
+		// a completed command line being activity for the idle reaper,
+		// which partial bytes never are — the activity stamp.
 		start := time.Now()
+		h.now = start
+		if s.ownClock {
+			h.now = s.cfg.Clock()
+		}
+		c.touch(h.now)
 		quit, err := h.dispatch(line)
 		if err != nil {
 			return // I/O failure mid-command
@@ -958,6 +982,9 @@ func (s *Server) handleConn(c *conn) {
 // process() call is timed the same way, and each later one from the end of
 // the command before it, so its d also covers that command's recordOp and
 // safepoint poll and its own framing scan.
+//
+// A slow op is stamped with the command's own time (h.now, when it began),
+// not a fresh reading.
 func (s *Server) recordOp(h *connHandler, connID uint64, d time.Duration) {
 	if !s.instr {
 		h.stripe.lat.Record(d)
@@ -965,7 +992,7 @@ func (s *Server) recordOp(h *connHandler, connID uint64, d time.Duration) {
 	}
 	h.stripe.perOp[h.lastCmd].Record(d)
 	if s.slowThreshNs > 0 && d.Nanoseconds() >= s.slowThreshNs {
-		s.slowOps.record(h.lastCmd, h.opKey[:h.opKeyLen], d, connID, s.cfg.Clock())
+		s.slowOps.record(h.lastCmd, h.opKey[:h.opKeyLen], d, connID, h.now)
 	}
 }
 
@@ -1107,8 +1134,8 @@ func (h *connHandler) discardBody(n int) (bool, error) {
 
 // flush drains the write buffer; a stalled client's backpressure is
 // absorbed in the idle state (and bounded by the per-write deadline). A
-// full drain resets the reply-backlog budget and counts as activity for
-// the idle reaper.
+// full drain resets the reply-backlog budget; the activity it counts as
+// for the idle reaper was stamped by conn.Write.
 func (h *connHandler) flush() error {
 	if h.ev != nil {
 		return h.ev.flush()
@@ -1123,7 +1150,6 @@ func (h *connHandler) flush() error {
 		return err
 	}
 	h.backlog = 0
-	h.c.touch(h.srv.cfg.Clock())
 	return nil
 }
 
@@ -1392,7 +1418,7 @@ func (h *connHandler) doGet(keys [][]byte, withCAS bool) error {
 		if !validKeyB(key) {
 			return h.replyError(respBadFormat)
 		}
-		stored, hit, err := h.srv.store.GetInto(h.sess, key, h.val[:0])
+		stored, hit, err := h.srv.store.GetIntoAt(h.sess, key, h.val[:0], h.now)
 		if cap(stored) > cap(h.val) {
 			h.val = stored // keep the grown scratch for the next hit
 		}
@@ -1417,9 +1443,9 @@ func (h *connHandler) doGat(args [][]byte, withCAS bool) error {
 	if perr != nil {
 		return h.replyError(respBadFormat)
 	}
-	deadline := h.deadline(exptime)
+	deadline := deadlineFor(exptime, h.now)
 	for _, key := range keys {
-		stored, hit, err := h.srv.store.GetAndTouchInto(h.sess, key, deadline, h.val[:0])
+		stored, hit, err := h.srv.store.GetAndTouchInto(h.sess, key, deadline, h.val[:0], h.now)
 		if cap(stored) > cap(h.val) {
 			h.val = stored
 		}
@@ -1509,16 +1535,6 @@ func (h *connHandler) doStore(op storeOp, args [][]byte) error {
 	return h.reply(resp)
 }
 
-// deadline is deadlineFor on the server's clock, read only when the
-// answer depends on it: exptime 0 — every plain `set k f 0 n` — never
-// expires, whatever the time.
-func (h *connHandler) deadline(exptime int64) time.Time {
-	if exptime == 0 {
-		return time.Time{}
-	}
-	return deadlineFor(exptime, h.srv.cfg.Clock())
-}
-
 // executeStore runs a parsed storage command against the store and
 // returns the response line; errLine marks an in-band error reply
 // (oversized concatenation, header decode failure) that must be counted
@@ -1531,7 +1547,7 @@ func (h *connHandler) deadline(exptime int64) time.Time {
 // append/prepend — stores without allocating.
 func (h *connHandler) executeStore(op storeOp, sa storageArgsB, data []byte) (resp string, errLine bool, err error) {
 	newCas := h.srv.casCounter.Add(1)
-	deadline := h.deadline(sa.exptime)
+	deadline := deadlineFor(sa.exptime, h.now)
 	switch op {
 	case opSet, opAdd, opReplace:
 		mode := kv.SetAlways
@@ -1542,7 +1558,7 @@ func (h *connHandler) executeStore(op storeOp, sa storageArgsB, data []byte) (re
 			mode = kv.SetReplace
 		}
 		h.val2 = appendValue(h.val2[:0], sa.flags, newCas, data)
-		stored, serr := h.srv.store.SetExBytes(h.sess, sa.key, h.val2, mode, deadline)
+		stored, serr := h.srv.store.SetExBytesAt(h.sess, sa.key, h.val2, mode, deadline, h.now)
 		if serr != nil {
 			return "", false, serr
 		}
@@ -1556,7 +1572,7 @@ func (h *connHandler) executeStore(op storeOp, sa storageArgsB, data []byte) (re
 		// section, so exactly one of N racing cas commands with the same
 		// unique can win.
 		resp = respStored
-		h.val, err = h.srv.store.ApplyInto(h.sess, sa.key, h.val, func(old []byte, found bool) kv.ApplyOp {
+		h.val, err = h.srv.store.ApplyInto(h.sess, sa.key, h.val, h.now, func(old []byte, found bool) kv.ApplyOp {
 			if !found {
 				resp = respNotFound
 				return kv.ApplyOp{Stat: kv.StatCasMiss}
@@ -1584,7 +1600,7 @@ func (h *connHandler) executeStore(op storeOp, sa storageArgsB, data []byte) (re
 		// ignores the flags/exptime arguments of append/prepend) but
 		// issues a new cas unique.
 		resp = respStored
-		h.val, err = h.srv.store.ApplyInto(h.sess, sa.key, h.val, func(old []byte, found bool) kv.ApplyOp {
+		h.val, err = h.srv.store.ApplyInto(h.sess, sa.key, h.val, h.now, func(old []byte, found bool) kv.ApplyOp {
 			if !found {
 				resp = respNotStored
 				return kv.ApplyOp{}
@@ -1649,7 +1665,7 @@ func (h *connHandler) doIncrDecr(args [][]byte, incr bool) error {
 	var errResp string // in-band error line ("" = h.hdr carries the reply)
 	found := true
 	var err error
-	h.val, err = h.srv.store.ApplyInto(h.sess, key, h.val, func(old []byte, ok bool) kv.ApplyOp {
+	h.val, err = h.srv.store.ApplyInto(h.sess, key, h.val, h.now, func(old []byte, ok bool) kv.ApplyOp {
 		if !ok {
 			found = false
 			return kv.ApplyOp{Stat: missStat}
@@ -1722,8 +1738,8 @@ func (h *connHandler) doTouch(args [][]byte) error {
 	if perr != nil {
 		return h.replyError(respBadFormat)
 	}
-	deadline := h.deadline(exptime)
-	found, err := h.srv.store.TouchBytes(h.sess, key, deadline)
+	deadline := deadlineFor(exptime, h.now)
+	found, err := h.srv.store.TouchBytes(h.sess, key, deadline, h.now)
 	if err != nil {
 		return h.replyError("SERVER_ERROR " + err.Error())
 	}
@@ -1741,7 +1757,7 @@ func (h *connHandler) doDelete(args [][]byte) error {
 	if perr != nil {
 		return h.replyError(respBadFormat)
 	}
-	existed, err := h.srv.store.DelBytes(h.sess, key)
+	existed, err := h.srv.store.DelBytes(h.sess, key, h.now)
 	if err != nil {
 		return h.replyError("SERVER_ERROR " + err.Error())
 	}
@@ -1764,12 +1780,11 @@ func (h *connHandler) doFlushAll(args [][]byte) error {
 	if perr != nil {
 		return h.replyError(respBadFormat)
 	}
-	now := h.srv.cfg.Clock()
-	at := now
+	at := h.now
 	if delay > 0 {
 		// The delay follows the exptime rules: relative seconds up to 30
 		// days, an absolute unix timestamp beyond.
-		at = deadlineFor(delay, now)
+		at = deadlineFor(delay, h.now)
 	}
 	h.srv.store.FlushAll(at)
 	h.srv.cmdFlush.Add(1)
@@ -2031,7 +2046,6 @@ func (h *connHandler) doStats(args [][]byte) error {
 // and age. The reporting path allocates freely — only recording is on
 // the hot path.
 func (h *connHandler) doStatsSlow() error {
-	now := h.srv.cfg.Clock()
 	for i, op := range h.srv.SlowOps() {
 		p := fmt.Sprintf("STAT slow:%d:", i)
 		lines := []string{
@@ -2039,7 +2053,7 @@ func (h *connHandler) doStatsSlow() error {
 			p + "key " + op.Key,
 			fmt.Sprintf("%slatency_us %.1f", p, float64(op.Latency.Nanoseconds())/1e3),
 			fmt.Sprintf("%sconn %d", p, op.ConnID),
-			fmt.Sprintf("%sage_s %.1f", p, now.Sub(op.When).Seconds()),
+			fmt.Sprintf("%sage_s %.1f", p, h.now.Sub(op.When).Seconds()),
 		}
 		for _, l := range lines {
 			if err := h.reply(l); err != nil {
