@@ -11,10 +11,23 @@
 // copies unpinned objects from the top of a source sub-heap into holes
 // lower in the heap, updates each object's HTE (one store), and returns
 // the vacated pages to the kernel with the simulated MADV_DONTNEED.
+//
+// Bookkeeping invariants (all of it guarded by Service.mu). An alloc/free
+// pair touches no hash map: a live object's objInfo is reached from its
+// handle ID through an ID-indexed directory and is owned by exactly one
+// sub-heap's unordered objs list, at position idx. Free flips live to
+// false and unlinks the record from both; the record is never reused, so
+// to a defrag pass that dropped the lock around a copy, pointer identity
+// is object identity: `info.live && info.heap == hi && info.off == off`
+// means "the object I snapshotted, where I left it", and an offset freed
+// and handed out again in between fails it by construction. The free bins
+// are FIFO queues: the fast path examines only their fronts, and holes
+// come back out in the order they went in.
 package anchorage
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sort"
 	"sync"
@@ -79,10 +92,51 @@ type hole struct {
 	size uint64
 }
 
-// objInfo records where a live object currently sits.
+// holeQueue is one free bin: a FIFO of holes, buf[head:], oldest first. The
+// consumed prefix is reclaimed when the queue runs empty or, on a push, by
+// sliding the rest down once half the slice is consumed — so a bin in
+// steady free-one-alloc-one churn never reallocates.
+type holeQueue struct {
+	buf  []hole
+	head int
+}
+
+// holes returns the queued holes, front first (valid until the next mutation).
+func (q *holeQueue) holes() []hole { return q.buf[q.head:] }
+
+// popFront drops the front hole. The queue must not be empty.
+func (q *holeQueue) popFront() {
+	if q.head++; q.head == len(q.buf) {
+		q.reset()
+	}
+}
+
+// push appends a hole at the back.
+func (q *holeQueue) push(h hole) {
+	if q.head > 0 && q.head >= len(q.buf)/2 {
+		q.buf = q.buf[:copy(q.buf, q.buf[q.head:])]
+		q.head = 0
+	}
+	q.buf = append(q.buf, h)
+}
+
+// removeAt drops the k-th queued hole (0 = front), keeping the order of
+// the rest.
+func (q *holeQueue) removeAt(k int) {
+	k += q.head
+	q.buf = append(q.buf[:k], q.buf[k+1:]...)
+}
+
+// reset empties the queue, keeping its storage.
+func (q *holeQueue) reset() { q.buf, q.head = q.buf[:0], 0 }
+
+// objInfo records where a live object currently sits. A record belongs to
+// one object for good: Free clears live and nothing recycles the struct.
 type objInfo struct {
 	id    uint32
+	live  bool   // false once freed (under Service.mu)
 	heap  int    // sub-heap index
+	idx   int    // position in that sub-heap's objs
 	off   uint64 // offset within the sub-heap
 	size  uint64 // requested size
 	block uint64 // block (aligned/assigned) size
@@ -92,12 +146,28 @@ type objInfo struct {
 type subHeap struct {
 	region *mem.Region
 	bump   uint64
-	// free[k] holds holes of bin k; only the front is checked on the
-	// allocation fast path (O(1) policy).
-	free [64][]hole
-	// objs maps offsets to live objects (for compaction scans).
-	objs map[uint64]*objInfo
+	// free[k] queues the holes of bin k in the order they were freed; only
+	// the front is checked on the allocation fast path (O(1) policy).
+	free [64]holeQueue
+	// objs lists the live objects placed here, in no order: objs[i].idx ==
+	// i, and removal swaps the last record into the gap.
+	objs []*objInfo
 	live uint64 // live requested bytes
+}
+
+// link adds info to the sub-heap's object list.
+func (sh *subHeap) link(info *objInfo) {
+	info.idx = len(sh.objs)
+	sh.objs = append(sh.objs, info)
+}
+
+// unlink swap-removes info from the sub-heap's object list.
+func (sh *subHeap) unlink(info *objInfo) {
+	last := len(sh.objs) - 1
+	moved := sh.objs[last]
+	sh.objs[info.idx], moved.idx = moved, info.idx
+	sh.objs[last] = nil
+	sh.objs = sh.objs[:last]
 }
 
 // takeFront pops the front hole of binIdx if it fits need, returning the
@@ -105,22 +175,62 @@ type subHeap struct {
 // §4.3: "only the front of the list is checked"). The slack between the
 // block and the request is internal waste that only compaction recovers.
 func (sh *subHeap) takeFront(binIdx int, need uint64) (hole, bool) {
-	lst := sh.free[binIdx]
-	if len(lst) == 0 {
-		return hole{}, false
+	q := &sh.free[binIdx]
+	if hs := q.holes(); len(hs) > 0 && hs[0].size >= need {
+		q.popFront()
+		return hs[0], true
 	}
-	h := lst[0]
-	if h.size < need {
-		return hole{}, false
-	}
-	sh.free[binIdx] = lst[1:]
-	return h, true
+	return hole{}, false
 }
 
-// pushHole returns a hole to its bin.
-func (sh *subHeap) pushHole(h hole) {
-	b := bin(h.size)
-	sh.free[b] = append(sh.free[b], h)
+// pushHole returns a hole to the back of its bin.
+func (sh *subHeap) pushHole(h hole) { sh.free[bin(h.size)].push(h) }
+
+// takeFit removes and returns the first hole — whole bins are searched,
+// from bin(need) up — that fits need bytes wholly below limit, giving back
+// the remainder beyond need as a new hole. Relocation slow path only.
+func (sh *subHeap) takeFit(need, limit uint64) (uint64, bool) {
+	for b := bin(need); b < len(sh.free); b++ {
+		for k, h := range sh.free[b].holes() {
+			if h.size >= need && h.off+need <= limit {
+				sh.free[b].removeAt(k)
+				if rem := h.size - need; rem >= alignment {
+					sh.pushHole(hole{off: h.off + need, size: rem})
+				}
+				return h.off, true
+			}
+		}
+	}
+	return 0, false
+}
+
+// idChunkBits sizes the leaves of the ID directory: 2^15 records (256 KiB
+// of pointers) per chunk, so the top level over all 2^31 IDs is at most
+// 2^16 chunk pointers.
+const idChunkBits = 15
+
+type idChunk [1 << idChunkBits]*objInfo
+
+// idDir maps handle IDs to their objInfo through two levels, both made on
+// demand: the handle table issues IDs densely from 0, so a store pays for
+// the chunks its IDs fall in, and a far-off ID (a caller outside the table
+// may pass one) costs one chunk and a longer top level, not a flat array.
+type idDir []*idChunk
+
+// slot returns where id's record pointer lives. If no chunk covers id yet,
+// grow makes one (extending the top level to reach it); else it is nil.
+func (d *idDir) slot(id uint32, grow bool) **objInfo {
+	ci := int(id >> idChunkBits)
+	if ci >= len(*d) || (*d)[ci] == nil {
+		if !grow {
+			return nil
+		}
+		if ci >= len(*d) {
+			*d = append(*d, make(idDir, ci+1-len(*d))...)
+		}
+		(*d)[ci] = new(idChunk)
+	}
+	return &(*d)[ci][id&(1<<idChunkBits-1)]
 }
 
 // Service is the Anchorage service.
@@ -130,7 +240,9 @@ type Service struct {
 	rt    *rt.Runtime
 	space *mem.Space
 	heaps []*subHeap
-	byID  map[uint32]*objInfo
+	// byID finds a live object's record from its handle ID; a freed ID's
+	// slot is nil until the ID is handed out again.
+	byID idDir
 
 	active uint64
 	// passMu serializes ConcurrentDefragPass invocations without blocking
@@ -211,7 +323,7 @@ func NewService(space *mem.Space, cfg Config) *Service {
 	if cfg.SubHeapSize == 0 {
 		cfg = DefaultConfig()
 	}
-	return &Service{cfg: cfg, space: space, byID: make(map[uint32]*objInfo)}
+	return &Service{cfg: cfg, space: space}
 }
 
 // Init implements rt.Service.
@@ -236,7 +348,7 @@ func (s *Service) newSubHeap(minSize uint64) (*subHeap, error) {
 	if err != nil {
 		return nil, err
 	}
-	sh := &subHeap{region: r, objs: make(map[uint64]*objInfo)}
+	sh := &subHeap{region: r}
 	s.heaps = append(s.heaps, sh)
 	return sh, nil
 }
@@ -284,29 +396,32 @@ func (s *Service) Alloc(id uint32, size uint64) (mem.Addr, error) {
 	if err != nil {
 		return 0, err
 	}
-	info := &objInfo{id: id, heap: hi, off: h.off, size: size, block: h.size}
-	s.heaps[hi].objs[h.off] = info
-	s.heaps[hi].live += size
-	s.byID[id] = info
+	sh := s.heaps[hi]
+	info := &objInfo{id: id, live: true, heap: hi, off: h.off, size: size, block: h.size}
+	sh.link(info)
+	sh.live += size
+	*s.byID.slot(id, true) = info
 	s.active += size
-	return s.heaps[hi].region.Base() + mem.Addr(h.off), nil
+	return sh.region.Base() + mem.Addr(h.off), nil
 }
 
 // Free implements rt.Service.
 func (s *Service) Free(id uint32, _ mem.Addr, _ uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	info := s.byID[id]
-	if info == nil {
+	slot := s.byID.slot(id, false)
+	if slot == nil || *slot == nil {
 		return fmt.Errorf("anchorage: free of unknown handle %d", id)
 	}
+	info := *slot
 	if info == s.moving {
 		s.copyMu.Lock() // the pass is still reading this block: see copyMu
 		s.copyMu.Unlock()
 	}
 	sh := s.heaps[info.heap]
-	delete(sh.objs, info.off)
-	delete(s.byID, id)
+	sh.unlink(info)
+	*slot = nil
+	info.live = false
 	sh.live -= info.size
 	s.active -= info.size
 	sh.pushHole(hole{off: info.off, size: info.block})
@@ -319,8 +434,10 @@ func (s *Service) UsableSize(addr mem.Addr) uint64 {
 	defer s.mu.Unlock()
 	for _, sh := range s.heaps {
 		if sh.region.Contains(addr) {
-			if info, ok := sh.objs[uint64(addr-sh.region.Base())]; ok {
-				return info.block
+			for _, info := range sh.objs {
+				if info.off == uint64(addr-sh.region.Base()) {
+					return info.block
+				}
 			}
 		}
 	}
@@ -370,16 +487,8 @@ func (s *Service) Fragmentation() float64 {
 func (s *Service) allocBlockForMove(need uint64, srcHeap int, srcOff uint64) (int, uint64, bool) {
 	for hi := 0; hi < srcHeap; hi++ {
 		sh := s.heaps[hi]
-		for b := bin(need); b < len(sh.free); b++ {
-			for k, h := range sh.free[b] {
-				if h.size >= need {
-					sh.free[b] = append(sh.free[b][:k], sh.free[b][k+1:]...)
-					if rem := h.size - need; rem >= alignment {
-						sh.pushHole(hole{off: h.off + need, size: rem})
-					}
-					return hi, h.off, true
-				}
-			}
+		if off, ok := sh.takeFit(need, math.MaxUint64); ok {
+			return hi, off, true
 		}
 		if sh.bump+need <= sh.region.Size() {
 			off := sh.bump
@@ -388,19 +497,8 @@ func (s *Service) allocBlockForMove(need uint64, srcHeap int, srcOff uint64) (in
 		}
 	}
 	// Intra-heap: only a hole strictly below the object helps compaction.
-	src := s.heaps[srcHeap]
-	for b := bin(need); b < len(src.free); b++ {
-		for k, h := range src.free[b] {
-			if h.size >= need && h.off+need <= srcOff {
-				src.free[b] = append(src.free[b][:k], src.free[b][k+1:]...)
-				if rem := h.size - need; rem >= alignment {
-					src.pushHole(hole{off: h.off + need, size: rem})
-				}
-				return srcHeap, h.off, true
-			}
-		}
-	}
-	return 0, 0, false
+	off, ok := s.heaps[srcHeap].takeFit(need, srcOff)
+	return srcHeap, off, ok
 }
 
 // coalesce merges adjacent holes in a sub-heap so compaction can place
@@ -409,8 +507,8 @@ func (s *Service) allocBlockForMove(need uint64, srcHeap int, srcOff uint64) (in
 func (sh *subHeap) coalesce() {
 	var all []hole
 	for b := range sh.free {
-		all = append(all, sh.free[b]...)
-		sh.free[b] = sh.free[b][:0]
+		all = append(all, sh.free[b].holes()...)
+		sh.free[b].reset()
 	}
 	if len(all) == 0 {
 		return
@@ -426,6 +524,42 @@ func (sh *subHeap) coalesce() {
 		cur = h
 	}
 	sh.pushHole(cur)
+}
+
+// placed is an object as a pass snapshotted it: its record and offset then.
+type placed struct {
+	info *objInfo
+	off  uint64
+}
+
+// stillAt reports whether the record is the object snapshotted, where it
+// was in sub-heap hi: not freed since, not moved. Caller holds s.mu.
+func (o placed) stillAt(hi int) bool {
+	return o.info.live && o.info.heap == hi && o.info.off == o.off
+}
+
+// snapshot copies out a sub-heap's objects (caller holds s.mu) for the
+// pass to sort by offset descending, the order it vacates them in.
+func (sh *subHeap) snapshot() []placed {
+	objs := make([]placed, len(sh.objs))
+	for i, info := range sh.objs {
+		objs[i] = placed{info, info.off}
+	}
+	return objs
+}
+
+// relink records that info now sits at (dhi, doff), moving it between the
+// sub-heaps' lists and live-byte counts when the heap changed.
+func (s *Service) relink(info *objInfo, dhi int, doff uint64) {
+	if dhi != info.heap {
+		src, dst := s.heaps[info.heap], s.heaps[dhi]
+		src.unlink(info)
+		src.live -= info.size
+		dst.link(info)
+		dst.live += info.size
+		info.heap = dhi
+	}
+	info.off = doff
 }
 
 // DefragPass moves up to budget bytes of unpinned objects out of the
@@ -469,16 +603,13 @@ func (s *Service) DefragPass(scope *rt.BarrierScope, budget uint64) uint64 {
 			continue
 		}
 		// Objects sorted by offset descending: vacate the top first.
-		offs := make([]uint64, 0, len(src.objs))
-		for off := range src.objs {
-			offs = append(offs, off)
-		}
-		sort.Slice(offs, func(i, j int) bool { return offs[i] > offs[j] })
-		for _, off := range offs {
+		objs := src.snapshot()
+		sort.Slice(objs, func(i, j int) bool { return objs[i].off > objs[j].off })
+		for _, o := range objs {
 			if moved >= budget {
 				break
 			}
-			info := src.objs[off]
+			info, off := o.info, o.off
 			if scope.Pinned(info.id) {
 				continue
 			}
@@ -491,14 +622,10 @@ func (s *Service) DefragPass(scope *rt.BarrierScope, budget uint64) uint64 {
 				s.heaps[dhi].pushHole(hole{off: doff, size: info.block})
 				continue
 			}
-			delete(src.objs, off)
-			src.live -= info.size
 			// The vacated slot becomes a hole; truncate drops it again if
 			// it ends up above the new bump.
 			src.pushHole(hole{off: off, size: info.block})
-			info.heap, info.off = dhi, doff
-			s.heaps[dhi].objs[doff] = info
-			s.heaps[dhi].live += info.size
+			s.relink(info, dhi, doff)
 			moved += info.size
 		}
 		s.truncate(src)
@@ -512,8 +639,8 @@ func (s *Service) DefragPass(scope *rt.BarrierScope, budget uint64) uint64 {
 // straddle it), and returns the vacated whole pages to the kernel.
 func (s *Service) truncate(sh *subHeap) {
 	var high uint64
-	for off, info := range sh.objs {
-		if end := off + info.block; end > high {
+	for _, info := range sh.objs {
+		if end := info.off + info.block; end > high {
 			high = end
 		}
 	}
@@ -534,7 +661,7 @@ func (s *Service) truncate(sh *subHeap) {
 	sh.bump = high
 	var keep []hole
 	for b := range sh.free {
-		for _, h := range sh.free[b] {
+		for _, h := range sh.free[b].holes() {
 			switch {
 			case h.off >= high:
 				// entirely above the new bump: gone
@@ -544,7 +671,7 @@ func (s *Service) truncate(sh *subHeap) {
 				keep = append(keep, h)
 			}
 		}
-		sh.free[b] = sh.free[b][:0]
+		sh.free[b].reset()
 	}
 	for _, h := range keep {
 		sh.pushHole(h)
@@ -610,9 +737,9 @@ func RevalidateFaultHandler() rt.FaultHandler {
 //
 // The service lock is dropped around each object copy, so concurrent
 // Alloc/Free stall for at most one object's bookkeeping, not the whole
-// budgeted sweep; an object freed (and even reallocated) mid-copy is
-// detected by re-looking up its bookkeeping record before the move is
-// recorded, and the copy is discarded.
+// budgeted sweep; an object freed mid-copy — even if its offset has since
+// gone to a new object — is detected by its own record (no longer live)
+// before the move is recorded, and the copy is discarded.
 func (s *Service) ConcurrentDefragPass(budget uint64) uint64 {
 	s.passMu.Lock()
 	defer s.passMu.Unlock()
@@ -626,20 +753,16 @@ func (s *Service) ConcurrentDefragPass(budget uint64) uint64 {
 	var vacated []deferredBlock
 	for hi := nHeaps - 1; hi >= 0 && moved < budget; hi-- {
 		s.mu.Lock()
-		src := s.heaps[hi]
-		offs := make([]uint64, 0, len(src.objs))
-		for off := range src.objs {
-			offs = append(offs, off)
-		}
+		objs := s.heaps[hi].snapshot()
 		s.mu.Unlock()
-		sort.Slice(offs, func(i, j int) bool { return offs[i] > offs[j] })
-		for _, off := range offs {
+		sort.Slice(objs, func(i, j int) bool { return objs[i].off > objs[j].off })
+		for _, o := range objs {
 			if moved >= budget {
 				break
 			}
+			info, off := o.info, o.off
 			s.mu.Lock()
-			info, live := src.objs[off]
-			if !live || s.rt.Table.PinCount(info.id) > 0 {
+			if !o.stillAt(hi) || s.rt.Table.PinCount(info.id) > 0 {
 				s.mu.Unlock()
 				continue // freed meanwhile, or demonstrably pinned
 			}
@@ -650,7 +773,7 @@ func (s *Service) ConcurrentDefragPass(budget uint64) uint64 {
 			if err != nil {
 				s.copyMu.Unlock()
 				s.mu.Unlock()
-				continue // freed or already moving
+				continue // not published yet (mid-Halloc), freed, or already moving
 			}
 			// Re-check pins after the moving transition: a pin taken in the
 			// window between the check above and the transition translated a
@@ -698,20 +821,15 @@ func (s *Service) ConcurrentDefragPass(budget uint64) uint64 {
 				s.mu.Unlock()
 				continue
 			}
-			if cur, ok := src.objs[off]; !ok || cur != info {
-				// Freed — and possibly the slot reallocated — during the
-				// copy. The freeing Hfree already recycled the source block
-				// and the handle entry; drop the unreferenced copy.
+			if !o.stillAt(hi) {
+				// Freed during the copy. The freeing Hfree already recycled the
+				// source block and the handle entry; drop the unreferenced copy.
 				s.heaps[dhi].pushHole(hole{off: doff, size: block})
 				s.mu.Unlock()
 				continue
 			}
-			delete(src.objs, off)
-			src.live -= size
 			vacated = append(vacated, deferredBlock{heap: hi, off: off, size: block})
-			info.heap, info.off = dhi, doff
-			s.heaps[dhi].objs[doff] = info
-			s.heaps[dhi].live += size
+			s.relink(info, dhi, doff)
 			moved += size
 			s.mu.Unlock()
 		}

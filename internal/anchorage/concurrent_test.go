@@ -207,6 +207,13 @@ func TestConcurrentDefragPassUnderReaders(t *testing.T) {
 // access via Thread.Pin, making their pins visible to the pass — the §7
 // contract for writing mutators outside a barrier (StackPins pin sets are
 // invisible to a concurrent mover, so writers there need barriers).
+//
+// Two more workers ("flippers") keep a small standing set and replace one
+// object per step — free, then allocate the same size, so the block just
+// vacated (or its bin neighbour) is handed straight back out. That is the
+// case the pass's identity check exists for: the offset it snapshotted
+// holds an object again, but not the one it copied. Every object's bytes
+// are checked before it is freed and once more at the end.
 // Run under `go test -race`.
 func TestConcurrentDefragPassUnderChurn(t *testing.T) {
 	space := mem.NewSpace()
@@ -319,6 +326,93 @@ func TestConcurrentDefragPassUnderChurn(t *testing.T) {
 				}
 			}
 		}(w)
+	}
+	for f := 0; f < 2; f++ {
+		mwg.Add(1)
+		go func(f int) {
+			defer mwg.Done()
+			th := r.NewThread()
+			defer th.Destroy()
+			const size = 256
+			buf := make([]byte, size)
+			// fill allocates an object stamped with tag; check reads one back.
+			fill := func(tag byte) (handle.Handle, bool) {
+				h, err := r.Halloc(size)
+				if err != nil {
+					t.Error(err)
+					return 0, false
+				}
+				a, unpin, err := th.Pin(h)
+				if err != nil {
+					t.Error(err)
+					return 0, false
+				}
+				for i := range buf {
+					buf[i] = tag
+				}
+				err = space.Write(a, buf)
+				unpin()
+				if err != nil {
+					t.Error(err)
+					return 0, false
+				}
+				return h, true
+			}
+			check := func(h handle.Handle, tag byte) bool {
+				a, unpin, err := th.Pin(h)
+				if err != nil {
+					t.Error(err)
+					return false
+				}
+				err = space.Read(a, buf)
+				unpin()
+				if err != nil {
+					t.Error(err)
+					return false
+				}
+				for i, b := range buf {
+					if b != tag {
+						t.Errorf("flipper %d: byte %d = %#x, want %#x", f, i, b, tag)
+						return false
+					}
+				}
+				return true
+			}
+			var set [24]handle.Handle
+			var tags [24]byte
+			for k := range set {
+				var ok bool
+				tags[k] = byte(0xa0 + f)
+				if set[k], ok = fill(tags[k]); !ok {
+					return
+				}
+			}
+			for op := 0; op < 2*ops; op++ {
+				th.Safepoint()
+				k := op % len(set)
+				if !check(set[k], tags[k]) {
+					return
+				}
+				if err := r.Hfree(set[k]); err != nil {
+					t.Error(err)
+					return
+				}
+				var ok bool
+				tags[k] = byte(op)
+				if set[k], ok = fill(tags[k]); !ok {
+					return
+				}
+			}
+			for k := range set {
+				if !check(set[k], tags[k]) {
+					return
+				}
+				if err := r.Hfree(set[k]); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(f)
 	}
 	mwg.Wait()
 	close(quit)

@@ -101,6 +101,43 @@ func TestTableAllocFreeReuse(t *testing.T) {
 	}
 }
 
+// TestReservePublishUnreserve: a reserved ID is invisible — not live, not
+// translatable, not iterated, not freeable — until Publish installs its one
+// entry; Unreserve hands it to the next allocation without it ever having
+// been live.
+func TestReservePublishUnreserve(t *testing.T) {
+	tb := NewTable()
+	id, err := tb.Reserve(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tb.Translate(Make(id, 0)); err == nil {
+		t.Error("reserved ID translates")
+	}
+	if err := tb.Free(id); err == nil {
+		t.Error("Free of a reserved, unpublished ID succeeded")
+	}
+	tb.ForEachLive(func(got uint32, _ Entry) { t.Errorf("ForEachLive visited reserved ID %d", got) })
+	if tb.Live() != 0 || tb.Peak() != 0 {
+		t.Errorf("Live/Peak = %d/%d with only a reservation, want 0/0", tb.Live(), tb.Peak())
+	}
+	tb.Unreserve(id)
+	id2, err := tb.Reserve(32)
+	if err != nil || id2 != id {
+		t.Fatalf("Reserve after Unreserve = %d, %v; want %d back", id2, err, id)
+	}
+	tb.Publish(id2, 0x5000, 32)
+	if a, err := tb.Translate(Make(id2, 8)); err != nil || a != 0x5008 {
+		t.Errorf("Translate after Publish = %#x, %v; want 0x5008", a, err)
+	}
+	if tb.Live() != 1 || tb.Extent() != 1 {
+		t.Errorf("Live/Extent = %d/%d, want 1/1", tb.Live(), tb.Extent())
+	}
+	if _, err := tb.Reserve(MaxObjectSize + 1); err == nil {
+		t.Error("Reserve of an oversize object succeeded")
+	}
+}
+
 func TestTranslate(t *testing.T) {
 	tb := NewTable()
 	id, err := tb.Alloc(0x4000, 256)

@@ -166,10 +166,29 @@ func (t *ShardedTable) publish(s *slot, backing mem.Addr, size uint64) {
 	}
 }
 
-// Alloc reserves a handle ID and publishes its entry. Recycled IDs are
+// Alloc reserves a handle ID and publishes its entry in one call, for
+// callers that know the backing address up front.
+func (t *ShardedTable) Alloc(backing mem.Addr, size uint64) (uint32, error) {
+	id, err := t.Reserve(size)
+	if err == nil {
+		t.Publish(id, backing, size)
+	}
+	return id, err
+}
+
+// Publish installs the entry of a reserved ID.
+func (t *ShardedTable) Publish(id uint32, backing mem.Addr, size uint64) {
+	_, s := t.locate(id)
+	t.publish(s, backing, size)
+}
+
+// Reserve takes a handle ID without publishing an entry for it: until
+// Publish, the ID translates (and speculatively moves) as unallocated and
+// is not live, so Runtime.Halloc can get the block first and publish once.
+// An unpublished reservation goes back with Unreserve. Recycled IDs are
 // preferred over bump allocation (§4.2.1); the probe starts at the
 // round-robin cursor so concurrent allocators fan out across shards.
-func (t *ShardedTable) Alloc(backing mem.Addr, size uint64) (uint32, error) {
+func (t *ShardedTable) Reserve(size uint64) (uint32, error) {
 	if size > MaxObjectSize {
 		return 0, fmt.Errorf("handle: object of %d bytes exceeds 4 GiB handle limit", size)
 	}
@@ -192,10 +211,8 @@ func (t *ShardedTable) Alloc(backing mem.Addr, size uint64) (uint32, error) {
 				local := sh.free[n-1]
 				sh.free = sh.free[:n-1]
 				sh.nfree.Add(-1)
-				s := sh.slotAt(local)
 				sh.mu.Unlock()
 				t.nfree.Add(-1)
-				t.publish(s, backing, size)
 				return makeID(shard, local), nil
 			}
 			sh.mu.Unlock()
@@ -212,19 +229,30 @@ func (t *ShardedTable) Alloc(backing mem.Addr, size uint64) (uint32, error) {
 		}
 		local := sh.bump
 		sh.bump++
-		s := sh.growTo(local)
+		sh.growTo(local)
 		sh.mu.Unlock()
-		t.publish(s, backing, size)
 		return makeID(shard, local), nil
 	}
 	return 0, ErrTableFull
+}
+
+// Unreserve puts a reserved, never-published ID — or, from Free, one just
+// unpublished — on its shard's free list.
+func (t *ShardedTable) Unreserve(id uint32) {
+	sh := &t.shards[id&shardMask]
+	sh.mu.Lock()
+	sh.free = append(sh.free, id>>shardBits)
+	sh.nfree.Add(1)
+	sh.mu.Unlock()
+	t.freeHint.Store(id & shardMask)
+	t.nfree.Add(1)
 }
 
 // Free unpublishes an entry and recycles its ID. The unpublish is a CAS to
 // nil so a concurrent double-free is detected rather than corrupting the
 // free list.
 func (t *ShardedTable) Free(id uint32) error {
-	sh, s := t.locate(id)
+	_, s := t.locate(id)
 	if s == nil {
 		return &ErrBadHandle{Make(id, 0), "free of unallocated handle"}
 	}
@@ -238,12 +266,7 @@ func (t *ShardedTable) Free(id uint32) error {
 		}
 	}
 	s.pins.Store(0)
-	sh.mu.Lock()
-	sh.free = append(sh.free, id>>shardBits)
-	sh.nfree.Add(1)
-	sh.mu.Unlock()
-	t.freeHint.Store(id & shardMask)
-	t.nfree.Add(1)
+	t.Unreserve(id)
 	t.live.Add(-1)
 	return nil
 }

@@ -347,13 +347,14 @@ func (s *ShardedStore) lookupLockedB(sh *shard, key []byte, now time.Time) (*ent
 	return s.liveLocked(sh, e, ok, now)
 }
 
-// insertLocked allocates, writes, and links key's new value. Under a
-// ceiling, room is reserved first (makeRoomLocked): the budget delta is
-// claimed with a CAS before the write, while the replaced entry's
-// removal is still deferred until the new value is durably written — so
-// a failed store leaves the previous value intact AND refunds its
-// reservation, and the charged total never exceeds the ceiling even
-// transiently.
+// insertLocked allocates, writes, and links key's new value. old is the
+// entry the caller's lookup just found under key (nil if none), so an
+// overwrite does not hash the key a second time. Under a ceiling, room
+// is reserved first (makeRoomLocked): the budget delta is claimed with a
+// CAS before the write, while the replaced entry's removal is still
+// deferred until the new value is durably written — so a failed store
+// leaves the previous value intact AND refunds its reservation, and the
+// charged total never exceeds the ceiling even transiently.
 //
 // An overwrite of a surviving entry is performed in place — the entry
 // struct, its LRU links, and its interned key string are all reused —
@@ -369,7 +370,7 @@ func (s *ShardedStore) lookupLockedB(sh *shard, key []byte, now time.Time) (*ent
 // timestamp so the flush_all-epoch check stays correct across a
 // restart. record=false suppresses the mutation-log hook — replay must
 // not re-log the records it is applying.
-func (s *ShardedStore) insertLocked(sh *shard, sess Session, key []byte, value []byte, expireAt, storedAt, now time.Time, record bool) error {
+func (s *ShardedStore) insertLocked(sh *shard, sess Session, key []byte, old *entry, value []byte, expireAt, storedAt, now time.Time, record bool) error {
 	at := storedAt
 	if at.IsZero() {
 		at = now
@@ -383,7 +384,7 @@ func (s *ShardedStore) insertLocked(sh *shard, sess Session, key []byte, value [
 			return fmt.Errorf("kv: sharded store %q: %w", string(key), ErrTooLarge)
 		}
 		var err error
-		if reserved, err = s.makeRoomLocked(sh, key, newCost, now); err != nil {
+		if reserved, old, err = s.makeRoomLocked(sh, key, old, newCost, now); err != nil {
 			return fmt.Errorf("kv: sharded store %q: %w", string(key), err)
 		}
 	}
@@ -397,7 +398,7 @@ func (s *ShardedStore) insertLocked(sh *shard, sess Session, key []byte, value [
 		s.used.Add(-int64(reserved))
 		return err
 	}
-	if old, ok := sh.index[string(key)]; ok {
+	if old != nil {
 		// In-place overwrite: free the replaced bytes, rewrite the entry.
 		oldCost := old.cost()
 		sh.used += newCost - oldCost
@@ -464,31 +465,34 @@ const spillRounds = 64
 // shard's own LRU first, then — when it runs dry — the globally coldest
 // other shards (best-effort, via their lock-free tail stamps and
 // TryLock, so two inserting shards can never deadlock on each other).
-// The replaced entry's cost is discounted but the entry itself is left
-// in place for insertLocked to settle after a durable write. Returns
-// the bytes reserved. Caller holds sh.mu.
-func (s *ShardedStore) makeRoomLocked(sh *shard, key []byte, newCost uint64, now time.Time) (uint64, error) {
+// The replaced entry old (nil if key is new) has its cost discounted but
+// is itself left in place for insertLocked to settle after a durable
+// write — unless an eviction from sh took it, which is why key is looked
+// up again after one and why the entry to replace is returned beside the
+// bytes reserved. Caller holds sh.mu.
+func (s *ShardedStore) makeRoomLocked(sh *shard, key []byte, old *entry, newCost uint64, now time.Time) (uint64, *entry, error) {
 	stuck := 0
 	for {
 		credit := uint64(0)
-		if old, ok := sh.index[string(key)]; ok {
+		if old != nil {
 			// Only this lock-holder can evict from sh, so the credit
 			// cannot be invalidated between here and the reservation.
 			credit = old.cost()
 		}
 		if newCost <= credit {
-			return 0, nil
+			return 0, old, nil
 		}
 		need := newCost - credit
 		if s.tryReserve(need) {
-			return need, nil
+			return need, old, nil
 		}
-		if s.evictOneLocked(sh, now) || s.evictColdest(sh, now) {
+		if s.evictOneLocked(sh, now) {
+			old = sh.index[string(key)] // the victim may have been old itself
 			stuck = 0
-			continue
-		}
-		if stuck++; stuck >= spillRounds {
-			return 0, ErrNoRoom
+		} else if s.evictColdest(sh, now) {
+			stuck = 0
+		} else if stuck++; stuck >= spillRounds {
+			return 0, old, ErrNoRoom
 		}
 	}
 }
@@ -595,7 +599,7 @@ func (s *ShardedStore) setEx(sess Session, sh *shard, key, value []byte, mode Se
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	sh.stats.sets.Add(1)
-	_, exists := s.lookupLockedB(sh, key, now)
+	old, exists := s.lookupLockedB(sh, key, now)
 	switch mode {
 	case SetAdd:
 		if exists {
@@ -606,7 +610,7 @@ func (s *ShardedStore) setEx(sess Session, sh *shard, key, value []byte, mode Se
 			return false, nil
 		}
 	}
-	if err := s.insertLocked(sh, sess, key, value, expireAt, time.Time{}, now, true); err != nil {
+	if err := s.insertLocked(sh, sess, key, old, value, expireAt, time.Time{}, now, true); err != nil {
 		return false, err
 	}
 	return true, nil
@@ -679,7 +683,7 @@ func (s *ShardedStore) apply(sess Session, sh *shard, key []byte, needValue bool
 		if op.KeepExpire && found {
 			expire = e.expireAt
 		}
-		if err := s.insertLocked(sh, sess, key, op.Value, expire, time.Time{}, now, true); err != nil {
+		if err := s.insertLocked(sh, sess, key, e, op.Value, expire, time.Time{}, now, true); err != nil {
 			return scratch, err
 		}
 	default:

@@ -53,7 +53,8 @@ func (s *ShardedStore) RestoreBytes(sess Session, key, value []byte, expireAt, s
 	sh := s.shardForB(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return s.insertLocked(sh, sess, key, value, expireAt, storedAt, s.now(), false)
+	// No lazy expiry on replay: whatever sits under key is overwritten.
+	return s.insertLocked(sh, sess, key, sh.index[string(key)], value, expireAt, storedAt, s.now(), false)
 }
 
 // RestoreDeleteBytes is the replay entry point for a delete record:

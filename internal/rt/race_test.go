@@ -7,6 +7,7 @@ package rt_test
 // `go test -race ./internal/rt`.
 
 import (
+	"bytes"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -267,4 +268,160 @@ func TestSpeculativeMoveTranslateRace(t *testing.T) {
 	}
 	t.Logf("%d moves: %d commits, %d aborts, %d old copies reclaimed, %d faults",
 		iters, mover.Commits.Load(), mover.Aborts.Load(), mover.Reclaimed.Load(), r.Stats().Faults.Load())
+}
+
+// TestHallocChurnUnderConcurrentDefrag races halloc/hfree churn against
+// Anchorage's pause-free pass and against translators of a standing set
+// the pass keeps moving. The pass picks its candidates out of the
+// service's books, where an object appears the moment Service.Alloc
+// returns, and copies from whatever backing the object's table entry
+// names — so the entry must not exist before the block does. A scanner
+// holds that from outside, over and over: no live entry, valid or moving,
+// has backing 0. (Publishing the entry before the service alloc and
+// patching the address in afterwards fails here.)
+func TestHallocChurnUnderConcurrentDefrag(t *testing.T) {
+	space := mem.NewSpace()
+	cfg := anchorage.DefaultConfig()
+	cfg.SubHeapSize = 64 << 10
+	svc := anchorage.NewService(space, cfg)
+	r, err := rt.New(space, svc,
+		rt.WithPinMode(rt.CountedPins),
+		rt.WithFaultHandler(anchorage.RevalidateFaultHandler()))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Standing set: a checkerboard, so the pass always has holes to fill
+	// and survivors to move; object k is filled with byte(k).
+	const size = 256
+	setup := r.NewThread()
+	var standing, holes []handle.Handle
+	for i := 0; i < 2048; i++ {
+		h, err := r.Halloc(size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%4 != 0 {
+			holes = append(holes, h)
+			continue
+		}
+		a, err := setup.Translate(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := space.Write(a, bytes.Repeat([]byte{byte(len(standing))}, size)); err != nil {
+			t.Fatal(err)
+		}
+		standing = append(standing, h)
+	}
+	for _, h := range holes {
+		if err := r.Hfree(h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := setup.Destroy(); err != nil {
+		t.Fatal(err)
+	}
+
+	quit := make(chan struct{})
+	var bg sync.WaitGroup
+	background := func(step func()) {
+		bg.Add(1)
+		go func() {
+			defer bg.Done()
+			for {
+				select {
+				case <-quit:
+					return
+				default:
+					step()
+				}
+			}
+		}()
+	}
+	// The mover.
+	background(func() {
+		svc.ConcurrentDefragPass(64 << 10)
+		svc.DrainDeferred()
+	})
+	// The scanner.
+	var scans atomic.Int64
+	background(func() {
+		r.Table.ForEachLive(func(id uint32, e handle.Entry) {
+			if e.Backing == 0 {
+				t.Errorf("id %d is published (size %d, flags %#x) with backing 0", id, e.Size, e.Flags)
+			}
+		})
+		scans.Add(1)
+	})
+	// Translators of the standing set: plain translate + read + poll, so a
+	// move in flight faults them into the revalidate path.
+	for g := 0; g < 2; g++ {
+		th := r.NewThread()
+		defer th.Destroy()
+		buf := make([]byte, 8)
+		i := g * 37
+		background(func() {
+			k := i % len(standing)
+			i++
+			a, err := th.Translate(standing[k])
+			if err == nil {
+				err = space.Read(a, buf)
+			}
+			if err != nil {
+				t.Error(err)
+			} else if want := bytes.Repeat([]byte{byte(k)}, len(buf)); !bytes.Equal(buf, want) {
+				t.Errorf("standing object %d reads %x, want %x", k, buf, want)
+			}
+			th.Safepoint()
+		})
+	}
+
+	// Churners, in the foreground: each keeps a window of objects and
+	// replaces the oldest, in the standing set's size class and around it.
+	ops := 20000
+	if testing.Short() {
+		ops = 4000
+	}
+	var churn sync.WaitGroup
+	for w := 0; w < 3; w++ {
+		churn.Add(1)
+		go func(w int) {
+			defer churn.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			window := make([]handle.Handle, 32)
+			for op := 0; op < ops; op++ {
+				k := op % len(window)
+				if window[k] != 0 {
+					if err := r.Hfree(window[k]); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				h, err := r.Halloc(uint64(128 + 64*rng.Intn(5)))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				window[k] = h
+			}
+			for _, h := range window {
+				if err := r.Hfree(h); err != nil {
+					t.Error(err)
+				}
+			}
+		}(w)
+	}
+	churn.Wait()
+	close(quit)
+	bg.Wait()
+	if scans.Load() == 0 {
+		t.Error("the scanner never completed a sweep")
+	}
+	if got, want := r.Table.Live(), len(standing); got != want {
+		t.Errorf("Live = %d after the churners drained, want the %d standing objects", got, want)
+	}
+	m := svc.MetricsSnapshot()
+	t.Logf("%d churn ops under %d passes (%d bytes moved, %d aborts), %d table scans",
+		3*ops, m.ConcurrentPasses, m.MovedBytes, m.MoveAborts, scans.Load())
 }

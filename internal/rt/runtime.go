@@ -172,23 +172,24 @@ func (r *Runtime) Stats() *Stats {
 }
 
 // Halloc allocates size bytes of handle-managed memory and returns the
-// handle word the program will treat as a pointer.
+// handle word the program will treat as a pointer. The ID is reserved, the
+// service provides the block, and only then is the entry published — once,
+// with its final backing — so no translator or concurrent mover meets an
+// entry whose Backing is 0, and a service failure leaves nothing behind.
 func (r *Runtime) Halloc(size uint64) (handle.Handle, error) {
 	if size == 0 {
 		size = 1 // malloc(0) must return a unique pointer
 	}
-	id, err := r.Table.Alloc(0, size)
+	id, err := r.Table.Reserve(size)
 	if err != nil {
 		return 0, err
 	}
 	addr, err := r.svc.Alloc(id, size)
 	if err != nil {
-		freeErr := r.Table.Free(id)
-		return 0, errors.Join(err, freeErr)
-	}
-	if err := r.Table.SetBacking(id, addr); err != nil {
+		r.Table.Unreserve(id)
 		return 0, err
 	}
+	r.Table.Publish(id, addr, size)
 	r.stats.Hallocs.Add(1)
 	return handle.Make(id, 0), nil
 }

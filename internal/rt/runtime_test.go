@@ -1,6 +1,7 @@
 package rt
 
 import (
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -17,6 +18,9 @@ type bumpService struct {
 	region *mem.Region
 	off    uint64
 	active uint64
+	// onAlloc, when set, sees every Alloc first; an error from it is the
+	// service failing to provide a block.
+	onAlloc func(id uint32) error
 }
 
 func (b *bumpService) Init(*Runtime) error {
@@ -28,7 +32,12 @@ func (b *bumpService) Init(*Runtime) error {
 	return nil
 }
 func (b *bumpService) Deinit() error { return nil }
-func (b *bumpService) Alloc(_ uint32, size uint64) (mem.Addr, error) {
+func (b *bumpService) Alloc(id uint32, size uint64) (mem.Addr, error) {
+	if b.onAlloc != nil {
+		if err := b.onAlloc(id); err != nil {
+			return 0, err
+		}
+	}
 	aligned := (size + 15) &^ 15
 	addr := b.region.Base() + mem.Addr(b.off)
 	b.off += aligned
@@ -87,6 +96,71 @@ func TestHallocHfree(t *testing.T) {
 	}
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestHallocPublishesAfterServiceAlloc holds Halloc's ordering: the ID is
+// only reserved while the service is asked for the block — not live, not
+// translatable, not movable — and a service failure publishes nothing and
+// leaks nothing: the table's live count and the service's active bytes are
+// what they were, and the very ID goes to the next Halloc.
+func TestHallocPublishesAfterServiceAlloc(t *testing.T) {
+	space := mem.NewSpace()
+	svc := &bumpService{space: space}
+	r, err := New(space, svc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Halloc(64); err != nil {
+		t.Fatal(err)
+	}
+	liveBefore, activeBefore := r.Table.Live(), svc.ActiveBytes()
+
+	var asked []uint32
+	fail := errors.New("injected: out of backing memory")
+	var inject error
+	svc.onAlloc = func(id uint32) error {
+		asked = append(asked, id)
+		if _, err := r.Table.Get(id); err == nil {
+			t.Errorf("id %d has a published entry while the service is still allocating its block", id)
+		}
+		if _, err := r.Table.BeginSpeculativeMove(id); err == nil {
+			t.Errorf("id %d can be speculatively moved before it has a block", id)
+		}
+		if got := r.Table.Live(); got != liveBefore {
+			t.Errorf("Live = %d during the service alloc, want %d", got, liveBefore)
+		}
+		return inject
+	}
+	inject = fail
+	if _, err := r.Halloc(128); !errors.Is(err, fail) {
+		t.Fatalf("Halloc under an injected service failure = %v, want the service's error", err)
+	}
+	if got := r.Table.Live(); got != liveBefore {
+		t.Errorf("Live = %d after the failed Halloc, want %d", got, liveBefore)
+	}
+	if got := svc.ActiveBytes(); got != activeBefore {
+		t.Errorf("ActiveBytes = %d after the failed Halloc, want %d", got, activeBefore)
+	}
+	if got := r.Stats().Hallocs.Load(); got != 1 {
+		t.Errorf("Hallocs = %d after one success and one failure, want 1", got)
+	}
+	extent := r.Table.Extent()
+
+	inject = nil
+	h, err := r.Halloc(128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(asked) != 2 || h.ID() != asked[0] {
+		t.Errorf("next Halloc got id %d (service asked for %v), want the failed call's id back", h.ID(), asked)
+	}
+	if got := r.Table.Extent(); got != extent {
+		t.Errorf("table extent %d -> %d: the failed call's id was not recycled", extent, got)
+	}
+	e, err := r.Table.Get(h.ID())
+	if err != nil || e.Backing == 0 || e.Size != 128 || r.Table.Live() != liveBefore+1 {
+		t.Errorf("published entry %+v, %v, Live %d; want a backed 128-byte entry and Live %d", e, err, r.Table.Live(), liveBefore+1)
 	}
 }
 

@@ -36,15 +36,19 @@ func forEachGuardBackend(t *testing.T, fn func(t *testing.T, backend kv.Backend)
 
 // hallocAllocs is what allocating and freeing one value costs in Go
 // allocations inside the backend's own allocator — the one part of a
-// store the guards cannot hold at zero. Anchorage pays four per replaced
-// value: the handle table publishes immutable entries (one at Alloc, one
-// at SetBacking — the lock-free translate depends on it), and the
-// service keeps an objInfo record and a free-list slot per block. The
-// access path proper — pin, mem.Space copy, LRU, framing, reply — is
-// zero on every backend, which the GET guards show in isolation.
+// store the guards cannot hold at zero. Anchorage pays two per replaced
+// value, and both are there for a reason: one immutable handle-table
+// Entry, published once with its final backing (translate is a lock-free
+// load of that pointer, so an entry is never edited in place), and one
+// objInfo record (a record is never reused, which is what lets a defrag
+// pass that dropped the service lock around a copy recognise its object
+// by pointer). The ID directory, the sub-heap object lists and the free
+// bins reuse their storage in steady state. The access path proper —
+// pin, mem.Space copy, LRU, framing, reply — is zero on every backend,
+// which the GET guards show in isolation.
 func hallocAllocs(backend kv.Backend) float64 {
 	if _, ok := backend.(*kv.AnchorageBackend); ok {
-		return 4
+		return 2
 	}
 	return 0
 }
