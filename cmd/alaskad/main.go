@@ -82,7 +82,6 @@ func main() {
 	connModel := flag.String("conn-model", "auto", "connection architecture: auto|event|goroutine (auto = epoll readiness poller on Linux, goroutine-per-connection elsewhere)")
 	workers := flag.Int("conn-workers", 0, "event-model worker pool size; 0 = 2 x GOMAXPROCS")
 	verbose := flag.Int("verbose", 0, "log verbosity: 0 errors, 1 lifecycle, 2+ per-connection churn (the wire `verbosity` command changes it at runtime)")
-	noInstr := flag.Bool("disable-instrumentation", false, "turn off per-opcode histograms, byte counters, and the slow-op ring (for A/B measurement; the plane is allocation-free, so leave it on)")
 	flag.Parse()
 
 	logLevel := logx.LevelError
@@ -197,24 +196,23 @@ func main() {
 	}
 
 	srv := server.New(store, server.Config{
-		Addr:                   *addr,
-		MaxValueSize:           int(maxVal),
-		MaintainInterval:       *maintain,
-		DefragFragHigh:         *fragHigh,
-		DefragBudget:           defragBudget,
-		Version:                version + "-" + *backendName,
-		MaxConns:               *maxConns,
-		IdleTimeout:            *idleTimeout,
-		WriteTimeout:           *writeTimeout,
-		MaxReplyBacklog:        int(maxBacklog),
-		SpacePaddedDecr:        *padDecr,
-		ConnModel:              *connModel,
-		Workers:                *workers,
-		SlowOpThreshold:        *slowOp,
-		Logger:                 logger,
-		DisableInstrumentation: *noInstr,
-		WAL:                    wlog,
-		Health:                 healthReg,
+		Addr:             *addr,
+		MaxValueSize:     int(maxVal),
+		MaintainInterval: *maintain,
+		DefragFragHigh:   *fragHigh,
+		DefragBudget:     defragBudget,
+		Version:          version + "-" + *backendName,
+		MaxConns:         *maxConns,
+		IdleTimeout:      *idleTimeout,
+		WriteTimeout:     *writeTimeout,
+		MaxReplyBacklog:  int(maxBacklog),
+		SpacePaddedDecr:  *padDecr,
+		ConnModel:        *connModel,
+		Workers:          *workers,
+		SlowOpThreshold:  *slowOp,
+		Logger:           logger,
+		WAL:              wlog,
+		Health:           healthReg,
 	})
 	// A server built to park 100k sockets should not die at a 1024-fd
 	// default soft limit: lift NOFILE to the hard ceiling up front.

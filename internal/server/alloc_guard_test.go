@@ -5,26 +5,26 @@ package server
 // Allocation guards: the request path must be allocation-free per op in
 // steady state on every network-facing backend — malloc, mesh, and
 // anchorage built as cmd/alaskad builds it (CountedPins), the system the
-// paper is about and the one whose pins used to allocate. These tests
-// drive the real
-// handler — bounded line reader, zero-alloc tokenizer, byte parsers,
-// kv read-into/in-place-store, response serialization, and the lock-free
-// latency recorder — over an in-memory reader/writer, and pin GET-hit
-// and SET steady state at exactly 0 allocs/op with testing.AllocsPerRun.
-// (Excluded under -race: the detector's instrumentation allocates.)
-//
-// CI note: a regression here fails `go test ./internal/server`, and the
-// nightly bench job additionally fails if cmd/alaskad-bench measures a
-// nonzero steady-state GET allocation rate over real sockets.
+// paper is about and the one whose pins used to allocate. One harness: a
+// request goes through the one protocol engine, either detached from any
+// socket (detachedEngine + runEventBatch: framing scan, storage prescan,
+// dispatch, kv read-into / in-place store, reply append, recordOp with the
+// per-opcode histograms live — what a worker runs between a read and a
+// writev) or, for the TestAllocFree{GetHit,SetSteadyState,PipelinedMixed}
+// trio, through the goroutine transport's blocking driver over an
+// in-memory net.Conn, which adds handleConn's read/flush loop and
+// conn.Write. Every shape is pinned at exactly 0 allocs/op with
+// testing.AllocsPerRun; a store is held to hallocAllocs. (Excluded under
+// -race: the detector's instrumentation allocates.)
 
 import (
-	"bufio"
 	"bytes"
-	"io"
+	"strings"
 	"testing"
 	"time"
 
 	"alaska/internal/kv"
+	"alaska/internal/wal"
 )
 
 // forEachGuardBackend runs one guard as a subtest per backend.
@@ -53,86 +53,140 @@ func hallocAllocs(backend kv.Backend) float64 {
 	return 0
 }
 
-// guardHandler builds a connHandler over in-memory I/O on a fresh
-// store over backend — the full dispatch path with no socket. The
-// default config leaves instrumentation fully enabled, so every guard
-// proves the 0-alloc contract with the per-opcode histograms live.
-func guardHandler(backend kv.Backend) (*connHandler, *bytes.Reader) {
-	return guardHandlerCfg(backend, Config{Version: "guard", MaxReplyBacklog: -1})
+// The guarded shapes. guardBatch is the realistic interleaving — set, get,
+// delete-miss, multi-key get — framed, prescanned and dispatched out of one
+// input buffer, as a pipelining client delivers it; guardWALBatch covers
+// the full logged surface: set (LogSet), touch (LogTouch), delete
+// (LogDelete), plus reads that must not log at all.
+var (
+	guardVal64    = strings.Repeat("x", 64)
+	guardSet      = []byte("set bench:key 7 0 512\r\n" + strings.Repeat("v", 512) + "\r\n")
+	guardGet      = []byte("get bench:key\r\n")
+	guardGetMiss  = []byte("get no:such:key\r\n")
+	guardBatch    = []byte("set a 1 0 64\r\n" + guardVal64 + "\r\nset b 2 0 64\r\n" + guardVal64 + "\r\nget a b\r\ndelete nosuch\r\ngets a\r\n")
+	guardWALBatch = []byte("set a 1 0 64\r\n" + guardVal64 + "\r\nset b 2 0 64\r\n" + guardVal64 + "\r\ntouch a 3600\r\nget a b\r\ndelete b\r\n")
+)
+
+// guardRun puts one request of cmds commands through a server and consumes
+// the reply.
+type guardRun func(req []byte, cmds int)
+
+// guardServer builds a server over a fresh store over backend. ConnModel
+// "goroutine" keeps New from opening an epoll instance nothing would use.
+func guardServer(backend kv.Backend, cfg Config) *Server {
+	cfg.Version, cfg.MaxReplyBacklog, cfg.ConnModel = "guard", -1, "goroutine"
+	return New(kv.NewShardedStore(backend, 8, 0), cfg)
 }
 
-func guardHandlerCfg(backend kv.Backend, cfg Config) (*connHandler, *bytes.Reader) {
-	store := kv.NewShardedStore(backend, 8, 0)
-	srv := New(store, cfg)
-	src := bytes.NewReader(nil)
-	return blockingGuardHandler(srv, store, src), src
+// engineRun drives srv's engine detached from any socket.
+func engineRun(t *testing.T, srv *Server) guardRun {
+	e := detachedEngine(srv)
+	return func(req []byte, cmds int) { runEventBatch(t, e, req, cmds) }
 }
 
-// blockingGuardHandler attaches in-memory I/O to a handler from the
-// server's own constructor (so it records into a latency stripe like any
-// other).
-func blockingGuardHandler(srv *Server, store *kv.ShardedStore, src *bytes.Reader) *connHandler {
-	h := srv.newConnHandler(store.NewSession())
-	h.c = &conn{clock: srv.cfg.Clock}
-	h.r = bufio.NewReaderSize(src, 16<<10)
-	h.w = bufio.NewWriterSize(io.Discard, 64<<10)
-	return h
+// driverRun drives srv through the goroutine transport over a pipe: one
+// Write is one Read for the blocking driver, whose one flush per round trip
+// is one Read here. The closing version exchange would read a leftover
+// reply instead, were that ever not so.
+func driverRun(t *testing.T, srv *Server) guardRun {
+	c := pipeConn(t, srv)
+	buf := make([]byte, 16<<10)
+	t.Cleanup(func() {
+		if n, _ := c.Write([]byte("version\r\n")); n > 0 {
+			if n, _ = c.Read(buf); string(buf[:n]) != "VERSION guard\r\n" {
+				t.Errorf("driver round trips left %q unread", buf[:n])
+			}
+		}
+	})
+	return func(req []byte, _ int) {
+		if _, err := c.Write(req); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		if _, err := c.Read(buf); err != nil {
+			t.Fatalf("read: %v", err)
+		}
+	}
 }
 
-// runCommand feeds one pre-built request through the handler exactly as
-// the serve loop would: reset the source, read the line, dispatch, and
-// record into the full observability plane (aggregate + per-opcode
-// histograms + slow-op sampling). The write buffer is reset instead of
-// flushed so the measurement covers the server path, not io.Discard.
-func runCommand(tb testing.TB, h *connHandler, src *bytes.Reader, req []byte) {
-	src.Reset(req)
-	h.r.Reset(src)
-	start := time.Now()
-	line, err := h.readLine()
+// steadyAllocs warms the buffers req touches (after warm, if any, has set
+// the stage) and measures req.
+func steadyAllocs(run guardRun, warm, req []byte, cmds int) float64 {
+	if warm != nil {
+		run(warm, 1)
+	}
+	for i := 0; i < 8; i++ {
+		run(req, cmds)
+	}
+	return testing.AllocsPerRun(200, func() { run(req, cmds) })
+}
+
+// guard holds req to stores × hallocAllocs per run on every backend, on a
+// server from mk.
+func guard(t *testing.T, mk func(*testing.T, kv.Backend) guardRun, warm, req []byte, cmds int, stores float64) {
+	forEachGuardBackend(t, func(t *testing.T, backend kv.Backend) {
+		avg := steadyAllocs(mk(t, backend), warm, req, cmds)
+		if want := stores * hallocAllocs(backend); avg != want {
+			t.Fatalf("%q allocates %.2f allocs/run in steady state, want %.0f", req[:bytes.IndexByte(req, '\r')], avg, want)
+		}
+	})
+}
+
+func detached(t *testing.T, backend kv.Backend) guardRun {
+	return engineRun(t, guardServer(backend, Config{}))
+}
+
+func blockingDriver(t *testing.T, backend kv.Backend) guardRun {
+	return driverRun(t, guardServer(backend, Config{}))
+}
+
+// persisting is detached with a started, store-attached pack log —
+// producer framing into the ring included, and the writer goroutine running
+// on a short interval so fsync batches interleave with the measurement (the
+// accounting is process-wide). The audit is disabled: its scan buffers
+// would show up in the numbers. The run warms itself on first use and
+// sleeps past a flush window, so the writer's one-time drain buffer is
+// allocated before anything is measured.
+func persisting(t *testing.T, backend kv.Backend) guardRun {
+	wlog, err := wal.Open(wal.Options{
+		Dir:           t.TempDir(),
+		FsyncInterval: 5 * time.Millisecond,
+		AuditInterval: -1,
+	})
 	if err != nil {
-		tb.Fatalf("readLine: %v", err)
+		t.Fatalf("wal open: %v", err)
 	}
-	if _, err := h.dispatch(line); err != nil {
-		tb.Fatalf("dispatch: %v", err)
+	srv := guardServer(backend, Config{WAL: wlog})
+	if err := wlog.Start(srv.store); err != nil {
+		t.Fatalf("wal start: %v", err)
 	}
-	h.srv.recordOp(h, h.c.id, time.Since(start))
-	h.w.Reset(io.Discard)
-	h.backlog = 0
+	srv.store.SetMutationLog(wlog)
+	t.Cleanup(func() { _ = wlog.Close() })
+	run := engineRun(t, srv)
+	for i := 0; i < 8; i++ {
+		run(guardWALBatch, 5)
+	}
+	time.Sleep(25 * time.Millisecond)
+	return run
 }
 
-func TestAllocFreeGetHit(t *testing.T) {
-	forEachGuardBackend(t, func(t *testing.T, backend kv.Backend) {
-		h, src := guardHandler(backend)
-		set := []byte("set bench:key 7 0 512\r\n" + string(bytes.Repeat([]byte{'v'}, 512)) + "\r\n")
-		get := []byte("get bench:key\r\n")
-		runCommand(t, h, src, set)
-		// Warm the connection-owned scratch buffers to steady state.
-		for i := 0; i < 8; i++ {
-			runCommand(t, h, src, get)
-		}
-		avg := testing.AllocsPerRun(200, func() {
-			runCommand(t, h, src, get)
-		})
-		if avg != 0 {
-			t.Fatalf("GET hit allocates %.2f allocs/op in steady state, want 0", avg)
-		}
-	})
-}
+func TestEventAllocFreeGetHit(t *testing.T)         { guard(t, detached, guardSet, guardGet, 1, 0) }
+func TestEventAllocFreeSetSteadyState(t *testing.T) { guard(t, detached, nil, guardSet, 1, 1) }
+func TestEventAllocFreePipelinedMixed(t *testing.T) { guard(t, detached, nil, guardBatch, 5, 2) }
 
-func TestAllocFreeSetSteadyState(t *testing.T) {
-	forEachGuardBackend(t, func(t *testing.T, backend kv.Backend) {
-		h, src := guardHandler(backend)
-		set := []byte("set bench:key 7 0 512\r\n" + string(bytes.Repeat([]byte{'v'}, 512)) + "\r\n")
-		for i := 0; i < 8; i++ {
-			runCommand(t, h, src, set)
-		}
-		avg := testing.AllocsPerRun(200, func() {
-			runCommand(t, h, src, set)
-		})
-		if want := hallocAllocs(backend); avg != want {
-			t.Fatalf("steady-state SET allocates %.2f allocs/op, want %.0f", avg, want)
-		}
-	})
+// TestAllocFreeGetMiss pins the miss path too: a keyspace scan of cold
+// keys must not churn the allocator either.
+func TestAllocFreeGetMiss(t *testing.T) { guard(t, detached, nil, guardGetMiss, 1, 0) }
+
+func TestAllocFreeGetHit(t *testing.T)         { guard(t, blockingDriver, guardSet, guardGet, 1, 0) }
+func TestAllocFreeSetSteadyState(t *testing.T) { guard(t, blockingDriver, nil, guardSet, 1, 1) }
+func TestAllocFreePipelinedMixed(t *testing.T) { guard(t, blockingDriver, nil, guardBatch, 5, 2) }
+
+// Attaching the pack log must not cost the request path a single
+// allocation.
+func TestAllocFreeSetWithPersistence(t *testing.T)    { guard(t, persisting, nil, guardSet, 1, 1) }
+func TestAllocFreeGetHitWithPersistence(t *testing.T) { guard(t, persisting, guardSet, guardGet, 1, 0) }
+func TestAllocFreePipelinedMixedWithPersistence(t *testing.T) {
+	guard(t, persisting, nil, guardWALBatch, 5, 2)
 }
 
 // TestAllocFreeSlowOpCapture pins the slow-op recording path itself: a
@@ -140,86 +194,54 @@ func TestAllocFreeSetSteadyState(t *testing.T) {
 // claims a ring slot, locks the entry, and copies the key prefix
 // — all of which must stay allocation-free.
 func TestAllocFreeSlowOpCapture(t *testing.T) {
-	forEachGuardBackend(t, func(t *testing.T, backend kv.Backend) {
-		h, src := guardHandlerCfg(backend, Config{
-			Version:         "guard",
-			MaxReplyBacklog: -1,
-			SlowOpThreshold: time.Nanosecond,
-		})
-		set := []byte("set bench:key 7 0 512\r\n" + string(bytes.Repeat([]byte{'v'}, 512)) + "\r\n")
-		get := []byte("get bench:key\r\n")
-		runCommand(t, h, src, set)
-		for i := 0; i < 8; i++ {
-			runCommand(t, h, src, get)
-		}
-		avg := testing.AllocsPerRun(200, func() {
-			runCommand(t, h, src, get)
-		})
-		if avg != 0 {
-			t.Fatalf("GET hit with slow-op capture allocates %.2f allocs/op, want 0", avg)
-		}
-		if got := h.srv.slowOpTotal(); got == 0 {
-			t.Fatalf("slow-op ring recorded nothing despite 1ns threshold")
-		}
-		ops := h.srv.SlowOps()
-		if len(ops) == 0 || ops[0].Cmd != "get" || ops[0].Key != "bench:key" {
-			t.Fatalf("unexpected slow-op snapshot head: %+v", ops[:min(len(ops), 1)])
-		}
-	})
-}
-
-// TestAllocFreeGetMiss pins the miss path too: a keyspace scan of cold
-// keys must not churn the allocator either.
-func TestAllocFreeGetMiss(t *testing.T) {
-	forEachGuardBackend(t, func(t *testing.T, backend kv.Backend) {
-		h, src := guardHandler(backend)
-		get := []byte("get no:such:key\r\n")
-		for i := 0; i < 8; i++ {
-			runCommand(t, h, src, get)
-		}
-		avg := testing.AllocsPerRun(200, func() {
-			runCommand(t, h, src, get)
-		})
-		if avg != 0 {
-			t.Fatalf("GET miss allocates %.2f allocs/op in steady state, want 0", avg)
-		}
-	})
-}
-
-// TestAllocFreePipelinedMixed runs the realistic interleaving — set,
-// get, delete-miss, multi-key get — as one pipelined batch per
-// iteration, covering the tokenizer's multi-command reuse.
-func TestAllocFreePipelinedMixed(t *testing.T) {
-	forEachGuardBackend(t, func(t *testing.T, backend kv.Backend) {
-		h, src := guardHandler(backend)
-		val := string(bytes.Repeat([]byte{'x'}, 64))
-		batch := []byte(
-			"set a 1 0 64\r\n" + val + "\r\n" +
-				"set b 2 0 64\r\n" + val + "\r\n" +
-				"get a b\r\n" +
-				"delete nosuch\r\n" +
-				"gets a\r\n")
-		runBatch := func() {
-			src.Reset(batch)
-			h.r.Reset(src)
-			for cmds := 0; cmds < 5; cmds++ {
-				line, err := h.readLine()
-				if err != nil {
-					t.Fatalf("readLine: %v", err)
-				}
-				if _, err := h.dispatch(line); err != nil {
-					t.Fatalf("dispatch: %v", err)
-				}
+	guard(t, func(t *testing.T, backend kv.Backend) guardRun {
+		srv := guardServer(backend, Config{SlowOpThreshold: time.Nanosecond})
+		t.Cleanup(func() {
+			ops := srv.SlowOps()
+			if srv.slowOpTotal() == 0 || len(ops) == 0 || ops[0].Cmd != "get" || ops[0].Key != "bench:key" {
+				t.Errorf("slow-op ring after %d captures, head: %+v", srv.slowOpTotal(), ops[:min(len(ops), 1)])
 			}
-			h.w.Reset(io.Discard)
-			h.backlog = 0
-		}
-		for i := 0; i < 8; i++ {
-			runBatch()
-		}
-		avg := testing.AllocsPerRun(100, runBatch)
-		if want := 2 * hallocAllocs(backend); avg != want {
-			t.Fatalf("pipelined mixed batch allocates %.2f allocs/batch in steady state, want %.0f", avg, want)
-		}
-	})
+		})
+		return engineRun(t, srv)
+	}, guardSet, guardGet, 1, 0)
+}
+
+// TestEventParkReleasesMemory: a connection parked with no residue sheds
+// its spill buffers entirely — the memory cost of a parked idle connection
+// is the bare pollConn.
+func TestEventParkReleasesMemory(t *testing.T) {
+	e := detachedEngine(guardServer(kv.NewMallocBackend(), Config{}))
+	pc := e.pc
+	// A burst that leaves residue: partial command in the input buffer,
+	// undrained reply bytes (a detached engine's tryFlush drains nothing).
+	e.in = append(e.in[:0], "get half-a-comm"...)
+	e.rpos = 0
+	cmds := 0
+	if st := e.process(&cmds); st != evNeedInput {
+		t.Fatalf("process status = %d, want evNeedInput", st)
+	}
+	e.out = append(e.out[:0], "VALUE residue 0 1\r\nx\r\nEND\r\n"...)
+	e.park()
+	if string(pc.inSpill) != "get half-a-comm" {
+		t.Fatalf("inSpill = %q after park, want the partial command", pc.inSpill)
+	}
+	if len(pc.outSpill) == 0 {
+		t.Fatal("outSpill empty after park despite undrained replies")
+	}
+
+	// Wake, let it drain (consume everything), park again: both spills
+	// must be released — an idle parked connection holds no buffers.
+	e.begin(pc)
+	e.rpos = len(e.in) // consume the partial line
+	e.spillOff = len(e.spill)
+	e.park()
+	if pc.inSpill != nil && cap(pc.inSpill) > connSpillRetain {
+		t.Fatalf("idle park kept %d bytes of inSpill capacity", cap(pc.inSpill))
+	}
+	if pc.outSpill != nil && cap(pc.outSpill) > connSpillRetain {
+		t.Fatalf("idle park kept %d bytes of outSpill capacity", cap(pc.outSpill))
+	}
+	if len(pc.inSpill) != 0 || len(pc.outSpill) != 0 {
+		t.Fatalf("idle park left residue: in=%d out=%d", len(pc.inSpill), len(pc.outSpill))
+	}
 }

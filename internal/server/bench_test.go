@@ -5,8 +5,8 @@ package server
 // (so the numbers isolate the request path from defrag machinery). All
 // benchmarks ReportAllocs — together with the AllocsPerRun guards in
 // alloc_guard_test.go these are the tracked evidence that the request
-// path stays allocation-free per op. cmd/alaskad-bench re-runs the same
-// shapes and emits BENCH_alaskad.json for the recorded trajectory.
+// path stays allocation-free per op. The end-to-end numbers of record are
+// the contract benchmark's (bench/).
 
 import (
 	"bufio"
@@ -172,9 +172,7 @@ func BenchmarkLoopbackSetGet(b *testing.B) {
 // socket under it (fd < 0: replies accumulate in the worker buffer exactly
 // as they do before a writev), for driving process() directly.
 func detachedEngine(srv *Server) *eventIO {
-	h := srv.newConnHandler(srv.store.NewSession())
-	e := &eventIO{h: h}
-	h.ev = e
+	e := srv.newConnHandler(srv.store.NewSession()).ev
 	pc := &pollConn{fd: -1, id: 1}
 	pc.sched.Store(schedScheduled)
 	e.begin(pc)

@@ -235,3 +235,35 @@ func TestStatsGetsDerived(t *testing.T) {
 		t.Fatalf("after reset cmd_get/get_hits/get_misses = %s/%s/%s, want 0/0/0", g, h, m)
 	}
 }
+
+// TestThinkTimeIsNotServerTime: a client that sends a storage command's
+// line, pauses, and then sends the data block has paused on its own time.
+// On either transport the command is dispatched, timed and given its time
+// only once its whole frame is buffered, so the pause is in neither the set
+// histogram nor the slow-op ring, and a one-second TTL counts from the
+// completed frame: the value is alive although the (mock) clock moved two
+// seconds between line and body.
+func TestThinkTimeIsNotServerTime(t *testing.T) {
+	forEachTransport(t, Config{MaintainInterval: time.Hour}, func(t *testing.T, cfg Config) {
+		clk := newTestClock()
+		cfg.Clock = clk.Now
+		srv := startServer(t, kv.NewMallocBackend(), cfg)
+		c := dialRaw(t, srv.Addr())
+		defer c.Close()
+		if err := writeAll(c, "set k 0 1 5\r\n"); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(60 * time.Millisecond)
+		clk.Advance(2 * time.Second)
+		if err := writeAll(c, "hello\r\nget k\r\n"); err != nil {
+			t.Fatal(err)
+		}
+		expectRead(t, c, "STORED\r\nVALUE k 0 5\r\nhello\r\nEND\r\n")
+		if worst := srv.OpLatency("set").Max(); worst >= 10*time.Millisecond {
+			t.Errorf("set recorded at %v: the client's 60 ms pause was booked as server latency", worst)
+		}
+		if ops := srv.SlowOps(); len(ops) != 0 {
+			t.Errorf("slow-op ring holds %+v after a command whose client was slow, not the server", ops)
+		}
+	})
+}

@@ -1,15 +1,23 @@
 package server
 
-// Event-driven connection core: the protocol engine over in-memory
-// buffers, shared by every platform. A parked connection is nothing but
-// a registered fd plus the pollConn below (~200 B and usually-nil spill
-// slices — no goroutine stack, no bufio pair, no rt.Thread). When the
-// readiness poller reports the fd, a fixed worker pool runs the same
-// dispatch/command code the goroutine model uses, against a per-worker
-// eventIO whose buffers are grow-only and reused across every
-// connection the worker serves — so the PR 5 zero-alloc contract holds
-// in steady state. The platform-specific half (epoll registration,
-// readiness loop, worker scheduling) lives in poller_linux.go.
+// One engine, two transports. eventIO.process() is the server's only
+// protocol engine: a buffer-in / buffer-out state machine that frames
+// commands out of an input buffer, dispatches each once its whole frame is
+// there, and appends replies to an output buffer. It never reads a socket;
+// a transport feeds it and drains it:
+//
+//   - the event transport (poller_linux.go): a parked connection is nothing
+//     but a registered fd plus the pollConn below (~200 B and usually-nil
+//     spill slices — no goroutine stack, no buffers, no rt.Thread). When
+//     epoll reports the fd, one of a fixed pool of workers attaches its own
+//     eventIO — buffers grow-only and reused across every connection the
+//     worker serves — reads until EAGAIN, and writevs the replies.
+//   - the goroutine transport (Server.handleConn, every platform): one
+//     goroutine and one eventIO per connection, over a detached pollConn
+//     (fd < 0), with blocking reads and deadline-bounded blocking writes.
+//
+// Both run the same instructions per command, so the zero-alloc contract,
+// the conformance transcripts and the per-command clock hold on either.
 
 import (
 	"bytes"
@@ -53,10 +61,13 @@ const (
 	schedRewake    = 2 // owned, and readiness arrived meanwhile
 )
 
-// pollConn is the entire per-connection state of a parked connection.
+// pollConn is the entire per-connection state of a parked connection —
+// and, detached (fd < 0, embedded in a conn), what the engine keeps of a
+// goroutine-transport connection, which uses none of the scheduling or
+// spill fields.
 type pollConn struct {
 	fd  int
-	id  uint64 // slow-op / debug-log attribution, same space as conn.id
+	id  uint64 // slow-op / debug-log attribution (Server.connIDs)
 	gen uint32 // registration generation; stale epoll events are dropped
 	// armed is the epoll interest mask currently registered for fd,
 	// owned (like the spill buffers) by whoever holds the sched token.
@@ -70,11 +81,12 @@ type pollConn struct {
 	slow   atomic.Bool
 	// lastActive is the Config.Clock unixnano of the last burst that
 	// completed a command, or of the last write progress — the idle
-	// reaper's input. It is stamped once per process() call, not per
-	// command, with the time of the call's last command: a burst is at
-	// most burstCmdBudget commands and the reaper works in seconds, so the
-	// sweep cannot tell, and no command reads the clock for it. Partial
-	// request bytes never touch it (memcached's last_cmd_time rule).
+	// reaper's input, on both transports. It is stamped once per process()
+	// call, not per command, with the time of the call's last command: a
+	// burst is at most burstCmdBudget commands and the reaper works in
+	// seconds, so the sweep cannot tell, and no command reads the clock for
+	// it. Partial request bytes never touch it (memcached's last_cmd_time
+	// rule).
 	lastActive atomic.Int64
 	// writeStall is the Config.Clock unixnano since which reply bytes
 	// have been pending with no write progress (0 = none pending): the
@@ -115,16 +127,19 @@ const (
 // dropped rather than desynced.
 var errEventShortBody = errors.New("server: event engine dispatched with incomplete body")
 
-// eventIO is a worker's reusable protocol engine. Its buffers are
-// grow-only and recycled across every connection the worker serves; a
-// connection's own residue lives in pollConn spill slices only while
-// parked mid-command. It implements the same I/O surface the blocking
-// bufio engine gives connHandler (readBody/discardBody/resyncLine/
-// flush/writeFull/writeString), so dispatch and every do* handler run
-// unchanged.
+// eventIO is the protocol engine's framing and buffer half (connHandler is
+// its command half). Its buffers are grow-only; a worker's are recycled
+// across every connection it serves, a connection's own residue living in
+// pollConn spill slices only while parked mid-command. dispatch and the do*
+// handlers read a data block with readBody and reply with writeFull /
+// writeString.
 type eventIO struct {
 	h  *connHandler
 	pc *pollConn
+	// c is the socket of a goroutine-transport connection: with fd < 0,
+	// tryFlush writes to it, blocking. nil on a worker's engine, and on a
+	// detached engine with no socket at all (tests, benchmarks).
+	c *conn
 
 	in       []byte // unconsumed input is in[rpos:]
 	rpos     int
@@ -247,7 +262,7 @@ func (e *eventIO) pendingOut() int {
 func (e *eventIO) tryFlush() error {
 	pc := e.pc
 	if pc.fd < 0 {
-		return nil // detached engine (tests): output accumulates in e.out
+		return e.flushBlocking()
 	}
 	srv := e.h.srv
 	for {
@@ -259,9 +274,7 @@ func (e *eventIO) tryFlush() error {
 		}
 		n, again, err := writevRawFd(pc.fd, a, b)
 		if n > 0 {
-			if srv.instr {
-				srv.bytesWritten.Add(int64(n))
-			}
+			srv.bytesWritten.Add(int64(n))
 			if n >= len(a) {
 				e.spillOff = len(e.spill)
 				e.outOff += n - len(a)
@@ -291,11 +304,28 @@ func (e *eventIO) tryFlush() error {
 	}
 }
 
+// flushBlocking is tryFlush on the goroutine transport: one blocking write
+// of everything pending (nothing is ever spilled — the connection never
+// parks), made in the session's idle state so a slow reader delays no
+// barrier, and bounded by the write deadline conn.Write applies. A detached
+// engine has no socket: its output accumulates in e.out.
+func (e *eventIO) flushBlocking() error {
+	if e.c == nil || len(e.out) == 0 {
+		return nil
+	}
+	e.h.sess.EnterIdle()
+	_, err := e.c.Write(e.out)
+	e.h.sess.ExitIdle()
+	e.out = trimWorkerBuf(e.out)
+	return err
+}
+
 // errEventBacklog drops a connection whose single command produced more
 // than the whole reply-backlog budget while the socket absorbed none of
-// it — the in-command analogue of the blocking engine's deadline-bounded
-// forced flush. (Between commands the engine parks for EPOLLOUT instead;
-// this fires only when one command alone overruns the entire cap.)
+// it. (Between commands the event transport parks for EPOLLOUT instead;
+// this fires only when one command alone overruns the entire cap. The
+// goroutine transport's flush blocks until everything is written or the
+// write deadline kicks the client, so it never gets here.)
 var errEventBacklog = errors.New("server: reply backlog exceeded mid-command")
 
 func (e *eventIO) maybeFlush() error {
@@ -312,8 +342,8 @@ func (e *eventIO) maybeFlush() error {
 	return nil
 }
 
-// writeFull/writeString/flush are the event-mode halves of connHandler's
-// I/O methods (connHandler branches here when ev is attached).
+// writeFull and writeString append reply bytes, streaming them out once
+// eventFlushHighWater are pending.
 
 func (e *eventIO) writeFull(p []byte) error {
 	e.out = append(e.out, p...)
@@ -324,8 +354,6 @@ func (e *eventIO) writeString(s string) error {
 	e.out = append(e.out, s...)
 	return e.maybeFlush()
 }
-
-func (e *eventIO) flush() error { return e.tryFlush() }
 
 // readBody returns a storage command's data block straight out of the
 // input buffer — the prescan guaranteed it is fully buffered before
@@ -344,28 +372,6 @@ func (e *eventIO) readBody(n int) ([]byte, bool, error) {
 	return data, true, nil
 }
 
-// discardBody consumes an already-buffered data block. The oversized
-// path proper never gets here (the prescan intercepts it into the
-// discardLeft framing state before dispatch); a short buffer therefore
-// indicates a framing bug and drops the connection.
-func (e *eventIO) discardBody(n int) (bool, error) {
-	buf := e.in[e.rpos:]
-	if len(buf) < n+2 {
-		return false, errEventShortBody
-	}
-	ok := buf[n] == '\r' && buf[n+1] == '\n'
-	e.rpos += n + 2
-	return ok, nil
-}
-
-// resyncLine flags the framing layer to drop input through the next
-// newline; the discard itself happens incrementally across readiness
-// events, in bounded memory.
-func (e *eventIO) resyncLine() error {
-	e.pc.resync = true
-	return nil
-}
-
 // maybeStorageCmd cheaply gates the storage prescan on the command's
 // first byte (set/add/replace/cas/append/prepend); gets skip it with one
 // compare.
@@ -381,7 +387,7 @@ func maybeStorageCmd(c byte) bool {
 // arguments so the framing layer learns the data-block length before
 // dispatch. ok is false for anything dispatch should handle normally
 // (non-storage commands, malformed storage lines — those reply
-// CLIENT_ERROR without a body read, exactly like the blocking engine).
+// CLIENT_ERROR without a body read).
 func prescanStorage(h *connHandler, line []byte) (code cmdCode, sa storageArgsB, ok bool) {
 	f := tokenize(line, h.fields[:0])
 	h.fields = f // keep the grown backing array
@@ -500,8 +506,7 @@ func (e *eventIO) dispatchBuffered(cmds *int) evStatus {
 			if pc.discardLeft > 0 {
 				return evNeedInput
 			}
-			// Discard complete: same replies and accounting as the
-			// blocking oversized path (replyError even under noreply).
+			// Discard complete (replyError even under noreply).
 			resp := respTooLarge
 			if pc.discardTail != [2]byte{'\r', '\n'} {
 				resp = respBadChunk
@@ -600,10 +605,10 @@ func (e *eventIO) commandTime(base *time.Time, prev time.Duration) {
 	h.now = base.Add(prev)
 }
 
-// connPoller is what Server sees of the event-driven core; the epoll
+// connPoller is what Server sees of the event transport; the epoll
 // implementation lives in poller_linux.go, and newPoller on platforms
-// without one reports unsupported (the server then falls back to the
-// goroutine-per-connection model).
+// without one reports unsupported (the server then serves every connection
+// on the goroutine transport).
 type connPoller interface {
 	start()
 	// register transfers ownership of an accepted connection to the

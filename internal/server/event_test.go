@@ -35,7 +35,7 @@ func requireEventModel(t *testing.T, srv *Server) {
 // a byte is parked straight from accept and never becomes ready — so the
 // idle reaper must close it directly from the sweep, without the
 // connection ever being assigned a worker. This is the structural win
-// over the goroutine model, where reaping always meant unblocking a
+// over the goroutine transport, where reaping always means unblocking a
 // reader goroutine.
 func TestParkedIdleReapNoWorker(t *testing.T) {
 	clk := newTestClock()

@@ -13,10 +13,12 @@ package server
 // classification, over the same seed corpus.
 
 import (
-	"bufio"
+	"bytes"
 	"strings"
 	"testing"
 	"time"
+
+	"alaska/internal/kv"
 )
 
 // parserFuzzSeeds is the shared corpus of both fuzzers: golden
@@ -66,9 +68,9 @@ var parserFuzzSeeds = []string{
 	"verbosity 2 noreply",
 	"verbosity",
 	"verbosity abc",
-	// Over-length lines: the bounded reader must reject these without
-	// buffering, and the parsers must stay panic-free on what slips
-	// through as fields.
+	// Over-length lines: the engine must reject these without buffering,
+	// and the parsers must stay panic-free on what slips through as
+	// fields.
 	"get " + strings.Repeat("a", 4096),
 	"set " + strings.Repeat("b", 3000) + " 0 0 5",
 	strings.Repeat("c", 5000),
@@ -79,14 +81,30 @@ func FuzzParseCommand(f *testing.F) {
 		f.Add(s)
 	}
 	now := time.Unix(1_700_000_000, 0)
+	const maxLine, maxVal = 64, 8
+	e := detachedEngine(New(kv.NewShardedStore(kv.NewMallocBackend(), 1, 0), Config{
+		MaxLineLen: maxLine, MaxValueSize: maxVal, MaxReplyBacklog: -1, ConnModel: "goroutine",
+	}))
 	f.Fuzz(func(t *testing.T, line string) {
-		// The bounded line reader must either reject an over-length line
-		// or hand back one at most max bytes long — never buffer past the
-		// cap (a tiny bufio window forces the multi-fragment path).
-		const maxLine = 64
-		r := bufio.NewReaderSize(strings.NewReader(line+"\n"), maxLine+2)
-		if s, err := readLineDirect(r, maxLine); err == nil && len(s) > maxLine+1 {
-			t.Errorf("readLineDirect returned %d bytes past the %d cap from %q", len(s), maxLine, line)
+		// However a line dribbles in (7-byte reads force the multi-fragment
+		// path), process() never holds more than a legal line plus a legal
+		// data block, and an over-length first line is answered, not
+		// buffered.
+		e.begin(&pollConn{fd: -1})
+		for in := line + "\n"; len(in) > 0; {
+			n := copy(e.readBuf()[:7], in)
+			e.extend(n)
+			in = in[n:]
+			cmds := 0
+			if st := e.process(&cmds); st == evQuit || st == evFatal {
+				break
+			}
+			if held := len(e.in) - e.rpos; held > maxLine+2+maxVal+2 {
+				t.Fatalf("process holds %d unconsumed bytes of %q, past the %d-byte line cap", held, line, maxLine)
+			}
+		}
+		if first, _, _ := strings.Cut(line, "\n"); len(first) > maxLine+1 && !bytes.HasPrefix(e.out, []byte(respLineTooLong+crlf)) {
+			t.Errorf("over-length line %q answered %q, want %s first", line, e.out, respLineTooLong)
 		}
 		fields := tokenize([]byte(line), nil)
 		if len(fields) == 0 {

@@ -150,49 +150,51 @@ func TestAcceptGateConformance(t *testing.T) {
 // passes IdleTimeout — partial bytes are not activity — while a
 // connection whose last command is recent survives.
 func TestIdleReapMockClock(t *testing.T) {
-	clk := newTestClock()
-	srv := startServer(t, kv.NewMallocBackend(), Config{
+	forEachTransport(t, Config{
 		Addr:             "127.0.0.1:0",
-		Clock:            clk.Now,
 		IdleTimeout:      10 * time.Second,
 		MaintainInterval: 2 * time.Millisecond,
 		Version:          "idletest",
-	})
+	}, func(t *testing.T, cfg Config) {
+		clk := newTestClock()
+		cfg.Clock = clk.Now
+		srv := startServer(t, kv.NewMallocBackend(), cfg)
 
-	quiet := dialRaw(t, srv.Addr())
-	defer quiet.Close()
-	if _, err := quiet.Write([]byte("version\r\n")); err != nil {
-		t.Fatal(err)
-	}
-	expectRead(t, quiet, "VERSION idletest\r\n")
-
-	loris := dialRaw(t, srv.Addr())
-	defer loris.Close()
-	if _, err := loris.Write([]byte("get half-a-comm")); err != nil { // no newline
-		t.Fatal(err)
-	}
-	// Give the server a beat to register both connections' activity at
-	// the current (frozen) clock.
-	time.Sleep(50 * time.Millisecond)
-
-	clk.Advance(11 * time.Second)
-
-	// Both connections must be closed by the reaper (observed as EOF /
-	// reset) within real milliseconds — the reaper polls every tick even
-	// though its idleness arithmetic runs on the mock clock.
-	for name, c := range map[string]net.Conn{"quiet": quiet, "loris": loris} {
-		_ = c.SetReadDeadline(time.Now().Add(5 * time.Second))
-		if _, err := c.Read(make([]byte, 1)); err == nil {
-			t.Fatalf("%s connection still alive past the idle deadline", name)
+		quiet := dialRaw(t, srv.Addr())
+		defer quiet.Close()
+		if _, err := quiet.Write([]byte("version\r\n")); err != nil {
+			t.Fatal(err)
 		}
-	}
+		expectRead(t, quiet, "VERSION idletest\r\n")
 
-	// A fresh connection's activity stamp is taken at the advanced clock,
-	// so it survives to read the stats.
-	st := statsVia(t, srv.Addr())
-	if kicks, _ := strconv.Atoi(st["idle_kicks"]); kicks != 2 {
-		t.Errorf("idle_kicks = %s, want 2", st["idle_kicks"])
-	}
+		loris := dialRaw(t, srv.Addr())
+		defer loris.Close()
+		if _, err := loris.Write([]byte("get half-a-comm")); err != nil { // no newline
+			t.Fatal(err)
+		}
+		// Give the server a beat to register both connections' activity at
+		// the current (frozen) clock.
+		time.Sleep(50 * time.Millisecond)
+
+		clk.Advance(11 * time.Second)
+
+		// Both connections must be closed by the reaper (observed as EOF /
+		// reset) within real milliseconds — the reaper polls every tick even
+		// though its idleness arithmetic runs on the mock clock.
+		for name, c := range map[string]net.Conn{"quiet": quiet, "loris": loris} {
+			_ = c.SetReadDeadline(time.Now().Add(5 * time.Second))
+			if _, err := c.Read(make([]byte, 1)); err == nil {
+				t.Fatalf("%s connection still alive past the idle deadline", name)
+			}
+		}
+
+		// A fresh connection's activity stamp is taken at the advanced clock,
+		// so it survives to read the stats.
+		st := statsVia(t, srv.Addr())
+		if kicks, _ := strconv.Atoi(st["idle_kicks"]); kicks != 2 {
+			t.Errorf("idle_kicks = %s, want 2", st["idle_kicks"])
+		}
+	})
 }
 
 // TestLineTooLongRegression is the unbounded-ReadString regression test:
@@ -200,126 +202,133 @@ func TestIdleReapMockClock(t *testing.T) {
 // long while the server's memory stays bounded (the line is never
 // buffered), and the stream resyncs at the next newline.
 func TestLineTooLongRegression(t *testing.T) {
-	srv := startServer(t, kv.NewMallocBackend(), Config{Addr: "127.0.0.1:0", Version: "linetest"})
-	c := dialRaw(t, srv.Addr())
-	defer c.Close()
+	forEachTransport(t, Config{Addr: "127.0.0.1:0", Version: "linetest"}, func(t *testing.T, cfg Config) {
+		srv := startServer(t, kv.NewMallocBackend(), cfg)
+		c := dialRaw(t, srv.Addr())
+		defer c.Close()
 
-	runtime.GC()
-	var before runtime.MemStats
-	runtime.ReadMemStats(&before)
+		runtime.GC()
+		var before runtime.MemStats
+		runtime.ReadMemStats(&before)
 
-	chunk := []byte(strings.Repeat("a", 64<<10))
-	const total = 64 << 20
-	for sent := 0; sent < total; sent += len(chunk) {
-		if _, err := c.Write(chunk); err != nil {
-			t.Fatalf("write after %d bytes: %v", sent, err)
+		chunk := []byte(strings.Repeat("a", 64<<10))
+		const total = 64 << 20
+		for sent := 0; sent < total; sent += len(chunk) {
+			if _, err := c.Write(chunk); err != nil {
+				t.Fatalf("write after %d bytes: %v", sent, err)
+			}
 		}
-	}
 
-	runtime.GC()
-	var after runtime.MemStats
-	runtime.ReadMemStats(&after)
-	// The server discards the stream through a fixed 16 KiB bufio window;
-	// 64 MiB in flight must not show up on the heap. (The client-side
-	// chunk and test overhead stay far under the bound too.)
-	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > 8<<20 {
-		t.Errorf("heap grew %d bytes while streaming a 64 MiB line; want bounded", grew)
-	}
+		runtime.GC()
+		var after runtime.MemStats
+		runtime.ReadMemStats(&after)
+		// The engine drops the stream a read (16 KiB) at a time;
+		// 64 MiB in flight must not show up on the heap. (The client-side
+		// chunk and test overhead stay far under the bound too.)
+		if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > 8<<20 {
+			t.Errorf("heap grew %d bytes while streaming a 64 MiB line; want bounded", grew)
+		}
 
-	// The error was answered as soon as the cap was hit, and the next
-	// newline resyncs the stream: a follow-up command parses normally.
-	if _, err := c.Write([]byte("\r\nversion\r\n")); err != nil {
-		t.Fatal(err)
-	}
-	expectRead(t, c, "CLIENT_ERROR line too long\r\nVERSION linetest\r\n")
+		// The error was answered as soon as the cap was hit, and the next
+		// newline resyncs the stream: a follow-up command parses normally.
+		if _, err := c.Write([]byte("\r\nversion\r\n")); err != nil {
+			t.Fatal(err)
+		}
+		expectRead(t, c, "CLIENT_ERROR line too long\r\nVERSION linetest\r\n")
+	})
 }
 
 // TestReplyBacklogKick: a client that pipelines retrievals without ever
-// reading the responses is forced to drain at every MaxReplyBacklog
-// boundary; since it isn't reading, the forced flush runs into the
-// write deadline and the client is disconnected (slow_client_kicks)
-// after at most ~budget + kernel-buffer bytes — never streamed at from
-// an unbounded queue.
+// reading the responses stops being served once MaxReplyBacklog bytes
+// are pending; since it isn't reading, the write misses its deadline
+// (goroutine transport: the blocking flush; event transport: the sweep
+// over the stalled spill) and the client is disconnected
+// (slow_client_kicks) after at most ~budget + kernel-buffer bytes —
+// never streamed at from an unbounded queue.
 func TestReplyBacklogKick(t *testing.T) {
-	srv := startServer(t, kv.NewMallocBackend(), Config{
+	forEachTransport(t, Config{
 		Addr:            "127.0.0.1:0",
 		MaxReplyBacklog: 32 << 10,
 		WriteTimeout:    200 * time.Millisecond,
-	})
-	cl, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	if err := cl.Set("big", 0, []byte(strings.Repeat("x", 16<<10))); err != nil {
-		t.Fatal(err)
-	}
+	}, func(t *testing.T, cfg Config) {
+		srv := startServer(t, kv.NewMallocBackend(), cfg)
+		cl, err := Dial(srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		if err := cl.Set("big", 0, []byte(strings.Repeat("x", 16<<10))); err != nil {
+			t.Fatal(err)
+		}
 
-	c := dialRaw(t, srv.Addr())
-	defer c.Close()
-	// 400 pipelined gets of a 16 KiB value = ~6.4 MiB of replies against
-	// a 32 KiB budget; the client reads nothing.
-	if _, err := c.Write([]byte(strings.Repeat("get big\r\n", 400))); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		st := statsVia(t, srv.Addr())
-		if kicks, _ := strconv.Atoi(st["slow_client_kicks"]); kicks >= 1 {
-			break
+		c := dialRaw(t, srv.Addr())
+		defer c.Close()
+		// 400 pipelined gets of a 16 KiB value = ~6.4 MiB of replies against
+		// a 32 KiB budget; the client reads nothing.
+		if _, err := c.Write([]byte(strings.Repeat("get big\r\n", 400))); err != nil {
+			t.Fatal(err)
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("non-reading pipelined client never kicked")
+		deadline := time.Now().Add(15 * time.Second)
+		for {
+			st := statsVia(t, srv.Addr())
+			if kicks, _ := strconv.Atoi(st["slow_client_kicks"]); kicks >= 1 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("non-reading pipelined client never kicked")
+			}
+			time.Sleep(20 * time.Millisecond)
 		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	// The cut stream ends in EOF/reset once drained.
-	_ = c.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := io.Copy(io.Discard, c); err == io.EOF {
-		t.Fatal("io.Copy cannot return EOF") // Copy maps EOF to nil
-	}
+		// The cut stream ends in EOF/reset once drained.
+		_ = c.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := io.Copy(io.Discard, c); err == io.EOF {
+			t.Fatal("io.Copy cannot return EOF") // Copy maps EOF to nil
+		}
+	})
 }
 
 // TestReplyBacklogHonestClient is the false-positive regression: a
 // client whose pipelined burst far exceeds MaxReplyBacklog but who IS
-// reading its responses absorbs the forced flushes and is never kicked.
+// reading its responses drains every flush and is never kicked.
 func TestReplyBacklogHonestClient(t *testing.T) {
-	srv := startServer(t, kv.NewMallocBackend(), Config{
+	forEachTransport(t, Config{
 		Addr:            "127.0.0.1:0",
 		MaxReplyBacklog: 32 << 10,
 		WriteTimeout:    time.Second,
-	})
-	cl, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	const valSize = 16 << 10
-	if err := cl.Set("big", 0, []byte(strings.Repeat("x", valSize))); err != nil {
-		t.Fatal(err)
-	}
+	}, func(t *testing.T, cfg Config) {
+		srv := startServer(t, kv.NewMallocBackend(), cfg)
+		cl, err := Dial(srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		const valSize = 16 << 10
+		if err := cl.Set("big", 0, []byte(strings.Repeat("x", valSize))); err != nil {
+			t.Fatal(err)
+		}
 
-	c := dialRaw(t, srv.Addr())
-	defer c.Close()
-	const gets = 100
-	if _, err := c.Write([]byte(strings.Repeat("get big\r\n", gets))); err != nil {
-		t.Fatal(err)
-	}
-	// Read every byte of the ~1.6 MiB reply stream promptly.
-	perReply := len("VALUE big 0 16384\r\n") + valSize + len("\r\n") + len("END\r\n")
-	_ = c.SetReadDeadline(time.Now().Add(30 * time.Second))
-	if _, err := io.ReadFull(c, make([]byte, gets*perReply)); err != nil {
-		t.Fatalf("reading the burst: %v", err)
-	}
-	// Still alive, and never counted slow.
-	if _, err := c.Write([]byte("version\r\n")); err != nil {
-		t.Fatal(err)
-	}
-	expectRead(t, c, "VERSION ")
-	st := statsVia(t, srv.Addr())
-	if st["slow_client_kicks"] != "0" {
-		t.Errorf("slow_client_kicks = %s for a promptly-reading client, want 0", st["slow_client_kicks"])
-	}
+		c := dialRaw(t, srv.Addr())
+		defer c.Close()
+		const gets = 100
+		if _, err := c.Write([]byte(strings.Repeat("get big\r\n", gets))); err != nil {
+			t.Fatal(err)
+		}
+		// Read every byte of the ~1.6 MiB reply stream promptly.
+		perReply := len("VALUE big 0 16384\r\n") + valSize + len("\r\n") + len("END\r\n")
+		_ = c.SetReadDeadline(time.Now().Add(30 * time.Second))
+		if _, err := io.ReadFull(c, make([]byte, gets*perReply)); err != nil {
+			t.Fatalf("reading the burst: %v", err)
+		}
+		// Still alive, and never counted slow.
+		if _, err := c.Write([]byte("version\r\n")); err != nil {
+			t.Fatal(err)
+		}
+		expectRead(t, c, "VERSION ")
+		st := statsVia(t, srv.Addr())
+		if st["slow_client_kicks"] != "0" {
+			t.Errorf("slow_client_kicks = %s for a promptly-reading client, want 0", st["slow_client_kicks"])
+		}
+	})
 }
 
 // TestLargeMaxLineLen: a MaxLineLen above the default 16 KiB read window
@@ -355,43 +364,45 @@ func writeAll(c net.Conn, s string) error {
 // write carries a deadline, and the first one to miss it disconnects the
 // client.
 func TestSlowWriterDeadlineKick(t *testing.T) {
-	srv := startServer(t, kv.NewMallocBackend(), Config{
+	forEachTransport(t, Config{
 		Addr:            "127.0.0.1:0",
 		WriteTimeout:    200 * time.Millisecond,
 		MaxReplyBacklog: -1,
-	})
-	cl, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	if err := cl.Set("big", 0, []byte(strings.Repeat("x", 256<<10))); err != nil {
-		t.Fatal(err)
-	}
+	}, func(t *testing.T, cfg Config) {
+		srv := startServer(t, kv.NewMallocBackend(), cfg)
+		cl, err := Dial(srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		if err := cl.Set("big", 0, []byte(strings.Repeat("x", 256<<10))); err != nil {
+			t.Fatal(err)
+		}
 
-	c := dialRaw(t, srv.Addr())
-	defer c.Close()
-	// 64 pipelined gets of 256 KiB = 16 MiB: far beyond what the kernel
-	// socket buffers can absorb, so a server write must block on this
-	// never-reading client and trip the deadline.
-	if _, err := c.Write([]byte(strings.Repeat("get big\r\n", 64))); err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		st := statsVia(t, srv.Addr())
-		if kicks, _ := strconv.Atoi(st["slow_client_kicks"]); kicks >= 1 {
-			break
+		c := dialRaw(t, srv.Addr())
+		defer c.Close()
+		// 64 pipelined gets of 256 KiB = 16 MiB: far beyond what the kernel
+		// socket buffers can absorb, so a server write must block on this
+		// never-reading client and trip the deadline.
+		if _, err := c.Write([]byte(strings.Repeat("get big\r\n", 64))); err != nil {
+			t.Fatal(err)
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("slow client never kicked by the write deadline")
+		start := time.Now()
+		deadline := time.Now().Add(15 * time.Second)
+		for {
+			st := statsVia(t, srv.Addr())
+			if kicks, _ := strconv.Atoi(st["slow_client_kicks"]); kicks >= 1 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("slow client never kicked by the write deadline")
+			}
+			time.Sleep(20 * time.Millisecond)
 		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if waited := time.Since(start); waited > 10*time.Second {
-		t.Errorf("kick took %v; the 200ms write deadline should fire far sooner", waited)
-	}
+		if waited := time.Since(start); waited > 10*time.Second {
+			t.Errorf("kick took %v; the 200ms write deadline should fire far sooner", waited)
+		}
+	})
 }
 
 // flakyListener injects transient accept errors (EMFILE-style) before
@@ -498,98 +509,100 @@ func TestShutdownReapRace(t *testing.T) {
 // pause-free defrag passes keep completing under live traffic — a dead
 // client never blocks defrag progress.
 func TestSlowLorisDefragRace(t *testing.T) {
-	acfg := anchorage.DefaultConfig()
-	acfg.SubHeapSize = 256 * 1024
-	acfg.FragHigh = 1.2
-	acfg.FragLow = 1.1
-	acfg.WakeInterval = 5 * time.Millisecond
-	backend, err := kv.NewAnchorageBackend(acfg, rt.WithPinMode(rt.CountedPins))
-	if err != nil {
-		t.Fatal(err)
-	}
-	store := kv.NewShardedStore(backend, 8, 0)
-	srv := New(store, Config{
+	forEachTransport(t, Config{
 		Addr:             "127.0.0.1:0",
 		MaintainInterval: 2 * time.Millisecond,
 		DefragFragHigh:   1.1,
 		DefragBudget:     256 * 1024,
 		IdleTimeout:      300 * time.Millisecond,
-	})
-	if err := srv.Listen(); err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		if err := srv.Serve(); err != nil {
-			t.Errorf("serve: %v", err)
+	}, func(t *testing.T, cfg Config) {
+		acfg := anchorage.DefaultConfig()
+		acfg.SubHeapSize = 256 * 1024
+		acfg.FragHigh = 1.2
+		acfg.FragLow = 1.1
+		acfg.WakeInterval = 5 * time.Millisecond
+		backend, err := kv.NewAnchorageBackend(acfg, rt.WithPinMode(rt.CountedPins))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}()
-	defer srv.Shutdown(5 * time.Second)
-
-	// Fragmenting traffic on 4 workers for the whole test.
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			cl, err := Dial(srv.Addr())
-			if err != nil {
-				t.Error(err)
-				return
+		store := kv.NewShardedStore(backend, 8, 0)
+		srv := New(store, cfg)
+		if err := srv.Listen(); err != nil {
+			t.Fatal(err)
+		}
+		go func() {
+			if err := srv.Serve(); err != nil {
+				t.Errorf("serve: %v", err)
 			}
-			defer cl.Close()
-			val := make([]byte, 1024)
-			for op := 0; ; op++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				key := "w" + strconv.Itoa(w) + "-k" + strconv.Itoa(op%64)
-				if err := cl.Set(key, 0, val[:32+(op*37)%992]); err != nil {
-					t.Errorf("worker %d: %v", w, err)
+		}()
+		defer srv.Shutdown(5 * time.Second)
+
+		// Fragmenting traffic on 4 workers for the whole test.
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				cl, err := Dial(srv.Addr())
+				if err != nil {
+					t.Error(err)
 					return
 				}
-			}
-		}(w)
-	}
+				defer cl.Close()
+				val := make([]byte, 1024)
+				for op := 0; ; op++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					key := "w" + strconv.Itoa(w) + "-k" + strconv.Itoa(op%64)
+					if err := cl.Set(key, 0, val[:32+(op*37)%992]); err != nil {
+						t.Errorf("worker %d: %v", w, err)
+						return
+					}
+				}
+			}(w)
+		}
 
-	// Let traffic build fragmentation, then snapshot defrag progress.
-	time.Sleep(300 * time.Millisecond)
-	before := statsVia(t, srv.Addr())
-	passesBefore, _ := strconv.ParseInt(before["defrag_concurrent_passes"], 10, 64)
+		// Let traffic build fragmentation, then snapshot defrag progress.
+		time.Sleep(300 * time.Millisecond)
+		before := statsVia(t, srv.Addr())
+		passesBefore, _ := strconv.ParseInt(before["defrag_concurrent_passes"], 10, 64)
 
-	// The loris: half a command, then silence. It holds a kv.Session (an
-	// rt.Thread) while it stalls.
-	loris := dialRaw(t, srv.Addr())
-	defer loris.Close()
-	if _, err := loris.Write([]byte("set hostage 0 0 5\r\nhel")); err != nil { // stalls mid-body
-		t.Fatal(err)
-	}
-	lorisStart := time.Now()
-	_ = loris.SetReadDeadline(time.Now().Add(10 * time.Second))
-	if _, err := loris.Read(make([]byte, 1)); err == nil {
-		t.Fatal("loris connection unexpectedly got data")
-	}
-	reapedAfter := time.Since(lorisStart)
-	if reapedAfter > 5*time.Second {
-		t.Errorf("loris reaped after %v; idle timeout is 300ms", reapedAfter)
-	}
+		// The loris: half a command, then silence. It holds a kv.Session (an
+		// rt.Thread) while it stalls.
+		loris := dialRaw(t, srv.Addr())
+		defer loris.Close()
+		if _, err := loris.Write([]byte("set hostage 0 0 5\r\nhel")); err != nil { // stalls mid-body
+			t.Fatal(err)
+		}
+		lorisStart := time.Now()
+		_ = loris.SetReadDeadline(time.Now().Add(10 * time.Second))
+		if _, err := loris.Read(make([]byte, 1)); err == nil {
+			t.Fatal("loris connection unexpectedly got data")
+		}
+		reapedAfter := time.Since(lorisStart)
+		if reapedAfter > 5*time.Second {
+			t.Errorf("loris reaped after %v; idle timeout is 300ms", reapedAfter)
+		}
 
-	close(stop)
-	wg.Wait()
+		close(stop)
+		wg.Wait()
 
-	st := statsVia(t, srv.Addr())
-	passesAfter, _ := strconv.ParseInt(st["defrag_concurrent_passes"], 10, 64)
-	if passesAfter <= passesBefore {
-		t.Errorf("defrag made no progress while the loris stalled: %d -> %d passes",
-			passesBefore, passesAfter)
-	}
-	if kicks, _ := strconv.Atoi(st["idle_kicks"]); kicks < 1 {
-		t.Errorf("idle_kicks = %s, want >= 1", st["idle_kicks"])
-	}
-	if st["protocol_errors"] != "0" {
-		t.Errorf("protocol_errors = %s, want 0", st["protocol_errors"])
-	}
-	t.Logf("loris reaped in %v; defrag passes %d -> %d", reapedAfter, passesBefore, passesAfter)
+		st := statsVia(t, srv.Addr())
+		passesAfter, _ := strconv.ParseInt(st["defrag_concurrent_passes"], 10, 64)
+		if passesAfter <= passesBefore {
+			t.Errorf("defrag made no progress while the loris stalled: %d -> %d passes",
+				passesBefore, passesAfter)
+		}
+		if kicks, _ := strconv.Atoi(st["idle_kicks"]); kicks < 1 {
+			t.Errorf("idle_kicks = %s, want >= 1", st["idle_kicks"])
+		}
+		if st["protocol_errors"] != "0" {
+			t.Errorf("protocol_errors = %s, want 0", st["protocol_errors"])
+		}
+		t.Logf("loris reaped in %v; defrag passes %d -> %d", reapedAfter, passesBefore, passesAfter)
+	})
 }

@@ -56,12 +56,10 @@ func (s *Server) buildRegistry() *registryState {
 	// children are the published recorders, which the OnScrape hook above
 	// brings up to date from the per-worker stripes the hot path writes;
 	// exposing them costs nothing per request.
-	if s.instr {
-		f := r.Family("alaskad_op_latency_seconds", metrics.KindHistogram,
-			"Command latency by opcode: server-side time per command, reply generation included; a pipelined command is timed from the end of the one before it.")
-		for i, rec := range s.perOp {
-			f.Histogram(`op="`+cmdNames[i]+`"`, rec)
-		}
+	f := r.Family("alaskad_op_latency_seconds", metrics.KindHistogram,
+		"Command latency by opcode: server-side time per command, reply generation included; a pipelined command is timed from the end of the one before it.")
+	for i, rec := range s.perOp {
+		f.Histogram(`op="`+cmdNames[i]+`"`, rec)
 	}
 	r.Histogram("alaskad_command_latency_seconds",
 		"Command latency across all opcodes: the sum of the alaskad_op_latency_seconds series, same interval.", s.lat)

@@ -225,33 +225,6 @@ func TestPerOpHistograms(t *testing.T) {
 	}
 }
 
-// TestDisableInstrumentation proves the bench A/B switch: no per-op
-// recorders, no slow ring, no byte counting — but the aggregate stats
-// surface still works.
-func TestDisableInstrumentation(t *testing.T) {
-	srv := startServer(t, kv.NewMallocBackend(), Config{
-		Addr:                   "127.0.0.1:0",
-		DisableInstrumentation: true,
-		SlowOpThreshold:        time.Nanosecond,
-	})
-	runTranscript(t, srv.Addr(), []step{
-		{"set k 0 0 3\r\nabc\r\n", "STORED\r\n"},
-		{"get k\r\n", "VALUE k 0 3\r\nabc\r\nEND\r\n"},
-	})
-	if srv.OpLatency("get") != nil {
-		t.Fatal("per-op recorders must be nil when instrumentation is disabled")
-	}
-	if got := srv.SlowOps(); got != nil {
-		t.Fatalf("slow ring must be off: %+v", got)
-	}
-	if aggregateCount(srv) == 0 {
-		t.Fatal("aggregate latency recorder must stay on")
-	}
-	if srv.bytesRead.Load() != 0 {
-		t.Fatal("byte counters must be off when instrumentation is disabled")
-	}
-}
-
 func TestAdminHandler(t *testing.T) {
 	srv := startServer(t, kv.NewMallocBackend(), Config{
 		Addr:            "127.0.0.1:0",
@@ -403,7 +376,7 @@ func sendBursts(addr, burst, reply string, n int) error {
 // TestLatencyFoldConservesCounts drives pipelined bursts down several
 // connections at once — so several latency stripes are being recorded
 // into — while a reader keeps folding them through every read surface,
-// on both connection models and with instrumentation on and off. Every
+// on both transports. Every
 // command must be counted exactly once wherever it is read: per opcode,
 // in the aggregate, in /metrics; the published counts may never step
 // backwards between resets; and a `stats reset` must not leave behind
@@ -414,96 +387,82 @@ func TestLatencyFoldConservesCounts(t *testing.T) {
 	burst := "set k 0 0 3\r\nabc\r\n" + strings.Repeat("get k\r\n", perBurst-1)
 	reply := "STORED\r\n" + strings.Repeat("VALUE k 0 3\r\nabc\r\nEND\r\n", perBurst-1)
 	for _, model := range []string{"goroutine", "event"} {
-		for _, noInstr := range []bool{false, true} {
-			name := model + "/instrumented"
-			if noInstr {
-				name = model + "/uninstrumented"
+		t.Run(model+"/instrumented", func(t *testing.T) {
+			srv := startServer(t, kv.NewMallocBackend(), Config{
+				Addr: "127.0.0.1:0", ConnModel: model, Workers: 3,
+			})
+			if model == "event" && srv.ConnModel() != "event" {
+				t.Skip("no readiness poller on this platform")
 			}
-			t.Run(name, func(t *testing.T) {
-				srv := startServer(t, kv.NewMallocBackend(), Config{
-					Addr: "127.0.0.1:0", ConnModel: model, Workers: 3, DisableInstrumentation: noInstr,
-				})
-				if model == "event" && srv.ConnModel() != "event" {
-					t.Skip("no readiness poller on this platform")
+			stop, polled := make(chan struct{}), make(chan struct{})
+			go func() {
+				defer close(polled)
+				var last int64
+				for {
+					// Every read surface, each folding first.
+					srv.StatsSnapshot()
+					srv.OpLatency("get")
+					_, _ = srv.MetricsRegistry().WriteTo(io.Discard)
+					n := aggregateCount(srv)
+					if n < last {
+						t.Errorf("published aggregate went backwards: %d -> %d", last, n)
+						return
+					}
+					last = n
+					select {
+					case <-stop:
+						return
+					default:
+					}
 				}
-				stop, polled := make(chan struct{}), make(chan struct{})
+			}()
+			var wg sync.WaitGroup
+			for c := 0; c < conns; c++ {
+				wg.Add(1)
 				go func() {
-					defer close(polled)
-					var last int64
-					for {
-						// Every read surface, each folding first.
-						srv.StatsSnapshot()
-						srv.OpLatency("get")
-						_, _ = srv.MetricsRegistry().WriteTo(io.Discard)
-						n := aggregateCount(srv)
-						if n < last {
-							t.Errorf("published aggregate went backwards: %d -> %d", last, n)
-							return
-						}
-						last = n
-						select {
-						case <-stop:
-							return
-						default:
-						}
+					defer wg.Done()
+					if err := sendBursts(srv.Addr(), burst, reply, bursts); err != nil {
+						t.Error(err)
 					}
 				}()
-				var wg sync.WaitGroup
-				for c := 0; c < conns; c++ {
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						if err := sendBursts(srv.Addr(), burst, reply, bursts); err != nil {
-							t.Error(err)
-						}
-					}()
-				}
-				wg.Wait()
-				close(stop)
-				<-polled
+			}
+			wg.Wait()
+			close(stop)
+			<-polled
 
-				if got := aggregateCount(srv); got != total {
-					t.Errorf("aggregate count = %d, want %d", got, total)
-				}
-				if got := metricCount(t, srv, "alaskad_command_latency_seconds_count"); got != total {
-					t.Errorf("/metrics aggregate count = %d, want %d", got, total)
-				}
-				if noInstr {
-					if srv.OpLatency("get") != nil {
-						t.Error("per-op recorders must be nil when instrumentation is disabled")
-					}
-				} else {
-					var byOp int64
-					for _, op := range cmdNames {
-						byOp += srv.OpLatency(op).Count()
-					}
-					gets, sets := srv.OpLatency("get").Count(), srv.OpLatency("set").Count()
-					if byOp != total || sets != conns*bursts || gets != total-sets {
-						t.Errorf("per-op counts: all=%d get=%d set=%d, want %d/%d/%d", byOp, gets, sets, total, total-conns*bursts, conns*bursts)
-					}
-					if got := metricCount(t, srv, `alaskad_op_latency_seconds_count{op="get"}`); got != gets {
-						t.Errorf("/metrics get count = %d, OpLatency says %d", got, gets)
-					}
-				}
+			if got := aggregateCount(srv); got != total {
+				t.Errorf("aggregate count = %d, want %d", got, total)
+			}
+			if got := metricCount(t, srv, "alaskad_command_latency_seconds_count"); got != total {
+				t.Errorf("/metrics aggregate count = %d, want %d", got, total)
+			}
+			var byOp int64
+			for _, op := range cmdNames {
+				byOp += srv.OpLatency(op).Count()
+			}
+			gets, sets := srv.OpLatency("get").Count(), srv.OpLatency("set").Count()
+			if byOp != total || sets != conns*bursts || gets != total-sets {
+				t.Errorf("per-op counts: all=%d get=%d set=%d, want %d/%d/%d", byOp, gets, sets, total, total-conns*bursts, conns*bursts)
+			}
+			if got := metricCount(t, srv, `alaskad_op_latency_seconds_count{op="get"}`); got != gets {
+				t.Errorf("/metrics get count = %d, OpLatency says %d", got, gets)
+			}
 
-				// A reset must also empty the stripes. The burst before it
-				// is read by nobody, so it is still in one when the reset
-				// runs; one command after it reads as one (plus the reset
-				// command itself, recorded after it ran), not 33.
-				runTranscript(t, srv.Addr(), []step{
-					{burst, reply},
-					{"stats reset\r\n", "RESET\r\n"},
-					{"get k\r\n", "VALUE k 0 3\r\nabc\r\nEND\r\n"},
-				})
-				if got := aggregateCount(srv); got != 2 {
-					t.Errorf("aggregate count after reset + one get = %d, want 2", got)
-				}
-				if !noInstr {
-					if got := srv.OpLatency("get").Count(); got != 1 {
-						t.Errorf("get count after reset + one get = %d, want 1", got)
-					}
-				}
+			// A reset must also empty the stripes. The burst before it
+			// is read by nobody, so it is still in one when the reset
+			// runs; one command after it reads as one (plus the reset
+			// command itself, recorded after it ran), not 33.
+			runTranscript(t, srv.Addr(), []step{
+				{burst, reply},
+				{"stats reset\r\n", "RESET\r\n"},
+				{"get k\r\n", "VALUE k 0 3\r\nabc\r\nEND\r\n"},
 			})
-		}
+			if got := aggregateCount(srv); got != 2 {
+				t.Errorf("aggregate count after reset + one get = %d, want 2", got)
+			}
+			if got := srv.OpLatency("get").Count(); got != 1 {
+				t.Errorf("get count after reset + one get = %d, want 1", got)
+			}
+		})
 	}
 }

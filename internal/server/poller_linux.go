@@ -179,7 +179,7 @@ func dupCloexec(fd int) (int, error) {
 // register dups the accepted socket's fd out of the runtime netpoller,
 // parks it in epoll, and closes the original net.Conn. On any error the
 // original connection is untouched and the caller falls back to the
-// goroutine model.
+// goroutine transport.
 func (p *epollPoller) register(nc net.Conn, id uint64) error {
 	sc, ok := nc.(syscall.Conn)
 	if !ok {
@@ -472,9 +472,7 @@ func (p *epollPoller) worker() {
 	defer p.wg.Done()
 	sess := p.srv.store.NewSession()
 	defer sess.Close()
-	h := p.srv.newConnHandler(sess)
-	e := &eventIO{h: h}
-	h.ev = e
+	e := p.srv.newConnHandler(sess).ev
 	r := newEpollReaper()
 	for {
 		sess.EnterIdle()
@@ -615,9 +613,7 @@ func (p *epollPoller) runBurst(e *eventIO, pc *pollConn) burstResult {
 			n, again, _ := readRawFd(pc.fd, buf)
 			if n > 0 {
 				e.extend(n)
-				if srv.instr {
-					srv.bytesRead.Add(int64(n))
-				}
+				srv.bytesRead.Add(int64(n))
 				continue
 			}
 			if again {

@@ -2,11 +2,9 @@
 
 package server
 
-// Platforms without the epoll shim fall back to the goroutine-per-
-// connection model: newPoller reports unsupported and Server.New keeps
-// s.poller nil. The portable event engine (event.go) still compiles and
-// is exercised by the buffer-level tests, so the protocol state machine
-// stays covered everywhere.
+// Platforms without the epoll shim serve every connection on the
+// goroutine transport: newPoller reports unsupported and Server.New keeps
+// s.poller nil. The protocol engine (event.go) is the same one.
 
 import "errors"
 
@@ -14,9 +12,8 @@ var errPollerUnsupported = errors.New("server: readiness poller unsupported on t
 
 func newPoller(*Server) (connPoller, error) { return nil, errPollerUnsupported }
 
-// Raw fd I/O stubs for the detached event engine (tests run it with
-// fd < 0, which short-circuits before these are reached).
-func readRawFd(int, []byte) (int, bool, error)     { return 0, false, errPollerUnsupported }
+// tryFlush reaches writevRawFd only with fd >= 0, which only a poller hands
+// out.
 func writevRawFd(int, []byte, []byte) (int, bool, error) {
 	return 0, false, errPollerUnsupported
 }

@@ -1,12 +1,9 @@
 package server
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net"
 	"net/http"
@@ -47,12 +44,14 @@ type Config struct {
 	// installs it as the store's Clock). It also drives the idle reaper's
 	// notion of "now". Every command has exactly one time, which its
 	// deadline, flush epoch, expiry checks, storedAt and LRU stamp all
-	// share. nil (the default): the engine derives it from one monotonic
-	// reading per command — a pipelined burst reads time.Now once and then
-	// steps it by the same time.Since that times each command — and
-	// maintenance reads time.Now. Non-nil: Clock is called once per
-	// command; swap in a fake to make expiry and idle reaping
-	// deterministically testable.
+	// share, and which is taken only once the command's whole frame — line
+	// and data block — is buffered, on either transport: a `set` whose body
+	// arrives a second after its line counts its TTL from the body. nil (the
+	// default): the engine derives it from one monotonic reading per command
+	// — a pipelined burst reads time.Now once and then steps it by the same
+	// time.Since that times each command — and maintenance reads time.Now.
+	// Non-nil: Clock is called once per command; swap in a fake to make
+	// expiry and idle reaping deterministically testable.
 	Clock func() time.Time
 
 	// MaxConns caps concurrent connections (memcached's -c): at the cap
@@ -65,19 +64,21 @@ type Config struct {
 	// is closed instead of pinning its kv.Session and connection slot
 	// forever. Counted in idle_kicks. 0 = never reap.
 	IdleTimeout time.Duration
-	// WriteTimeout is the deadline applied to every socket write (each
-	// bufio flush and write-through): a client that stops reading its
-	// own responses is disconnected once the kernel buffers fill and a
-	// write misses the deadline. Counted in slow_client_kicks. 0 = no
-	// deadline.
+	// WriteTimeout is the deadline applied to every socket write: a client
+	// that stops reading its own responses is disconnected once the kernel
+	// buffers fill and a write misses the deadline. Counted in
+	// slow_client_kicks. 0 = no deadline.
 	WriteTimeout time.Duration
-	// MaxReplyBacklog caps reply bytes produced between successful
-	// drains: past the budget the handler stops generating and forces a
-	// (deadline-bounded) flush, so a client that pipelines retrievals
-	// without reading them is made to drain — or disconnect — every
-	// budget's worth of bytes instead of being streamed at from an
-	// unbounded queue. A client that is reading absorbs the forced flush
-	// and is unaffected. Default 64 MiB; -1 disables the cap.
+	// MaxReplyBacklog caps reply bytes pending for a client that is not
+	// draining them. The engine streams replies to the socket once
+	// eventFlushHighWater are pending; past the budget it stops running
+	// that connection's commands, so a client that pipelines retrievals
+	// without reading them is made to drain — or is disconnected — instead
+	// of being streamed at from an unbounded queue. On the event transport
+	// the connection parks for writability and WriteTimeout kicks it; on
+	// the goroutine transport every flush blocks under the write deadline,
+	// so a backlog never builds. A client that is reading is unaffected.
+	// Default 64 MiB; -1 disables the cap.
 	MaxReplyBacklog int
 	// MaxLineLen bounds one command line (memcached caps these at 2 KiB);
 	// an over-length line is answered with CLIENT_ERROR line too long and
@@ -88,12 +89,6 @@ type Config struct {
 	// slow-op ring (`stats slow`, /debug/slowops on the admin port).
 	// Default 10ms; negative disables capture entirely.
 	SlowOpThreshold time.Duration
-	// DisableInstrumentation turns off the per-opcode latency
-	// histograms, byte counters, and slow-op capture (the aggregate
-	// latency recorder behind `stats` stays on). Exists so
-	// alaskad-bench can measure the instrumented-vs-bare hot-path
-	// delta; production servers leave it false.
-	DisableInstrumentation bool
 	// Logger receives the server's leveled log output: errors always,
 	// connection churn at debug (the wire `verbosity` command moves the
 	// level at runtime). nil = silent.
@@ -111,15 +106,14 @@ type Config struct {
 	// (WAL degradation, accept-gate saturation) on it. nil = a registry
 	// that is already past boot, so embedded/test servers report ok.
 	Health *health.Registry
-	// ConnModel selects the connection architecture: "auto" (default)
-	// uses the event-driven readiness poller where the platform supports
-	// it (epoll on Linux) and falls back to goroutine-per-connection
-	// elsewhere; "epoll" insists on the poller (still falling back, with
-	// an error logged, if unsupported); "goroutine" forces the classic
-	// model. Under the poller, idle connections are parked as bare fds —
-	// no goroutine stack, no bufio buffers, no rt.Thread — and a fixed
-	// worker pool serves the ready ones, so the defrag barrier only ever
-	// waits on the worker set.
+	// ConnModel selects the transport under the one protocol engine: "auto"
+	// (default) uses the readiness poller where the platform has one (epoll
+	// on Linux) and a goroutine per connection elsewhere; "epoll" / "event"
+	// insist on the poller (still falling back, with an error logged, if
+	// unsupported); "goroutine" forces a goroutine per connection. Under the
+	// poller, idle connections are parked as bare fds — no goroutine stack,
+	// no buffers, no rt.Thread — and a fixed worker pool serves the ready
+	// ones, so the defrag barrier only ever waits on the worker set.
 	ConnModel string
 	// Workers sizes the event-model worker pool. Default GOMAXPROCS×2.
 	Workers int
@@ -224,11 +218,10 @@ type Server struct {
 	// recorders (all opcodes, and split by opcode behind /metrics). No
 	// command records into them: a handler records into its own latStripe
 	// and every reader calls foldLatency first, which drains the stripes
-	// in. slowOps is the slow-command flight recorder. instr/slowThreshNs
-	// are the precomputed hot-path gates. connIDs labels connections for
-	// slow-op attribution — it is separate from totalConns so `stats
-	// reset` never reuses an id.
-	instr        bool
+	// in. slowOps is the slow-command flight recorder and slowThreshNs its
+	// precomputed hot-path gate. connIDs labels connections for slow-op
+	// attribution — it is separate from totalConns so `stats reset` never
+	// reuses an id.
 	slowThreshNs int64
 	lat          *stats.LatencyRecorder
 	perOp        [cmdCount]*stats.LatencyRecorder
@@ -265,64 +258,47 @@ type Server struct {
 	closeOnce sync.Once
 }
 
-// conn wraps an accepted socket with the reaping bookkeeping: an
-// idempotent close (the handler's exit path, the idle reaper, and
-// Shutdown may each try to close it — whoever gets there first wins and
-// the rest are no-ops), a last-activity stamp for the idle reaper, and a
-// per-write deadline so a stalled client cannot wedge a flush forever.
+// conn is a goroutine-transport connection: the accepted socket plus the
+// safety bookkeeping a blocking driver needs around it — an idempotent
+// close (the handler's exit path, the idle reaper, and Shutdown may each
+// try to close it; whoever gets there first wins and the rest are no-ops),
+// a per-write deadline so a stalled client cannot wedge a flush forever,
+// and the socket byte counters. pc is the detached (fd < 0) pollConn its
+// engine runs over: the connection's id, the idle reaper's activity stamp,
+// the slow flag the exit path counts slow_client_kicks from, and the
+// framing state process() keeps between reads.
 type conn struct {
 	net.Conn
-	writeTimeout time.Duration
-	clock        func() time.Time
-	closeOnce    sync.Once
-	closeErr     error
-	// id attributes slow-op records to a connection. Never reused (see
-	// Server.connIDs).
-	id uint64
-	// nr/nw, when non-nil, receive socket byte counts (the server's
-	// bytes_read/bytes_written). Pointers so a bare test conn — and an
-	// uninstrumented server — skips the accounting without branching on
-	// config.
-	nr *atomic.Int64
-	nw *atomic.Int64
-	// lastActive is the Config.Clock unixnano of the last completed
-	// command line or write progress. Partial bytes from a slow-loris
-	// client do not count as activity (memcached's last_cmd_time rule).
-	lastActive atomic.Int64
-	// slow is tripped when a write misses its deadline or the reply
-	// backlog cap, so the handler's exit path counts the disconnect in
-	// slow_client_kicks.
-	slow atomic.Bool
+	srv       *Server
+	pc        pollConn
+	closeOnce sync.Once
+	closeErr  error
 }
 
-// Write applies the per-flush write deadline. bufio's mid-Write flushes
-// land here too, so every socket write a slow client can stall is
-// deadline-bounded. A successful write is client-side drain progress and
-// counts as activity for the idle reaper — a client reading a large
-// reply slowly but steadily is making progress, not idling.
+// Write applies the write deadline, so every socket write a slow client can
+// stall is bounded. A successful write is client-side drain progress and
+// counts as activity for the idle reaper — a client reading a large reply
+// slowly but steadily is making progress, not idling.
 func (c *conn) Write(p []byte) (int, error) {
-	if c.writeTimeout > 0 {
-		_ = c.Conn.SetWriteDeadline(time.Now().Add(c.writeTimeout))
+	if wt := c.srv.cfg.WriteTimeout; wt > 0 {
+		_ = c.Conn.SetWriteDeadline(time.Now().Add(wt))
 	}
 	n, err := c.Conn.Write(p)
 	if err != nil && errors.Is(err, os.ErrDeadlineExceeded) {
-		c.slow.Store(true)
+		c.pc.slow.Store(true)
 	}
 	if n > 0 {
-		if c.nw != nil {
-			c.nw.Add(int64(n))
-		}
-		c.touch(c.clock())
+		c.srv.bytesWritten.Add(int64(n))
+		c.pc.touch(c.srv.cfg.Clock().UnixNano())
 	}
 	return n, err
 }
 
-// Read counts socket bytes into the server's bytes_read (bufio's fills
-// land here, so every byte the client sends is accounted once).
+// Read counts socket bytes into the server's bytes_read.
 func (c *conn) Read(p []byte) (int, error) {
 	n, err := c.Conn.Read(p)
-	if n > 0 && c.nr != nil {
-		c.nr.Add(int64(n))
+	if n > 0 {
+		c.srv.bytesRead.Add(int64(n))
 	}
 	return n, err
 }
@@ -345,8 +321,6 @@ func (c *conn) Close() error {
 	return c.closeErr
 }
 
-func (c *conn) touch(now time.Time) { c.lastActive.Store(now.UnixNano()) }
-
 // New builds a server over the store. The store's backend decides the
 // maintenance behavior: on Anchorage, the §4.3 control loop plus
 // pause-free concurrent passes; on other backends, whatever Maintain
@@ -363,29 +337,21 @@ func New(store *kv.ShardedStore, cfg Config) *Server {
 		// loop starts, and a late overwrite would race them.
 		start: time.Now(),
 	}
-	s.instr = !s.cfg.DisableInstrumentation
 	s.ownClock = cfg.Clock != nil // before withDefaults filled it in
 	// Stripe by stripe, so one worker's recorders sit together and apart
 	// from the next worker's.
 	s.stripes = make([]latStripe, s.cfg.Workers)
 	for i := range s.stripes {
-		st := &s.stripes[i]
-		if !s.instr {
-			st.lat = stats.NewLatencyRecorder()
-			continue
-		}
-		for op := range st.perOp {
-			st.perOp[op] = stats.NewLatencyRecorder()
+		for op := range s.stripes[i] {
+			s.stripes[i][op] = stats.NewLatencyRecorder()
 		}
 	}
-	if s.instr {
-		for i := range s.perOp {
-			s.perOp[i] = stats.NewLatencyRecorder()
-		}
-		s.slowOps = newSlowRing()
-		if s.cfg.SlowOpThreshold > 0 {
-			s.slowThreshNs = s.cfg.SlowOpThreshold.Nanoseconds()
-		}
+	for i := range s.perOp {
+		s.perOp[i] = stats.NewLatencyRecorder()
+	}
+	s.slowOps = newSlowRing()
+	if s.cfg.SlowOpThreshold > 0 {
+		s.slowThreshNs = s.cfg.SlowOpThreshold.Nanoseconds()
 	}
 	s.passLat = stats.NewLatencyRecorder()
 	s.pauseLat = stats.NewLatencyRecorder()
@@ -455,7 +421,7 @@ func (s *Server) ConnModel() string {
 
 // pollerGauges reports the event core's instantaneous population:
 // parked fds, connections on a worker (queued-or-running), and the
-// ready-queue depth. All zero under the goroutine model, where every
+// ready-queue depth. All zero under the goroutine transport, where every
 // connection is "active" by construction.
 func (s *Server) pollerGauges() (parked, active, queued int64) {
 	if s.poller == nil {
@@ -546,33 +512,31 @@ func (s *Server) Serve() error {
 		s.totalConns.Add(1)
 		s.currConns.Add(1)
 		if s.poller != nil {
-			// Event model: the connection becomes a parked fd in the
+			// Event transport: the connection becomes a parked fd in the
 			// poller — no goroutine, no session, no buffers until it
 			// turns readable. On registration failure (non-syscall conn,
 			// fd-table pressure) the original connection is untouched and
-			// serves through the goroutine path below.
+			// serves through the goroutine transport below.
 			if err := s.poller.register(c, id); err == nil {
 				continue
 			} else {
 				s.cfg.Logger.Debugf("conn %d: poller register failed (%v); using goroutine handler", id, err)
 			}
 		}
-		wc := &conn{
-			Conn:         c,
-			writeTimeout: s.cfg.WriteTimeout,
-			clock:        s.cfg.Clock,
-			id:           id,
-		}
-		if s.instr {
-			wc.nr, wc.nw = &s.bytesRead, &s.bytesWritten
-		}
-		wc.touch(s.cfg.Clock())
-		s.mu.Lock()
-		s.conns[wc] = struct{}{}
-		s.mu.Unlock()
-		s.connW.Add(1)
-		go s.handleConn(wc)
+		s.serveConn(c, id)
 	}
+}
+
+// serveConn hands an accepted connection to the goroutine transport.
+func (s *Server) serveConn(nc net.Conn, id uint64) {
+	c := &conn{Conn: nc, srv: s}
+	c.pc.fd, c.pc.id = -1, id
+	c.pc.touch(s.cfg.Clock().UnixNano())
+	s.mu.Lock()
+	s.conns[c] = struct{}{}
+	s.mu.Unlock()
+	s.connW.Add(1)
+	go s.handleConn(c)
 }
 
 // acquireConnSlot blocks while the server sits at -max-conns, reporting
@@ -788,7 +752,7 @@ func (s *Server) reapIdle() {
 	now := s.cfg.Clock().UnixNano()
 	s.mu.Lock()
 	for c := range s.conns {
-		if now-c.lastActive.Load() > int64(s.cfg.IdleTimeout) {
+		if now-c.pc.lastActive.Load() > int64(s.cfg.IdleTimeout) {
 			if c.kill() {
 				s.idleKicks.Add(1)
 			}
@@ -797,45 +761,31 @@ func (s *Server) reapIdle() {
 	s.mu.Unlock()
 }
 
-// connHandler is the per-connection state: its own kv.Session (an
-// rt.Thread under Alaska), buffered reader/writer, and the blocked-read
-// discipline — socket waits happen in the thread's external state so a
-// barrier never waits on an idle connection, and a safepoint is polled
-// between commands so barriers make progress under load.
+// connHandler is the command half of the protocol engine: dispatch and the
+// do* handlers, over their own kv.Session (an rt.Thread under Alaska) and
+// scratch buffers. An event-transport worker owns one for its lifetime and
+// serves every ready connection through it; a goroutine-transport connection
+// owns one for the connection's. Its I/O half is always ev — commands read
+// their data block from, and write their replies into, the engine's buffers,
+// and the transport moves those to and from the socket.
 type connHandler struct {
 	srv  *Server
-	c    *conn
 	sess kv.Session
-	r    *bufio.Reader
-	w    *bufio.Writer
-	// ev, when non-nil, routes the I/O surface below (readBody,
-	// discardBody, resyncLine, flush, writeFull, writeString) to the
-	// event engine's buffers instead of the blocking bufio pair — the
-	// split that lets dispatch and every do* handler serve both
-	// connection models unchanged. A worker's handler has ev set once at
-	// construction; goroutine handlers leave it nil.
-	ev *eventIO
-	// backlog counts reply bytes accepted into the write path since the
-	// last successful drain — the MaxReplyBacklog budget.
-	backlog int
+	ev   *eventIO
 
-	// Pooled per-connection scratch memory: every buffer below is owned
-	// by this connection's goroutine, grows to the workload's steady
-	// state, and is reused for every subsequent command — the request
-	// path performs no per-op allocation once warm. None of them may be
-	// shared across connections (pool_race_test.go proves they never
-	// alias).
-	fields [][]byte // tokenized command fields (slices into the read buffer)
-	keyBuf []byte   // storage-command key, copied out before the body read
-	body   []byte   // data-block read buffer (value + CRLF)
+	// Pooled scratch memory: every buffer below is owned by this handler's
+	// goroutine, grows to the workload's steady state, and is reused for
+	// every subsequent command — the request path performs no per-op
+	// allocation once warm. None of them may be shared across handlers
+	// (pool_race_test.go proves they never alias).
+	fields [][]byte // tokenized command fields (slices into the input buffer)
 	val    []byte   // kv copy-out / RMW old-value scratch
 	val2   []byte   // encoded write-back value scratch (may not alias val)
 	hdr    []byte   // response header / numeric reply scratch
 
-	// Per-command observability capture, written by dispatch before any
-	// body read slides the read buffer (the key token aliases it): the
-	// opcode for the per-op histograms and a fixed-array key prefix for
-	// the slow-op ring. Fixed storage — recording stays allocation-free.
+	// Per-command observability capture, written by dispatch: the opcode
+	// for the per-op histograms and a fixed-array key prefix for the
+	// slow-op ring. Fixed storage — recording stays allocation-free.
 	lastCmd  cmdCode
 	opKey    [slowOpKeyLen]byte
 	opKeyLen uint8
@@ -850,22 +800,20 @@ type connHandler struct {
 	now time.Time
 }
 
-// latStripe is one worker's private command-latency recorders: by opcode,
-// or the single lat when DisableInstrumentation leaves only the aggregate.
-// There are cfg.Workers of them, so each event-model worker records into
-// lines no other worker writes; goroutine-model handlers share them
-// round-robin.
-type latStripe struct {
-	perOp [cmdCount]*stats.LatencyRecorder
-	lat   *stats.LatencyRecorder
-}
+// latStripe is one worker's private command-latency recorders, by opcode.
+// There are cfg.Workers of them, so each event-transport worker records
+// into lines no other worker writes; goroutine-transport handlers share
+// them round-robin.
+type latStripe [cmdCount]*stats.LatencyRecorder
 
-// newConnHandler builds a handler over sess and hands it the next stripe.
-// The caller attaches the I/O side: c/r/w for the blocking engine, ev for
-// the event engine.
+// newConnHandler builds a handler over sess, with its engine, and hands it
+// the next stripe. The transport attaches the engine to a connection
+// (eventIO.begin).
 func (s *Server) newConnHandler(sess kv.Session) *connHandler {
 	n := s.nextStripe.Add(1) - 1
-	return &connHandler{srv: s, sess: sess, stripe: &s.stripes[n%uint32(len(s.stripes))]}
+	h := &connHandler{srv: s, sess: sess, stripe: &s.stripes[n%uint32(len(s.stripes))]}
+	h.ev = &eventIO{h: h}
+	return h
 }
 
 // foldLatency drains every stripe into the published recorders; every
@@ -880,17 +828,21 @@ func (s *Server) foldLatency() {
 
 func (s *Server) foldLatencyLocked() {
 	for i := range s.stripes {
-		st := &s.stripes[i]
-		if !s.instr {
-			st.lat.DrainInto(s.lat)
-			continue
-		}
-		for op, rec := range st.perOp {
+		for op, rec := range s.stripes[i] {
 			rec.DrainInto(s.perOp[op], s.lat)
 		}
 	}
 }
 
+// handleConn is the goroutine transport: a blocking driver over the one
+// protocol engine. It runs process() over what is buffered, writes what
+// that produced, and — once the engine has consumed every complete frame —
+// reads more. It costs a connection one goroutine and one eventIO (input
+// and reply buffers) for its lifetime, where the event transport parks a
+// bare fd; it is what every platform without a poller serves from. Every
+// socket read and write happens in the session's idle (external) state, so
+// a quiet or slow client never delays a barrier, and every write carries
+// the WriteTimeout deadline (conn.Write).
 func (s *Server) handleConn(c *conn) {
 	defer s.connW.Done()
 	defer func() {
@@ -898,74 +850,37 @@ func (s *Server) handleConn(c *conn) {
 		delete(s.conns, c)
 		s.mu.Unlock()
 		s.currConns.Add(-1)
-		if c.slow.Load() {
+		if c.pc.slow.Load() {
 			s.slowKicks.Add(1)
-			s.cfg.Logger.Debugf("conn %d: kicked (slow client)", c.id)
+			s.cfg.Logger.Debugf("conn %d: kicked (slow client)", c.pc.id)
 		} else {
-			s.cfg.Logger.Debugf("conn %d: closed", c.id)
+			s.cfg.Logger.Debugf("conn %d: closed", c.pc.id)
 		}
 		_ = c.Close()
 		s.releaseConnSlot()
 	}()
-	// The read buffer must fit a full legal command line plus CRLF, or
-	// readLineDirect's window-full guard would reject lines the
-	// configured cap allows.
-	rsize := 16 << 10
-	if s.cfg.MaxLineLen+2 > rsize {
-		rsize = s.cfg.MaxLineLen + 2
-	}
 	h := s.newConnHandler(s.store.NewSession())
-	h.c = c
-	h.r = bufio.NewReaderSize(c, rsize)
-	h.w = bufio.NewWriterSize(c, 16<<10)
 	defer h.sess.Close()
+	e := h.ev
+	e.c = c
+	e.begin(&c.pc)
 	for {
-		line, err := h.readLine()
-		if err == errLineTooLong {
-			// Report, then discard through the next newline with bounded
-			// memory, memcached-style — one hostile newline-free stream
-			// must not grow the buffer, and the conversation can resume
-			// at the next line.
-			if h.replyError(respLineTooLong) != nil || h.flush() != nil {
-				return
-			}
-			if h.resyncLine() != nil {
-				return
-			}
+		// The burst budget is the workers' fairness rule; a connection
+		// with a goroutine of its own starts a fresh one every pass.
+		cmds := 0
+		st := e.process(&cmds)
+		if st == evFatal || e.tryFlush() != nil || st == evQuit {
+			return
+		}
+		if st != evNeedInput {
 			continue
 		}
-		if err != nil {
+		h.sess.EnterIdle()
+		n, err := c.Read(e.readBuf())
+		h.sess.ExitIdle()
+		e.extend(n)
+		if n == 0 && err != nil {
 			return // EOF, reap, or connection failure
-		}
-		// One reading is the latency origin, the command's time, and —
-		// a completed command line being activity for the idle reaper,
-		// which partial bytes never are — the activity stamp.
-		start := time.Now()
-		h.now = start
-		if s.ownClock {
-			h.now = s.cfg.Clock()
-		}
-		c.touch(h.now)
-		quit, err := h.dispatch(line)
-		if err != nil {
-			return // I/O failure mid-command
-		}
-		s.recordOp(h, c.id, time.Since(start))
-		// Flush unless a complete pipelined command is already buffered,
-		// so a burst of pipelined requests is answered in one write. (A
-		// *partial* line must not gate the flush: its sender may be
-		// waiting on this response before finishing it.)
-		if !h.commandPending() {
-			if err := h.flush(); err != nil {
-				return
-			}
-		}
-		// Safepoint between commands: this is where barrier rendezvous
-		// happens for busy connections.
-		h.sess.Safepoint()
-		if quit {
-			_ = h.flush()
-			return
 		}
 	}
 }
@@ -974,247 +889,31 @@ func (s *Server) handleConn(c *conn) {
 // handler's stripe (the per-opcode recorder; the all-opcodes aggregate is
 // their sum, made by foldLatency) — and, past the slow threshold, into the
 // slow-op ring. Atomics and fixed arrays only — the allocation guards run
-// this exact path with instrumentation fully enabled.
+// this exact path.
 //
-// What d covers depends on the engine. The blocking engine times each
-// command from just before dispatch to reply generation. The event engine
-// reads the clock once per command, after it: the first command of a
-// process() call is timed the same way, and each later one from the end of
-// the command before it, so its d also covers that command's recordOp and
-// safepoint poll and its own framing scan.
+// d never covers a client's think time, on either transport: a command is
+// dispatched, timed and given its time only once its whole frame (line and
+// data block) is buffered. (The goroutine transport used to dispatch on the
+// line and wait for the body inside the timed region.) The engine reads the
+// clock once per command, after it: the first command of a process() call
+// is timed from just before its dispatch to reply generation, and each
+// later one from the end of the command before it, so its d also covers
+// that command's recordOp and safepoint poll and its own framing scan.
 //
 // A slow op is stamped with the command's own time (h.now, when it began),
 // not a fresh reading.
 func (s *Server) recordOp(h *connHandler, connID uint64, d time.Duration) {
-	if !s.instr {
-		h.stripe.lat.Record(d)
-		return
-	}
-	h.stripe.perOp[h.lastCmd].Record(d)
+	h.stripe[h.lastCmd].Record(d)
 	if s.slowThreshNs > 0 && d.Nanoseconds() >= s.slowThreshNs {
 		s.slowOps.record(h.lastCmd, h.opKey[:h.opKeyLen], d, connID, h.now)
 	}
 }
 
-// commandPending reports whether a complete command line is already
-// sitting in the read buffer.
-func (h *connHandler) commandPending() bool {
-	n := h.r.Buffered()
-	if n == 0 {
-		return false
-	}
-	peek, err := h.r.Peek(n)
-	return err == nil && bytes.IndexByte(peek, '\n') >= 0
-}
-
-// errLineTooLong marks a command line exceeding MaxLineLen. The handler
-// answers CLIENT_ERROR line too long and resyncs instead of dropping the
-// connection — and, critically, instead of buffering the line.
-var errLineTooLong = errors.New("server: command line too long")
-
-// readLine reads one CRLF-terminated command line of at most MaxLineLen
-// bytes. If the line is not already buffered, the wait happens in the
-// session's idle (external) state so stop-the-world barriers don't wait
-// for this connection. The returned slice aliases the read buffer and is
-// valid only until the next read on h.r (dispatch parses it — and copies
-// anything that must survive a body read — before touching the reader).
-func (h *connHandler) readLine() ([]byte, error) {
-	if h.commandPending() {
-		return readLineDirect(h.r, h.srv.cfg.MaxLineLen)
-	}
-	h.sess.EnterIdle()
-	defer h.sess.ExitIdle()
-	return readLineDirect(h.r, h.srv.cfg.MaxLineLen)
-}
-
-// readLineDirect reads one line in bounded memory by scanning the
-// buffered window as bytes arrive: the moment more than max bytes (plus
-// the CRLF terminator) are present with no newline, the line is rejected
-// — however much, or however slowly, a hostile client streams. The line
-// is returned as a slice into the reader's buffer — no copy, no
-// allocation — valid until the next read on r.
-func readLineDirect(r *bufio.Reader, max int) ([]byte, error) {
-	want := 1
-	for {
-		if _, err := r.Peek(want); r.Buffered() < want {
-			return nil, err // EOF / reap / connection failure mid-line
-		}
-		n := r.Buffered()
-		window, _ := r.Peek(n)
-		if i := bytes.IndexByte(window, '\n'); i >= 0 {
-			if i > max+1 { // line content + optional \r
-				return nil, errLineTooLong
-			}
-			line := window[:i]
-			if len(line) > 0 && line[len(line)-1] == '\r' {
-				line = line[:len(line)-1]
-			}
-			_, _ = r.Discard(i + 1)
-			return line, nil
-		}
-		if n > max+1 {
-			return nil, errLineTooLong
-		}
-		if want = n + 1; want > r.Size() {
-			// The whole bufio window filled without a newline: over any
-			// sane cap (the resync path discards from here).
-			return nil, errLineTooLong
-		}
-	}
-}
-
-// resyncLine discards input through the next newline in bounded memory,
-// idling the session while it waits (the bytes may dribble in from a
-// hostile client arbitrarily slowly). Used to recover stream framing
-// after an over-length line or a bad data chunk.
-func (h *connHandler) resyncLine() error {
-	if h.ev != nil {
-		return h.ev.resyncLine()
-	}
-	h.sess.EnterIdle()
-	defer h.sess.ExitIdle()
-	for {
-		_, err := h.r.ReadSlice('\n')
-		if err == nil {
-			return nil
-		}
-		if err != bufio.ErrBufferFull {
-			return err
-		}
-	}
-}
-
-// readBody reads a storage command's n-byte data block plus its CRLF
-// terminator into the connection's grow-only body scratch, idling the
-// session if the bytes aren't buffered yet. It returns the data (valid
-// until the next readBody) and whether the terminator was well-formed.
-func (h *connHandler) readBody(n int) ([]byte, bool, error) {
-	if h.ev != nil {
-		return h.ev.readBody(n)
-	}
-	if cap(h.body) < n+2 {
-		h.body = make([]byte, n+2)
-	}
-	buf := h.body[:n+2]
-	if h.r.Buffered() < len(buf) {
-		h.sess.EnterIdle()
-		_, err := io.ReadFull(h.r, buf)
-		h.sess.ExitIdle()
-		if err != nil {
-			return nil, false, err
-		}
-	} else if _, err := io.ReadFull(h.r, buf); err != nil {
-		return nil, false, err
-	}
-	if buf[n] != '\r' || buf[n+1] != '\n' {
-		return nil, false, nil
-	}
-	return buf[:n], true, nil
-}
-
-// discardBody consumes an n-byte data block plus terminator without
-// holding it in memory (the oversized-value path, where n is
-// client-controlled and may be huge). Returns whether the terminator was
-// well-formed.
-func (h *connHandler) discardBody(n int) (bool, error) {
-	if h.ev != nil {
-		return h.ev.discardBody(n)
-	}
-	h.sess.EnterIdle()
-	defer h.sess.ExitIdle()
-	if _, err := io.CopyN(io.Discard, h.r, int64(n)); err != nil {
-		return false, err
-	}
-	var term [2]byte
-	if _, err := io.ReadFull(h.r, term[:]); err != nil {
-		return false, err
-	}
-	return term[0] == '\r' && term[1] == '\n', nil
-}
-
-// flush drains the write buffer; a stalled client's backpressure is
-// absorbed in the idle state (and bounded by the per-write deadline). A
-// full drain resets the reply-backlog budget; the activity it counts as
-// for the idle reaper was stamped by conn.Write.
-func (h *connHandler) flush() error {
-	if h.ev != nil {
-		return h.ev.flush()
-	}
-	if h.w.Buffered() == 0 {
-		h.backlog = 0
-		return nil
-	}
-	h.sess.EnterIdle()
-	defer h.sess.ExitIdle()
-	if err := h.w.Flush(); err != nil {
-		return err
-	}
-	h.backlog = 0
-	return nil
-}
-
-// prepareWrite is the shared preamble of writeFull/writeString: it
-// charges the reply-backlog budget for n reply bytes — past the budget
-// the handler stops producing and forces a flush, so a reading client
-// drains and resets the budget while one that stopped reading blocks
-// the flush into its write deadline and is disconnected — and reports
-// whether the write must happen in the session's idle state: when n
-// does not fit in the buffer's free space, bufio flushes to the socket
-// mid-write, and that flush can block on a slow-reading client, so it
-// must not stall a pending barrier (the per-write deadline bounds the
-// block). Keeping the policy here means the []byte and string write
-// paths can never diverge.
-func (h *connHandler) prepareWrite(n int) (idle bool, err error) {
-	if h.srv.cfg.MaxReplyBacklog > 0 && h.backlog+n > h.srv.cfg.MaxReplyBacklog {
-		if err := h.flush(); err != nil {
-			return false, err
-		}
-	}
-	h.backlog += n
-	return h.w.Available() < n, nil
-}
-
-// writeFull writes p to the response buffer under the backpressure
-// policy above.
-func (h *connHandler) writeFull(p []byte) error {
-	if h.ev != nil {
-		return h.ev.writeFull(p)
-	}
-	idle, err := h.prepareWrite(len(p))
-	if err != nil {
-		return err
-	}
-	if idle {
-		h.sess.EnterIdle()
-		defer h.sess.ExitIdle()
-	}
-	_, err = h.w.Write(p)
-	return err
-}
-
-// writeString is writeFull for string data (response literals), using
-// bufio's WriteString so no []byte conversion is allocated.
-func (h *connHandler) writeString(s string) error {
-	if h.ev != nil {
-		return h.ev.writeString(s)
-	}
-	idle, err := h.prepareWrite(len(s))
-	if err != nil {
-		return err
-	}
-	if idle {
-		h.sess.EnterIdle()
-		defer h.sess.ExitIdle()
-	}
-	_, err = h.w.WriteString(s)
-	return err
-}
-
 func (h *connHandler) reply(line string) error {
-	if err := h.writeString(line); err != nil {
+	if err := h.ev.writeString(line); err != nil {
 		return err
 	}
-	return h.writeString(crlf)
+	return h.ev.writeString(crlf)
 }
 
 // replyError counts a protocol error and sends the error line.
@@ -1223,9 +922,7 @@ func (h *connHandler) replyError(line string) error {
 	return h.reply(line)
 }
 
-// storeOp names a storage command for the post-parse paths, so the
-// command token (a slice into the read buffer) need not survive the
-// body read.
+// storeOp names a storage command for the post-parse paths.
 type storeOp int
 
 const (
@@ -1286,10 +983,9 @@ var cmdNames = [cmdCount]string{
 }
 
 // noteOp records the dispatched opcode and a fixed-size key prefix for
-// the observability plane. Must run before any body read: key aliases
-// the read buffer, and the copy into the handler-owned array is what
-// lets the slow-op ring reference it later without holding (or
-// allocating) request memory.
+// the observability plane. key aliases the input buffer; the copy into the
+// handler-owned array is what lets the slow-op ring reference it later
+// without holding (or allocating) request memory.
 func (h *connHandler) noteOp(code cmdCode, key []byte) {
 	h.lastCmd = code
 	h.opKeyLen = uint8(copy(h.opKey[:], key))
@@ -1304,11 +1000,11 @@ func firstKey(args [][]byte) []byte {
 	return nil
 }
 
-// dispatch executes one command line. The returned error is an I/O
+// dispatch executes one command whose whole frame is buffered (its only
+// caller is the engine's dispatchBuffered). The returned error is an I/O
 // failure (drop the connection); protocol errors are answered in-band.
-// line aliases the read buffer; it is tokenized in place (no per-command
-// string materializes) and anything that must survive a body read is
-// copied into connection-owned scratch first.
+// line aliases the input buffer, which does not move while the command
+// runs; it is tokenized in place (no per-command string materializes).
 func (h *connHandler) dispatch(line []byte) (quit bool, err error) {
 	h.fields = tokenize(line, h.fields[:0])
 	if len(h.fields) == 0 {
@@ -1378,8 +1074,8 @@ func (h *connHandler) dispatch(line []byte) (quit bool, err error) {
 
 // emitValue writes one VALUE line (+ data block) for a stored
 // representation, decoding the flags/cas header. The header line is
-// assembled in the connection's hdr scratch and the data region is
-// handed straight to the buffered writer — a hit serializes with zero
+// assembled in the handler's hdr scratch and the data region is
+// appended straight to the reply buffer — a hit serializes with zero
 // allocation. ok is false when the header failed to decode: the
 // SERVER_ERROR line has already been sent and the caller must abort the
 // retrieval (no further VALUEs, no END) — interleaving an error line
@@ -1401,13 +1097,13 @@ func (h *connHandler) emitValue(key []byte, stored []byte, withCAS bool) (ok boo
 	}
 	hdr = append(hdr, crlf...)
 	h.hdr = hdr
-	if err := h.writeFull(hdr); err != nil {
+	if err := h.ev.writeFull(hdr); err != nil {
 		return false, err
 	}
-	if err := h.writeFull(data); err != nil {
+	if err := h.ev.writeFull(data); err != nil {
 		return false, err
 	}
-	return true, h.writeString(crlf)
+	return true, h.ev.writeString(crlf)
 }
 
 func (h *connHandler) doGet(keys [][]byte, withCAS bool) error {
@@ -1468,41 +1164,21 @@ func (h *connHandler) doStore(op storeOp, args [][]byte) error {
 	if perr != nil {
 		return h.replyError(respBadFormat)
 	}
-	// The key currently points into the read buffer, which the body read
-	// is about to slide; copy it into connection-owned scratch.
-	h.keyBuf = append(h.keyBuf[:0], sa.key...)
-	sa.key = h.keyBuf
-	if sa.nbytes > h.srv.cfg.MaxValueSize {
-		// Consume and discard the oversized body — without buffering it —
-		// to stay in sync, then report.
-		ok, err := h.discardBody(sa.nbytes)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return h.replyError(respBadChunk)
-		}
-		return h.replyError(respTooLarge)
-	}
-	data, ok, err := h.readBody(sa.nbytes)
+	// An oversized value never gets here: the engine's prescan turns it
+	// into the discard framing state before dispatch.
+	data, ok, err := h.ev.readBody(sa.nbytes)
 	if err != nil {
 		return err
 	}
 	if !ok {
 		// The data block wasn't CRLF-terminated: the stream is desynced.
-		// Report and resync at the next newline, memcached-style. The
-		// error is flushed first and the resync read idles the session:
-		// a client that goes quiet here must neither wait on an
-		// unflushed reply nor stall stop-the-world barriers. The resync
-		// discards rather than buffers — the desynced remainder is
-		// client-controlled and may be huge.
-		if err := h.replyError(respBadChunk); err != nil {
-			return err
-		}
-		if err := h.flush(); err != nil {
-			return err
-		}
-		return h.resyncLine()
+		// Report and have the framing layer drop input through the next
+		// newline, memcached-style. It discards rather than buffers — the
+		// desynced remainder is client-controlled and may be huge — and a
+		// client that goes quiet here gets the error flushed before the
+		// transport waits for more.
+		h.ev.pc.resync = true
+		return h.replyError(respBadChunk)
 	}
 	resp, errLine, err := h.executeStore(op, sa, data)
 	if err != nil {
@@ -1726,10 +1402,10 @@ func (h *connHandler) doIncrDecr(args [][]byte, incr bool) error {
 	if !found {
 		return h.reply(respNotFound)
 	}
-	if werr := h.writeFull(h.hdr); werr != nil {
+	if werr := h.ev.writeFull(h.hdr); werr != nil {
 		return werr
 	}
-	return h.writeString(crlf)
+	return h.ev.writeString(crlf)
 }
 
 // doTouch updates a key's expiry deadline without touching its value.
@@ -1969,10 +1645,8 @@ func (s *Server) ResetStats() {
 	s.foldMu.Lock()
 	s.foldLatencyLocked()
 	s.lat.Reset()
-	if s.instr {
-		for _, r := range s.perOp {
-			r.Reset()
-		}
+	for _, r := range s.perOp {
+		r.Reset()
 	}
 	s.foldMu.Unlock()
 	s.passLat.Reset()
@@ -1980,34 +1654,21 @@ func (s *Server) ResetStats() {
 	s.safepointLat.Reset()
 }
 
-// SlowOps returns the slow-op ring's current contents, newest first
-// (empty when instrumentation is disabled). Reporting surfaces only.
-func (s *Server) SlowOps() []SlowOp {
-	if s.slowOps == nil {
-		return nil
-	}
-	return s.slowOps.snapshot()
-}
+// SlowOps returns the slow-op ring's current contents, newest first.
+// Reporting surfaces only.
+func (s *Server) SlowOps() []SlowOp { return s.slowOps.snapshot() }
 
 // slowOpTotal counts slow ops ever recorded (not just those still in
 // the ring).
-func (s *Server) slowOpTotal() uint64 {
-	if s.slowOps == nil {
-		return 0
-	}
-	return s.slowOps.cur.Load()
-}
+func (s *Server) slowOpTotal() uint64 { return s.slowOps.cur.Load() }
 
 // OpLatency returns the latency recorder for one opcode label (e.g.
-// "get"), or nil when unknown or instrumentation is disabled. The
-// recorder is the published one, brought up to date by this call: a
-// caller that keeps it reads it as of its last OpLatency call (or the last
-// `stats` or scrape). For what one observation covers, see recordOp. The
-// benchmark ledger and tests read histograms through this.
+// "get"), or nil when unknown. The recorder is the published one, brought
+// up to date by this call: a caller that keeps it reads it as of its last
+// OpLatency call (or the last `stats` or scrape). For what one observation
+// covers, see recordOp. The benchmark ledger and tests read histograms
+// through this.
 func (s *Server) OpLatency(op string) *stats.LatencyRecorder {
-	if !s.instr {
-		return nil
-	}
 	s.foldLatency()
 	for i, name := range cmdNames {
 		if name == op {
