@@ -9,7 +9,6 @@ import (
 	"bytes"
 	"io"
 	"net"
-	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -21,10 +20,16 @@ import (
 )
 
 // startServer boots a server on a loopback port over the given backend.
+// A cfg that names the event transport must get it: New falls back to the
+// goroutine transport when the poller fails, which would quietly run the
+// "event" leg of a per-transport test on the other one.
 func startServer(t *testing.T, backend kv.Backend, cfg Config) *Server {
 	t.Helper()
 	store := kv.NewShardedStore(backend, 8, 0)
 	srv := New(store, cfg)
+	if cfg.ConnModel == "event" || cfg.ConnModel == "epoll" {
+		requireEventModel(t, srv)
+	}
 	if err := srv.Listen(); err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +62,8 @@ func startAnchorageServer(t *testing.T, cfg Config) *Server {
 // forEachTransport runs fn once per transport under the one protocol
 // engine — subtests "goroutine" and "event" — unless cfg already names a
 // ConnModel. Linux CI thereby holds the portable goroutine transport to
-// every transcript and limit the event transport is held to.
+// every transcript and limit the event transport is held to. The event leg
+// skips off Linux and fails if the poller is not live (startServer).
 func forEachTransport(t *testing.T, cfg Config, fn func(t *testing.T, cfg Config)) {
 	if cfg.ConnModel != "" {
 		fn(t, cfg)
@@ -65,9 +71,6 @@ func forEachTransport(t *testing.T, cfg Config, fn func(t *testing.T, cfg Config
 	}
 	for _, model := range []string{"goroutine", "event"} {
 		t.Run(model, func(t *testing.T) {
-			if model == "event" && runtime.GOOS != "linux" {
-				t.Skip("event poller is linux-only")
-			}
 			cfg := cfg
 			cfg.ConnModel = model
 			fn(t, cfg)
@@ -205,6 +208,11 @@ var protocolGolden = golden{Config{Addr: "127.0.0.1:0", Version: "conftest", Max
 	// Oversized value: body swallowed, stream stays in sync.
 	{"set big 0 0 2000\r\n" + strings.Repeat("x", 2000) + "\r\nget big\r\n",
 		"SERVER_ERROR object too large for cache\r\nEND\r\n"},
+	// Leading whitespace is skipped and changes neither framing nor the
+	// size cap: the body is still awaited, an oversized one still swallowed.
+	{" set lead 0 0 5\r\nhello\r\n", "STORED\r\n"},
+	{"\t set big 0 0 2000\r\n" + strings.Repeat("x", 2000) + "\r\nget big lead\r\n",
+		"SERVER_ERROR object too large for cache\r\nVALUE lead 0 5\r\nhello\r\nEND\r\n"},
 	{"version\r\n", "VERSION conftest\r\n"},
 }}
 
@@ -334,6 +342,8 @@ var appendSizeCapGolden = golden{Config{Addr: "127.0.0.1:0", MaxValueSize: 16}, 
 	{"append s 0 0 1\r\nX\r\n", "SERVER_ERROR object too large for cache\r\n"},
 	{"prepend s 0 0 1\r\nX\r\n", "SERVER_ERROR object too large for cache\r\n"},
 	{"get s\r\n", "VALUE s 0 16\r\n0123456789abcdef\r\nEND\r\n"},
+	// One byte over the cap behind a leading space: refused all the same.
+	{" set t 0 0 17\r\n0123456789abcdefg\r\nget t\r\n", "SERVER_ERROR object too large for cache\r\nEND\r\n"},
 }}
 
 // TestAppendSizeCap: each append body may fit individually, but the

@@ -372,15 +372,18 @@ func (e *eventIO) readBody(n int) ([]byte, bool, error) {
 	return data, true, nil
 }
 
-// maybeStorageCmd cheaply gates the storage prescan on the command's
-// first byte (set/add/replace/cas/append/prepend); gets skip it with one
-// compare.
+// maybeStorageCmd cheaply gates the storage prescan on the line's first
+// byte: a storage command's initial (set/add/replace/cas/append/prepend),
+// or whitespace, which dispatch's tokenizer skips and the command may hide
+// behind. Gets skip the prescan with one switch. The gate must pass every
+// line dispatch could read as a storage command — prescan is the only
+// place a body is awaited and the only MaxValueSize check on its length.
 func maybeStorageCmd(c byte) bool {
 	switch c {
 	case 's', 'a', 'r', 'c', 'p':
 		return true
 	}
-	return false
+	return isASCIISpace(c)
 }
 
 // prescanStorage tokenizes a candidate storage line and parses its

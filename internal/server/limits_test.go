@@ -527,6 +527,9 @@ func TestSlowLorisDefragRace(t *testing.T) {
 		}
 		store := kv.NewShardedStore(backend, 8, 0)
 		srv := New(store, cfg)
+		if cfg.ConnModel == "event" {
+			requireEventModel(t, srv)
+		}
 		if err := srv.Listen(); err != nil {
 			t.Fatal(err)
 		}

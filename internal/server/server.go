@@ -1164,8 +1164,9 @@ func (h *connHandler) doStore(op storeOp, args [][]byte) error {
 	if perr != nil {
 		return h.replyError(respBadFormat)
 	}
-	// An oversized value never gets here: the engine's prescan turns it
-	// into the discard framing state before dispatch.
+	// An oversized value never gets here: the engine's prescan tokenizes
+	// every line that can reach this function (see maybeStorageCmd) and
+	// turns an oversized one into the discard framing state instead.
 	data, ok, err := h.ev.readBody(sa.nbytes)
 	if err != nil {
 		return err
