@@ -200,87 +200,58 @@ func BenchmarkTranslation(b *testing.B) {
 	}
 }
 
-// benchTable is the surface shared by the sharded table and the RWMutex
-// ablation baseline, so the parallel benchmarks can run them head-to-head.
-type benchTable interface {
-	Alloc(backing mem.Addr, size uint64) (uint32, error)
-	Free(id uint32) error
-	Translate(h handle.Handle) (mem.Addr, error)
-}
-
-// BenchmarkTranslateParallel compares handle→address translation across
-// cores: the sharded table's lock-free atomic-load path against the seed's
-// single-RWMutex design, whose read lock serializes every translation on
-// one cache line. Run with -cpu=1,2,4,8 to see the scaling gap; the paper's
-// overhead argument needs translation to stay near-free under parallelism.
+// BenchmarkTranslateParallel measures handle→address translation across
+// cores on the sharded table's lock-free atomic-load path. Run with
+// -cpu=1,2,4,8; the paper's overhead argument needs translation to stay
+// near-free under parallelism. (The comparison against the seed's
+// single-RWMutex table is the handle.translate_par_ns ledger row's
+// history, not a second table kept alive for it.)
 func BenchmarkTranslateParallel(b *testing.B) {
-	for _, impl := range []struct {
-		name string
-		mk   func() benchTable
-	}{
-		{"sharded", func() benchTable { return handle.NewTable() }},
-		{"rwmutex", func() benchTable { return handle.NewLockedTable() }},
-	} {
-		impl := impl
-		b.Run(impl.name, func(b *testing.B) {
-			tb := impl.mk()
-			const n = 1024
-			hs := make([]handle.Handle, n)
-			for i := range hs {
-				id, err := tb.Alloc(mem.Addr(0x10000+uint64(i)*4096), 4096)
-				if err != nil {
-					b.Fatal(err)
-				}
-				hs[i] = handle.Make(id, 128)
-			}
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				i := 0
-				for pb.Next() {
-					// b.Fatal is off-limits on RunParallel workers
-					// (FailNow must run on the benchmark goroutine).
-					if _, err := tb.Translate(hs[i&(n-1)]); err != nil {
-						b.Error(err)
-						return
-					}
-					i++
-				}
-			})
-		})
+	tb := handle.NewTable()
+	const n = 1024
+	hs := make([]handle.Handle, n)
+	for i := range hs {
+		id, err := tb.Alloc(mem.Addr(0x10000+uint64(i)*4096), 4096)
+		if err != nil {
+			b.Fatal(err)
+		}
+		hs[i] = handle.Make(id, 128)
 	}
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := 0
+		for pb.Next() {
+			// b.Fatal is off-limits on RunParallel workers
+			// (FailNow must run on the benchmark goroutine).
+			if _, err := tb.Translate(hs[i&(n-1)]); err != nil {
+				b.Error(err)
+				return
+			}
+			i++
+		}
+	})
 }
 
-// BenchmarkAllocFreeParallel compares parallel handle allocation/recycling.
-// The sharded table spreads the free lists and bump pointers across shards
-// keyed by the ID's low bits, so concurrent allocators mostly touch
-// different locks; the RWMutex baseline serializes every Alloc and Free.
+// BenchmarkAllocFreeParallel measures parallel handle allocation and
+// recycling. The sharded table spreads the free lists and bump pointers
+// across shards keyed by the ID's low bits, so concurrent allocators
+// mostly touch different locks.
 func BenchmarkAllocFreeParallel(b *testing.B) {
-	for _, impl := range []struct {
-		name string
-		mk   func() benchTable
-	}{
-		{"sharded", func() benchTable { return handle.NewTable() }},
-		{"rwmutex", func() benchTable { return handle.NewLockedTable() }},
-	} {
-		impl := impl
-		b.Run(impl.name, func(b *testing.B) {
-			tb := impl.mk()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					id, err := tb.Alloc(0x10000, 64)
-					if err != nil {
-						b.Error(err)
-						return
-					}
-					if err := tb.Free(id); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			})
-		})
-	}
+	tb := handle.NewTable()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			id, err := tb.Alloc(0x10000, 64)
+			if err != nil {
+				b.Error(err)
+				return
+			}
+			if err := tb.Free(id); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
 }
 
 // BenchmarkPinTracking compares the paper's stack pin sets against the

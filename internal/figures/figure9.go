@@ -97,14 +97,21 @@ func newBackend(name string, cfg DefragConfig) (kv.Backend, error) {
 // Backends lists the Figure 9 curves in plot order.
 var Backends = []string{"baseline", "anchorage", "activedefrag", "mesh"}
 
-// RunDefrag drives the Redis-mode store over one backend with the
+// RunDefrag drives a one-shard store — the store alaskad serves from,
+// used Redis-style from one thread — over one backend with the
 // over-insert/LRU-evict workload and records RSS over simulated time.
 func RunDefrag(name string, cfg DefragConfig) (DefragResult, error) {
 	b, err := newBackend(name, cfg)
 	if err != nil {
 		return DefragResult{}, err
 	}
-	store := kv.NewStore(b, cfg.MaxMemory)
+	store := kv.NewShardedStore(b, 1, cfg.MaxMemory)
+	sess := kv.SingleThreadedSession(b)
+	defer sess.Close()
+	maintain := func(now time.Duration) time.Duration {
+		sess.Safepoint()
+		return store.Maintain(now)
+	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	totalBytes := float64(cfg.MaxMemory) * cfg.InsertFactor
@@ -120,7 +127,7 @@ func RunDefrag(name string, cfg DefragConfig) (DefragResult, error) {
 	val := make([]byte, cfg.ValueMax)
 
 	sample := func() {
-		rss := store.RSS()
+		rss := b.RSS()
 		res.Series.Add(now, float64(rss))
 		if rss > res.PeakRSS {
 			res.PeakRSS = rss
@@ -144,7 +151,7 @@ func RunDefrag(name string, cfg DefragConfig) (DefragResult, error) {
 		for k := 0; k < size; k++ {
 			val[k] = byte(i >> (k % 3 * 8))
 		}
-		if err := store.Set(key, val[:size]); err != nil {
+		if err := store.Set(sess, key, val[:size]); err != nil {
 			return res, fmt.Errorf("%s: set: %w", name, err)
 		}
 		if cfg.HotEvery > 0 && i%cfg.HotEvery == 0 {
@@ -153,13 +160,13 @@ func RunDefrag(name string, cfg DefragConfig) (DefragResult, error) {
 		// Keep the hot set fresh so eviction skips it.
 		if len(hot) > 0 && i%257 == 0 {
 			for _, k := range hot {
-				if _, err := store.Get(k); err != nil {
+				if _, err := store.Get(sess, k); err != nil {
 					return res, err
 				}
 			}
 		}
 		now += cfg.OpTime
-		res.Pauses += store.Maintain(now)
+		res.Pauses += maintain(now)
 		if now >= nextSample {
 			sample()
 			nextSample = now + cfg.SampleEvery
@@ -170,16 +177,16 @@ func RunDefrag(name string, cfg DefragConfig) (DefragResult, error) {
 	settleEnd := now + 4*time.Second
 	for now < settleEnd {
 		now += cfg.SampleEvery / 4
-		res.Pauses += store.Maintain(now)
+		res.Pauses += maintain(now)
 		if now >= nextSample {
 			sample()
 			nextSample = now + cfg.SampleEvery
 		}
 	}
 	sample()
-	res.FinalRSS = store.RSS()
-	res.Active = store.UsedBytes()
-	res.Evictions = store.Evictions
+	res.FinalRSS = b.RSS()
+	res.Active = b.UsedBytes()
+	res.Evictions = store.Snapshot().Evictions
 	return res, nil
 }
 

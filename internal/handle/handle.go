@@ -120,9 +120,7 @@ var ErrHandleFault = fmt.Errorf("handle: fault (entry invalid)")
 // Table is the handle table type the rest of the repository programs
 // against. It is an alias for the sharded, read-lock-free implementation
 // (sharded.go), kept so the seed's call sites — which predate sharding —
-// migrate without source changes. New code may use ShardedTable directly;
-// the original single-RWMutex design survives as LockedTable (locked.go)
-// for the scaling ablation.
+// migrate without source changes. New code may use ShardedTable directly.
 type Table = ShardedTable
 
 // NewTable returns an empty handle table.

@@ -1,13 +1,16 @@
 // Package kv implements the in-memory key-value store the paper's
-// defragmentation experiments run against: a Redis-like single-threaded
-// store with a maxmemory limit and LRU eviction (Figures 9, 10, 11), and a
-// memcached-like sharded concurrent mode (Figure 12).
+// defragmentation experiments run against and alaskad serves from:
+// ShardedStore, a set of mutex-protected shards under one store-wide
+// memory ceiling with LRU eviction, TTLs and a flush_all epoch. The
+// Redis-like experiments (Figures 9, 10, 11, the YCSB runner) drive one
+// shard through one session (SingleThreadedSession); the memcached-like
+// ones (Figure 12, alaskad) drive many shards from a session per worker.
 //
 // The store allocates every value from a pluggable Backend so the same
 // workload can run over the baseline allocator, Redis-style activedefrag,
 // Mesh, or Alaska+Anchorage — the four curves of Figure 9.
 //
-// Time on the sharded store's request path: one instant decides
+// Time on the request path: one instant decides
 // everything a command does — liveness (deadline and flush_all epoch),
 // storedAt, lastUsed and the eviction scan's reclaim-vs-evict verdicts.
 // The …At entry points and the server-only methods (GetAndTouchInto,
@@ -356,6 +359,19 @@ func (b *AnchorageBackend) NewSession() Session {
 // (the barrier initiator for single-threaded simulations).
 func (b *AnchorageBackend) PrimarySession() Session {
 	return &handleSession{space: b.Space, th: b.primary, keep: true}
+}
+
+// SingleThreadedSession returns the session for a driver that runs every
+// store operation and every Maintain call on one goroutine (the figure
+// and YCSB harnesses): on Anchorage the primary session, so Maintain's
+// barriers are initiated by the one thread that mutates and never wait
+// on it; a fresh session on every other backend. Such a driver polls
+// sess.Safepoint() before each store.Maintain(now).
+func SingleThreadedSession(b Backend) Session {
+	if ab, ok := b.(*AnchorageBackend); ok {
+		return ab.PrimarySession()
+	}
+	return b.NewSession()
 }
 
 // Alloc implements Backend.

@@ -8,11 +8,11 @@ import (
 	"time"
 )
 
-// ShardedStore is the memcached-like concurrent store used by the
-// Figure 12 experiment and the alaskad server: a fixed set of
-// mutex-protected shards, accessed by worker goroutines that each hold
-// their own Session (and, under Alaska, their own runtime thread with pin
-// sets and safepoints).
+// ShardedStore is the store every experiment and the alaskad server run
+// on: a fixed set of mutex-protected shards, accessed by worker
+// goroutines that each hold their own Session (and, under Alaska, their
+// own runtime thread with pin sets and safepoints). The single-threaded
+// experiments use one shard and SingleThreadedSession.
 //
 // The request path is allocation-free in steady state: keys arrive as
 // []byte slices into network buffers (GetInto, SetExBytes, ApplyInto)
@@ -232,7 +232,26 @@ func NewShardedStore(b Backend, n int, maxMemory uint64) *ShardedStore {
 		sh.tailStamp.Store(math.MaxInt64)
 		st.shards = append(st.shards, sh)
 	}
+	if ad, ok := b.(*ActiveDefragBackend); ok {
+		ad.Iterator = st.iterateRefs
+	}
 	return st
+}
+
+// iterateRefs is the application half of the activedefrag protocol: it
+// walks every live entry and lets the allocator relocate it, rewriting
+// the store's own reference — the (mercifully small) Go equivalent of
+// the invasive pointer bookkeeping Redis had to add. Each shard is
+// visited with its lock held: a request on that shard would otherwise
+// read or free a ref the allocator is in the middle of replacing.
+func (s *ShardedStore) iterateRefs(visit func(ref Ref, size uint64, update func(Ref))) {
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		for _, e := range sh.index {
+			visit(e.ref, e.size, func(n Ref) { e.ref = n })
+		}
+		sh.mu.Unlock()
+	}
 }
 
 // MaxMemory returns the store-wide charged-byte ceiling (0 = unlimited).

@@ -2,8 +2,7 @@ package kv
 
 // flush_all at the store layer: the store-wide epoch is honored lazily
 // on access, entries stored after the epoch are untouched, and Maintain's
-// sweep reclaims the casualties without any further access — on both the
-// sharded concurrent store and the single-threaded one.
+// sweep reclaims the casualties without any further access.
 
 import (
 	"fmt"
@@ -89,42 +88,5 @@ func TestShardedStoreFlushAllPendingEpoch(t *testing.T) {
 	}
 	if st.Len() != 0 {
 		t.Errorf("len after epoch sweep = %d, want 0", st.Len())
-	}
-}
-
-func TestStoreFlushAll(t *testing.T) {
-	clk := newManualClock()
-	st := NewStore(NewMallocBackend(), 0)
-	st.Clock = clk.Now
-
-	const n = 30
-	for i := 0; i < n; i++ {
-		if err := st.Set(fmt.Sprintf("k%02d", i), []byte("doomed")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	clk.Advance(time.Second)
-	st.FlushAll(clk.Now())
-
-	// The flush sweep runs even though no entry carries a TTL (the
-	// ttlEntries==0 fast path must not skip it).
-	if reclaimed := st.SweepExpired(sweepBudgetPerShard); reclaimed != n {
-		t.Errorf("sweep reclaimed %d, want %d", reclaimed, n)
-	}
-	if st.Len() != 0 {
-		t.Errorf("len after flush sweep = %d, want 0", st.Len())
-	}
-	// Post-epoch values survive both access and further sweeps.
-	if err := st.Set("fresh", []byte("alive")); err != nil {
-		t.Fatal(err)
-	}
-	if r := st.SweepExpired(sweepBudgetPerShard); r != 0 {
-		t.Errorf("spent-epoch sweep reclaimed %d, want 0", r)
-	}
-	if v, err := st.Get("fresh"); err != nil || string(v) != "alive" {
-		t.Fatalf("fresh damaged by flush: %q err=%v", v, err)
-	}
-	if snap := st.Snapshot(); snap.Expired != int64(n) {
-		t.Errorf("expired = %d, want %d", snap.Expired, n)
 	}
 }

@@ -1,13 +1,16 @@
 package kv
 
-import "errors"
+import (
+	"errors"
+	"time"
+)
 
-// This file holds the memory-ceiling bookkeeping shared by Store and
-// ShardedStore: the charged cost of an entry (memcached's `bytes`
-// accounting — value + key + per-item overhead, not allocator-level
-// bytes), the intrusive LRU list both stores link entries into, and the
-// free list evicted entry structs are recycled through so eviction churn
-// under a fixed `-m` ceiling stays allocation-free on the set path.
+// This file holds ShardedStore's per-entry bookkeeping: the entry
+// struct, its charged cost (memcached's `bytes` accounting — value + key
+// + per-item overhead, not allocator-level bytes), the intrusive LRU
+// list each shard links entries into, and the free list evicted entry
+// structs are recycled through so eviction churn under a fixed `-m`
+// ceiling stays allocation-free on the set path.
 
 // EntryOverhead is the per-entry bookkeeping charge added to key+value
 // bytes when an item is costed against the memory ceiling — the moral
@@ -26,6 +29,31 @@ var ErrTooLarge = errors.New("object too large for cache")
 // exhausting every evictable entry — transiently possible when
 // concurrent inserts hold reservations on every spare byte.
 var ErrNoRoom = errors.New("out of memory storing object")
+
+// entry is one stored item: its key, the backend reference to its value
+// and the bookkeeping the shard keeps beside it.
+type entry struct {
+	key  string
+	ref  Ref
+	size uint64
+	// expireAt is the absolute expiry deadline; the zero time means the
+	// entry never expires.
+	expireAt time.Time
+	// storedAt is when the value was stored — the timestamp flush_all's
+	// store-wide epoch compares against (touch moves expireAt only, so a
+	// touched value cannot escape a flush).
+	storedAt time.Time
+	// prev/next link the entry into its shard's LRU list; next doubles
+	// as the free-list chain once the entry is recycled.
+	prev, next *entry
+	// fetched records whether the value has been read since it was last
+	// stored — evicting a never-fetched entry counts as evicted_unfetched.
+	fetched bool
+	// lastUsed is the unixnano of the entry's last store or LRU touch;
+	// the shard publishes its tail's stamp for coldest-shard eviction
+	// spill.
+	lastUsed int64
+}
 
 // entryCost is the charged cost of an item against the memory ceiling.
 func entryCost(keyLen, valLen int) uint64 {

@@ -10,6 +10,9 @@ package kv
 // The second test holds the rule mem.Space's unlocked copy leans on: a
 // pinned object's bytes are never released (DontNeed) or reused before
 // the unpin plus a grace period, with the pause-free mover live.
+//
+// The third runs activedefrag's application half — the store rewriting
+// its own refs — against live request traffic on the same shards.
 
 import (
 	"bytes"
@@ -280,4 +283,83 @@ func TestPinnedBytesStableUnderConcurrentDefrag(t *testing.T) {
 	}
 	t.Logf("%d concurrent + %d barrier passes, %d bytes moved, %d truncated, %d move aborts",
 		m.ConcurrentPasses, m.Passes, m.MovedBytes, m.Truncated, m.MoveAborts)
+}
+
+// TestActiveDefragMaintainRacesRequests: two workers set/get/del on a
+// 4-shard store — their own keys, and reads of the sparse survivors the
+// defrag cycle is busy relocating — while a third goroutine loops
+// Maintain on the ActiveDefragBackend underneath them. Every read must
+// return the bytes last written under that key.
+//
+// Mutation check: drop the sh.mu.Lock()/Unlock() pair from
+// ShardedStore.iterateRefs (visit a shard's entries without sh.mu) and
+// this fails — the race detector flags the unlocked index walk and
+// e.ref rewrite against getInto/insertLocked, and without -race the
+// runtime usually aborts on "concurrent map iteration and map write".
+func TestActiveDefragMaintainRacesRequests(t *testing.T) {
+	b := NewActiveDefragBackend()
+	st, seed := sparseStore(t, b)
+	seed.Close()
+	ops := 4000
+	if testing.Short() {
+		ops = 1000
+	}
+
+	stop := make(chan struct{})
+	var maint, workers sync.WaitGroup
+	maint.Add(1)
+	go func() {
+		defer maint.Done()
+		for now := b.CycleInterval; ; now += b.CycleInterval {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			st.Maintain(now)
+			runtime.Gosched()
+		}
+	}()
+	for w := 0; w < 2; w++ {
+		workers.Add(1)
+		go func(w int) {
+			defer workers.Done()
+			sess := st.NewSession()
+			defer sess.Close()
+			rng := rand.New(rand.NewSource(int64(w)))
+			reads := func(k string, want []byte) bool {
+				got, err := st.Get(sess, k)
+				if err != nil || !bytes.Equal(got, want) {
+					t.Errorf("get %s: wrong bytes mid-defrag (err=%v)", k, err)
+				}
+				return err == nil && bytes.Equal(got, want)
+			}
+			for i := 0; i < ops; i++ {
+				own := fmt.Sprintf("w%d-%d", w, rng.Intn(64))
+				val := bytes.Repeat([]byte{byte(i)}, 64+rng.Intn(128))
+				if err := st.Set(sess, own, val); err != nil {
+					t.Errorf("set %s: %v", own, err)
+					return
+				}
+				if !reads(own, val) {
+					return
+				}
+				if i%3 == 0 {
+					if _, err := st.Del(sess, own); err != nil {
+						t.Errorf("del %s: %v", own, err)
+						return
+					}
+				}
+				if k := rng.Intn(sparseN); sparseKept(k) && !reads(sparseKey(k), sparseVal(k)) {
+					return
+				}
+			}
+		}(w)
+	}
+	workers.Wait()
+	close(stop)
+	maint.Wait()
+	if b.Moved == 0 {
+		t.Error("no entry was relocated while the workers ran")
+	}
 }

@@ -5,13 +5,13 @@ import (
 	"time"
 )
 
-// This file defines the read-modify-write primitive shared by Store and
-// ShardedStore. Memcached's cas/incr/decr/append/prepend commands all
-// read a value, compute, and write back — exactly the access pattern
-// most exposed to a concurrent mover relocating the block in between.
-// Apply closes that window by running the whole cycle as one critical
-// section (the shard lock on ShardedStore), so the protocol layer gets
-// linearizable RMW without knowing anything about locks or relocation.
+// This file defines ShardedStore's read-modify-write primitive.
+// Memcached's cas/incr/decr/append/prepend commands all read a value,
+// compute, and write back — exactly the access pattern most exposed to a
+// concurrent mover relocating the block in between. Apply closes that
+// window by running the whole cycle as one critical section (the shard
+// lock), so the protocol layer gets linearizable RMW without knowing
+// anything about locks or relocation.
 
 // ApplyVerdict selects what Apply does after the callback has inspected
 // the current value.
@@ -68,11 +68,10 @@ type ApplyOp struct {
 	Stat RMWStat
 }
 
-// casApply builds the Apply callback both stores' CompareAndSwap share:
-// swap in next only if the current value is byte-equal to expected,
-// keeping the deadline and bumping the matching cas counter. The
-// outcome flags are written through the pointers while the callback
-// still holds whatever lock Apply holds.
+// casApply builds CompareAndSwap's Apply callback: swap in next only if
+// the current value is byte-equal to expected, keeping the deadline and
+// bumping the matching cas counter. The outcome flags are written
+// through the pointers while the callback still holds the shard lock.
 func casApply(expected, next []byte, swapped, found *bool) func(old []byte, ok bool) ApplyOp {
 	return func(old []byte, ok bool) ApplyOp {
 		*found = ok
@@ -87,8 +86,8 @@ func casApply(expected, next []byte, swapped, found *bool) func(old []byte, ok b
 	}
 }
 
-// touchApply builds the Apply callback both stores' Touch share: update
-// the deadline on a live entry, count the hit/miss either way.
+// touchApply builds Touch's Apply callback: update the deadline on a
+// live entry, count the hit/miss either way.
 func touchApply(expireAt time.Time, found *bool) func(old []byte, ok bool) ApplyOp {
 	return func(_ []byte, ok bool) ApplyOp {
 		*found = ok
@@ -96,30 +95,6 @@ func touchApply(expireAt time.Time, found *bool) func(old []byte, ok bool) Apply
 			return ApplyOp{Stat: StatTouchMiss}
 		}
 		return ApplyOp{Verdict: ApplyTouch, Expire: expireAt, Stat: StatTouchHit}
-	}
-}
-
-// bump increments the counter named by stat.
-func (st *StatsSnapshot) bump(stat RMWStat) {
-	switch stat {
-	case StatCasHit:
-		st.CasHits++
-	case StatCasBadval:
-		st.CasBadval++
-	case StatCasMiss:
-		st.CasMisses++
-	case StatIncrHit:
-		st.IncrHits++
-	case StatIncrMiss:
-		st.IncrMisses++
-	case StatDecrHit:
-		st.DecrHits++
-	case StatDecrMiss:
-		st.DecrMisses++
-	case StatTouchHit:
-		st.TouchHits++
-	case StatTouchMiss:
-		st.TouchMisses++
 	}
 }
 

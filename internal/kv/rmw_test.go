@@ -1,8 +1,7 @@
 package kv
 
 // Tests for the read-modify-write primitive (Apply/CompareAndSwap) and
-// TTL machinery (lazy expiry, Touch, SweepExpired) on both stores, across
-// every backend.
+// TTL machinery (lazy expiry, Touch, SweepExpired), across every backend.
 
 import (
 	"bytes"
@@ -77,6 +76,25 @@ func TestShardedApplyRMW(t *testing.T) {
 			}
 			if v, _ := st.Get(sess, "k"); v != nil {
 				t.Errorf("after apply-delete: %q", v)
+			}
+
+			// Every RMWStat moves its own counter by exactly one (StatNone
+			// moves none) on its way through shardCounters.bump and addTo.
+			rmw := func(s StatsSnapshot) [9]int64 {
+				return [9]int64{s.CasHits, s.CasBadval, s.CasMisses, s.IncrHits, s.IncrMisses,
+					s.DecrHits, s.DecrMisses, s.TouchHits, s.TouchMisses}
+			}
+			for stat := StatNone; stat <= StatTouchMiss; stat++ {
+				want := rmw(st.Snapshot())
+				if stat != StatNone {
+					want[stat-1]++
+				}
+				if err := st.Apply(sess, "k", func([]byte, bool) ApplyOp { return ApplyOp{Stat: stat} }); err != nil {
+					t.Fatal(err)
+				}
+				if got := rmw(st.Snapshot()); got != want {
+					t.Errorf("stat %d: rmw counters %v, want %v", stat, got, want)
+				}
 			}
 		})
 	}
@@ -291,14 +309,14 @@ func TestStoreApplyAndExpiry(t *testing.T) {
 	for name, b := range backends(t) {
 		t.Run(name, func(t *testing.T) {
 			clk := newManualClock()
-			s := NewStore(b, 0)
+			s, sess := NewShardedStore(b, 1, 0), SingleThreadedSession(b)
 			s.Clock = clk.Now
 
-			// Apply RMW on the single-threaded store.
-			if err := s.Set("k", []byte("1")); err != nil {
+			// Apply RMW on a one-shard store driven from one session.
+			if err := s.Set(sess, "k", []byte("1")); err != nil {
 				t.Fatal(err)
 			}
-			if err := s.Apply("k", func(old []byte, found bool) ApplyOp {
+			if err := s.Apply(sess, "k", func(old []byte, found bool) ApplyOp {
 				if !found {
 					t.Error("apply missed a live key")
 				}
@@ -306,37 +324,38 @@ func TestStoreApplyAndExpiry(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
-			if v, _ := s.Get("k"); string(v) != "12" {
+			if v, _ := s.Get(sess, "k"); string(v) != "12" {
 				t.Errorf("after apply: %q", v)
 			}
-			if swapped, _, _ := s.CompareAndSwap("k", []byte("12"), []byte("3")); !swapped {
+			if swapped, _, _ := s.CompareAndSwap(sess, "k", []byte("12"), []byte("3")); !swapped {
 				t.Error("store cas did not swap")
 			}
 
 			// Expiry: lazy on get, eager via sweep (wired into Maintain).
-			if err := s.SetEx("dead", []byte("x"), clk.Now().Add(time.Second)); err != nil {
+			if _, err := s.SetEx(sess, "dead", []byte("x"), SetAlways, clk.Now().Add(time.Second)); err != nil {
 				t.Fatal(err)
 			}
 			clk.Advance(2 * time.Second)
+			sess.Safepoint()
 			s.Maintain(0)
 			snap := s.Snapshot()
 			if snap.Expired != 1 || snap.ExpirySweeps == 0 {
 				t.Errorf("after Maintain: Expired=%d ExpirySweeps=%d", snap.Expired, snap.ExpirySweeps)
 			}
-			if v, _ := s.Get("dead"); v != nil {
+			if v, _ := s.Get(sess, "dead"); v != nil {
 				t.Errorf("dead key still readable: %q", v)
 			}
 			// KeepExpire: RMW preserves the deadline.
-			if err := s.SetEx("ttl", []byte("5"), clk.Now().Add(10*time.Second)); err != nil {
+			if _, err := s.SetEx(sess, "ttl", []byte("5"), SetAlways, clk.Now().Add(10*time.Second)); err != nil {
 				t.Fatal(err)
 			}
-			if err := s.Apply("ttl", func(old []byte, found bool) ApplyOp {
+			if err := s.Apply(sess, "ttl", func(old []byte, found bool) ApplyOp {
 				return ApplyOp{Verdict: ApplyStore, Value: []byte("6"), KeepExpire: true}
 			}); err != nil {
 				t.Fatal(err)
 			}
 			clk.Advance(11 * time.Second)
-			if v, _ := s.Get("ttl"); v != nil {
+			if v, _ := s.Get(sess, "ttl"); v != nil {
 				t.Errorf("KeepExpire lost the deadline: %q survived", v)
 			}
 		})

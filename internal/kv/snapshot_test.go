@@ -90,67 +90,3 @@ func TestShardedStoreEvictionCounter(t *testing.T) {
 		t.Errorf("used %d exceeds shard cap", snap.Used)
 	}
 }
-
-// TestStoreSnapshot checks the single-threaded store's counters.
-func TestStoreSnapshot(t *testing.T) {
-	st := NewStore(NewMallocBackend(), 0)
-	if err := st.Set("a", []byte("1")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Get("a"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Get("b"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Del("a"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Del("a"); err != nil {
-		t.Fatal(err)
-	}
-	snap := st.Snapshot()
-	if snap.Sets != 1 || snap.Hits != 1 || snap.Misses != 1 ||
-		snap.DeleteHits != 1 || snap.DeleteMisses != 1 || snap.Keys != 0 {
-		t.Errorf("snapshot = %+v", snap)
-	}
-}
-
-// TestRMWStatBumpParity guards the two RMWStat switches — the plain
-// StatsSnapshot.bump (Store) and the atomic shardCounters.bump +
-// shardCounters.addTo (ShardedStore) — against drifting apart: a stat
-// wired into one but not the other would silently under-report. Every
-// stat is bumped through both paths and the resulting snapshots must be
-// identical, and every stat except StatNone must move exactly one
-// counter by exactly one.
-func TestRMWStatBumpParity(t *testing.T) {
-	allStats := []RMWStat{
-		StatNone, StatCasHit, StatCasBadval, StatCasMiss,
-		StatIncrHit, StatIncrMiss, StatDecrHit, StatDecrMiss,
-		StatTouchHit, StatTouchMiss,
-	}
-	total := func(s StatsSnapshot) int64 {
-		return s.CasHits + s.CasBadval + s.CasMisses +
-			s.IncrHits + s.IncrMisses + s.DecrHits + s.DecrMisses +
-			s.TouchHits + s.TouchMisses
-	}
-	for _, stat := range allStats {
-		var plain StatsSnapshot
-		plain.bump(stat)
-		var atomicC shardCounters
-		atomicC.bump(stat)
-		var viaAtomic StatsSnapshot
-		atomicC.addTo(&viaAtomic)
-		if plain != viaAtomic {
-			t.Errorf("stat %d: StatsSnapshot.bump and shardCounters.bump/addTo disagree:\n plain  %+v\n atomic %+v",
-				stat, plain, viaAtomic)
-		}
-		want := int64(1)
-		if stat == StatNone {
-			want = 0
-		}
-		if got := total(plain); got != want {
-			t.Errorf("stat %d: bump moved %d counters, want %d", stat, got, want)
-		}
-	}
-}

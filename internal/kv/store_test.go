@@ -29,28 +29,28 @@ func backends(t *testing.T) map[string]Backend {
 func TestSetGetDelAllBackends(t *testing.T) {
 	for name, b := range backends(t) {
 		t.Run(name, func(t *testing.T) {
-			s := NewStore(b, 0)
-			if err := s.Set("k1", []byte("hello world")); err != nil {
+			s, sess := NewShardedStore(b, 1, 0), SingleThreadedSession(b)
+			if err := s.Set(sess, "k1", []byte("hello world")); err != nil {
 				t.Fatal(err)
 			}
-			v, err := s.Get("k1")
+			v, err := s.Get(sess, "k1")
 			if err != nil {
 				t.Fatal(err)
 			}
 			if string(v) != "hello world" {
 				t.Errorf("Get = %q", v)
 			}
-			if v, _ := s.Get("missing"); v != nil {
+			if v, _ := s.Get(sess, "missing"); v != nil {
 				t.Error("missing key returned a value")
 			}
-			ok, err := s.Del("k1")
+			ok, err := s.Del(sess, "k1")
 			if err != nil || !ok {
 				t.Errorf("Del = %v, %v", ok, err)
 			}
-			if v, _ := s.Get("k1"); v != nil {
+			if v, _ := s.Get(sess, "k1"); v != nil {
 				t.Error("deleted key still readable")
 			}
-			if ok, _ := s.Del("k1"); ok {
+			if ok, _ := s.Del(sess, "k1"); ok {
 				t.Error("double delete reported success")
 			}
 		})
@@ -60,21 +60,21 @@ func TestSetGetDelAllBackends(t *testing.T) {
 func TestOverwriteReplacesValue(t *testing.T) {
 	for name, b := range backends(t) {
 		t.Run(name, func(t *testing.T) {
-			s := NewStore(b, 0)
-			if err := s.Set("k", []byte("old-value-that-is-long")); err != nil {
+			s, sess := NewShardedStore(b, 1, 0), SingleThreadedSession(b)
+			if err := s.Set(sess, "k", []byte("old-value-that-is-long")); err != nil {
 				t.Fatal(err)
 			}
-			if err := s.Set("k", []byte("new")); err != nil {
+			if err := s.Set(sess, "k", []byte("new")); err != nil {
 				t.Fatal(err)
 			}
-			v, _ := s.Get("k")
+			v, _ := s.Get(sess, "k")
 			if string(v) != "new" {
 				t.Errorf("Get after overwrite = %q", v)
 			}
 			if s.Len() != 1 {
 				t.Errorf("Len = %d", s.Len())
 			}
-			if got := s.UsedBytes(); got != 3 {
+			if got := b.UsedBytes(); got != 3 {
 				t.Errorf("UsedBytes = %d, want 3", got)
 			}
 		})
@@ -84,24 +84,24 @@ func TestOverwriteReplacesValue(t *testing.T) {
 func TestLRUEvictionUnderMaxMemory(t *testing.T) {
 	for name, b := range backends(t) {
 		t.Run(name, func(t *testing.T) {
-			s := NewStore(b, 10*1024)
+			s, sess := NewShardedStore(b, 1, 10*1024), SingleThreadedSession(b)
 			val := make([]byte, 1024)
 			for i := 0; i < 20; i++ {
-				if err := s.Set(fmt.Sprintf("key%02d", i), val); err != nil {
+				if err := s.Set(sess, fmt.Sprintf("key%02d", i), val); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if s.UsedBytes() > 10*1024 {
-				t.Errorf("UsedBytes %d exceeds maxmemory", s.UsedBytes())
+			if b.UsedBytes() > 10*1024 {
+				t.Errorf("UsedBytes %d exceeds maxmemory", b.UsedBytes())
 			}
-			if s.Evictions == 0 {
+			if s.Snapshot().Evictions == 0 {
 				t.Error("no evictions")
 			}
 			// Oldest keys evicted, newest retained.
-			if v, _ := s.Get("key00"); v != nil {
+			if v, _ := s.Get(sess, "key00"); v != nil {
 				t.Error("LRU key survived")
 			}
-			if v, _ := s.Get("key19"); v == nil {
+			if v, _ := s.Get(sess, "key19"); v == nil {
 				t.Error("MRU key evicted")
 			}
 		})
@@ -111,24 +111,25 @@ func TestLRUEvictionUnderMaxMemory(t *testing.T) {
 func TestGetRefreshesLRU(t *testing.T) {
 	// Budget for exactly three entries of charged cost (value + 2-byte
 	// key + EntryOverhead each).
-	s := NewStore(NewMallocBackend(), 3*entryCost(2, 100))
+	b := NewMallocBackend()
+	s, sess := NewShardedStore(b, 1, 3*entryCost(2, 100)), SingleThreadedSession(b)
 	val := make([]byte, 100)
 	for i := 0; i < 3; i++ {
-		if err := s.Set(fmt.Sprintf("k%d", i), val); err != nil {
+		if err := s.Set(sess, fmt.Sprintf("k%d", i), val); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Touch k0 so k1 becomes LRU.
-	if _, err := s.Get("k0"); err != nil {
+	if _, err := s.Get(sess, "k0"); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Set("k3", val); err != nil {
+	if err := s.Set(sess, "k3", val); err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := s.Get("k0"); v == nil {
+	if v, _ := s.Get(sess, "k0"); v == nil {
 		t.Error("recently-read key was evicted")
 	}
-	if v, _ := s.Get("k1"); v != nil {
+	if v, _ := s.Get(sess, "k1"); v != nil {
 		t.Error("LRU key survived")
 	}
 }
@@ -138,9 +139,12 @@ func TestGetRefreshesLRU(t *testing.T) {
 // than baseline.
 func TestDefragBackendsBeatBaseline(t *testing.T) {
 	results := make(map[string]uint64)
-	finals := make(map[string]*Store)
 	for name, b := range backends(t) {
-		s := NewStore(b, 4<<20) // 4 MiB maxmemory
+		s, sess := NewShardedStore(b, 1, 4<<20), SingleThreadedSession(b) // 4 MiB maxmemory
+		maintain := func(now time.Duration) {
+			sess.Safepoint()
+			s.Maintain(now)
+		}
 		rng := rand.New(rand.NewSource(5))
 		now := time.Duration(0)
 		// Insert 3x the limit; every 20th key is "hot" and re-read
@@ -155,7 +159,7 @@ func TestDefragBackendsBeatBaseline(t *testing.T) {
 			}
 			key := fmt.Sprintf("key%07d", i)
 			val := bytes.Repeat([]byte{byte(i)}, size)
-			if err := s.Set(key, val); err != nil {
+			if err := s.Set(sess, key, val); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 			if i%20 == 0 {
@@ -163,33 +167,24 @@ func TestDefragBackendsBeatBaseline(t *testing.T) {
 			}
 			if i%500 == 499 {
 				for _, k := range hot {
-					if _, err := s.Get(k); err != nil {
+					if _, err := s.Get(sess, k); err != nil {
 						t.Fatalf("%s: hot get: %v", name, err)
 					}
 				}
 			}
 			now += 50 * time.Microsecond
-			s.Maintain(now)
+			maintain(now)
 		}
 		// Let maintenance settle.
 		for i := 0; i < 100; i++ {
 			now += 100 * time.Millisecond
-			s.Maintain(now)
+			maintain(now)
 		}
-		results[name] = s.RSS()
-		finals[name] = s
-	}
-	if results["anchorage"] >= results["baseline"] {
-		t.Errorf("anchorage RSS %d not below baseline %d", results["anchorage"], results["baseline"])
-	}
-	if results["activedefrag"] >= results["baseline"] {
-		t.Errorf("activedefrag RSS %d not below baseline %d", results["activedefrag"], results["baseline"])
-	}
-	// Spot-check value integrity after all the moving.
-	for name, s := range finals {
+		results[name] = b.RSS()
+		// Spot-check value integrity after all the moving.
 		checked := 0
 		for i := 23999; i >= 0 && checked < 50; i-- {
-			v, err := s.Get(fmt.Sprintf("key%07d", i))
+			v, err := s.Get(sess, fmt.Sprintf("key%07d", i))
 			if err != nil {
 				t.Fatalf("%s: get: %v", name, err)
 			}
@@ -206,6 +201,12 @@ func TestDefragBackendsBeatBaseline(t *testing.T) {
 		if checked == 0 {
 			t.Errorf("%s: no keys survived to check", name)
 		}
+	}
+	if results["anchorage"] >= results["baseline"] {
+		t.Errorf("anchorage RSS %d not below baseline %d", results["anchorage"], results["baseline"])
+	}
+	if results["activedefrag"] >= results["baseline"] {
+		t.Errorf("activedefrag RSS %d not below baseline %d", results["activedefrag"], results["baseline"])
 	}
 }
 

@@ -9,7 +9,7 @@ package server
 //
 // FuzzTokenizeDifferential holds the zero-alloc tokenizer and byte
 // parsers to the legacy strings.Fields/strconv reference path in
-// protocol.go: same fields, same parse verdicts, same CLIENT_ERROR
+// protocol_ref_test.go: same fields, same parse verdicts, same CLIENT_ERROR
 // classification, over the same seed corpus.
 
 import (

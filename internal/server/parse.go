@@ -4,7 +4,7 @@ package server
 // command line in place — fields are []byte slices into the connection's
 // read buffer — and parses numbers with inline decimal loops, so parsing
 // a command performs no heap allocation at all. The string-based parsers
-// in protocol.go are retained as the reference implementations the
+// it replaced live on in protocol_ref_test.go as the reference the
 // differential fuzzer (FuzzTokenizeDifferential) holds this file to.
 
 // isASCIISpace mirrors strings.Fields' notion of a separator for ASCII

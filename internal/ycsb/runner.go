@@ -8,13 +8,13 @@ import (
 	"alaska/internal/stats"
 )
 
-// Runner executes a YCSB workload against a kv.Store, recording per-op
-// latencies in simulated time (each op costs the backend's maintenance
-// pauses plus a fixed service time) — the measurement loop behind the
-// paper's Redis latency numbers (§5.5: +13% read / +17% update under
-// Anchorage).
+// Runner executes a YCSB workload against a one-shard kv.ShardedStore
+// from a single thread, recording per-op latencies in simulated time
+// (each op costs the backend's maintenance pauses plus a fixed service
+// time) — the measurement loop behind the paper's Redis latency numbers
+// (§5.5: +13% read / +17% update under Anchorage).
 type Runner struct {
-	Store *kv.Store
+	Store *kv.ShardedStore
 	Gen   *Generator
 	// OpTime is the base simulated service time per operation.
 	OpTime time.Duration
@@ -22,11 +22,12 @@ type Runner struct {
 	// ReadLat and UpdateLat collect simulated latencies in microseconds.
 	ReadLat, UpdateLat *stats.Histogram
 
-	now time.Duration
+	sess kv.Session
+	now  time.Duration
 }
 
 // NewRunner builds a runner; the store should be freshly loaded via Load.
-func NewRunner(store *kv.Store, gen *Generator, opTime time.Duration) *Runner {
+func NewRunner(store *kv.ShardedStore, gen *Generator, opTime time.Duration) *Runner {
 	bounds := []float64{1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 5000, 20000}
 	return &Runner{
 		Store:     store,
@@ -34,6 +35,7 @@ func NewRunner(store *kv.Store, gen *Generator, opTime time.Duration) *Runner {
 		OpTime:    opTime,
 		ReadLat:   stats.NewHistogram(bounds),
 		UpdateLat: stats.NewHistogram(bounds),
+		sess:      kv.SingleThreadedSession(store.Backend()),
 	}
 }
 
@@ -41,7 +43,7 @@ func NewRunner(store *kv.Store, gen *Generator, opTime time.Duration) *Runner {
 func (r *Runner) Load() error {
 	val := make([]byte, r.Gen.ValueSize)
 	for _, op := range r.Gen.LoadOps() {
-		if err := r.Store.Set(op.Key, val); err != nil {
+		if err := r.Store.Set(r.sess, op.Key, val); err != nil {
 			return fmt.Errorf("ycsb load: %w", err)
 		}
 	}
@@ -58,23 +60,24 @@ func (r *Runner) Run(n int) error {
 		lat := r.OpTime
 		switch op.Type {
 		case Read:
-			if _, err := r.Store.Get(op.Key); err != nil {
+			if _, err := r.Store.Get(r.sess, op.Key); err != nil {
 				return err
 			}
 		case Update, Insert:
-			if err := r.Store.Set(op.Key, val[:op.ValueSize]); err != nil {
+			if err := r.Store.Set(r.sess, op.Key, val[:op.ValueSize]); err != nil {
 				return err
 			}
 		case ReadModifyWrite:
-			if _, err := r.Store.Get(op.Key); err != nil {
+			if _, err := r.Store.Get(r.sess, op.Key); err != nil {
 				return err
 			}
-			if err := r.Store.Set(op.Key, val[:op.ValueSize]); err != nil {
+			if err := r.Store.Set(r.sess, op.Key, val[:op.ValueSize]); err != nil {
 				return err
 			}
 			lat += r.OpTime
 		}
 		r.now += lat
+		r.sess.Safepoint()
 		pause := r.Store.Maintain(r.now)
 		r.now += pause
 		lat += pause

@@ -9,7 +9,7 @@ import (
 )
 
 func TestRunnerLoadAndRunBaseline(t *testing.T) {
-	store := kv.NewStore(kv.NewMallocBackend(), 0)
+	store := kv.NewShardedStore(kv.NewMallocBackend(), 1, 0)
 	gen, err := NewGenerator(WorkloadA, 500, 128, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -41,7 +41,7 @@ func TestRunnerLoadAndRunBaseline(t *testing.T) {
 // baseline (the paper measures +13% reads / +17% updates on Workload F).
 func TestRunnerAnchorageLatencyOverheadBounded(t *testing.T) {
 	run := func(b kv.Backend) (readMean, updMean float64) {
-		store := kv.NewStore(b, 256<<10) // small maxmemory to force churn
+		store := kv.NewShardedStore(b, 1, 256<<10) // small maxmemory to force churn
 		gen, err := NewGenerator(WorkloadF, 400, 256, 2)
 		if err != nil {
 			t.Fatal(err)
@@ -73,7 +73,7 @@ func TestRunnerAnchorageLatencyOverheadBounded(t *testing.T) {
 }
 
 func TestRunnerRMWCountsAsUpdate(t *testing.T) {
-	store := kv.NewStore(kv.NewMallocBackend(), 0)
+	store := kv.NewShardedStore(kv.NewMallocBackend(), 1, 0)
 	gen, err := NewGenerator(WorkloadF, 100, 64, 3)
 	if err != nil {
 		t.Fatal(err)
