@@ -6,13 +6,15 @@ package kv
 // backend — malloc, mesh, and anchorage built as cmd/alaskad builds it
 // (CountedPins). A GET hit allocates nothing: the pin is a window into
 // the session thread's slot arena, the copy-out lands in the caller's
-// scratch. Churning sets against a full memory ceiling — every insert
-// evicts a victim, often spilling across shards — allocate only the
-// brand-new key's string intern plus whatever the backend's own
-// allocator spends on a block, because evicted entry structs are
-// recycled through the shard free lists and the intrusive LRU links
-// without node allocations. (Excluded under -race: the detector's
-// instrumentation allocates.)
+// scratch. An overwrite that keeps the value's length allocates nothing
+// either — it keeps its handle and block — and one that changes the
+// length pays exactly the backend allocator's own. Churning sets against
+// a full memory ceiling — every insert evicts a victim, often spilling
+// across shards — allocate only the brand-new key's string intern plus
+// whatever the backend's own allocator spends on a block, because
+// evicted entry structs are recycled through the shard free lists and
+// the intrusive LRU links without node allocations. (Excluded under
+// -race: the detector's instrumentation allocates.)
 
 import (
 	"strconv"
@@ -24,7 +26,7 @@ import (
 )
 
 // guardBackend pairs a backend with the Go allocations its allocator
-// itself makes per stored value (anchorage: one immutable handle-table
+// itself makes per allocated value (anchorage: one immutable handle-table
 // Entry and one objInfo record — see hallocAllocs in internal/server).
 type guardBackend struct {
 	name   string
@@ -63,6 +65,36 @@ func TestAllocGetIntoHit(t *testing.T) {
 			})
 			if avg != 0 {
 				t.Fatalf("GetInto hit allocates %.2f allocs/op, want 0", avg)
+			}
+		})
+	}
+}
+
+// TestAllocOverwrite holds both overwrite paths to their figure: 0 when
+// the new value has the stored length, the allocator's own when it does
+// not (so the allocating path keeps a guard now that the usual steady-
+// state set no longer takes it).
+func TestAllocOverwrite(t *testing.T) {
+	for _, g := range guardBackends(t) {
+		t.Run(g.name, func(t *testing.T) {
+			s := NewShardedStore(g.b, 8, 0)
+			sess := s.NewSession()
+			defer sess.Close()
+			key, val := []byte("bench:key"), make([]byte, 512)
+			i := 0
+			set := func(n int) {
+				val[0] = byte(i)
+				i++
+				if _, err := s.SetExBytes(sess, key, val[:n], SetAlways, time.Time{}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			set(512)
+			if avg := testing.AllocsPerRun(2000, func() { set(512) }); avg != 0 {
+				t.Errorf("same-length overwrite allocates %.2f allocs/op, want 0", avg)
+			}
+			if avg := testing.AllocsPerRun(2000, func() { set(256 + 256*(i&1)) }); avg != g.halloc {
+				t.Errorf("length-changing overwrite allocates %.2f allocs/op, want %.0f", avg, g.halloc)
 			}
 		})
 	}

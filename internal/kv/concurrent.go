@@ -18,7 +18,8 @@ import (
 // []byte slices into network buffers (GetInto, SetExBytes, ApplyInto)
 // and are interned to strings only when a brand-new entry is created;
 // value copy-out lands in caller-owned scratch buffers; an overwrite of
-// a live key reuses its entry and LRU node in place; and the per-shard
+// a live key reuses its entry and LRU node — and, when the value keeps
+// its length, its handle and block (insertLocked); and the per-shard
 // counters are atomics, so Snapshot never takes a shard lock.
 type ShardedStore struct {
 	backend Backend
@@ -366,21 +367,34 @@ func (s *ShardedStore) lookupLockedB(sh *shard, key []byte, now time.Time) (*ent
 	return s.liveLocked(sh, e, ok, now)
 }
 
-// insertLocked allocates, writes, and links key's new value. old is the
-// entry the caller's lookup just found under key (nil if none), so an
-// overwrite does not hash the key a second time. Under a ceiling, room
-// is reserved first (makeRoomLocked): the budget delta is claimed with a
-// CAS before the write, while the replaced entry's removal is still
-// deferred until the new value is durably written — so a failed store
-// leaves the previous value intact AND refunds its reservation, and the
-// charged total never exceeds the ceiling even transiently.
+// insertLocked stores key's new value. old is the entry the caller's
+// lookup just found under key (nil if none), so an overwrite does not
+// hash the key a second time. What a store reuses depends on what it
+// replaces:
 //
-// An overwrite of a surviving entry is performed in place — the entry
-// struct, its LRU links, and its interned key string are all reused —
-// and a brand-new key reuses an evicted entry struct off the shard's
-// free list, so the steady-state set path (including eviction churn at
-// the ceiling) allocates nothing; only a brand-new key interns a
-// string. Caller holds sh.mu.
+//   - old holds a value of the same length: entry, handle and block are
+//     all kept. The new bytes go through sess.Write(old.ref) — the pinned
+//     write a fresh block gets, so a mover sees nothing it does not see
+//     today — and the entry is restamped. No Alloc, no Free, no
+//     reservation (the charged cost is unchanged), no Go allocation.
+//   - old holds a value of another length: the entry struct, its LRU
+//     links and its interned key are kept; the value gets a new handle
+//     and block and the old ones are freed after the write. A value that
+//     would fit in the old block still moves: parking small values in
+//     large blocks is RSS the allocator can no longer see.
+//   - no old: a new handle and block, and an entry struct off the
+//     shard's free list when eviction left one; only this case interns
+//     the key string.
+//
+// A failed store leaves the previous value intact on every path. On the
+// allocating paths the replaced block is freed only after the new one is
+// written, and under a ceiling the budget delta reserved up front
+// (makeRoomLocked, one CAS, so the charged total never exceeds the
+// ceiling even transiently) is refunded. On the in-place path the only
+// fallible step is the write itself, and it fails before it copies:
+// handleSession.Write errors in Pin or in mem.Space's bounds check, the
+// raw sessions in that same check, all ahead of the first byte. Caller
+// holds sh.mu.
 //
 // now is the command's one reading: it stamps lastUsed and judges the
 // eviction scan's victims, the same instant the caller's existence check
@@ -394,68 +408,76 @@ func (s *ShardedStore) insertLocked(sh *shard, sess Session, key []byte, old *en
 	if at.IsZero() {
 		at = now
 	}
+	e := old
+	if e != nil && e.size == uint64(len(value)) {
+		if err := sess.Write(e.ref, 0, value); err != nil {
+			return err
+		}
+	} else {
+		var err error
+		if e, err = s.allocLocked(sh, sess, key, e, value, now); err != nil {
+			return err
+		}
+	}
+	e.storedAt = at
+	e.fetched = false
+	sh.setDeadline(e, expireAt)
+	sh.markUsed(e, now)
+	if record && s.mlog != nil {
+		s.mlog.LogSet(key, value, expireAt, at)
+	}
+	return nil
+}
+
+// allocLocked is insertLocked's allocating half: it reserves the budget
+// delta, writes value into a new block, settles the charged totals and
+// returns key's entry pointing at that block — old with its previous
+// block freed, or a new entry linked at the LRU head with no deadline.
+// Caller holds sh.mu.
+func (s *ShardedStore) allocLocked(sh *shard, sess Session, key []byte, old *entry, value []byte, now time.Time) (*entry, error) {
 	newCost := entryCost(len(key), len(value))
 	var reserved uint64
 	if s.maxMemory > 0 {
 		if newCost > s.maxMemory {
 			// Can never fit: reject with the LRU untouched rather than
 			// evicting the whole store and storing over the cap anyway.
-			return fmt.Errorf("kv: sharded store %q: %w", string(key), ErrTooLarge)
+			return nil, fmt.Errorf("kv: sharded store %q: %w", string(key), ErrTooLarge)
 		}
 		var err error
 		if reserved, old, err = s.makeRoomLocked(sh, key, old, newCost, now); err != nil {
-			return fmt.Errorf("kv: sharded store %q: %w", string(key), err)
+			return nil, fmt.Errorf("kv: sharded store %q: %w", string(key), err)
 		}
 	}
-	ref, err := s.backend.Alloc(uint64(len(value)))
+	size := uint64(len(value))
+	ref, err := s.backend.Alloc(size)
 	if err != nil {
 		s.used.Add(-int64(reserved))
-		return fmt.Errorf("kv: sharded store %q: %w", string(key), err)
+		return nil, fmt.Errorf("kv: sharded store %q: %w", string(key), err)
 	}
 	if err := sess.Write(ref, 0, value); err != nil {
-		_ = s.backend.Free(ref, uint64(len(value)))
+		_ = s.backend.Free(ref, size)
 		s.used.Add(-int64(reserved))
-		return err
+		return nil, err
 	}
-	if old != nil {
-		// In-place overwrite: free the replaced bytes, rewrite the entry.
-		oldCost := old.cost()
-		sh.used += newCost - oldCost
-		// Settle the global counter: the net change is newCost-oldCost,
-		// of which `reserved` was already added by makeRoomLocked.
-		s.used.Add(int64(newCost) - int64(oldCost) - int64(reserved))
-		_ = s.backend.Free(old.ref, old.size)
-		old.ref = ref
-		old.size = uint64(len(value))
-		old.storedAt = at
-		old.fetched = false
-		sh.setDeadline(old, expireAt)
-		sh.markUsed(old, now)
-		if record && s.mlog != nil {
-			s.mlog.LogSet(key, value, expireAt, at)
+	e, oldCost := old, uint64(0)
+	if e != nil {
+		oldCost = e.cost()
+		_ = s.backend.Free(e.ref, e.size)
+	} else {
+		if e = sh.free.get(); e == nil {
+			e = &entry{}
 		}
-		return nil
+		e.key = string(key)
+		sh.lru.pushFront(e)
+		sh.index[e.key] = e
+		sh.stats.keys.Add(1)
 	}
-	e := sh.free.get()
-	if e == nil {
-		e = &entry{}
-	}
-	e.key, e.ref, e.size = string(key), ref, uint64(len(value))
-	e.expireAt, e.storedAt = expireAt, at
-	e.lastUsed = now.UnixNano()
-	sh.lru.pushFront(e)
-	sh.index[e.key] = e
-	sh.stats.keys.Add(1)
-	sh.used += newCost
-	s.used.Add(int64(newCost) - int64(reserved))
-	if !expireAt.IsZero() {
-		sh.ttl++
-	}
-	sh.noteTail()
-	if record && s.mlog != nil {
-		s.mlog.LogSet(key, value, expireAt, at)
-	}
-	return nil
+	e.ref, e.size = ref, size
+	sh.used += newCost - oldCost
+	// Settle the global counter: the net change is newCost-oldCost, of
+	// which `reserved` was already added by makeRoomLocked.
+	s.used.Add(int64(newCost) - int64(oldCost) - int64(reserved))
+	return e, nil
 }
 
 // tryReserve CASes n bytes out of the global budget, failing when the

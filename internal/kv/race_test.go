@@ -13,6 +13,10 @@ package kv
 //
 // The third runs activedefrag's application half — the store rewriting
 // its own refs — against live request traffic on the same shards.
+//
+// The fourth holds the in-place overwrite to the same mover: writers
+// rewrite hot keys at a fixed length, so every store goes through the
+// handle the mover may be relocating at that moment.
 
 import (
 	"bytes"
@@ -362,4 +366,182 @@ func TestActiveDefragMaintainRacesRequests(t *testing.T) {
 	if b.Moved == 0 {
 		t.Error("no entry was relocated while the workers ran")
 	}
+}
+
+// TestInPlaceOverwriteUnderConcurrentDefrag: a same-length overwrite keeps
+// its handle, so the write lands in a block the pause-free mover may be
+// copying that instant — which is safe only because it is a pinned write:
+// the mover skips a pinned object, and a pin that meets a moving entry
+// faults, revalidates and aborts the move. Each writer owns a few hot keys
+// and works in cycles: it lifts one to the top of the heap with holes
+// beneath it (ballast in, key re-created above it, ballast out), then
+// rewrites it, tag-filled, at one length, over and over, while the mover
+// takes it down into one of those holes. Readers read every hot key;
+// alaskad's maintenance loop runs compressed — ConcurrentDefragPass +
+// DrainDeferred, and the controller's barrier DefragPass every few turns.
+// Every read must be one whole value some writer wrote under that key, and
+// a key's owner must read back its last acknowledged write.
+//
+// Mutation check: in insertLocked's same-length branch, replace
+// sess.Write(e.ref, 0, value) with a write through an unpinned translation
+// (hs := sess.(*handleSession); a, _ := hs.th.Translate(handle.Handle(e.ref));
+// err := hs.space.Write(a, value)) and this fails: the mover copies the
+// block between the translation and the end of the store and commits — the
+// owner reads its previous tag back, or two tags in one value.
+func TestInPlaceOverwriteUnderConcurrentDefrag(t *testing.T) {
+	cfg := anchorage.DefaultConfig()
+	cfg.SubHeapSize = 256 * 1024
+	cfg.FragHigh = 1.1
+	cfg.FragLow = 1.05
+	cfg.WakeInterval = time.Millisecond
+	backend, err := NewAnchorageBackend(cfg, rt.WithPinMode(rt.CountedPins))
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := NewShardedStore(backend, 8, 0)
+	const (
+		writers    = 2
+		hotKeys    = 3 // per writer
+		ballast    = 6 // per writer: the holes a lifted key is moved into
+		valLen     = 8 << 10
+		overwrites = 12 // per cycle: the mover has the key down within a few
+	)
+	cycles := 1500
+	if testing.Short() {
+		cycles = 500
+	}
+	hotKey := func(w, k int) string { return fmt.Sprintf("hot-%d-%d", w, k) }
+	// whole reports the byte v is filled with, or false if v is not one
+	// tag-filled value of the hot keys' length; fill makes v one. (Neither
+	// loops over bytes: under -race that would be most of the test's time,
+	// and none of it inside the window the test is about.)
+	whole := func(v []byte) (byte, bool) {
+		if len(v) != valLen || bytes.Count(v, v[:1]) != valLen {
+			return 0, false
+		}
+		return v[0], true
+	}
+	fill := func(v []byte, tag byte) {
+		v[0] = tag
+		for n := 1; n < len(v); n *= 2 {
+			copy(v[n:], v[:n])
+		}
+	}
+
+	stop := make(chan struct{})
+	var bg sync.WaitGroup
+	bg.Add(1)
+	go func() { // alaskad's maintenance loop, compressed
+		defer bg.Done()
+		for i, now := 0, time.Duration(0); ; i, now = i+1, now+2*time.Millisecond {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			backend.Svc.ConcurrentDefragPass(64 << 10)
+			backend.Svc.DrainDeferred()
+			if i%8 == 0 {
+				backend.Maintain(now)
+			}
+			runtime.Gosched()
+		}
+	}()
+	for r := 0; r < 2; r++ {
+		bg.Add(1)
+		go func(r int) {
+			defer bg.Done()
+			sess := store.NewSession()
+			defer sess.Close()
+			rng := rand.New(rand.NewSource(int64(50 + r)))
+			var buf []byte
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				sess.Safepoint()
+				key := hotKey(rng.Intn(writers), rng.Intn(hotKeys))
+				got, hit, err := store.GetInto(sess, []byte(key), buf)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if _, ok := whole(got); hit && !ok { // a miss is a key between its Del and its Set
+					t.Errorf("reader %d: %s is not one whole value: %d bytes, %x…%x", r, key, len(got), got[:4], got[len(got)-4:])
+					return
+				}
+				buf = got[:0]
+			}
+		}(r)
+	}
+
+	var wwg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wwg.Add(1)
+		go func(w int) {
+			defer wwg.Done()
+			sess := store.NewSession()
+			defer sess.Close()
+			val := make([]byte, valLen)
+			var buf []byte
+			failed := false
+			set := func(key string) {
+				sess.Safepoint()
+				if err := store.Set(sess, key, val); err != nil && !failed {
+					failed = true
+					t.Error(err)
+				}
+			}
+			del := func(key string) {
+				sess.Safepoint()
+				if _, err := store.Del(sess, key); err != nil && !failed {
+					failed = true
+					t.Error(err)
+				}
+			}
+			tag := byte(0)
+			for c := 0; c < cycles && !failed; c++ {
+				key := hotKey(w, c%hotKeys)
+				// Lift key: the ballast fills what holes there are, a spare
+				// takes the one key's own block leaves, key goes on top, and
+				// out goes the ballast from under it.
+				for b := 0; b < ballast; b++ {
+					set(fmt.Sprintf("ballast-%d-%d", w, b))
+				}
+				del(key)
+				set(fmt.Sprintf("spare-%d", w))
+				set(key)
+				del(fmt.Sprintf("spare-%d", w))
+				for b := 0; b < ballast; b++ {
+					del(fmt.Sprintf("ballast-%d-%d", w, b))
+				}
+				for i := 0; i < overwrites && !failed; i++ {
+					tag++
+					fill(val, tag)
+					set(key)
+					got, hit, err := store.GetInto(sess, []byte(key), buf)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if b, ok := whole(got); !hit || !ok || b != tag {
+						t.Errorf("writer %d cycle %d: %s reads back %#x (hit %v, whole %v) after an acknowledged write of %#x", w, c, key, b, hit, ok, tag)
+						return
+					}
+					buf = got[:0]
+				}
+			}
+		}(w)
+	}
+	wwg.Wait()
+	close(stop)
+	bg.Wait()
+
+	m := backend.Svc.MetricsSnapshot()
+	if m.ConcurrentPasses == 0 || m.MovedBytes == 0 {
+		t.Errorf("mover idle (%d concurrent passes, %d bytes moved); the test raced nothing", m.ConcurrentPasses, m.MovedBytes)
+	}
+	t.Logf("%d concurrent + %d barrier passes, %d bytes moved, %d move aborts", m.ConcurrentPasses, m.Passes, m.MovedBytes, m.MoveAborts)
 }

@@ -14,8 +14,10 @@ package server
 // trio, through the goroutine transport's blocking driver over an
 // in-memory net.Conn, which adds handleConn's read/flush loop and
 // conn.Write. Every shape is pinned at exactly 0 allocs/op with
-// testing.AllocsPerRun; a store is held to hallocAllocs. (Excluded under
-// -race: the detector's instrumentation allocates.)
+// testing.AllocsPerRun — stores included, when the value keeps its length
+// and is overwritten in place; a store that changes the length is held to
+// hallocAllocs. (Excluded under -race: the detector's instrumentation
+// allocates.)
 
 import (
 	"bytes"
@@ -36,16 +38,19 @@ func forEachGuardBackend(t *testing.T, fn func(t *testing.T, backend kv.Backend)
 
 // hallocAllocs is what allocating and freeing one value costs in Go
 // allocations inside the backend's own allocator — the one part of a
-// store the guards cannot hold at zero. Anchorage pays two per replaced
-// value, and both are there for a reason: one immutable handle-table
-// Entry, published once with its final backing (translate is a lock-free
-// load of that pointer, so an entry is never edited in place), and one
-// objInfo record (a record is never reused, which is what lets a defrag
-// pass that dropped the service lock around a copy recognise its object
-// by pointer). The ID directory, the sub-heap object lists and the free
-// bins reuse their storage in steady state. The access path proper —
-// pin, mem.Space copy, LRU, framing, reply — is zero on every backend,
-// which the GET guards show in isolation.
+// store the guards cannot hold at zero. The stores that pay it are the
+// ones that need a block: a new key, and an overwrite whose value differs
+// in length from the one it replaces (guardResize). An overwrite of the
+// same length keeps its handle and block and pays nothing. Anchorage pays
+// two per allocated value, and both are there for a reason: one immutable
+// handle-table Entry, published once with its final backing (translate is
+// a lock-free load of that pointer, so an entry is never edited in
+// place), and one objInfo record (a record is never reused, which is what
+// lets a defrag pass that dropped the service lock around a copy
+// recognise its object by pointer). The ID directory, the sub-heap object
+// lists and the free bins reuse their storage in steady state. The access
+// path proper — pin, mem.Space copy, LRU, framing, reply — is zero on
+// every backend, which the GET guards show in isolation.
 func hallocAllocs(backend kv.Backend) float64 {
 	if _, ok := backend.(*kv.AnchorageBackend); ok {
 		return 2
@@ -54,10 +59,13 @@ func hallocAllocs(backend kv.Backend) float64 {
 }
 
 // The guarded shapes. guardBatch is the realistic interleaving — set, get,
-// delete-miss, multi-key get — framed, prescanned and dispatched out of one
+// delete-miss, multi-key get — framed, parsed and dispatched out of one
 // input buffer, as a pipelining client delivers it; guardWALBatch covers
 // the full logged surface: set (LogSet), touch (LogTouch), delete
-// (LogDelete), plus reads that must not log at all.
+// (LogDelete), plus reads that must not log at all. In steady state every
+// set in those repeats the length already stored (guardWALBatch deletes b
+// and sets it anew each run: one allocating store); guardResize alternates
+// two lengths on one key, so both of its sets allocate.
 var (
 	guardVal64    = strings.Repeat("x", 64)
 	guardSet      = []byte("set bench:key 7 0 512\r\n" + strings.Repeat("v", 512) + "\r\n")
@@ -65,6 +73,7 @@ var (
 	guardGetMiss  = []byte("get no:such:key\r\n")
 	guardBatch    = []byte("set a 1 0 64\r\n" + guardVal64 + "\r\nset b 2 0 64\r\n" + guardVal64 + "\r\nget a b\r\ndelete nosuch\r\ngets a\r\n")
 	guardWALBatch = []byte("set a 1 0 64\r\n" + guardVal64 + "\r\nset b 2 0 64\r\n" + guardVal64 + "\r\ntouch a 3600\r\nget a b\r\ndelete b\r\n")
+	guardResize   = []byte("set bench:key 7 0 64\r\n" + guardVal64 + "\r\nset bench:key 7 0 32\r\n" + guardVal64[:32] + "\r\n")
 )
 
 // guardRun puts one request of cmds commands through a server and consumes
@@ -120,12 +129,12 @@ func steadyAllocs(run guardRun, warm, req []byte, cmds int) float64 {
 	return testing.AllocsPerRun(200, func() { run(req, cmds) })
 }
 
-// guard holds req to stores × hallocAllocs per run on every backend, on a
-// server from mk.
-func guard(t *testing.T, mk func(*testing.T, kv.Backend) guardRun, warm, req []byte, cmds int, stores float64) {
+// guard holds req to allocs × hallocAllocs per run on every backend, on a
+// server from mk; allocs is how many of req's stores need a block.
+func guard(t *testing.T, mk func(*testing.T, kv.Backend) guardRun, warm, req []byte, cmds int, allocs float64) {
 	forEachGuardBackend(t, func(t *testing.T, backend kv.Backend) {
 		avg := steadyAllocs(mk(t, backend), warm, req, cmds)
-		if want := stores * hallocAllocs(backend); avg != want {
+		if want := allocs * hallocAllocs(backend); avg != want {
 			t.Fatalf("%q allocates %.2f allocs/run in steady state, want %.0f", req[:bytes.IndexByte(req, '\r')], avg, want)
 		}
 	})
@@ -170,23 +179,28 @@ func persisting(t *testing.T, backend kv.Backend) guardRun {
 }
 
 func TestEventAllocFreeGetHit(t *testing.T)         { guard(t, detached, guardSet, guardGet, 1, 0) }
-func TestEventAllocFreeSetSteadyState(t *testing.T) { guard(t, detached, nil, guardSet, 1, 1) }
-func TestEventAllocFreePipelinedMixed(t *testing.T) { guard(t, detached, nil, guardBatch, 5, 2) }
+func TestEventAllocFreeSetSteadyState(t *testing.T) { guard(t, detached, nil, guardSet, 1, 0) }
+func TestEventAllocFreeSetResize(t *testing.T)      { guard(t, detached, nil, guardResize, 2, 2) }
+func TestEventAllocFreePipelinedMixed(t *testing.T) { guard(t, detached, nil, guardBatch, 5, 0) }
 
 // TestAllocFreeGetMiss pins the miss path too: a keyspace scan of cold
 // keys must not churn the allocator either.
 func TestAllocFreeGetMiss(t *testing.T) { guard(t, detached, nil, guardGetMiss, 1, 0) }
 
 func TestAllocFreeGetHit(t *testing.T)         { guard(t, blockingDriver, guardSet, guardGet, 1, 0) }
-func TestAllocFreeSetSteadyState(t *testing.T) { guard(t, blockingDriver, nil, guardSet, 1, 1) }
-func TestAllocFreePipelinedMixed(t *testing.T) { guard(t, blockingDriver, nil, guardBatch, 5, 2) }
+func TestAllocFreeSetSteadyState(t *testing.T) { guard(t, blockingDriver, nil, guardSet, 1, 0) }
+func TestAllocFreeSetResize(t *testing.T)      { guard(t, blockingDriver, nil, guardResize, 2, 2) }
+func TestAllocFreePipelinedMixed(t *testing.T) { guard(t, blockingDriver, nil, guardBatch, 5, 0) }
 
 // Attaching the pack log must not cost the request path a single
 // allocation.
-func TestAllocFreeSetWithPersistence(t *testing.T)    { guard(t, persisting, nil, guardSet, 1, 1) }
+func TestAllocFreeSetWithPersistence(t *testing.T) { guard(t, persisting, nil, guardSet, 1, 0) }
+func TestAllocFreeSetResizeWithPersistence(t *testing.T) {
+	guard(t, persisting, nil, guardResize, 2, 2)
+}
 func TestAllocFreeGetHitWithPersistence(t *testing.T) { guard(t, persisting, guardSet, guardGet, 1, 0) }
 func TestAllocFreePipelinedMixedWithPersistence(t *testing.T) {
-	guard(t, persisting, nil, guardWALBatch, 5, 2)
+	guard(t, persisting, nil, guardWALBatch, 5, 1)
 }
 
 // TestAllocFreeSlowOpCapture pins the slow-op recording path itself: a

@@ -121,8 +121,8 @@ const (
 	evFatal                        // I/O or framing failure: drop the connection
 )
 
-// errEventShortBody guards the prescan invariant: dispatch only runs
-// once the full data block is buffered, so the in-buffer body reads can
+// errEventShortBody guards the framing invariant: a storage command only
+// runs once its full data block is buffered, so the in-buffer body reads can
 // never come up short. Hitting it is a framing bug; the connection is
 // dropped rather than desynced.
 var errEventShortBody = errors.New("server: event engine dispatched with incomplete body")
@@ -356,8 +356,8 @@ func (e *eventIO) writeString(s string) error {
 }
 
 // readBody returns a storage command's data block straight out of the
-// input buffer — the prescan guaranteed it is fully buffered before
-// dispatch ran, so this never blocks and never copies.
+// input buffer — dispatchBuffered waited for all of it before running
+// the command, so this never blocks and never copies.
 func (e *eventIO) readBody(n int) ([]byte, bool, error) {
 	buf := e.in[e.rpos:]
 	if len(buf) < n+2 {
@@ -372,53 +372,41 @@ func (e *eventIO) readBody(n int) ([]byte, bool, error) {
 	return data, true, nil
 }
 
-// maybeStorageCmd cheaply gates the storage prescan on the line's first
-// byte: a storage command's initial (set/add/replace/cas/append/prepend),
-// or whitespace, which dispatch's tokenizer skips and the command may hide
-// behind. Gets skip the prescan with one switch. The gate must pass every
-// line dispatch could read as a storage command — prescan is the only
-// place a body is awaited and the only MaxValueSize check on its length.
-func maybeStorageCmd(c byte) bool {
-	switch c {
-	case 's', 'a', 'r', 'c', 'p':
-		return true
+// storageCmd maps a storage command's name to its opcode.
+func storageCmd(name []byte) (cmdCode, bool) {
+	switch string(name) {
+	case "set":
+		return cmdSet, true
+	case "add":
+		return cmdAdd, true
+	case "replace":
+		return cmdReplace, true
+	case "cas":
+		return cmdCas, true
+	case "append":
+		return cmdAppend, true
+	case "prepend":
+		return cmdPrepend, true
 	}
-	return isASCIISpace(c)
+	return 0, false
 }
 
-// prescanStorage tokenizes a candidate storage line and parses its
-// arguments so the framing layer learns the data-block length before
-// dispatch. ok is false for anything dispatch should handle normally
-// (non-storage commands, malformed storage lines — those reply
-// CLIENT_ERROR without a body read).
-func prescanStorage(h *connHandler, line []byte) (code cmdCode, sa storageArgsB, ok bool) {
-	f := tokenize(line, h.fields[:0])
-	h.fields = f // keep the grown backing array
+// parseStorageLine parses a tokenized line as a storage command, which
+// is how the framing layer learns the data-block length before anything
+// runs. ok is false for a line dispatch handles — any other command, and
+// a malformed storage line, which is answered CLIENT_ERROR with no body
+// read. This is the only parse a storage line gets: doStore is handed
+// the result, so what sized the body wait and the MaxValueSize check is
+// what executes.
+func parseStorageLine(f [][]byte) (code cmdCode, sa storageArgsB, ok bool) {
 	if len(f) == 0 {
 		return 0, sa, false
 	}
-	withCAS := false
-	switch string(f[0]) {
-	case "set":
-		code = cmdSet
-	case "add":
-		code = cmdAdd
-	case "replace":
-		code = cmdReplace
-	case "cas":
-		code, withCAS = cmdCas, true
-	case "append":
-		code = cmdAppend
-	case "prepend":
-		code = cmdPrepend
-	default:
+	if code, ok = storageCmd(f[0]); !ok {
 		return 0, sa, false
 	}
-	sa, err := parseStorageB(f[1:], withCAS)
-	if err != nil {
-		return 0, sa, false
-	}
-	return code, sa, true
+	sa, err := parseStorageB(f[1:], code == cmdCas)
+	return code, sa, err == nil
 }
 
 // updateTail slides the rolling 2-byte terminator window over a
@@ -553,33 +541,39 @@ func (e *eventIO) dispatchBuffered(cmds *int) evStatus {
 		if len(line) > 0 && line[len(line)-1] == '\r' {
 			line = line[:len(line)-1]
 		}
-		if len(line) > 0 && maybeStorageCmd(line[0]) {
-			if code, sa, isStore := prescanStorage(h, line); isStore {
-				if sa.nbytes > srv.cfg.MaxValueSize {
-					// Oversized value: consume the line now and drop the
-					// body as a framing state — it may dribble in across
-					// many readiness events and must never be buffered.
-					h.noteOp(code, sa.key)
-					e.rpos += i + 1
-					pc.discardLeft = sa.nbytes + 2
-					pc.discardTail = [2]byte{}
-					pc.discardCmd = code
-					continue
-				}
-				if total := i + 1 + sa.nbytes + 2; len(buf) < total {
-					e.needHint = total - len(buf)
-					return evNeedInput
-				}
+		// The line is tokenized in place, once (no per-command string
+		// materializes); the fields alias the input buffer, which does not
+		// move while the command runs.
+		h.fields = tokenize(line, h.fields[:0])
+		code, sa, isStore := parseStorageLine(h.fields)
+		if isStore {
+			if sa.nbytes > srv.cfg.MaxValueSize {
+				// Oversized value: consume the line now and drop the
+				// body as a framing state — it may dribble in across
+				// many readiness events and must never be buffered.
+				h.noteOp(code, sa.key)
+				e.rpos += i + 1
+				pc.discardLeft = sa.nbytes + 2
+				pc.discardTail = [2]byte{}
+				pc.discardCmd = code
+				continue
+			}
+			if total := i + 1 + sa.nbytes + 2; len(buf) < total {
+				e.needHint = total - len(buf)
+				return evNeedInput
 			}
 		}
 		e.rpos += i + 1
 		e.commandTime(&base, prev)
-		quit, err := h.dispatch(line)
+		var quit bool
+		var err error
+		if isStore {
+			h.noteOp(code, sa.key)
+			err = h.doStore(code, sa)
+		} else {
+			quit, err = h.dispatch(h.fields)
+		}
 		if err != nil {
-			if quit {
-				// unreachable; keep the compiler honest about both returns
-				return evQuit
-			}
 			return evFatal
 		}
 		t := time.Since(base)

@@ -922,39 +922,8 @@ func (h *connHandler) replyError(line string) error {
 	return h.reply(line)
 }
 
-// storeOp names a storage command for the post-parse paths.
-type storeOp int
-
-const (
-	opSet storeOp = iota
-	opAdd
-	opReplace
-	opCas
-	opAppend
-	opPrepend
-)
-
-func (op storeOp) String() string {
-	switch op {
-	case opSet:
-		return "set"
-	case opAdd:
-		return "add"
-	case opReplace:
-		return "replace"
-	case opCas:
-		return "cas"
-	case opAppend:
-		return "append"
-	case opPrepend:
-		return "prepend"
-	}
-	return "?"
-}
-
 // cmdCode labels a command for the per-opcode latency histograms and
-// the slow-op ring. It is distinct from storeOp (which only names the
-// storage family for the post-parse paths).
+// the slow-op ring, and names the storage command doStore is running.
 type cmdCode uint8
 
 const (
@@ -1000,18 +969,17 @@ func firstKey(args [][]byte) []byte {
 	return nil
 }
 
-// dispatch executes one command whose whole frame is buffered (its only
-// caller is the engine's dispatchBuffered). The returned error is an I/O
-// failure (drop the connection); protocol errors are answered in-band.
-// line aliases the input buffer, which does not move while the command
-// runs; it is tokenized in place (no per-command string materializes).
-func (h *connHandler) dispatch(line []byte) (quit bool, err error) {
-	h.fields = tokenize(line, h.fields[:0])
-	if len(h.fields) == 0 {
+// dispatch executes one tokenized command that is not a well-formed
+// storage command — the engine's dispatchBuffered, its only caller, runs
+// those itself (doStore). The returned error is an I/O failure (drop the
+// connection); protocol errors are answered in-band. fields alias the
+// input buffer.
+func (h *connHandler) dispatch(fields [][]byte) (quit bool, err error) {
+	if len(fields) == 0 {
 		h.noteOp(cmdOther, nil)
 		return false, h.replyError(respError)
 	}
-	cmd, args := h.fields[0], h.fields[1:]
+	cmd, args := fields[0], fields[1:]
 	switch string(cmd) { // compiles to allocation-free comparisons
 	case "get", "gets":
 		h.noteOp(cmdGet, firstKey(args))
@@ -1020,24 +988,12 @@ func (h *connHandler) dispatch(line []byte) (quit bool, err error) {
 		// args[0] is the exptime; the first key follows it.
 		h.noteOp(cmdGat, firstKey(args[min(len(args), 1):]))
 		return false, h.doGat(args, len(cmd) == 4)
-	case "set":
-		h.noteOp(cmdSet, firstKey(args))
-		return false, h.doStore(opSet, args)
-	case "add":
-		h.noteOp(cmdAdd, firstKey(args))
-		return false, h.doStore(opAdd, args)
-	case "replace":
-		h.noteOp(cmdReplace, firstKey(args))
-		return false, h.doStore(opReplace, args)
-	case "cas":
-		h.noteOp(cmdCas, firstKey(args))
-		return false, h.doStore(opCas, args)
-	case "append":
-		h.noteOp(cmdAppend, firstKey(args))
-		return false, h.doStore(opAppend, args)
-	case "prepend":
-		h.noteOp(cmdPrepend, firstKey(args))
-		return false, h.doStore(opPrepend, args)
+	case "set", "add", "replace", "cas", "append", "prepend":
+		// Malformed, or parseStorageLine would have claimed it: no data
+		// block was waited for and none is read.
+		code, _ := storageCmd(cmd)
+		h.noteOp(code, firstKey(args))
+		return false, h.replyError(respBadFormat)
 	case "incr", "decr":
 		if cmd[0] == 'i' {
 			h.noteOp(cmdIncr, firstKey(args))
@@ -1159,14 +1115,11 @@ func (h *connHandler) doGat(args [][]byte, withCAS bool) error {
 	return h.reply(respEnd)
 }
 
-func (h *connHandler) doStore(op storeOp, args [][]byte) error {
-	sa, perr := parseStorageB(args, op == opCas)
-	if perr != nil {
-		return h.replyError(respBadFormat)
-	}
-	// An oversized value never gets here: the engine's prescan tokenizes
-	// every line that can reach this function (see maybeStorageCmd) and
-	// turns an oversized one into the discard framing state instead.
+// doStore runs the storage command op with the arguments the engine
+// parsed off its line (parseStorageLine), once the whole data block is
+// buffered. An oversized value never gets here: the engine turns it into
+// the discard framing state instead.
+func (h *connHandler) doStore(op cmdCode, sa storageArgsB) error {
 	data, ok, err := h.ev.readBody(sa.nbytes)
 	if err != nil {
 		return err
@@ -1195,7 +1148,7 @@ func (h *connHandler) doStore(op storeOp, args [][]byte) error {
 		// Plain stores fail on allocation (memcached's canonical line);
 		// an RMW failure may equally be a read fault mid-Apply, so
 		// surface the real error there.
-		if op == opSet || op == opAdd || op == opReplace {
+		if op == cmdSet || op == cmdAdd || op == cmdReplace {
 			return h.replyError(respOutOfMemory)
 		}
 		return h.replyError("SERVER_ERROR " + err.Error())
@@ -1222,16 +1175,16 @@ func (h *connHandler) doStore(op storeOp, args [][]byte) error {
 // Write-back values are encoded into the connection's val2 scratch (the
 // RMW old value lives in val), so the whole family — plain stores, cas,
 // append/prepend — stores without allocating.
-func (h *connHandler) executeStore(op storeOp, sa storageArgsB, data []byte) (resp string, errLine bool, err error) {
+func (h *connHandler) executeStore(op cmdCode, sa storageArgsB, data []byte) (resp string, errLine bool, err error) {
 	newCas := h.srv.casCounter.Add(1)
 	deadline := deadlineFor(sa.exptime, h.now)
 	switch op {
-	case opSet, opAdd, opReplace:
+	case cmdSet, cmdAdd, cmdReplace:
 		mode := kv.SetAlways
 		switch op {
-		case opAdd:
+		case cmdAdd:
 			mode = kv.SetAdd
-		case opReplace:
+		case cmdReplace:
 			mode = kv.SetReplace
 		}
 		h.val2 = appendValue(h.val2[:0], sa.flags, newCas, data)
@@ -1243,7 +1196,7 @@ func (h *connHandler) executeStore(op storeOp, sa storageArgsB, data []byte) (re
 			return respStored, false, nil
 		}
 		return respNotStored, false, nil
-	case opCas:
+	case cmdCas:
 		// Compare the stored unique and swap under the shard lock: the
 		// read, the comparison, and the write-back are one critical
 		// section, so exactly one of N racing cas commands with the same
@@ -1272,7 +1225,7 @@ func (h *connHandler) executeStore(op storeOp, sa storageArgsB, data []byte) (re
 			}
 		})
 		return resp, errLine, err
-	case opAppend, opPrepend:
+	case cmdAppend, cmdPrepend:
 		// Concatenation keeps the original flags and TTL (memcached
 		// ignores the flags/exptime arguments of append/prepend) but
 		// issues a new cas unique.
@@ -1296,7 +1249,7 @@ func (h *connHandler) executeStore(op storeOp, sa storageArgsB, data []byte) (re
 				return kv.ApplyOp{}
 			}
 			h.val2 = appendValue(h.val2[:0], oldFlags, newCas, nil)
-			if op == opAppend {
+			if op == cmdAppend {
 				h.val2 = append(append(h.val2, oldData...), data...)
 			} else {
 				h.val2 = append(append(h.val2, data...), oldData...)
@@ -1309,7 +1262,7 @@ func (h *connHandler) executeStore(op storeOp, sa storageArgsB, data []byte) (re
 		})
 		return resp, errLine, err
 	}
-	return "", false, fmt.Errorf("server: unreachable storage command %q", op)
+	return "", false, fmt.Errorf("server: unreachable storage command %q", cmdNames[op])
 }
 
 // doIncrDecr implements incr/decr: 64-bit unsigned arithmetic on the
