@@ -192,6 +192,7 @@ func BenchmarkTranslation(b *testing.B) {
 		b.Fatal(err)
 	}
 	h := handle.Make(id, 128)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := tb.Translate(h); err != nil {

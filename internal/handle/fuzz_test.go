@@ -1,13 +1,20 @@
 package handle
 
-import "testing"
+import (
+	"errors"
+	"testing"
+
+	"alaska/internal/mem"
+)
 
 // FuzzHandleRoundTrip fuzzes the handle word encoding of Figure 4: for any
 // (id, offset, delta), Make must round-trip through ID/Offset, keep the
 // top bit set, and Add must displace only the offset field — including at
 // the TopBit/MaxID boundaries and across offset overflow, where wraparound
 // must stay confined to the low 32 bits (an out-of-contract offset per
-// §3.2, but one that must never corrupt the object's identity).
+// §3.2, but one that must never corrupt the object's identity). The same
+// inputs, read as (size = id+1, backing = delta mod 2^48), then go through
+// the packed table entry: what Publish packed, Get and Translate unpack.
 func FuzzHandleRoundTrip(f *testing.F) {
 	f.Add(uint32(0), uint32(0), int64(0))
 	f.Add(uint32(MaxID), uint32(0xffffffff), int64(1))          // all fields saturated, offset wraps
@@ -15,6 +22,9 @@ func FuzzHandleRoundTrip(f *testing.F) {
 	f.Add(uint32(1), uint32(0), int64(-1))                      // offset underflow
 	f.Add(uint32(42), uint32(0x7fffffff), int64(1<<32))         // delta wider than the offset field
 	f.Add(uint32(0x40000000), uint32(0x80000000), int64(1<<31)) // high bits everywhere
+	f.Add(uint32(0xffffffff), uint32(0xffffffff), int64(-1))    // size 2^32 at backing 2^48-1, last byte
+	f.Add(uint32(0xfffffffe), uint32(0xffffffff), int64(1<<47)) // size 2^32-1: the last offset is one past it
+	f.Add(uint32(0), uint32(0), int64(1<<48))                   // size 1 at backing 0 (2^48 wraps)
 	f.Fuzz(func(t *testing.T, id uint32, off uint32, delta int64) {
 		masked := id & MaxID
 		h := Make(id, off)
@@ -43,6 +53,23 @@ func FuzzHandleRoundTrip(f *testing.F) {
 		// A raw pointer (TopBit clear) must never classify as a handle.
 		if p := Handle(uint64(h) &^ uint64(TopBit)); p.IsHandle() {
 			t.Fatalf("cleared-TopBit word %#x still a handle", uint64(p))
+		}
+		size, backing := uint64(id)+1, mem.Addr(uint64(delta))%mem.AddrLimit
+		tb := NewTable()
+		tid, err := tb.Alloc(backing, size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e, err := tb.Get(tid); err != nil || e.Backing != backing || e.Size != size || e.Flags != FlagAllocated {
+			t.Fatalf("Alloc(%#x, %d) reads back %+v, %v", backing, size, e, err)
+		}
+		a, err := tb.Translate(Make(tid, off))
+		if uint64(off) < size {
+			if err != nil || a != backing+mem.Addr(off) {
+				t.Fatalf("Translate(off %d of %d at %#x) = %#x, %v", off, size, backing, a, err)
+			}
+		} else if bad := (*ErrBadHandle)(nil); !errors.As(err, &bad) {
+			t.Fatalf("Translate(off %d of %d) = %#x, %v; want ErrBadHandle", off, size, a, err)
 		}
 	})
 }

@@ -11,11 +11,11 @@
 // intends.
 //
 // The handle table is an array of fixed-size entries (HTEs), one per live
-// object, so translation is a load chain: table[id].Backing + offset.
-// Entries are allocated with per-shard bump pointers and recycled through
-// free lists (free list consulted first), matching §4.2.1. See sharded.go
-// for the sharded, read-lock-free implementation; locked.go preserves the
-// original single-RWMutex design as an ablation baseline.
+// object, so translation is table[id] + offset: the backing address is
+// packed into one atomic word of the entry's 16-byte slot, and a move is
+// one CAS on that word. Entries are allocated with per-shard bump pointers
+// and recycled through free lists (free list consulted first), matching
+// §4.2.1. See sharded.go for the sharded, read-lock-free implementation.
 package handle
 
 import (
@@ -82,9 +82,11 @@ const (
 	FlagInvalid
 )
 
-// Entry is a handle table entry (HTE). The paper's HTE is eight bytes (just
-// the backing pointer); we carry the object size and flags alongside
-// because the simulation has no out-of-band allocator metadata to consult.
+// Entry is a handle table entry (HTE) as the value Get, ForEachLive and
+// BeginSpeculativeMove return; the table stores none. The paper's HTE is
+// eight bytes, just the backing pointer: the slot's word is that pointer
+// with the flags in its spare high bits, and the size sits beside it because
+// the simulation has no out-of-band allocator metadata to consult.
 type Entry struct {
 	// Backing is the current address of the object's storage. The runtime
 	// updates it when a service moves the object; that single store is the

@@ -1,21 +1,26 @@
 // Sharded, read-lock-free handle table.
 //
-// The seed implementation serialized every Translate/Alloc/Free behind one
-// global sync.RWMutex, so the hot path of the whole system — handle→address
-// translation (§4.1.2) — could not scale past one core. This file replaces
-// it with the design the paper's low overhead actually depends on:
+// Handle→address translation (§4.1.2) is the hot path of the whole system;
+// this is the design the paper's low overhead depends on:
 //
 //   - The table is split into ShardCount power-of-two shards. A handle ID
 //     encodes its shard in its low bits (id = local<<shardBits | shard), so
 //     consecutive bump-allocated IDs land on consecutive shards and
 //     allocation-heavy threads spread naturally across shard locks.
-//   - Each live entry is published through an atomic.Pointer[Entry]. The
-//     Entry value is immutable once published; every mutation (SetBacking,
-//     the §7 speculative-move/revalidate protocol, SetInvalid) builds a new
-//     Entry and installs it with a compare-and-swap. Translate is therefore
-//     a pure atomic load chain — no lock, no write to shared state — which
-//     is the software analogue of the paper's six-instruction translation
-//     sequence (Figure 5).
+//   - A slot is the entry: one atomic word packs the allocated and
+//     invalid/moving bits, a publication counter and the 48-bit backing
+//     address (mem.AddrLimit keeps every mapping below 2^48), with the
+//     32-bit size and the pin count beside it — 16 bytes, no pointer.
+//     Translate is slotAt plus loads of that one line: no lock, no write
+//     to shared state, the software analogue of the paper's
+//     six-instruction sequence (Figure 5). Every mutation is one CAS on
+//     the word and allocates nothing.
+//   - The size is written only while the slot is unpublished. A reader
+//     loads the word, the size, and the word again, and retries unless the
+//     two words agree; Publish steps the counter, so a free-and-republish
+//     between the loads changes the word even at the same address, and a
+//     reader returns only a (backing, size) pair that was published whole
+//     (short of 8192 republications inside one three-load window).
 //   - Entry storage grows in fixed-size chunks reached through a per-shard
 //     chunk directory that is itself published atomically. Chunks never
 //     move once allocated, so readers can hold *slot pointers without any
@@ -25,11 +30,15 @@
 //     Shard mutexes guard only allocation bookkeeping (free list + bump +
 //     growth); they are never taken on the translation path.
 //
-// The speculative-move protocol of §7 becomes exactly the CAS it is in the
+// The speculative-move protocol of §7 is exactly the CAS it is in the
 // paper: BeginSpeculativeMove CASes a valid entry to an invalid ("moving")
 // one; a concurrent accessor that faults CASes it back (Revalidate, the
 // abort); CommitSpeculativeMove CASes the moving entry to a valid one at
-// the new address and observes defeat when the accessor won.
+// the new address and observes defeat when the accessor won. Commit and
+// Revalidate re-load the word and test the bit rather than compare against
+// Begin's snapshot, so a CAS on the word is exposed to ABA exactly as a
+// CAS on a pointer to an immutable entry was; movers stay exclusive of one
+// another above the table (Service.mu, copyMu).
 package handle
 
 import (
@@ -58,12 +67,54 @@ const (
 	maxLocal = MaxID >> shardBits
 )
 
-// slot is the in-memory home of one handle table entry. The published
-// entry is reached through an atomic pointer; the pin count (CountedPins
-// ablation only) is a plain atomic so the pin path never copies entries.
+// Layout of a slot's word: two flag bits placed so that word>>62 is the
+// Entry.Flags byte, a bit standing for the one size the 32-bit field cannot
+// hold, the publication counter, and the backing address.
+const (
+	wInvalid   = uint64(FlagInvalid) << 62
+	wAllocated = uint64(FlagAllocated) << 62
+	wMaxSize   = 1 << 61 // Size is MaxObjectSize (2^32)
+	genShift   = 48
+	genMask    = (wMaxSize - 1) &^ addrMask
+	addrMask   = uint64(mem.AddrLimit - 1)
+)
+
+// slot is one handle table entry. size is stored only while the word says
+// unallocated; pins (CountedPins) is apart from the word so the pin path
+// never contends with a mover's CAS.
 type slot struct {
-	e    atomic.Pointer[Entry]
+	w    atomic.Uint64
+	size atomic.Uint32
 	pins atomic.Int32
+}
+
+// load returns the word and the size published with it: the size load sits
+// between two loads of the word, which must agree.
+func (s *slot) load() (w, size uint64) {
+	for {
+		w, size = s.w.Load(), uint64(s.size.Load())
+		if s.w.Load() != w {
+			continue
+		}
+		if w&wMaxSize != 0 {
+			size = MaxObjectSize
+		}
+		return w, size
+	}
+}
+
+// entryOf unpacks a word and its size.
+func entryOf(w, size uint64) Entry {
+	return Entry{Backing: mem.Addr(w & addrMask), Size: size, Flags: uint8(w >> 62)}
+}
+
+// pack returns backing as word bits. An address the field cannot hold got
+// past mem.Space's bound; masked it would alias another object: panic.
+func pack(backing mem.Addr) uint64 {
+	if backing >= mem.AddrLimit {
+		panic(fmt.Sprintf("handle: backing %#x does not fit the 48-bit HTE field", uint64(backing)))
+	}
+	return uint64(backing)
 }
 
 // chunk is a fixed, never-moved block of slots.
@@ -143,28 +194,14 @@ type ShardedTable struct {
 // NewShardedTable returns an empty sharded handle table.
 func NewShardedTable() *ShardedTable { return &ShardedTable{} }
 
-// locate splits an ID into its shard and slot; slot is nil if the ID has
-// never been allocated.
-func (t *ShardedTable) locate(id uint32) (*tableShard, *slot) {
-	sh := &t.shards[id&shardMask]
-	return sh, sh.slotAt(id >> shardBits)
+// locate returns an ID's slot, nil if its shard's storage never grew that
+// far.
+func (t *ShardedTable) locate(id uint32) *slot {
+	return t.shards[id&shardMask].slotAt(id >> shardBits)
 }
 
 // makeID reassembles a handle ID from shard and local index.
 func makeID(shard, local uint32) uint32 { return local<<shardBits | shard }
-
-// publish installs a fresh entry and maintains live/peak accounting.
-func (t *ShardedTable) publish(s *slot, backing mem.Addr, size uint64) {
-	s.pins.Store(0)
-	s.e.Store(&Entry{Backing: backing, Size: size, Flags: FlagAllocated})
-	l := t.live.Add(1)
-	for {
-		p := t.peak.Load()
-		if l <= p || t.peak.CompareAndSwap(p, l) {
-			return
-		}
-	}
-}
 
 // Alloc reserves a handle ID and publishes its entry in one call, for
 // callers that know the backing address up front.
@@ -176,10 +213,24 @@ func (t *ShardedTable) Alloc(backing mem.Addr, size uint64) (uint32, error) {
 	return id, err
 }
 
-// Publish installs the entry of a reserved ID.
+// Publish installs the entry of a reserved ID — size first, then the word
+// under the next publication count — and maintains live/peak accounting.
 func (t *ShardedTable) Publish(id uint32, backing mem.Addr, size uint64) {
-	_, s := t.locate(id)
-	t.publish(s, backing, size)
+	s := t.locate(id)
+	w := wAllocated | pack(backing) | (s.w.Load()+1<<genShift)&genMask
+	if size == MaxObjectSize {
+		w |= wMaxSize
+	}
+	s.pins.Store(0)
+	s.size.Store(uint32(size))
+	s.w.Store(w)
+	l := t.live.Add(1)
+	for {
+		p := t.peak.Load()
+		if l <= p || t.peak.CompareAndSwap(p, l) {
+			return
+		}
+	}
 }
 
 // Reserve takes a handle ID without publishing an entry for it: until
@@ -248,22 +299,36 @@ func (t *ShardedTable) Unreserve(id uint32) {
 	t.nfree.Add(1)
 }
 
-// Free unpublishes an entry and recycles its ID. The unpublish is a CAS to
-// nil so a concurrent double-free is detected rather than corrupting the
-// free list.
-func (t *ShardedTable) Free(id uint32) error {
-	_, s := t.locate(id)
+// swing is every mutation of a published entry: one CAS taking a word
+// whose bits under mask equal want to old&^clear|set, retried while other
+// bits change underneath it. It returns the word (and size) it replaced or
+// that failed the test (zero for a nil slot: an ID never allocated).
+func (s *slot) swing(mask, want, clear, set uint64) (old, size uint64, ok bool) {
 	if s == nil {
-		return &ErrBadHandle{Make(id, 0), "free of unallocated handle"}
+		return 0, 0, false
 	}
 	for {
-		old := s.e.Load()
-		if old == nil {
-			return &ErrBadHandle{Make(id, 0), "free of unallocated handle"}
+		old, size = s.load()
+		if old&mask != want {
+			return old, size, false
 		}
-		if s.e.CompareAndSwap(old, nil) {
-			break
+		if s.w.CompareAndSwap(old, old&^clear|set) {
+			return old, size, true
 		}
+	}
+}
+
+func unallocated(id uint32, what string) error {
+	return &ErrBadHandle{Make(id, 0), what + " of unallocated handle"}
+}
+
+// Free unpublishes an entry (keeping its publication count) and recycles
+// its ID. The unpublish is a CAS so a concurrent double-free is detected
+// rather than corrupting the free list.
+func (t *ShardedTable) Free(id uint32) error {
+	s := t.locate(id)
+	if _, _, ok := s.swing(wAllocated, wAllocated, ^genMask, 0); !ok {
+		return unallocated(id, "free")
 	}
 	s.pins.Store(0)
 	t.Unreserve(id)
@@ -271,88 +336,66 @@ func (t *ShardedTable) Free(id uint32) error {
 	return nil
 }
 
-// Translate resolves a handle word to a raw simulated address with a pure
-// atomic load chain: shard → chunk directory → slot → entry. Raw pointers
-// pass through unchanged (§4.1.2). FlagInvalid yields ErrHandleFault so
-// the runtime can run the §7 fault path.
+// Translate resolves a handle word to a raw simulated address without a
+// lock or a store: shard → chunk directory → slot, then the slot's one
+// line. Raw pointers pass through unchanged (§4.1.2). FlagInvalid yields
+// ErrHandleFault so the runtime can run the §7 fault path.
 func (t *ShardedTable) Translate(h Handle) (mem.Addr, error) {
 	if !h.IsHandle() {
 		return mem.Addr(h), nil
 	}
-	_, s := t.locate(h.ID())
+	s := t.locate(h.ID())
 	if s == nil {
 		return 0, &ErrBadHandle{h, "id out of range"}
 	}
-	e := s.e.Load()
-	if e == nil {
+	w, size := s.load()
+	if w&wAllocated == 0 {
 		return 0, &ErrBadHandle{h, "translate of freed handle"}
 	}
-	if e.Flags&FlagInvalid != 0 {
+	if w&wInvalid != 0 {
 		return 0, ErrHandleFault
 	}
-	if uint64(h.Offset()) >= e.Size {
-		return 0, &ErrBadHandle{h, fmt.Sprintf("offset %d outside %d-byte object", h.Offset(), e.Size)}
+	if uint64(h.Offset()) >= size {
+		return 0, &ErrBadHandle{h, fmt.Sprintf("offset %d outside %d-byte object", h.Offset(), size)}
 	}
-	return e.Backing + mem.Addr(h.Offset()), nil
+	return mem.Addr(w&addrMask) + mem.Addr(h.Offset()), nil
 }
 
-// Get returns a copy of the entry for id (with the live pin count folded
-// in, for the CountedPins ablation).
+// Get returns the entry for id (with the live pin count folded in, for the
+// CountedPins ablation).
 func (t *ShardedTable) Get(id uint32) (Entry, error) {
-	_, s := t.locate(id)
+	s := t.locate(id)
 	if s == nil {
-		return Entry{}, &ErrBadHandle{Make(id, 0), "get of unallocated handle"}
+		return Entry{}, unallocated(id, "get")
 	}
-	e := s.e.Load()
-	if e == nil {
-		return Entry{}, &ErrBadHandle{Make(id, 0), "get of unallocated handle"}
+	w, size := s.load()
+	if w&wAllocated == 0 {
+		return Entry{}, unallocated(id, "get")
 	}
-	out := *e
-	out.Pins = s.pins.Load()
-	return out, nil
-}
-
-// update CASes a mutated copy of the published entry into place. fn returns
-// an error to abort, or mutates the copy. Retries on CAS contention.
-func (t *ShardedTable) update(id uint32, what string, fn func(*Entry) error) error {
-	_, s := t.locate(id)
-	if s == nil {
-		return &ErrBadHandle{Make(id, 0), what + " of unallocated handle"}
-	}
-	for {
-		old := s.e.Load()
-		if old == nil {
-			return &ErrBadHandle{Make(id, 0), what + " of unallocated handle"}
-		}
-		next := *old
-		if err := fn(&next); err != nil {
-			return err
-		}
-		if s.e.CompareAndSwap(old, &next) {
-			return nil
-		}
-	}
+	e := entryOf(w, size)
+	e.Pins = s.pins.Load()
+	return e, nil
 }
 
 // SetBacking points the entry's backing storage at a new address — the
-// O(1) relocation update, now a CAS instead of a locked store.
+// O(1) relocation update: one store in the paper, one CAS here.
 func (t *ShardedTable) SetBacking(id uint32, backing mem.Addr) error {
-	return t.update(id, "SetBacking", func(e *Entry) error {
-		e.Backing = backing
-		return nil
-	})
+	if _, _, ok := t.locate(id).swing(wAllocated, wAllocated, addrMask, pack(backing)); !ok {
+		return unallocated(id, "SetBacking")
+	}
+	return nil
 }
 
 // SetInvalid sets or clears the handle-fault bit on an entry.
 func (t *ShardedTable) SetInvalid(id uint32, invalid bool) error {
-	return t.update(id, "SetInvalid", func(e *Entry) error {
-		if invalid {
-			e.Flags |= FlagInvalid
-		} else {
-			e.Flags &^= FlagInvalid
-		}
-		return nil
-	})
+	var set uint64
+	if invalid {
+		set = wInvalid
+	}
+	if _, _, ok := t.locate(id).swing(wAllocated, wAllocated, wInvalid, set); !ok {
+		return unallocated(id, "SetInvalid")
+	}
+	return nil
 }
 
 // BeginSpeculativeMove CASes a valid entry into the invalid ("moving")
@@ -360,51 +403,25 @@ func (t *ShardedTable) SetInvalid(id uint32, invalid bool) error {
 // the §7 concurrent relocation protocol. It fails if the entry is free or
 // already moving.
 func (t *ShardedTable) BeginSpeculativeMove(id uint32) (Entry, error) {
-	_, s := t.locate(id)
-	if s == nil {
-		return Entry{}, &ErrBadHandle{Make(id, 0), "speculative move of unallocated handle"}
+	old, size, ok := t.locate(id).swing(wAllocated|wInvalid, wAllocated, 0, wInvalid)
+	switch {
+	case ok:
+		return entryOf(old, size), nil
+	case old&wAllocated == 0:
+		return Entry{}, unallocated(id, "speculative move")
 	}
-	for {
-		old := s.e.Load()
-		if old == nil {
-			return Entry{}, &ErrBadHandle{Make(id, 0), "speculative move of unallocated handle"}
-		}
-		if old.Flags&FlagInvalid != 0 {
-			return Entry{}, &ErrBadHandle{Make(id, 0), "entry already moving/invalid"}
-		}
-		next := *old
-		next.Flags |= FlagInvalid
-		if s.e.CompareAndSwap(old, &next) {
-			return *old, nil
-		}
-	}
+	return Entry{}, &ErrBadHandle{Make(id, 0), "entry already moving/invalid"}
 }
 
 // CommitSpeculativeMove attempts the protocol's closing CAS: if the entry
 // is still in the moving state it is swung to newAddr and revalidated in
 // one atomic publication, returning true. If a concurrent accessor already
-// revalidated it (the abort path), it returns false and the entry — which
-// the accessor restored to its original backing — is left untouched.
+// revalidated it (the abort path) or it was freed mid-move, it returns
+// false and the entry — which the accessor restored to its original
+// backing — is left untouched.
 func (t *ShardedTable) CommitSpeculativeMove(id uint32, newAddr mem.Addr) bool {
-	_, s := t.locate(id)
-	if s == nil {
-		return false
-	}
-	for {
-		old := s.e.Load()
-		if old == nil {
-			return false // freed mid-move
-		}
-		if old.Flags&FlagInvalid == 0 {
-			return false // revalidated by an accessor: move aborted
-		}
-		next := *old
-		next.Backing = newAddr
-		next.Flags &^= FlagInvalid
-		if s.e.CompareAndSwap(old, &next) {
-			return true
-		}
-	}
+	_, _, ok := t.locate(id).swing(wAllocated|wInvalid, wAllocated|wInvalid, addrMask|wInvalid, pack(newAddr))
+	return ok
 }
 
 // Revalidate CASes a moving entry back to valid with its original backing —
@@ -412,33 +429,20 @@ func (t *ShardedTable) CommitSpeculativeMove(id uint32, newAddr mem.Addr) bool {
 // handler). It returns true if this call performed the transition (thereby
 // aborting any in-flight move), false if the entry was already valid.
 func (t *ShardedTable) Revalidate(id uint32) (bool, error) {
-	_, s := t.locate(id)
-	if s == nil {
-		return false, &ErrBadHandle{Make(id, 0), "revalidate of unallocated handle"}
+	old, _, ok := t.locate(id).swing(wAllocated|wInvalid, wAllocated|wInvalid, wInvalid, 0)
+	if !ok && old&wAllocated == 0 {
+		return false, unallocated(id, "revalidate")
 	}
-	for {
-		old := s.e.Load()
-		if old == nil {
-			return false, &ErrBadHandle{Make(id, 0), "revalidate of unallocated handle"}
-		}
-		if old.Flags&FlagInvalid == 0 {
-			return false, nil
-		}
-		next := *old
-		next.Flags &^= FlagInvalid
-		if s.e.CompareAndSwap(old, &next) {
-			return true, nil
-		}
-	}
+	return ok, nil
 }
 
 // AddPin adjusts the per-entry atomic pin count (the CountedPins ablation
 // path). With the sharded table this is the naïve design's true cost — one
 // contended atomic RMW — rather than that plus a global table lock.
 func (t *ShardedTable) AddPin(id uint32, delta int32) error {
-	_, s := t.locate(id)
-	if s == nil || s.e.Load() == nil {
-		return &ErrBadHandle{Make(id, 0), "pin of unallocated handle"}
+	s := t.locate(id)
+	if s == nil || s.w.Load()&wAllocated == 0 {
+		return unallocated(id, "pin")
 	}
 	if s.pins.Add(delta) < 0 {
 		return &ErrBadHandle{Make(id, 0), "pin count underflow"}
@@ -448,7 +452,7 @@ func (t *ShardedTable) AddPin(id uint32, delta int32) error {
 
 // PinCount returns the per-entry pin count (ablation path only).
 func (t *ShardedTable) PinCount(id uint32) int32 {
-	_, s := t.locate(id)
+	s := t.locate(id)
 	if s == nil {
 		return 0
 	}
@@ -488,13 +492,13 @@ func (t *ShardedTable) ForEachLive(fn func(id uint32, e Entry)) {
 		}
 		for ci, c := range *dirp {
 			for k := range c {
-				e := c[k].e.Load()
-				if e == nil || e.Flags&FlagAllocated == 0 {
+				w, size := c[k].load()
+				if w&wAllocated == 0 {
 					continue
 				}
-				out := *e
-				out.Pins = c[k].pins.Load()
-				fn(makeID(shard, uint32(ci)<<chunkBits|uint32(k)), out)
+				e := entryOf(w, size)
+				e.Pins = c[k].pins.Load()
+				fn(makeID(shard, uint32(ci)<<chunkBits|uint32(k)), e)
 			}
 		}
 	}

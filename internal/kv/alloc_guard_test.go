@@ -26,8 +26,9 @@ import (
 )
 
 // guardBackend pairs a backend with the Go allocations its allocator
-// itself makes per allocated value (anchorage: one immutable handle-table
-// Entry and one objInfo record — see hallocAllocs in internal/server).
+// itself makes per allocated value (anchorage: one objInfo record; the
+// handle table's packed slot takes none — see hallocAllocs in
+// internal/server).
 type guardBackend struct {
 	name   string
 	b      Backend
@@ -43,7 +44,7 @@ func guardBackends(t *testing.T) []guardBackend {
 	return []guardBackend{
 		{"malloc", NewMallocBackend(), 0},
 		{"mesh", NewMeshBackend(1), 0},
-		{"anchorage", anch, 2},
+		{"anchorage", anch, 1},
 	}
 }
 

@@ -195,6 +195,22 @@ func (sh *shard) markUsed(e *entry, now time.Time) {
 	}
 }
 
+// markRead is a read hit's markUsed, skipped while the bump could not
+// matter: e was used within the newest eighth of the time the shard's LRU
+// spans (age < span/8; the quotient cannot overflow), so its recorded
+// recency lags the truth by under an eighth of one turnover and the hit
+// stores to no other entry's cache line. The tail (age = span), the older
+// seven eighths, and a clock that stood still (span = 0) or stepped back
+// (age < 0) bump exactly; the list stays sorted by lastUsed. Caller holds
+// sh.mu.
+func (sh *shard) markRead(e *entry, now time.Time) {
+	t := now.UnixNano()
+	if age := t - e.lastUsed; age >= 0 && age < (t-sh.tailStamp.Load())/8 {
+		return
+	}
+	sh.markUsed(e, now)
+}
+
 // setDeadline rewrites e's deadline, keeping the shard's ttl-entry count
 // exact. Caller holds sh.mu.
 func (sh *shard) setDeadline(e *entry, expireAt time.Time) {
@@ -833,7 +849,7 @@ func (s *ShardedStore) getInto(sess Session, sh *shard, key []byte, touch bool, 
 	}
 	sh.stats.hits.Add(1)
 	e.fetched = true
-	sh.markUsed(e, now)
+	sh.markRead(e, now)
 	buf = growBytes(buf, int(e.size))
 	out := buf[:e.size]
 	if err := sess.Read(e.ref, 0, out); err != nil {

@@ -354,8 +354,6 @@ func TestInPlaceOverwriteMatchesModel(t *testing.T) {
 		defer sess.Close()
 		m := &kvModel{items: map[string]*modelItem{}}
 		rng := rand.New(rand.NewSource(22))
-		start := clock.Now()
-
 		inPlace, allocating := 0, 0
 		for step := 1; step <= steps; step++ {
 			clock.Advance(time.Duration(rng.Intn(1500)) * time.Millisecond)
@@ -487,15 +485,13 @@ func TestInPlaceOverwriteMatchesModel(t *testing.T) {
 		}
 		t.Logf("%d steps: %d in-place overwrites, %d allocating, %d log records, %d keys left", steps, inPlace, allocating, len(log.recs), len(m.items))
 
-		// The log replays to the same state on a fresh store. The clock
-		// stands at the first record's time while it does: RestoreTouchBytes
-		// judges liveness at replay time, so a restart after a deadline would
-		// skip a touch that had extended it in time (not this change's; see
-		// ROADMAP item 4(b)). Records that meet a dead entry are
-		// TestRestoreBytesInPlaceOverDeadEntry's.
+		// The log replays to the same state on a fresh store with the clock
+		// at the last step's time: a set record dead by then is applied all
+		// the same and a touch record judges by existence, so a touch that
+		// extended a deadline in time still does.
 		rs := NewShardedStore(mk(), 4, 0)
 		end := clock.Now()
-		rs.Clock = func() time.Time { return start }
+		rs.Clock = func() time.Time { return end }
 		rsess := rs.NewSession()
 		defer rsess.Close()
 		log.replayInto(t, rs, rsess)

@@ -72,18 +72,18 @@ func (s *ShardedStore) RestoreDeleteBytes(key []byte) bool {
 }
 
 // RestoreTouchBytes is the replay entry point for a touch record: move
-// key's deadline to expireAt if the entry is (still) live, without
-// logging or counting.
+// key's deadline to expireAt if the entry exists, without logging or
+// counting. Existence is the whole test: the record proves the entry was
+// live then, and the deadline it replaces may have passed by the restart.
 func (s *ShardedStore) RestoreTouchBytes(key []byte, expireAt time.Time) bool {
 	sh := s.shardForB(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	e, ok := sh.index[string(key)]
-	if !ok || s.deadAt(e, s.now()) {
-		return false
+	if ok {
+		sh.setDeadline(e, expireAt)
 	}
-	sh.setDeadline(e, expireAt)
-	return true
+	return ok
 }
 
 // RestoreFlushEpoch is the replay entry point for a flush-epoch record.

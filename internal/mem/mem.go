@@ -72,6 +72,10 @@ type Addr uint64
 // gap below it means small integers can never alias a mapped address.
 const baseStart Addr = 0x0000_1000_0000
 
+// AddrLimit bounds every mapping: a handle table entry packs its backing
+// address into 48 bits, so Map and MapAt refuse a region ending beyond it.
+const AddrLimit Addr = 1 << 48
+
 // A Region is a contiguous page-aligned virtual mapping inside a Space.
 type Region struct {
 	space    *Space
@@ -131,6 +135,16 @@ func roundUpPage(n uint64) uint64 {
 	return (n + PageSize - 1) &^ (PageSize - 1)
 }
 
+// checkLimit refuses a region that would end beyond AddrLimit. It takes
+// the size unrounded: base and the limit are page multiples, so rounding
+// an accepted size neither passes the limit nor wraps.
+func checkLimit(base Addr, size uint64) error {
+	if size > uint64(AddrLimit) || base > AddrLimit-Addr(size) {
+		return fmt.Errorf("mem: region [%#x,+%#x) ends beyond the 48-bit address limit", base, size)
+	}
+	return nil
+}
+
 // Map reserves a new virtual region of at least size bytes (rounded up to a
 // page multiple) and returns it. The region's pages are not resident until
 // touched, mirroring anonymous mmap.
@@ -138,10 +152,13 @@ func (s *Space) Map(size uint64) (*Region, error) {
 	if size == 0 {
 		return nil, fmt.Errorf("mem: Map of zero bytes")
 	}
-	size = roundUpPage(size)
 	s.mapMu.Lock()
 	defer s.mapMu.Unlock()
 	base := s.nextBase
+	if err := checkLimit(base, size); err != nil {
+		return nil, err
+	}
+	size = roundUpPage(size)
 	// Leave a one-page guard gap between regions so out-of-bounds addresses
 	// fault instead of silently landing in a neighbour.
 	s.nextBase += Addr(size) + PageSize
@@ -158,6 +175,9 @@ func (s *Space) MapAt(base Addr, size uint64) (*Region, error) {
 	}
 	if size == 0 {
 		return nil, fmt.Errorf("mem: MapAt of zero bytes")
+	}
+	if err := checkLimit(base, size); err != nil {
+		return nil, err
 	}
 	size = roundUpPage(size)
 	s.mapMu.Lock()

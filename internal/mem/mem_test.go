@@ -283,6 +283,38 @@ func TestMapAt(t *testing.T) {
 	}
 }
 
+// TestAddrLimit: a handle table entry packs its backing into 48 bits, so
+// no mapping may end beyond 2^48 — refused with an error by MapAt and, once
+// the space has been walked up there, by Map — and a size whose rounding
+// would wrap is refused before it is rounded.
+func TestAddrLimit(t *testing.T) {
+	s := NewSpace()
+	if _, err := s.MapAt(AddrLimit, PageSize); err == nil {
+		t.Error("MapAt at 2^48 succeeded, want error")
+	}
+	if _, err := s.MapAt(AddrLimit-PageSize, PageSize+1); err == nil {
+		t.Error("MapAt ending one byte beyond 2^48 succeeded, want error")
+	}
+	for _, size := range []uint64{uint64(AddrLimit) + 1, ^uint64(0), ^uint64(0) - PageSize + 2} {
+		if _, err := s.Map(size); err == nil {
+			t.Errorf("Map(%#x) succeeded, want error", size)
+		}
+		if _, err := s.MapAt(PageSize, size); err == nil {
+			t.Errorf("MapAt(_, %#x) succeeded, want error", size)
+		}
+	}
+	r, err := s.MapAt(AddrLimit-PageSize, PageSize)
+	if err != nil {
+		t.Fatalf("MapAt of the last page below 2^48: %v", err)
+	}
+	if err := s.WriteU8(r.End()-1, 7); err != nil {
+		t.Errorf("write to address 2^48-1: %v", err)
+	}
+	if _, err := s.Map(PageSize); err == nil {
+		t.Error("Map beyond the last page succeeded, want error")
+	}
+}
+
 func TestResolve(t *testing.T) {
 	s := NewSpace()
 	r := mustMap(t, s, 2*PageSize)

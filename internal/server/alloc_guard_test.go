@@ -42,18 +42,17 @@ func forEachGuardBackend(t *testing.T, fn func(t *testing.T, backend kv.Backend)
 // ones that need a block: a new key, and an overwrite whose value differs
 // in length from the one it replaces (guardResize). An overwrite of the
 // same length keeps its handle and block and pays nothing. Anchorage pays
-// two per allocated value, and both are there for a reason: one immutable
-// handle-table Entry, published once with its final backing (translate is
-// a lock-free load of that pointer, so an entry is never edited in
-// place), and one objInfo record (a record is never reused, which is what
-// lets a defrag pass that dropped the service lock around a copy
-// recognise its object by pointer). The ID directory, the sub-heap object
-// lists and the free bins reuse their storage in steady state. The access
+// one per allocated value, and it is there for a reason: an objInfo
+// record is never reused, which is what lets a defrag pass that dropped
+// the service lock around a copy recognise its object by pointer. The
+// handle table publishes into a packed slot and allocates nothing; the ID
+// directory, the sub-heap object lists and the free bins reuse their
+// storage in steady state. The access
 // path proper — pin, mem.Space copy, LRU, framing, reply — is zero on
 // every backend, which the GET guards show in isolation.
 func hallocAllocs(backend kv.Backend) float64 {
 	if _, ok := backend.(*kv.AnchorageBackend); ok {
-		return 2
+		return 1
 	}
 	return 0
 }

@@ -144,3 +144,38 @@ func TestServerDefragUnderTrafficRace(t *testing.T) {
 	t.Logf("defrag under traffic: %d concurrent passes, %d barrier passes, %d bytes moved, aborts=%s, frag=%s",
 		conc, barr, moved, st["defrag_move_aborts"], st["heap_fragmentation"])
 }
+
+// TestServeShutdownRace: every caller starts the accept loop as `go
+// srv.Serve()`, so a Shutdown may run before Serve has been scheduled. It
+// must then either wait for what Serve started or keep Serve from starting
+// anything — under -race the parent's `s.wg.Add(1)` at the top of Serve
+// races Shutdown's Wait, and a poller started after its stop leaks its
+// workers. Mutation: drop the s.mu.Lock/Unlock around close(s.quit) in
+// Shutdown and this fails within its 200 iterations.
+func TestServeShutdownRace(t *testing.T) {
+	store := kv.NewShardedStore(kv.NewMallocBackend(), 4, 0)
+	base := runtime.NumGoroutine()
+	for i := 0; i < 200; i++ {
+		srv := New(store, Config{Addr: "127.0.0.1:0"})
+		if err := srv.Listen(); err != nil {
+			t.Fatal(err)
+		}
+		served := make(chan error, 1)
+		go func() { served <- srv.Serve() }()
+		if i%2 == 1 {
+			runtime.Gosched() // let Serve win some of the races too
+		}
+		_ = srv.Shutdown(time.Second)
+		if err := <-served; err != nil {
+			t.Fatalf("iteration %d: Serve = %v", i, err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines, %d before the loop:\n%s", runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}

@@ -455,13 +455,24 @@ func (s *Server) Addr() string {
 // ECONNABORTED) are retried with capped exponential backoff — only
 // Shutdown or a closed listener terminate the loop — so one bad accept
 // never kills a server holding thousands of live connections. It always
-// returns nil after a clean shutdown.
+// returns nil after a clean shutdown. Callers run `go srv.Serve()`, so
+// what it starts it starts under s.mu, where Shutdown closes quit: either
+// Shutdown finds the WaitGroup reference taken and the poller started, and
+// waits for both, or Serve finds quit closed and starts nothing.
 func (s *Server) Serve() error {
+	s.mu.Lock()
+	select {
+	case <-s.quit:
+		s.mu.Unlock()
+		return nil
+	default:
+	}
 	s.wg.Add(1)
 	go s.maintainLoop()
 	if s.poller != nil {
 		s.poller.start()
 	}
+	s.mu.Unlock()
 	backoff := acceptBackoffMin
 	for {
 		waited, ok := s.acquireConnSlot()
@@ -601,7 +612,9 @@ func (s *Server) ListenAndServe() error {
 // stragglers. Safe to call multiple times.
 func (s *Server) Shutdown(drain time.Duration) error {
 	s.closeOnce.Do(func() {
+		s.mu.Lock()
 		close(s.quit)
+		s.mu.Unlock()
 		if s.ln != nil {
 			_ = s.ln.Close()
 		}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"time"
 
@@ -99,7 +100,9 @@ func scanSegment(path string, apply func(typ byte, payload []byte) error) (recor
 // Replay rebuilds store from the log's segments, in sequence order,
 // through the kv restore entry points — original store timestamps and
 // the flush_all epoch included, so TTL and flush semantics are exact
-// across the restart. Records already dead at replay time are skipped.
+// across the restart. A set record dead at replay time is applied all the
+// same — it replaced whatever its key held, and a later touch may have
+// extended it — and one closing sweep reclaims what stayed dead.
 //
 // Recovery policy: a torn tail on the FINAL segment (the expected
 // residue of a hard kill) is truncated off, so the file ends at the
@@ -137,7 +140,6 @@ func (l *Log) Replay(store *kv.ShardedStore, sess kv.Session) (ReplayStats, erro
 			rs.Sets++
 			if (expN != 0 && expN <= nowN) || (faNano != 0 && nowN >= faNano && storedN < faNano) {
 				rs.SkippedDead++
-				return nil
 			}
 			if err := store.RestoreBytes(sess, key, value, timeOf(expN), timeOf(storedN)); err != nil {
 				rs.FailedRestores++
@@ -208,6 +210,7 @@ func (l *Log) Replay(store *kv.ShardedStore, sess kv.Session) (ReplayStats, erro
 			break
 		}
 	}
+	store.SweepExpired(math.MaxInt)
 	l.replay = rs
 	return rs, nil
 }

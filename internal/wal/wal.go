@@ -930,7 +930,7 @@ type ReplayStats struct {
 	Deletes     int64
 	Touches     int64
 	Flushes     int64
-	SkippedDead int64 // set records already past deadline/flush epoch
+	SkippedDead int64 // set records already past deadline/flush epoch (applied all the same; see Replay)
 	// TornRecords counts records cut short by EOF in the final segment
 	// (the torn tail of a hard kill); CrcErrors counts complete frames
 	// that failed CRC or frame validation — corruption, not a tear.

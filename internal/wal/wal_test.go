@@ -212,6 +212,71 @@ func TestFlushEpochSurvivesRestart(t *testing.T) {
 	wantGet(t, dst2, d2, "fresh", "safe")
 }
 
+// TestReplayJudgesDeadnessAfterLaterRecords: whether a set record's value
+// is dead at the restart can only be said once the records after it are
+// in. Each transcript is written by a live store, closed cleanly and
+// replayed one second on (a minute on for the flush epoch). Skipping a
+// dead set record outright — the rule this replaces — fails the first two:
+// "overwrite" read the replaced v1 back, "touch" missed.
+func TestReplayJudgesDeadnessAfterLaterRecords(t *testing.T) {
+	now := time.Now()
+	for _, tc := range []struct {
+		name    string
+		write   func(t *testing.T, src *kv.ShardedStore, sess kv.Session)
+		restart time.Duration
+		want    string // "" = miss
+		skipped int64  // SkippedDead
+		left    int    // Len after replay: the closing sweep leaves nothing dead behind
+	}{
+		{"overwrite", func(t *testing.T, src *kv.ShardedStore, sess kv.Session) {
+			mustSet(t, src, sess, "k", "v1", time.Time{})
+			mustSet(t, src, sess, "k", "v2", now.Add(50*time.Millisecond))
+		}, time.Second, "", 1, 1},
+		{"touch", func(t *testing.T, src *kv.ShardedStore, sess kv.Session) {
+			mustSet(t, src, sess, "k", "v", now.Add(50*time.Millisecond))
+			if ok, err := src.Touch(sess, "k", now.Add(time.Hour)); err != nil || !ok {
+				t.Fatalf("touch = %v, %v", ok, err)
+			}
+		}, time.Second, "v", 1, 2},
+		{"overwrite-then-flush-epoch", func(t *testing.T, src *kv.ShardedStore, sess kv.Session) {
+			mustSet(t, src, sess, "k", "v1", time.Time{})
+			src.FlushAll(now.Add(10 * time.Second))
+			mustSet(t, src, sess, "k", "v2", time.Time{})
+		}, time.Minute, "", 2, 0}, // the bystander predates the epoch too
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			src := newStore()
+			src.Clock = func() time.Time { return now }
+			l := openLog(t, dir, src)
+			sess := src.NewSession()
+			tc.write(t, src, sess)
+			mustSet(t, src, sess, "bystander", "b", time.Time{})
+			sess.Close()
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			dst := newStore()
+			dst.Clock = func() time.Time { return now.Add(tc.restart) }
+			_, rs := replayInto(t, dir, dst)
+			if rs.SkippedDead != tc.skipped {
+				t.Errorf("SkippedDead = %d, want %d", rs.SkippedDead, tc.skipped)
+			}
+			if n := dst.Len(); n != tc.left {
+				t.Errorf("Len after replay = %d, want %d", n, tc.left)
+			}
+			dsess := dst.NewSession()
+			defer dsess.Close()
+			if tc.want == "" {
+				wantMiss(t, dst, dsess, "k")
+			} else {
+				wantGet(t, dst, dsess, "k", tc.want)
+			}
+		})
+	}
+}
+
 // TestCompactRewritesLiveSet proves the snapshot protocol: overwrite
 // churn makes the log much larger than the live set; a synchronous
 // Compact shrinks it to ~the live set, and a restart from the compacted
