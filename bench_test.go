@@ -330,6 +330,26 @@ func BenchmarkAllocators(b *testing.B) {
 	})
 }
 
+// checkerboard fragments a fresh heap for the two pass benchmarks: 16384
+// objects of 512 bytes (8 MiB), three of every four freed again.
+func checkerboard(b *testing.B, r *rt.Runtime) {
+	var hs []handle.Handle
+	for k := 0; k < 16384; k++ {
+		h, err := r.Halloc(512)
+		if err != nil {
+			b.Fatal(err)
+		}
+		hs = append(hs, h)
+	}
+	for k, h := range hs {
+		if k%4 != 0 {
+			if err := r.Hfree(h); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // BenchmarkDefragPass measures a full-heap compaction pass over a
 // fragmented 8 MiB heap.
 func BenchmarkDefragPass(b *testing.B) {
@@ -339,27 +359,41 @@ func BenchmarkDefragPass(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		var hs []alaska.Handle
-		for k := 0; k < 16384; k++ {
-			h, err := sys.Halloc(512)
-			if err != nil {
-				b.Fatal(err)
-			}
-			hs = append(hs, h)
-		}
-		for k, h := range hs {
-			if k%4 != 0 {
-				if err := sys.Hfree(h); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
+		checkerboard(b, sys.Runtime())
 		b.StartTimer()
 		if _, err := sys.Defrag(nil); err != nil {
 			b.Fatal(err)
 		}
 		b.StopTimer()
 		if err := sys.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+}
+
+// BenchmarkConcurrentDefragPass measures the same compaction of the same
+// heap by the pause-free pass: one unbudgeted pass — shrink, coalesce,
+// every move through the §7 speculative protocol, truncate — with no
+// thread registered, so the blocks it vacates drain inside it.
+func BenchmarkConcurrentDefragPass(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		space := mem.NewSpace()
+		svc := anchorage.NewService(space, anchorage.DefaultConfig())
+		r, err := rt.New(space, svc,
+			rt.WithPinMode(rt.CountedPins),
+			rt.WithFaultHandler(anchorage.RevalidateFaultHandler()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		checkerboard(b, r)
+		b.StartTimer()
+		if moved := svc.ConcurrentDefragPass(1 << 40); moved == 0 {
+			b.Fatal("pass moved nothing on a checkerboard heap")
+		}
+		b.StopTimer()
+		if err := r.Close(); err != nil {
 			b.Fatal(err)
 		}
 		b.StartTimer()

@@ -26,10 +26,11 @@
 package anchorage
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -149,6 +150,12 @@ type subHeap struct {
 	// free[k] queues the holes of bin k in the order they were freed; only
 	// the front is checked on the allocation fast path (O(1) policy).
 	free [64]holeQueue
+	// nonEmpty has bit k set whenever free[k] holds a hole, so the
+	// relocation search visits only bins worth scanning. pushHole sets a
+	// bit and the allocation fast path clears none: a set bit over a bin
+	// that has since drained is stale until findFit meets it or a pass
+	// rebuilds the bins.
+	nonEmpty uint64
 	// objs lists the live objects placed here, in no order: objs[i].idx ==
 	// i, and removal swaps the last record into the gap.
 	objs []*objInfo
@@ -184,24 +191,50 @@ func (sh *subHeap) takeFront(binIdx int, need uint64) (hole, bool) {
 }
 
 // pushHole returns a hole to the back of its bin.
-func (sh *subHeap) pushHole(h hole) { sh.free[bin(h.size)].push(h) }
+func (sh *subHeap) pushHole(h hole) {
+	b := bin(h.size)
+	sh.free[b].push(h)
+	sh.nonEmpty |= 1 << b
+}
 
-// takeFit removes and returns the first hole — whole bins are searched,
-// from bin(need) up — that fits need bytes wholly below limit, giving back
-// the remainder beyond need as a new hole. Relocation slow path only.
-func (sh *subHeap) takeFit(need, limit uint64) (uint64, bool) {
-	for b := bin(need); b < len(sh.free); b++ {
-		for k, h := range sh.free[b].holes() {
+// resetBins empties every bin, keeping their storage.
+func (sh *subHeap) resetBins() {
+	for b := range sh.free {
+		sh.free[b].reset()
+	}
+	sh.nonEmpty = 0
+}
+
+// findFit finds the first hole — whole bins are searched, from bin(need)
+// up — that fits need bytes wholly below limit: the k-th queued hole of bin
+// b. It takes nothing, so a caller that then rejects its candidate leaves
+// the bins as they were. Relocation slow path only.
+func (sh *subHeap) findFit(need, limit uint64) (b, k int, ok bool) {
+	for m := sh.nonEmpty &^ (1<<bin(need) - 1); m != 0; m &= m - 1 {
+		b := bits.TrailingZeros64(m)
+		hs := sh.free[b].holes()
+		if len(hs) == 0 {
+			sh.nonEmpty &^= 1 << b
+			continue
+		}
+		for k, h := range hs {
 			if h.size >= need && h.off+need <= limit {
-				sh.free[b].removeAt(k)
-				if rem := h.size - need; rem >= alignment {
-					sh.pushHole(hole{off: h.off + need, size: rem})
-				}
-				return h.off, true
+				return b, k, true
 			}
 		}
 	}
-	return 0, false
+	return 0, 0, false
+}
+
+// takeAt removes the hole findFit named and returns its offset, giving
+// back the remainder beyond need as a new hole.
+func (sh *subHeap) takeAt(b, k int, need uint64) uint64 {
+	h := sh.free[b].holes()[k]
+	sh.free[b].removeAt(k)
+	if rem := h.size - need; rem >= alignment {
+		sh.pushHole(hole{off: h.off + need, size: rem})
+	}
+	return h.off
 }
 
 // idChunkBits sizes the leaves of the ID directory: 2^15 records (256 KiB
@@ -270,6 +303,14 @@ type Service struct {
 	// a safepoint (a reader that translated just before the commit may
 	// still hold a raw pointer into the old copy).
 	deferred []deferredBlock
+	// snap and vacated are a pass's candidate snapshot and the source
+	// blocks it has vacated and not yet deferred; holes is coalesce's and
+	// truncate's scratch. The storage outlives the pass so a pass every
+	// maintenance tick allocates nothing. Guarded by passMu (snap, and
+	// vacated's being non-empty) and mu (vacated, holes).
+	snap    []placed
+	vacated []deferredBlock
+	holes   []hole
 	// Stats.
 	Passes     int64
 	MovedBytes int64
@@ -280,6 +321,9 @@ type Service struct {
 	// within them that lost the §7 commit race to a concurrent accessor.
 	ConcurrentPasses int64
 	MoveAborts       int64
+	// Candidates counts the objects a pass of either kind looked for a
+	// lower placement for; most have none.
+	Candidates int64
 }
 
 // Metrics is a consistent snapshot of the service's defragmentation
@@ -290,6 +334,7 @@ type Service struct {
 type Metrics struct {
 	Passes, ConcurrentPasses, MoveAborts int64
 	MovedBytes, Truncated, ShrunkBytes   int64
+	Candidates                           int64
 	DeferredBlocks                       int
 }
 
@@ -304,6 +349,7 @@ func (s *Service) MetricsSnapshot() Metrics {
 		MovedBytes:       s.MovedBytes,
 		Truncated:        s.Truncated,
 		ShrunkBytes:      s.ShrunkBytes,
+		Candidates:       s.Candidates,
 		DeferredBlocks:   len(s.deferred),
 	}
 }
@@ -477,43 +523,61 @@ func (s *Service) Fragmentation() float64 {
 	return float64(s.extentLocked()) / float64(s.active)
 }
 
-// allocBlockForMove finds a destination for relocating an object of size
-// need that currently sits at (srcHeap, srcOff): holes or bump space in
+// moveDest is a destination findBlockForMove found: the k-th queued hole
+// of bin b in sub-heap heap, or that sub-heap's bump space when b < 0.
+type moveDest struct{ heap, b, k int }
+
+// findBlockForMove finds a destination for relocating a block of need
+// bytes that currently sits at (srcHeap, srcOff): holes or bump space in
 // lower sub-heaps, else a strictly-lower hole in the source sub-heap.
 // Unlike allocBlock it may search whole bins (it runs on the relocation
-// slow path — under s.mu from either a barrier DefragPass or a
-// ConcurrentDefragPass — where thoroughness beats O(1)) and never maps a
-// new sub-heap.
-func (s *Service) allocBlockForMove(need uint64, srcHeap int, srcOff uint64) (int, uint64, bool) {
+// slow path, under s.mu, where thoroughness beats O(1)) and never maps a
+// new sub-heap. It reserves nothing: the destination stands until s.mu is
+// released or a bin changes, and takeBlockForMove claims it.
+func (s *Service) findBlockForMove(need uint64, srcHeap int, srcOff uint64) (moveDest, bool) {
 	for hi := 0; hi < srcHeap; hi++ {
 		sh := s.heaps[hi]
-		if off, ok := sh.takeFit(need, math.MaxUint64); ok {
-			return hi, off, true
+		if b, k, ok := sh.findFit(need, math.MaxUint64); ok {
+			return moveDest{hi, b, k}, true
 		}
 		if sh.bump+need <= sh.region.Size() {
-			off := sh.bump
-			sh.bump += need
-			return hi, off, true
+			return moveDest{hi, -1, 0}, true
 		}
 	}
 	// Intra-heap: only a hole strictly below the object helps compaction.
-	off, ok := s.heaps[srcHeap].takeFit(need, srcOff)
-	return srcHeap, off, ok
+	b, k, ok := s.heaps[srcHeap].findFit(need, srcOff)
+	return moveDest{srcHeap, b, k}, ok
 }
 
+// takeBlockForMove claims the destination d for a block of need bytes and
+// returns its offset in s.heaps[d.heap].
+func (s *Service) takeBlockForMove(d moveDest, need uint64) uint64 {
+	sh := s.heaps[d.heap]
+	if d.b < 0 {
+		off := sh.bump
+		sh.bump += need
+		return off
+	}
+	return sh.takeAt(d.b, d.k, need)
+}
+
+// byOffset orders holes by offset; offsets within a sub-heap are unique.
+func byOffset(a, b hole) int { return cmp.Compare(a.off, b.off) }
+
 // coalesce merges adjacent holes in a sub-heap so compaction can place
-// objects larger than any single fragment. It runs only inside barriers
-// (the world is stopped, so O(holes log holes) is acceptable there).
-func (sh *subHeap) coalesce() {
-	var all []hole
+// objects larger than any single fragment: O(holes log holes) under s.mu,
+// once per sub-heap per pass. scratch is storage for the sorted holes; the
+// (possibly grown) slice is returned for the next call.
+func (sh *subHeap) coalesce(scratch []hole) []hole {
+	all := scratch[:0]
 	for b := range sh.free {
 		all = append(all, sh.free[b].holes()...)
-		sh.free[b].reset()
 	}
 	if len(all) == 0 {
-		return
+		return all
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].off < all[j].off })
+	sh.resetBins()
+	slices.SortFunc(all, byOffset)
 	cur := all[0]
 	for _, h := range all[1:] {
 		if cur.off+cur.size == h.off {
@@ -524,6 +588,7 @@ func (sh *subHeap) coalesce() {
 		cur = h
 	}
 	sh.pushHole(cur)
+	return all
 }
 
 // placed is an object as a pass snapshotted it: its record and offset then.
@@ -536,16 +601,6 @@ type placed struct {
 // was in sub-heap hi: not freed since, not moved. Caller holds s.mu.
 func (o placed) stillAt(hi int) bool {
 	return o.info.live && o.info.heap == hi && o.info.off == o.off
-}
-
-// snapshot copies out a sub-heap's objects (caller holds s.mu) for the
-// pass to sort by offset descending, the order it vacates them in.
-func (sh *subHeap) snapshot() []placed {
-	objs := make([]placed, len(sh.objs))
-	for i, info := range sh.objs {
-		objs[i] = placed{info, info.off}
-	}
-	return objs
 }
 
 // relink records that info now sits at (dhi, doff), moving it between the
@@ -562,10 +617,97 @@ func (s *Service) relink(info *objInfo, dhi int, doff uint64) {
 	info.off = doff
 }
 
+// reclaimSlack recovers a sub-heap's internal waste: the naïve fast path
+// hands out whole free blocks, so a 64-byte object may own a 1 KiB block.
+// Every block is shrunk to its aligned request size in place — no copy, no
+// reference update, the object does not move — and the slack joins the
+// free lists, which are then coalesced. Caller holds s.mu, and needs no
+// barrier: an object is read and written through its handle entry's size,
+// never its block's (an overwrite in place repeats the stored length), so
+// no thread touches the bytes that change hands here.
+func (s *Service) reclaimSlack(sh *subHeap) {
+	for _, info := range sh.objs {
+		need := alignUp(info.size)
+		if info.block > need {
+			sh.pushHole(hole{off: info.off + need, size: info.block - need})
+			s.ShrunkBytes += int64(info.block - need)
+			info.block = need
+		}
+	}
+	s.holes = sh.coalesce(s.holes)
+}
+
+// candidates copies out a sub-heap's objects (caller holds s.mu; the
+// storage is the pass's, guarded by passMu) for the pass to put in the
+// order it vacates them in: offset descending, the top first.
+func (s *Service) candidates(sh *subHeap) []placed {
+	objs := s.snap[:0]
+	for _, info := range sh.objs {
+		objs = append(objs, placed{info, info.off})
+	}
+	s.snap = objs
+	return objs
+}
+
+// relocator is the one step the barrier pass and the pause-free pass do
+// differently: moving the object o, found live at o.off in sub-heap hi, to
+// the destination d just found for it. It is called with s.mu held, may
+// drop it meanwhile, returns with it held, and reports the bytes moved —
+// zero if the object stays, in which case it has given back whatever it
+// took of d.
+type relocator func(o placed, hi int, d moveDest) uint64
+
+// compact is the part of a defragmentation pass that comes before
+// truncation: it shrinks every block to its request and coalesces the
+// holes, then moves up to budget bytes of objects out of the topmost
+// occupied sub-heaps into holes and bump space below them. It reports the
+// bytes moved and the lowest sub-heap the move loop reached (len(s.heaps)
+// if none). The caller holds passMu and not s.mu, which compact takes a
+// sub-heap or a candidate at a time so allocators get in between.
+//
+// A candidate's destination is looked for first: most candidates of a
+// pass have nowhere lower to go, and rejecting one costs a scan of the
+// bins its size could come out of, with no handle-table traffic and
+// nothing taken that must be put back.
+func (s *Service) compact(budget uint64, relocate relocator) (moved uint64, lowest int) {
+	s.mu.Lock()
+	lowest = len(s.heaps)
+	s.mu.Unlock()
+	for hi := 0; hi < lowest; hi++ {
+		s.mu.Lock()
+		s.reclaimSlack(s.heaps[hi])
+		s.mu.Unlock()
+	}
+	// Work from the top sub-heap downward.
+	for moved < budget && lowest > 0 {
+		lowest--
+		s.mu.Lock()
+		objs := s.candidates(s.heaps[lowest])
+		s.mu.Unlock()
+		slices.SortFunc(objs, func(a, b placed) int { return cmp.Compare(b.off, a.off) })
+		for _, o := range objs {
+			if moved >= budget {
+				break
+			}
+			s.mu.Lock()
+			if o.stillAt(lowest) { // else freed meanwhile
+				s.Candidates++
+				if d, ok := s.findBlockForMove(o.info.block, lowest, o.off); ok {
+					n := relocate(o, lowest, d)
+					moved += n
+					s.MovedBytes += int64(n)
+				} // else no better placement exists; leave the object
+			}
+			s.mu.Unlock()
+		}
+	}
+	return moved, lowest
+}
+
 // DefragPass moves up to budget bytes of unpinned objects out of the
-// topmost occupied sub-heaps into lower holes, truncates vacated tails,
-// and returns the pages with DontNeed. Must be called inside a barrier.
-// It returns the number of bytes moved.
+// topmost occupied sub-heaps into lower holes, truncates the tails of the
+// sub-heaps it got to, and returns the pages with DontNeed. Must be called
+// inside a barrier. It returns the number of bytes moved.
 //
 // It serializes with ConcurrentDefragPass on passMu: the barrier stops
 // registered threads but not the (unregistered) mover goroutine, and a
@@ -576,61 +718,28 @@ func (s *Service) DefragPass(scope *rt.BarrierScope, budget uint64) uint64 {
 	s.passMu.Lock()
 	defer s.passMu.Unlock()
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.Passes++
-	// First recover internal waste: the naïve fast path hands out whole
-	// free blocks, so a 64-byte object may own a 1 KiB block. With the
-	// world stopped the service can shrink every block to its aligned
-	// request size in place (no copy, no reference update — the object
-	// does not move) and return the slack to the free lists.
-	for _, sh := range s.heaps {
-		for _, info := range sh.objs {
-			need := alignUp(info.size)
-			if info.block > need {
-				sh.pushHole(hole{off: info.off + need, size: info.block - need})
-				s.ShrunkBytes += int64(info.block - need)
-				info.block = need
-			}
+	s.mu.Unlock()
+	moved, lowest := s.compact(budget, func(o placed, hi int, d moveDest) uint64 {
+		info := o.info
+		if scope.Pinned(info.id) {
+			return 0
 		}
-		sh.coalesce()
-	}
-	var moved uint64
-	// Work from the top sub-heap downward.
-	for hi := len(s.heaps) - 1; hi >= 0 && moved < budget; hi-- {
-		src := s.heaps[hi]
-		if len(src.objs) == 0 {
-			s.truncate(src)
-			continue
+		doff := s.takeBlockForMove(d, info.block)
+		dst := s.heaps[d.heap].region.Base() + mem.Addr(doff)
+		if err := scope.Relocate(info.id, dst); err != nil {
+			s.heaps[d.heap].pushHole(hole{off: doff, size: info.block})
+			return 0
 		}
-		// Objects sorted by offset descending: vacate the top first.
-		objs := src.snapshot()
-		sort.Slice(objs, func(i, j int) bool { return objs[i].off > objs[j].off })
-		for _, o := range objs {
-			if moved >= budget {
-				break
-			}
-			info, off := o.info, o.off
-			if scope.Pinned(info.id) {
-				continue
-			}
-			dhi, doff, ok := s.allocBlockForMove(info.block, hi, off)
-			if !ok {
-				continue // no better placement exists; leave the object
-			}
-			dst := s.heaps[dhi].region.Base() + mem.Addr(doff)
-			if err := scope.Relocate(info.id, dst); err != nil {
-				s.heaps[dhi].pushHole(hole{off: doff, size: info.block})
-				continue
-			}
-			// The vacated slot becomes a hole; truncate drops it again if
-			// it ends up above the new bump.
-			src.pushHole(hole{off: off, size: info.block})
-			s.relink(info, dhi, doff)
-			moved += info.size
-		}
-		s.truncate(src)
-	}
-	s.MovedBytes += int64(moved)
+		// The world is stopped: the vacated slot is a hole at once;
+		// truncate drops it again if it ends up above the new bump.
+		s.heaps[hi].pushHole(hole{off: o.off, size: info.block})
+		s.relink(info, d.heap, doff)
+		return info.size
+	})
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.truncateFrom(lowest)
 	return moved
 }
 
@@ -659,7 +768,7 @@ func (s *Service) truncate(sh *subHeap) {
 	}
 	old := sh.bump
 	sh.bump = high
-	var keep []hole
+	keep := s.holes[:0]
 	for b := range sh.free {
 		for _, h := range sh.free[b].holes() {
 			switch {
@@ -671,15 +780,23 @@ func (s *Service) truncate(sh *subHeap) {
 				keep = append(keep, h)
 			}
 		}
-		sh.free[b].reset()
 	}
+	sh.resetBins()
 	for _, h := range keep {
 		sh.pushHole(h)
 	}
+	s.holes = keep
 	start := sh.region.Base() + mem.Addr(high)
 	n := old - high
 	if err := s.space.DontNeed(start, n); err == nil {
 		s.Truncated += int64(n)
+	}
+}
+
+// truncateFrom truncates sub-heap lo and every one above it.
+func (s *Service) truncateFrom(lo int) {
+	for _, sh := range s.heaps[lo:] {
+		s.truncate(sh)
 	}
 }
 
@@ -707,17 +824,36 @@ func RevalidateFaultHandler() rt.FaultHandler {
 	}
 }
 
-// ConcurrentDefragPass moves up to budget bytes of objects out of the
-// topmost occupied sub-heaps without stopping the world, using the handle
-// table's speculative-move protocol (§7) instead of a barrier: each object
-// is CASed into the moving state, copied, and committed; a reader that
-// translates it mid-copy faults, revalidates the entry (via
-// RevalidateFaultHandler), and thereby aborts that one move — no pause,
-// no lost reads. Vacated source blocks are not reused immediately: they
-// are parked on a deferred list until every runtime thread registered at
-// commit time has crossed a safepoint, since a reader that translated
-// just before the commit may legally keep using the old copy until its
-// next poll (the same grace-period handshake the reloc package performs).
+// ConcurrentDefragPass is the compaction pass with the barrier taken out:
+// it shrinks blocks and coalesces holes, moves up to budget bytes of
+// objects out of the topmost occupied sub-heaps, and truncates every
+// sub-heap, returning the pages above to the kernel — all without stopping
+// the world. Each stage is safe with threads running for its own reason:
+//
+//   - Shrinking and coalescing move no object and touch no handle entry;
+//     they only re-label bytes no thread reads or writes (see reclaimSlack),
+//     under s.mu like any Free.
+//   - Moving uses the handle table's speculative-move protocol (§7) instead
+//     of a barrier: each object is CASed into the moving state, copied, and
+//     committed; a reader that translates it mid-copy faults, revalidates
+//     the entry (via RevalidateFaultHandler), and thereby aborts that one
+//     move — no pause, no lost reads. Vacated source blocks are not reused
+//     immediately: they are parked on a deferred list until every runtime
+//     thread registered at commit time has crossed a safepoint, since a
+//     reader that translated just before the commit may legally keep using
+//     the old copy until its next poll (the same grace-period handshake the
+//     reloc package performs).
+//   - Truncating runs last, under s.mu, when the pass has no destination
+//     reserved and every block it vacated is on the deferred list: truncate
+//     holds a sub-heap's bump above its deferred blocks as it does above
+//     live objects, so the pages given back are ones nothing — no live
+//     object, no straggling reader's old copy — lies in.
+//
+// passMu is held throughout. It keeps passes (and barrier DefragPasses, and
+// DrainDeferred's truncation) from seeing one another's reserved
+// destinations and vacated-but-undeferred blocks, makes the pass the only
+// speculative mover in flight, and guards the snapshot and vacated-block
+// storage the pass reuses from call to call.
 //
 // Contract: like reloc.Mover.TryMove, callers must only run this while no
 // thread holds a *pinned* translation across safepoints with intent to
@@ -727,13 +863,10 @@ func RevalidateFaultHandler() rt.FaultHandler {
 // in between check and transition aborts the move); StackPins pin sets
 // are invisible outside a barrier, so that discipline is the caller's
 // (see the concurrency tests). The pass must also be the runtime's only
-// relocator: passes and barrier DefragPasses serialize on an internal
-// mutex, but mixing in a separate reloc.Mover — or another barrier-time
-// relocator such as the locality optimizer — on the same runtime would
-// reopen the recycled-ID and SetBacking races the serialization closes.
-// The pass never truncates sub-heaps —
-// deferred blocks above the high-water mark keep their pages until
-// DrainDeferred returns them and a later barrier pass truncates.
+// relocator: passes and barrier DefragPasses serialize on passMu, but
+// mixing in a separate reloc.Mover — or another barrier-time relocator
+// such as the locality optimizer — on the same runtime would reopen the
+// recycled-ID and SetBacking races the serialization closes.
 //
 // The service lock is dropped around each object copy, so concurrent
 // Alloc/Free stall for at most one object's bookkeeping, not the whole
@@ -746,116 +879,111 @@ func (s *Service) ConcurrentDefragPass(budget uint64) uint64 {
 	s.mu.Lock()
 	s.ConcurrentPasses++
 	s.drainDeferredLocked()
-	nHeaps := len(s.heaps)
 	s.mu.Unlock()
-
-	var moved uint64
-	var vacated []deferredBlock
-	for hi := nHeaps - 1; hi >= 0 && moved < budget; hi-- {
-		s.mu.Lock()
-		objs := s.heaps[hi].snapshot()
-		s.mu.Unlock()
-		sort.Slice(objs, func(i, j int) bool { return objs[i].off > objs[j].off })
-		for _, o := range objs {
-			if moved >= budget {
-				break
-			}
-			info, off := o.info, o.off
-			s.mu.Lock()
-			if !o.stillAt(hi) || s.rt.Table.PinCount(info.id) > 0 {
-				s.mu.Unlock()
-				continue // freed meanwhile, or demonstrably pinned
-			}
-			// Taken before the entry turns moving, so an accessor that
-			// faults on it finds copyMu held until the copy is over.
-			s.copyMu.Lock()
-			entry, err := s.rt.Table.BeginSpeculativeMove(info.id)
-			if err != nil {
-				s.copyMu.Unlock()
-				s.mu.Unlock()
-				continue // not published yet (mid-Halloc), freed, or already moving
-			}
-			// Re-check pins after the moving transition: a pin taken in the
-			// window between the check above and the transition translated a
-			// still-valid entry and holds a raw address the commit would
-			// invalidate. Any pin taken after this point must translate the
-			// now-invalid entry, fault, and revalidate — aborting the
-			// commit — so the recheck closes the window.
-			if s.rt.Table.PinCount(info.id) > 0 {
-				_, _ = s.rt.Table.Revalidate(info.id)
-				s.copyMu.Unlock()
-				s.mu.Unlock()
-				continue
-			}
-			dhi, doff, ok := s.allocBlockForMove(info.block, hi, off)
-			if !ok {
-				_, _ = s.rt.Table.Revalidate(info.id)
-				s.copyMu.Unlock()
-				s.mu.Unlock()
-				continue
-			}
-			dst := s.heaps[dhi].region.Base() + mem.Addr(doff)
-			size, block := info.size, info.block
-			s.moving = info
-			s.mu.Unlock()
-
-			// Copy outside the service lock: the destination block is
-			// reserved, the entry is in the moving state, and allocators
-			// are free to run.
-			committed := false
-			err = s.space.Copy(dst, entry.Backing, size)
-			s.copyMu.Unlock()
-			if err != nil {
-				_, _ = s.rt.Table.Revalidate(info.id)
-			} else if s.rt.Table.CommitSpeculativeMove(info.id, dst) {
-				committed = true
-			}
-
-			s.mu.Lock()
-			s.moving = nil
-			if !committed {
-				// A concurrent accessor revalidated the entry (or it was
-				// freed mid-copy): the object stays put; discard the copy.
-				s.MoveAborts++
-				s.heaps[dhi].pushHole(hole{off: doff, size: block})
-				s.mu.Unlock()
-				continue
-			}
-			if !o.stillAt(hi) {
-				// Freed during the copy. The freeing Hfree already recycled the
-				// source block and the handle entry; drop the unreferenced copy.
-				s.heaps[dhi].pushHole(hole{off: doff, size: block})
-				s.mu.Unlock()
-				continue
-			}
-			vacated = append(vacated, deferredBlock{heap: hi, off: off, size: block})
-			s.relink(info, dhi, doff)
-			moved += size
-			s.mu.Unlock()
-		}
-	}
+	moved, _ := s.compact(budget, s.moveSpeculatively)
 	// One snapshot taken after every commit is at least as late — hence at
 	// least as conservative — as a per-move snapshot, at a fraction of the
 	// cost (EpochSnapshot locks the runtime and allocates per thread).
-	snap := s.rt.EpochSnapshot()
-	s.mu.Lock()
-	for i := range vacated {
-		vacated[i].snap = snap
+	var snap map[*rt.Thread]uint64
+	if len(s.vacated) > 0 {
+		snap = s.rt.EpochSnapshot()
 	}
-	s.deferred = append(s.deferred, vacated...)
-	s.MovedBytes += int64(moved)
-	s.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, d := range s.vacated {
+		d.snap = snap
+		s.deferred = append(s.deferred, d)
+	}
+	s.vacated = s.vacated[:0]
+	s.drainDeferredLocked()
+	s.truncateFrom(0)
 	return moved
 }
 
+// moveSpeculatively is ConcurrentDefragPass's relocator. Until it takes d
+// it has changed nothing but the handle entry, which it revalidates: a
+// candidate rejected for a pin or an unpublished entry leaves every free
+// bin as it found it.
+func (s *Service) moveSpeculatively(o placed, hi int, d moveDest) uint64 {
+	info := o.info
+	if s.rt.Table.PinCount(info.id) > 0 {
+		return 0 // demonstrably pinned
+	}
+	// Taken before the entry turns moving, so an accessor that
+	// faults on it finds copyMu held until the copy is over.
+	s.copyMu.Lock()
+	entry, err := s.rt.Table.BeginSpeculativeMove(info.id)
+	if err != nil {
+		s.copyMu.Unlock()
+		return 0 // not published yet (mid-Halloc), freed, or already moving
+	}
+	// Re-check pins after the moving transition: a pin taken in the
+	// window between the check above and the transition translated a
+	// still-valid entry and holds a raw address the commit would
+	// invalidate. Any pin taken after this point must translate the
+	// now-invalid entry, fault, and revalidate — aborting the
+	// commit — so the recheck closes the window.
+	if s.rt.Table.PinCount(info.id) > 0 {
+		_, _ = s.rt.Table.Revalidate(info.id)
+		s.copyMu.Unlock()
+		return 0
+	}
+	size, block := info.size, info.block
+	doff := s.takeBlockForMove(d, block)
+	dst := s.heaps[d.heap].region.Base() + mem.Addr(doff)
+	s.moving = info
+	s.mu.Unlock()
+
+	// Copy outside the service lock: the destination block is
+	// reserved, the entry is in the moving state, and allocators
+	// are free to run.
+	err = s.space.Copy(dst, entry.Backing, size)
+	s.copyMu.Unlock()
+	committed := false
+	if err != nil {
+		_, _ = s.rt.Table.Revalidate(info.id)
+	} else {
+		committed = s.rt.Table.CommitSpeculativeMove(info.id, dst)
+	}
+
+	s.mu.Lock()
+	s.moving = nil
+	switch {
+	case !committed:
+		// A concurrent accessor revalidated the entry (or it was
+		// freed mid-copy): the object stays put; discard the copy.
+		s.MoveAborts++
+	case !o.stillAt(hi):
+		// Freed during the copy. The freeing Hfree already recycled the
+		// source block and the handle entry; drop the unreferenced copy.
+	default:
+		s.vacated = append(s.vacated, deferredBlock{heap: hi, off: o.off, size: block})
+		s.relink(info, d.heap, doff)
+		return size
+	}
+	s.heaps[d.heap].pushHole(hole{off: doff, size: block})
+	return 0
+}
+
 // DrainDeferred returns vacated source blocks whose grace period has
-// elapsed to their sub-heaps' free lists and reports how many bytes were
-// recovered. ConcurrentDefragPass drains opportunistically; callers may
-// also invoke it directly (e.g. before reading fragmentation stats).
+// elapsed to their sub-heaps' free lists, truncates the sub-heaps — so the
+// tails the last pass vacated before fragmentation fell under the caller's
+// trigger are not left resident until some later pass — and reports how
+// many bytes were recovered. ConcurrentDefragPass drains as it starts and
+// ends; callers may also invoke it directly (alaskad does every
+// maintenance tick). It waits for a pass in flight: see passMu.
 func (s *Service) DrainDeferred() uint64 {
+	s.passMu.Lock()
+	defer s.passMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.drainDeferredLocked()
+	drained := s.drainDeferredLocked()
+	if drained > 0 {
+		// Every sub-heap, not only those that got a block back: the scan
+		// is cheap and finds nothing to do where nothing changed.
+		s.truncateFrom(0)
+	}
+	return drained
 }
 
 func (s *Service) drainDeferredLocked() uint64 {

@@ -7,6 +7,7 @@ package anchorage
 // far from any the handle table issued.
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -41,10 +42,34 @@ func (r *refBins) removeAt(b, k int) { r[b] = append(r[b][:k], r[b][k+1:]...) }
 
 func (r *refBins) reset(b int) { r[b] = r[b][:0] }
 
+// findFit is the relocation search with nothing to help it: every bin from
+// bin(need) up, every hole, first fit.
+func (r *refBins) findFit(need, limit uint64) (int, int, bool) {
+	for b := bin(need); b < len(r); b++ {
+		for k, h := range r[b] {
+			if h.size >= need && h.off+need <= limit {
+				return b, k, true
+			}
+		}
+	}
+	return 0, 0, false
+}
+
+func (r *refBins) takeAt(b, k int, need uint64) uint64 {
+	h := r[b][k]
+	r.removeAt(b, k)
+	if rem := h.size - need; rem >= alignment {
+		r.pushHole(hole{off: h.off + need, size: rem})
+	}
+	return h.off
+}
+
 // TestFreeBinsMatchReference drives the sub-heap's bins and the reference
-// through the same seeded random op sequences — the four things the
-// allocator and the passes do to a bin — and requires the same hole out of
-// every take and the same queue contents after every op.
+// through the same seeded random op sequences — the things the allocator
+// and the passes do to a bin — and requires the same hole out of every
+// take, the same answer from every relocation search (the bitmap may skip
+// only bins with nothing in them), and the same queue contents after
+// every op.
 func TestFreeBinsMatchReference(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -57,7 +82,26 @@ func TestFreeBinsMatchReference(t *testing.T) {
 		next := uint64(0)
 		for op := 0; op < 4000; op++ {
 			b := bins[rng.Intn(len(bins))]
-			switch k := rng.Intn(10); {
+			switch k := rng.Intn(11); {
+			case k == 10:
+				// The relocation search, then (half the time) the take. The
+				// need is 16-aligned like a block; a limit in the middle of
+				// the offsets handed out rules some fitting holes out.
+				need := alignUp(uint64(1)<<b + uint64(rng.Intn(1<<b)))
+				limit := uint64(math.MaxUint64)
+				if rng.Intn(2) == 0 {
+					limit = uint64(rng.Int63n(int64(next) + 1))
+				}
+				gb, gk, gok := sh.findFit(need, limit)
+				wb, wk, wok := ref.findFit(need, limit)
+				if gb != wb || gk != wk || gok != wok {
+					t.Fatalf("seed %d op %d: findFit(%d, %d) = bin %d hole %d %v, all-bins scan %d %d %v", seed, op, need, limit, gb, gk, gok, wb, wk, wok)
+				}
+				if gok && rng.Intn(2) == 0 {
+					if got, want := sh.takeAt(gb, gk, need), ref.takeAt(wb, wk, need); got != want {
+						t.Fatalf("seed %d op %d: takeAt(%d, %d, %d) = %d, reference %d", seed, op, gb, gk, need, got, want)
+					}
+				}
 			case k < pushWeight:
 				// Any size inside bin b.
 				size := uint64(1)<<b + uint64(rng.Intn(1<<b))
@@ -85,8 +129,15 @@ func TestFreeBinsMatchReference(t *testing.T) {
 					ref.reset(b)
 				}
 			}
-			if !slices.Equal(sh.free[b].holes(), ref[b]) {
-				t.Fatalf("seed %d op %d: bin %d holds %v, reference %v", seed, op, b, sh.free[b].holes(), ref[b])
+			// Every bin: a take's remainder lands in a bin below the one it
+			// came out of.
+			for b := range ref {
+				if !slices.Equal(sh.free[b].holes(), ref[b]) {
+					t.Fatalf("seed %d op %d: bin %d holds %v, reference %v", seed, op, b, sh.free[b].holes(), ref[b])
+				}
+				if len(ref[b]) > 0 && sh.nonEmpty&(1<<b) == 0 {
+					t.Fatalf("seed %d op %d: bin %d holds %d holes and its bit is clear", seed, op, b, len(ref[b]))
+				}
 			}
 		}
 	}

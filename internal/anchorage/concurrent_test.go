@@ -6,6 +6,7 @@ package anchorage
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -425,4 +426,228 @@ func TestConcurrentDefragPassUnderChurn(t *testing.T) {
 	}
 	t.Logf("%d workers × %d ops under %d concurrent passes: %d bytes moved, %d aborts",
 		workers, ops, svc.ConcurrentPasses, svc.MovedBytes, svc.MoveAborts)
+}
+
+// TestConcurrentDefragPassReturnsMemory holds the pause-free pass to the
+// whole job with no barrier pass anywhere: slack shrunk in place, objects
+// moved down, tails truncated and their pages given back — and every
+// object still carrying its bytes.
+func TestConcurrentDefragPassReturnsMemory(t *testing.T) {
+	space := mem.NewSpace()
+	cfg := DefaultConfig()
+	cfg.SubHeapSize = 256 * 1024
+	svc := NewService(space, cfg)
+	r, err := rt.New(space, svc, rt.WithFaultHandler(RevalidateFaultHandler()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	th := r.NewThread()
+	defer th.Destroy()
+
+	live := fragment(t, r, 4096, 512, 4)
+	// Smaller objects into the 512-byte holes (the bin that guarantees 272
+	// bytes a fit): the fast path hands each a whole block, and only
+	// shrinking gets the other 240 bytes back.
+	for i := 0; i < 512; i++ {
+		h, err := r.Halloc(272)
+		if err != nil {
+			t.Fatal(err)
+		}
+		live = append(live, h)
+	}
+	for i, h := range live {
+		a, err := th.Translate(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := space.Write(a, []byte{byte(i), byte(i >> 8)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rssBefore := space.RSS()
+	for pass := 0; pass < 100; pass++ {
+		moved := svc.ConcurrentDefragPass(1 << 20)
+		th.Safepoint() // advance the grace period so vacated blocks drain
+		if moved == 0 {
+			break
+		}
+	}
+	svc.DrainDeferred()
+
+	m := svc.MetricsSnapshot()
+	if m.Passes != 0 {
+		t.Fatalf("%d barrier passes ran; the test is about there being none", m.Passes)
+	}
+	if m.ShrunkBytes != 512*(512-272) {
+		t.Errorf("ShrunkBytes = %d, want %d: the slack of 512 272-byte objects in 512-byte blocks", m.ShrunkBytes, 512*(512-272))
+	}
+	if m.Truncated == 0 || m.DeferredBlocks != 0 {
+		t.Errorf("Truncated = %d with %d blocks still deferred, want tails returned and none", m.Truncated, m.DeferredBlocks)
+	}
+	if rss := space.RSS(); rss >= rssBefore/2 {
+		t.Errorf("RSS %d -> %d, want well under half: three quarters of the heap was free", rssBefore, rss)
+	}
+	for i, h := range live {
+		a, err := th.Translate(h)
+		if err != nil {
+			t.Fatalf("object %d: %v", i, err)
+		}
+		buf := make([]byte, 2)
+		if err := space.Read(a, buf); err != nil {
+			t.Fatal(err)
+		}
+		if buf[0] != byte(i) || buf[1] != byte(i>>8) {
+			t.Fatalf("object %d: bytes %v after the passes, want [%d %d]", i, buf, byte(i), byte(i>>8))
+		}
+	}
+}
+
+// TestDrainDeferredTruncates: the blocks a pass vacates hold their
+// sub-heap's bump until their grace period is over, so the pass itself
+// cannot give those tails back when a thread has not polled since — the
+// DrainDeferred that returns the blocks must, or they stay resident until
+// whatever pass comes next, and none does once fragmentation is low.
+func TestDrainDeferredTruncates(t *testing.T) {
+	space := mem.NewSpace()
+	cfg := DefaultConfig()
+	cfg.SubHeapSize = 256 * 1024
+	svc := NewService(space, cfg)
+	r, err := rt.New(space, svc, rt.WithFaultHandler(RevalidateFaultHandler()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	th := r.NewThread() // running, and not polling until told to
+	defer th.Destroy()
+	fragment(t, r, 4096, 512, 4)
+
+	if moved := svc.ConcurrentDefragPass(1 << 20); moved == 0 {
+		t.Fatal("pass moved nothing on a checkerboard heap")
+	}
+	if svc.DeferredBlocks() == 0 {
+		t.Fatal("no block deferred though a running thread has not polled")
+	}
+	if drained := svc.DrainDeferred(); drained != 0 {
+		t.Fatalf("drained %d bytes inside the grace period", drained)
+	}
+	held, rss := svc.MetricsSnapshot().Truncated, space.RSS()
+	th.Safepoint()
+	if drained := svc.DrainDeferred(); drained == 0 {
+		t.Fatal("nothing drained after the thread polled")
+	}
+	if got := svc.MetricsSnapshot().Truncated; got <= held {
+		t.Errorf("Truncated %d -> %d across the drain, want the vacated tails returned", held, got)
+	}
+	if got := space.RSS(); got >= rss {
+		t.Errorf("RSS %d -> %d across the drain, want a decrease", rss, got)
+	}
+}
+
+// binsOf copies out every sub-heap's bump and free bins. Caller holds
+// svc.mu.
+func binsOf(svc *Service) (bumps []uint64, bins [][64][]hole) {
+	bins = make([][64][]hole, len(svc.heaps))
+	for hi, sh := range svc.heaps {
+		bumps = append(bumps, sh.bump)
+		for b := range sh.free {
+			bins[hi][b] = slices.Clone(sh.free[b].holes())
+		}
+	}
+	return bumps, bins
+}
+
+// TestRejectedCandidateLeavesBinsAlone: the pass finds a candidate's
+// destination before it asks the handle table whether the candidate may
+// move, and takes it only after. A candidate turned down there — pinned,
+// or allocated and not yet published (mid-Halloc) — must cost the free
+// lists nothing: not a hole taken and pushed back behind its neighbours,
+// not a remainder split off.
+func TestRejectedCandidateLeavesBinsAlone(t *testing.T) {
+	const n, size, keep = 2048, 512, 4
+	for _, reject := range []string{"pinned", "unpublished"} {
+		t.Run(reject, func(t *testing.T) {
+			space := mem.NewSpace()
+			cfg := DefaultConfig()
+			cfg.SubHeapSize = 128 * 1024
+			svc := NewService(space, cfg)
+			r, err := rt.New(space, svc,
+				rt.WithPinMode(rt.CountedPins),
+				rt.WithFaultHandler(RevalidateFaultHandler()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			th := r.NewThread()
+			defer th.Destroy()
+			if reject == "pinned" {
+				for _, h := range fragment(t, r, n, size, keep) {
+					_, unpin, err := th.Pin(h)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer unpin()
+				}
+			} else {
+				// Halloc's first two steps and not its third.
+				type block struct {
+					id   uint32
+					addr mem.Addr
+				}
+				var all []block
+				for i := 0; i < n; i++ {
+					id, err := r.Table.Reserve(size)
+					if err != nil {
+						t.Fatal(err)
+					}
+					a, err := svc.Alloc(id, size)
+					if err != nil {
+						t.Fatal(err)
+					}
+					all = append(all, block{id, a})
+				}
+				for i, b := range all {
+					if i%keep != 0 {
+						if err := svc.Free(b.id, b.addr, size); err != nil {
+							t.Fatal(err)
+						}
+						r.Table.Unreserve(b.id)
+					}
+				}
+			}
+			// The pass's move step by hand, on every object that has
+			// somewhere lower to go: what compact does under s.mu once it
+			// has found a candidate's destination.
+			svc.mu.Lock()
+			bumps, bins := binsOf(svc)
+			rejected := 0
+			for hi, sh := range svc.heaps {
+				for _, info := range sh.objs {
+					d, ok := svc.findBlockForMove(info.block, hi, info.off)
+					if !ok {
+						continue
+					}
+					if moved := svc.moveSpeculatively(placed{info, info.off}, hi, d); moved != 0 {
+						t.Fatalf("moved %d bytes of a %s object", moved, reject)
+					}
+					rejected++
+				}
+			}
+			gotBumps, gotBins := binsOf(svc)
+			svc.mu.Unlock()
+			if rejected < n/keep/2 {
+				t.Fatalf("only %d of %d objects had a destination to be refused; the fixture is not fragmented", rejected, n/keep)
+			}
+			if !slices.Equal(gotBumps, bumps) {
+				t.Errorf("bumps %v -> %v across %d rejected candidates", bumps, gotBumps, rejected)
+			}
+			for hi := range bins {
+				for b := range bins[hi] {
+					if !slices.Equal(gotBins[hi][b], bins[hi][b]) {
+						t.Errorf("sub-heap %d bin %d: %v -> %v across %d rejected candidates", hi, b, bins[hi][b], gotBins[hi][b], rejected)
+					}
+				}
+			}
+			if svc.DeferredBlocks() != 0 || svc.MetricsSnapshot().MoveAborts != 0 {
+				t.Errorf("%d deferred blocks, %d aborts after candidates that began no move", svc.DeferredBlocks(), svc.MetricsSnapshot().MoveAborts)
+			}
+		})
+	}
 }

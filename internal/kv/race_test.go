@@ -17,6 +17,10 @@ package kv
 // The fourth holds the in-place overwrite to the same mover: writers
 // rewrite hot keys at a fixed length, so every store goes through the
 // handle the mover may be relocating at that moment.
+//
+// The fifth takes the barrier pass away: the pause-free pass alone shrinks,
+// coalesces, moves and truncates under in-place and resizing writers,
+// readers, and a raw Halloc/Hfree client reading inside its grace period.
 
 import (
 	"bytes"
@@ -29,6 +33,7 @@ import (
 
 	"alaska/internal/anchorage"
 	"alaska/internal/handle"
+	"alaska/internal/mem"
 	"alaska/internal/rt"
 )
 
@@ -368,6 +373,24 @@ func TestActiveDefragMaintainRacesRequests(t *testing.T) {
 	}
 }
 
+// tagOf reports the byte v is filled with, or false if v is empty or not
+// all one byte; fillTag makes v all tag. (Neither loops over bytes: under
+// -race that would be most of a test's time, and none of it inside the
+// window the tests that use them are about.)
+func tagOf(v []byte) (byte, bool) {
+	if len(v) == 0 || bytes.Count(v, v[:1]) != len(v) {
+		return 0, false
+	}
+	return v[0], true
+}
+
+func fillTag(v []byte, tag byte) {
+	v[0] = tag
+	for n := 1; n < len(v); n *= 2 {
+		copy(v[n:], v[:n])
+	}
+}
+
 // TestInPlaceOverwriteUnderConcurrentDefrag: a same-length overwrite keeps
 // its handle, so the write lands in a block the pause-free mover may be
 // copying that instant — which is safe only because it is a pinned write:
@@ -412,21 +435,14 @@ func TestInPlaceOverwriteUnderConcurrentDefrag(t *testing.T) {
 	}
 	hotKey := func(w, k int) string { return fmt.Sprintf("hot-%d-%d", w, k) }
 	// whole reports the byte v is filled with, or false if v is not one
-	// tag-filled value of the hot keys' length; fill makes v one. (Neither
-	// loops over bytes: under -race that would be most of the test's time,
-	// and none of it inside the window the test is about.)
+	// tag-filled value of the hot keys' length.
 	whole := func(v []byte) (byte, bool) {
-		if len(v) != valLen || bytes.Count(v, v[:1]) != valLen {
+		if len(v) != valLen {
 			return 0, false
 		}
-		return v[0], true
+		return tagOf(v)
 	}
-	fill := func(v []byte, tag byte) {
-		v[0] = tag
-		for n := 1; n < len(v); n *= 2 {
-			copy(v[n:], v[:n])
-		}
-	}
+	fill := fillTag
 
 	stop := make(chan struct{})
 	var bg sync.WaitGroup
@@ -544,4 +560,277 @@ func TestInPlaceOverwriteUnderConcurrentDefrag(t *testing.T) {
 		t.Errorf("mover idle (%d concurrent passes, %d bytes moved); the test raced nothing", m.ConcurrentPasses, m.MovedBytes)
 	}
 	t.Logf("%d concurrent + %d barrier passes, %d bytes moved, %d move aborts", m.ConcurrentPasses, m.Passes, m.MovedBytes, m.MoveAborts)
+}
+
+// TestPauseFreePassReclaimsUnderTraffic holds the pass that gives memory
+// back with no barrier — blocks shrunk in place, holes coalesced, tails
+// truncated and their pages released, all while threads run — to what
+// alaskad does with it: ConcurrentDefragPass and DrainDeferred every turn
+// and never a barrier pass. One writer overwrites its hot keys in place,
+// one changes their length on every store (a shorter value lands in the
+// longer one's block, which is the slack shrinking recovers); each lifts
+// its key on top of ballast it then deletes, so there is always a tail to
+// vacate. Two readers require every value whole; each writer reads back
+// its last acknowledged write. Beside the store a raw client of the
+// runtime churns Halloc/Hfree the same way and reads its objects the way
+// the grace period exists for: translate a batch unpinned, then read them
+// all before the next safepoint — the mover may commit a move of any of
+// them in between, and the old copy must still be there, whole, and at a
+// 16-byte boundary. At the end memory did come back: Truncated > 0,
+// ShrunkBytes > 0, Passes == 0.
+//
+// Mutations this fails under (-race -short -count=20): truncate not
+// holding the bump above s.deferred (the raw client reads a released
+// page: zeroes, and the race detector on DontNeed's clear); reclaimSlack
+// shrinking to info.size instead of alignUp(info.size) (an unaligned
+// hole is handed out).
+func TestPauseFreePassReclaimsUnderTraffic(t *testing.T) {
+	cfg := anchorage.DefaultConfig()
+	cfg.SubHeapSize = 256 * 1024
+	backend, err := NewAnchorageBackend(cfg, rt.WithPinMode(rt.CountedPins))
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := NewShardedStore(backend, 8, 0)
+	const (
+		writers    = 2 // writer 0 in place, writer 1 resizing
+		hotKeys    = 3 // per writer
+		ballast    = 6 // per writer: the holes a lifted key is moved into
+		maxLen     = 8 << 10
+		overwrites = 8 // per cycle
+	)
+	cycles := 1200
+	if testing.Short() {
+		cycles = 250
+	}
+	hotKey := func(w, k int) string { return fmt.Sprintf("hot-%d-%d", w, k) }
+	whole, fill := tagOf, fillTag
+
+	stop := make(chan struct{})
+	stopped := func() bool {
+		select {
+		case <-stop:
+			return true
+		default:
+			return false
+		}
+	}
+	var bg sync.WaitGroup
+	bg.Add(1)
+	go func() { // alaskad's maintenance loop above its trigger, compressed
+		defer bg.Done()
+		for !stopped() {
+			backend.Svc.ConcurrentDefragPass(64 << 10)
+			backend.Svc.DrainDeferred()
+			runtime.Gosched()
+		}
+	}()
+	for r := 0; r < 2; r++ {
+		bg.Add(1)
+		go func(r int) {
+			defer bg.Done()
+			sess := store.NewSession()
+			defer sess.Close()
+			rng := rand.New(rand.NewSource(int64(70 + r)))
+			var buf []byte
+			for !stopped() {
+				sess.Safepoint()
+				key := hotKey(rng.Intn(writers), rng.Intn(hotKeys))
+				got, hit, err := store.GetInto(sess, []byte(key), buf)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if _, ok := whole(got); hit && !ok { // a miss is a key between its Del and its Set
+					t.Errorf("reader %d: %s is not one whole value: %d bytes", r, key, len(got))
+					return
+				}
+				buf = got[:0]
+			}
+		}(r)
+	}
+	bg.Add(1)
+	go func() { // the raw client
+		defer bg.Done()
+		r, space := backend.Runtime, backend.Space
+		th := r.NewThread()
+		defer th.Destroy()
+		rng := rand.New(rand.NewSource(90))
+		type obj struct {
+			h    handle.Handle
+			size int
+			tag  byte
+		}
+		buf := make([]byte, 4<<10)
+		alloc := func(size int, tag byte) (obj, bool) {
+			h, err := r.Halloc(uint64(size))
+			if err != nil {
+				t.Error(err)
+				return obj{}, false
+			}
+			a, unpin, err := th.Pin(h)
+			if err != nil {
+				t.Error(err)
+				return obj{}, false
+			}
+			fill(buf[:size], tag)
+			err = space.Write(a, buf[:size])
+			unpin()
+			if err != nil {
+				t.Error(err)
+				return obj{}, false
+			}
+			return obj{h, size, tag}, true
+		}
+		var ring [32]obj
+		var addrs [len(ring)]mem.Addr
+		var under [12]obj
+		defer func() {
+			for _, o := range ring {
+				if o.size != 0 {
+					if err := r.Hfree(o.h); err != nil {
+						t.Error(err)
+					}
+				}
+			}
+		}()
+		for step := 0; !stopped(); step++ {
+			th.Safepoint()
+			// A quarter of the ring goes and comes back on top of blocks
+			// freed again at once: holes under it, a tail above them.
+			for i := range under {
+				var ok bool
+				if under[i], ok = alloc(2<<10, 0); !ok {
+					return
+				}
+			}
+			for i := 0; i < len(ring)/4; i++ {
+				k := rng.Intn(len(ring))
+				if ring[k].size != 0 {
+					if err := r.Hfree(ring[k].h); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				var ok bool
+				if ring[k], ok = alloc(64+rng.Intn(len(buf)-64), byte(step)); !ok {
+					return
+				}
+			}
+			for _, o := range under {
+				if err := r.Hfree(o.h); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			// Unpinned: these addresses are good until the next safepoint,
+			// whatever the mover commits meanwhile.
+			for k, o := range ring {
+				if o.size == 0 {
+					continue
+				}
+				a, err := th.Translate(o.h)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if a%16 != 0 {
+					t.Errorf("raw client: object of %d bytes at %#x, not 16-byte aligned", o.size, a)
+					return
+				}
+				addrs[k] = a
+			}
+			runtime.Gosched()
+			for k, o := range ring {
+				if o.size == 0 {
+					continue
+				}
+				if err := space.Read(addrs[k], buf[:o.size]); err != nil {
+					t.Error(err)
+					return
+				}
+				if b, ok := whole(buf[:o.size]); !ok || b != o.tag {
+					t.Errorf("raw client: %d-byte object reads %#x (whole %v) inside its grace period, want %#x", o.size, b, ok, o.tag)
+					return
+				}
+			}
+		}
+	}()
+
+	var wwg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wwg.Add(1)
+		go func(w int) {
+			defer wwg.Done()
+			sess := store.NewSession()
+			defer sess.Close()
+			rng := rand.New(rand.NewSource(int64(80 + w)))
+			val := make([]byte, maxLen)
+			n := maxLen / 2 // writer 0 keeps this length: every overwrite in place
+			var buf []byte
+			failed := false
+			set := func(key string) {
+				sess.Safepoint()
+				if err := store.Set(sess, key, val[:n]); err != nil && !failed {
+					failed = true
+					t.Error(err)
+				}
+			}
+			del := func(key string) {
+				sess.Safepoint()
+				if _, err := store.Del(sess, key); err != nil && !failed {
+					failed = true
+					t.Error(err)
+				}
+			}
+			tag := byte(0)
+			for c := 0; c < cycles && !failed; c++ {
+				key := hotKey(w, c%hotKeys)
+				// Lift key, as in the test above.
+				for b := 0; b < ballast; b++ {
+					set(fmt.Sprintf("ballast-%d-%d", w, b))
+				}
+				del(key)
+				set(fmt.Sprintf("spare-%d", w))
+				set(key)
+				del(fmt.Sprintf("spare-%d", w))
+				for b := 0; b < ballast; b++ {
+					del(fmt.Sprintf("ballast-%d-%d", w, b))
+				}
+				for i := 0; i < overwrites && !failed; i++ {
+					if w == 1 {
+						n = 64 + rng.Intn(maxLen-64)
+					}
+					tag++
+					fill(val[:n], tag)
+					set(key)
+					got, hit, err := store.GetInto(sess, []byte(key), buf)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if b, ok := whole(got); !hit || !ok || b != tag || len(got) != n {
+						t.Errorf("writer %d cycle %d: %s reads back %d bytes of %#x (hit %v, whole %v) after an acknowledged write of %d of %#x", w, c, key, len(got), b, hit, ok, n, tag)
+						return
+					}
+					buf = got[:0]
+				}
+			}
+		}(w)
+	}
+	wwg.Wait()
+	close(stop)
+	bg.Wait()
+
+	m := backend.Svc.MetricsSnapshot()
+	if m.Passes != 0 {
+		t.Errorf("%d barrier passes ran; this test is the pass without one", m.Passes)
+	}
+	if m.ConcurrentPasses == 0 || m.MovedBytes == 0 {
+		t.Errorf("mover idle (%d concurrent passes, %d bytes moved); the test raced nothing", m.ConcurrentPasses, m.MovedBytes)
+	}
+	if m.Truncated == 0 || m.ShrunkBytes == 0 {
+		t.Errorf("Truncated = %d, ShrunkBytes = %d: the passes returned no memory", m.Truncated, m.ShrunkBytes)
+	}
+	t.Logf("%d concurrent passes, %d bytes moved, %d shrunk, %d truncated, %d move aborts", m.ConcurrentPasses, m.MovedBytes, m.ShrunkBytes, m.Truncated, m.MoveAborts)
 }

@@ -25,21 +25,7 @@ import (
 // "event" leg of a per-transport test on the other one.
 func startServer(t *testing.T, backend kv.Backend, cfg Config) *Server {
 	t.Helper()
-	store := kv.NewShardedStore(backend, 8, 0)
-	srv := New(store, cfg)
-	if cfg.ConnModel == "event" || cfg.ConnModel == "epoll" {
-		requireEventModel(t, srv)
-	}
-	if err := srv.Listen(); err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		if err := srv.Serve(); err != nil {
-			t.Errorf("serve: %v", err)
-		}
-	}()
-	t.Cleanup(func() { _ = srv.Shutdown(2 * time.Second) })
-	return srv
+	return startServerWithCap(t, backend, cfg, 0)
 }
 
 // anchorageBackend builds the anchorage backend the way cmd/alaskad does.

@@ -26,6 +26,9 @@ func startServerWithCap(t *testing.T, backend kv.Backend, cfg Config, maxMemory 
 	t.Helper()
 	store := kv.NewShardedStore(backend, 8, maxMemory)
 	srv := New(store, cfg)
+	if cfg.ConnModel == "event" || cfg.ConnModel == "epoll" {
+		requireEventModel(t, srv)
+	}
 	if err := srv.Listen(); err != nil {
 		t.Fatal(err)
 	}

@@ -179,3 +179,108 @@ func TestServeShutdownRace(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 }
+
+// TestServerDefragReturnsMemory: what an operator gets from live defrag
+// with nothing tuned — alaskad's trigger and budget, anchorage's default
+// configuration, a -m ceiling — under sets that keep changing their
+// values' lengths. The pause-free pass alone has to give the memory back:
+// tails truncated (defrag_truncated_bytes), no stop-the-world pass, and
+// once the clients go quiet the resident set within 1.35× the live bytes.
+// On both transports, every get checked. The one setting that is not the
+// default parks the §4.3 controller after its first look: its 1.5 bound
+// sits above the trigger and is not normally reached, but a maintenance
+// goroutine starved for a few ticks on a two-CPU box lets the bump run
+// past it (1 run in 60 here), and a barrier pass would then own some of
+// the truncated bytes this test credits to the pause-free one.
+func TestServerDefragReturnsMemory(t *testing.T) {
+	ops := 12000
+	if testing.Short() {
+		ops = 5000
+	}
+	forEachTransport(t, Config{Addr: "127.0.0.1:0", MaintainInterval: 5 * time.Millisecond}, func(t *testing.T, cfg Config) {
+		acfg := anchorage.DefaultConfig()
+		acfg.WakeInterval = time.Hour
+		backend, err := kv.NewAnchorageBackend(acfg, rt.WithPinMode(rt.CountedPins))
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := startServerWithCap(t, backend, cfg, 6<<20)
+		const workers = 4
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				cl, err := Dial(srv.Addr())
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				defer cl.Close()
+				rng := rand.New(rand.NewSource(int64(w)))
+				// A private key range, far more of it than fits under the
+				// ceiling: eviction frees what the resizing sets do not.
+				for op := 0; op < ops; op++ {
+					key := "w" + strconv.Itoa(w) + "-k" + strconv.Itoa(rng.Intn(6000))
+					val := bytes.Repeat([]byte{byte(op)}, 128+rng.Intn(897))
+					if err := cl.Set(key, 0, val); err != nil {
+						t.Errorf("worker %d set %s: %v", w, key, err)
+						return
+					}
+					if op%4 == 0 {
+						got, _, ok, err := cl.Get(key)
+						if err != nil || !ok || !bytes.Equal(got, val) {
+							t.Errorf("worker %d get %s right after its set: %d bytes, hit %v, err %v; want %d bytes of %#x", w, key, len(got), ok, err, len(val), byte(op))
+							return
+						}
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+
+		// Quiet now: the maintenance loop runs on until fragmentation is
+		// under the trigger and the last vacated blocks have drained.
+		var rss, active uint64
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+			rss, active = backend.Space.RSS(), backend.Svc.ActiveBytes()
+			if float64(rss) <= 1.35*float64(active) || time.Now().After(deadline) {
+				break
+			}
+		}
+		if float64(rss) > 1.35*float64(active) {
+			t.Errorf("RSS %d is %.3f× the %d active bytes, want <= 1.35×", rss, float64(rss)/float64(active), active)
+		}
+		cl, err := Dial(srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		st, err := cl.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		stat := func(name string) int64 {
+			n, err := strconv.ParseInt(st[name], 10, 64)
+			if err != nil {
+				t.Errorf("stats: %s = %q: %v", name, st[name], err)
+			}
+			return n
+		}
+		if stat("evictions") == 0 {
+			t.Error("no evictions: the keyspace fitted under the ceiling and nothing churned")
+		}
+		if stat("defrag_truncated_bytes") == 0 {
+			t.Error("defrag_truncated_bytes = 0: the passes returned no tail to the OS")
+		}
+		if n := stat("defrag_barrier_passes"); n != 0 {
+			t.Errorf("defrag_barrier_passes = %d with the controller parked", n)
+		}
+		if st["protocol_errors"] != "0" {
+			t.Errorf("protocol_errors = %s, want 0", st["protocol_errors"])
+		}
+		t.Logf("%d concurrent passes moved %s bytes, shrunk %s, truncated %s; RSS %d / active %d = %.3f",
+			stat("defrag_concurrent_passes"), st["defrag_moved_bytes"], st["defrag_shrunk_bytes"], st["defrag_truncated_bytes"],
+			rss, active, float64(rss)/float64(active))
+	})
+}
