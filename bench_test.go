@@ -12,7 +12,6 @@ package repro
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -20,10 +19,8 @@ import (
 	"alaska/internal/figures"
 	"alaska/internal/handle"
 	"alaska/internal/locality"
-	"alaska/internal/mallocsim"
 	"alaska/internal/mem"
 	"alaska/internal/mesh"
-	"alaska/internal/reloc"
 	"alaska/internal/rt"
 	"alaska/internal/swap"
 	"alaska/internal/vm"
@@ -564,65 +561,6 @@ func BenchmarkMeshProbes(b *testing.B) {
 			}
 			b.ReportMetric(float64(a.MeshCount), "meshes-total")
 		})
-	}
-}
-
-// BenchmarkConcurrentReloc measures the §7 speculative move under mutator
-// pressure, reporting the abort rate.
-func BenchmarkConcurrentReloc(b *testing.B) {
-	space := mem.NewSpace()
-	var mover *reloc.Mover
-	r, err := rt.New(space, mallocsim.NewService(space), rt.WithFaultHandler(func(r *rt.Runtime, id uint32) error {
-		return mover.Handler()(r, id)
-	}))
-	if err != nil {
-		b.Fatal(err)
-	}
-	arena, err := reloc.NewRegionAllocator(space, 64<<20)
-	if err != nil {
-		b.Fatal(err)
-	}
-	mover = reloc.NewMover(r, arena)
-	const nObjs = 256
-	ids := make([]uint32, nObjs)
-	for i := range ids {
-		h, err := r.Halloc(64)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ids[i] = h.ID()
-	}
-	quit := make(chan struct{})
-	var wg sync.WaitGroup
-	for g := 0; g < 2; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			th := r.NewThread()
-			defer th.Destroy()
-			for i := 0; ; i++ {
-				select {
-				case <-quit:
-					return
-				default:
-				}
-				_, _ = th.Translate(handle.Make(ids[(g*31+i)%nObjs], 0))
-				th.Safepoint()
-			}
-		}(g)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := mover.TryMove(ids[i%nObjs]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	close(quit)
-	wg.Wait()
-	total := mover.Commits.Load() + mover.Aborts.Load()
-	if total > 0 {
-		b.ReportMetric(float64(mover.Aborts.Load())/float64(total)*100, "abort-%")
 	}
 }
 

@@ -841,8 +841,8 @@ func RevalidateFaultHandler() rt.FaultHandler {
 //     immediately: they are parked on a deferred list until every runtime
 //     thread registered at commit time has crossed a safepoint, since a
 //     reader that translated just before the commit may legally keep using
-//     the old copy until its next poll (the same grace-period handshake the
-//     reloc package performs).
+//     the old copy until its next poll (the grace-period handshake
+//     concurrent compactors perform before recycling from-space).
 //   - Truncating runs last, under s.mu, when the pass has no destination
 //     reserved and every block it vacated is on the deferred list: truncate
 //     holds a sub-heap's bump above its deferred blocks as it does above
@@ -855,16 +855,16 @@ func RevalidateFaultHandler() rt.FaultHandler {
 // speculative mover in flight, and guards the snapshot and vacated-block
 // storage the pass reuses from call to call.
 //
-// Contract: like reloc.Mover.TryMove, callers must only run this while no
-// thread holds a *pinned* translation across safepoints with intent to
-// write — a pinned writer's store to the old copy after the commit wins
-// the race and is lost. Objects with a nonzero CountedPins count are
-// skipped (rechecked after the moving transition, so a pin that slipped
-// in between check and transition aborts the move); StackPins pin sets
-// are invisible outside a barrier, so that discipline is the caller's
-// (see the concurrency tests). The pass must also be the runtime's only
+// Contract: callers must only run this while no thread holds a *pinned*
+// translation across safepoints with intent to write — a pinned writer's
+// store to the old copy after the commit wins the race and is lost.
+// Objects with a nonzero CountedPins count are skipped (rechecked after
+// the moving transition, so a pin that slipped in between check and
+// transition aborts the move); StackPins pin sets are invisible outside a
+// barrier, so that discipline is the caller's (see the concurrency
+// tests). The pass must also be the runtime's only
 // relocator: passes and barrier DefragPasses serialize on passMu, but
-// mixing in a separate reloc.Mover — or another barrier-time relocator
+// mixing in another speculative mover — or another barrier-time relocator
 // such as the locality optimizer — on the same runtime would reopen the
 // recycled-ID and SetBacking races the serialization closes.
 //

@@ -88,7 +88,7 @@ func RunMemcached(alaska bool, cfg MemcachedConfig) (MemcachedResult, error) {
 	}
 	val := make([]byte, cfg.ValueSize)
 	for _, op := range gen.LoadOps() {
-		if err := store.Set(loadSess, op.Key, val); err != nil {
+		if _, err := store.SetExBytesAt(loadSess, []byte(op.Key), val, kv.SetAlways, time.Time{}, time.Now()); err != nil {
 			return MemcachedResult{}, fmt.Errorf("load: %w", err)
 		}
 	}
@@ -114,6 +114,7 @@ func RunMemcached(alaska bool, cfg MemcachedConfig) (MemcachedResult, error) {
 			defer sess.Close()
 			g, _ := ycsb.NewGenerator(ycsb.WorkloadA, cfg.RecordCount, cfg.ValueSize, cfg.Seed+int64(w)+1)
 			buf := make([]byte, cfg.ValueSize)
+			var rbuf []byte
 			for {
 				select {
 				case <-quit:
@@ -125,9 +126,9 @@ func RunMemcached(alaska bool, cfg MemcachedConfig) (MemcachedResult, error) {
 				var err error
 				switch op.Type {
 				case ycsb.Read:
-					_, err = store.Get(sess, op.Key)
+					rbuf, _, err = store.GetIntoAt(sess, []byte(op.Key), rbuf, time.Now())
 				default:
-					err = store.Set(sess, op.Key, buf[:op.ValueSize])
+					_, err = store.SetExBytesAt(sess, []byte(op.Key), buf[:op.ValueSize], kv.SetAlways, time.Time{}, time.Now())
 				}
 				if err != nil {
 					return

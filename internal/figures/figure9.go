@@ -123,8 +123,9 @@ func RunDefrag(name string, cfg DefragConfig) (DefragResult, error) {
 	res := DefragResult{Series: &stats.Series{Name: name}}
 	var now time.Duration
 	nextSample := time.Duration(0)
-	var hot []string
+	var hot [][]byte
 	val := make([]byte, cfg.ValueMax)
+	var rbuf []byte
 
 	sample := func() {
 		rss := b.RSS()
@@ -147,11 +148,11 @@ func RunDefrag(name string, cfg DefragConfig) (DefragResult, error) {
 			hi = lo + 1
 		}
 		size := lo + rng.Intn(hi-lo+1)
-		key := fmt.Sprintf("key%09d", i)
+		key := fmt.Appendf(nil, "key%09d", i)
 		for k := 0; k < size; k++ {
 			val[k] = byte(i >> (k % 3 * 8))
 		}
-		if err := store.Set(sess, key, val[:size]); err != nil {
+		if _, err := store.SetExBytesAt(sess, key, val[:size], kv.SetAlways, time.Time{}, time.Now()); err != nil {
 			return res, fmt.Errorf("%s: set: %w", name, err)
 		}
 		if cfg.HotEvery > 0 && i%cfg.HotEvery == 0 {
@@ -160,7 +161,8 @@ func RunDefrag(name string, cfg DefragConfig) (DefragResult, error) {
 		// Keep the hot set fresh so eviction skips it.
 		if len(hot) > 0 && i%257 == 0 {
 			for _, k := range hot {
-				if _, err := store.Get(sess, k); err != nil {
+				var err error
+				if rbuf, _, err = store.GetIntoAt(sess, k, rbuf, time.Now()); err != nil {
 					return res, err
 				}
 			}

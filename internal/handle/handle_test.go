@@ -208,6 +208,61 @@ func TestHandleFaultFlag(t *testing.T) {
 	}
 }
 
+// TestBeginMoveTwiceFails: an entry has one speculative mover at a time.
+// A second begin on a moving entry fails; once a revalidation has aborted
+// the first move, its late commit fails too, and the entry can be moved
+// afresh.
+func TestBeginMoveTwiceFails(t *testing.T) {
+	tb := NewTable()
+	id, _ := tb.Alloc(0x4000, 32)
+	if _, err := tb.BeginSpeculativeMove(id); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tb.BeginSpeculativeMove(id); err == nil {
+		t.Error("second BeginSpeculativeMove succeeded")
+	}
+	if _, err := tb.Revalidate(id); err != nil {
+		t.Fatal(err)
+	}
+	if tb.CommitSpeculativeMove(id, 0x8000) {
+		t.Error("the aborted move committed")
+	}
+	if _, err := tb.BeginSpeculativeMove(id); err != nil {
+		t.Fatalf("begin after the abort: %v", err)
+	}
+	if !tb.CommitSpeculativeMove(id, 0xc000) {
+		t.Error("a fresh move of the revalidated entry did not commit")
+	}
+	if a, err := tb.Translate(Make(id, 0)); err != nil || a != 0xc000 {
+		t.Errorf("Translate = %#x, %v; want 0xc000", a, err)
+	}
+}
+
+// TestRevalidateIdempotent: the first revalidation of a moving entry
+// performs the transition (aborting the move), a second is a no-op, and
+// the entry keeps its original backing — the aborted move cannot commit.
+func TestRevalidateIdempotent(t *testing.T) {
+	tb := NewTable()
+	id, _ := tb.Alloc(0x4000, 32)
+	if _, err := tb.BeginSpeculativeMove(id); err != nil {
+		t.Fatal(err)
+	}
+	did, err := tb.Revalidate(id)
+	if err != nil || !did {
+		t.Fatalf("first Revalidate = %v, %v", did, err)
+	}
+	did, err = tb.Revalidate(id)
+	if err != nil || did {
+		t.Fatalf("second Revalidate = %v, %v; want no-op", did, err)
+	}
+	if tb.CommitSpeculativeMove(id, 0x8000) {
+		t.Error("commit succeeded on a revalidated entry")
+	}
+	if a, err := tb.Translate(Make(id, 8)); err != nil || a != 0x4008 {
+		t.Errorf("Translate = %#x, %v; want the original 0x4008", a, err)
+	}
+}
+
 func TestOversizeAllocRejected(t *testing.T) {
 	tb := NewTable()
 	if _, err := tb.Alloc(0x1000, MaxObjectSize+1); err == nil {

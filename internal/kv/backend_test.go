@@ -103,7 +103,7 @@ func TestActiveDefragHonoursMinFrag(t *testing.T) {
 	b.MinFrag = 1000 // never triggers
 	s, sess := NewShardedStore(b, 1, 0), SingleThreadedSession(b)
 	for i := 0; i < 100; i++ {
-		if err := s.Set(sess, string(rune('a'+i%26))+string(rune('0'+i/26)), bytes.Repeat([]byte{1}, 100)); err != nil {
+		if err := set(s, sess, string(rune('a'+i%26))+string(rune('0'+i/26)), bytes.Repeat([]byte{1}, 100)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -128,7 +128,7 @@ func sparseStore(t *testing.T, b Backend) (*ShardedStore, Session) {
 	st := NewShardedStore(b, 4, 0)
 	sess := st.NewSession()
 	for i := 0; i < sparseN; i++ {
-		if err := st.Set(sess, sparseKey(i), sparseVal(i)); err != nil {
+		if err := set(st, sess, sparseKey(i), sparseVal(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -136,7 +136,7 @@ func sparseStore(t *testing.T, b Backend) (*ShardedStore, Session) {
 		if sparseKept(i) {
 			continue
 		}
-		if _, err := st.Del(sess, sparseKey(i)); err != nil {
+		if _, err := del(st, sess, sparseKey(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -160,7 +160,7 @@ func TestActiveDefragRelocatesShardedEntries(t *testing.T) {
 		t.Errorf("UsedBytes %d -> %d across relocation", used, got)
 	}
 	for i := 0; i < sparseN; i++ {
-		if v, err := st.Get(sess, sparseKey(i)); err != nil || sparseKept(i) && !bytes.Equal(v, sparseVal(i)) {
+		if v, err := get(st, sess, sparseKey(i)); err != nil || sparseKept(i) && !bytes.Equal(v, sparseVal(i)) {
 			t.Fatalf("%s: wrong bytes after relocation (err=%v)", sparseKey(i), err)
 		}
 	}
@@ -173,14 +173,14 @@ func TestMeshBackendMaintainMeshes(t *testing.T) {
 	var keys []string
 	for i := 0; i < 512; i++ {
 		k := string(rune('a'+i%26)) + string(rune('a'+(i/26)%26)) + string(rune('a'+i/676))
-		if err := s.Set(sess, k, bytes.Repeat([]byte{byte(i)}, 512)); err != nil {
+		if err := set(s, sess, k, bytes.Repeat([]byte{byte(i)}, 512)); err != nil {
 			t.Fatal(err)
 		}
 		keys = append(keys, k)
 	}
 	for i, k := range keys {
 		if i%8 != 0 {
-			if _, err := s.Del(sess, k); err != nil {
+			if _, err := del(s, sess, k); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -213,14 +213,14 @@ func TestAnchorageBackendMaintainDrivesController(t *testing.T) {
 	var keys []string
 	for i := 0; i < 2000; i++ {
 		k := string(rune('a'+i%26)) + string(rune('a'+(i/26)%26)) + string(rune('a'+i/676))
-		if err := s.Set(sess, k, bytes.Repeat([]byte{byte(i)}, 400)); err != nil {
+		if err := set(s, sess, k, bytes.Repeat([]byte{byte(i)}, 400)); err != nil {
 			t.Fatal(err)
 		}
 		keys = append(keys, k)
 	}
 	for i, k := range keys {
 		if i%5 != 0 {
-			if _, err := s.Del(sess, k); err != nil {
+			if _, err := del(s, sess, k); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -243,7 +243,7 @@ func TestAnchorageBackendMaintainDrivesController(t *testing.T) {
 		if i%5 != 0 {
 			continue
 		}
-		v, err := s.Get(sess, k)
+		v, err := get(s, sess, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -261,16 +261,16 @@ func TestAnchorageBackendMaintainDrivesController(t *testing.T) {
 func TestStoreUsedBytesTracksBackend(t *testing.T) {
 	b := NewMallocBackend()
 	s, sess := NewShardedStore(b, 1, 0), SingleThreadedSession(b)
-	if err := s.Set(sess, "a", make([]byte, 100)); err != nil {
+	if err := set(s, sess, "a", make([]byte, 100)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Set(sess, "b", make([]byte, 200)); err != nil {
+	if err := set(s, sess, "b", make([]byte, 200)); err != nil {
 		t.Fatal(err)
 	}
 	if got := b.UsedBytes(); got != 300 {
 		t.Errorf("UsedBytes = %d, want 300", got)
 	}
-	if _, err := s.Del(sess, "a"); err != nil {
+	if _, err := del(s, sess, "a"); err != nil {
 		t.Fatal(err)
 	}
 	if got := b.UsedBytes(); got != 200 {

@@ -224,8 +224,8 @@ func (sh *shard) setDeadline(e *entry, expireAt time.Time) {
 	e.expireAt = expireAt
 }
 
-// SetMode selects the conditional-store semantics of SetWith, mirroring
-// the memcached storage commands.
+// SetMode selects the conditional-store semantics of SetExBytesAt,
+// mirroring the memcached storage commands.
 type SetMode int
 
 const (
@@ -283,7 +283,7 @@ func (s *ShardedStore) NewSession() Session { return s.backend.NewSession() }
 // now reads the store's clock. The request path never calls it under a
 // shard lock: every …At entry point (and the methods that take now
 // outright) is handed the command's one reading by its caller. What is
-// left are the no-now public wrappers, which read it once before
+// left are GetInto and SetExBytes, which read it once before
 // dispatching, and the maintenance paths (SweepExpired, ItemsSnapshot,
 // Dump, replay), which read their own.
 func (s *ShardedStore) now() time.Time {
@@ -300,10 +300,6 @@ const (
 	fnvOffset32 = 2166136261
 	fnvPrime32  = 16777619
 )
-
-func (s *ShardedStore) shardFor(key string) *shard {
-	return s.shardForB(unsafeKeyBytes(key))
-}
 
 func (s *ShardedStore) shardForB(key []byte) *shard {
 	h := uint32(fnvOffset32)
@@ -370,13 +366,7 @@ func (s *ShardedStore) liveLocked(sh *shard, e *entry, ok bool, now time.Time) (
 	return e, true
 }
 
-// lookupLocked returns key's entry after lazy expiry. Caller holds sh.mu.
-func (s *ShardedStore) lookupLocked(sh *shard, key string, now time.Time) (*entry, bool) {
-	e, ok := sh.index[key]
-	return s.liveLocked(sh, e, ok, now)
-}
-
-// lookupLockedB is lookupLocked for a byte-slice key; the map access
+// lookupLockedB returns key's entry after lazy expiry; the map access
 // compiles to a no-copy lookup. Caller holds sh.mu.
 func (s *ShardedStore) lookupLockedB(sh *shard, key []byte, now time.Time) (*entry, bool) {
 	e, ok := sh.index[string(key)]
@@ -614,40 +604,26 @@ func (s *ShardedStore) evictColdest(me *shard, now time.Time) bool {
 	return false
 }
 
-// Set stores key=value through the worker's session.
-func (s *ShardedStore) Set(sess Session, key string, value []byte) error {
-	_, err := s.SetWith(sess, key, value, SetAlways)
-	return err
-}
-
-// SetWith stores key=value with no expiry deadline under the given
-// conditional mode.
-func (s *ShardedStore) SetWith(sess Session, key string, value []byte, mode SetMode) (bool, error) {
-	return s.SetEx(sess, key, value, mode, time.Time{})
-}
-
-// SetEx stores key=value under the given conditional mode with an
-// absolute expiry deadline (zero = never expires), reporting whether the
-// value was stored. The existence check and the store are one critical
-// section, so concurrent add/replace races resolve like memcached's:
-// exactly one concurrent `add` of a key wins. An entry past its deadline
-// counts as absent — `add` succeeds over a dead value, `replace` does
-// not revive one.
-func (s *ShardedStore) SetEx(sess Session, key string, value []byte, mode SetMode, expireAt time.Time) (bool, error) {
-	return s.setEx(sess, s.shardFor(key), unsafeKeyBytes(key), value, mode, expireAt, s.now())
-}
-
-// SetExBytes is SetEx for a key arriving as bytes out of a network
-// buffer: the key is interned to a string only if a brand-new entry is
-// created. The caller may reuse both key and value the moment the call
-// returns (the store copies the value into its heap under the lock).
+// SetExBytes is SetExBytesAt at one reading of the store's Clock. It is
+// kept only because the frozen bench/ harness calls it; nothing else
+// should (ROADMAP item 1(g) retires it).
 func (s *ShardedStore) SetExBytes(sess Session, key, value []byte, mode SetMode, expireAt time.Time) (bool, error) {
 	return s.setEx(sess, s.shardForB(key), key, value, mode, expireAt, s.now())
 }
 
-// SetExBytesAt is SetExBytes at the caller's reading of the clock: now
-// decides whether the key already exists, stamps storedAt and lastUsed,
-// and judges the eviction scan — one instant for the whole command.
+// SetExBytesAt stores key=value under the given conditional mode with an
+// absolute expiry deadline (zero = never expires), reporting whether the
+// value was stored. now is the caller's reading of the clock: it decides
+// whether the key already exists, stamps storedAt and lastUsed, and
+// judges the eviction scan — one instant for the whole command.
+//
+// The existence check and the store are one critical section, so
+// concurrent add/replace races resolve like memcached's: exactly one
+// concurrent `add` of a key wins. An entry past its deadline counts as
+// absent — `add` succeeds over a dead value, `replace` does not revive
+// one. The key is interned to a string only if a brand-new entry is
+// created, and the caller may reuse both key and value the moment the
+// call returns (the store copies the value into its heap under the lock).
 func (s *ShardedStore) SetExBytesAt(sess Session, key, value []byte, mode SetMode, expireAt, now time.Time) (bool, error) {
 	return s.setEx(sess, s.shardForB(key), key, value, mode, expireAt, now)
 }
@@ -673,23 +649,18 @@ func (s *ShardedStore) setEx(sess Session, sh *shard, key, value []byte, mode Se
 	return true, nil
 }
 
-// Apply runs a read-modify-write on key as one critical section: fn sees
-// a copy of the current value (old == nil, found == false when the key is
-// absent or expired) and decides the outcome — store a new value, touch
-// the deadline, delete, or do nothing. The shard lock is held from the
-// read through the write-back, so a concurrent set/delete/defrag pass can
-// never interleave: this is the primitive behind cas, incr/decr, and
-// append/prepend, and the access pattern most exposed to a concurrent
-// mover. fn must be fast and must not call back into the store. The old
-// slice is only valid for the duration of fn.
-func (s *ShardedStore) Apply(sess Session, key string, fn func(old []byte, found bool) ApplyOp) error {
-	_, err := s.apply(sess, s.shardFor(key), unsafeKeyBytes(key), true, nil, s.now(), fn)
-	return err
-}
-
-// ApplyInto is Apply for a byte-slice key at the caller's reading of the
-// clock, with the old-value copy-out landing in the caller's scratch
-// buffer instead of a fresh allocation. It returns the (possibly grown)
+// ApplyInto runs a read-modify-write on key as one critical section at
+// the caller's reading of the clock: fn sees the current value (old ==
+// nil, found == false when the key is absent or dead at now) and decides
+// the outcome — store a new value, touch the deadline, delete, or do
+// nothing. The shard lock is held from the read through the write-back,
+// so a concurrent set/delete/defrag pass can never interleave: this is
+// the primitive behind cas, incr/decr, and append/prepend, and the access
+// pattern most exposed to a concurrent mover. fn must be fast and must
+// not call back into the store.
+//
+// The old value is copied out into the caller's scratch buffer, valid
+// only for the duration of fn. ApplyInto returns the (possibly grown)
 // scratch for the caller to keep for the next call; fn's ApplyOp.Value
 // may alias that scratch. A nil scratch is fine — the first call sizes
 // it.
@@ -750,78 +721,38 @@ func (s *ShardedStore) apply(sess Session, sh *shard, key []byte, needValue bool
 	return scratch, nil
 }
 
-// CompareAndSwap stores next only if the current value is byte-equal to
-// expected, as one critical section. It reports whether the swap
-// happened and whether the key was present at all — the kv-level
-// analogue of memcached's cas (which compares uniques the protocol layer
-// keeps inside the value).
-func (s *ShardedStore) CompareAndSwap(sess Session, key string, expected, next []byte) (swapped, found bool, err error) {
-	err = s.Apply(sess, key, casApply(expected, next, &swapped, &found))
-	return swapped, found, err
-}
-
-// Touch replaces key's expiry deadline (zero = never expires), reporting
-// whether the key was present and alive. Implemented over apply so the
-// touch semantics live in exactly one place per store.
-func (s *ShardedStore) Touch(sess Session, key string, expireAt time.Time) (found bool, err error) {
-	_, err = s.apply(sess, s.shardFor(key), unsafeKeyBytes(key), false, nil, s.now(), touchApply(expireAt, &found))
-	return found, err
-}
-
-// TouchBytes is Touch for a byte-slice key at the caller's reading of
-// the clock.
+// TouchBytes replaces key's expiry deadline (zero = never expires) at
+// the caller's reading of the clock, reporting whether the key was
+// present and alive. It runs over apply, so the touch semantics live in
+// exactly one place.
 func (s *ShardedStore) TouchBytes(sess Session, key []byte, expireAt, now time.Time) (found bool, err error) {
 	_, err = s.apply(sess, s.shardForB(key), key, false, nil, now, touchApply(expireAt, &found))
 	return found, err
 }
 
-// Get reads key through the worker's session; nil if absent or expired.
-// The returned slice is freshly allocated and owned by the caller; the
-// allocation-free variant is GetInto.
-func (s *ShardedStore) Get(sess Session, key string) ([]byte, error) {
-	v, hit, err := s.getInto(sess, s.shardFor(key), unsafeKeyBytes(key), false, time.Time{}, nil, s.now())
-	if !hit {
-		return nil, err
-	}
-	if v == nil {
-		v = emptyValue // zero-length hit must stay distinguishable from a miss
-	}
-	return v, err
-}
-
-// GetAndTouch is Get plus a deadline update on a hit, as one critical
-// section (memcached `gat`/`gats`). It bumps both the get and the touch
-// counters, like memcached.
-func (s *ShardedStore) GetAndTouch(sess Session, key string, expireAt time.Time) ([]byte, error) {
-	v, hit, err := s.getInto(sess, s.shardFor(key), unsafeKeyBytes(key), true, expireAt, nil, s.now())
-	if !hit {
-		return nil, err
-	}
-	if v == nil {
-		v = emptyValue
-	}
-	return v, err
-}
-
-// GetInto reads key's value into the caller's scratch buffer, growing it
-// only when the value doesn't fit: the copy-out from the shard-lock
-// critical section lands directly in a buffer the caller reuses across
-// requests, so a cache hit allocates nothing. It returns the value
-// (aliasing buf's storage), whether the key was present, and any read
-// error. The value is only valid until the caller's next use of buf.
+// GetInto is GetIntoAt at one reading of the store's Clock. It is kept
+// only because the frozen bench/ harness calls it; nothing else should
+// (ROADMAP item 1(g) retires it).
 func (s *ShardedStore) GetInto(sess Session, key []byte, buf []byte) ([]byte, bool, error) {
 	return s.getInto(sess, s.shardForB(key), key, false, time.Time{}, buf, s.now())
 }
 
-// GetIntoAt is GetInto at the caller's reading of the clock: now decides
-// whether the entry is still alive and stamps its recency. The server
-// passes each command's one reading, so a GET reads no clock under the
-// shard lock.
+// GetIntoAt reads key's value into the caller's scratch buffer, growing
+// it only when the value doesn't fit: the copy-out from the shard-lock
+// critical section lands directly in a buffer the caller reuses across
+// requests, so a cache hit allocates nothing. It returns the value
+// (aliasing buf's storage), whether the key was present, and any read
+// error; the value is only valid until the caller's next use of buf. now
+// is the caller's reading of the clock: it decides whether the entry is
+// still alive and stamps its recency. The server passes each command's
+// one reading, so a GET reads no clock under the shard lock.
 func (s *ShardedStore) GetIntoAt(sess Session, key []byte, buf []byte, now time.Time) ([]byte, bool, error) {
 	return s.getInto(sess, s.shardForB(key), key, false, time.Time{}, buf, now)
 }
 
-// GetAndTouchInto is GetIntoAt plus a deadline update on a hit.
+// GetAndTouchInto is GetIntoAt plus a deadline update on a hit, as one
+// critical section (memcached `gat`/`gats`). It bumps both the get and
+// the touch counters, like memcached.
 func (s *ShardedStore) GetAndTouchInto(sess Session, key []byte, expireAt time.Time, buf []byte, now time.Time) ([]byte, bool, error) {
 	return s.getInto(sess, s.shardForB(key), key, true, expireAt, buf, now)
 }
@@ -868,15 +799,9 @@ func (s *ShardedStore) getInto(sess Session, sh *shard, key []byte, touch bool, 
 	return out, true, nil
 }
 
-// Del removes key through the worker's session, reporting whether it
-// existed. A dead (expired) entry is reclaimed but reported as a miss,
-// like memcached's delete of an expired item.
-func (s *ShardedStore) Del(sess Session, key string) (bool, error) {
-	return s.del(s.shardFor(key), unsafeKeyBytes(key), s.now())
-}
-
-// DelBytes is Del for a byte-slice key at the caller's reading of the
-// clock.
+// DelBytes removes key at the caller's reading of the clock, reporting
+// whether it existed. A dead (expired) entry is reclaimed but reported as
+// a miss, like memcached's delete of an expired item.
 func (s *ShardedStore) DelBytes(sess Session, key []byte, now time.Time) (bool, error) {
 	return s.del(s.shardForB(key), key, now)
 }

@@ -58,11 +58,11 @@ func TestOversizedValueRejected(t *testing.T) {
 		sess := s.NewSession()
 		defer sess.Close()
 		for i := 0; i < 4; i++ {
-			if err := s.Set(sess, fmt.Sprintf("k%d", i), small); err != nil {
+			if err := set(s, sess, fmt.Sprintf("k%d", i), small); err != nil {
 				t.Fatal(err)
 			}
 		}
-		err := s.Set(sess, "kX", huge)
+		err := set(s, sess, "kX", huge)
 		if !errors.Is(err, ErrTooLarge) {
 			t.Fatalf("oversized set: err = %v, want ErrTooLarge", err)
 		}
@@ -74,7 +74,7 @@ func TestOversizedValueRejected(t *testing.T) {
 			t.Errorf("Bytes = %d, want %d (unchanged full store)", snap.Bytes, cap4)
 		}
 		for i := 0; i < 4; i++ {
-			if v, _ := s.Get(sess, fmt.Sprintf("k%d", i)); v == nil {
+			if v, _ := get(s, sess, fmt.Sprintf("k%d", i)); v == nil {
 				t.Errorf("k%d lost to an oversized set", i)
 			}
 		}
@@ -92,7 +92,7 @@ func TestCeilingSmallerThanShardCount(t *testing.T) {
 	defer sess.Close()
 	val := make([]byte, 8)
 	for i := 0; i < 10; i++ {
-		if err := s.Set(sess, fmt.Sprintf("k%02d", i), val); err != nil {
+		if err := set(s, sess, fmt.Sprintf("k%02d", i), val); err != nil {
 			t.Fatal(err)
 		}
 		if snap := s.Snapshot(); snap.Bytes > snap.LimitMaxbytes {
@@ -155,7 +155,7 @@ func TestEvictionSpillsToOtherShards(t *testing.T) {
 	val := make([]byte, valLen)
 	// Fill the budget entirely with shard 0's keys.
 	for _, k := range keys[0] {
-		if err := s.Set(sess, k, val); err != nil {
+		if err := set(s, sess, k, val); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -166,7 +166,7 @@ func TestEvictionSpillsToOtherShards(t *testing.T) {
 	// first, so each insert goes through a shard whose own LRU is empty
 	// — the only way to make room is evicting shard 0's coldest entries.
 	for _, k := range []string{keys[1][0], keys[2][0], keys[3][0]} {
-		if err := s.Set(sess, k, val); err != nil {
+		if err := set(s, sess, k, val); err != nil {
 			t.Fatal(err)
 		}
 		if snap := s.Snapshot(); snap.Bytes > ceiling {
@@ -179,7 +179,7 @@ func TestEvictionSpillsToOtherShards(t *testing.T) {
 	}
 	// Spill must take shard 0's LRU order: its three oldest keys die.
 	for i, k := range keys[0] {
-		v, err := s.Get(sess, k)
+		v, err := get(s, sess, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,13 +210,13 @@ func TestEvictionClassifiesDeadAsReclaimed(t *testing.T) {
 		sess := s.NewSession()
 		defer sess.Close()
 		for i := 0; i < 2; i++ {
-			if _, err := s.SetEx(sess, fmt.Sprintf("d%d", i), val, SetAlways, now.Add(time.Second)); err != nil {
+			if _, err := setEx(s, sess, fmt.Sprintf("d%d", i), val, SetAlways, now.Add(time.Second)); err != nil {
 				t.Fatal(err)
 			}
 		}
 		now = now.Add(2 * time.Second)
 		for i := 0; i < 2; i++ {
-			if err := s.Set(sess, fmt.Sprintf("n%d", i), val); err != nil {
+			if err := set(s, sess, fmt.Sprintf("n%d", i), val); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -237,17 +237,17 @@ func TestEvictedUnfetchedCounter(t *testing.T) {
 	sess := s.NewSession()
 	defer sess.Close()
 	for _, k := range []string{"ka", "kb"} {
-		if err := s.Set(sess, k, val); err != nil {
+		if err := set(s, sess, k, val); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := s.Get(sess, "ka"); err != nil { // ka fetched; kb now the LRU tail
+	if _, err := get(s, sess, "ka"); err != nil { // ka fetched; kb now the LRU tail
 		t.Fatal(err)
 	}
-	if err := s.Set(sess, "kc", val); err != nil { // evicts kb (never fetched)
+	if err := set(s, sess, "kc", val); err != nil { // evicts kb (never fetched)
 		t.Fatal(err)
 	}
-	if err := s.Set(sess, "kd", val); err != nil { // evicts ka (fetched)
+	if err := set(s, sess, "kd", val); err != nil { // evicts ka (fetched)
 		t.Fatal(err)
 	}
 	snap := s.Snapshot()
@@ -270,12 +270,12 @@ func TestOverwriteDiscountsReplacedBytes(t *testing.T) {
 	sess := s.NewSession()
 	defer sess.Close()
 	for _, k := range []string{"ka", "kb"} {
-		if err := s.Set(sess, k, val); err != nil {
+		if err := set(s, sess, k, val); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 10; i++ {
-		if err := s.Set(sess, "ka", val); err != nil {
+		if err := set(s, sess, "ka", val); err != nil {
 			t.Fatal(err)
 		}
 		snap := s.Snapshot()
@@ -286,7 +286,7 @@ func TestOverwriteDiscountsReplacedBytes(t *testing.T) {
 			t.Fatalf("overwrite evicted: evictions=%d reclaimed=%d", snap.Evictions, snap.Reclaimed)
 		}
 	}
-	if v, _ := s.Get(sess, "kb"); v == nil {
+	if v, _ := get(s, sess, "kb"); v == nil {
 		t.Error("kb evicted by a same-size overwrite of ka")
 	}
 }
@@ -305,20 +305,20 @@ func TestFailedStoreLeavesOldValueAndBudget(t *testing.T) {
 		s := NewShardedStore(fb, 2, cap4)
 		sess := s.NewSession()
 		defer sess.Close()
-		if err := s.Set(sess, "k0", v1); err != nil {
+		if err := set(s, sess, "k0", v1); err != nil {
 			t.Fatal(err)
 		}
 		before := s.Snapshot().Bytes
 		fb.failWrites.Store(true)
-		if err := s.Set(sess, "k0", v2); err == nil {
+		if err := set(s, sess, "k0", v2); err == nil {
 			t.Fatal("set succeeded despite injected write failure")
 		}
 		// A brand-new key must also refund its (full-cost) reservation.
-		if err := s.Set(sess, "k1", v2); err == nil {
+		if err := set(s, sess, "k1", v2); err == nil {
 			t.Fatal("set succeeded despite injected write failure")
 		}
 		fb.failWrites.Store(false)
-		got, err := s.Get(sess, "k0")
+		got, err := get(s, sess, "k0")
 		if err != nil || !bytes.Equal(got, v1) {
 			t.Errorf("k0 = %v, %v; want old value intact", got, err)
 		}
@@ -327,7 +327,7 @@ func TestFailedStoreLeavesOldValueAndBudget(t *testing.T) {
 		}
 		// The refunded budget must still be fully usable.
 		for i := 0; i < 3; i++ {
-			if err := s.Set(sess, fmt.Sprintf("f%d", i), v2); err != nil {
+			if err := set(s, sess, fmt.Sprintf("f%d", i), v2); err != nil {
 				t.Fatalf("post-failure set %d: %v", i, err)
 			}
 		}
@@ -348,41 +348,41 @@ func TestLRUOrderAcrossTouches(t *testing.T) {
 	sess := s.NewSession()
 	defer sess.Close()
 	for _, k := range []string{"ka", "kb", "kc"} {
-		if err := s.Set(sess, k, val); err != nil {
+		if err := set(s, sess, k, val); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Recency now kc > kb > ka. Refresh ka (get) then kb (touch): the
 	// victim must be kc.
-	if _, err := s.Get(sess, "ka"); err != nil {
+	if _, err := get(s, sess, "ka"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Touch(sess, "kb", time.Time{}); err != nil {
+	if _, err := touch(s, sess, "kb", time.Time{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Set(sess, "kd", val); err != nil {
+	if err := set(s, sess, "kd", val); err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := s.Get(sess, "kc"); v != nil {
+	if v, _ := get(s, sess, "kc"); v != nil {
 		t.Error("kc survived; it was the least-recently-touched entry")
 	}
 	for _, k := range []string{"ka", "kb", "kd"} {
-		if v, _ := s.Get(sess, k); v == nil {
+		if v, _ := get(s, sess, k); v == nil {
 			t.Errorf("%s evicted despite recent touch", k)
 		}
 	}
 	// An RMW read (CompareAndSwap's lookup) refreshes too: ka is oldest
 	// again after the loop above; CAS it, then kb must be the victim.
-	if _, _, err := s.CompareAndSwap(sess, "ka", val, val); err != nil {
+	if _, _, err := cas(s, sess, "ka", val, val); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Set(sess, "ke", val); err != nil {
+	if err := set(s, sess, "ke", val); err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := s.Get(sess, "kb"); v != nil {
+	if v, _ := get(s, sess, "kb"); v != nil {
 		t.Error("kb survived; the CAS read should have refreshed ka past it")
 	}
-	if v, _ := s.Get(sess, "ka"); v == nil {
+	if v, _ := get(s, sess, "ka"); v == nil {
 		t.Error("ka evicted despite the CAS read refreshing it")
 	}
 }
@@ -399,18 +399,18 @@ func TestChargedBytesReturnToZero(t *testing.T) {
 		k := fmt.Sprintf("z%03d", i)
 		keys = append(keys, k)
 		val := make([]byte, 1+rng.Intn(700))
-		if err := s.Set(sess, k, val); err != nil {
+		if err := set(s, sess, k, val); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, k := range keys[:32] { // overwrite half with different sizes
 		val := make([]byte, 1+rng.Intn(700))
-		if err := s.Set(sess, k, val); err != nil {
+		if err := set(s, sess, k, val); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, k := range keys {
-		if _, err := s.Del(sess, k); err != nil {
+		if _, err := del(s, sess, k); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -471,7 +471,7 @@ func TestEvictionPressureDefragRace(t *testing.T) {
 				id := rng.Intn(2048)
 				key := fmt.Sprintf("race-%04d", id)
 				if rng.Intn(4) == 0 {
-					got, err := store.Get(sess, key)
+					got, err := get(store, sess, key)
 					if err != nil {
 						t.Errorf("worker %d get %s: %v", w, key, err)
 						return
@@ -486,7 +486,7 @@ func TestEvictionPressureDefragRace(t *testing.T) {
 				for i := range val {
 					val[i] = byte(id)
 				}
-				if err := store.Set(sess, key, val); err != nil {
+				if err := set(store, sess, key, val); err != nil {
 					t.Errorf("worker %d set %s: %v", w, key, err)
 					return
 				}

@@ -19,7 +19,7 @@ func TestShardedStoreFlushAll(t *testing.T) {
 
 	const n = 50
 	for i := 0; i < n; i++ {
-		if err := st.Set(sess, fmt.Sprintf("k%02d", i), []byte("doomed")); err != nil {
+		if err := set(st, sess, fmt.Sprintf("k%02d", i), []byte("doomed")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -27,11 +27,11 @@ func TestShardedStoreFlushAll(t *testing.T) {
 	st.FlushAll(clk.Now()) // immediate epoch
 
 	// Lazy path: an access sees the key as gone.
-	if v, err := st.Get(sess, "k00"); err != nil || v != nil {
+	if v, err := get(st, sess, "k00"); err != nil || v != nil {
 		t.Fatalf("get after flush: %q err=%v, want miss", v, err)
 	}
 	// Values stored after the epoch are untouched.
-	if err := st.Set(sess, "fresh", []byte("alive")); err != nil {
+	if err := set(st, sess, "fresh", []byte("alive")); err != nil {
 		t.Fatal(err)
 	}
 	// Sweep path: the remaining n-1 doomed keys are reclaimed with no
@@ -47,7 +47,7 @@ func TestShardedStoreFlushAll(t *testing.T) {
 	if snap.Expired != n {
 		t.Errorf("expired = %d, want %d", snap.Expired, n)
 	}
-	if v, err := st.Get(sess, "fresh"); err != nil || string(v) != "alive" {
+	if v, err := get(st, sess, "fresh"); err != nil || string(v) != "alive" {
 		t.Fatalf("fresh damaged by flush: %q err=%v", v, err)
 	}
 	// The epoch is spent: a second sweep finds nothing and the fresh
@@ -64,14 +64,14 @@ func TestShardedStoreFlushAllPendingEpoch(t *testing.T) {
 	sess := st.NewSession()
 	defer sess.Close()
 
-	if err := st.Set(sess, "old", []byte("v")); err != nil {
+	if err := set(st, sess, "old", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	clk.Advance(time.Second)
 	st.FlushAll(clk.Now().Add(5 * time.Second)) // epoch in the future
 
 	// Nothing dies before the epoch — by access or by sweep.
-	if v, err := st.Get(sess, "old"); err != nil || v == nil {
+	if v, err := get(st, sess, "old"); err != nil || v == nil {
 		t.Fatalf("get before pending epoch: %q err=%v", v, err)
 	}
 	if r := st.SweepExpired(sweepBudgetPerShard); r != 0 {
@@ -79,7 +79,7 @@ func TestShardedStoreFlushAllPendingEpoch(t *testing.T) {
 	}
 	// A value stored before the epoch arrives is doomed with the rest.
 	clk.Advance(time.Second)
-	if err := st.Set(sess, "mid", []byte("w")); err != nil {
+	if err := set(st, sess, "mid", []byte("w")); err != nil {
 		t.Fatal(err)
 	}
 	clk.Advance(4 * time.Second) // the epoch arrives

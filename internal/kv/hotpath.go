@@ -2,9 +2,8 @@ package kv
 
 import "unsafe"
 
-// This file holds the two tiny helpers the allocation-free request path
-// is built on: scratch-buffer growth and the string→[]byte view that
-// lets the legacy string-keyed API share the byte-keyed core.
+// This file holds the two tiny helpers the allocation-free paths are
+// built on: scratch-buffer growth and a no-copy string→[]byte view.
 
 // growBytes returns a slice of length n, reusing b's storage when it is
 // large enough and allocating (with headroom, so jittered value sizes
@@ -23,16 +22,11 @@ func growBytes(b []byte, n int) []byte {
 // unsafeKeyBytes views a string's bytes as a []byte without copying.
 // The result must never be written through — every core path only
 // hashes the key, looks it up in a map, or re-interns it with an
-// explicit string(key) copy — and must not outlive the string. It
-// exists so the string-keyed wrappers (Get, SetEx, Apply, …) reuse the
-// byte-keyed hot path without paying a conversion allocation per call.
+// explicit string(key) copy — and must not outlive the string. Dump uses
+// it to hand interned keys to its callback without a copy each.
 func unsafeKeyBytes(s string) []byte {
 	if len(s) == 0 {
 		return nil
 	}
 	return unsafe.Slice(unsafe.StringData(s), len(s))
 }
-
-// emptyValue keeps zero-length hits distinguishable from misses on the
-// nil-means-miss legacy Get surface.
-var emptyValue = []byte{}

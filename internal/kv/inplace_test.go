@@ -104,7 +104,7 @@ type entryState struct {
 }
 
 func stateOf(s *ShardedStore, b Backend, key string, l *recLog) entryState {
-	sh := s.shardFor(key)
+	sh := s.shardForB([]byte(key))
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	e := sh.index[key]
@@ -147,15 +147,15 @@ func TestInPlaceOverwriteFailureLeavesEntryIntact(t *testing.T) {
 		v1, v2 := bytes.Repeat([]byte{0xA1}, 96), bytes.Repeat([]byte{0xB2}, 96)
 		deadline := clock.Now().Add(time.Hour)
 		for _, k := range []string{"older", "k", "newer"} {
-			if _, err := s.SetEx(sess, k, v1, SetAlways, deadline); err != nil {
+			if _, err := setEx(s, sess, k, v1, SetAlways, deadline); err != nil {
 				t.Fatal(err)
 			}
 			clock.Advance(time.Second)
 		}
-		if got, err := s.Get(sess, "k"); err != nil || !bytes.Equal(got, v1) { // sets fetched, moves k to the front
+		if got, err := get(s, sess, "k"); err != nil || !bytes.Equal(got, v1) { // sets fetched, moves k to the front
 			t.Fatalf("get k = %x, %v", got, err)
 		}
-		if got, err := s.Get(sess, "newer"); err != nil || got == nil { // ... and off it again
+		if got, err := get(s, sess, "newer"); err != nil || got == nil { // ... and off it again
 			t.Fatalf("get newer = %x, %v", got, err)
 		}
 		clock.Advance(time.Second)
@@ -232,7 +232,7 @@ func TestInPlaceOverwriteFailureLeavesEntryIntact(t *testing.T) {
 			}
 		}
 		// Reading moves k in the LRU, so the bytes are checked last.
-		if got, err := s.Get(sess, "k"); err != nil || !bytes.Equal(got, v1) {
+		if got, err := get(s, sess, "k"); err != nil || !bytes.Equal(got, v1) {
 			t.Errorf("k = %x, %v after failed stores; want the old value", got, err)
 		}
 		before := stateOf(s, b, "k", log)
@@ -246,7 +246,7 @@ func TestInPlaceOverwriteFailureLeavesEntryIntact(t *testing.T) {
 		if after.records != before.records+1 || !after.expireAt.IsZero() || after.fetched || after.ttl != before.ttl-1 {
 			t.Errorf("same-length store did not restamp the entry: %+v", after)
 		}
-		if got, _ := s.Get(sess, "k"); !bytes.Equal(got, v2) {
+		if got, _ := get(s, sess, "k"); !bytes.Equal(got, v2) {
 			t.Errorf("k = %x after the store, want the new value", got)
 		}
 	})
@@ -254,7 +254,7 @@ func TestInPlaceOverwriteFailureLeavesEntryIntact(t *testing.T) {
 
 // refOf is key's current backend reference.
 func refOf(s *ShardedStore, key string) Ref {
-	sh := s.shardFor(key)
+	sh := s.shardForB([]byte(key))
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	return sh.index[key].ref
@@ -541,7 +541,7 @@ func TestRestoreBytesInPlaceOverDeadEntry(t *testing.T) {
 		s.RestoreFlushEpoch(at(10))
 		refs := map[string]Ref{}
 		for _, k := range []string{"ttl", "flushed"} {
-			refs[k] = s.shardFor(k).index[k].ref
+			refs[k] = s.shardForB([]byte(k)).index[k].ref
 		}
 		bytesBefore, usedBefore := s.Snapshot().Bytes, b.UsedBytes()
 		handlesBefore, _ := liveHandles(b)
@@ -550,10 +550,10 @@ func TestRestoreBytesInPlaceOverDeadEntry(t *testing.T) {
 		restore("flushed", v2, 0, 20)
 
 		for _, k := range []string{"ttl", "flushed"} {
-			if got := s.shardFor(k).index[k].ref; got != refs[k] {
+			if got := s.shardForB([]byte(k)).index[k].ref; got != refs[k] {
 				t.Errorf("%s: same-length restore changed the ref %#x → %#x", k, refs[k], got)
 			}
-			if got, err := s.Get(sess, k); err != nil || !bytes.Equal(got, v2) {
+			if got, err := get(s, sess, k); err != nil || !bytes.Equal(got, v2) {
 				t.Errorf("%s = %x, %v; want the later record's value, alive", k, got, err)
 			}
 		}
@@ -561,10 +561,10 @@ func TestRestoreBytesInPlaceOverDeadEntry(t *testing.T) {
 			t.Errorf("accounting moved: bytes %d → %d, backend %d → %d, handles %d → %d",
 				bytesBefore, s.Snapshot().Bytes, usedBefore, b.UsedBytes(), handlesBefore, handles)
 		}
-		if s.shardFor("ttl").ttl != 0 {
-			t.Errorf("ttl count = %d after the deadline was overwritten with none", s.shardFor("ttl").ttl)
+		if s.shardForB([]byte("ttl")).ttl != 0 {
+			t.Errorf("ttl count = %d after the deadline was overwritten with none", s.shardForB([]byte("ttl")).ttl)
 		}
-		if got, _ := s.Get(sess, "stays-dead"); got != nil {
+		if got, _ := get(s, sess, "stays-dead"); got != nil {
 			t.Errorf("stays-dead = %x; stored before the flush epoch, want a miss", got)
 		}
 		if s.Len() != 2 {

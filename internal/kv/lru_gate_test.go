@@ -52,7 +52,7 @@ func checkLRUInvariants(t *testing.T, s *ShardedStore, when string) {
 // form here and the quotient form in markRead agree to the nanosecond.)
 func gatedHit(t *testing.T, s *ShardedStore, sess Session, clock *manualClock, key string) (skipped bool) {
 	t.Helper()
-	sh := s.shardFor(key)
+	sh := s.shardForB([]byte(key))
 	e := sh.index[key]
 	if e == nil {
 		t.Fatalf("%s is not stored", key)
@@ -93,7 +93,7 @@ func TestGatedBumpRule(t *testing.T) {
 		s.Clock = clock.Now
 		sess := s.NewSession()
 		for i := 0; i < 10; i++ {
-			if _, err := s.SetEx(sess, "k"+strconv.Itoa(i), []byte("v"), SetAlways, time.Time{}); err != nil {
+			if _, err := setEx(s, sess, "k"+strconv.Itoa(i), []byte("v"), SetAlways, time.Time{}); err != nil {
 				t.Fatal(err)
 			}
 			if !constant {
@@ -166,7 +166,7 @@ func TestGatedBumpRule(t *testing.T) {
 			var err error
 			switch k := rng.Intn(10); {
 			case k < 5:
-				if s.shardFor(key).index[key] != nil {
+				if s.shardForB([]byte(key)).index[key] != nil {
 					if gatedHit(t, s, sess, clock, key) {
 						skips++
 					}
@@ -174,11 +174,11 @@ func TestGatedBumpRule(t *testing.T) {
 					_, _, err = s.GetInto(sess, []byte(key), buf)
 				}
 			case k < 8:
-				_, err = s.SetEx(sess, key, val[:100+rng.Intn(900)], SetAlways, time.Time{})
+				_, err = setEx(s, sess, key, val[:100+rng.Intn(900)], SetAlways, time.Time{})
 			case k == 8:
 				buf, _, err = s.GetAndTouchInto(sess, []byte(key), clock.Now().Add(time.Hour), buf, clock.Now())
 			default:
-				_, err = s.Del(sess, key)
+				_, err = del(s, sess, key)
 			}
 			if err != nil {
 				t.Fatalf("op %d on %s: %v", op, key, err)

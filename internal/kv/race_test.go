@@ -95,7 +95,7 @@ func TestShardedStoreConcurrentDefragRace(t *testing.T) {
 				sess.Safepoint()
 				key := fmt.Sprintf("w%d-k%03d", w, rng.Intn(64))
 				if v, ok := want[key]; ok && rng.Intn(2) == 0 {
-					got, err := store.Get(sess, key)
+					got, err := get(store, sess, key)
 					if err != nil {
 						t.Error(err)
 						return
@@ -111,7 +111,7 @@ func TestShardedStoreConcurrentDefragRace(t *testing.T) {
 				for i := range val {
 					val[i] = tag
 				}
-				if err := store.Set(sess, key, val); err != nil {
+				if err := set(store, sess, key, val); err != nil {
 					t.Error(err)
 					return
 				}
@@ -195,13 +195,13 @@ func TestPinnedBytesStableUnderConcurrentDefrag(t *testing.T) {
 				sess.Safepoint()
 				key := fmt.Sprintf("c%d-%03d", w, rng.Intn(256))
 				if rng.Intn(3) == 0 {
-					if _, err := store.Del(sess, key); err != nil {
+					if _, err := del(store, sess, key); err != nil {
 						t.Error(err)
 						return
 					}
 					continue
 				}
-				if err := store.Set(sess, key, make([]byte, 32+rng.Intn(480))); err != nil {
+				if err := set(store, sess, key, make([]byte, 32+rng.Intn(480))); err != nil {
 					t.Error(err)
 					return
 				}
@@ -337,7 +337,7 @@ func TestActiveDefragMaintainRacesRequests(t *testing.T) {
 			defer sess.Close()
 			rng := rand.New(rand.NewSource(int64(w)))
 			reads := func(k string, want []byte) bool {
-				got, err := st.Get(sess, k)
+				got, err := get(st, sess, k)
 				if err != nil || !bytes.Equal(got, want) {
 					t.Errorf("get %s: wrong bytes mid-defrag (err=%v)", k, err)
 				}
@@ -346,7 +346,7 @@ func TestActiveDefragMaintainRacesRequests(t *testing.T) {
 			for i := 0; i < ops; i++ {
 				own := fmt.Sprintf("w%d-%d", w, rng.Intn(64))
 				val := bytes.Repeat([]byte{byte(i)}, 64+rng.Intn(128))
-				if err := st.Set(sess, own, val); err != nil {
+				if err := set(st, sess, own, val); err != nil {
 					t.Errorf("set %s: %v", own, err)
 					return
 				}
@@ -354,7 +354,7 @@ func TestActiveDefragMaintainRacesRequests(t *testing.T) {
 					return
 				}
 				if i%3 == 0 {
-					if _, err := st.Del(sess, own); err != nil {
+					if _, err := del(st, sess, own); err != nil {
 						t.Errorf("del %s: %v", own, err)
 						return
 					}
@@ -505,14 +505,14 @@ func TestInPlaceOverwriteUnderConcurrentDefrag(t *testing.T) {
 			failed := false
 			set := func(key string) {
 				sess.Safepoint()
-				if err := store.Set(sess, key, val); err != nil && !failed {
+				if err := set(store, sess, key, val); err != nil && !failed {
 					failed = true
 					t.Error(err)
 				}
 			}
 			del := func(key string) {
 				sess.Safepoint()
-				if _, err := store.Del(sess, key); err != nil && !failed {
+				if _, err := del(store, sess, key); err != nil && !failed {
 					failed = true
 					t.Error(err)
 				}
@@ -771,14 +771,14 @@ func TestPauseFreePassReclaimsUnderTraffic(t *testing.T) {
 			failed := false
 			set := func(key string) {
 				sess.Safepoint()
-				if err := store.Set(sess, key, val[:n]); err != nil && !failed {
+				if err := set(store, sess, key, val[:n]); err != nil && !failed {
 					failed = true
 					t.Error(err)
 				}
 			}
 			del := func(key string) {
 				sess.Safepoint()
-				if _, err := store.Del(sess, key); err != nil && !failed {
+				if _, err := del(store, sess, key); err != nil && !failed {
 					failed = true
 					t.Error(err)
 				}

@@ -1,19 +1,16 @@
 package kv
 
-import (
-	"bytes"
-	"time"
-)
+import "time"
 
 // This file defines ShardedStore's read-modify-write primitive.
 // Memcached's cas/incr/decr/append/prepend commands all read a value,
 // compute, and write back — exactly the access pattern most exposed to a
-// concurrent mover relocating the block in between. Apply closes that
+// concurrent mover relocating the block in between. ApplyInto closes that
 // window by running the whole cycle as one critical section (the shard
 // lock), so the protocol layer gets linearizable RMW without knowing
 // anything about locks or relocation.
 
-// ApplyVerdict selects what Apply does after the callback has inspected
+// ApplyVerdict selects what ApplyInto does after the callback has inspected
 // the current value.
 type ApplyVerdict int
 
@@ -31,8 +28,8 @@ const (
 	ApplyDelete
 )
 
-// RMWStat names a StatsSnapshot counter for Apply (and Touch) to bump
-// while still holding the shard lock, so protocol-level hit/miss
+// RMWStat names a StatsSnapshot counter for ApplyInto (and TouchBytes) to
+// bump while still holding the shard lock, so protocol-level hit/miss
 // accounting can never disagree with the outcome that produced it.
 type RMWStat int
 
@@ -53,7 +50,7 @@ const (
 	StatTouchMiss
 )
 
-// ApplyOp is the outcome an Apply callback returns.
+// ApplyOp is the outcome an ApplyInto callback returns.
 type ApplyOp struct {
 	Verdict ApplyVerdict
 	// Value is stored under ApplyStore.
@@ -68,25 +65,7 @@ type ApplyOp struct {
 	Stat RMWStat
 }
 
-// casApply builds CompareAndSwap's Apply callback: swap in next only if
-// the current value is byte-equal to expected, keeping the deadline and
-// bumping the matching cas counter. The outcome flags are written
-// through the pointers while the callback still holds the shard lock.
-func casApply(expected, next []byte, swapped, found *bool) func(old []byte, ok bool) ApplyOp {
-	return func(old []byte, ok bool) ApplyOp {
-		*found = ok
-		if !ok {
-			return ApplyOp{Stat: StatCasMiss}
-		}
-		if !bytes.Equal(old, expected) {
-			return ApplyOp{Stat: StatCasBadval}
-		}
-		*swapped = true
-		return ApplyOp{Verdict: ApplyStore, Value: next, KeepExpire: true, Stat: StatCasHit}
-	}
-}
-
-// touchApply builds Touch's Apply callback: update the deadline on a
+// touchApply builds TouchBytes's apply callback: update the deadline on a
 // live entry, count the hit/miss either way.
 func touchApply(expireAt time.Time, found *bool) func(old []byte, ok bool) ApplyOp {
 	return func(_ []byte, ok bool) ApplyOp {

@@ -42,7 +42,7 @@ func TestShardedApplyRMW(t *testing.T) {
 
 			// Apply on a missing key sees found == false.
 			called := false
-			if err := st.Apply(sess, "k", func(old []byte, found bool) ApplyOp {
+			if err := apply(st, sess, "k", func(old []byte, found bool) ApplyOp {
 				called = true
 				if found || old != nil {
 					t.Errorf("missing key: found=%v old=%v", found, old)
@@ -53,10 +53,10 @@ func TestShardedApplyRMW(t *testing.T) {
 			}
 
 			// ApplyStore inserts, then mutates in place.
-			if err := st.Set(sess, "k", []byte("abc")); err != nil {
+			if err := set(st, sess, "k", []byte("abc")); err != nil {
 				t.Fatal(err)
 			}
-			if err := st.Apply(sess, "k", func(old []byte, found bool) ApplyOp {
+			if err := apply(st, sess, "k", func(old []byte, found bool) ApplyOp {
 				if !found || string(old) != "abc" {
 					t.Errorf("apply read: found=%v old=%q", found, old)
 				}
@@ -64,17 +64,17 @@ func TestShardedApplyRMW(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
-			if v, _ := st.Get(sess, "k"); string(v) != "abcd" {
+			if v, _ := get(st, sess, "k"); string(v) != "abcd" {
 				t.Errorf("after apply: %q", v)
 			}
 
 			// ApplyDelete removes; ApplyNone leaves untouched.
-			if err := st.Apply(sess, "k", func([]byte, bool) ApplyOp {
+			if err := apply(st, sess, "k", func([]byte, bool) ApplyOp {
 				return ApplyOp{Verdict: ApplyDelete}
 			}); err != nil {
 				t.Fatal(err)
 			}
-			if v, _ := st.Get(sess, "k"); v != nil {
+			if v, _ := get(st, sess, "k"); v != nil {
 				t.Errorf("after apply-delete: %q", v)
 			}
 
@@ -89,7 +89,7 @@ func TestShardedApplyRMW(t *testing.T) {
 				if stat != StatNone {
 					want[stat-1]++
 				}
-				if err := st.Apply(sess, "k", func([]byte, bool) ApplyOp { return ApplyOp{Stat: stat} }); err != nil {
+				if err := apply(st, sess, "k", func([]byte, bool) ApplyOp { return ApplyOp{Stat: stat} }); err != nil {
 					t.Fatal(err)
 				}
 				if got := rmw(st.Snapshot()); got != want {
@@ -106,22 +106,22 @@ func TestShardedCompareAndSwap(t *testing.T) {
 			st := NewShardedStore(b, 4, 0)
 			sess := st.NewSession()
 			defer sess.Close()
-			if _, found, err := st.CompareAndSwap(sess, "k", []byte("x"), []byte("y")); err != nil || found {
+			if _, found, err := cas(st, sess, "k", []byte("x"), []byte("y")); err != nil || found {
 				t.Fatalf("cas on missing: found=%v err=%v", found, err)
 			}
-			if err := st.Set(sess, "k", []byte("v1")); err != nil {
+			if err := set(st, sess, "k", []byte("v1")); err != nil {
 				t.Fatal(err)
 			}
-			if swapped, _, _ := st.CompareAndSwap(sess, "k", []byte("stale"), []byte("v2")); swapped {
+			if swapped, _, _ := cas(st, sess, "k", []byte("stale"), []byte("v2")); swapped {
 				t.Error("cas with stale expected value swapped")
 			}
-			if v, _ := st.Get(sess, "k"); string(v) != "v1" {
+			if v, _ := get(st, sess, "k"); string(v) != "v1" {
 				t.Errorf("after failed cas: %q", v)
 			}
-			if swapped, _, _ := st.CompareAndSwap(sess, "k", []byte("v1"), []byte("v2")); !swapped {
+			if swapped, _, _ := cas(st, sess, "k", []byte("v1"), []byte("v2")); !swapped {
 				t.Error("cas with matching expected value did not swap")
 			}
-			if v, _ := st.Get(sess, "k"); string(v) != "v2" {
+			if v, _ := get(st, sess, "k"); string(v) != "v2" {
 				t.Errorf("after cas: %q", v)
 			}
 			snap := st.Snapshot()
@@ -141,7 +141,7 @@ func TestShardedCASContention(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			st := NewShardedStore(b, 4, 0)
 			init := st.NewSession()
-			if err := st.Set(init, "ctr", []byte("0")); err != nil {
+			if err := set(st, init, "ctr", []byte("0")); err != nil {
 				t.Fatal(err)
 			}
 			init.Close()
@@ -159,7 +159,7 @@ func TestShardedCASContention(t *testing.T) {
 					sess := st.NewSession()
 					defer sess.Close()
 					for i := 0; i < attempts; i++ {
-						cur, err := st.Get(sess, "ctr")
+						cur, err := get(st, sess, "ctr")
 						if err != nil || cur == nil {
 							t.Errorf("worker %d: get: %q %v", w, cur, err)
 							return
@@ -167,7 +167,7 @@ func TestShardedCASContention(t *testing.T) {
 						var n int64
 						fmt.Sscanf(string(cur), "%d", &n)
 						next := []byte(fmt.Sprintf("%d", n+1))
-						swapped, found, err := st.CompareAndSwap(sess, "ctr", cur, next)
+						swapped, found, err := cas(st, sess, "ctr", cur, next)
 						if err != nil || !found {
 							t.Errorf("worker %d: cas: found=%v err=%v", w, found, err)
 							return
@@ -185,7 +185,7 @@ func TestShardedCASContention(t *testing.T) {
 			}
 			sess := st.NewSession()
 			defer sess.Close()
-			final, _ := st.Get(sess, "ctr")
+			final, _ := get(st, sess, "ctr")
 			var got int64
 			fmt.Sscanf(string(final), "%d", &got)
 			if got != total {
@@ -205,14 +205,14 @@ func TestShardedExpiry(t *testing.T) {
 			defer sess.Close()
 
 			deadline := clk.Now().Add(5 * time.Second)
-			if _, err := st.SetEx(sess, "k", []byte("v"), SetAlways, deadline); err != nil {
+			if _, err := setEx(st, sess, "k", []byte("v"), SetAlways, deadline); err != nil {
 				t.Fatal(err)
 			}
-			if v, _ := st.Get(sess, "k"); string(v) != "v" {
+			if v, _ := get(st, sess, "k"); string(v) != "v" {
 				t.Fatalf("before deadline: %q", v)
 			}
 			clk.Advance(5 * time.Second) // exactly at the deadline = dead
-			if v, _ := st.Get(sess, "k"); v != nil {
+			if v, _ := get(st, sess, "k"); v != nil {
 				t.Errorf("at deadline: still alive: %q", v)
 			}
 			snap := st.Snapshot()
@@ -224,33 +224,33 @@ func TestShardedExpiry(t *testing.T) {
 			}
 
 			// add resurrects an expired key; replace must not.
-			if _, err := st.SetEx(sess, "k", []byte("v"), SetAlways, clk.Now().Add(time.Second)); err != nil {
+			if _, err := setEx(st, sess, "k", []byte("v"), SetAlways, clk.Now().Add(time.Second)); err != nil {
 				t.Fatal(err)
 			}
 			clk.Advance(2 * time.Second)
-			if stored, _ := st.SetEx(sess, "k", []byte("r"), SetReplace, time.Time{}); stored {
+			if stored, _ := setEx(st, sess, "k", []byte("r"), SetReplace, time.Time{}); stored {
 				t.Error("replace revived an expired key")
 			}
-			if stored, _ := st.SetEx(sess, "k", []byte("a"), SetAdd, time.Time{}); !stored {
+			if stored, _ := setEx(st, sess, "k", []byte("a"), SetAdd, time.Time{}); !stored {
 				t.Error("add refused over an expired key")
 			}
 
 			// Touch moves the deadline; Del of a dead key is a miss.
-			if _, err := st.SetEx(sess, "t", []byte("v"), SetAlways, clk.Now().Add(time.Second)); err != nil {
+			if _, err := setEx(st, sess, "t", []byte("v"), SetAlways, clk.Now().Add(time.Second)); err != nil {
 				t.Fatal(err)
 			}
-			if ok, _ := st.Touch(sess, "t", clk.Now().Add(10*time.Second)); !ok {
+			if ok, _ := touch(st, sess, "t", clk.Now().Add(10*time.Second)); !ok {
 				t.Error("touch on live key missed")
 			}
 			clk.Advance(5 * time.Second)
-			if v, _ := st.Get(sess, "t"); string(v) != "v" {
+			if v, _ := get(st, sess, "t"); string(v) != "v" {
 				t.Errorf("touched key died early: %q", v)
 			}
 			clk.Advance(6 * time.Second)
-			if existed, _ := st.Del(sess, "t"); existed {
+			if existed, _ := del(st, sess, "t"); existed {
 				t.Error("delete of expired key reported a hit")
 			}
-			if ok, _ := st.Touch(sess, "t", time.Time{}); ok {
+			if ok, _ := touch(st, sess, "t", time.Time{}); ok {
 				t.Error("touch on dead key reported a hit")
 			}
 		})
@@ -268,11 +268,11 @@ func TestShardedSweepReclaims(t *testing.T) {
 	const n = 200
 	deadline := clk.Now().Add(time.Second)
 	for i := 0; i < n; i++ {
-		if _, err := st.SetEx(sess, fmt.Sprintf("k%03d", i), bytes.Repeat([]byte("x"), 64), SetAlways, deadline); err != nil {
+		if _, err := setEx(st, sess, fmt.Sprintf("k%03d", i), bytes.Repeat([]byte("x"), 64), SetAlways, deadline); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := st.SetEx(sess, "keeper", []byte("alive"), SetAlways, time.Time{}); err != nil {
+	if _, err := setEx(st, sess, "keeper", []byte("alive"), SetAlways, time.Time{}); err != nil {
 		t.Fatal(err)
 	}
 	used := b.UsedBytes()
@@ -300,7 +300,7 @@ func TestShardedSweepReclaims(t *testing.T) {
 	if b.UsedBytes() >= used {
 		t.Errorf("sweep released no heap: used %d -> %d", used, b.UsedBytes())
 	}
-	if v, _ := st.Get(sess, "keeper"); string(v) != "alive" {
+	if v, _ := get(st, sess, "keeper"); string(v) != "alive" {
 		t.Errorf("keeper damaged by sweep: %q", v)
 	}
 }
@@ -313,10 +313,10 @@ func TestStoreApplyAndExpiry(t *testing.T) {
 			s.Clock = clk.Now
 
 			// Apply RMW on a one-shard store driven from one session.
-			if err := s.Set(sess, "k", []byte("1")); err != nil {
+			if err := set(s, sess, "k", []byte("1")); err != nil {
 				t.Fatal(err)
 			}
-			if err := s.Apply(sess, "k", func(old []byte, found bool) ApplyOp {
+			if err := apply(s, sess, "k", func(old []byte, found bool) ApplyOp {
 				if !found {
 					t.Error("apply missed a live key")
 				}
@@ -324,15 +324,15 @@ func TestStoreApplyAndExpiry(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
-			if v, _ := s.Get(sess, "k"); string(v) != "12" {
+			if v, _ := get(s, sess, "k"); string(v) != "12" {
 				t.Errorf("after apply: %q", v)
 			}
-			if swapped, _, _ := s.CompareAndSwap(sess, "k", []byte("12"), []byte("3")); !swapped {
+			if swapped, _, _ := cas(s, sess, "k", []byte("12"), []byte("3")); !swapped {
 				t.Error("store cas did not swap")
 			}
 
 			// Expiry: lazy on get, eager via sweep (wired into Maintain).
-			if _, err := s.SetEx(sess, "dead", []byte("x"), SetAlways, clk.Now().Add(time.Second)); err != nil {
+			if _, err := setEx(s, sess, "dead", []byte("x"), SetAlways, clk.Now().Add(time.Second)); err != nil {
 				t.Fatal(err)
 			}
 			clk.Advance(2 * time.Second)
@@ -342,20 +342,20 @@ func TestStoreApplyAndExpiry(t *testing.T) {
 			if snap.Expired != 1 || snap.ExpirySweeps == 0 {
 				t.Errorf("after Maintain: Expired=%d ExpirySweeps=%d", snap.Expired, snap.ExpirySweeps)
 			}
-			if v, _ := s.Get(sess, "dead"); v != nil {
+			if v, _ := get(s, sess, "dead"); v != nil {
 				t.Errorf("dead key still readable: %q", v)
 			}
 			// KeepExpire: RMW preserves the deadline.
-			if _, err := s.SetEx(sess, "ttl", []byte("5"), SetAlways, clk.Now().Add(10*time.Second)); err != nil {
+			if _, err := setEx(s, sess, "ttl", []byte("5"), SetAlways, clk.Now().Add(10*time.Second)); err != nil {
 				t.Fatal(err)
 			}
-			if err := s.Apply(sess, "ttl", func(old []byte, found bool) ApplyOp {
+			if err := apply(s, sess, "ttl", func(old []byte, found bool) ApplyOp {
 				return ApplyOp{Verdict: ApplyStore, Value: []byte("6"), KeepExpire: true}
 			}); err != nil {
 				t.Fatal(err)
 			}
 			clk.Advance(11 * time.Second)
-			if v, _ := s.Get(sess, "ttl"); v != nil {
+			if v, _ := get(s, sess, "ttl"); v != nil {
 				t.Errorf("KeepExpire lost the deadline: %q survived", v)
 			}
 		})

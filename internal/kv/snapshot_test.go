@@ -3,6 +3,7 @@ package kv
 import (
 	"bytes"
 	"testing"
+	"time"
 
 	"alaska/internal/anchorage"
 )
@@ -19,36 +20,36 @@ func TestShardedStoreDelAndModes(t *testing.T) {
 	defer sess.Close()
 
 	// add on a fresh key stores; add again does not.
-	if stored, err := st.SetWith(sess, "k", []byte("v1"), SetAdd); err != nil || !stored {
+	if stored, err := setEx(st, sess, "k", []byte("v1"), SetAdd, time.Time{}); err != nil || !stored {
 		t.Fatalf("add fresh: stored=%v err=%v", stored, err)
 	}
-	if stored, err := st.SetWith(sess, "k", []byte("v2"), SetAdd); err != nil || stored {
+	if stored, err := setEx(st, sess, "k", []byte("v2"), SetAdd, time.Time{}); err != nil || stored {
 		t.Fatalf("add existing: stored=%v err=%v", stored, err)
 	}
-	if v, _ := st.Get(sess, "k"); !bytes.Equal(v, []byte("v1")) {
+	if v, _ := get(st, sess, "k"); !bytes.Equal(v, []byte("v1")) {
 		t.Fatalf("value after failed add = %q, want v1", v)
 	}
 
 	// replace on an existing key stores; on a missing key does not.
-	if stored, err := st.SetWith(sess, "k", []byte("v3"), SetReplace); err != nil || !stored {
+	if stored, err := setEx(st, sess, "k", []byte("v3"), SetReplace, time.Time{}); err != nil || !stored {
 		t.Fatalf("replace existing: stored=%v err=%v", stored, err)
 	}
-	if stored, err := st.SetWith(sess, "nope", []byte("x"), SetReplace); err != nil || stored {
+	if stored, err := setEx(st, sess, "nope", []byte("x"), SetReplace, time.Time{}); err != nil || stored {
 		t.Fatalf("replace missing: stored=%v err=%v", stored, err)
 	}
-	if v, _ := st.Get(sess, "k"); !bytes.Equal(v, []byte("v3")) {
+	if v, _ := get(st, sess, "k"); !bytes.Equal(v, []byte("v3")) {
 		t.Fatalf("value after replace = %q, want v3", v)
 	}
 
 	// delete: hit then miss; memory is returned.
 	usedBefore := backend.UsedBytes()
-	if ok, err := st.Del(sess, "k"); err != nil || !ok {
+	if ok, err := del(st, sess, "k"); err != nil || !ok {
 		t.Fatalf("del existing: ok=%v err=%v", ok, err)
 	}
-	if ok, err := st.Del(sess, "k"); err != nil || ok {
+	if ok, err := del(st, sess, "k"); err != nil || ok {
 		t.Fatalf("del missing: ok=%v err=%v", ok, err)
 	}
-	if v, _ := st.Get(sess, "k"); v != nil {
+	if v, _ := get(st, sess, "k"); v != nil {
 		t.Fatalf("get after del = %q, want nil", v)
 	}
 	if used := backend.UsedBytes(); used >= usedBefore {
@@ -78,7 +79,7 @@ func TestShardedStoreEvictionCounter(t *testing.T) {
 	defer sess.Close()
 	val := make([]byte, 1024)
 	for i := 0; i < 16; i++ {
-		if err := st.Set(sess, string(rune('a'+i)), val); err != nil {
+		if err := set(st, sess, string(rune('a'+i)), val); err != nil {
 			t.Fatal(err)
 		}
 	}

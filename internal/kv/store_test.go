@@ -30,27 +30,27 @@ func TestSetGetDelAllBackends(t *testing.T) {
 	for name, b := range backends(t) {
 		t.Run(name, func(t *testing.T) {
 			s, sess := NewShardedStore(b, 1, 0), SingleThreadedSession(b)
-			if err := s.Set(sess, "k1", []byte("hello world")); err != nil {
+			if err := set(s, sess, "k1", []byte("hello world")); err != nil {
 				t.Fatal(err)
 			}
-			v, err := s.Get(sess, "k1")
+			v, err := get(s, sess, "k1")
 			if err != nil {
 				t.Fatal(err)
 			}
 			if string(v) != "hello world" {
 				t.Errorf("Get = %q", v)
 			}
-			if v, _ := s.Get(sess, "missing"); v != nil {
+			if v, _ := get(s, sess, "missing"); v != nil {
 				t.Error("missing key returned a value")
 			}
-			ok, err := s.Del(sess, "k1")
+			ok, err := del(s, sess, "k1")
 			if err != nil || !ok {
 				t.Errorf("Del = %v, %v", ok, err)
 			}
-			if v, _ := s.Get(sess, "k1"); v != nil {
+			if v, _ := get(s, sess, "k1"); v != nil {
 				t.Error("deleted key still readable")
 			}
-			if ok, _ := s.Del(sess, "k1"); ok {
+			if ok, _ := del(s, sess, "k1"); ok {
 				t.Error("double delete reported success")
 			}
 		})
@@ -61,13 +61,13 @@ func TestOverwriteReplacesValue(t *testing.T) {
 	for name, b := range backends(t) {
 		t.Run(name, func(t *testing.T) {
 			s, sess := NewShardedStore(b, 1, 0), SingleThreadedSession(b)
-			if err := s.Set(sess, "k", []byte("old-value-that-is-long")); err != nil {
+			if err := set(s, sess, "k", []byte("old-value-that-is-long")); err != nil {
 				t.Fatal(err)
 			}
-			if err := s.Set(sess, "k", []byte("new")); err != nil {
+			if err := set(s, sess, "k", []byte("new")); err != nil {
 				t.Fatal(err)
 			}
-			v, _ := s.Get(sess, "k")
+			v, _ := get(s, sess, "k")
 			if string(v) != "new" {
 				t.Errorf("Get after overwrite = %q", v)
 			}
@@ -87,7 +87,7 @@ func TestLRUEvictionUnderMaxMemory(t *testing.T) {
 			s, sess := NewShardedStore(b, 1, 10*1024), SingleThreadedSession(b)
 			val := make([]byte, 1024)
 			for i := 0; i < 20; i++ {
-				if err := s.Set(sess, fmt.Sprintf("key%02d", i), val); err != nil {
+				if err := set(s, sess, fmt.Sprintf("key%02d", i), val); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -98,10 +98,10 @@ func TestLRUEvictionUnderMaxMemory(t *testing.T) {
 				t.Error("no evictions")
 			}
 			// Oldest keys evicted, newest retained.
-			if v, _ := s.Get(sess, "key00"); v != nil {
+			if v, _ := get(s, sess, "key00"); v != nil {
 				t.Error("LRU key survived")
 			}
-			if v, _ := s.Get(sess, "key19"); v == nil {
+			if v, _ := get(s, sess, "key19"); v == nil {
 				t.Error("MRU key evicted")
 			}
 		})
@@ -115,21 +115,21 @@ func TestGetRefreshesLRU(t *testing.T) {
 	s, sess := NewShardedStore(b, 1, 3*entryCost(2, 100)), SingleThreadedSession(b)
 	val := make([]byte, 100)
 	for i := 0; i < 3; i++ {
-		if err := s.Set(sess, fmt.Sprintf("k%d", i), val); err != nil {
+		if err := set(s, sess, fmt.Sprintf("k%d", i), val); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Touch k0 so k1 becomes LRU.
-	if _, err := s.Get(sess, "k0"); err != nil {
+	if _, err := get(s, sess, "k0"); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Set(sess, "k3", val); err != nil {
+	if err := set(s, sess, "k3", val); err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := s.Get(sess, "k0"); v == nil {
+	if v, _ := get(s, sess, "k0"); v == nil {
 		t.Error("recently-read key was evicted")
 	}
-	if v, _ := s.Get(sess, "k1"); v != nil {
+	if v, _ := get(s, sess, "k1"); v != nil {
 		t.Error("LRU key survived")
 	}
 }
@@ -159,7 +159,7 @@ func TestDefragBackendsBeatBaseline(t *testing.T) {
 			}
 			key := fmt.Sprintf("key%07d", i)
 			val := bytes.Repeat([]byte{byte(i)}, size)
-			if err := s.Set(sess, key, val); err != nil {
+			if err := set(s, sess, key, val); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 			if i%20 == 0 {
@@ -167,7 +167,7 @@ func TestDefragBackendsBeatBaseline(t *testing.T) {
 			}
 			if i%500 == 499 {
 				for _, k := range hot {
-					if _, err := s.Get(sess, k); err != nil {
+					if _, err := get(s, sess, k); err != nil {
 						t.Fatalf("%s: hot get: %v", name, err)
 					}
 				}
@@ -184,7 +184,7 @@ func TestDefragBackendsBeatBaseline(t *testing.T) {
 		// Spot-check value integrity after all the moving.
 		checked := 0
 		for i := 23999; i >= 0 && checked < 50; i-- {
-			v, err := s.Get(sess, fmt.Sprintf("key%07d", i))
+			v, err := get(s, sess, fmt.Sprintf("key%07d", i))
 			if err != nil {
 				t.Fatalf("%s: get: %v", name, err)
 			}
@@ -229,11 +229,11 @@ func TestShardedStoreConcurrent(t *testing.T) {
 					for i := 0; i < 500; i++ {
 						key := fmt.Sprintf("w%d-k%d", w, i%50)
 						val := []byte(fmt.Sprintf("value-%d-%d", w, i))
-						if err := st.Set(sess, key, val); err != nil {
+						if err := set(st, sess, key, val); err != nil {
 							t.Errorf("set: %v", err)
 							return
 						}
-						got, err := st.Get(sess, key)
+						got, err := get(st, sess, key)
 						if err != nil {
 							t.Errorf("get: %v", err)
 							return
@@ -278,11 +278,11 @@ func TestShardedStoreWithConcurrentDefrag(t *testing.T) {
 				}
 				key := fmt.Sprintf("w%d-k%d", w, i%100)
 				want := []byte(fmt.Sprintf("stable-value-%d-%d", w, i%100))
-				if err := st.Set(sess, key, want); err != nil {
+				if err := set(st, sess, key, want); err != nil {
 					t.Errorf("set: %v", err)
 					return
 				}
-				got, err := st.Get(sess, key)
+				got, err := get(st, sess, key)
 				if err != nil {
 					t.Errorf("get: %v", err)
 					return

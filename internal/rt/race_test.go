@@ -18,7 +18,6 @@ import (
 	"alaska/internal/handle"
 	"alaska/internal/mallocsim"
 	"alaska/internal/mem"
-	"alaska/internal/reloc"
 	"alaska/internal/rt"
 )
 
@@ -170,29 +169,117 @@ func TestRuntimeConcurrentStress(t *testing.T) {
 	}
 }
 
+// newSpeculativeRuntime is a runtime over the malloc service whose fault
+// handler is the accessor side of §7 (a faulting translation revalidates
+// the entry, aborting any move in flight), and an n-byte region of
+// destinations for the test's mover. Destinations are never reused, so a
+// reader still on an old copy after a commit reads the bytes it had.
+func newSpeculativeRuntime(t *testing.T, n uint64) (*rt.Runtime, *mem.Space, *mem.Region) {
+	t.Helper()
+	space := mem.NewSpace()
+	r, err := rt.New(space, mallocsim.NewService(space), rt.WithFaultHandler(anchorage.RevalidateFaultHandler()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst, err := space.Map(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r, space, dst
+}
+
+// TestUncontendedMoveCommits: with no accessor in the way, begin → copy →
+// commit moves the object with its contents, and the commit is one-shot —
+// a second commit of the now-valid entry fails.
+func TestUncontendedMoveCommits(t *testing.T) {
+	r, space, arena := newSpeculativeRuntime(t, mem.PageSize)
+	th := r.NewThread()
+	defer th.Destroy()
+	h, _ := r.Halloc(128)
+	oldAddr, _ := th.Translate(h)
+	if err := space.WriteU64(oldAddr, 0xFEED); err != nil {
+		t.Fatal(err)
+	}
+	e, err := r.Table.BeginSpeculativeMove(h.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := space.Copy(arena.Base(), e.Backing, e.Size); err != nil {
+		t.Fatal(err)
+	}
+	if !r.Table.CommitSpeculativeMove(h.ID(), arena.Base()) {
+		t.Fatal("uncontended move did not commit")
+	}
+	if r.Table.CommitSpeculativeMove(h.ID(), arena.Base()+256) {
+		t.Error("a second commit of the same move succeeded")
+	}
+	newAddr, err := th.Translate(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if newAddr != arena.Base() {
+		t.Errorf("object at %#x after the move, want %#x", newAddr, arena.Base())
+	}
+	if v, _ := space.ReadU64(newAddr); v != 0xFEED {
+		t.Errorf("contents after move = %#x", v)
+	}
+	if f := r.Stats().Faults.Load(); f != 0 {
+		t.Errorf("%d faults with no accessor racing the move", f)
+	}
+}
+
+// TestAccessDuringMoveAborts: a translation that meets the entry mid-move
+// faults, revalidates it and proceeds at the old address; the mover's
+// commit then loses and the object stays where it was.
+func TestAccessDuringMoveAborts(t *testing.T) {
+	r, space, arena := newSpeculativeRuntime(t, mem.PageSize)
+	th := r.NewThread()
+	defer th.Destroy()
+	h, _ := r.Halloc(64)
+	oldAddr, _ := th.Translate(h)
+	if err := space.WriteU64(oldAddr, 7); err != nil {
+		t.Fatal(err)
+	}
+	e, err := r.Table.BeginSpeculativeMove(h.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotAddr, err := th.Translate(h)
+	if err != nil {
+		t.Fatalf("translate during move: %v", err)
+	}
+	if gotAddr != oldAddr {
+		t.Errorf("mid-move access went to %#x, want old %#x", gotAddr, oldAddr)
+	}
+	if err := space.Copy(arena.Base(), e.Backing, e.Size); err != nil {
+		t.Fatal(err)
+	}
+	if r.Table.CommitSpeculativeMove(h.ID(), arena.Base()) {
+		t.Fatal("commit succeeded after a concurrent access revalidated")
+	}
+	if a, _ := th.Translate(h); a != oldAddr {
+		t.Errorf("object at %#x after aborted move, want %#x", a, oldAddr)
+	}
+	if v, _ := space.ReadU64(oldAddr); v != 7 {
+		t.Errorf("contents after aborted move = %d, want 7", v)
+	}
+}
+
 // TestSpeculativeMoveTranslateRace drives the §7 protocol end-to-end over
 // the malloc service: reader threads translate a fixed working set (with
-// safepoint polls) while a mover thread speculatively relocates the same
-// objects through the reloc arena. Every translation must resolve to
-// either the old or the new copy — both carry the same bytes — and the
-// commit/abort accounting must reconcile.
+// safepoint polls) while the test body speculatively relocates the same
+// objects — begin, copy, commit — into fresh destinations. Every
+// translation must resolve to either the old or the new copy — both carry
+// the same bytes — and every aborted move must have been a reader's fault.
 func TestSpeculativeMoveTranslateRace(t *testing.T) {
-	space := mem.NewSpace()
-	var mover *reloc.Mover
-	r, err := rt.New(space, mallocsim.NewService(space), rt.WithFaultHandler(func(r *rt.Runtime, id uint32) error {
-		return mover.Handler()(r, id)
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	arena, err := reloc.NewRegionAllocator(space, 64<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mover = reloc.NewMover(r, arena)
-
 	const nObjs = 128
 	const size = 128
+	iters := 20000
+	if testing.Short() {
+		iters = 4000
+	}
+	r, space, arena := newSpeculativeRuntime(t, uint64(iters)*size)
+
 	hs := make([]handle.Handle, nObjs)
 	for i := range hs {
 		h, err := r.Halloc(size)
@@ -220,10 +307,6 @@ func TestSpeculativeMoveTranslateRace(t *testing.T) {
 	readers := runtime.GOMAXPROCS(0)
 	if readers < 3 {
 		readers = 3
-	}
-	iters := 20000
-	if testing.Short() {
-		iters = 4000
 	}
 	var wg sync.WaitGroup
 	quit := make(chan struct{})
@@ -254,20 +337,29 @@ func TestSpeculativeMoveTranslateRace(t *testing.T) {
 			}
 		}(g)
 	}
+	var commits, aborts int64
 	for i := 0; i < iters; i++ {
-		if _, err := mover.TryMove(hs[i%nObjs].ID()); err != nil {
+		id := hs[i%nObjs].ID()
+		e, err := r.Table.BeginSpeculativeMove(id)
+		if err != nil {
 			t.Fatal(err)
+		}
+		dst := arena.Base() + mem.Addr(i*size)
+		if err := space.Copy(dst, e.Backing, e.Size); err != nil {
+			t.Fatal(err)
+		}
+		if r.Table.CommitSpeculativeMove(id, dst) {
+			commits++
+		} else {
+			aborts++
 		}
 	}
 	close(quit)
 	wg.Wait()
-	mover.Reclaim()
-	total := mover.Commits.Load() + mover.Aborts.Load()
-	if total != int64(iters) {
-		t.Errorf("commits+aborts = %d, want %d", total, iters)
+	if faults := r.Stats().Faults.Load(); faults < aborts {
+		t.Errorf("%d aborted moves but only %d faults: something else revalidated", aborts, faults)
 	}
-	t.Logf("%d moves: %d commits, %d aborts, %d old copies reclaimed, %d faults",
-		iters, mover.Commits.Load(), mover.Aborts.Load(), mover.Reclaimed.Load(), r.Stats().Faults.Load())
+	t.Logf("%d moves: %d commits, %d aborts, %d faults", iters, commits, aborts, r.Stats().Faults.Load())
 }
 
 // TestHallocChurnUnderConcurrentDefrag races halloc/hfree churn against

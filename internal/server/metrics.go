@@ -3,6 +3,7 @@ package server
 import (
 	"math"
 	"sync/atomic"
+	"time"
 
 	"alaska/internal/kv"
 	"alaska/internal/metrics"
@@ -50,7 +51,7 @@ func (s *Server) buildRegistry() *registryState {
 		Func(`version="`+s.cfg.Version+`",backend="`+s.store.Backend().Name()+`"`,
 			func() float64 { return 1 })
 	r.GaugeFunc("alaskad_uptime_seconds", "Seconds since the server started serving.",
-		func() float64 { return s.cfg.Clock().Sub(s.start).Seconds() })
+		func() float64 { return time.Since(s.start).Seconds() })
 
 	// Per-opcode command latency: the tentpole histogram family. The
 	// children are the published recorders, which the OnScrape hook above

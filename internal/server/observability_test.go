@@ -302,6 +302,49 @@ func TestAdminHandler(t *testing.T) {
 	}
 }
 
+// TestUptimeGaugeIgnoresConfigClock: the server's start is a wall-clock
+// reading, so the uptime gauge must measure from it on the wall clock too.
+// With a Config.Clock a quarter-century behind, the scraped gauge is still
+// ≥ 0 and agrees with `stats uptime_s` to within a second.
+func TestUptimeGaugeIgnoresConfigClock(t *testing.T) {
+	srv := startServer(t, kv.NewMallocBackend(), Config{
+		Addr:  "127.0.0.1:0",
+		Clock: func() time.Time { return time.Unix(1_000_000_000, 0) },
+	})
+	ts := httptest.NewServer(NewAdminHandler(srv))
+	defer ts.Close()
+	resp, err := ts.Client().Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gauge := -1.0
+	for _, l := range strings.Split(string(body), "\n") {
+		if v, ok := strings.CutPrefix(l, "alaskad_uptime_seconds "); ok {
+			if gauge, err = strconv.ParseFloat(v, 64); err != nil {
+				t.Fatalf("uptime gauge %q: %v", v, err)
+			}
+		}
+	}
+	stat := ""
+	for _, row := range srv.StatsSnapshot() {
+		if row.Name == "uptime_s" {
+			stat = row.Value
+		}
+	}
+	uptime, err := strconv.ParseFloat(stat, 64)
+	if err != nil {
+		t.Fatalf("stats uptime_s %q: %v", stat, err)
+	}
+	if gauge < 0 || gauge-uptime > 1 || uptime-gauge > 1 {
+		t.Fatalf("alaskad_uptime_seconds = %v, stats uptime_s = %v: want ≥ 0 and within 1 s", gauge, uptime)
+	}
+}
+
 // TestVerbosityMovesLogLevel proves the wire command drives the leveled
 // logger.
 func TestVerbosityMovesLogLevel(t *testing.T) {

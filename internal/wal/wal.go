@@ -385,8 +385,12 @@ func (l *Log) recountSealed() {
 }
 
 // Close drains the ring, fsyncs, and stops the goroutines. After a
-// clean Close the log is byte-complete: a restart replays every
-// acknowledged mutation. Safe to call multiple times.
+// clean Close a restart replays every acknowledged mutation the ring
+// held — but not one the ring dropped when it was full: if
+// DroppedRecords has grown since the last snapshot and the healing
+// compaction has not run yet (it waits out its cool-down), the log is
+// missing those records and Close does not write them back (ROADMAP
+// item 6). Safe to call multiple times.
 func (l *Log) Close() error {
 	l.closeOnce.Do(func() {
 		close(l.quit)

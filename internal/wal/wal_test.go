@@ -50,9 +50,15 @@ func replayInto(t *testing.T, dir string, store *kv.ShardedStore) (*Log, ReplayS
 	return l, rs
 }
 
+// mustSet stores key=value at the store's Clock — the wall clock when it
+// has none — the instant a server command would have been handed.
 func mustSet(t *testing.T, s *kv.ShardedStore, sess kv.Session, key, value string, expireAt time.Time) {
 	t.Helper()
-	if _, err := s.SetEx(sess, key, []byte(value), kv.SetAlways, expireAt); err != nil {
+	now := time.Now()
+	if s.Clock != nil {
+		now = s.Clock()
+	}
+	if _, err := s.SetExBytesAt(sess, []byte(key), []byte(value), kv.SetAlways, expireAt, now); err != nil {
 		t.Fatalf("set %s: %v", key, err)
 	}
 }
@@ -89,11 +95,11 @@ func TestWarmRestartRoundtrip(t *testing.T) {
 	mustSet(t, src, sess, "beta", "two", far)
 	mustSet(t, src, sess, "gamma", "three", time.Time{})
 	mustSet(t, src, sess, "alpha", "one-v2", time.Time{}) // overwrite
-	if _, err := src.Del(sess, "gamma"); err != nil {
+	if _, err := src.DelBytes(sess, []byte("gamma"), time.Now()); err != nil {
 		t.Fatalf("del: %v", err)
 	}
 	// Touch through the public path so the record goes through the hook.
-	if ok, err := src.Touch(sess, "beta", time.Time{}); err != nil || !ok {
+	if ok, err := src.TouchBytes(sess, []byte("beta"), time.Time{}, time.Now()); err != nil || !ok {
 		t.Fatalf("touch: ok=%v err=%v", ok, err)
 	}
 	sess.Close()
@@ -234,7 +240,7 @@ func TestReplayJudgesDeadnessAfterLaterRecords(t *testing.T) {
 		}, time.Second, "", 1, 1},
 		{"touch", func(t *testing.T, src *kv.ShardedStore, sess kv.Session) {
 			mustSet(t, src, sess, "k", "v", now.Add(50*time.Millisecond))
-			if ok, err := src.Touch(sess, "k", now.Add(time.Hour)); err != nil || !ok {
+			if ok, err := src.TouchBytes(sess, []byte("k"), now.Add(time.Hour), now); err != nil || !ok {
 				t.Fatalf("touch = %v, %v", ok, err)
 			}
 		}, time.Second, "v", 1, 2},
@@ -292,7 +298,7 @@ func TestCompactRewritesLiveSet(t *testing.T) {
 		}
 	}
 	for k := 10; k < 20; k++ {
-		if _, err := src.Del(sess, fmt.Sprintf("key-%02d", k)); err != nil {
+		if _, err := src.DelBytes(sess, fmt.Appendf(nil, "key-%02d", k), time.Now()); err != nil {
 			t.Fatalf("del: %v", err)
 		}
 	}

@@ -24,6 +24,7 @@ type Runner struct {
 
 	sess kv.Session
 	now  time.Duration
+	rbuf []byte // the one buffer every read copies into
 }
 
 // NewRunner builds a runner; the store should be freshly loaded via Load.
@@ -43,7 +44,7 @@ func NewRunner(store *kv.ShardedStore, gen *Generator, opTime time.Duration) *Ru
 func (r *Runner) Load() error {
 	val := make([]byte, r.Gen.ValueSize)
 	for _, op := range r.Gen.LoadOps() {
-		if err := r.Store.Set(r.sess, op.Key, val); err != nil {
+		if err := r.set(op.Key, val); err != nil {
 			return fmt.Errorf("ycsb load: %w", err)
 		}
 	}
@@ -60,18 +61,18 @@ func (r *Runner) Run(n int) error {
 		lat := r.OpTime
 		switch op.Type {
 		case Read:
-			if _, err := r.Store.Get(r.sess, op.Key); err != nil {
+			if err := r.get(op.Key); err != nil {
 				return err
 			}
 		case Update, Insert:
-			if err := r.Store.Set(r.sess, op.Key, val[:op.ValueSize]); err != nil {
+			if err := r.set(op.Key, val[:op.ValueSize]); err != nil {
 				return err
 			}
 		case ReadModifyWrite:
-			if _, err := r.Store.Get(r.sess, op.Key); err != nil {
+			if err := r.get(op.Key); err != nil {
 				return err
 			}
-			if err := r.Store.Set(r.sess, op.Key, val[:op.ValueSize]); err != nil {
+			if err := r.set(op.Key, val[:op.ValueSize]); err != nil {
 				return err
 			}
 			lat += r.OpTime
@@ -90,6 +91,19 @@ func (r *Runner) Run(n int) error {
 		}
 	}
 	return nil
+}
+
+// get reads key at the wall clock into the runner's read buffer.
+func (r *Runner) get(key string) (err error) {
+	r.rbuf, _, err = r.Store.GetIntoAt(r.sess, []byte(key), r.rbuf, time.Now())
+	return err
+}
+
+// set stores key=value at the wall clock, unconditionally, with no
+// deadline.
+func (r *Runner) set(key string, value []byte) error {
+	_, err := r.Store.SetExBytesAt(r.sess, []byte(key), value, kv.SetAlways, time.Time{}, time.Now())
+	return err
 }
 
 // Now returns the simulated clock.
