@@ -370,9 +370,9 @@ func BenchmarkDefragPass(b *testing.B) {
 }
 
 // BenchmarkConcurrentDefragPass measures the same compaction of the same
-// heap by the pause-free pass: one unbudgeted pass — shrink, coalesce,
-// every move through the §7 speculative protocol, truncate — with no
-// thread registered, so the blocks it vacates drain inside it.
+// heap by the pause-free pass: one unbudgeted pass — coalesce, every move
+// through the §7 speculative protocol, truncate — with no thread
+// registered, so the blocks it vacates drain inside it.
 func BenchmarkConcurrentDefragPass(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()

@@ -2,15 +2,17 @@
 // deliberately simple, movement-first heap allocator plus the control
 // algorithm that decides when and how aggressively to defragment.
 //
-// The allocator is a naïve bump allocator over fixed-size sub-heaps:
-// allocations take exactly their (16-byte aligned) size from the bump
-// pointer, and freed blocks are recycled through power-of-two-binned free
-// lists where only the front of a bin is ever examined (O(1)). It has none
-// of the anti-fragmentation machinery of modern allocators — it does not
-// need any, because it can move objects: during a runtime barrier it
-// copies unpinned objects from the top of a source sub-heap into holes
-// lower in the heap, updates each object's HTE (one store), and returns
-// the vacated pages to the kernel with the simulated MADV_DONTNEED.
+// The allocator is a naïve first-fit allocator over fixed-size sub-heaps.
+// Every block is exactly its request rounded up to 16 bytes. Freed blocks
+// wait in power-of-two-binned FIFO free lists; a request takes the first
+// hole that fits — bins from its own size's up, each front to back — in
+// the lowest sub-heap that has one or bump room, and the rest of the hole
+// goes back to its bin. It has none of the anti-fragmentation machinery of
+// modern allocators — it does not need any, because it can move objects:
+// during a runtime barrier it copies unpinned objects from the top of a
+// source sub-heap into holes lower in the heap, updates each object's HTE
+// (one store), and returns the vacated pages to the kernel with the
+// simulated MADV_DONTNEED.
 //
 // Bookkeeping invariants (all of it guarded by Service.mu). An alloc/free
 // pair touches no hash map: a live object's objInfo is reached from its
@@ -21,8 +23,7 @@
 // is object identity: `info.live && info.heap == hi && info.off == off`
 // means "the object I snapshotted, where I left it", and an offset freed
 // and handed out again in between fails it by construction. The free bins
-// are FIFO queues: the fast path examines only their fronts, and holes
-// come back out in the order they went in.
+// are FIFO queues: holes come back out in the order they went in.
 package anchorage
 
 import (
@@ -122,40 +123,49 @@ func (q *holeQueue) push(h hole) {
 }
 
 // removeAt drops the k-th queued hole (0 = front), keeping the order of
-// the rest.
+// the rest. It slides the shorter side over the gap, so taking a hole near
+// the front — where a first-fit scan stops — costs no more than the scan
+// that found it.
 func (q *holeQueue) removeAt(k int) {
 	k += q.head
+	if k-q.head <= len(q.buf)-1-k {
+		copy(q.buf[q.head+1:k+1], q.buf[q.head:k])
+		q.popFront()
+		return
+	}
 	q.buf = append(q.buf[:k], q.buf[k+1:]...)
 }
 
 // reset empties the queue, keeping its storage.
 func (q *holeQueue) reset() { q.buf, q.head = q.buf[:0], 0 }
 
-// objInfo records where a live object currently sits. A record belongs to
-// one object for good: Free clears live and nothing recycles the struct.
+// objInfo records where a live object currently sits; its block is
+// alignUp(size) bytes at off. A record belongs to one object for good:
+// Free clears live and nothing recycles the struct.
 type objInfo struct {
-	id    uint32
-	live  bool   // false once freed (under Service.mu)
-	heap  int    // sub-heap index
-	idx   int    // position in that sub-heap's objs
-	off   uint64 // offset within the sub-heap
-	size  uint64 // requested size
-	block uint64 // block (aligned/assigned) size
+	id   uint32
+	live bool   // false once freed (under Service.mu)
+	heap int    // sub-heap index
+	idx  int    // position in that sub-heap's objs
+	off  uint64 // offset within the sub-heap
+	size uint64 // requested size
 }
 
 // subHeap is one bump-allocated extent.
 type subHeap struct {
 	region *mem.Region
 	bump   uint64
-	// free[k] queues the holes of bin k in the order they were freed; only
-	// the front is checked on the allocation fast path (O(1) policy).
+	// free[k] queues the holes of bin k in the order they were freed.
 	free [64]holeQueue
-	// nonEmpty has bit k set whenever free[k] holds a hole, so the
-	// relocation search visits only bins worth scanning. pushHole sets a
-	// bit and the allocation fast path clears none: a set bit over a bin
-	// that has since drained is stale until findFit meets it or a pass
-	// rebuilds the bins.
+	// nonEmpty has bit k set whenever free[k] holds a hole, so findFit
+	// visits only bins worth scanning. takeAt clears the bit of a bin it
+	// empties and resetBins clears them all.
 	nonEmpty uint64
+	// maxSize[k] is at least the size of every hole in free[k], so findFit
+	// skips a bin with nothing large enough without scanning it: pushHole
+	// raises it, and a scan that reaches the end of the bin sets it to the
+	// largest hole there (0 when the bin is empty).
+	maxSize [64]uint64
 	// objs lists the live objects placed here, in no order: objs[i].idx ==
 	// i, and removal swaps the last record into the gap.
 	objs []*objInfo
@@ -177,24 +187,12 @@ func (sh *subHeap) unlink(info *objInfo) {
 	sh.objs = sh.objs[:last]
 }
 
-// takeFront pops the front hole of binIdx if it fits need, returning the
-// whole block (the naïve allocator neither splits nor searches deeper —
-// §4.3: "only the front of the list is checked"). The slack between the
-// block and the request is internal waste that only compaction recovers.
-func (sh *subHeap) takeFront(binIdx int, need uint64) (hole, bool) {
-	q := &sh.free[binIdx]
-	if hs := q.holes(); len(hs) > 0 && hs[0].size >= need {
-		q.popFront()
-		return hs[0], true
-	}
-	return hole{}, false
-}
-
 // pushHole returns a hole to the back of its bin.
 func (sh *subHeap) pushHole(h hole) {
 	b := bin(h.size)
 	sh.free[b].push(h)
 	sh.nonEmpty |= 1 << b
+	sh.maxSize[b] = max(sh.maxSize[b], h.size)
 }
 
 // resetBins empties every bin, keeping their storage.
@@ -203,25 +201,27 @@ func (sh *subHeap) resetBins() {
 		sh.free[b].reset()
 	}
 	sh.nonEmpty = 0
+	sh.maxSize = [64]uint64{}
 }
 
-// findFit finds the first hole — whole bins are searched, from bin(need)
-// up — that fits need bytes wholly below limit: the k-th queued hole of bin
-// b. It takes nothing, so a caller that then rejects its candidate leaves
-// the bins as they were. Relocation slow path only.
+// findFit finds the first hole that fits need bytes wholly below limit,
+// searching bins from bin(need) up and each bin front to back: the k-th
+// queued hole of bin b. It takes nothing, so a caller that then rejects
+// its candidate leaves the bins as they were.
 func (sh *subHeap) findFit(need, limit uint64) (b, k int, ok bool) {
 	for m := sh.nonEmpty &^ (1<<bin(need) - 1); m != 0; m &= m - 1 {
 		b := bits.TrailingZeros64(m)
-		hs := sh.free[b].holes()
-		if len(hs) == 0 {
-			sh.nonEmpty &^= 1 << b
+		if sh.maxSize[b] < need {
 			continue
 		}
-		for k, h := range hs {
+		var largest uint64
+		for k, h := range sh.free[b].holes() {
 			if h.size >= need && h.off+need <= limit {
 				return b, k, true
 			}
+			largest = max(largest, h.size)
 		}
+		sh.maxSize[b] = largest
 	}
 	return 0, 0, false
 }
@@ -229,8 +229,13 @@ func (sh *subHeap) findFit(need, limit uint64) (b, k int, ok bool) {
 // takeAt removes the hole findFit named and returns its offset, giving
 // back the remainder beyond need as a new hole.
 func (sh *subHeap) takeAt(b, k int, need uint64) uint64 {
-	h := sh.free[b].holes()[k]
-	sh.free[b].removeAt(k)
+	q := &sh.free[b]
+	h := q.holes()[k]
+	q.removeAt(k)
+	if len(q.holes()) == 0 {
+		sh.nonEmpty &^= 1 << b
+		sh.maxSize[b] = 0
+	}
 	if rem := h.size - need; rem >= alignment {
 		sh.pushHole(hole{off: h.off + need, size: rem})
 	}
@@ -315,8 +320,6 @@ type Service struct {
 	Passes     int64
 	MovedBytes int64
 	Truncated  int64 // bytes returned via DontNeed
-	// ShrunkBytes counts internal waste recovered by in-place shrinking.
-	ShrunkBytes int64
 	// ConcurrentPasses / MoveAborts count pause-free passes and the moves
 	// within them that lost the §7 commit race to a concurrent accessor.
 	ConcurrentPasses int64
@@ -333,8 +336,7 @@ type Service struct {
 // fields directly.
 type Metrics struct {
 	Passes, ConcurrentPasses, MoveAborts int64
-	MovedBytes, Truncated, ShrunkBytes   int64
-	Candidates                           int64
+	MovedBytes, Truncated, Candidates    int64
 	DeferredBlocks                       int
 }
 
@@ -348,7 +350,6 @@ func (s *Service) MetricsSnapshot() Metrics {
 		MoveAborts:       s.MoveAborts,
 		MovedBytes:       s.MovedBytes,
 		Truncated:        s.Truncated,
-		ShrunkBytes:      s.ShrunkBytes,
 		Candidates:       s.Candidates,
 		DeferredBlocks:   len(s.deferred),
 	}
@@ -385,52 +386,50 @@ func (s *Service) Deinit() error { return nil }
 func (s *Service) Name() string { return "anchorage" }
 
 // newSubHeap maps a fresh sub-heap.
-func (s *Service) newSubHeap(minSize uint64) (*subHeap, error) {
+func (s *Service) newSubHeap(minSize uint64) error {
 	size := s.cfg.SubHeapSize
 	if minSize > size {
 		size = minSize // oversized objects get a dedicated sub-heap
 	}
 	r, err := s.space.Map(size)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	sh := &subHeap{region: r}
-	s.heaps = append(s.heaps, sh)
-	return sh, nil
+	s.heaps = append(s.heaps, &subHeap{region: r})
+	return nil
 }
 
-// allocBlock finds a block of at least `need` bytes: free-list fronts
-// first (the bin that guarantees a fit, then the bin of need itself whose
-// front might fit), then bump space, then a new sub-heap. The returned
-// hole may be larger than need (no splitting on the fast path).
-func (s *Service) allocBlock(need uint64) (int, hole, error) {
-	guarantee := bin(need)
-	if need&(need-1) != 0 {
-		guarantee++
-	}
-	for hi, sh := range s.heaps {
-		if h, ok := sh.takeFront(guarantee, need); ok {
-			return hi, h, nil
+// dest is a place for a block: the k-th queued hole of bin b in sub-heap
+// heap, or that sub-heap's bump space when b < 0.
+type dest struct{ heap, b, k int }
+
+// findBlock is the allocator's one search, for Alloc and the mover alike:
+// the lowest of the first n sub-heaps with a hole that fits need bytes
+// (findFit) or, failing a hole, bump room for them. It reserves nothing:
+// the destination stands until s.mu is released or a bin changes, and
+// takeBlock claims it.
+func (s *Service) findBlock(need uint64, n int) (dest, bool) {
+	for hi, sh := range s.heaps[:n] {
+		if b, k, ok := sh.findFit(need, math.MaxUint64); ok {
+			return dest{hi, b, k}, true
 		}
-		if guarantee != bin(need) {
-			if h, ok := sh.takeFront(bin(need), need); ok {
-				return hi, h, nil
-			}
-		}
-	}
-	for hi, sh := range s.heaps {
 		if sh.bump+need <= sh.region.Size() {
-			off := sh.bump
-			sh.bump += need
-			return hi, hole{off: off, size: need}, nil
+			return dest{hi, -1, 0}, true
 		}
 	}
-	sh, err := s.newSubHeap(need)
-	if err != nil {
-		return 0, hole{}, err
+	return dest{}, false
+}
+
+// takeBlock claims the destination d for a block of need bytes and
+// returns its offset in s.heaps[d.heap].
+func (s *Service) takeBlock(d dest, need uint64) uint64 {
+	sh := s.heaps[d.heap]
+	if d.b < 0 {
+		off := sh.bump
+		sh.bump += need
+		return off
 	}
-	sh.bump = need
-	return len(s.heaps) - 1, hole{off: 0, size: need}, nil
+	return sh.takeAt(d.b, d.k, need)
 }
 
 // Alloc implements rt.Service.
@@ -438,17 +437,21 @@ func (s *Service) Alloc(id uint32, size uint64) (mem.Addr, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	need := alignUp(size)
-	hi, h, err := s.allocBlock(need)
-	if err != nil {
-		return 0, err
+	d, ok := s.findBlock(need, len(s.heaps))
+	if !ok {
+		if err := s.newSubHeap(need); err != nil {
+			return 0, err
+		}
+		d = dest{len(s.heaps) - 1, -1, 0}
 	}
-	sh := s.heaps[hi]
-	info := &objInfo{id: id, live: true, heap: hi, off: h.off, size: size, block: h.size}
+	off := s.takeBlock(d, need)
+	sh := s.heaps[d.heap]
+	info := &objInfo{id: id, live: true, heap: d.heap, off: off, size: size}
 	sh.link(info)
 	sh.live += size
 	*s.byID.slot(id, true) = info
 	s.active += size
-	return sh.region.Base() + mem.Addr(h.off), nil
+	return sh.region.Base() + mem.Addr(off), nil
 }
 
 // Free implements rt.Service.
@@ -470,7 +473,7 @@ func (s *Service) Free(id uint32, _ mem.Addr, _ uint64) error {
 	info.live = false
 	sh.live -= info.size
 	s.active -= info.size
-	sh.pushHole(hole{off: info.off, size: info.block})
+	sh.pushHole(hole{off: info.off, size: alignUp(info.size)})
 	return nil
 }
 
@@ -482,7 +485,7 @@ func (s *Service) UsableSize(addr mem.Addr) uint64 {
 		if sh.region.Contains(addr) {
 			for _, info := range sh.objs {
 				if info.off == uint64(addr-sh.region.Base()) {
-					return info.block
+					return alignUp(info.size)
 				}
 			}
 		}
@@ -523,42 +526,16 @@ func (s *Service) Fragmentation() float64 {
 	return float64(s.extentLocked()) / float64(s.active)
 }
 
-// moveDest is a destination findBlockForMove found: the k-th queued hole
-// of bin b in sub-heap heap, or that sub-heap's bump space when b < 0.
-type moveDest struct{ heap, b, k int }
-
 // findBlockForMove finds a destination for relocating a block of need
-// bytes that currently sits at (srcHeap, srcOff): holes or bump space in
-// lower sub-heaps, else a strictly-lower hole in the source sub-heap.
-// Unlike allocBlock it may search whole bins (it runs on the relocation
-// slow path, under s.mu, where thoroughness beats O(1)) and never maps a
-// new sub-heap. It reserves nothing: the destination stands until s.mu is
-// released or a bin changes, and takeBlockForMove claims it.
-func (s *Service) findBlockForMove(need uint64, srcHeap int, srcOff uint64) (moveDest, bool) {
-	for hi := 0; hi < srcHeap; hi++ {
-		sh := s.heaps[hi]
-		if b, k, ok := sh.findFit(need, math.MaxUint64); ok {
-			return moveDest{hi, b, k}, true
-		}
-		if sh.bump+need <= sh.region.Size() {
-			return moveDest{hi, -1, 0}, true
-		}
+// bytes that currently sits at (srcHeap, srcOff): findBlock over the
+// sub-heaps below the source, else a hole strictly below the object in its
+// own sub-heap. It never maps a new sub-heap.
+func (s *Service) findBlockForMove(need uint64, srcHeap int, srcOff uint64) (dest, bool) {
+	if d, ok := s.findBlock(need, srcHeap); ok {
+		return d, true
 	}
-	// Intra-heap: only a hole strictly below the object helps compaction.
 	b, k, ok := s.heaps[srcHeap].findFit(need, srcOff)
-	return moveDest{srcHeap, b, k}, ok
-}
-
-// takeBlockForMove claims the destination d for a block of need bytes and
-// returns its offset in s.heaps[d.heap].
-func (s *Service) takeBlockForMove(d moveDest, need uint64) uint64 {
-	sh := s.heaps[d.heap]
-	if d.b < 0 {
-		off := sh.bump
-		sh.bump += need
-		return off
-	}
-	return sh.takeAt(d.b, d.k, need)
+	return dest{srcHeap, b, k}, ok
 }
 
 // byOffset orders holes by offset; offsets within a sub-heap are unique.
@@ -617,26 +594,6 @@ func (s *Service) relink(info *objInfo, dhi int, doff uint64) {
 	info.off = doff
 }
 
-// reclaimSlack recovers a sub-heap's internal waste: the naïve fast path
-// hands out whole free blocks, so a 64-byte object may own a 1 KiB block.
-// Every block is shrunk to its aligned request size in place — no copy, no
-// reference update, the object does not move — and the slack joins the
-// free lists, which are then coalesced. Caller holds s.mu, and needs no
-// barrier: an object is read and written through its handle entry's size,
-// never its block's (an overwrite in place repeats the stored length), so
-// no thread touches the bytes that change hands here.
-func (s *Service) reclaimSlack(sh *subHeap) {
-	for _, info := range sh.objs {
-		need := alignUp(info.size)
-		if info.block > need {
-			sh.pushHole(hole{off: info.off + need, size: info.block - need})
-			s.ShrunkBytes += int64(info.block - need)
-			info.block = need
-		}
-	}
-	s.holes = sh.coalesce(s.holes)
-}
-
 // candidates copies out a sub-heap's objects (caller holds s.mu; the
 // storage is the pass's, guarded by passMu) for the pass to put in the
 // order it vacates them in: offset descending, the top first.
@@ -655,11 +612,11 @@ func (s *Service) candidates(sh *subHeap) []placed {
 // drop it meanwhile, returns with it held, and reports the bytes moved —
 // zero if the object stays, in which case it has given back whatever it
 // took of d.
-type relocator func(o placed, hi int, d moveDest) uint64
+type relocator func(o placed, hi int, d dest) uint64
 
 // compact is the part of a defragmentation pass that comes before
-// truncation: it shrinks every block to its request and coalesces the
-// holes, then moves up to budget bytes of objects out of the topmost
+// truncation: it coalesces every sub-heap's holes, then moves up to budget
+// bytes of objects out of the topmost
 // occupied sub-heaps into holes and bump space below them. It reports the
 // bytes moved and the lowest sub-heap the move loop reached (len(s.heaps)
 // if none). The caller holds passMu and not s.mu, which compact takes a
@@ -675,7 +632,7 @@ func (s *Service) compact(budget uint64, relocate relocator) (moved uint64, lowe
 	s.mu.Unlock()
 	for hi := 0; hi < lowest; hi++ {
 		s.mu.Lock()
-		s.reclaimSlack(s.heaps[hi])
+		s.holes = s.heaps[hi].coalesce(s.holes)
 		s.mu.Unlock()
 	}
 	// Work from the top sub-heap downward.
@@ -692,7 +649,7 @@ func (s *Service) compact(budget uint64, relocate relocator) (moved uint64, lowe
 			s.mu.Lock()
 			if o.stillAt(lowest) { // else freed meanwhile
 				s.Candidates++
-				if d, ok := s.findBlockForMove(o.info.block, lowest, o.off); ok {
+				if d, ok := s.findBlockForMove(alignUp(o.info.size), lowest, o.off); ok {
 					n := relocate(o, lowest, d)
 					moved += n
 					s.MovedBytes += int64(n)
@@ -720,20 +677,21 @@ func (s *Service) DefragPass(scope *rt.BarrierScope, budget uint64) uint64 {
 	s.mu.Lock()
 	s.Passes++
 	s.mu.Unlock()
-	moved, lowest := s.compact(budget, func(o placed, hi int, d moveDest) uint64 {
+	moved, lowest := s.compact(budget, func(o placed, hi int, d dest) uint64 {
 		info := o.info
 		if scope.Pinned(info.id) {
 			return 0
 		}
-		doff := s.takeBlockForMove(d, info.block)
+		block := alignUp(info.size)
+		doff := s.takeBlock(d, block)
 		dst := s.heaps[d.heap].region.Base() + mem.Addr(doff)
 		if err := scope.Relocate(info.id, dst); err != nil {
-			s.heaps[d.heap].pushHole(hole{off: doff, size: info.block})
+			s.heaps[d.heap].pushHole(hole{off: doff, size: block})
 			return 0
 		}
 		// The world is stopped: the vacated slot is a hole at once;
 		// truncate drops it again if it ends up above the new bump.
-		s.heaps[hi].pushHole(hole{off: o.off, size: info.block})
+		s.heaps[hi].pushHole(hole{off: o.off, size: block})
 		s.relink(info, d.heap, doff)
 		return info.size
 	})
@@ -749,7 +707,7 @@ func (s *Service) DefragPass(scope *rt.BarrierScope, budget uint64) uint64 {
 func (s *Service) truncate(sh *subHeap) {
 	var high uint64
 	for _, info := range sh.objs {
-		if end := info.off + info.block; end > high {
+		if end := info.off + alignUp(info.size); end > high {
 			high = end
 		}
 	}
@@ -825,14 +783,13 @@ func RevalidateFaultHandler() rt.FaultHandler {
 }
 
 // ConcurrentDefragPass is the compaction pass with the barrier taken out:
-// it shrinks blocks and coalesces holes, moves up to budget bytes of
-// objects out of the topmost occupied sub-heaps, and truncates every
-// sub-heap, returning the pages above to the kernel — all without stopping
-// the world. Each stage is safe with threads running for its own reason:
+// it coalesces holes, moves up to budget bytes of objects out of the
+// topmost occupied sub-heaps, and truncates every sub-heap, returning the
+// pages above to the kernel — all without stopping the world. Each stage
+// is safe with threads running for its own reason:
 //
-//   - Shrinking and coalescing move no object and touch no handle entry;
-//     they only re-label bytes no thread reads or writes (see reclaimSlack),
-//     under s.mu like any Free.
+//   - Coalescing moves no object and touches no handle entry; it only
+//     re-labels free bytes, under s.mu like any Free.
 //   - Moving uses the handle table's speculative-move protocol (§7) instead
 //     of a barrier: each object is CASed into the moving state, copied, and
 //     committed; a reader that translates it mid-copy faults, revalidates
@@ -904,7 +861,7 @@ func (s *Service) ConcurrentDefragPass(budget uint64) uint64 {
 // it has changed nothing but the handle entry, which it revalidates: a
 // candidate rejected for a pin or an unpublished entry leaves every free
 // bin as it found it.
-func (s *Service) moveSpeculatively(o placed, hi int, d moveDest) uint64 {
+func (s *Service) moveSpeculatively(o placed, hi int, d dest) uint64 {
 	info := o.info
 	if s.rt.Table.PinCount(info.id) > 0 {
 		return 0 // demonstrably pinned
@@ -928,8 +885,8 @@ func (s *Service) moveSpeculatively(o placed, hi int, d moveDest) uint64 {
 		s.copyMu.Unlock()
 		return 0
 	}
-	size, block := info.size, info.block
-	doff := s.takeBlockForMove(d, block)
+	size, block := info.size, alignUp(info.size)
+	doff := s.takeBlock(d, block)
 	dst := s.heaps[d.heap].region.Base() + mem.Addr(doff)
 	s.moving = info
 	s.mu.Unlock()

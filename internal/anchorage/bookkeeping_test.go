@@ -2,9 +2,10 @@ package anchorage
 
 // Tests for the allocator's map-free bookkeeping: the FIFO free bins must
 // hand holes back in exactly the order the plain slices they replaced
-// did (heap layout — and with it rss_per_live_byte and hit_ratio — is a
-// function of that order), and the ID directory must stay cheap for an ID
-// far from any the handle table issued.
+// did, and Alloc/Free must place every block where a naive reference
+// allocator does (heap layout — and with it rss_per_live_byte and
+// hit_ratio — is a function of both); the ID directory must stay cheap
+// for an ID far from any the handle table issued.
 
 import (
 	"math"
@@ -17,21 +18,8 @@ import (
 )
 
 // refBins is the free-list representation the holeQueue replaced, kept
-// verbatim as the reference: one slice per bin, the front resliced away.
+// verbatim as the reference: one slice per bin.
 type refBins [64][]hole
-
-func (r *refBins) takeFront(binIdx int, need uint64) (hole, bool) {
-	lst := r[binIdx]
-	if len(lst) == 0 {
-		return hole{}, false
-	}
-	h := lst[0]
-	if h.size < need {
-		return hole{}, false
-	}
-	r[binIdx] = lst[1:]
-	return h, true
-}
 
 func (r *refBins) pushHole(h hole) {
 	b := bin(h.size)
@@ -42,8 +30,8 @@ func (r *refBins) removeAt(b, k int) { r[b] = append(r[b][:k], r[b][k+1:]...) }
 
 func (r *refBins) reset(b int) { r[b] = r[b][:0] }
 
-// findFit is the relocation search with nothing to help it: every bin from
-// bin(need) up, every hole, first fit.
+// findFit is the search with nothing to help it: every bin from bin(need)
+// up, every hole, first fit.
 func (r *refBins) findFit(need, limit uint64) (int, int, bool) {
 	for b := bin(need); b < len(r); b++ {
 		for k, h := range r[b] {
@@ -66,11 +54,15 @@ func (r *refBins) takeAt(b, k int, need uint64) uint64 {
 
 // TestFreeBinsMatchReference drives the sub-heap's bins and the reference
 // through the same seeded random op sequences — the things the allocator
-// and the passes do to a bin — and requires the same hole out of every
-// take, the same answer from every relocation search (the bitmap may skip
-// only bins with nothing in them), and the same queue contents after
-// every op.
+// and the passes do to a bin — and requires the same answer from every
+// search (the bitmap and the per-bin size bounds may skip only bins with
+// nothing that fits), the same offset out of every take, the same queue
+// contents after every op, and no hole larger than its bin's bound. Some
+// unlimited searches must come up empty, so bounds are lowered and later
+// pushes must raise them again: with pushHole's raise dropped this fails
+// at the first search.
 func TestFreeBinsMatchReference(t *testing.T) {
+	emptyScans := 0
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		var sh subHeap
@@ -83,25 +75,6 @@ func TestFreeBinsMatchReference(t *testing.T) {
 		for op := 0; op < 4000; op++ {
 			b := bins[rng.Intn(len(bins))]
 			switch k := rng.Intn(11); {
-			case k == 10:
-				// The relocation search, then (half the time) the take. The
-				// need is 16-aligned like a block; a limit in the middle of
-				// the offsets handed out rules some fitting holes out.
-				need := alignUp(uint64(1)<<b + uint64(rng.Intn(1<<b)))
-				limit := uint64(math.MaxUint64)
-				if rng.Intn(2) == 0 {
-					limit = uint64(rng.Int63n(int64(next) + 1))
-				}
-				gb, gk, gok := sh.findFit(need, limit)
-				wb, wk, wok := ref.findFit(need, limit)
-				if gb != wb || gk != wk || gok != wok {
-					t.Fatalf("seed %d op %d: findFit(%d, %d) = bin %d hole %d %v, all-bins scan %d %d %v", seed, op, need, limit, gb, gk, gok, wb, wk, wok)
-				}
-				if gok && rng.Intn(2) == 0 {
-					if got, want := sh.takeAt(gb, gk, need), ref.takeAt(wb, wk, need); got != want {
-						t.Fatalf("seed %d op %d: takeAt(%d, %d, %d) = %d, reference %d", seed, op, gb, gk, need, got, want)
-					}
-				}
 			case k < pushWeight:
 				// Any size inside bin b.
 				size := uint64(1)<<b + uint64(rng.Intn(1<<b))
@@ -109,13 +82,29 @@ func TestFreeBinsMatchReference(t *testing.T) {
 				next += size
 				sh.pushHole(h)
 				ref.pushHole(h)
-			case k < 8:
-				// A need that the front sometimes fits and sometimes not.
-				need := uint64(1)<<b + uint64(rng.Intn(1<<b))
-				got, gok := sh.takeFront(b, need)
-				want, wok := ref.takeFront(b, need)
-				if got != want || gok != wok {
-					t.Fatalf("seed %d op %d: takeFront(%d, %d) = %v %v, reference %v %v", seed, op, b, need, got, gok, want, wok)
+			case k < 8 || k == 10:
+				// The search, then (mostly) the take. The need is 16-aligned
+				// like a block and may exceed every hole in its own bin; a
+				// limit in the middle of the offsets handed out (the mover's
+				// search within the source sub-heap) rules some fitting
+				// holes out.
+				need := alignUp(uint64(1)<<b + uint64(rng.Intn(1<<b)))
+				limit := uint64(math.MaxUint64)
+				if rng.Intn(3) == 0 {
+					limit = uint64(rng.Int63n(int64(next) + 1))
+				}
+				gb, gk, gok := sh.findFit(need, limit)
+				wb, wk, wok := ref.findFit(need, limit)
+				if gb != wb || gk != wk || gok != wok {
+					t.Fatalf("seed %d op %d: findFit(%d, %d) = bin %d hole %d %v, all-bins scan %d %d %v", seed, op, need, limit, gb, gk, gok, wb, wk, wok)
+				}
+				if !wok && limit == math.MaxUint64 {
+					emptyScans++
+				}
+				if gok && rng.Intn(4) != 0 {
+					if got, want := sh.takeAt(gb, gk, need), ref.takeAt(wb, wk, need); got != want {
+						t.Fatalf("seed %d op %d: takeAt(%d, %d, %d) = %d, reference %d", seed, op, gb, gk, need, got, want)
+					}
 				}
 			case k == 8:
 				if n := len(ref[b]); n > 0 {
@@ -138,6 +127,131 @@ func TestFreeBinsMatchReference(t *testing.T) {
 				if len(ref[b]) > 0 && sh.nonEmpty&(1<<b) == 0 {
 					t.Fatalf("seed %d op %d: bin %d holds %d holes and its bit is clear", seed, op, b, len(ref[b]))
 				}
+				for _, h := range ref[b] {
+					if h.size > sh.maxSize[b] {
+						t.Fatalf("seed %d op %d: bin %d holds a %d-byte hole over its bound %d", seed, op, b, h.size, sh.maxSize[b])
+					}
+				}
+			}
+		}
+	}
+	if emptyScans == 0 {
+		t.Fatal("no unlimited search came up empty: no bin bound was ever lowered")
+	}
+}
+
+// refAllocator is Alloc and Free with nothing to help them: per sub-heap
+// the reference bins and a bump pointer. An allocation tries the sub-heaps
+// lowest first — every bin from bin(need) up, first fit, the remainder
+// split back — then bump space, then maps a new sub-heap.
+type refAllocator struct {
+	subHeapSize uint64
+	heaps       []refSubHeap
+}
+
+type refSubHeap struct {
+	bins       refBins
+	bump, size uint64
+}
+
+func (a *refAllocator) alloc(size uint64) (hi int, off uint64) {
+	need := alignUp(size)
+	for hi := range a.heaps {
+		h := &a.heaps[hi]
+		if b, k, ok := h.bins.findFit(need, math.MaxUint64); ok {
+			return hi, h.bins.takeAt(b, k, need)
+		}
+		if h.bump+need <= h.size {
+			h.bump += need
+			return hi, h.bump - need
+		}
+	}
+	pages := (max(a.subHeapSize, need) + mem.PageSize - 1) / mem.PageSize
+	a.heaps = append(a.heaps, refSubHeap{bump: need, size: pages * mem.PageSize})
+	return len(a.heaps) - 1, 0
+}
+
+func (a *refAllocator) free(hi int, off, size uint64) {
+	a.heaps[hi].bins.pushHole(hole{off: off, size: alignUp(size)})
+}
+
+// TestAllocMatchesReference runs seeded Alloc/Free sequences — small,
+// medium and oversized requests over 4 KiB sub-heaps — against Service
+// and the reference allocator, and requires the same address out of every
+// Alloc and, after every op, the same active bytes, extent, bumps and
+// free bins. The bins hold exactly the freed blocks, so equal bins also
+// say that every block is alignUp(size): not a byte of slack handed out.
+func TestAllocMatchesReference(t *testing.T) {
+	const subHeapSize = 4 << 10
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		cfg := DefaultConfig()
+		cfg.SubHeapSize = subHeapSize
+		svc := NewService(mem.NewSpace(), cfg)
+		ref := refAllocator{subHeapSize: subHeapSize}
+		type obj struct {
+			id        uint32
+			addr      mem.Addr
+			hi        int
+			off, size uint64
+		}
+		var live []obj
+		var active uint64
+		allocPct := 45 + rng.Intn(20)
+		for op, id := 0, uint32(0); op < 2000; op++ {
+			if len(live) == 0 || rng.Intn(100) < allocPct {
+				var size uint64
+				switch r := rng.Intn(50); {
+				case r == 0:
+					size = subHeapSize + 1 + uint64(rng.Intn(subHeapSize))
+				case r < 10:
+					size = 256 + uint64(rng.Intn(1024))
+				default:
+					size = 1 + uint64(rng.Intn(256))
+				}
+				addr, err := svc.Alloc(id, size)
+				if err != nil {
+					t.Fatal(err)
+				}
+				hi, off := ref.alloc(size)
+				if len(svc.heaps) != len(ref.heaps) {
+					t.Fatalf("seed %d op %d: Alloc(%d) left %d sub-heaps, reference %d", seed, op, size, len(svc.heaps), len(ref.heaps))
+				}
+				if want := svc.heaps[hi].region.Base() + mem.Addr(off); addr != want {
+					t.Fatalf("seed %d op %d: Alloc(%d) = %#x, reference sub-heap %d offset %d (%#x)", seed, op, size, addr, hi, off, want)
+				}
+				live = append(live, obj{id: id, addr: addr, hi: hi, off: off, size: size})
+				active += size
+				id++
+			} else {
+				k := rng.Intn(len(live))
+				o := live[k]
+				if err := svc.Free(o.id, o.addr, o.size); err != nil {
+					t.Fatal(err)
+				}
+				ref.free(o.hi, o.off, o.size)
+				live[k] = live[len(live)-1]
+				live = live[:len(live)-1]
+				active -= o.size
+			}
+			var extent uint64
+			for hi, h := range ref.heaps {
+				sh := svc.heaps[hi]
+				if sh.bump != h.bump {
+					t.Fatalf("seed %d op %d: sub-heap %d bump %d, reference %d", seed, op, hi, sh.bump, h.bump)
+				}
+				for b := range h.bins {
+					if !slices.Equal(sh.free[b].holes(), h.bins[b]) {
+						t.Fatalf("seed %d op %d: sub-heap %d bin %d holds %v, reference %v", seed, op, hi, b, sh.free[b].holes(), h.bins[b])
+					}
+				}
+				extent += h.bump
+			}
+			if got := svc.ActiveBytes(); got != active {
+				t.Fatalf("seed %d op %d: ActiveBytes %d, want %d", seed, op, got, active)
+			}
+			if got := svc.HeapExtent(); got != extent {
+				t.Fatalf("seed %d op %d: HeapExtent %d, reference %d", seed, op, got, extent)
 			}
 		}
 	}

@@ -428,10 +428,40 @@ func TestConcurrentDefragPassUnderChurn(t *testing.T) {
 		workers, ops, svc.ConcurrentPasses, svc.MovedBytes, svc.MoveAborts)
 }
 
+// checkTiling requires every sub-heap's live blocks — alignUp(size) bytes
+// each — and free holes to tile [0, bump) exactly: no slack owned by a
+// block, no byte counted twice, none lost. Callers have no block deferred.
+func checkTiling(t *testing.T, svc *Service) {
+	t.Helper()
+	svc.mu.Lock()
+	defer svc.mu.Unlock()
+	for hi, sh := range svc.heaps {
+		var spans []hole
+		for _, info := range sh.objs {
+			spans = append(spans, hole{off: info.off, size: alignUp(info.size)})
+		}
+		for b := range sh.free {
+			spans = append(spans, sh.free[b].holes()...)
+		}
+		slices.SortFunc(spans, byOffset)
+		end := uint64(0)
+		for _, s := range spans {
+			if s.off != end {
+				t.Fatalf("sub-heap %d: span %+v follows end %d", hi, s, end)
+			}
+			end += s.size
+		}
+		if end != sh.bump {
+			t.Fatalf("sub-heap %d: blocks and holes end at %d, bump %d", hi, end, sh.bump)
+		}
+	}
+}
+
 // TestConcurrentDefragPassReturnsMemory holds the pause-free pass to the
-// whole job with no barrier pass anywhere: slack shrunk in place, objects
-// moved down, tails truncated and their pages given back — and every
-// object still carrying its bytes.
+// whole job with no barrier pass anywhere: objects moved down, tails
+// truncated and their pages given back — and every object still carrying
+// its bytes. Smaller objects first go into the holes of larger ones with
+// the rest of each hole split off, so no block ever owns slack.
 func TestConcurrentDefragPassReturnsMemory(t *testing.T) {
 	space := mem.NewSpace()
 	cfg := DefaultConfig()
@@ -445,9 +475,9 @@ func TestConcurrentDefragPassReturnsMemory(t *testing.T) {
 	defer th.Destroy()
 
 	live := fragment(t, r, 4096, 512, 4)
-	// Smaller objects into the 512-byte holes (the bin that guarantees 272
-	// bytes a fit): the fast path hands each a whole block, and only
-	// shrinking gets the other 240 bytes back.
+	extent := svc.HeapExtent()
+	// 272-byte objects have no hole of their own bin to go to: each takes
+	// a 512-byte hole and leaves 240 bytes of it free.
 	for i := 0; i < 512; i++ {
 		h, err := r.Halloc(272)
 		if err != nil {
@@ -455,6 +485,10 @@ func TestConcurrentDefragPassReturnsMemory(t *testing.T) {
 		}
 		live = append(live, h)
 	}
+	if got := svc.HeapExtent(); got != extent {
+		t.Errorf("extent %d -> %d across 512 allocations that fit in 512-byte holes", extent, got)
+	}
+	checkTiling(t, svc)
 	for i, h := range live {
 		a, err := th.Translate(h)
 		if err != nil {
@@ -478,12 +512,10 @@ func TestConcurrentDefragPassReturnsMemory(t *testing.T) {
 	if m.Passes != 0 {
 		t.Fatalf("%d barrier passes ran; the test is about there being none", m.Passes)
 	}
-	if m.ShrunkBytes != 512*(512-272) {
-		t.Errorf("ShrunkBytes = %d, want %d: the slack of 512 272-byte objects in 512-byte blocks", m.ShrunkBytes, 512*(512-272))
-	}
 	if m.Truncated == 0 || m.DeferredBlocks != 0 {
-		t.Errorf("Truncated = %d with %d blocks still deferred, want tails returned and none", m.Truncated, m.DeferredBlocks)
+		t.Fatalf("Truncated = %d with %d blocks still deferred, want tails returned and none", m.Truncated, m.DeferredBlocks)
 	}
+	checkTiling(t, svc)
 	if rss := space.RSS(); rss >= rssBefore/2 {
 		t.Errorf("RSS %d -> %d, want well under half: three quarters of the heap was free", rssBefore, rss)
 	}
@@ -620,7 +652,7 @@ func TestRejectedCandidateLeavesBinsAlone(t *testing.T) {
 			rejected := 0
 			for hi, sh := range svc.heaps {
 				for _, info := range sh.objs {
-					d, ok := svc.findBlockForMove(info.block, hi, info.off)
+					d, ok := svc.findBlockForMove(alignUp(info.size), hi, info.off)
 					if !ok {
 						continue
 					}

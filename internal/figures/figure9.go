@@ -152,7 +152,12 @@ func RunDefrag(name string, cfg DefragConfig) (DefragResult, error) {
 		for k := 0; k < size; k++ {
 			val[k] = byte(i >> (k % 3 * 8))
 		}
-		if _, err := store.SetExBytesAt(sess, key, val[:size], kv.SetAlways, time.Time{}, time.Now()); err != nil {
+		// The store reads the simulated clock, not the wall's, so LRU
+		// order (a read hit's gated bump depends on the time since the
+		// entry's last use) repeats from run to run, and with it the order
+		// activedefrag relocates in.
+		at := time.Unix(0, int64(now))
+		if _, err := store.SetExBytesAt(sess, key, val[:size], kv.SetAlways, time.Time{}, at); err != nil {
 			return res, fmt.Errorf("%s: set: %w", name, err)
 		}
 		if cfg.HotEvery > 0 && i%cfg.HotEvery == 0 {
@@ -162,7 +167,7 @@ func RunDefrag(name string, cfg DefragConfig) (DefragResult, error) {
 		if len(hot) > 0 && i%257 == 0 {
 			for _, k := range hot {
 				var err error
-				if rbuf, _, err = store.GetIntoAt(sess, k, rbuf, time.Now()); err != nil {
+				if rbuf, _, err = store.GetIntoAt(sess, k, rbuf, at); err != nil {
 					return res, err
 				}
 			}

@@ -52,6 +52,36 @@ func TestEnvelopeBounds(t *testing.T) {
 	}
 }
 
+// TestDefragFiguresRepeat runs a small Figure 9 twice and requires every
+// backend's RSS curve to come out the same, point for point: a figure is a
+// function of its seed. activedefrag is the one that needs care: the
+// store hands it its entries to relocate in LRU order, so that order must
+// be the shard's list (not its Go map, whose order changes every run) and
+// the list must follow the simulated clock (not the wall's).
+func TestDefragFiguresRepeat(t *testing.T) {
+	cfg := DefaultDefragConfig(1.0 / 64)
+	first, err := Figure9(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := Figure9(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range Backends {
+		a, b := first[name].Series.Points, second[name].Series.Points
+		if len(a) != len(b) {
+			t.Fatalf("%s: %d samples, then %d", name, len(a), len(b))
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				t.Errorf("%s: sample %d is %v, then %v", name, i, a[i], b[i])
+				break
+			}
+		}
+	}
+}
+
 func TestNewBackendUnknown(t *testing.T) {
 	if _, err := newBackend("bogus", DefaultDefragConfig(0.01)); err == nil {
 		t.Error("unknown backend accepted")

@@ -260,11 +260,13 @@ func NewShardedStore(b Backend, n int, maxMemory uint64) *ShardedStore {
 // the store's own reference — the (mercifully small) Go equivalent of
 // the invasive pointer bookkeeping Redis had to add. Each shard is
 // visited with its lock held: a request on that shard would otherwise
-// read or free a ref the allocator is in the middle of replacing.
+// read or free a ref the allocator is in the middle of replacing. It walks
+// the LRU list, which holds the index's entries in an order the workload
+// decides, not the map's randomised one, so a run repeats exactly.
 func (s *ShardedStore) iterateRefs(visit func(ref Ref, size uint64, update func(Ref))) {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		for _, e := range sh.index {
+		for e := sh.lru.head; e != nil; e = e.next {
 			visit(e.ref, e.size, func(n Ref) { e.ref = n })
 		}
 		sh.mu.Unlock()

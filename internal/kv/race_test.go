@@ -18,7 +18,7 @@ package kv
 // rewrite hot keys at a fixed length, so every store goes through the
 // handle the mover may be relocating at that moment.
 //
-// The fifth takes the barrier pass away: the pause-free pass alone shrinks,
+// The fifth takes the barrier pass away: the pause-free pass alone
 // coalesces, moves and truncates under in-place and resizing writers,
 // readers, and a raw Halloc/Hfree client reading inside its grace period.
 
@@ -563,13 +563,13 @@ func TestInPlaceOverwriteUnderConcurrentDefrag(t *testing.T) {
 }
 
 // TestPauseFreePassReclaimsUnderTraffic holds the pass that gives memory
-// back with no barrier — blocks shrunk in place, holes coalesced, tails
-// truncated and their pages released, all while threads run — to what
-// alaskad does with it: ConcurrentDefragPass and DrainDeferred every turn
-// and never a barrier pass. One writer overwrites its hot keys in place,
-// one changes their length on every store (a shorter value lands in the
-// longer one's block, which is the slack shrinking recovers); each lifts
-// its key on top of ballast it then deletes, so there is always a tail to
+// back with no barrier — holes coalesced, tails truncated and their pages
+// released, all while threads run — to what alaskad does with it:
+// ConcurrentDefragPass and DrainDeferred every turn and never a barrier
+// pass. One writer overwrites its hot keys in place, one changes their
+// length on every store (a shorter value splits the longer one's freed
+// block); each lifts its key on top of ballast it then deletes, so there
+// is always a tail to
 // vacate. Two readers require every value whole; each writer reads back
 // its last acknowledged write. Beside the store a raw client of the
 // runtime churns Halloc/Hfree the same way and reads its objects the way
@@ -577,13 +577,11 @@ func TestInPlaceOverwriteUnderConcurrentDefrag(t *testing.T) {
 // all before the next safepoint — the mover may commit a move of any of
 // them in between, and the old copy must still be there, whole, and at a
 // 16-byte boundary. At the end memory did come back: Truncated > 0,
-// ShrunkBytes > 0, Passes == 0.
+// Passes == 0.
 //
-// Mutations this fails under (-race -short -count=20): truncate not
+// Mutation this fails under (-race -short -count=20): truncate not
 // holding the bump above s.deferred (the raw client reads a released
-// page: zeroes, and the race detector on DontNeed's clear); reclaimSlack
-// shrinking to info.size instead of alignUp(info.size) (an unaligned
-// hole is handed out).
+// page: zeroes, and the race detector on DontNeed's clear).
 func TestPauseFreePassReclaimsUnderTraffic(t *testing.T) {
 	cfg := anchorage.DefaultConfig()
 	cfg.SubHeapSize = 256 * 1024
@@ -829,8 +827,8 @@ func TestPauseFreePassReclaimsUnderTraffic(t *testing.T) {
 	if m.ConcurrentPasses == 0 || m.MovedBytes == 0 {
 		t.Errorf("mover idle (%d concurrent passes, %d bytes moved); the test raced nothing", m.ConcurrentPasses, m.MovedBytes)
 	}
-	if m.Truncated == 0 || m.ShrunkBytes == 0 {
-		t.Errorf("Truncated = %d, ShrunkBytes = %d: the passes returned no memory", m.Truncated, m.ShrunkBytes)
+	if m.Truncated == 0 {
+		t.Errorf("Truncated = 0: the passes returned no memory")
 	}
-	t.Logf("%d concurrent passes, %d bytes moved, %d shrunk, %d truncated, %d move aborts", m.ConcurrentPasses, m.MovedBytes, m.ShrunkBytes, m.Truncated, m.MoveAborts)
+	t.Logf("%d concurrent passes, %d bytes moved, %d truncated, %d move aborts", m.ConcurrentPasses, m.MovedBytes, m.Truncated, m.MoveAborts)
 }

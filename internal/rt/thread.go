@@ -30,8 +30,8 @@ type Thread struct {
 	rt    *Runtime
 	state atomic.Int32
 	// epoch counts safepoint crossings; grace-period reclamation (the
-	// reloc package) uses it to know when no thread can still hold a raw
-	// pointer obtained before a given moment.
+	// pause-free defrag pass) uses it to know when no thread can still
+	// hold a raw pointer obtained before a given moment.
 	epoch atomic.Uint64
 
 	// slots is the pin stack: every live pin set laid end to end in one

@@ -174,9 +174,6 @@ func (s *Server) buildRegistry() *registryState {
 		defragCtr("alaskad_defrag_truncated_bytes_total",
 			"Sub-heap tail bytes returned to the OS.",
 			func() int64 { return int64(s.anch.Svc.MetricsSnapshot().Truncated) })
-		defragCtr("alaskad_defrag_shrunk_bytes_total",
-			"Block slack beyond the stored size returned to the free lists in place.",
-			func() int64 { return int64(s.anch.Svc.MetricsSnapshot().ShrunkBytes) })
 	}
 
 	// Persistence (pack log). The counter closures read the same atomics

@@ -713,12 +713,11 @@ func (s *Server) maintainLoop() {
 					d := time.Since(passStart)
 					s.passLat.Record(d)
 					// What the pass bought beside what it looked at: a run of
-					// passes that examine thousands of candidates and move,
-					// shrink and truncate nothing is CPU spent for no memory.
+					// passes that examine thousands of candidates and move
+					// and truncate nothing is CPU spent for no memory.
 					after := s.anch.Svc.MetricsSnapshot()
-					s.cfg.Logger.Debugf("defrag: concurrent pass examined %d candidates, moved %d bytes, shrunk %d, truncated %d in %v",
-						after.Candidates-before.Candidates, moved,
-						after.ShrunkBytes-before.ShrunkBytes, after.Truncated-before.Truncated, d)
+					s.cfg.Logger.Debugf("defrag: concurrent pass examined %d candidates, moved %d bytes, truncated %d in %v",
+						after.Candidates-before.Candidates, moved, after.Truncated-before.Truncated, d)
 				}
 				// Return vacated blocks whose grace period has elapsed.
 				if drained := s.anch.Svc.DrainDeferred(); drained > 0 {
@@ -1557,7 +1556,6 @@ func (s *Server) statLines() []statLine {
 			statLine{"defrag_moved_bytes", fmt.Sprintf("%d", m.MovedBytes)},
 			statLine{"defrag_move_aborts", fmt.Sprintf("%d", m.MoveAborts)},
 			statLine{"defrag_truncated_bytes", fmt.Sprintf("%d", m.Truncated)},
-			statLine{"defrag_shrunk_bytes", fmt.Sprintf("%d", m.ShrunkBytes)},
 			statLine{"defrag_deferred_blocks", fmt.Sprintf("%d", m.DeferredBlocks)},
 			statLine{"defrag_drained_bytes", fmt.Sprintf("%d", s.drainedBytes.Load())},
 			statLine{"defrag_pass_p99_us", fmt.Sprintf("%.1f", float64(s.passLat.Percentile(99).Nanoseconds())/1e3)},
