@@ -5,8 +5,9 @@
 // prepend, incr/decr, delete/touch, stats/version/quit) with enforced
 // TTLs over TCP, serves every value out of a pluggable heap backend,
 // and — on the Anchorage backend — defragments the heap under live
-// traffic with both the §4.3 stop-the-world control loop and the §7
-// pause-free concurrent pass.
+// traffic: the §4.3 controller decides when and how much, and every pass
+// it runs is the §7 pause-free concurrent one. -defrag-frag-high is the
+// controller's F_ub and -defrag-budget its per-pass cap.
 //
 // Usage:
 //
@@ -71,8 +72,8 @@ func main() {
 	replyBacklog := flag.String("max-reply-backlog", "64MiB", "reply bytes buffered for a non-reading client before disconnect")
 	padDecr := flag.Bool("space-padded-decr", false, "memcached-classic decr compatibility: right-pad shrinking decr results with spaces to the old value length")
 	maintain := flag.Duration("maintain-interval", 50*time.Millisecond, "background maintenance tick")
-	fragHigh := flag.Float64("defrag-frag-high", 1.3, "fragmentation threshold for pause-free concurrent passes (anchorage)")
-	budget := flag.String("defrag-budget", "1MiB", "bytes moved per concurrent defrag pass")
+	fragHigh := flag.Float64("defrag-frag-high", 1.3, "F_ub of the defrag controller: past this fragmentation (extent/live) it runs pause-free passes until under F_lb (anchorage)")
+	budget := flag.String("defrag-budget", "1MiB", "most bytes one pause-free defrag pass moves")
 	seed := flag.Int64("seed", 1, "seed for the mesh backend's probe randomness")
 	persist := flag.Bool("persist", false, "enable the append-only pack log: every mutation is batch-appended to -data-dir and replayed at boot for a warm restart")
 	dataDir := flag.String("data-dir", "", "pack-log directory (required with -persist)")

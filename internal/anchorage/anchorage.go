@@ -48,8 +48,8 @@ type Config struct {
 	FragLow, FragHigh float64
 	// OverheadHigh is O_ub: the ceiling on the fraction of time spent
 	// defragmenting; after a pass taking T_defrag, the controller sleeps
-	// T_defrag/O_ub. OverheadLow (O_lb) bounds hysteresis on re-entry.
-	OverheadLow, OverheadHigh float64
+	// T_defrag/O_ub.
+	OverheadHigh float64
 	// Alpha caps the fraction of the heap extent moved in a single pass.
 	Alpha float64
 	// WakeInterval is the waiting-state poll period (paper: 500 ms).
@@ -66,7 +66,6 @@ func DefaultConfig() Config {
 		SubHeapSize:   2 << 20,
 		FragLow:       1.2,
 		FragHigh:      1.5,
-		OverheadLow:   0.01,
 		OverheadHigh:  0.05,
 		Alpha:         0.25,
 		WakeInterval:  500 * time.Millisecond,
@@ -372,6 +371,9 @@ func NewService(space *mem.Space, cfg Config) *Service {
 	}
 	return &Service{cfg: cfg, space: space}
 }
+
+// Config returns the configuration the service runs with.
+func (s *Service) Config() Config { return s.cfg }
 
 // Init implements rt.Service.
 func (s *Service) Init(r *rt.Runtime) error {
@@ -927,8 +929,8 @@ func (s *Service) moveSpeculatively(o placed, hi int, d dest) uint64 {
 // tails the last pass vacated before fragmentation fell under the caller's
 // trigger are not left resident until some later pass — and reports how
 // many bytes were recovered. ConcurrentDefragPass drains as it starts and
-// ends; callers may also invoke it directly (alaskad does every
-// maintenance tick). It waits for a pass in flight: see passMu.
+// ends; callers may also invoke it directly (kv.AnchorageBackend.Maintain
+// does on every call). It waits for a pass in flight: see passMu.
 func (s *Service) DrainDeferred() uint64 {
 	s.passMu.Lock()
 	defer s.passMu.Unlock()

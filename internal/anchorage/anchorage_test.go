@@ -262,85 +262,142 @@ func TestTruncateReturnsPages(t *testing.T) {
 	}
 }
 
-func TestControllerTriggersOnHighFragmentation(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.SubHeapSize = 64 * 1024
-	cfg.FragHigh = 1.5
-	cfg.FragLow = 1.1
-	r, svc, _ := newAnchorageRuntime(t, cfg)
-	th := r.NewThread()
-	ctl := NewController(svc)
+// controllerPasses are the relocation steps the controller tests run it
+// with: the figures' barrier pass (no registered thread, so a nil
+// initiator) and alaskad's pause-free one.
+var controllerPasses = []struct {
+	name    string
+	pass    func(*rt.Runtime, *Service) Pass
+	barrier bool
+}{
+	{"barrier", func(r *rt.Runtime, svc *Service) Pass { return BarrierPass(svc, r, nil) }, true},
+	{"pause-free", func(_ *rt.Runtime, svc *Service) Pass { return ConcurrentPass(svc) }, false},
+}
 
-	// Build fragmentation ~5x.
-	var hs []handle.Handle
-	for i := 0; i < 2000; i++ {
-		h, err := r.Halloc(512)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hs = append(hs, h)
+// checkPassKind fails t unless every pass svc ran was of the kind the leg
+// installed, and at least one ran when want is set.
+func checkPassKind(t *testing.T, svc *Service, barrier, want bool) {
+	t.Helper()
+	m := svc.MetricsSnapshot()
+	ran, other := m.Passes, m.ConcurrentPasses
+	if !barrier {
+		ran, other = other, ran
 	}
-	for i, h := range hs {
-		if i%5 != 0 {
-			if err := r.Hfree(h); err != nil {
-				t.Fatal(err)
-			}
-		}
+	if other != 0 {
+		t.Errorf("%d passes of the kind the controller was not given (barrier passes %d, pause-free %d)", other, m.Passes, m.ConcurrentPasses)
 	}
-	if svc.Fragmentation() < cfg.FragHigh {
-		t.Fatalf("setup frag %v below trigger", svc.Fragmentation())
-	}
-
-	now := time.Duration(0)
-	var totalPause time.Duration
-	for i := 0; i < 500 && svc.Fragmentation() > cfg.FragLow; i++ {
-		totalPause += ctl.Step(now, r, th)
-		now += 100 * time.Millisecond
-	}
-	if svc.Fragmentation() > cfg.FragHigh {
-		t.Errorf("controller failed to reduce fragmentation: %v", svc.Fragmentation())
-	}
-	if ctl.PauseTotal == 0 {
-		t.Error("no pauses recorded")
-	}
-	if svc.Passes == 0 {
+	if want && ran == 0 {
 		t.Error("no defrag passes ran")
 	}
-	// Overhead bound: pause fraction must not exceed O_ub by much over
-	// the run (allow slack for the first mispredicted pass, §5.5).
-	frac := float64(totalPause) / float64(now)
-	if frac > cfg.OverheadHigh*3 {
-		t.Errorf("pause fraction %.3f grossly exceeds O_ub %.3f", frac, cfg.OverheadHigh)
+	if !want && ran != 0 {
+		t.Errorf("%d defrag passes ran on an unfragmented heap", ran)
+	}
+}
+
+func TestControllerTriggersOnHighFragmentation(t *testing.T) {
+	for _, tc := range controllerPasses {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.SubHeapSize = 64 * 1024
+			cfg.FragHigh = 1.5
+			cfg.FragLow = 1.1
+			cfg.Alpha = 0.05 // several passes to get back under F_lb
+			r, svc, _ := newAnchorageRuntime(t, cfg)
+
+			// Build fragmentation ~5x.
+			var hs []handle.Handle
+			for i := 0; i < 2000; i++ {
+				h, err := r.Halloc(512)
+				if err != nil {
+					t.Fatal(err)
+				}
+				hs = append(hs, h)
+			}
+			for i, h := range hs {
+				if i%5 != 0 {
+					if err := r.Hfree(h); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if svc.Fragmentation() < cfg.FragHigh {
+				t.Fatalf("setup frag %v below trigger", svc.Fragmentation())
+			}
+
+			// What each pass moved and left the heap at.
+			var moved []uint64
+			var frag []float64
+			pass := tc.pass(r, svc)
+			ctl := NewController(svc, cfg, func(budget uint64) (uint64, time.Duration) {
+				n, took := pass(budget)
+				moved, frag = append(moved, n), append(frag, svc.Fragmentation())
+				return n, took
+			})
+
+			// A fixed 10 s window, so the duty cycle counts the waits
+			// after the last pass as well as the sleeps between passes.
+			now := time.Duration(0)
+			var total time.Duration
+			for i := 0; i < 100; i++ {
+				ran := len(moved)
+				total += ctl.Step(now)
+				if k := len(moved) - 1; k == ran {
+					// Passes continue until F_lb or a pass that moves nothing.
+					done := moved[k] == 0 || frag[k] < cfg.FragLow
+					if waiting := ctl.State() == Waiting; waiting != done {
+						t.Errorf("pass %d moved %d bytes to fragmentation %.3f (F_lb %.2f): controller waiting = %v",
+							k, moved[k], frag[k], cfg.FragLow, waiting)
+					}
+				}
+				now += 100 * time.Millisecond
+			}
+			if svc.Fragmentation() > cfg.FragHigh {
+				t.Errorf("controller failed to reduce fragmentation: %v", svc.Fragmentation())
+			}
+			if ctl.State() != Waiting {
+				t.Error("controller still defragmenting at the end of the window")
+			}
+			if total == 0 {
+				t.Error("no pass time recorded")
+			}
+			checkPassKind(t, svc, tc.barrier, true)
+			// Overhead bound: the fraction of time in passes must not
+			// exceed O_ub by much over the run (allow slack for the first
+			// mispredicted pass, §5.5). The barrier pass's T_defrag is
+			// simulated; the pause-free pass's is measured wall time.
+			frac := float64(total) / float64(now)
+			if frac > cfg.OverheadHigh*3 {
+				t.Errorf("duty cycle %.3f grossly exceeds O_ub %.3f", frac, cfg.OverheadHigh)
+			}
+			t.Logf("%d passes, moved %v, duty cycle %.4f, fragmentation %.3f", len(moved), moved, frac, svc.Fragmentation())
+		})
 	}
 }
 
 func TestControllerStaysIdleWhenUnfragmented(t *testing.T) {
-	r, svc, _ := newAnchorageRuntime(t, DefaultConfig())
-	th := r.NewThread()
-	ctl := NewController(svc)
-	for i := 0; i < 100; i++ {
-		h, err := r.Halloc(256)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_ = h
-	}
-	now := time.Duration(0)
-	for i := 0; i < 20; i++ {
-		if p := ctl.Step(now, r, th); p != 0 {
-			t.Fatalf("controller paused an unfragmented heap at step %d", i)
-		}
-		now += cfg500()
-	}
-	if ctl.State() != Waiting {
-		t.Error("controller left waiting state")
-	}
-	if svc.Passes != 0 {
-		t.Error("defrag passes ran on an unfragmented heap")
+	for _, tc := range controllerPasses {
+		t.Run(tc.name, func(t *testing.T) {
+			r, svc, _ := newAnchorageRuntime(t, DefaultConfig())
+			ctl := NewController(svc, svc.Config(), tc.pass(r, svc))
+			for i := 0; i < 100; i++ {
+				if _, err := r.Halloc(256); err != nil {
+					t.Fatal(err)
+				}
+			}
+			now := time.Duration(0)
+			for i := 0; i < 20; i++ {
+				if p := ctl.Step(now); p != 0 {
+					t.Fatalf("controller ran a pass on an unfragmented heap at step %d", i)
+				}
+				now += 500 * time.Millisecond
+			}
+			if ctl.State() != Waiting {
+				t.Error("controller left waiting state")
+			}
+			checkPassKind(t, svc, tc.barrier, false)
+		})
 	}
 }
-
-func cfg500() time.Duration { return 500 * time.Millisecond }
 
 // Property: random alloc/free/defrag interleavings never corrupt live
 // objects and never let accounting go negative.

@@ -76,7 +76,8 @@ type Backend interface {
 	RSS() uint64
 	// Maintain runs the backend's background machinery (defrag
 	// controller, meshing, activedefrag cycle) up to simulated time now,
-	// returning any stop-the-world pause incurred.
+	// returning the time its defragmentation counts as taking — the
+	// stop-the-world pause, for every mover the figures run.
 	Maintain(now time.Duration) time.Duration
 }
 
@@ -309,7 +310,10 @@ type AnchorageBackend struct {
 	Space   *mem.Space
 	Runtime *rt.Runtime
 	Svc     *anchorage.Service
-	Ctl     *anchorage.Controller
+	// Ctl is the controller Maintain steps. NewAnchorageBackend builds it
+	// with the barrier pass, initiated from the primary thread; alaskad's
+	// server replaces it with one that runs the pause-free pass.
+	Ctl *anchorage.Controller
 
 	// primary is the thread used as barrier initiator in single-threaded
 	// simulations (Maintain is called between ops on the app thread).
@@ -330,21 +334,21 @@ func NewAnchorageBackend(cfg anchorage.Config, opts ...rt.Option) (*AnchorageBac
 	if err != nil {
 		return nil, err
 	}
-	b := &AnchorageBackend{
-		Space:   space,
-		Runtime: r,
-		Svc:     svc,
-		Ctl:     anchorage.NewController(svc),
-	}
-	b.primary = r.NewThread()
+	primary := r.NewThread()
 	// The primary thread never executes instrumented code concurrently
 	// with a barrier: it is either the barrier initiator (single-threaded
 	// simulations, where it is the only mutator) or idle (concurrent
 	// experiments, where workers run their own sessions). Marking it
 	// external lets detached initiators stop the world without waiting
 	// for a thread that polls no safepoints.
-	b.primary.EnterExternal()
-	return b, nil
+	primary.EnterExternal()
+	return &AnchorageBackend{
+		Space:   space,
+		Runtime: r,
+		Svc:     svc,
+		Ctl:     anchorage.NewController(svc, svc.Config(), anchorage.BarrierPass(svc, r, primary)),
+		primary: primary,
+	}, nil
 }
 
 // Name implements Backend.
@@ -391,10 +395,13 @@ func (b *AnchorageBackend) UsedBytes() uint64 { return b.Svc.ActiveBytes() }
 // RSS implements Backend.
 func (b *AnchorageBackend) RSS() uint64 { return b.Space.RSS() }
 
-// Maintain implements Backend: steps the Anchorage control algorithm,
-// initiating barriers from the primary thread.
+// Maintain implements Backend: steps the §4.3 controller, then returns the
+// blocks a pause-free pass vacated whose grace period has elapsed (a
+// no-op after a barrier pass, which defers nothing).
 func (b *AnchorageBackend) Maintain(now time.Duration) time.Duration {
-	return b.Ctl.Step(now, b.Runtime, b.primary)
+	took := b.Ctl.Step(now)
+	b.Svc.DrainDeferred()
+	return took
 }
 
 // handleSession pins handles around each access.

@@ -141,9 +141,10 @@ func TestShardedStoreConcurrentDefragRace(t *testing.T) {
 // address has crossed a safepoint. Holders read their object through the
 // raw address of a long-lived pin; stragglers read through an unpinned
 // translation they keep until their next safepoint (the grace period);
-// both must see their own bytes every time while the server's defrag
-// loop (ConcurrentDefragPass + DrainDeferred, plus the barrier pass that
-// truncates) runs and churning sets recycle every block that comes free.
+// both must see their own bytes every time while both movers run — the
+// pause-free pass with DrainDeferred, and the backend's barrier-stepped
+// controller (the figures') — and churning sets recycle every block that
+// comes free.
 // Under -race a reuse or a DontNeed overlapping a reader's copy is also a
 // reported data race.
 func TestPinnedBytesStableUnderConcurrentDefrag(t *testing.T) {
@@ -165,7 +166,7 @@ func TestPinnedBytesStableUnderConcurrentDefrag(t *testing.T) {
 	stop := make(chan struct{})
 	var bg sync.WaitGroup
 	bg.Add(1)
-	go func() { // alaskad's maintenance loop, compressed
+	go func() { // both movers, compressed
 		defer bg.Done()
 		for now := time.Duration(0); ; now += 2 * time.Millisecond {
 			select {
@@ -400,8 +401,9 @@ func fillTag(v []byte, tag byte) {
 // beneath it (ballast in, key re-created above it, ballast out), then
 // rewrites it, tag-filled, at one length, over and over, while the mover
 // takes it down into one of those holes. Readers read every hot key;
-// alaskad's maintenance loop runs compressed — ConcurrentDefragPass +
-// DrainDeferred, and the controller's barrier DefragPass every few turns.
+// both movers run compressed — ConcurrentDefragPass + DrainDeferred every
+// turn, and the backend's barrier-stepped controller (the figures') every
+// few.
 // Every read must be one whole value some writer wrote under that key, and
 // a key's owner must read back its last acknowledged write.
 //
@@ -447,7 +449,7 @@ func TestInPlaceOverwriteUnderConcurrentDefrag(t *testing.T) {
 	stop := make(chan struct{})
 	var bg sync.WaitGroup
 	bg.Add(1)
-	go func() { // alaskad's maintenance loop, compressed
+	go func() { // both movers, compressed
 		defer bg.Done()
 		for i, now := 0, time.Duration(0); ; i, now = i+1, now+2*time.Millisecond {
 			select {

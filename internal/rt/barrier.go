@@ -2,7 +2,6 @@ package rt
 
 import (
 	"fmt"
-	"time"
 
 	"alaska/internal/mem"
 )
@@ -59,20 +58,6 @@ func (s *BarrierScope) Relocate(id uint32, dst mem.Addr) error {
 // Runtime returns the runtime the scope belongs to.
 func (s *BarrierScope) Runtime() *Runtime { return s.rt }
 
-// SetBarrierWaitObserver installs fn, called after each barrier with the
-// time the initiator spent waiting for every thread to reach a safepoint
-// (the rendezvous cost the paper's pause claims are about, distinct from
-// the time fn itself holds the world). Pass nil to remove. The observer
-// is called outside all runtime locks and must be safe for concurrent
-// use; it powers alaskad's safepoint-wait histogram.
-func (r *Runtime) SetBarrierWaitObserver(fn func(wait time.Duration)) {
-	if fn == nil {
-		r.barrierWaitObs.Store(nil)
-		return
-	}
-	r.barrierWaitObs.Store(&fn)
-}
-
 // Barrier stops the world, unifies all threads' pin sets, and runs fn with
 // the resulting scope; then it resumes all threads (§4.1.3, "Barriers and
 // Pin Set Unification").
@@ -85,7 +70,6 @@ func (r *Runtime) Barrier(initiator *Thread, fn func(*BarrierScope)) {
 	r.barrierMu.Lock()
 	defer r.barrierMu.Unlock()
 
-	waitStart := time.Now()
 	r.stopRequest.Store(true)
 	r.mu.Lock()
 	// Wait until every registered thread is parked or in external code.
@@ -111,9 +95,6 @@ func (r *Runtime) Barrier(initiator *Thread, fn func(*BarrierScope)) {
 		t.pinnedInto(pinned)
 	}
 	r.mu.Unlock()
-	if obs := r.barrierWaitObs.Load(); obs != nil {
-		(*obs)(time.Since(waitStart))
-	}
 
 	r.stats.Barriers.Add(1)
 	fn(&BarrierScope{rt: r, pinned: pinned})

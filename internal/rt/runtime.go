@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"alaska/internal/handle"
 	"alaska/internal/mem"
@@ -92,9 +91,6 @@ type Runtime struct {
 	stopRequest atomic.Bool // the "patched NOP": threads poll this
 	quiesceCond *sync.Cond  // signalled by threads entering a safe state
 	resumeCond  *sync.Cond  // broadcast when the barrier completes
-	// barrierWaitObs, when set, observes each barrier's safepoint
-	// rendezvous wait (see SetBarrierWaitObserver).
-	barrierWaitObs atomic.Pointer[func(time.Duration)]
 
 	// Statistics.
 	stats Stats

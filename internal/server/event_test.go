@@ -4,8 +4,9 @@ package server
 // exists for. A parked connection must be reapable without ever being
 // assigned a worker (it is just an fd — no goroutine to unblock), and a
 // thousand parked connections must not slow the defrag machinery down,
-// because parked connections hold no rt.Thread and stop-the-world
-// barriers only rendezvous with the bounded worker set.
+// because parked connections hold no rt.Thread: the pause-free pass's
+// grace period (like a barrier's rendezvous) waits on the bounded worker
+// set only.
 
 import (
 	"net"
@@ -86,14 +87,14 @@ func TestParkedIdleReapNoWorker(t *testing.T) {
 
 // TestDefragBarrierWithParkedHorde: with 1000 parked idle connections
 // and live churn traffic, the pause-free defrag passes must keep
-// completing — parked connections hold no rt.Thread, so safepoint
-// rendezvous waits on the bounded worker set, not on the horde. Run
+// completing — parked connections hold no rt.Thread, so the grace period
+// a pass's vacated blocks wait out covers the bounded worker set, not the
+// horde. Run
 // under -race this also hammers register/park/sweep against the worker
 // pool.
 func TestDefragBarrierWithParkedHorde(t *testing.T) {
 	acfg := anchorage.DefaultConfig()
 	acfg.SubHeapSize = 256 * 1024
-	acfg.FragHigh = 1.2
 	acfg.FragLow = 1.1
 	acfg.WakeInterval = 5 * time.Millisecond
 	backend, err := kv.NewAnchorageBackend(acfg, rt.WithPinMode(rt.CountedPins))
@@ -179,11 +180,11 @@ func TestDefragBarrierWithParkedHorde(t *testing.T) {
 	before := statsVia(t, srv.Addr())
 	passesBefore, _ := strconv.ParseInt(before["defrag_concurrent_passes"], 10, 64)
 
-	// The measured window: defrag barriers must keep completing at full
+	// The measured window: defrag passes must keep completing at full
 	// cadence with 1000 parked fds.
 	time.Sleep(500 * time.Millisecond)
 
-	// A fresh connection must round-trip promptly — no barrier is stuck
+	// A fresh connection must round-trip promptly — nothing is stuck
 	// waiting on the horde.
 	rtStart := time.Now()
 	after := statsVia(t, srv.Addr())

@@ -518,7 +518,6 @@ func TestSlowLorisDefragRace(t *testing.T) {
 	}, func(t *testing.T, cfg Config) {
 		acfg := anchorage.DefaultConfig()
 		acfg.SubHeapSize = 256 * 1024
-		acfg.FragHigh = 1.2
 		acfg.FragLow = 1.1
 		acfg.WakeInterval = 5 * time.Millisecond
 		backend, err := kv.NewAnchorageBackend(acfg, rt.WithPinMode(rt.CountedPins))

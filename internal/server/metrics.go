@@ -143,18 +143,11 @@ func (s *Server) buildRegistry() *registryState {
 	r.GaugeFunc("alaskad_worker_queue_depth", "Ready connections awaiting a free worker (event model).",
 		func() float64 { _, _, queued := s.pollerGauges(); return float64(queued) })
 
-	// Defragmentation / runtime telemetry (meaningful on the Anchorage
-	// backend; the histograms exist — empty — on every backend so
-	// dashboards need no backend-conditional queries).
+	// Defragmentation telemetry (meaningful on the Anchorage backend; the
+	// pass histogram exists — empty — on every backend so dashboards need
+	// no backend-conditional queries).
 	r.Histogram("alaskad_defrag_pass_duration_seconds",
 		"Duration of pause-free concurrent defrag passes.", s.passLat)
-	r.Histogram("alaskad_defrag_pause_seconds",
-		"Stop-the-world pause per maintenance barrier pass.", s.pauseLat)
-	r.Histogram("alaskad_safepoint_wait_seconds",
-		"Barrier initiator wait for safepoint rendezvous.", s.safepointLat)
-	r.CounterFunc("alaskad_defrag_drained_bytes_total",
-		"Vacated bytes returned after their grace period.",
-		func() float64 { return float64(s.drainedBytes.Load()) })
 	if s.anch != nil {
 		defragCtr := func(name, help string, get func() int64) {
 			r.CounterFunc(name, help, func() float64 { return float64(get()) })

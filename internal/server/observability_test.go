@@ -270,7 +270,6 @@ func TestAdminHandler(t *testing.T) {
 		`alaskad_op_latency_seconds_bucket{op="set",le="+Inf"} 1`,
 		"# TYPE alaskad_op_latency_seconds histogram",
 		"alaskad_defrag_pass_duration_seconds_count",
-		"alaskad_safepoint_wait_seconds_count",
 		`alaskad_store_ops_total{op="get",outcome="hit"} 1`,
 		`version="admintest"`,
 		"alaskad_bytes_read_total",

@@ -4,7 +4,7 @@ package server
 // buffers (key/body/value/header) that the allocation-free request path
 // reuses for every command. This test proves those buffers never alias
 // across connections — pipelined clients hammer both private and shared
-// keys while both defrag mechanisms run, and every reply must be (a) the
+// keys while the pause-free defrag pass runs, and every reply must be (a) the
 // exact bytes this client last wrote (read-your-writes on private keys)
 // and (b) an untorn, single-writer value on the shared keys. A scratch
 // buffer leaking between connections, or a kv copy-out escaping its
@@ -27,7 +27,6 @@ import (
 func TestPooledBuffersNoCrossConnectionAliasing(t *testing.T) {
 	acfg := anchorage.DefaultConfig()
 	acfg.SubHeapSize = 256 * 1024
-	acfg.FragHigh = 1.2
 	acfg.FragLow = 1.1
 	acfg.WakeInterval = 5 * time.Millisecond
 	backend, err := kv.NewAnchorageBackend(acfg, rt.WithPinMode(rt.CountedPins))
@@ -149,11 +148,16 @@ func TestPooledBuffersNoCrossConnectionAliasing(t *testing.T) {
 	if st["protocol_errors"] != "0" {
 		t.Errorf("protocol_errors = %s, want 0", st["protocol_errors"])
 	}
+	// Mutation: drop the line in New that installs the pause-free pass on
+	// the backend's controller, and no concurrent pass runs: this fails.
 	conc, _ := strconv.ParseInt(st["defrag_concurrent_passes"], 10, 64)
 	barr, _ := strconv.ParseInt(st["defrag_barrier_passes"], 10, 64)
-	if conc+barr == 0 {
+	if conc == 0 {
 		t.Error("no defrag passes ran under the pipelined traffic; the aliasing test proved nothing")
 	}
-	t.Logf("pooled-buffer aliasing stress: %d concurrent + %d barrier passes, moved=%s bytes",
-		conc, barr, st["defrag_moved_bytes"])
+	if barr != 0 {
+		t.Errorf("defrag_barrier_passes = %d: the server stopped the world", barr)
+	}
+	t.Logf("pooled-buffer aliasing stress: %d concurrent passes, moved=%s bytes",
+		conc, st["defrag_moved_bytes"])
 }

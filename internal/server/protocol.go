@@ -4,10 +4,10 @@
 // delete/touch, stats/version/quit) on TCP, runs each connection on a
 // worker goroutine that owns an rt.Thread-backed kv.Session, and — on the
 // Anchorage backend — defragments the heap under live traffic: a
-// background maintenance goroutine drives the §4.3 control loop
-// (stop-the-world barrier passes) and the §7 pause-free
-// ConcurrentDefragPass off live RSS/used-bytes while connections keep
-// serving requests between safepoint polls.
+// background maintenance goroutine steps the §4.3 controller, whose every
+// pass is the §7 pause-free ConcurrentDefragPass, while connections keep
+// serving requests between safepoint polls. The server never stops the
+// world.
 package server
 
 // Shared protocol constants, response lines, deadline normalization and

@@ -3,8 +3,8 @@ package server
 // Race-hardened RMW tests: the read-modify-write commands are exactly
 // the operations a concurrent mover can corrupt — they read a block,
 // compute, and write back while ConcurrentDefragPass relocates it. These
-// tests hammer incr and cas over real loopback sockets while both
-// defrag mechanisms run, and assert *exact* arithmetic: a single lost or
+// tests hammer incr and cas over real loopback sockets while the
+// pause-free pass runs, and assert *exact* arithmetic: a single lost or
 // doubled update fails the test. Run under `go test -race -short`.
 
 import (
@@ -22,14 +22,13 @@ import (
 	"alaska/internal/rt"
 )
 
-// startDefragStressServer boots an anchorage server tuned so both the
-// barrier control loop and the pause-free concurrent pass run nearly
-// continuously under traffic.
+// startDefragStressServer boots an anchorage server tuned so the
+// controller runs the pause-free concurrent pass nearly continuously
+// under traffic.
 func startDefragStressServer(t *testing.T) *Server {
 	t.Helper()
 	acfg := anchorage.DefaultConfig()
 	acfg.SubHeapSize = 256 * 1024
-	acfg.FragHigh = 1.2
 	acfg.FragLow = 1.1
 	acfg.WakeInterval = 5 * time.Millisecond
 	backend, err := kv.NewAnchorageBackend(acfg, rt.WithPinMode(rt.CountedPins))
@@ -82,7 +81,7 @@ func churn(t *testing.T, addr string, id int, stop <-chan struct{}, wg *sync.Wai
 }
 
 // TestConcurrentIncrUnderDefragRace: N goroutines incr one counter over
-// real sockets while barrier and concurrent defrag passes run; the final
+// real sockets while concurrent defrag passes run; the final
 // value must equal exactly the number of successful replies — ≥100
 // pause-free passes must relocate under the arithmetic without losing a
 // single update.
@@ -189,12 +188,15 @@ func TestConcurrentIncrUnderDefragRace(t *testing.T) {
 	if passes < passTarget {
 		t.Errorf("only %d concurrent defrag passes ran, want >= %d", passes, passTarget)
 	}
+	if barriers != 0 {
+		t.Errorf("defrag_barrier_passes = %d: the server stopped the world", barriers)
+	}
 	if st["protocol_errors"] != "0" {
 		t.Errorf("protocol_errors = %s, want 0", st["protocol_errors"])
 	}
 	setup.Close()
-	t.Logf("incr atomicity: %d incrs across %d workers, %d concurrent + %d barrier passes, moved=%s",
-		want, workers, passes, barriers, st["defrag_moved_bytes"])
+	t.Logf("incr atomicity: %d incrs across %d workers, %d concurrent passes, moved=%s",
+		want, workers, passes, st["defrag_moved_bytes"])
 }
 
 // TestCasContentionExactlyOneWinner: workers race gets+cas on one key;

@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"alaska/internal/anchorage"
 	"alaska/internal/health"
 	"alaska/internal/kv"
 	"alaska/internal/logx"
@@ -31,11 +32,14 @@ type Config struct {
 	// MaintainInterval is the background maintenance goroutine's tick.
 	// Default 50 ms.
 	MaintainInterval time.Duration
-	// DefragFragHigh triggers a pause-free ConcurrentDefragPass when the
-	// Anchorage heap's fragmentation (extent/active) exceeds it. Default
-	// 1.3. Ignored on non-Anchorage backends.
+	// DefragFragHigh is F_ub of the Anchorage backend's §4.3 controller,
+	// which the server steps with the pause-free pass: past it
+	// (fragmentation = extent/active) the controller runs passes until
+	// fragmentation falls under the backend's F_lb or a pass moves
+	// nothing. Default 1.3. Ignored on non-Anchorage backends.
 	DefragFragHigh float64
-	// DefragBudget bounds bytes moved per concurrent pass. Default 1 MiB.
+	// DefragBudget caps the bytes one pause-free pass moves, below the
+	// controller's own α share of the heap. Default 1 MiB.
 	DefragBudget uint64
 	// Version is reported by the `version` command and `stats`.
 	Version string
@@ -210,7 +214,6 @@ type Server struct {
 	slowKicks      atomic.Int64
 	cmdFlush       atomic.Int64
 	casCounter     atomic.Uint64
-	barrierPauseNs atomic.Int64
 	bytesRead      atomic.Int64
 	bytesWritten   atomic.Int64
 
@@ -235,17 +238,12 @@ type Server struct {
 	// monotonic reading (a fake clock must be what every command sees).
 	ownClock bool
 
-	// Defragmentation telemetry, fed by the maintenance loop: pass
-	// duration and stop-the-world pause histograms, the barrier
-	// safepoint-rendezvous wait (via rt.SetBarrierWaitObserver),
-	// grace-period bytes returned by DrainDeferred, and the sampled
+	// Defragmentation telemetry, fed by the maintenance tick: the
+	// pause-free pass duration histogram and the sampled
 	// RSS/fragmentation gauges the metrics endpoint reports.
-	passLat      *stats.LatencyRecorder
-	pauseLat     *stats.LatencyRecorder
-	safepointLat *stats.LatencyRecorder
-	drainedBytes atomic.Uint64
-	sampledRSS   atomic.Uint64
-	sampledFrag  atomic.Uint64 // math.Float64bits
+	passLat     *stats.LatencyRecorder
+	sampledRSS  atomic.Uint64
+	sampledFrag atomic.Uint64 // math.Float64bits
 
 	registryOnce sync.Once
 	registry     *registryState
@@ -322,9 +320,10 @@ func (c *conn) Close() error {
 }
 
 // New builds a server over the store. The store's backend decides the
-// maintenance behavior: on Anchorage, the §4.3 control loop plus
-// pause-free concurrent passes; on other backends, whatever Maintain
-// does (meshing rounds, nothing for malloc).
+// maintenance behavior: on Anchorage, the §4.3 controller carrying out
+// its passes with the pause-free mover (New installs it; the server never
+// stops the world); on other backends, whatever Maintain does (meshing
+// rounds, nothing for malloc).
 func New(store *kv.ShardedStore, cfg Config) *Server {
 	s := &Server{
 		cfg:   cfg.withDefaults(),
@@ -354,19 +353,21 @@ func New(store *kv.ShardedStore, cfg Config) *Server {
 		s.slowThreshNs = s.cfg.SlowOpThreshold.Nanoseconds()
 	}
 	s.passLat = stats.NewLatencyRecorder()
-	s.pauseLat = stats.NewLatencyRecorder()
-	s.safepointLat = stats.NewLatencyRecorder()
 	if s.cfg.MaxConns > 0 {
 		s.connSem = make(chan struct{}, s.cfg.MaxConns)
 	}
 	if ab, ok := store.Backend().(*kv.AnchorageBackend); ok {
 		s.anch = ab
-		// Every stop-the-world barrier reports how long the initiator
-		// waited for the safepoint rendezvous — the pause component the
-		// paper's claims are about, as a histogram instead of a single
-		// accumulated counter.
-		ab.Runtime.SetBarrierWaitObserver(func(wait time.Duration) {
-			s.safepointLat.Record(wait)
+		// The backend's controller, with F_ub = DefragFragHigh and the
+		// pause-free pass as its step: each pass moves at most DefragBudget
+		// bytes and its wall time is both T_defrag and a passLat sample.
+		acfg := ab.Svc.Config()
+		acfg.FragHigh = s.cfg.DefragFragHigh
+		pass := anchorage.ConcurrentPass(ab.Svc)
+		ab.Ctl = anchorage.NewController(ab.Svc, acfg, func(budget uint64) (uint64, time.Duration) {
+			moved, took := pass(min(budget, s.cfg.DefragBudget))
+			s.passLat.Record(took)
+			return moved, took
 		})
 	}
 	if s.cfg.Health == nil {
@@ -679,12 +680,8 @@ func maxDur(a, b time.Duration) time.Duration {
 	return b
 }
 
-// maintainLoop is the background maintenance goroutine: it drives the
-// backend's §4.3 control loop on wall-clock time (barrier passes,
-// sub-heap truncation, deferred-block drain) and, on the Anchorage
-// backend, additionally runs the §7 pause-free ConcurrentDefragPass
-// whenever live fragmentation exceeds DefragFragHigh — compaction under
-// traffic with no stop-the-world.
+// maintainLoop is the background maintenance goroutine: a tick every
+// MaintainInterval until Shutdown.
 func (s *Server) maintainLoop() {
 	defer s.wg.Done()
 	ticker := time.NewTicker(s.cfg.MaintainInterval)
@@ -694,51 +691,31 @@ func (s *Server) maintainLoop() {
 		case <-s.quit:
 			return
 		case <-ticker.C:
-			// Store-level Maintain: the backend's control loop plus one
-			// expiry-sweep increment, so dead values release heap (and
-			// un-hostage their sub-heaps for truncation) even if never
-			// touched again.
-			if pause := s.store.Maintain(time.Since(s.start)); pause > 0 {
-				s.barrierPauseNs.Add(int64(pause))
-				// Each stop-the-world pause lands in the histogram too,
-				// so /metrics exposes the distribution the single
-				// accumulated counter hides.
-				s.pauseLat.Record(pause)
-			}
-			if s.anch != nil {
-				if s.anch.Svc.Fragmentation() > s.cfg.DefragFragHigh {
-					before := s.anch.Svc.MetricsSnapshot()
-					passStart := time.Now()
-					moved := s.anch.Svc.ConcurrentDefragPass(s.cfg.DefragBudget)
-					d := time.Since(passStart)
-					s.passLat.Record(d)
-					// What the pass bought beside what it looked at: a run of
-					// passes that examine thousands of candidates and move
-					// and truncate nothing is CPU spent for no memory.
-					after := s.anch.Svc.MetricsSnapshot()
-					s.cfg.Logger.Debugf("defrag: concurrent pass examined %d candidates, moved %d bytes, truncated %d in %v",
-						after.Candidates-before.Candidates, moved, after.Truncated-before.Truncated, d)
-				}
-				// Return vacated blocks whose grace period has elapsed.
-				if drained := s.anch.Svc.DrainDeferred(); drained > 0 {
-					s.drainedBytes.Add(drained)
-				}
-			}
-			// Log compaction rides the same tick as defrag: the check is
-			// a couple of atomic loads; the rewrite itself runs on the
-			// WAL's writer goroutine.
-			if s.cfg.WAL != nil {
-				s.cfg.WAL.MaybeCompact()
-			}
-			s.sampleGauges()
-			s.reapIdle()
-			// Poller-side hardening rides the same tick: the sweep
-			// enforces IdleTimeout and WriteTimeout over the parked
-			// population with the same clock and counters.
-			if s.poller != nil {
-				s.poller.sweep()
-			}
+			s.tick(time.Since(s.start))
 		}
+	}
+}
+
+// tick is one maintenance step at server age now.
+func (s *Server) tick(now time.Duration) {
+	// The store's Maintain, as the figures call it: the backend's
+	// machinery (on Anchorage the §4.3 controller with its pause-free
+	// pass, then the grace-period drain) and one expiry-sweep increment,
+	// so dead values release heap (and un-hostage their sub-heaps for
+	// truncation) even if never touched again.
+	s.store.Maintain(now)
+	// Log compaction rides the same tick: the check is a couple of atomic
+	// loads; the rewrite itself runs on the WAL's writer goroutine.
+	if s.cfg.WAL != nil {
+		s.cfg.WAL.MaybeCompact()
+	}
+	s.sampleGauges()
+	s.reapIdle()
+	// Poller-side hardening rides the same tick: the sweep enforces
+	// IdleTimeout and WriteTimeout over the parked population with the
+	// same clock and counters.
+	if s.poller != nil {
+		s.poller.sweep()
 	}
 }
 
@@ -1552,15 +1529,11 @@ func (s *Server) statLines() []statLine {
 		lines = append(lines,
 			statLine{"defrag_concurrent_passes", fmt.Sprintf("%d", m.ConcurrentPasses)},
 			statLine{"defrag_barrier_passes", fmt.Sprintf("%d", m.Passes)},
-			statLine{"defrag_barrier_pause_us", fmt.Sprintf("%.1f", float64(s.barrierPauseNs.Load())/1e3)},
 			statLine{"defrag_moved_bytes", fmt.Sprintf("%d", m.MovedBytes)},
 			statLine{"defrag_move_aborts", fmt.Sprintf("%d", m.MoveAborts)},
 			statLine{"defrag_truncated_bytes", fmt.Sprintf("%d", m.Truncated)},
 			statLine{"defrag_deferred_blocks", fmt.Sprintf("%d", m.DeferredBlocks)},
-			statLine{"defrag_drained_bytes", fmt.Sprintf("%d", s.drainedBytes.Load())},
 			statLine{"defrag_pass_p99_us", fmt.Sprintf("%.1f", float64(s.passLat.Percentile(99).Nanoseconds())/1e3)},
-			statLine{"defrag_pause_p99_us", fmt.Sprintf("%.1f", float64(s.pauseLat.Percentile(99).Nanoseconds())/1e3)},
-			statLine{"safepoint_wait_p99_us", fmt.Sprintf("%.1f", float64(s.safepointLat.Percentile(99).Nanoseconds())/1e3)},
 			statLine{"heap_fragmentation", fmt.Sprintf("%.3f", s.anch.Svc.Fragmentation())},
 		)
 	}
@@ -1609,10 +1582,8 @@ func (s *Server) ResetStats() {
 	s.idleKicks.Store(0)
 	s.slowKicks.Store(0)
 	s.cmdFlush.Store(0)
-	s.barrierPauseNs.Store(0)
 	s.bytesRead.Store(0)
 	s.bytesWritten.Store(0)
-	s.drainedBytes.Store(0)
 	// Fold first, or observations still in a stripe from before the reset
 	// would reappear after it.
 	s.foldMu.Lock()
@@ -1623,8 +1594,6 @@ func (s *Server) ResetStats() {
 	}
 	s.foldMu.Unlock()
 	s.passLat.Reset()
-	s.pauseLat.Reset()
-	s.safepointLat.Reset()
 }
 
 // SlowOps returns the slow-op ring's current contents, newest first.

@@ -9,6 +9,7 @@ package wal
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"syscall"
@@ -131,7 +132,8 @@ func TestRetainOnFsyncError(t *testing.T) {
 // TestDegradedEntryExitWriteFault: a sticky write fault trips the
 // degradation machine; the retained pending batch survives the outage
 // and lands after recovery, while appends made during degraded mode are
-// counted as dropped_degraded (distinct from ring-overflow drops).
+// counted as dropped_degraded (distinct from ring-overflow drops) and
+// come back from the store in the compaction recovery schedules.
 // The sticky remove fault alongside it forces the recovery probe
 // through the EEXIST path (a failed probe's cleanup is itself faulted).
 func TestDegradedEntryExitWriteFault(t *testing.T) {
@@ -197,9 +199,10 @@ func TestDegradedEntryExitWriteFault(t *testing.T) {
 	wantGet(t, re, rsess, "held1", "v1")
 	wantGet(t, re, rsess, "held2", "v2")
 	wantGet(t, re, rsess, "post", "v3")
-	// "lost-in-gap" was dropped by contract; the live store still has it,
-	// and the scheduled compaction is what would heal the log copy.
-	wantMiss(t, re, rsess, "lost-in-gap")
+	// "lost-in-gap" was dropped by contract while degraded; the live store
+	// still had it, and Close ran the compaction recovery scheduled, so the
+	// log copy is healed.
+	wantGet(t, re, rsess, "lost-in-gap", "x")
 }
 
 // TestDegradedRecoveryAuditClean: sticky fsync fault → degraded →
@@ -299,7 +302,8 @@ func TestRotateFailureDegrades(t *testing.T) {
 		wantGet(t, re, rsess, fmt.Sprintf("k%03d", j), "0123456789abcdef0123456789abcdef")
 	}
 	wantGet(t, re, rsess, "post", "v")
-	wantMiss(t, re, rsess, "gap")
+	// Dropped while degraded, healed by the compaction Close ran.
+	wantGet(t, re, rsess, "gap", "x")
 }
 
 // TestSealSyncErrorKeepsSegmentActive: sealActive must NOT register a
@@ -463,4 +467,48 @@ func TestTruncateFaultOnReplay(t *testing.T) {
 		t.Fatalf("replay stats = %+v, want 1 set + 1 torn", rs)
 	}
 	wantGet(t, re, rsess, "k", "v")
+}
+
+// TestCloseHealsRingOverflow: a writer stalled in a slow write lets a 1 KiB
+// ring overflow, so the dropped records are on no disk when Close runs —
+// inside the compaction cool-down, with no maintenance loop to ask for the
+// heal. Close must run it: replayed into a fresh store, every key holds its
+// last acknowledged value. Fails if the writer's quit path skips the
+// compaction (the final drain then saves only what the ring still held).
+func TestCloseHealsRingOverflow(t *testing.T) {
+	dir := t.TempDir()
+	// Latency only: the rule never arms, so no write fails.
+	sfs := fault.NewScriptFS(nil, fault.Rule{Op: fault.OpWrite, After: math.MaxInt, Delay: 50 * time.Millisecond})
+	store := newStore()
+	sess := store.NewSession()
+	defer sess.Close()
+	l := openFaultLog(t, dir, store, sfs, func(o *Options) { o.RingBytes = 1 << 10 })
+
+	// Eight rounds over 32 keys: the writer wakes at half a ring and sleeps
+	// in its write while the rest overflow, the last round included.
+	last := make(map[string]string)
+	for r := 0; r < 8; r++ {
+		for k := 0; k < 32; k++ {
+			key, val := fmt.Sprintf("k%02d", k), fmt.Sprintf("round-%d-of-k%02d", r, k)
+			mustSet(t, store, sess, key, val, time.Time{})
+			last[key] = val
+		}
+	}
+	st := l.Stats()
+	if st.DroppedRecords == 0 {
+		t.Fatalf("the ring took all %d records: nothing to heal", st.AppendedRecords)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+
+	re := newStore()
+	rl, _ := replayInto(t, dir, re)
+	defer rl.Close()
+	rsess := re.NewSession()
+	defer rsess.Close()
+	for key, want := range last {
+		wantGet(t, re, rsess, key, want)
+	}
+	t.Logf("%d records appended, %d dropped; all %d keys replayed at their last value", st.AppendedRecords, st.DroppedRecords, len(last))
 }

@@ -15,7 +15,7 @@
 // If the ring ever fills (a stalled disk), records are dropped and
 // counted rather than blocking the request path; the log is then marked
 // for compaction, which rewrites it from the store's authoritative live
-// set and restores log/store consistency.
+// set and restores log/store consistency — at the latest in Close.
 //
 // Compaction piggybacks on the server's Maintain loop (MaybeCompact)
 // the same way defrag does: when the log grows past CompactFactor times
@@ -384,13 +384,13 @@ func (l *Log) recountSealed() {
 	l.sealedBytes.Store(n)
 }
 
-// Close drains the ring, fsyncs, and stops the goroutines. After a
-// clean Close a restart replays every acknowledged mutation the ring
-// held — but not one the ring dropped when it was full: if
-// DroppedRecords has grown since the last snapshot and the healing
-// compaction has not run yet (it waits out its cool-down), the log is
-// missing those records and Close does not write them back (ROADMAP
-// item 6). Safe to call multiple times.
+// Close drains the ring, fsyncs, and stops the goroutines. If the log is
+// marked for compaction — the ring dropped records since the last
+// snapshot, say, and the healing compaction is still waiting out its
+// cool-down — Close runs that compaction first, so after a clean Close on
+// a healthy disk a restart replays every acknowledged mutation. (A
+// degraded log keeps only what it could write.) Safe to call multiple
+// times.
 func (l *Log) Close() error {
 	l.closeOnce.Do(func() {
 		close(l.quit)
@@ -534,6 +534,11 @@ func (l *Log) writerLoop() {
 		case <-l.quit:
 			if !l.degraded() {
 				l.nextRetry = time.Time{} // final drain is best-effort, no backoff gate
+				// A record the ring dropped is on no disk: heal from the
+				// store's live set now, cool-down or not.
+				if l.needCompact.Load() {
+					l.compact()
+				}
 				l.flushBatch()
 			}
 			if n := len(l.pending); n > 0 {

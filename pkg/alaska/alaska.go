@@ -67,7 +67,6 @@ type System struct {
 	space   *mem.Space
 	runtime *rt.Runtime
 	anchor  *anchorage.Service // nil unless the Anchorage service is used
-	ctl     *anchorage.Controller
 	swapper *swap.Swapper
 	primary *rt.Thread
 }
@@ -132,9 +131,6 @@ func NewSystem(opts ...Option) (*System, error) {
 		return nil, err
 	}
 	sys.runtime = r
-	if anchor != nil {
-		sys.ctl = anchorage.NewController(anchor)
-	}
 	if c.swapStore != nil {
 		sys.swapper = swap.New(r, c.swapStore)
 	}

@@ -8,9 +8,11 @@
 # $BIN/alaska-loadgen with the flags after "--" and copies its report to
 # OUT, stops the server with signal SMOKE_SIGNAL (default TERM; KILL for a
 # crash), and fails unless the report reads "errors: 0" and
-# "protocol_errors 0". With SMOKE_KEEP=1 the server is left running for
-# the caller's own checks and its PID is written to OUT.pid. Whatever else
-# a smoke asserts, it asserts on OUT after this returns.
+# "protocol_errors 0" and, on anchorage, no defrag barrier pass ran (the
+# server's controller steps only the pause-free pass). With SMOKE_KEEP=1
+# the server is left running for the caller's own checks and its PID is
+# written to OUT.pid. Whatever else a smoke asserts, it asserts on OUT
+# after this returns.
 set -eu
 
 out=$1
@@ -33,3 +35,7 @@ else
 fi
 grep -q 'errors: 0' "$out"
 grep -q 'protocol_errors 0' "$out"
+if grep -q '^  defrag_barrier_passes [1-9]' "$out"; then
+  echo "smoke: the server ran a stop-the-world defrag pass" >&2
+  exit 1
+fi
