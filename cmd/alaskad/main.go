@@ -77,7 +77,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "seed for the mesh backend's probe randomness")
 	persist := flag.Bool("persist", false, "enable the append-only pack log: every mutation is batch-appended to -data-dir and replayed at boot for a warm restart")
 	dataDir := flag.String("data-dir", "", "pack-log directory (required with -persist)")
-	fsyncInterval := flag.Duration("fsync-interval", 100*time.Millisecond, "pack-log batch/fsync window: a hard kill loses at most this much acknowledged traffic")
+	fsyncInterval := flag.Duration("fsync-interval", 100*time.Millisecond, "pack-log fsync interval (writes do not wait for it): a hard kill loses at most this much acknowledged traffic")
 	faultScript := flag.String("fault-script", "", "DEV ONLY: inject scripted pack-log I/O faults, e.g. \"sync:after=40:times=6:err=eio\" (requires -persist; see internal/fault)")
 	slowOp := flag.Duration("slow-op-threshold", 10*time.Millisecond, "record commands slower than this in the slow-op ring (stats slow, /debug/slowops); negative = disabled")
 	connModel := flag.String("conn-model", "auto", "connection architecture: auto|event|goroutine (auto = epoll readiness poller on Linux, goroutine-per-connection elsewhere)")

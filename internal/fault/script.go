@@ -41,6 +41,7 @@ type Rule struct {
 	Times int           // failures to inject once armed; 0 = sticky
 	Err   error         // error to return; nil = EIO
 	Delay time.Duration // injected latency on every matching call
+	Short int           // an injected write error first passes this many bytes (a short write)
 }
 
 // InjectedError wraps an injected failure so logs can tell scripted
@@ -176,10 +177,10 @@ func (s *ScriptFS) Clear() {
 }
 
 // check runs the script for one operation: sleeps any matching delays,
-// then returns the first matching rule's injected error, or nil.
-func (s *ScriptFS) check(op Op) error {
+// then returns the first matching rule's injected error, or nil, with
+// that rule's Short.
+func (s *ScriptFS) check(op Op) (short int, inject error) {
 	var delay time.Duration
-	var inject error
 	s.mu.Lock()
 	for _, r := range s.rules {
 		if r.Op != OpAny && r.Op != op {
@@ -195,10 +196,10 @@ func (s *ScriptFS) check(op Op) error {
 		}
 		switch {
 		case r.Times == 0: // sticky
-			inject = &InjectedError{Op: op, Err: r.Err}
+			inject, short = &InjectedError{Op: op, Err: r.Err}, r.Short
 		case r.fired < r.Times:
 			r.fired++
-			inject = &InjectedError{Op: op, Err: r.Err}
+			inject, short = &InjectedError{Op: op, Err: r.Err}, r.Short
 		default:
 			r.seen++
 		}
@@ -210,11 +211,11 @@ func (s *ScriptFS) check(op Op) error {
 	if inject != nil {
 		s.injected.Add(1)
 	}
-	return inject
+	return short, inject
 }
 
 func (s *ScriptFS) Create(path string, flag int, perm os.FileMode) (File, error) {
-	if err := s.check(OpCreate); err != nil {
+	if _, err := s.check(OpCreate); err != nil {
 		return nil, err
 	}
 	f, err := s.base.Create(path, flag, perm)
@@ -225,50 +226,60 @@ func (s *ScriptFS) Create(path string, flag int, perm os.FileMode) (File, error)
 }
 
 func (s *ScriptFS) Rename(oldpath, newpath string) error {
-	if err := s.check(OpRename); err != nil {
+	if _, err := s.check(OpRename); err != nil {
 		return err
 	}
 	return s.base.Rename(oldpath, newpath)
 }
 
 func (s *ScriptFS) Remove(path string) error {
-	if err := s.check(OpRemove); err != nil {
+	if _, err := s.check(OpRemove); err != nil {
 		return err
 	}
 	return s.base.Remove(path)
 }
 
 func (s *ScriptFS) Truncate(path string, size int64) error {
-	if err := s.check(OpTruncate); err != nil {
+	if _, err := s.check(OpTruncate); err != nil {
 		return err
 	}
 	return s.base.Truncate(path, size)
 }
 
 // scriptFile routes a file's write/sync/close through the script. An
-// injected write error writes nothing — the strictest interpretation,
-// matching a kernel that rejected the write outright.
+// injected write error writes nothing — a kernel that rejected the
+// write outright — unless its rule sets Short: then the first Short
+// bytes land and the error follows, as a write cut short by a failing
+// device does.
 type scriptFile struct {
 	f  File
 	fs *ScriptFS
 }
 
 func (f *scriptFile) Write(p []byte) (int, error) {
-	if err := f.fs.check(OpWrite); err != nil {
+	short, err := f.fs.check(OpWrite)
+	if err == nil {
+		return f.f.Write(p)
+	}
+	if short <= 0 {
 		return 0, err
 	}
-	return f.f.Write(p)
+	n, werr := f.f.Write(p[:min(short, len(p))])
+	if werr != nil {
+		return n, werr
+	}
+	return n, err
 }
 
 func (f *scriptFile) Sync() error {
-	if err := f.fs.check(OpSync); err != nil {
+	if _, err := f.fs.check(OpSync); err != nil {
 		return err
 	}
 	return f.f.Sync()
 }
 
 func (f *scriptFile) Close() error {
-	if err := f.fs.check(OpClose); err != nil {
+	if _, err := f.fs.check(OpClose); err != nil {
 		_ = f.f.Close() // release the fd regardless
 		return err
 	}

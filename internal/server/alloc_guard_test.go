@@ -152,8 +152,8 @@ func blockingDriver(t *testing.T, backend kv.Backend) guardRun {
 // on a short interval so fsync batches interleave with the measurement (the
 // accounting is process-wide). The audit is disabled: its scan buffers
 // would show up in the numbers. The run warms itself on first use and
-// sleeps past a flush window, so the writer's one-time drain buffer is
-// allocated before anything is measured.
+// sleeps past a flush window, so the writer has run its first write and
+// fsync before anything is measured.
 func persisting(t *testing.T, backend kv.Backend) guardRun {
 	wlog, err := wal.Open(wal.Options{
 		Dir:           t.TempDir(),

@@ -9,6 +9,7 @@ package server
 import (
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"strings"
@@ -154,5 +155,67 @@ func TestReadyzFlipsDegradedAndBack(t *testing.T) {
 	ws := wlog.Stats()
 	if ws.DegradedEntries < 1 || ws.Recoveries < 1 {
 		t.Fatalf("stats: degraded_entries=%d recoveries=%d, want ≥1 each", ws.DegradedEntries, ws.Recoveries)
+	}
+}
+
+// TestReadyzReportsDurabilityGap: a writer stalled in a slow write lets
+// a 1 KiB ring overflow. /readyz stays 200 — an overflow drops records
+// the way a cache does, it is no disk fault — but the wal line says the
+// gap is open and how many records it holds; the heal compaction
+// returns it to "persisting". The maintenance tick is parked so only the
+// test's Compact heals.
+func TestReadyzReportsDurabilityGap(t *testing.T) {
+	// Latency only: the rule never arms, so no write fails.
+	fs := fault.NewScriptFS(nil, fault.Rule{Op: fault.OpWrite, After: math.MaxInt, Delay: 50 * time.Millisecond})
+	wlog, err := wal.Open(wal.Options{
+		Dir:           t.TempDir(),
+		FsyncInterval: 2 * time.Millisecond,
+		RingBytes:     1 << 10,
+		AuditInterval: -1,
+		FS:            fs,
+	})
+	if err != nil {
+		t.Fatalf("wal open: %v", err)
+	}
+	store := kv.NewShardedStore(kv.NewMallocBackend(), 4, 0)
+	if err := wlog.Start(store); err != nil {
+		t.Fatalf("wal start: %v", err)
+	}
+	defer wlog.Close()
+	store.SetMutationLog(wlog)
+	srv := New(store, Config{Addr: "127.0.0.1:0", Version: "readyz-test", WAL: wlog, MaintainInterval: time.Hour})
+	if err := srv.Listen(); err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	go func() { _ = srv.Serve() }()
+	aln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("admin listen: %v", err)
+	}
+	srv.AttachAdmin(aln)
+	defer srv.Shutdown(time.Second)
+	addr := aln.Addr().String()
+
+	if code, body := readyzGet(t, addr); code != http.StatusOK || !strings.Contains(body, "wal: ok (persisting)") {
+		t.Fatalf("before the overflow: readyz = %d %q, want 200 with wal: ok (persisting)", code, body)
+	}
+	sess := store.NewSession()
+	defer sess.Close()
+	for i := 0; !wlog.GapOpen(); i++ {
+		if i == 10000 {
+			t.Fatal("10000 sets never overflowed a 1 KiB ring behind a 50 ms write")
+		}
+		if _, err := store.SetExBytesAt(sess, fmt.Appendf(nil, "k%04d", i), []byte("payload-payload"), kv.SetAlways, time.Time{}, time.Now()); err != nil {
+			t.Fatalf("set: %v", err)
+		}
+	}
+	code, body := readyzGet(t, addr)
+	want := fmt.Sprintf("wal: ok (durability gap open: %d records dropped, heal pending)", wlog.Stats().DroppedRecords)
+	if code != http.StatusOK || !strings.Contains(body, want) {
+		t.Fatalf("gap open: readyz = %d %q, want 200 with %q", code, body, want)
+	}
+	wlog.Compact()
+	if code, body := readyzGet(t, addr); code != http.StatusOK || !strings.Contains(body, "wal: ok (persisting)") {
+		t.Fatalf("healed: readyz = %d %q, want 200 with wal: ok (persisting)", code, body)
 	}
 }

@@ -380,6 +380,13 @@ func New(store *kv.ShardedStore, cfg Config) *Server {
 				return health.Degraded, fmt.Sprintf("degraded since %s; %d appends dropped",
 					w.DegradedSince().Format(time.RFC3339), ws.DroppedDegraded)
 			}
+			// An overflow drops records the way a cache does, not a disk
+			// fault: still ready, with the heal pending in the detail.
+			if w.GapOpen() {
+				ws := w.Stats()
+				return health.OK, fmt.Sprintf("durability gap open: %d records dropped, heal pending",
+					ws.DroppedRecords+ws.DroppedDegraded)
+			}
 			return health.OK, "persisting"
 		})
 	}

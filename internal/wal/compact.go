@@ -9,7 +9,7 @@ import (
 // compact rewrites the log to the store's live set. Runs on the writer
 // goroutine (so it owns all file state). Protocol:
 //
-//  1. Drain the ring and seal the active segment N. Reserve sequence
+//  1. Write what is staged and seal the active segment N. Reserve sequence
 //     N+1 for the snapshot and open a new active segment N+2, so
 //     appends racing the dump keep landing — on a file that replays
 //     AFTER the snapshot.
@@ -37,20 +37,20 @@ func (l *Log) compact() {
 		return
 	}
 	l.needCompact.Store(false)
-	l.flushBatch()
+	l.flush(time.Now())
 	if len(l.pending) > 0 || l.fragRemain > 0 || l.f == nil {
 		l.needCompact.Store(true) // disk is struggling; retry after recovery
 		return
 	}
 	if err := l.sealActive(); err != nil {
 		l.needCompact.Store(true)
-		l.ioFailure(err)
+		l.ioFailure(time.Now(), err)
 		return
 	}
 	snapSeq := l.nextSeq
 	l.nextSeq++
 	if err := l.openSegment(); err != nil {
-		l.ioFailure(err)
+		l.ioFailure(time.Now(), err)
 		l.opt.Logger.Errorf("wal: compact: open active: %v", err)
 		return
 	}
@@ -90,8 +90,8 @@ func (l *Log) compact() {
 		}
 	}
 	// The dump session leaves idle only for the dump itself; every few
-	// hundred entries the ring is drained into the new active segment so
-	// a long dump cannot overflow it.
+	// hundred entries what producers staged is written to the new active
+	// segment so a long dump cannot overflow fill.
 	l.srcSess.ExitIdle()
 	err = l.src.Dump(l.srcSess, func(key, value []byte, expireAt, storedAt time.Time) error {
 		scratch = appendSetRecord(scratch[:0], key, value, expireAt, storedAt)
@@ -99,7 +99,7 @@ func (l *Log) compact() {
 			return err
 		}
 		if records%512 == 0 {
-			l.flushBatch()
+			l.flush(time.Now())
 		}
 		return nil
 	})

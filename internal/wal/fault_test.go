@@ -97,6 +97,82 @@ func TestRetainOnWriteError(t *testing.T) {
 	}
 }
 
+// TestShortWriteCompletesFrame steps the writer by hand over a disk that
+// cuts writes short. "retry": a write cut mid-frame leaves the frame's
+// tail at the head of pending; the retry completes it, and the frames
+// staged behind it meanwhile get their CRCs — replayed, every record is
+// there with 0 CRC errors. "sticky": a disk that cuts every write
+// degrades the log, which truncates the abandoned segment at its last
+// whole frame and counts the cut frame as dropped. Mutation: skip
+// shifting the CRC-sealed offset in consumeWritten (`l.crcEnd -= n`) and
+// "retry" replays with a CRC error — the cut (two small frames long) is
+// sized so the stale offset lands on a frame boundary, and the retry
+// seals from there, leaving the first two frames behind the cut at CRC 0.
+func TestShortWriteCompletesFrame(t *testing.T) {
+	const interval = 10 * time.Millisecond
+	const smallFrame = recHeaderLen + 20 + 4 + 12
+	big, small := fmt.Sprintf("%0200d", 7), "0123456789ab" // 236- and 48-byte frames
+	set := func(l *Log, from, to int, value string) {
+		for i := from; i < to; i++ {
+			l.LogSet(fmt.Appendf(nil, "k%03d", i), []byte(value), time.Time{}, time.Unix(1700000000, 0))
+		}
+	}
+
+	t.Run("retry", func(t *testing.T) {
+		// After=1: the segment header's write passes.
+		sfs := fault.NewScriptFS(nil, fault.Rule{Op: fault.OpWrite, After: 1, Times: 1, Short: 2 * smallFrame})
+		l, t0 := steppedLog(t, Options{FS: sfs, FsyncInterval: interval})
+		set(l, 0, 3, big)
+		l.step(t0)
+		if st := l.Stats(); st.IOErrors != 1 || l.fragRemain == 0 {
+			t.Fatalf("cut write: %d I/O errors, fragRemain %d; want 1 and a cut frame", st.IOErrors, l.fragRemain)
+		}
+		set(l, 3, 23, small)
+		l.step(t0.Add(interval)) // the backoff (one interval) has passed
+		if st := l.Stats(); len(l.pending) != 0 || l.fragRemain != 0 || st.Fsyncs != 1 || st.DegradedEntries != 0 {
+			t.Fatalf("retry: pending %d, fragRemain %d, %+v; want everything written and synced", len(l.pending), l.fragRemain, st)
+		}
+		re := newStore()
+		_, rs := replayInto(t, filepath.Dir(l.segPath(l.seq)), re)
+		if rs.Sets != 23 || rs.CrcErrors != 0 || rs.TornRecords != 0 {
+			t.Fatalf("replay: %+v; want 23 sets, 0 CRC errors, 0 torn", rs)
+		}
+		sess := re.NewSession()
+		defer sess.Close()
+		for i := 0; i < 23; i++ {
+			want := small
+			if i < 3 {
+				want = big
+			}
+			wantGet(t, re, sess, fmt.Sprintf("k%03d", i), want)
+		}
+	})
+
+	t.Run("sticky", func(t *testing.T) {
+		sfs := fault.NewScriptFS(nil, fault.Rule{Op: fault.OpWrite, After: 1, Short: 100})
+		l, t0 := steppedLog(t, Options{FS: sfs, FsyncInterval: interval, DegradeAfter: 2})
+		set(l, 0, 10, small)
+		path := l.segPath(l.seq)
+		l.step(t0)               // 100 bytes: two frames and 4 bytes of the third
+		l.step(t0.Add(interval)) // 100 more: the third completes, a fourth, 8 bytes of the fifth
+		if !l.Degraded() {
+			t.Fatalf("two cut writes at DegradeAfter 2 left the log healthy")
+		}
+		const clean = fileHeaderLen + 4*smallFrame
+		if info, err := os.Stat(path); err != nil || info.Size() != clean {
+			t.Fatalf("abandoned segment: %v, err %v; want %d bytes (4 whole frames)", info.Size(), err, clean)
+		}
+		if st := l.Stats(); st.DroppedRecords != 1 {
+			t.Fatalf("dropped %d records, want the 1 cut frame", st.DroppedRecords)
+		}
+		re := newStore()
+		_, rs := replayInto(t, filepath.Dir(path), re)
+		if rs.Sets != 4 || rs.CrcErrors != 0 || rs.TornRecords != 0 {
+			t.Fatalf("replay: %+v; want 4 sets, 0 CRC errors, 0 torn", rs)
+		}
+	})
+}
+
 // TestRetainOnFsyncError: a one-shot fsync error keeps needSync armed
 // and retries; the fsync counter moves only on success.
 func TestRetainOnFsyncError(t *testing.T) {
@@ -484,8 +560,9 @@ func TestCloseHealsRingOverflow(t *testing.T) {
 	defer sess.Close()
 	l := openFaultLog(t, dir, store, sfs, func(o *Options) { o.RingBytes = 1 << 10 })
 
-	// Eight rounds over 32 keys: the writer wakes at half a ring and sleeps
-	// in its write while the rest overflow, the last round included.
+	// Eight rounds over 32 keys: the writer wakes at a write batch (a
+	// quarter of the ring) and sleeps in its write while the rest
+	// overflow, the last round included.
 	last := make(map[string]string)
 	for r := 0; r < 8; r++ {
 		for k := 0; k < 32; k++ {

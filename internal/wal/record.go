@@ -98,8 +98,10 @@ func putFrameHeader(hdr []byte, typ byte, pieces ...[]byte) int {
 }
 
 // appendRecord appends a fully framed record to dst — the encoding used
-// by the compactor's snapshot writer and by tests. The ring producer
-// encodes the same layout in place (Log.enqueueLocked).
+// by the compactor's snapshot writer and by tests. The request-path
+// producer frames the same layout in place with the CRC left zero
+// (Log.enqueueLocked) and the writer fills it in (Log.sealPending);
+// TestProducerFramingMatchesEncoders holds the two to one layout.
 func appendRecord(dst []byte, typ byte, pieces ...[]byte) []byte {
 	var hdr [recHeaderLen]byte
 	putFrameHeader(hdr[:], typ, pieces...)

@@ -2,20 +2,24 @@
 // "pack log" of CRC-checked records (set/delete/touch/flush-epoch) that
 // makes a kill -9 restart warm instead of cold.
 //
-// The design keeps durability entirely off the request path. Mutating
-// operations append an encoded record to a bounded in-memory ring —
-// a fixed buffer, a mutex, no allocation, no syscall — and a dedicated
-// writer goroutine drains the ring in batches, appending to the active
-// segment file and fsyncing once per batch (at most once per
-// FsyncInterval under steady load). The request path therefore stays at
+// The design keeps durability entirely off the request path. A mutating
+// operation appends one whole frame, its CRC left zero, to a linear
+// staging buffer under a mutex — no allocation, no CRC, no syscall —
+// and a dedicated writer goroutine does the rest: it swaps that buffer
+// with its own empty one (no copy), fills in each frame's CRC, and
+// writes the batch to the active segment. Writing and fsync are
+// decoupled: producers wake the writer whenever a write batch has
+// filled, while the fsync runs on the timer, once per FsyncInterval
+// while there are unsynced bytes. The request path therefore stays at
 // exactly 0 allocs/op and never blocks on disk; the price is a bounded
-// durability window — a hard kill loses at most the appends since the
-// last completed fsync batch.
+// durability window — a hard kill loses at most the last FsyncInterval
+// of appends.
 //
-// If the ring ever fills (a stalled disk), records are dropped and
-// counted rather than blocking the request path; the log is then marked
-// for compaction, which rewrites it from the store's authoritative live
-// set and restores log/store consistency — at the latest in Close.
+// If the staging buffer ever fills (a stalled disk), records are dropped
+// and counted rather than blocking the request path; the log is then
+// marked for compaction, which rewrites it from the store's
+// authoritative live set and restores log/store consistency — at the
+// latest in Close.
 //
 // Compaction piggybacks on the server's Maintain loop (MaybeCompact)
 // the same way defrag does: when the log grows past CompactFactor times
@@ -32,7 +36,7 @@
 //
 // Disk failure is a mode to operate through, not a log line. All file
 // I/O goes through an injectable fault.FS, and the writer runs a
-// degradation state machine over it: an I/O error RETAINS the drained
+// degradation state machine over it: an I/O error RETAINS the staged
 // batch in a pending buffer and retries with capped backoff (ENOSPC
 // additionally schedules a compaction to free space); after
 // DegradeAfter consecutive failures the log transitions
@@ -48,7 +52,6 @@ package wal
 import (
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -69,14 +72,16 @@ import (
 type Options struct {
 	// Dir is the log directory (alaskad's -data-dir). Created if absent.
 	Dir string
-	// FsyncInterval is the batch window: the writer drains the ring and
-	// fsyncs at least this often, bounding the data-loss window of a
-	// hard kill. Default 100ms.
+	// FsyncInterval is the durability window: the writer fsyncs the
+	// active segment once per interval while it holds unsynced bytes,
+	// bounding the data-loss window of a hard kill. Writes do not wait
+	// for it; they follow the write batch (see RingBytes). Default 100ms.
 	FsyncInterval time.Duration
-	// RingBytes sizes the in-memory ring between the request path and
-	// the writer. At the default 100ms window the ring must absorb one
-	// window's worth of encoded mutations; overflow drops records (and
-	// forces a compaction) instead of blocking. Default 8 MiB.
+	// RingBytes caps the bytes staged between the request path and the
+	// writer. Producers wake the writer each time min(256 KiB,
+	// RingBytes/4) has accumulated, so the buffer absorbs one write's
+	// latency, not one fsync window; overflow drops records (and forces
+	// a compaction) instead of blocking. Default 8 MiB.
 	RingBytes int
 	// SegmentBytes rotates the active segment past this size. Default 64 MiB.
 	SegmentBytes int64
@@ -148,6 +153,9 @@ const (
 // picked up promptly even after a long failure streak.
 const maxIOBackoff = 2 * time.Second
 
+// maxWriteBatch caps the fill level at which producers wake the writer.
+const maxWriteBatch = 256 << 10
+
 // segment is one immutable (sealed) log file.
 type segment struct {
 	seq  uint64
@@ -157,20 +165,21 @@ type segment struct {
 
 // Log is an append-only pack log over a directory of segment files.
 // Producers (request goroutines, via the kv.MutationLog hooks) append
-// to the ring; one writer goroutine owns all file I/O.
+// frames to fill; one writer goroutine owns all file I/O.
 type Log struct {
 	opt Options
 	fs  fault.FS
 
-	// Ring state, guarded by mu. The staging arrays are fields rather
-	// than stack temporaries so the producer path provably never
-	// allocates.
+	// Producer state, guarded by mu. fill holds whole frames with their
+	// CRC left zero, at most RingBytes of them; it and pending are
+	// allocated at Open with that capacity and only ever swapped or
+	// grown, so the producer path provably never allocates (phead is a
+	// field for the same reason). batch is the fill level that wakes the
+	// writer.
 	mu    sync.Mutex
-	ring  []byte
-	rpos  int // next write offset into ring
-	rused int
+	fill  []byte
+	batch int
 	phead [20]byte
-	fhdr  [recHeaderLen]byte
 
 	notify     chan struct{}
 	compactReq chan chan struct{}
@@ -180,19 +189,23 @@ type Log struct {
 	closeOnce  sync.Once
 	started    bool
 
-	// Writer-goroutine-owned file state. pending holds drained ring
-	// bytes that have not yet landed in the file: it is RETAINED across
-	// write/fsync failures and retried, so an I/O error never discards
-	// acknowledged records. cleanSize is the last frame-boundary offset
-	// known to be entirely in the file; fragRemain counts the tail bytes
-	// of a partially-written frame still waiting at the head of pending.
+	// Writer-goroutine-owned file state. pending holds staged bytes that
+	// have not yet landed in the file: it is RETAINED across write/fsync
+	// failures and retried, so an I/O error never discards acknowledged
+	// records. pending[:crcEnd] already carries its CRCs. cleanSize is
+	// the last frame-boundary offset known to be entirely in the file;
+	// fragRemain counts the tail bytes of a partially-written frame
+	// still waiting at the head of pending. lastSync is when the last
+	// timed fsync ran; needSync says bytes were written since.
 	f          fault.File
 	seq        uint64
 	segSize    int64
 	cleanSize  int64
 	fragRemain int
 	pending    []byte
+	crcEnd     int
 	needSync   bool
+	lastSync   time.Time
 	nextSeq    uint64
 
 	// Degradation state machine (writer-owned except the atomics).
@@ -253,7 +266,9 @@ func Open(opt Options) (*Log, error) {
 		fsyncLat:   stats.NewLatencyRecorder(),
 	}
 	l.fs = l.opt.FS
-	l.ring = make([]byte, l.opt.RingBytes)
+	l.fill = make([]byte, 0, l.opt.RingBytes)
+	l.pending = make([]byte, 0, l.opt.RingBytes)
+	l.batch = min(maxWriteBatch, l.opt.RingBytes/4)
 	if err := os.MkdirAll(l.opt.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
@@ -323,6 +338,7 @@ func (l *Log) Start(store *kv.ShardedStore) error {
 	if err := l.openSegment(); err != nil {
 		return err
 	}
+	l.lastSync = time.Now()
 	l.started = true
 	go l.writerLoop()
 	go l.auditLoop()
@@ -384,8 +400,8 @@ func (l *Log) recountSealed() {
 	l.sealedBytes.Store(n)
 }
 
-// Close drains the ring, fsyncs, and stops the goroutines. If the log is
-// marked for compaction — the ring dropped records since the last
+// Close writes what is staged, fsyncs, and stops the goroutines. If the
+// log is marked for compaction — fill dropped records since the last
 // snapshot, say, and the healing compaction is still waiting out its
 // cool-down — Close runs that compaction first, so after a clean Close on
 // a healthy disk a restart replays every acknowledged mutation. (A
@@ -414,10 +430,9 @@ func (l *Log) LogSet(key, value []byte, expireAt, storedAt time.Time) {
 	putU64(l.phead[0:8], uint64(nano(expireAt)))
 	putU64(l.phead[8:16], uint64(storedAt.UnixNano()))
 	putU32(l.phead[16:20], uint32(len(key)))
-	l.enqueueLocked(recSet, l.phead[:20], key, value)
-	over := l.rused > len(l.ring)/2
+	wake := l.enqueueLocked(recSet, l.phead[:20], key, value)
 	l.mu.Unlock()
-	if over {
+	if wake {
 		l.wake()
 	}
 }
@@ -425,10 +440,9 @@ func (l *Log) LogSet(key, value []byte, expireAt, storedAt time.Time) {
 // LogDelete implements kv.MutationLog.
 func (l *Log) LogDelete(key []byte) {
 	l.mu.Lock()
-	l.enqueueLocked(recDelete, key, nil, nil)
-	over := l.rused > len(l.ring)/2
+	wake := l.enqueueLocked(recDelete, key, nil, nil)
 	l.mu.Unlock()
-	if over {
+	if wake {
 		l.wake()
 	}
 }
@@ -437,10 +451,9 @@ func (l *Log) LogDelete(key []byte) {
 func (l *Log) LogTouch(key []byte, expireAt time.Time) {
 	l.mu.Lock()
 	putU64(l.phead[0:8], uint64(nano(expireAt)))
-	l.enqueueLocked(recTouch, l.phead[:8], key, nil)
-	over := l.rused > len(l.ring)/2
+	wake := l.enqueueLocked(recTouch, l.phead[:8], key, nil)
 	l.mu.Unlock()
-	if over {
+	if wake {
 		l.wake()
 	}
 }
@@ -449,58 +462,44 @@ func (l *Log) LogTouch(key []byte, expireAt time.Time) {
 func (l *Log) LogFlushAll(at time.Time) {
 	l.mu.Lock()
 	putU64(l.phead[0:8], uint64(nano(at)))
-	l.enqueueLocked(recFlush, l.phead[:8], nil, nil)
+	wake := l.enqueueLocked(recFlush, l.phead[:8], nil, nil)
 	l.mu.Unlock()
-	l.wake()
+	if wake {
+		l.wake()
+	}
 }
 
-// enqueueLocked frames one record directly into the ring. Caller holds
-// l.mu. On overflow the record is dropped, counted, and the log marked
-// for compaction — the request path never blocks on the disk. In
-// degraded mode records are dropped up front (and counted separately):
-// the disk is refusing writes, so buffering would only defer the loss
-// past the operator's visibility.
-func (l *Log) enqueueLocked(typ byte, a, b, c []byte) {
+// enqueueLocked appends one whole frame to fill, its CRC left zero for
+// the writer to fill in, and reports whether fill just reached the
+// write batch (the caller then wakes the writer, after unlocking).
+// Caller holds l.mu. On overflow the record is dropped, counted, and
+// the log marked for compaction — the request path never blocks on the
+// disk. In degraded mode records are dropped up front (and counted
+// separately): the disk is refusing writes, so buffering would only
+// defer the loss past the operator's visibility.
+func (l *Log) enqueueLocked(typ byte, a, b, c []byte) bool {
 	if l.state.Load() != stateHealthy {
 		l.droppedDegraded.Add(1)
-		return
+		return false
 	}
 	payload := len(a) + len(b) + len(c)
 	total := recHeaderLen + payload
-	if l.rused+total > len(l.ring) || payload > maxPayload {
+	n := len(l.fill)
+	if n+total > l.opt.RingBytes || payload > maxPayload {
 		l.droppedRecords.Add(1)
 		l.needCompact.Store(true)
-		return
+		return false
 	}
-	h := l.fhdr[:]
+	f := l.fill[:n+recHeaderLen]
+	h := f[n:]
 	putU16(h[0:2], recMagic)
 	h[2], h[3] = typ, 0
 	putU32(h[4:8], uint32(payload))
-	crc := crc32.Update(0, castagnoli, h[2:8])
-	crc = crc32.Update(crc, castagnoli, a)
-	crc = crc32.Update(crc, castagnoli, b)
-	crc = crc32.Update(crc, castagnoli, c)
-	putU32(h[8:12], crc)
-	l.putLocked(h)
-	l.putLocked(a)
-	l.putLocked(b)
-	l.putLocked(c)
+	putU32(h[8:12], 0)
+	l.fill = append(append(append(f, a...), b...), c...)
 	l.appendedRecords.Add(1)
 	l.appendedBytes.Add(int64(total))
-}
-
-// putLocked copies b into the ring at the write position, wrapping.
-// Caller holds l.mu and has verified space.
-func (l *Log) putLocked(b []byte) {
-	if len(b) == 0 {
-		return
-	}
-	n := copy(l.ring[l.rpos:], b)
-	if n < len(b) {
-		copy(l.ring, b[n:])
-	}
-	l.rpos = (l.rpos + len(b)) % len(l.ring)
-	l.rused += len(b)
+	return n < l.batch && len(l.fill) >= l.batch
 }
 
 func (l *Log) wake() {
@@ -525,21 +524,26 @@ func leU32(b []byte) uint32 {
 
 // ---- writer side ----
 
+// writerLoop runs step when producers have filled a write batch or the
+// next fsync falls due, and compactions as they are requested. The
+// timer aims at FsyncInterval after the last fsync (a timer never fires
+// early, so that step finds the fsync due), or a whole interval ahead
+// once that moment has passed with nothing to sync.
 func (l *Log) writerLoop() {
 	defer close(l.writerDone)
-	ticker := time.NewTicker(l.opt.FsyncInterval)
-	defer ticker.Stop()
+	timer := time.NewTimer(l.opt.FsyncInterval)
+	defer timer.Stop()
 	for {
 		select {
 		case <-l.quit:
 			if !l.degraded() {
-				l.nextRetry = time.Time{} // final drain is best-effort, no backoff gate
-				// A record the ring dropped is on no disk: heal from the
+				l.nextRetry = time.Time{} // final flush is best-effort, no backoff gate
+				// A record fill dropped is on no disk: heal from the
 				// store's live set now, cool-down or not.
 				if l.needCompact.Load() {
 					l.compact()
 				}
-				l.flushBatch()
+				l.flush(time.Now())
 			}
 			if n := len(l.pending); n > 0 {
 				l.opt.Logger.Errorf("wal: closing with %d buffered bytes unpersisted", n)
@@ -553,91 +557,99 @@ func (l *Log) writerLoop() {
 				l.f = nil
 			}
 			return
-		case <-ticker.C:
-			l.tick()
+		case <-timer.C:
+			l.step(time.Now())
 		case <-l.notify:
-			l.tick()
+			l.step(time.Now())
 		case ack := <-l.compactReq:
 			l.compact()
 			if ack != nil {
 				close(ack)
 			}
 		}
-		if l.f != nil && len(l.pending) == 0 && l.fragRemain == 0 && l.segSize >= l.opt.SegmentBytes {
-			l.rotate()
+		next := time.Until(l.lastSync.Add(l.opt.FsyncInterval))
+		if next <= 0 {
+			next = l.opt.FsyncInterval
 		}
+		timer.Reset(next)
 	}
 }
 
-// tick is one writer wakeup: flush when healthy, probe when degraded.
-func (l *Log) tick() {
+// step is one writer wakeup at time now. Healthy, it writes what is
+// staged, fsyncs if FsyncInterval has passed since the last fsync, and
+// rotates a full segment; degraded, it stages the pre-degradation
+// residue and probes the disk.
+func (l *Log) step(now time.Time) {
 	if l.degraded() {
-		l.drainRing() // pre-degradation residue still moves to pending
-		l.maybeProbe(time.Now())
+		l.stage()
+		l.maybeProbe(now)
 		return
 	}
-	l.flushBatch()
+	l.flush(now)
+	if l.f != nil && len(l.pending) == 0 && l.fragRemain == 0 && l.segSize >= l.opt.SegmentBytes {
+		l.rotate(now)
+	}
 }
 
-// drainRing moves ring bytes into the writer's pending buffer. The
-// copy-out under l.mu is the only moment producers and the writer touch
-// the same bytes. pending is soft-capped at one RingBytes: past that
-// the bytes stay in the ring, whose own overflow accounting (drop +
-// compact) then applies.
-func (l *Log) drainRing() {
+// stage moves what producers appended into pending: an O(1) swap of
+// the two buffers once the last batch has landed, a copy only behind a
+// batch the disk has not taken yet. pending is soft-capped at one
+// RingBytes: past that the bytes stay in fill, whose own overflow
+// accounting (drop + compact) then applies.
+func (l *Log) stage() {
 	l.mu.Lock()
-	n := l.rused
-	if n == 0 || len(l.pending) >= l.opt.RingBytes {
-		l.mu.Unlock()
-		return
+	switch {
+	case len(l.pending) == 0:
+		l.fill, l.pending = l.pending, l.fill
+	case len(l.pending) < l.opt.RingBytes:
+		l.pending = append(l.pending, l.fill...)
+		l.fill = l.fill[:0]
 	}
-	pl := len(l.pending)
-	if cap(l.pending) < pl+n {
-		np := make([]byte, pl, max(2*(pl+n), 1<<20))
-		copy(np, l.pending)
-		l.pending = np
-	}
-	l.pending = l.pending[:pl+n]
-	start := l.rpos - l.rused
-	if start < 0 {
-		start += len(l.ring)
-	}
-	m := copy(l.pending[pl:], l.ring[start:min(len(l.ring), start+n)])
-	if m < n {
-		copy(l.pending[pl+m:], l.ring[:n-m])
-	}
-	l.rused = 0
 	l.mu.Unlock()
 }
 
-// retryDue reports whether the failure backoff window has passed.
-func (l *Log) retryDue() bool {
-	return l.nextRetry.IsZero() || !time.Now().Before(l.nextRetry)
+// sealPending fills in the CRC of every frame staged since the last
+// call; pending[crcEnd:] starts at a frame boundary and holds whole
+// frames.
+func (l *Log) sealPending() {
+	b := l.pending
+	for off := l.crcEnd; off < len(b); {
+		end := off + recHeaderLen + int(leU32(b[off+4:off+8]))
+		putU32(b[off+8:off+12], frameCRC(b[off:], b[off+recHeaderLen:end]))
+		off = end
+	}
+	l.crcEnd = len(b)
 }
 
-// flushBatch drains the ring and writes+fsyncs the pending buffer to
-// the active segment — one batch, one sync. On failure pending is
-// RETAINED and retried after a capped backoff; only bytes actually
-// accepted by the file advance the segment size, and the fsync counter
-// moves only on a successful sync. Repeated failures trip the
-// degradation machine.
-func (l *Log) flushBatch() {
-	l.drainRing()
+// retryDue reports whether the failure backoff window has passed.
+func (l *Log) retryDue(now time.Time) bool {
+	return l.nextRetry.IsZero() || !now.Before(l.nextRetry)
+}
+
+// flush stages what producers appended, seals its CRCs and writes all
+// of pending to the active segment, then fsyncs if FsyncInterval has
+// passed since the last fsync. On failure pending is RETAINED and
+// retried after a capped backoff; only bytes actually accepted by the
+// file advance the segment size, and the fsync counter moves only on a
+// successful sync. Repeated failures trip the degradation machine.
+func (l *Log) flush(now time.Time) {
+	l.stage()
 	if l.f != nil && len(l.pending) == 0 && !l.needSync {
 		return
 	}
-	if !l.retryDue() {
+	if !l.retryDue(now) {
 		return
 	}
 	if l.f == nil {
 		// A failed rotate left no active segment; reopen rather than
-		// discard — even with an empty ring, so the failure streak keeps
+		// discard — even with nothing staged, so the failure streak keeps
 		// counting toward degradation instead of stalling at one.
 		if err := l.openSegment(); err != nil {
-			l.ioFailure(fmt.Errorf("reopen segment: %w", err))
+			l.ioFailure(now, fmt.Errorf("reopen segment: %w", err))
 			return
 		}
 	}
+	l.sealPending()
 	for len(l.pending) > 0 {
 		n, err := l.f.Write(l.pending)
 		if n > 0 {
@@ -645,19 +657,20 @@ func (l *Log) flushBatch() {
 			l.needSync = true
 		}
 		if err != nil {
-			l.ioFailure(fmt.Errorf("append: %w", err))
+			l.ioFailure(now, fmt.Errorf("append: %w", err))
 			return
 		}
 	}
-	if l.needSync {
+	if l.needSync && now.Sub(l.lastSync) >= l.opt.FsyncInterval {
 		t0 := time.Now()
 		if err := l.f.Sync(); err != nil {
-			l.ioFailure(fmt.Errorf("fsync: %w", err))
+			l.ioFailure(now, fmt.Errorf("fsync: %w", err))
 			return
 		}
 		l.fsyncLat.Record(time.Since(t0))
 		l.fsyncs.Add(1)
 		l.needSync = false
+		l.lastSync = now
 	}
 	l.ioSuccess()
 }
@@ -688,6 +701,7 @@ func (l *Log) consumeWritten(n int) {
 		}
 	}
 	l.pending = l.pending[:copy(l.pending, l.pending[n:])]
+	l.crcEnd -= n
 	l.activeBytes.Store(l.segSize)
 }
 
@@ -708,7 +722,7 @@ func frameAlignedPrefix(b []byte, n int) int {
 // ioFailure records one failed flush attempt: count it, back off
 // (capped), flag compaction on ENOSPC so space is reclaimed from the
 // live set, and degrade once the consecutive-failure budget is spent.
-func (l *Log) ioFailure(err error) {
+func (l *Log) ioFailure(now time.Time, err error) {
 	l.ioErrors.Add(1)
 	l.failStreak++
 	if errors.Is(err, syscall.ENOSPC) {
@@ -722,10 +736,10 @@ func (l *Log) ioFailure(err error) {
 	if l.backoff > maxIOBackoff {
 		l.backoff = maxIOBackoff
 	}
-	l.nextRetry = time.Now().Add(l.backoff)
+	l.nextRetry = now.Add(l.backoff)
 	l.opt.Logger.Errorf("wal: %v (failure %d/%d, retry in %v)", err, l.failStreak, l.opt.DegradeAfter, l.backoff)
 	if l.failStreak >= l.opt.DegradeAfter && !l.degraded() {
-		l.enterDegraded(err)
+		l.enterDegraded(now, err)
 	}
 }
 
@@ -740,11 +754,11 @@ func (l *Log) ioSuccess() {
 // enqueuing (dropped_degraded counts what the cache keeps serving but
 // the log no longer covers), the failing active segment is abandoned at
 // its last frame-clean offset, and the recovery probe takes over.
-func (l *Log) enterDegraded(cause error) {
+func (l *Log) enterDegraded(now time.Time, cause error) {
 	l.state.Store(stateDegraded)
-	l.degradedSince.Store(time.Now().UnixNano())
+	l.degradedSince.Store(now.UnixNano())
 	l.degradedEntries.Add(1)
-	l.nextProbe = time.Now().Add(l.opt.ProbeInterval)
+	l.nextProbe = now.Add(l.opt.ProbeInterval)
 	l.abandonActive()
 	l.opt.Logger.Errorf("wal: DEGRADED after %d consecutive I/O failures (%v); new appends are not persisted until recovery", l.failStreak, cause)
 }
@@ -764,6 +778,7 @@ func (l *Log) abandonActive() {
 	l.f = nil
 	if l.fragRemain > 0 {
 		l.pending = l.pending[:copy(l.pending, l.pending[l.fragRemain:])]
+		l.crcEnd -= l.fragRemain
 		l.fragRemain = 0
 		l.droppedRecords.Add(1)
 	}
@@ -806,23 +821,23 @@ func (l *Log) maybeProbe(now time.Time) {
 	l.needCompact.Store(true)
 	l.opt.Logger.Errorf("wal: recovered to healthy; durability gap %s → %s (%v); compaction scheduled to close it",
 		gapStart.Format(time.RFC3339Nano), now.Format(time.RFC3339Nano), now.Sub(gapStart))
-	l.flushBatch()
+	l.flush(now)
 }
 
 // rotate seals the active segment and opens the next. Writer only. A
 // seal or open failure keeps the current state for retry and feeds the
 // failure machine — it never leaves batches silently discarded.
-func (l *Log) rotate() {
+func (l *Log) rotate(now time.Time) {
 	if l.f == nil {
 		return
 	}
 	if err := l.sealActive(); err != nil {
-		l.ioFailure(err)
+		l.ioFailure(now, err)
 		return
 	}
 	l.rotations.Add(1)
 	if err := l.openSegment(); err != nil {
-		l.ioFailure(fmt.Errorf("rotate: %w", err))
+		l.ioFailure(now, fmt.Errorf("rotate: %w", err))
 	}
 }
 
@@ -909,6 +924,12 @@ func (l *Log) degraded() bool { return l.state.Load() == stateDegraded }
 // Degraded reports whether the log is in degraded mode: the disk is
 // refusing writes and new mutations are not being persisted.
 func (l *Log) Degraded() bool { return l.degraded() }
+
+// GapOpen reports whether the log is marked for the compaction that
+// rewrites it from the store's live set and that compaction has not
+// run yet: records were dropped on overflow or while degraded, replay
+// found corrupt history, or the disk filled.
+func (l *Log) GapOpen() bool { return l.needCompact.Load() }
 
 // StateString returns "healthy" or "degraded" for the stats surface.
 func (l *Log) StateString() string {
@@ -1005,17 +1026,3 @@ func (l *Log) Stats() Stats {
 
 // FsyncLatency exposes the fsync-duration recorder for /metrics.
 func (l *Log) FsyncLatency() *stats.LatencyRecorder { return l.fsyncLat }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -7,7 +7,10 @@ package wal
 // included.
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"os"
 	"testing"
 	"time"
 
@@ -419,15 +422,15 @@ func TestAuditCountsCleanAndCorrupt(t *testing.T) {
 }
 
 // TestLogSetAllocFree pins the producer side of the persistence plane:
-// framing a set record into the ring — header, CRC, wrap-aware copy,
-// counters — allocates nothing. This is the property that lets alaskad
-// keep its 0 allocs/op request path with -persist on.
+// appending a set record to fill — header with the CRC left zero,
+// payload copy, counters — allocates nothing. This is the property that
+// lets alaskad keep its 0 allocs/op request path with -persist on.
 func TestLogSetAllocFree(t *testing.T) {
 	l, err := Open(Options{Dir: t.TempDir(), AuditInterval: -1})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	// Not started: records accumulate in the (8 MiB default) ring, which
+	// Not started: records accumulate in the (8 MiB default) fill, which
 	// comfortably holds every iteration below, and no writer goroutine
 	// runs to muddy the process-wide allocation count.
 	key := []byte("bench:key")
@@ -446,6 +449,105 @@ func TestLogSetAllocFree(t *testing.T) {
 		t.Fatalf("LogDelete+LogTouch allocate %.2f allocs/op, want 0", avg)
 	}
 	if st := l.Stats(); st.DroppedRecords != 0 {
-		t.Fatalf("ring overflowed during the guard (%d drops): result not meaningful", st.DroppedRecords)
+		t.Fatalf("fill overflowed during the guard (%d drops): result not meaningful", st.DroppedRecords)
+	}
+}
+
+// steppedLog opens a log over a fresh directory with an active segment
+// and no goroutines: the test is the writer, calling step with the
+// returned clock reading or later ones.
+func steppedLog(t *testing.T, opt Options) (*Log, time.Time) {
+	t.Helper()
+	opt.Dir, opt.AuditInterval = t.TempDir(), -1
+	l, err := Open(opt)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	if err := l.openSegment(); err != nil {
+		t.Fatalf("open segment: %v", err)
+	}
+	t.Cleanup(func() {
+		if l.f != nil {
+			_ = l.f.Close()
+		}
+	})
+	l.lastSync = time.Now()
+	return l, l.lastSync
+}
+
+// TestProducerFramingMatchesEncoders: the request path frames records
+// itself (CRC left zero, sealed by the writer), compaction through
+// record.go's encoders. For every record type — an empty value, a long
+// key, a 1 MiB value included — the bytes the writer lands must be the
+// encoders' bytes, so the two framings cannot drift apart. Mutation:
+// sealing each CRC over the payload minus its last byte fails every case.
+func TestProducerFramingMatchesEncoders(t *testing.T) {
+	key, longKey := []byte("frame:key"), bytes.Repeat([]byte("K"), 4000)
+	val, bigVal := []byte("value"), bytes.Repeat([]byte{0xA5}, 1<<20)
+	stored := time.Unix(1700000000, 123)
+	expire := stored.Add(time.Hour)
+	le64 := func(v time.Time) []byte { return binary.LittleEndian.AppendUint64(nil, uint64(nano(v))) }
+	for _, tc := range []struct {
+		name string
+		log  func(l *Log)
+		want []byte
+	}{
+		{"set", func(l *Log) { l.LogSet(key, val, expire, stored) }, appendSetRecord(nil, key, val, expire, stored)},
+		{"set-no-expiry", func(l *Log) { l.LogSet(key, val, time.Time{}, stored) }, appendSetRecord(nil, key, val, time.Time{}, stored)},
+		{"set-empty-value", func(l *Log) { l.LogSet(key, nil, expire, stored) }, appendSetRecord(nil, key, nil, expire, stored)},
+		{"set-long-key", func(l *Log) { l.LogSet(longKey, val, expire, stored) }, appendSetRecord(nil, longKey, val, expire, stored)},
+		{"set-1MiB-value", func(l *Log) { l.LogSet(key, bigVal, expire, stored) }, appendSetRecord(nil, key, bigVal, expire, stored)},
+		{"delete", func(l *Log) { l.LogDelete(key) }, appendRecord(nil, recDelete, key)},
+		{"delete-long-key", func(l *Log) { l.LogDelete(longKey) }, appendRecord(nil, recDelete, longKey)},
+		{"touch", func(l *Log) { l.LogTouch(key, expire) }, appendRecord(nil, recTouch, le64(expire), key)},
+		{"touch-no-expiry", func(l *Log) { l.LogTouch(key, time.Time{}) }, appendRecord(nil, recTouch, le64(time.Time{}), key)},
+		{"flush", func(l *Log) { l.LogFlushAll(expire) }, appendFlushRecord(nil, expire)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			l, t0 := steppedLog(t, Options{})
+			tc.log(l)
+			l.step(t0)
+			raw, err := os.ReadFile(l.segPath(l.seq))
+			if err != nil {
+				t.Fatalf("read segment: %v", err)
+			}
+			if got := raw[fileHeaderLen:]; !bytes.Equal(got, tc.want) {
+				t.Fatalf("segment holds %d bytes, want the encoder's %d:\n got %x\nwant %x",
+					len(got), len(tc.want), got[:min(len(got), 48)], tc.want[:min(len(tc.want), 48)])
+			}
+		})
+	}
+}
+
+// TestWriteDecoupledFromFsync steps the writer with a stepped clock, no
+// sleeps: writes follow the producers, the fsync follows the timer.
+// After several write batches every appended byte is on disk with no
+// fsync; reaching FsyncInterval after the last sync gives exactly one,
+// and a step with nothing new written gives none. Mutation: fsync on
+// every step (drop the interval check in flush) and the first step
+// already counts one.
+func TestWriteDecoupledFromFsync(t *testing.T) {
+	const interval = 100 * time.Millisecond
+	l, t0 := steppedLog(t, Options{FsyncInterval: interval})
+	val := make([]byte, 512)
+	stored := time.Now()
+	for b := 1; b <= 3; b++ {
+		for l.Stats().AppendedBytes < int64(b*l.batch) {
+			l.LogSet(fmt.Appendf(nil, "k%06d", l.Stats().AppendedRecords), val, time.Time{}, stored)
+		}
+		l.step(t0.Add(time.Duration(b) * interval / 4))
+	}
+	st := l.Stats()
+	if st.DiskBytes != fileHeaderLen+st.AppendedBytes || st.Fsyncs != 0 {
+		t.Fatalf("after 3 write batches: disk %d bytes for %d appended (+%d header), %d fsyncs; want all written, none synced",
+			st.DiskBytes, st.AppendedBytes, fileHeaderLen, st.Fsyncs)
+	}
+	l.step(t0.Add(interval))
+	if st := l.Stats(); st.Fsyncs != 1 {
+		t.Fatalf("one FsyncInterval on: %d fsyncs, want 1", st.Fsyncs)
+	}
+	l.step(t0.Add(3 * interval))
+	if st := l.Stats(); st.Fsyncs != 1 || st.DroppedRecords != 0 {
+		t.Fatalf("a step with nothing new written: %d fsyncs, %d dropped; want 1 and 0", st.Fsyncs, st.DroppedRecords)
 	}
 }
