@@ -287,7 +287,9 @@ func (s *ShardedStore) NewSession() Session { return s.backend.NewSession() }
 // outright) is handed the command's one reading by its caller. What is
 // left are GetInto and SetExBytes, which read it once before
 // dispatching, and the maintenance paths (SweepExpired, ItemsSnapshot,
-// Dump, replay), which read their own.
+// Dump, replay), which read it once per call and judge every entry they
+// walk at that one instant: on a simulated clock, a sweep or a dump is
+// as repeatable as the LRU order it walks.
 func (s *ShardedStore) now() time.Time {
 	if s.Clock != nil {
 		return s.Clock()
@@ -824,13 +826,15 @@ func (s *ShardedStore) del(sh *shard, key []byte, now time.Time) (bool, error) {
 	return true, nil
 }
 
-// SweepExpired scans up to budget entries per shard and reclaims those
-// past their deadline, returning the number reclaimed. Bounded scans over
-// Go's randomized map iteration order make repeated calls a probabilistic
-// crawler over the whole keyspace, so dead items release heap even if
-// never accessed again — which matters here more than in stock memcached,
-// because unreclaimed bytes hold their sub-heaps hostage against the
-// defrag controller's truncation.
+// SweepExpired examines up to budget entries per shard at the store's
+// clock and reclaims the dead ones, returning the number reclaimed. Each
+// shard's sweep resumes where the last one stopped, walking its LRU list
+// from tail to head and wrapping at the head, so ⌈entries / budget⌉
+// calls examine every entry and two runs of one workload reclaim the
+// same entries. Dead items release heap even if never accessed again —
+// which matters here more than in stock memcached, because unreclaimed
+// bytes hold their sub-heaps hostage against the defrag controller's
+// truncation.
 func (s *ShardedStore) SweepExpired(budget int) int {
 	now := s.now()
 	fa := s.flushAt.Load()
@@ -838,44 +842,43 @@ func (s *ShardedStore) SweepExpired(budget int) int {
 	reclaimed := 0
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		if flushDue && sh.flushedFor < fa {
+		switch {
+		case flushDue && sh.flushedFor < fa:
 			// A flush_all epoch has passed that this shard hasn't been
-			// swept for: one full scan reclaims everything the epoch
+			// swept for: one full walk reclaims everything the epoch
 			// killed (a flush is a rare admin event; one O(shard) walk is
 			// the whole cost), then the shard drops back to the
-			// budget-bounded crawl.
-			for _, e := range sh.index {
-				if s.deadAt(e, now) {
-					s.removeLocked(sh, e)
-					sh.stats.expired.Add(1)
-					reclaimed++
-				}
-			}
+			// budget-bounded walk.
+			reclaimed += s.sweepLocked(sh, len(sh.index), now)
 			sh.flushedFor = fa
-			sh.mu.Unlock()
-			continue
-		}
-		// TTL-free shards are skipped outright, so workloads that never
-		// set an exptime pay nothing for the sweep.
-		if sh.ttl == 0 {
-			sh.mu.Unlock()
-			continue
-		}
-		scanned := 0
-		for _, e := range sh.index {
-			if scanned >= budget {
-				break
-			}
-			scanned++
-			if s.deadAt(e, now) {
-				s.removeLocked(sh, e)
-				sh.stats.expired.Add(1)
-				reclaimed++
-			}
+		case sh.ttl > 0:
+			// TTL-free shards are skipped outright, so workloads that never
+			// set an exptime pay nothing for the sweep.
+			reclaimed += s.sweepLocked(sh, budget, now)
 		}
 		sh.mu.Unlock()
 	}
 	s.sweeps.Add(1)
+	return reclaimed
+}
+
+// sweepLocked examines the next min(budget, entries) entries at sh's
+// sweep cursor, reclaiming the dead ones; no entry is examined twice in
+// one call. Caller holds sh.mu.
+func (s *ShardedStore) sweepLocked(sh *shard, budget int, now time.Time) int {
+	reclaimed := 0
+	for n := min(budget, len(sh.index)); n > 0; n-- {
+		e := sh.lru.sweep
+		if e == nil {
+			e = sh.lru.tail
+		}
+		sh.lru.sweep = e.prev
+		if s.deadAt(e, now) {
+			s.removeLocked(sh, e)
+			sh.stats.expired.Add(1)
+			reclaimed++
+		}
+	}
 	return reclaimed
 }
 
@@ -896,6 +899,9 @@ func (s *ShardedStore) Len() int {
 	return n
 }
 
+// Bytes returns the charged byte total, Snapshot's Bytes, in one atomic load.
+func (s *ShardedStore) Bytes() uint64 { return uint64(s.used.Load()) }
+
 // Snapshot aggregates the per-shard counters with the backend's memory
 // metrics. The counters are atomics, so the aggregation takes no shard
 // lock and never stalls the request path; the result is a relaxed cut —
@@ -906,7 +912,7 @@ func (s *ShardedStore) Snapshot() StatsSnapshot {
 		sh.stats.addTo(&out)
 	}
 	out.ExpirySweeps = s.sweeps.Load()
-	out.Bytes = uint64(s.used.Load())
+	out.Bytes = s.Bytes()
 	out.LimitMaxbytes = s.maxMemory
 	out.Used = s.backend.UsedBytes()
 	out.RSS = s.backend.RSS()

@@ -112,6 +112,11 @@ type dumpMeta struct {
 // defrag barrier for long. The key/value slices passed to emit are only
 // valid for the duration of the call. Entries dead at the start of the
 // dump (expired, or killed by a reached flush epoch) are skipped.
+//
+// Each shard is emitted from its LRU tail to its head, so two dumps of
+// one store state are identical, and replaying a dump inserts the
+// coldest entry first: the replayed shard's LRU order is the dumped
+// one's.
 func (s *ShardedStore) Dump(sess Session, emit func(key, value []byte, expireAt, storedAt time.Time) error) error {
 	now := s.now()
 	var vals []byte
@@ -119,7 +124,7 @@ func (s *ShardedStore) Dump(sess Session, emit func(key, value []byte, expireAt,
 	for _, sh := range s.shards {
 		vals, metas = vals[:0], metas[:0]
 		sh.mu.Lock()
-		for _, e := range sh.index {
+		for e := sh.lru.tail; e != nil; e = e.prev {
 			if s.deadAt(e, now) {
 				continue
 			}

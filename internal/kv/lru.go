@@ -67,8 +67,11 @@ func (e *entry) cost() uint64 { return entryCost(len(e.key), int(e.size)) }
 // (front = most recently used). Intrusive rather than container/list so
 // that linking, unlinking, and moving never allocate a node — an entry
 // recycled off the free list re-enters the LRU with zero allocations.
+// sweep is the expiry sweep's cursor: the next entry it examines, walking
+// from tail to head (nil = start over at the tail).
 type lruList struct {
 	head, tail *entry
+	sweep      *entry
 }
 
 // pushFront links e at the MRU end. e must be unlinked.
@@ -83,8 +86,12 @@ func (l *lruList) pushFront(e *entry) {
 	l.head = e
 }
 
-// remove unlinks e. e must be linked.
+// remove unlinks e. e must be linked. A sweep cursor on e moves on to
+// the next entry it would have reached.
 func (l *lruList) remove(e *entry) {
+	if l.sweep == e {
+		l.sweep = e.prev
+	}
 	if e.prev != nil {
 		e.prev.next = e.next
 	} else {

@@ -85,9 +85,9 @@ func (e *entry) expiredAt(now time.Time) bool {
 }
 
 // sweepBudgetPerShard bounds how many entries one Maintain tick examines
-// per shard looking for expired items. Go's randomized map iteration
-// order makes repeated bounded scans a probabilistic crawler over the
-// whole keyspace — the same shape as memcached's LRU crawler and Redis's
-// activeExpireCycle — so memory held by dead items is reclaimed even if
-// they are never touched again.
+// per shard looking for expired items. Each tick continues along the
+// shard's LRU list from where the last stopped, so a shard of n entries
+// is covered every ⌈n/64⌉ ticks — the shape of memcached's LRU crawler —
+// and memory held by dead items is reclaimed even if they are never
+// touched again.
 const sweepBudgetPerShard = 64

@@ -6,6 +6,7 @@ package kv
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -279,9 +280,9 @@ func TestShardedSweepReclaims(t *testing.T) {
 	clk.Advance(2 * time.Second)
 
 	// No accesses: only the sweep may reclaim. The per-shard budget means
-	// several rounds; bound them generously.
+	// one round per 16 entries of the fullest shard, and not one more.
 	reclaimed := 0
-	for i := 0; i < 100 && reclaimed < n; i++ {
+	for rounds := sweepRounds(st, 16); rounds > 0; rounds-- {
 		reclaimed += st.SweepExpired(16)
 	}
 	if reclaimed != n {
@@ -302,6 +303,156 @@ func TestShardedSweepReclaims(t *testing.T) {
 	}
 	if v, _ := get(st, sess, "keeper"); string(v) != "alive" {
 		t.Errorf("keeper damaged by sweep: %q", v)
+	}
+}
+
+// sweepRounds is how many SweepExpired(budget) calls examine every entry
+// of st's fullest shard: ⌈entries / budget⌉.
+func sweepRounds(st *ShardedStore, budget int) int {
+	most := 0
+	for _, sh := range st.shards {
+		most = max(most, len(sh.index))
+	}
+	return (most + budget - 1) / budget
+}
+
+// TestSweepRepeatsAndCovers: the expiry sweep walks each shard's LRU
+// list, so two runs of one workload reclaim the same number of entries
+// sweep by sweep, and ⌈entries / budget⌉ sweeps of the fullest shard
+// reclaim every dead entry while one fewer does not (the newest keys,
+// at the head end, are dead). A crawl in map order fails both: its
+// counts differ run to run and its coverage is a matter of luck.
+func TestSweepRepeatsAndCovers(t *testing.T) {
+	const keys, budget = 400, 16
+	run := func() []int {
+		clk := newManualClock()
+		st := NewShardedStore(NewMallocBackend(), 4, 0)
+		st.Clock = clk.Now
+		sess := st.NewSession()
+		defer sess.Close()
+		live := 0
+		for i := 0; i < keys; i++ {
+			ttl := time.Hour
+			if i%2 == 1 || i >= keys-50 {
+				ttl = time.Second
+			} else {
+				live++
+			}
+			if _, err := setEx(st, sess, fmt.Sprintf("k%03d", i), []byte("v"), SetAlways, clk.Now().Add(ttl)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		clk.Advance(2 * time.Second)
+		rounds := sweepRounds(st, budget)
+		var counts []int
+		for r := 1; r <= rounds; r++ {
+			counts = append(counts, st.SweepExpired(budget))
+			if r == rounds-1 && st.Len() == live {
+				t.Errorf("%d sweeps reclaimed every dead entry; the fullest shard needs %d", r, rounds)
+			}
+		}
+		if st.Len() != live {
+			t.Errorf("%d sweeps (budget %d) left %d entries, want the %d live; per sweep %v", rounds, budget, st.Len(), live, counts)
+		}
+		return counts
+	}
+	if a, b := run(), run(); !slices.Equal(a, b) {
+		t.Fatalf("two identical runs reclaimed %v and %v per sweep", a, b)
+	}
+}
+
+// TestSweepCursorFollowsRemoval: unlinking the entry the sweep cursor
+// rests on — a delete, or a store moving it to the head — hands the
+// cursor to the next entry the walk would have reached, and a sweep that
+// reaches the head wraps to the tail. Mutation: drop the hand-off in
+// lruList.remove and the cursor rests on a recycled entry.
+func TestSweepCursorFollowsRemoval(t *testing.T) {
+	clk := newManualClock()
+	st := NewShardedStore(NewMallocBackend(), 1, 0)
+	st.Clock = clk.Now
+	sess := st.NewSession()
+	defer sess.Close()
+	for i := 0; i < 8; i++ {
+		if _, err := setEx(st, sess, fmt.Sprintf("k%d", i), []byte("v"), SetAlways, clk.Now().Add(time.Hour)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cursor := func(step, want string) {
+		t.Helper()
+		got := "<tail>"
+		if e := st.shards[0].lru.sweep; e != nil {
+			got = e.key
+		}
+		if got != want {
+			t.Fatalf("after %s the sweep cursor is on %s, want %s", step, got, want)
+		}
+	}
+	st.SweepExpired(2)
+	cursor("a sweep of k0 and k1", "k2")
+	if _, err := del(st, sess, "k2"); err != nil {
+		t.Fatal(err)
+	}
+	cursor("deleting k2", "k3")
+	if err := set(st, sess, "k3", []byte("w")); err != nil {
+		t.Fatal(err)
+	}
+	cursor("storing k3 again", "k4")
+	st.SweepExpired(7) // k4 k5 k6 k7 k3, then k0 k1 after the wrap
+	cursor("a sweep of all seven", "k4")
+}
+
+// TestDumpWalksLRU: Dump emits each shard's live entries from its LRU
+// tail to its head — least recently stored first, shard by shard — and
+// so identically on every run. The expected order is kept by the test:
+// keys in store order, a re-stored key moving to the end, the one dead
+// key left out.
+func TestDumpWalksLRU(t *testing.T) {
+	run := func() []string {
+		clk := newManualClock()
+		st := NewShardedStore(NewMallocBackend(), 4, 0)
+		st.Clock = clk.Now
+		sess := st.NewSession()
+		defer sess.Close()
+		var order []string
+		store := func(key string, expireAt time.Time) {
+			if _, err := setEx(st, sess, key, []byte("v-"+key), SetAlways, expireAt); err != nil {
+				t.Fatal(err)
+			}
+			order = append(slices.DeleteFunc(order, func(k string) bool { return k == key }), key)
+		}
+		store("dead", clk.Now().Add(time.Second))
+		for i := 0; i < 64; i++ {
+			store(fmt.Sprintf("k%02d", i), time.Time{})
+		}
+		for i := 0; i < 64; i += 3 {
+			store(fmt.Sprintf("k%02d", i), clk.Now().Add(time.Hour))
+		}
+		clk.Advance(2 * time.Second)
+
+		var got, want []string
+		if err := st.Dump(sess, func(key, value []byte, _, _ time.Time) error {
+			if string(value) != "v-"+string(key) {
+				t.Fatalf("dump %s = %q", key, value)
+			}
+			got = append(got, string(key))
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for _, sh := range st.shards {
+			for _, k := range order {
+				if k != "dead" && st.shardForB([]byte(k)) == sh {
+					want = append(want, k)
+				}
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("dump order:\n got %v\nwant %v", got, want)
+		}
+		return got
+	}
+	if a, b := run(), run(); !slices.Equal(a, b) {
+		t.Fatalf("two dumps of one workload differ:\n%v\n%v", a, b)
 	}
 }
 

@@ -161,12 +161,16 @@ func TestReadyzFlipsDegradedAndBack(t *testing.T) {
 // TestReadyzReportsDurabilityGap: a writer stalled in a slow write lets
 // a 1 KiB ring overflow. /readyz stays 200 — an overflow drops records
 // the way a cache does, it is no disk fault — but the wal line says the
-// gap is open and how many records it holds; the heal compaction
-// returns it to "persisting". The maintenance tick is parked so only the
-// test's Compact heals.
+// gap is open and how many records it holds. A sticky rename fault fails
+// every heal compaction, and each failure keeps the gap open; once the
+// fault clears, the heal Close runs returns the line to "persisting".
+// (The writer's own retry past its cool-down is TestCompactRenameFault's,
+// on a stepped clock.)
 func TestReadyzReportsDurabilityGap(t *testing.T) {
-	// Latency only: the rule never arms, so no write fails.
-	fs := fault.NewScriptFS(nil, fault.Rule{Op: fault.OpWrite, After: math.MaxInt, Delay: 50 * time.Millisecond})
+	// The write rule is latency only: it never arms, so no write fails.
+	fs := fault.NewScriptFS(nil,
+		fault.Rule{Op: fault.OpWrite, After: math.MaxInt, Delay: 50 * time.Millisecond},
+		fault.Rule{Op: fault.OpRename, Times: 0})
 	wlog, err := wal.Open(wal.Options{
 		Dir:           t.TempDir(),
 		FsyncInterval: 2 * time.Millisecond,
@@ -183,7 +187,7 @@ func TestReadyzReportsDurabilityGap(t *testing.T) {
 	}
 	defer wlog.Close()
 	store.SetMutationLog(wlog)
-	srv := New(store, Config{Addr: "127.0.0.1:0", Version: "readyz-test", WAL: wlog, MaintainInterval: time.Hour})
+	srv := New(store, Config{Addr: "127.0.0.1:0", Version: "readyz-test", WAL: wlog})
 	if err := srv.Listen(); err != nil {
 		t.Fatalf("listen: %v", err)
 	}
@@ -209,13 +213,21 @@ func TestReadyzReportsDurabilityGap(t *testing.T) {
 			t.Fatalf("set: %v", err)
 		}
 	}
+	// The writer's first heal fails at the rename and reopens the gap; the
+	// next waits out the cool-down, so the gap holds still while it is read.
+	for deadline := time.Now().Add(5 * time.Second); wlog.Stats().IOErrors == 0 || !wlog.GapOpen(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("no failed heal left the gap open: %d I/O errors, gap open %v", wlog.Stats().IOErrors, wlog.GapOpen())
+		}
+	}
 	code, body := readyzGet(t, addr)
 	want := fmt.Sprintf("wal: ok (durability gap open: %d records dropped, heal pending)", wlog.Stats().DroppedRecords)
 	if code != http.StatusOK || !strings.Contains(body, want) {
-		t.Fatalf("gap open: readyz = %d %q, want 200 with %q", code, body, want)
+		t.Fatalf("gap open after a failed heal: readyz = %d %q, want 200 with %q", code, body, want)
 	}
-	wlog.Compact()
+	fs.Clear()
+	wlog.Close()
 	if code, body := readyzGet(t, addr); code != http.StatusOK || !strings.Contains(body, "wal: ok (persisting)") {
-		t.Fatalf("healed: readyz = %d %q, want 200 with wal: ok (persisting)", code, body)
+		t.Fatalf("healed by Close: readyz = %d %q, want 200 with wal: ok (persisting)", code, body)
 	}
 }

@@ -99,10 +99,9 @@ type Config struct {
 	Logger *logx.Logger
 	// WAL, when non-nil, is the persistence layer (already opened,
 	// replayed, started, and attached to the store via SetMutationLog —
-	// see cmd/alaskad). The server owns its remaining lifecycle: the
-	// Maintain loop drives compaction next to defrag, `stats` and
-	// /metrics surface its counters, and Shutdown closes it after the
-	// last connection drains, so a clean stop loses nothing.
+	// see cmd/alaskad). The server owns its remaining lifecycle: `stats`,
+	// /metrics and /readyz surface its counters, and Shutdown closes it
+	// after the last connection drains, so a clean stop loses nothing.
 	WAL *wal.Log
 	// Health is the readiness registry behind the admin /readyz endpoint.
 	// cmd/alaskad passes one that tracked the boot sequence (booting →
@@ -703,19 +702,16 @@ func (s *Server) maintainLoop() {
 	}
 }
 
-// tick is one maintenance step at server age now.
+// tick is one maintenance step at server age now. Log compaction is not
+// part of it: the WAL's writer decides and runs that in its own Step.
 func (s *Server) tick(now time.Duration) {
 	// The store's Maintain, as the figures call it: the backend's
 	// machinery (on Anchorage the §4.3 controller with its pause-free
-	// pass, then the grace-period drain) and one expiry-sweep increment,
-	// so dead values release heap (and un-hostage their sub-heaps for
-	// truncation) even if never touched again.
+	// pass, then the grace-period drain) and one expiry-sweep increment
+	// (the next stretch of each shard's LRU list), so dead values release
+	// heap (and un-hostage their sub-heaps for truncation) even if never
+	// touched again.
 	s.store.Maintain(now)
-	// Log compaction rides the same tick: the check is a couple of atomic
-	// loads; the rewrite itself runs on the WAL's writer goroutine.
-	if s.cfg.WAL != nil {
-		s.cfg.WAL.MaybeCompact()
-	}
 	s.sampleGauges()
 	s.reapIdle()
 	// Poller-side hardening rides the same tick: the sweep enforces

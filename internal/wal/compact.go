@@ -6,8 +6,8 @@ import (
 	"time"
 )
 
-// compact rewrites the log to the store's live set. Runs on the writer
-// goroutine (so it owns all file state). Protocol:
+// compact rewrites the log to the store's live set, reading the time
+// from now. Runs on the writer (so it owns all file state). Protocol:
 //
 //  1. Write what is staged and seal the active segment N. Reserve sequence
 //     N+1 for the snapshot and open a new active segment N+2, so
@@ -27,32 +27,42 @@ import (
 // replay to the same store. The half-written .tmp of a crashed
 // compaction is deleted at Open.
 //
+// The mark GapOpen reads is taken on entry, so a record dropped during
+// the dump marks the log again, and is put back if the rewrite fails:
+// the gap stays open for the next Step past the cool-down, or Close.
 // A degraded or struggling disk skips the attempt: compaction starts by
 // sealing the active segment, and sealing with unflushed pending bytes
 // (or a partially-written frame) would freeze a file the retry path
-// still needs to complete. MaybeCompact re-triggers once the flush path
-// is clean again.
-func (l *Log) compact() {
+// still needs to complete.
+func (l *Log) compact(now func() time.Time) {
 	if l.src == nil || l.f == nil || l.degraded() {
 		return
 	}
-	l.needCompact.Store(false)
-	l.flush(time.Now())
+	heal := l.needCompact.Swap(false)
+	if !l.rewrite(now) && heal {
+		l.needCompact.Store(true)
+	}
+}
+
+// rewrite is compact's protocol; it reports whether the snapshot landed.
+// It reads the clock at each write of what producers staged during the
+// dump, so those appends are fsynced once FsyncInterval has passed and
+// a failed write is retried after its backoff, as between Steps.
+func (l *Log) rewrite(now func() time.Time) bool {
+	l.flush(now())
 	if len(l.pending) > 0 || l.fragRemain > 0 || l.f == nil {
-		l.needCompact.Store(true) // disk is struggling; retry after recovery
-		return
+		return false // disk is struggling; retry after recovery
 	}
 	if err := l.sealActive(); err != nil {
-		l.needCompact.Store(true)
-		l.ioFailure(time.Now(), err)
-		return
+		l.ioFailure(now(), err)
+		return false
 	}
 	snapSeq := l.nextSeq
 	l.nextSeq++
 	if err := l.openSegment(); err != nil {
-		l.ioFailure(time.Now(), err)
+		l.ioFailure(now(), err)
 		l.opt.Logger.Errorf("wal: compact: open active: %v", err)
-		return
+		return false
 	}
 
 	tmpPath := l.segPath(snapSeq) + ".tmp"
@@ -60,7 +70,7 @@ func (l *Log) compact() {
 	if err != nil {
 		l.ioErrors.Add(1)
 		l.opt.Logger.Errorf("wal: compact: %v", err)
-		return
+		return false
 	}
 	bw := bufio.NewWriterSize(tmp, 1<<20)
 	hdr := fileHeader()
@@ -74,19 +84,18 @@ func (l *Log) compact() {
 		bytes += int64(n)
 		return err
 	}
-	fail := func(err error) {
+	fail := func(err error) bool {
 		l.ioErrors.Add(1)
 		l.opt.Logger.Errorf("wal: compact: %v", err)
 		_ = tmp.Close()
 		_ = l.fs.Remove(tmpPath)
+		return false
 	}
 
-	start := time.Now()
 	if fa := l.src.FlushEpoch(); !fa.IsZero() {
 		scratch = appendFlushRecord(scratch[:0], fa)
 		if err := write(scratch); err != nil {
-			fail(err)
-			return
+			return fail(err)
 		}
 	}
 	// The dump session leaves idle only for the dump itself; every few
@@ -99,32 +108,28 @@ func (l *Log) compact() {
 			return err
 		}
 		if records%512 == 0 {
-			l.flush(time.Now())
+			l.flush(now())
 		}
 		return nil
 	})
 	l.srcSess.EnterIdle()
 	if err != nil {
-		fail(err)
-		return
+		return fail(err)
 	}
 	if err := bw.Flush(); err != nil {
-		fail(err)
-		return
+		return fail(err)
 	}
 	if err := tmp.Sync(); err != nil {
-		fail(err)
-		return
+		return fail(err)
 	}
 	if err := tmp.Close(); err != nil {
-		fail(err)
-		return
+		return fail(err)
 	}
 	if err := l.fs.Rename(tmpPath, l.segPath(snapSeq)); err != nil {
 		l.ioErrors.Add(1)
 		l.opt.Logger.Errorf("wal: compact: rename: %v", err)
 		_ = l.fs.Remove(tmpPath)
-		return
+		return false
 	}
 	l.syncDir()
 
@@ -149,5 +154,6 @@ func (l *Log) compact() {
 	l.compactions.Add(1)
 	l.snapshotRecords.Store(records)
 	l.snapshotBytes.Store(snapSize)
-	l.opt.Logger.Infof("wal: compacted to %d records (%d bytes) in %v", records, snapSize, time.Since(start))
+	l.opt.Logger.Infof("wal: compacted to %d records (%d bytes)", records, snapSize)
+	return true
 }

@@ -121,14 +121,14 @@ func TestShortWriteCompletesFrame(t *testing.T) {
 	t.Run("retry", func(t *testing.T) {
 		// After=1: the segment header's write passes.
 		sfs := fault.NewScriptFS(nil, fault.Rule{Op: fault.OpWrite, After: 1, Times: 1, Short: 2 * smallFrame})
-		l, t0 := steppedLog(t, Options{FS: sfs, FsyncInterval: interval})
+		l, t0 := steppedLog(t, Options{FS: sfs, FsyncInterval: interval}, nil)
 		set(l, 0, 3, big)
-		l.step(t0)
+		l.Step(at(t0))
 		if st := l.Stats(); st.IOErrors != 1 || l.fragRemain == 0 {
 			t.Fatalf("cut write: %d I/O errors, fragRemain %d; want 1 and a cut frame", st.IOErrors, l.fragRemain)
 		}
 		set(l, 3, 23, small)
-		l.step(t0.Add(interval)) // the backoff (one interval) has passed
+		l.Step(at(t0.Add(interval))) // the backoff (one interval) has passed
 		if st := l.Stats(); len(l.pending) != 0 || l.fragRemain != 0 || st.Fsyncs != 1 || st.DegradedEntries != 0 {
 			t.Fatalf("retry: pending %d, fragRemain %d, %+v; want everything written and synced", len(l.pending), l.fragRemain, st)
 		}
@@ -150,11 +150,11 @@ func TestShortWriteCompletesFrame(t *testing.T) {
 
 	t.Run("sticky", func(t *testing.T) {
 		sfs := fault.NewScriptFS(nil, fault.Rule{Op: fault.OpWrite, After: 1, Short: 100})
-		l, t0 := steppedLog(t, Options{FS: sfs, FsyncInterval: interval, DegradeAfter: 2})
+		l, t0 := steppedLog(t, Options{FS: sfs, FsyncInterval: interval, DegradeAfter: 2}, nil)
 		set(l, 0, 10, small)
 		path := l.segPath(l.seq)
-		l.step(t0)               // 100 bytes: two frames and 4 bytes of the third
-		l.step(t0.Add(interval)) // 100 more: the third completes, a fourth, 8 bytes of the fifth
+		l.Step(at(t0))               // 100 bytes: two frames and 4 bytes of the third
+		l.Step(at(t0.Add(interval))) // 100 more: the third completes, a fourth, 8 bytes of the fifth
 		if !l.Degraded() {
 			t.Fatalf("two cut writes at DegradeAfter 2 left the log healthy")
 		}
@@ -303,7 +303,8 @@ func TestDegradedRecoveryAuditClean(t *testing.T) {
 	sfs.Clear()
 	waitFor(t, "recovery", func() bool { return !l.Degraded() })
 	mustSet(t, store, sess, "post", "v3", time.Time{})
-	l.Compact() // what MaybeCompact would do from the Maintain loop
+	// Recovery marked the log; the writer's next Step heals it.
+	waitFor(t, "heal compaction", func() bool { return !l.GapOpen() && l.Stats().Compactions == 1 })
 
 	l.auditOnce()
 	st := l.Stats()
@@ -469,33 +470,36 @@ func TestENOSPCFlagsCompaction(t *testing.T) {
 	}
 }
 
-// TestCompactRenameFault: a faulted snapshot rename fails the
+// TestCompactRenameFault: a faulted snapshot rename fails the heal
 // compaction cleanly — counted, tmp removed, log still healthy — and
-// the retry after the fault clears succeeds.
+// leaves the durability gap open, so the Step past the cool-down heals
+// it and a replay returns every key, the dropped records included.
+// Mutation: drop the restore of the mark in compact and the gap reads
+// closed after the failure (nothing would heal it, not even Close).
 func TestCompactRenameFault(t *testing.T) {
-	dir := t.TempDir()
 	sfs := fault.NewScriptFS(nil, fault.Rule{Op: fault.OpRename, Times: 1})
 	store := newStore()
+	l, t0 := steppedLog(t, Options{FS: sfs, RingBytes: 1 << 10}, store)
 	sess := store.NewSession()
 	defer sess.Close()
-	l := openFaultLog(t, dir, store, sfs, nil)
-	defer l.Close()
+	overflowRing(t, l, store, sess, 0)
 
-	for i := 0; i < 10; i++ {
-		mustSet(t, store, sess, fmt.Sprintf("k%02d", i), "v", time.Time{})
-	}
-	l.Compact()
+	l.Step(at(t0))
 	st := l.Stats()
-	if st.Compactions != 0 || st.IOErrors < 1 {
-		t.Fatalf("faulted compaction = %+v, want 0 compactions and a counted error", st)
+	if st.Compactions != 0 || st.IOErrors != 1 {
+		t.Fatalf("faulted compaction = %+v, want 0 compactions and 1 counted error", st)
 	}
 	if l.Degraded() {
 		t.Fatalf("a failed compaction must not degrade the log")
 	}
-	l.Compact()
-	if st := l.Stats(); st.Compactions != 1 {
-		t.Fatalf("retried compaction = %+v, want 1", st)
+	if !l.GapOpen() {
+		t.Fatalf("a failed heal closed the gap: the dropped records are on no disk")
 	}
+	l.Step(at(t0.Add(compactCooldown)))
+	if st := l.Stats(); st.Compactions != 1 || l.GapOpen() {
+		t.Fatalf("retried heal = %+v, gap open %v; want 1 compaction and the gap closed", st, l.GapOpen())
+	}
+	wantReplayed(t, l, 0)
 }
 
 // TestTruncateFaultOnReplay: replay's torn-tail truncation routes

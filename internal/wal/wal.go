@@ -21,14 +21,14 @@
 // authoritative live set and restores log/store consistency — at the
 // latest in Close.
 //
-// Compaction piggybacks on the server's Maintain loop (MaybeCompact)
-// the same way defrag does: when the log grows past CompactFactor times
-// the live set, the writer seals the active segment, streams the live
-// set into a snapshot segment that slots between the sealed history and
-// the new active segment, atomically renames it into place, and deletes
-// the superseded files. Because every record is absolute post-state,
-// replaying the appends that raced the snapshot on top of it is
-// convergent.
+// The writer decides and runs compaction itself, in the same Step that
+// writes and fsyncs: at most once per cool-down, when the log is marked
+// for it or has grown past CompactFactor times the live set, it seals
+// the active segment, streams the live set into a snapshot segment that
+// slots between the sealed history and the new active segment,
+// atomically renames it into place, and deletes the superseded files.
+// Because every record is absolute post-state, replaying the appends
+// that raced the snapshot on top of it is convergent.
 //
 // A background audit pass re-reads sealed segments on a timer and
 // verifies every frame's CRC, so silent corruption is surfaced by a
@@ -88,8 +88,9 @@ type Options struct {
 	// AuditInterval is the background CRC-audit period; the first pass
 	// runs ~1s after Start. Negative disables the audit. Default 60s.
 	AuditInterval time.Duration
-	// CompactMinBytes is the log size below which MaybeCompact never
-	// triggers (compacting a tiny log is churn for nothing). Default 8 MiB.
+	// CompactMinBytes is the log size below which the log's growth alone
+	// never triggers a compaction (compacting a tiny log is churn for
+	// nothing). Default 8 MiB.
 	CompactMinBytes int64
 	// CompactFactor triggers compaction when on-disk bytes exceed this
 	// multiple of the store's live charged bytes. Default 2.0.
@@ -182,7 +183,6 @@ type Log struct {
 	phead [20]byte
 
 	notify     chan struct{}
-	compactReq chan chan struct{}
 	quit       chan struct{}
 	writerDone chan struct{}
 	auditDone  chan struct{}
@@ -197,16 +197,18 @@ type Log struct {
 	// fragRemain counts the tail bytes of a partially-written frame
 	// still waiting at the head of pending. lastSync is when the last
 	// timed fsync ran; needSync says bytes were written since.
-	f          fault.File
-	seq        uint64
-	segSize    int64
-	cleanSize  int64
-	fragRemain int
-	pending    []byte
-	crcEnd     int
-	needSync   bool
-	lastSync   time.Time
-	nextSeq    uint64
+	// lastCompact is when Step last started a compaction.
+	f           fault.File
+	seq         uint64
+	segSize     int64
+	cleanSize   int64
+	fragRemain  int
+	pending     []byte
+	crcEnd      int
+	needSync    bool
+	lastSync    time.Time
+	lastCompact time.Time
+	nextSeq     uint64
 
 	// Degradation state machine (writer-owned except the atomics).
 	state         atomic.Int32 // stateHealthy | stateDegraded
@@ -227,7 +229,6 @@ type Log struct {
 	srcSess kv.Session
 
 	needCompact atomic.Bool
-	lastCompact atomic.Int64 // unixnano of last MaybeCompact trigger
 
 	appendedRecords atomic.Int64
 	appendedBytes   atomic.Int64
@@ -259,7 +260,6 @@ func Open(opt Options) (*Log, error) {
 	l := &Log{
 		opt:        opt.withDefaults(),
 		notify:     make(chan struct{}, 1),
-		compactReq: make(chan chan struct{}, 1),
 		quit:       make(chan struct{}),
 		writerDone: make(chan struct{}),
 		auditDone:  make(chan struct{}),
@@ -327,6 +327,18 @@ func (l *Log) Dir() string { return l.opt.Dir }
 // low-level tests) becomes the compaction source; its live set is what
 // a compacted log is rewritten to.
 func (l *Log) Start(store *kv.ShardedStore) error {
+	if err := l.attach(store); err != nil {
+		return err
+	}
+	l.started = true
+	go l.writerLoop()
+	go l.auditLoop()
+	return nil
+}
+
+// attach is Start without the goroutines: it makes store the compaction
+// source and opens the first active segment.
+func (l *Log) attach(store *kv.ShardedStore) error {
 	l.src = store
 	if store != nil {
 		l.srcSess = store.NewSession()
@@ -339,9 +351,6 @@ func (l *Log) Start(store *kv.ShardedStore) error {
 		return err
 	}
 	l.lastSync = time.Now()
-	l.started = true
-	go l.writerLoop()
-	go l.auditLoop()
 	return nil
 }
 
@@ -524,11 +533,11 @@ func leU32(b []byte) uint32 {
 
 // ---- writer side ----
 
-// writerLoop runs step when producers have filled a write batch or the
-// next fsync falls due, and compactions as they are requested. The
-// timer aims at FsyncInterval after the last fsync (a timer never fires
-// early, so that step finds the fsync due), or a whole interval ahead
-// once that moment has passed with nothing to sync.
+// writerLoop runs Step when producers have filled a write batch or the
+// next fsync falls due. The timer aims at FsyncInterval after the last
+// fsync (a timer never fires early, so that Step finds the fsync due),
+// or a whole interval ahead once that moment has passed with nothing to
+// sync.
 func (l *Log) writerLoop() {
 	defer close(l.writerDone)
 	timer := time.NewTimer(l.opt.FsyncInterval)
@@ -541,7 +550,7 @@ func (l *Log) writerLoop() {
 				// A record fill dropped is on no disk: heal from the
 				// store's live set now, cool-down or not.
 				if l.needCompact.Load() {
-					l.compact()
+					l.compact(time.Now)
 				}
 				l.flush(time.Now())
 			}
@@ -558,15 +567,9 @@ func (l *Log) writerLoop() {
 			}
 			return
 		case <-timer.C:
-			l.step(time.Now())
 		case <-l.notify:
-			l.step(time.Now())
-		case ack := <-l.compactReq:
-			l.compact()
-			if ack != nil {
-				close(ack)
-			}
 		}
+		l.Step(time.Now)
 		next := time.Until(l.lastSync.Add(l.opt.FsyncInterval))
 		if next <= 0 {
 			next = l.opt.FsyncInterval
@@ -575,20 +578,47 @@ func (l *Log) writerLoop() {
 	}
 }
 
-// step is one writer wakeup at time now. Healthy, it writes what is
-// staged, fsyncs if FsyncInterval has passed since the last fsync, and
-// rotates a full segment; degraded, it stages the pre-degradation
-// residue and probes the disk.
-func (l *Log) step(now time.Time) {
+// compactCooldown spaces compactions out: a snapshot of a large store
+// is real work, and the growth ratio stays high until the snapshot
+// lands.
+const compactCooldown = 5 * time.Second
+
+// Step is one writer wakeup on clock now (the writer passes time.Now).
+// Healthy, it writes what is staged, fsyncs if FsyncInterval has passed
+// since the last fsync, rotates a full segment, and — at most once per
+// compactCooldown — compacts a log that is marked for it or has
+// outgrown the live set, reading now again as the dump goes; degraded,
+// it stages the pre-degradation residue and probes the disk. Once Start
+// has run, the writer goroutine is its only caller.
+func (l *Log) Step(now func() time.Time) {
+	t := now()
 	if l.degraded() {
 		l.stage()
-		l.maybeProbe(now)
+		l.maybeProbe(t)
 		return
 	}
-	l.flush(now)
+	l.flush(t)
 	if l.f != nil && len(l.pending) == 0 && l.fragRemain == 0 && l.segSize >= l.opt.SegmentBytes {
-		l.rotate(now)
+		l.rotate(t)
 	}
+	if t.Sub(l.lastCompact) >= compactCooldown && l.compactDue() {
+		l.lastCompact = t
+		l.compact(now)
+	}
+}
+
+// compactDue reports whether the log is marked for a compaction (see
+// GapOpen) or is past CompactMinBytes and CompactFactor times the
+// store's live charged bytes.
+func (l *Log) compactDue() bool {
+	if l.src == nil {
+		return false
+	}
+	if l.needCompact.Load() {
+		return true
+	}
+	disk := l.activeBytes.Load() + l.sealedBytes.Load()
+	return disk > l.opt.CompactMinBytes && float64(disk) > l.opt.CompactFactor*float64(l.src.Bytes())
 }
 
 // stage moves what producers appended into pending: an O(1) swap of
@@ -864,59 +894,6 @@ func (l *Log) sealActive() error {
 	return nil
 }
 
-// ---- compaction trigger ----
-
-// compactCooldown rate-limits ratio-triggered compactions: a snapshot
-// of a large store is real work, and the ratio stays elevated until the
-// snapshot lands.
-const compactCooldown = 5 * time.Second
-
-// MaybeCompact asks the writer to compact when the log has outgrown the
-// live set (or a dropped record / replay corruption left it
-// inconsistent). Called from the server's Maintain loop — cheap enough
-// for every tick; the actual work runs on the writer goroutine.
-func (l *Log) MaybeCompact() {
-	if !l.started || l.src == nil {
-		return
-	}
-	want := l.needCompact.Load()
-	if !want {
-		disk := l.activeBytes.Load() + l.sealedBytes.Load()
-		if disk > l.opt.CompactMinBytes {
-			live := int64(l.src.Snapshot().Bytes)
-			if float64(disk) > l.opt.CompactFactor*float64(live) {
-				want = true
-			}
-		}
-	}
-	if !want {
-		return
-	}
-	now := time.Now().UnixNano()
-	last := l.lastCompact.Load()
-	if now-last < int64(compactCooldown) || !l.lastCompact.CompareAndSwap(last, now) {
-		return
-	}
-	select {
-	case l.compactReq <- nil:
-	default:
-	}
-}
-
-// Compact runs a compaction synchronously (blocks until the writer has
-// finished it). Test and tooling surface; production uses MaybeCompact.
-func (l *Log) Compact() {
-	ack := make(chan struct{})
-	select {
-	case l.compactReq <- ack:
-		select {
-		case <-ack:
-		case <-l.writerDone:
-		}
-	case <-l.quit:
-	}
-}
-
 // ---- state accessors ----
 
 func (l *Log) degraded() bool { return l.state.Load() == stateDegraded }
@@ -926,9 +903,10 @@ func (l *Log) degraded() bool { return l.state.Load() == stateDegraded }
 func (l *Log) Degraded() bool { return l.degraded() }
 
 // GapOpen reports whether the log is marked for the compaction that
-// rewrites it from the store's live set and that compaction has not
-// run yet: records were dropped on overflow or while degraded, replay
-// found corrupt history, or the disk filled.
+// rewrites it from the store's live set and no compaction is under way:
+// records were dropped on overflow or while degraded, replay found
+// corrupt history, or the disk filled. A compaction that fails marks
+// the log again.
 func (l *Log) GapOpen() bool { return l.needCompact.Load() }
 
 // StateString returns "healthy" or "degraded" for the stats surface.

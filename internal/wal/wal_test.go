@@ -287,13 +287,12 @@ func TestReplayJudgesDeadnessAfterLaterRecords(t *testing.T) {
 }
 
 // TestCompactRewritesLiveSet proves the snapshot protocol: overwrite
-// churn makes the log much larger than the live set; a synchronous
-// Compact shrinks it to ~the live set, and a restart from the compacted
-// log recovers exactly the same contents.
+// churn makes the log much larger than the live set; the writer's next
+// Step sees the ratio, shrinks the log to ~the live set, and a restart
+// from the compacted log recovers exactly the same contents.
 func TestCompactRewritesLiveSet(t *testing.T) {
-	dir := t.TempDir()
 	src := newStore()
-	l := openLog(t, dir, src)
+	l, t0 := steppedLog(t, Options{CompactMinBytes: 1}, src)
 	sess := src.NewSession()
 	for round := 0; round < 50; round++ {
 		for k := 0; k < 20; k++ {
@@ -307,7 +306,7 @@ func TestCompactRewritesLiveSet(t *testing.T) {
 	}
 	sess.Close()
 
-	l.Compact()
+	l.Step(at(t0))
 	st := l.Stats()
 	if st.Compactions != 1 {
 		t.Fatalf("Compactions = %d, want 1", st.Compactions)
@@ -318,10 +317,9 @@ func TestCompactRewritesLiveSet(t *testing.T) {
 	if st.DiskBytes > st.AppendedBytes/10 {
 		t.Fatalf("compaction left %d bytes on disk (appended %d): churn not reclaimed", st.DiskBytes, st.AppendedBytes)
 	}
-	l.Close()
 
 	dst := newStore()
-	_, rs := replayInto(t, dir, dst)
+	_, rs := replayInto(t, l.Dir(), dst)
 	if rs.TornRecords != 0 || rs.CrcErrors != 0 {
 		t.Fatalf("compacted log replayed dirty: %+v", rs)
 	}
@@ -335,50 +333,115 @@ func TestCompactRewritesLiveSet(t *testing.T) {
 	}
 }
 
-// TestRingOverflowDropsThenCompactHeals: a full ring drops records (the
-// request path must never block on a stalled disk), the log flags
-// itself for compaction, and a compaction rewrites it from the store's
-// authoritative live set — so a subsequent restart is complete even
-// though the append stream was not.
-func TestRingOverflowDropsThenCompactHeals(t *testing.T) {
-	dir := t.TempDir()
-	src := newStore()
-	// Open with a tiny ring and do NOT start the writer yet: nothing
-	// drains, so the overflow is deterministic.
-	l, err := Open(Options{Dir: dir, RingBytes: 1 << 10, AuditInterval: -1})
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	src.SetMutationLog(l)
-	sess := src.NewSession()
+// overflowRing sets 64 keys of round r through sess, more than a 1 KiB
+// ring holds between two Steps.
+func overflowRing(t *testing.T, l *Log, src *kv.ShardedStore, sess kv.Session, r int) {
+	t.Helper()
+	d0 := l.Stats().DroppedRecords
 	for i := 0; i < 64; i++ {
-		mustSet(t, src, sess, fmt.Sprintf("key-%02d", i), "payload-payload-payload", time.Time{})
+		mustSet(t, src, sess, fmt.Sprintf("key-%02d", i), fmt.Sprintf("payload-of-round-%d", r), time.Time{})
 	}
-	if st := l.Stats(); st.DroppedRecords == 0 {
+	if st := l.Stats(); st.DroppedRecords == d0 {
 		t.Fatalf("1KiB ring absorbed 64 records without dropping: %+v", st)
 	}
-	if !l.needCompact.Load() {
+	if !l.GapOpen() {
 		t.Fatal("drops did not mark the log for compaction")
 	}
+}
 
-	// Now start the writer and compact: the snapshot comes from the
-	// store, not the (incomplete) append stream.
-	if err := l.Start(src); err != nil {
-		t.Fatalf("start: %v", err)
-	}
-	l.Compact()
-	sess.Close()
-	l.Close()
-
+// wantReplayed replays l's directory into a fresh store and requires
+// the 64 keys of overflowRing at round r.
+func wantReplayed(t *testing.T, l *Log, r int) {
+	t.Helper()
 	dst := newStore()
-	_, _ = replayInto(t, dir, dst)
-	if got, want := dst.Len(), src.Len(); got != want {
-		t.Fatalf("post-compact replay Len = %d, want %d", got, want)
-	}
+	_, _ = replayInto(t, l.Dir(), dst)
 	dsess := dst.NewSession()
 	defer dsess.Close()
 	for i := 0; i < 64; i++ {
-		wantGet(t, dst, dsess, fmt.Sprintf("key-%02d", i), "payload-payload-payload")
+		wantGet(t, dst, dsess, fmt.Sprintf("key-%02d", i), fmt.Sprintf("payload-of-round-%d", r))
+	}
+}
+
+// TestRingOverflowDropsThenCompactHeals: a full ring drops records (the
+// request path must never block on a stalled disk), the log flags
+// itself for compaction, and the writer's next Step rewrites it from
+// the store's authoritative live set — so a subsequent restart is
+// complete even though the append stream was not. No Step runs during
+// the sets, so the overflow is deterministic.
+func TestRingOverflowDropsThenCompactHeals(t *testing.T) {
+	src := newStore()
+	l, t0 := steppedLog(t, Options{RingBytes: 1 << 10}, src)
+	sess := src.NewSession()
+	defer sess.Close()
+	overflowRing(t, l, src, sess, 0)
+	l.Step(at(t0))
+	if st := l.Stats(); st.Compactions != 1 || l.GapOpen() {
+		t.Fatalf("after one Step: %d compactions, gap open %v; want 1 and closed", st.Compactions, l.GapOpen())
+	}
+	wantReplayed(t, l, 0)
+}
+
+// TestStepCompactsOncePerCooldown: the writer's Step decides compaction
+// on its own clock. An overflow followed by Step(t0) compacts once and
+// closes the gap; a second overflow inside compactCooldown waits, gap
+// open, and Step(t0+compactCooldown) heals it. Mutation: drop the
+// cool-down check in Step and the step at half the cool-down compacts.
+func TestStepCompactsOncePerCooldown(t *testing.T) {
+	src := newStore()
+	l, t0 := steppedLog(t, Options{RingBytes: 1 << 10}, src)
+	sess := src.NewSession()
+	defer sess.Close()
+	overflowRing(t, l, src, sess, 0)
+	l.Step(at(t0))
+	l.Step(at(t0.Add(time.Millisecond)))
+	if st := l.Stats(); st.Compactions != 1 || l.GapOpen() {
+		t.Fatalf("overflow, then two Steps: %d compactions, gap open %v; want 1 and closed", st.Compactions, l.GapOpen())
+	}
+	overflowRing(t, l, src, sess, 1)
+	l.Step(at(t0.Add(compactCooldown / 2)))
+	if st := l.Stats(); st.Compactions != 1 || !l.GapOpen() {
+		t.Fatalf("second overflow inside the cool-down: %d compactions, gap open %v; want 1 and open", st.Compactions, l.GapOpen())
+	}
+	l.Step(at(t0.Add(compactCooldown)))
+	if st := l.Stats(); st.Compactions != 2 || l.GapOpen() {
+		t.Fatalf("at the cool-down: %d compactions, gap open %v; want 2 and closed", st.Compactions, l.GapOpen())
+	}
+	wantReplayed(t, l, 1)
+}
+
+// TestCompactDumpFsyncs: the appends that race a compaction's dump are
+// fsynced on the FsyncInterval as the dump goes, not held to its end.
+// The clock doubles as the racing producer: each reading appends one
+// record and moves one FsyncInterval on. The dump writes what is staged
+// every 512 entries, so every such write fsyncs, and nothing is left
+// unsynced when the compaction returns. Mutation: read the clock once
+// per compaction and the dump fsyncs nothing (2 fsyncs, not 5).
+func TestCompactDumpFsyncs(t *testing.T) {
+	const interval, n = 100 * time.Millisecond, 2000
+	src := newStore()
+	l, t0 := steppedLog(t, Options{FsyncInterval: interval}, src)
+	sess := src.NewSession()
+	defer sess.Close()
+	for i := 0; i < n; i++ {
+		mustSet(t, src, sess, fmt.Sprintf("key-%04d", i), "v", time.Time{})
+	}
+	l.Step(at(t0))
+	if st := l.Stats(); st.Fsyncs != 0 || st.Compactions != 0 {
+		t.Fatalf("first step: %+v; want the sets written, not synced or compacted", st)
+	}
+	l.needCompact.Store(true) // as a dropped record would
+	clock, raced := t0, 0
+	l.Step(func() time.Time {
+		l.LogSet(fmt.Appendf(nil, "race-%d", raced), []byte("v"), time.Time{}, clock)
+		raced++
+		clock = clock.Add(interval)
+		return clock
+	})
+	// One fsync in Step's own write, one in the write the compaction
+	// starts with, one per 512 dumped entries.
+	if st := l.Stats(); st.Compactions != 1 || st.Fsyncs != 2+n/512 || l.needSync {
+		t.Fatalf("compaction under a moving clock: %d compactions, %d fsyncs, unsynced %v; want 1, %d, false",
+			st.Compactions, st.Fsyncs, l.needSync, 2+n/512)
 	}
 }
 
@@ -454,26 +517,34 @@ func TestLogSetAllocFree(t *testing.T) {
 }
 
 // steppedLog opens a log over a fresh directory with an active segment
-// and no goroutines: the test is the writer, calling step with the
-// returned clock reading or later ones.
-func steppedLog(t *testing.T, opt Options) (*Log, time.Time) {
+// and no goroutines: the test is the writer, calling Step with a clock
+// (at, or its own) that reads the returned time or later ones. src (may
+// be nil) is attached as Start attaches it: the compaction source, with
+// this log as its mutation log.
+func steppedLog(t *testing.T, opt Options, src *kv.ShardedStore) (*Log, time.Time) {
 	t.Helper()
 	opt.Dir, opt.AuditInterval = t.TempDir(), -1
 	l, err := Open(opt)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	if err := l.openSegment(); err != nil {
-		t.Fatalf("open segment: %v", err)
+	if err := l.attach(src); err != nil {
+		t.Fatalf("attach: %v", err)
+	}
+	if src != nil {
+		src.SetMutationLog(l)
 	}
 	t.Cleanup(func() {
+		_ = l.Close()
 		if l.f != nil {
 			_ = l.f.Close()
 		}
 	})
-	l.lastSync = time.Now()
 	return l, l.lastSync
 }
+
+// at is a stopped clock: every reading is t.
+func at(t time.Time) func() time.Time { return func() time.Time { return t } }
 
 // TestProducerFramingMatchesEncoders: the request path frames records
 // itself (CRC left zero, sealed by the writer), compaction through
@@ -504,9 +575,9 @@ func TestProducerFramingMatchesEncoders(t *testing.T) {
 		{"flush", func(l *Log) { l.LogFlushAll(expire) }, appendFlushRecord(nil, expire)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			l, t0 := steppedLog(t, Options{})
+			l, t0 := steppedLog(t, Options{}, nil)
 			tc.log(l)
-			l.step(t0)
+			l.Step(at(t0))
 			raw, err := os.ReadFile(l.segPath(l.seq))
 			if err != nil {
 				t.Fatalf("read segment: %v", err)
@@ -528,25 +599,25 @@ func TestProducerFramingMatchesEncoders(t *testing.T) {
 // already counts one.
 func TestWriteDecoupledFromFsync(t *testing.T) {
 	const interval = 100 * time.Millisecond
-	l, t0 := steppedLog(t, Options{FsyncInterval: interval})
+	l, t0 := steppedLog(t, Options{FsyncInterval: interval}, nil)
 	val := make([]byte, 512)
 	stored := time.Now()
 	for b := 1; b <= 3; b++ {
 		for l.Stats().AppendedBytes < int64(b*l.batch) {
 			l.LogSet(fmt.Appendf(nil, "k%06d", l.Stats().AppendedRecords), val, time.Time{}, stored)
 		}
-		l.step(t0.Add(time.Duration(b) * interval / 4))
+		l.Step(at(t0.Add(time.Duration(b) * interval / 4)))
 	}
 	st := l.Stats()
 	if st.DiskBytes != fileHeaderLen+st.AppendedBytes || st.Fsyncs != 0 {
 		t.Fatalf("after 3 write batches: disk %d bytes for %d appended (+%d header), %d fsyncs; want all written, none synced",
 			st.DiskBytes, st.AppendedBytes, fileHeaderLen, st.Fsyncs)
 	}
-	l.step(t0.Add(interval))
+	l.Step(at(t0.Add(interval)))
 	if st := l.Stats(); st.Fsyncs != 1 {
 		t.Fatalf("one FsyncInterval on: %d fsyncs, want 1", st.Fsyncs)
 	}
-	l.step(t0.Add(3 * interval))
+	l.Step(at(t0.Add(3 * interval)))
 	if st := l.Stats(); st.Fsyncs != 1 || st.DroppedRecords != 0 {
 		t.Fatalf("a step with nothing new written: %d fsyncs, %d dropped; want 1 and 0", st.Fsyncs, st.DroppedRecords)
 	}
