@@ -814,18 +814,22 @@ func RevalidateFaultHandler() rt.FaultHandler {
 // speculative mover in flight, and guards the snapshot and vacated-block
 // storage the pass reuses from call to call.
 //
-// Contract: callers must only run this while no thread holds a *pinned*
-// translation across safepoints with intent to write — a pinned writer's
-// store to the old copy after the commit wins the race and is lost.
-// Objects with a nonzero CountedPins count are skipped (rechecked after
-// the moving transition, so a pin that slipped in between check and
+// Contract — readers translate, writers pin. A reader needs no pin: an
+// unpinned translation on a running thread (rt.Thread.Translate, the kv
+// store's GET path) may use its address until the thread's next poll,
+// because a move committed in between leaves the old copy intact on the
+// deferred list until then. A writer must pin: a store through an
+// address the pass has committed away from lands in the old copy and is
+// lost. Objects with a nonzero CountedPins count are skipped (rechecked
+// after the moving transition, so a pin that slipped in between check and
 // transition aborts the move); StackPins pin sets are invisible outside a
-// barrier, so that discipline is the caller's (see the concurrency
-// tests). The pass must also be the runtime's only
-// relocator: passes and barrier DefragPasses serialize on passMu, but
-// mixing in another speculative mover — or another barrier-time relocator
-// such as the locality optimizer — on the same runtime would reopen the
-// recycled-ID and SetBacking races the serialization closes.
+// barrier, so under that mode keeping writers off the moved objects is
+// the caller's discipline (see the concurrency tests). The pass must also
+// be the runtime's only relocator: passes and barrier DefragPasses
+// serialize on passMu, but mixing in another speculative mover — or
+// another barrier-time relocator such as the locality optimizer — on the
+// same runtime would reopen the recycled-ID and SetBacking races the
+// serialization closes.
 //
 // The service lock is dropped around each object copy, so concurrent
 // Alloc/Free stall for at most one object's bookkeeping, not the whole

@@ -4,17 +4,17 @@ package kv
 
 // Allocation guards for the store proper, on every network-facing
 // backend — malloc, mesh, and anchorage built as cmd/alaskad builds it
-// (CountedPins). A GET hit allocates nothing: the pin is a window into
-// the session thread's slot arena, the copy-out lands in the caller's
-// scratch. An overwrite that keeps the value's length allocates nothing
-// either — it keeps its handle and block — and one that changes the
-// length pays exactly the backend allocator's own. Churning sets against
-// a full memory ceiling — every insert evicts a victim, often spilling
-// across shards — allocate only the brand-new key's string intern plus
-// whatever the backend's own allocator spends on a block, because
-// evicted entry structs are recycled through the shard free lists and
-// the intrusive LRU links without node allocations. (Excluded under
-// -race: the detector's instrumentation allocates.)
+// (CountedPins). A GET hit allocates nothing: it translates the handle
+// without a pin, the copy-out lands in the caller's scratch. An overwrite
+// that keeps the value's length allocates nothing either — it keeps its
+// handle and block — and one that changes the length pays exactly the
+// backend allocator's own. Churning sets against a full memory ceiling —
+// every insert evicts a victim, often spilling across shards — allocate
+// only the brand-new key's string intern plus whatever the backend's own
+// allocator spends on a block, because evicted entry structs are
+// recycled through the shard free lists and the intrusive LRU links
+// without node allocations. (Excluded under -race: the detector's
+// instrumentation allocates.)
 
 import (
 	"strconv"

@@ -41,8 +41,8 @@ import (
 type Ref uint64
 
 // Session is a per-thread access context. Conventional backends need no
-// state; the Anchorage backend carries an rt.Thread so reads and writes
-// pin the handle for their duration.
+// state; the Anchorage backend carries an rt.Thread through which reads
+// translate the handle and writes pin it (see handleSession).
 type Session interface {
 	// Read copies len(b) bytes at off within the block.
 	Read(ref Ref, off uint64, b []byte) error
@@ -404,7 +404,16 @@ func (b *AnchorageBackend) Maintain(now time.Duration) time.Duration {
 	return took
 }
 
-// handleSession pins handles around each access.
+// handleSession reaches the heap through its thread's handle translation.
+// A read on a running thread translates and copies with no pin: it polls
+// no safepoint before its last byte, so a barrier waits for it and a block
+// the pause-free pass vacates under it stays put through the grace period
+// (rt.Thread.Translate). A parked or external thread — the backend's
+// primary session, which the figures drive, or any session between
+// EnterIdle and ExitIdle — is one the grace period does not wait for, so
+// its reads pin. Every write pins, whatever the state: the mover skips a
+// pinned object, which keeps a store from landing in a copy it has
+// committed away from.
 type handleSession struct {
 	space *mem.Space
 	th    *rt.Thread
@@ -412,7 +421,15 @@ type handleSession struct {
 }
 
 func (s *handleSession) Read(ref Ref, off uint64, b []byte) error {
-	a, unpin, err := s.th.Pin(handle.Handle(ref).Add(int64(off)))
+	h := handle.Handle(ref).Add(int64(off))
+	if s.th.Running() {
+		a, err := s.th.Translate(h)
+		if err != nil {
+			return err
+		}
+		return s.space.Read(a, b)
+	}
+	a, unpin, err := s.th.Pin(h)
 	if err != nil {
 		return err
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"alaska/internal/anchorage"
+	"alaska/internal/rt"
 )
 
 func TestSessionOffsetAccess(t *testing.T) {
@@ -66,6 +67,75 @@ func TestAnchorageSessionOutOfBoundsRejected(t *testing.T) {
 	// the §3.2 in-bounds assumption, enforced.
 	if err := sess.Write(ref, 64, []byte{1}); err == nil {
 		t.Error("out-of-bounds session write accepted")
+	}
+}
+
+// TestReadsTranslateWritesPin: on the anchorage backend as alaskad builds
+// it (CountedPins), a GET hit from a running session translates and pins
+// nothing, while every store pins exactly once — the in-place overwrite
+// included, so the mover still sees each write. A session the grace
+// period does not wait for — a worker parked in EnterIdle, the backend's
+// permanently external primary — still pins its reads.
+//
+// Mutations: put th.Pin back into handleSession.Read and the GET check
+// fails; drop its Running() test and the idle checks fail.
+func TestReadsTranslateWritesPin(t *testing.T) {
+	b, err := NewAnchorageBackend(anchorage.DefaultConfig(), rt.WithPinMode(rt.CountedPins))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewShardedStore(b, 8, 0)
+	sess := s.NewSession()
+	defer sess.Close()
+	stats := b.Runtime.Stats
+	const n = 100
+	key, val, now := []byte("k"), make([]byte, 512), time.Now()
+	store := func() {
+		if _, err := s.SetExBytesAt(sess, key, val, SetAlways, time.Time{}, now); err != nil {
+			t.Fatal(err)
+		}
+	}
+	store()
+
+	pins, translates := stats().Pins.Load(), stats().Translates.Load()
+	buf := make([]byte, 0, len(val))
+	for i := 0; i < n; i++ {
+		if _, hit, err := s.GetIntoAt(sess, key, buf, now); err != nil || !hit {
+			t.Fatalf("GET = hit %v, err %v", hit, err)
+		}
+	}
+	if got := stats().Pins.Load() - pins; got != 0 {
+		t.Errorf("%d GET hits took %d pins, want 0", n, got)
+	}
+	if got := stats().Translates.Load() - translates; got != n {
+		t.Errorf("%d GET hits made %d translations, want %d", n, got, n)
+	}
+
+	pins = stats().Pins.Load()
+	for i := 0; i < n; i++ {
+		val[0] = byte(i)
+		store()
+	}
+	if got := stats().Pins.Load() - pins; got != n {
+		t.Errorf("%d same-length SETs took %d pins, want %d", n, got, n)
+	}
+
+	ref := refOf(s, string(key))
+	for name, read := range map[string]func() error{
+		"idle worker": func() error {
+			sess.EnterIdle()
+			defer sess.ExitIdle()
+			return sess.Read(ref, 0, buf[:len(val)])
+		},
+		"primary": func() error { return b.PrimarySession().Read(ref, 0, buf[:len(val)]) },
+	} {
+		pins = stats().Pins.Load()
+		if err := read(); err != nil {
+			t.Fatal(err)
+		}
+		if got := stats().Pins.Load() - pins; got != 1 {
+			t.Errorf("%s session's read took %d pins, want 1", name, got)
+		}
 	}
 }
 

@@ -768,9 +768,10 @@ func (s *ShardedStore) GetAndTouchInto(sess Session, key []byte, expireAt time.T
 // clients, a reference held outside the lock could be freed — and its
 // block recycled to another key — mid-read, silently returning another
 // object's bytes. Holding the lock for the copy is the memcached
-// item-reference discipline reduced to its simplest correct form; under
-// Alaska the session additionally pins the handle so a concurrent
-// relocation pass cannot move the object mid-copy.
+// item-reference discipline reduced to its simplest correct form. Under
+// Alaska a concurrent relocation pass may still move the object mid-copy;
+// the copy reads on from the old block, which the grace period keeps
+// intact until the session's next safepoint (handleSession.Read).
 func (s *ShardedStore) getInto(sess Session, sh *shard, key []byte, touch bool, expireAt time.Time, buf []byte, now time.Time) ([]byte, bool, error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()

@@ -21,6 +21,10 @@ package kv
 // The fifth takes the barrier pass away: the pause-free pass alone
 // coalesces, moves and truncates under in-place and resizing writers,
 // readers, and a raw Halloc/Hfree client reading inside its grace period.
+//
+// The sixth holds the store's own reads to that grace period: a GET hit
+// copies through an unpinned translation while the pass moves the value
+// and truncates the block it left.
 
 import (
 	"bytes"
@@ -28,6 +32,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -831,6 +836,158 @@ func TestPauseFreePassReclaimsUnderTraffic(t *testing.T) {
 	}
 	if m.Truncated == 0 {
 		t.Errorf("Truncated = 0: the passes returned no memory")
+	}
+	t.Logf("%d concurrent passes, %d bytes moved, %d truncated, %d move aborts", m.ConcurrentPasses, m.MovedBytes, m.Truncated, m.MoveAborts)
+}
+
+// TestUnpinnedReadsNeedTheGracePeriod: a GET hit copies through an unpinned
+// translation (handleSession.Read), so nothing stops the pause-free pass
+// from moving the value mid-copy; what keeps the copy right is the grace
+// period alone — the vacated block is neither reused nor truncated until
+// the reader's next safepoint. Each writer works in cycles at a new length
+// every time: it lifts one of its keys to the top of the heap with holes
+// beneath it (ballast in, key re-created above it, ballast out), publishes
+// which key that is, and reads it back while the mover takes it down and
+// truncates the tail it left. Readers GetIntoAt the keys just lifted. Every
+// value is filled with its own key's tag; ConcurrentDefragPass and
+// DrainDeferred run every turn. Every read must be one whole value written
+// under its own key.
+//
+// Mutation this fails under (-race -short -count=20): make
+// drainDeferredLocked skip its QuiescentSince check, and a reader returns
+// bytes that are not its value's: the zeroes of the page truncated under
+// its copy, or another object's. (With the read pinned, as writes are,
+// that mutation passes here: the mover skips a pinned object.)
+func TestUnpinnedReadsNeedTheGracePeriod(t *testing.T) {
+	cfg := anchorage.DefaultConfig()
+	cfg.SubHeapSize = 256 * 1024
+	backend, err := NewAnchorageBackend(cfg, rt.WithPinMode(rt.CountedPins))
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := NewShardedStore(backend, 8, 0)
+	const (
+		writers  = 2
+		hotKeys  = 2 // per writer
+		ballast  = 6 // per writer: the holes a lifted key is moved into
+		minLen   = 8 << 10
+		maxLen   = 16 << 10
+		readBack = 8 // per cycle
+	)
+	cycles := 400
+	if testing.Short() {
+		cycles = 60
+	}
+	key := func(k int) []byte { return []byte(fmt.Sprintf("hot-%d", k)) }
+	tag := func(k int) byte { return byte(k + 1) }
+	// check reports whether a read of key k was one whole value of k's,
+	// or a miss where missOK.
+	check := func(who string, k int, got []byte, hit, missOK bool, err error) bool {
+		if b, ok := tagOf(got); err != nil || !hit && !missOK || hit && (!ok || b != tag(k)) {
+			t.Errorf("%s: %s reads %d bytes of %#x (hit %v, whole %v, err %v), want all %#x", who, key(k), len(got), b, hit, ok, err, tag(k))
+			return false
+		}
+		return true
+	}
+	var lifted [writers]atomic.Int32 // each writer's key now on top
+
+	stop := make(chan struct{})
+	stopped := func() bool {
+		select {
+		case <-stop:
+			return true
+		default:
+			return false
+		}
+	}
+	var bg sync.WaitGroup
+	bg.Add(1)
+	go func() { // alaskad's maintenance loop above its trigger, compressed
+		defer bg.Done()
+		for !stopped() {
+			backend.Svc.ConcurrentDefragPass(64 << 10)
+			backend.Svc.DrainDeferred()
+			runtime.Gosched()
+		}
+	}()
+	for r := 0; r < 2; r++ {
+		bg.Add(1)
+		go func(r int) {
+			defer bg.Done()
+			sess := store.NewSession()
+			defer sess.Close()
+			rng := rand.New(rand.NewSource(int64(110 + r)))
+			var buf []byte
+			for !stopped() {
+				sess.Safepoint()
+				k := int(lifted[rng.Intn(writers)].Load())
+				got, hit, err := store.GetIntoAt(sess, key(k), buf, time.Now())
+				// A miss is a key between its Del and its Set.
+				if !check(fmt.Sprintf("reader %d", r), k, got, hit, true, err) {
+					return
+				}
+				buf = got[:0]
+			}
+		}(r)
+	}
+
+	var wwg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wwg.Add(1)
+		go func(w int) {
+			defer wwg.Done()
+			sess := store.NewSession()
+			defer sess.Close()
+			rng := rand.New(rand.NewSource(int64(120 + w)))
+			val := make([]byte, maxLen)
+			var buf []byte
+			failed := false
+			set := func(key []byte, n int, tag byte) {
+				sess.Safepoint()
+				fillTag(val[:n], tag)
+				if _, err := store.SetExBytesAt(sess, key, val[:n], SetAlways, time.Time{}, time.Now()); err != nil && !failed {
+					failed = true
+					t.Error(err)
+				}
+			}
+			del := func(key []byte) {
+				sess.Safepoint()
+				if _, err := store.DelBytes(sess, key, time.Now()); err != nil && !failed {
+					failed = true
+					t.Error(err)
+				}
+			}
+			ballastKey := func(b int) []byte { return []byte(fmt.Sprintf("ballast-%d-%d", w, b)) }
+			spare := []byte(fmt.Sprintf("spare-%d", w))
+			for c := 0; c < cycles && !failed; c++ {
+				k, n := w*hotKeys+c%hotKeys, minLen+rng.Intn(maxLen-minLen)
+				for b := 0; b < ballast; b++ {
+					set(ballastKey(b), n, 0xff)
+				}
+				del(key(k))
+				set(spare, n, 0xff)
+				set(key(k), n, tag(k))
+				lifted[w].Store(int32(k))
+				del(spare)
+				for b := 0; b < ballast; b++ {
+					del(ballastKey(b))
+				}
+				for i := 0; i < readBack && !failed; i++ {
+					sess.Safepoint()
+					got, hit, err := store.GetIntoAt(sess, key(k), buf, time.Now())
+					failed = !check(fmt.Sprintf("writer %d", w), k, got, hit, false, err)
+					buf = got[:0]
+				}
+			}
+		}(w)
+	}
+	wwg.Wait()
+	close(stop)
+	bg.Wait()
+
+	m := backend.Svc.MetricsSnapshot()
+	if m.ConcurrentPasses == 0 || m.MovedBytes == 0 || m.Truncated == 0 {
+		t.Errorf("mover idle (%d concurrent passes, %d bytes moved, %d truncated); the test raced nothing", m.ConcurrentPasses, m.MovedBytes, m.Truncated)
 	}
 	t.Logf("%d concurrent passes, %d bytes moved, %d truncated, %d move aborts", m.ConcurrentPasses, m.MovedBytes, m.Truncated, m.MoveAborts)
 }

@@ -36,12 +36,12 @@
 // accesses to *other* pages of the same region, and Unmap concurrently
 // with accesses to other regions, but whoever releases a page or a region
 // must know nobody is still using it — Anchorage does, because a block is
-// only truncated or reused after its handle was unpinned and a grace
-// period has passed (see anchorage.ConcurrentDefragPass). An access that
-// resolved its region just before Unmap is still memory-safe (the region
-// keeps its bytes until the garbage collector takes them) and leaves the
-// accounting exact: touch undoes its own flip when it finds the region
-// unmapped.
+// only truncated or reused once no pin holds it and a grace period has
+// passed for the unpinned readers (see anchorage.ConcurrentDefragPass).
+// An access that resolved its region just before Unmap is still
+// memory-safe (the region keeps its bytes until the garbage collector
+// takes them) and leaves the accounting exact: touch undoes its own flip
+// when it finds the region unmapped.
 //
 // The bit flips are Load/CompareAndSwap loops rather than
 // atomic.Uint64.Or/And: on the pinned go1.24.0/amd64 toolchain those two

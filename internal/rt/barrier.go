@@ -79,7 +79,7 @@ func (r *Runtime) Barrier(initiator *Thread, fn func(*BarrierScope)) {
 			if t == initiator {
 				continue
 			}
-			if threadState(t.state.Load()) == stateRunning {
+			if t.Running() {
 				allSafe = false
 				break
 			}

@@ -166,12 +166,12 @@ func (t *Thread) TranslateAndPin(h handle.Handle, slot int) (mem.Addr, error) {
 }
 
 // Pin is the scoped-pin convenience used by hand-written runtime clients
-// (the KV store, examples): it pushes a one-slot frame, pins h, and returns
-// the raw address plus an unpin func that pops the frame. Pins nest like
-// the frames they are. The pair is allocation-free — the frame is a window
-// into the thread's slot arena and the func is the thread's cached
-// PopFrame value — so a pinned access costs what Figure 7 charges it, a
-// pin-set store and a table load, and no allocator work.
+// (the KV store's writes, examples): it pushes a one-slot frame, pins h,
+// and returns the raw address plus an unpin func that pops the frame.
+// Pins nest like the frames they are. The pair is allocation-free — the
+// frame is a window into the thread's slot arena and the func is the
+// thread's cached PopFrame value — so a pinned access costs what Figure 7
+// charges it, a pin-set store and a table load, and no allocator work.
 func (t *Thread) Pin(h handle.Handle) (mem.Addr, func(), error) {
 	t.PushFrame(1)
 	a, err := t.TranslateAndPin(h, 0)
@@ -182,9 +182,16 @@ func (t *Thread) Pin(h handle.Handle) (mem.Addr, func(), error) {
 	return a, t.unpin, nil
 }
 
-// Translate resolves a handle without pinning it. The caller must not hold
-// the resulting address across a safepoint; it exists for momentary reads
-// in code that polls no safepoints in between (and for tests).
+// Translate resolves a handle without pinning it. The rule is: no
+// safepoint between the translate and the last use of the address. A
+// running thread that keeps it is safe from both movers — a barrier waits
+// for the thread's next poll, and a block the pause-free pass vacates is
+// not reused or truncated until that poll (see
+// anchorage.ConcurrentDefragPass) — so the address suits reads; a write
+// through it could land in an old copy the pass has already committed
+// away from, and must pin. The kv store's read path (handleSession.Read)
+// is its production caller: every GET, GAT and RMW read of a running
+// session translates, copies and is done before the session polls again.
 func (t *Thread) Translate(h handle.Handle) (mem.Addr, error) {
 	return t.translate(h)
 }
@@ -212,6 +219,15 @@ func (t *Thread) Safepoint() {
 
 // Epoch returns the thread's safepoint-crossing count.
 func (t *Thread) Epoch() uint64 { return t.epoch.Load() }
+
+// Running reports whether the thread is in instrumented code: neither
+// parked in a barrier nor inside an external call. Only the thread's own
+// goroutine moves it out of the running state, so on that goroutine the
+// answer holds until it next polls, parks or goes external. A running
+// thread is one the grace period waits for; a parked or external one is
+// not (QuiescentSince), so only a running thread may read through an
+// unpinned Translate.
+func (t *Thread) Running() bool { return threadState(t.state.Load()) == stateRunning }
 
 func (t *Thread) park() {
 	r := t.rt

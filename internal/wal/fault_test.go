@@ -254,9 +254,9 @@ func TestDegradedEntryExitWriteFault(t *testing.T) {
 	if st.Recoveries != 1 {
 		t.Fatalf("recoveries = %d, want 1", st.Recoveries)
 	}
-	if !l.needCompact.Load() {
-		t.Fatalf("recovery must schedule a compaction to close the gap")
-	}
+	// The writer may already have run it: either the mark is still up or
+	// the compaction happened (none ran before the outage).
+	waitFor(t, "recovery to schedule a compaction closing the gap", func() bool { return compactScheduled(l) })
 	if !l.DegradedSince().IsZero() {
 		t.Fatalf("DegradedSince must reset on recovery")
 	}
@@ -465,10 +465,13 @@ func TestENOSPCFlagsCompaction(t *testing.T) {
 
 	mustSet(t, store, sess, "k", "v", time.Time{})
 	waitFor(t, "ENOSPC error", func() bool { return l.Stats().IOErrors >= 1 })
-	if !l.needCompact.Load() {
-		t.Fatalf("ENOSPC must flag compaction")
-	}
+	waitFor(t, "ENOSPC to flag compaction", func() bool { return compactScheduled(l) })
 }
+
+// compactScheduled reports whether l is marked for a compaction or has run
+// one: a test that checks the mark races the writer's Step, which clears
+// it as the compaction starts.
+func compactScheduled(l *Log) bool { return l.needCompact.Load() || l.Stats().Compactions > 0 }
 
 // TestCompactRenameFault: a faulted snapshot rename fails the heal
 // compaction cleanly — counted, tmp removed, log still healthy — and
