@@ -405,15 +405,15 @@ func (b *AnchorageBackend) Maintain(now time.Duration) time.Duration {
 }
 
 // handleSession reaches the heap through its thread's handle translation.
-// A read on a running thread translates and copies with no pin: it polls
-// no safepoint before its last byte, so a barrier waits for it and a block
-// the pause-free pass vacates under it stays put through the grace period
-// (rt.Thread.Translate). A parked or external thread — the backend's
-// primary session, which the figures drive, or any session between
-// EnterIdle and ExitIdle — is one the grace period does not wait for, so
-// its reads pin. Every write pins, whatever the state: the mover skips a
-// pinned object, which keeps a store from landing in a copy it has
-// committed away from.
+// A read translates and copies with no pin: it polls no safepoint before
+// its last byte, so a barrier waits for it and a block the pause-free pass
+// vacates under it stays put through the grace period (rt.Thread.Translate).
+// That needs a session outside EnterIdle/ExitIdle, as Session requires of
+// every access; the backend's primary session, external for good, reads
+// only in drivers that run every Maintain on the same goroutine, so no
+// mover runs while it copies. Every write pins: the mover skips a pinned
+// object, which keeps a store from landing in a copy it has committed
+// away from.
 type handleSession struct {
 	space *mem.Space
 	th    *rt.Thread
@@ -421,21 +421,11 @@ type handleSession struct {
 }
 
 func (s *handleSession) Read(ref Ref, off uint64, b []byte) error {
-	h := handle.Handle(ref).Add(int64(off))
-	if s.th.Running() {
-		a, err := s.th.Translate(h)
-		if err != nil {
-			return err
-		}
-		return s.space.Read(a, b)
-	}
-	a, unpin, err := s.th.Pin(h)
+	a, err := s.th.Translate(handle.Handle(ref).Add(int64(off)))
 	if err != nil {
 		return err
 	}
-	err = s.space.Read(a, b)
-	unpin()
-	return err
+	return s.space.Read(a, b)
 }
 
 func (s *handleSession) Write(ref Ref, off uint64, b []byte) error {

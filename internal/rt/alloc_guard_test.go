@@ -3,8 +3,7 @@
 package rt
 
 // Allocation guard for the scoped pin: Pin + unpin is what every kv store
-// write pays (and every read from a parked or external session), so it
-// must cost the pin-set store and the table load of Figure 7 and no
+// write pays, so it must cost the pin-set store and the table load of Figure 7 and no
 // allocator work — in both pin modes, and for a pin nested under another
 // (quickstart's shape), where the inner frame sits above the outer one in
 // the thread's slot arena. (Excluded under -race: the detector's

@@ -79,7 +79,7 @@ func (r *Runtime) Barrier(initiator *Thread, fn func(*BarrierScope)) {
 			if t == initiator {
 				continue
 			}
-			if t.Running() {
+			if threadState(t.state.Load()) == stateRunning {
 				allSafe = false
 				break
 			}

@@ -276,7 +276,7 @@ func (r *Runtime) QuiescentSince(snap map[*Thread]uint64) bool {
 		if _, live := r.threads[t]; !live {
 			continue
 		}
-		if !t.Running() {
+		if threadState(t.state.Load()) != stateRunning {
 			continue
 		}
 		if t.epoch.Load() == e {

@@ -190,8 +190,8 @@ func (t *Thread) Pin(h handle.Handle) (mem.Addr, func(), error) {
 // anchorage.ConcurrentDefragPass) — so the address suits reads; a write
 // through it could land in an old copy the pass has already committed
 // away from, and must pin. The kv store's read path (handleSession.Read)
-// is its production caller: every GET, GAT and RMW read of a running
-// session translates, copies and is done before the session polls again.
+// is its production caller: every GET, GAT and RMW read translates,
+// copies and is done before its session polls again.
 func (t *Thread) Translate(h handle.Handle) (mem.Addr, error) {
 	return t.translate(h)
 }
@@ -219,15 +219,6 @@ func (t *Thread) Safepoint() {
 
 // Epoch returns the thread's safepoint-crossing count.
 func (t *Thread) Epoch() uint64 { return t.epoch.Load() }
-
-// Running reports whether the thread is in instrumented code: neither
-// parked in a barrier nor inside an external call. Only the thread's own
-// goroutine moves it out of the running state, so on that goroutine the
-// answer holds until it next polls, parks or goes external. A running
-// thread is one the grace period waits for; a parked or external one is
-// not (QuiescentSince), so only a running thread may read through an
-// unpinned Translate.
-func (t *Thread) Running() bool { return threadState(t.state.Load()) == stateRunning }
 
 func (t *Thread) park() {
 	r := t.rt

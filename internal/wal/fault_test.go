@@ -222,6 +222,7 @@ func TestDegradedEntryExitWriteFault(t *testing.T) {
 	sess := store.NewSession()
 	defer sess.Close()
 	l := openFaultLog(t, dir, store, sfs, nil)
+	noCompactionYet(t, l)
 
 	// Acknowledged before the writer can flush: these ride the pending
 	// buffer through the whole outage.
@@ -255,7 +256,8 @@ func TestDegradedEntryExitWriteFault(t *testing.T) {
 		t.Fatalf("recoveries = %d, want 1", st.Recoveries)
 	}
 	// The writer may already have run it: either the mark is still up or
-	// the compaction happened (none ran before the outage).
+	// the compaction happened (a degraded writer compacts nothing, and
+	// none ran before the outage).
 	waitFor(t, "recovery to schedule a compaction closing the gap", func() bool { return compactScheduled(l) })
 	if !l.DegradedSince().IsZero() {
 		t.Fatalf("DegradedSince must reset on recovery")
@@ -462,10 +464,22 @@ func TestENOSPCFlagsCompaction(t *testing.T) {
 	defer sess.Close()
 	l := openFaultLog(t, dir, store, sfs, nil)
 	defer l.Close()
+	noCompactionYet(t, l)
 
 	mustSet(t, store, sess, "k", "v", time.Time{})
 	waitFor(t, "ENOSPC error", func() bool { return l.Stats().IOErrors >= 1 })
 	waitFor(t, "ENOSPC to flag compaction", func() bool { return compactScheduled(l) })
+}
+
+// noCompactionYet fails unless l has run no compaction. Called before a
+// test's fault fires, it makes compactScheduled's count the compaction the
+// fault scheduled: nothing else can start one in these tests, whose few
+// records stay far below CompactMinBytes' size trigger.
+func noCompactionYet(t *testing.T, l *Log) {
+	t.Helper()
+	if c := l.Stats().Compactions; c != 0 {
+		t.Fatalf("%d compactions before the fault, want 0", c)
+	}
 }
 
 // compactScheduled reports whether l is marked for a compaction or has run
