@@ -337,6 +337,7 @@ type Metrics struct {
 	Passes, ConcurrentPasses, MoveAborts int64
 	MovedBytes, Truncated, Candidates    int64
 	DeferredBlocks                       int
+	Fragmentation                        float64 // as Service.Fragmentation, same lock hold
 }
 
 // MetricsSnapshot returns the counters under the service lock.
@@ -351,6 +352,7 @@ func (s *Service) MetricsSnapshot() Metrics {
 		Truncated:        s.Truncated,
 		Candidates:       s.Candidates,
 		DeferredBlocks:   len(s.deferred),
+		Fragmentation:    s.fragmentationLocked(),
 	}
 }
 
@@ -522,6 +524,10 @@ func (s *Service) ActiveBytes() uint64 {
 func (s *Service) Fragmentation() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.fragmentationLocked()
+}
+
+func (s *Service) fragmentationLocked() float64 {
 	if s.active == 0 {
 		return 1
 	}

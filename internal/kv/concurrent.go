@@ -95,31 +95,6 @@ func (c *shardCounters) bump(stat RMWStat) {
 	}
 }
 
-// reset zeroes the operation counters — the `stats reset` surface. The
-// keys gauge is the shard's live-entry count, not a statistic, and is
-// left intact. Plain stores racing the reset may land a bump before or
-// after their counter is zeroed; either order is a legal relaxed cut.
-func (c *shardCounters) reset() {
-	c.sets.Store(0)
-	c.hits.Store(0)
-	c.misses.Store(0)
-	c.deleteHits.Store(0)
-	c.deleteMisses.Store(0)
-	c.evictions.Store(0)
-	c.expired.Store(0)
-	c.reclaimed.Store(0)
-	c.evictedUnfetched.Store(0)
-	c.casHits.Store(0)
-	c.casBadval.Store(0)
-	c.casMisses.Store(0)
-	c.incrHits.Store(0)
-	c.incrMisses.Store(0)
-	c.decrHits.Store(0)
-	c.decrMisses.Store(0)
-	c.touchHits.Store(0)
-	c.touchMisses.Store(0)
-}
-
 // addTo folds the counters into a snapshot.
 func (c *shardCounters) addTo(out *StatsSnapshot) {
 	out.Sets += c.sets.Load()
@@ -918,16 +893,6 @@ func (s *ShardedStore) Snapshot() StatsSnapshot {
 	out.Used = s.backend.UsedBytes()
 	out.RSS = s.backend.RSS()
 	return out
-}
-
-// ResetStats zeroes the operation counters on every shard plus the
-// sweep count — memcached's `stats reset`. Gauges (live keys, charged
-// bytes, the ceiling) are state, not statistics, and are untouched.
-func (s *ShardedStore) ResetStats() {
-	for _, sh := range s.shards {
-		sh.stats.reset()
-	}
-	s.sweeps.Store(0)
 }
 
 // ItemsStats is one shard's row set for the `stats items`-style

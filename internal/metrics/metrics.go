@@ -1,25 +1,15 @@
-// Package metrics is a dependency-free Prometheus text-exposition
-// registry for the alaskad observability plane.
-//
-// The design splits the cost asymmetrically: everything a request path
-// touches is a plain atomic (Counter.Add) or an instrument it already
-// owns (a stats.LatencyRecorder shared with the histogram family), so
-// recording never allocates, never locks, and never serializes behind a
-// scrape. All rendering work — label formatting, bucket accumulation,
-// float printing — happens in WriteTo on the scrape path, where an
-// allocation per line is irrelevant. Families are registered once at
-// boot; registration is not safe concurrently with scrapes, recording
-// always is.
+// Package metrics encodes the Prometheus text exposition format (version
+// 0.0.4) for the alaskad observability plane: a family header, plain
+// samples, and histograms rendered straight off a stats.LatencyRecorder's
+// buckets. It holds no state; the caller decides what to render and in
+// which order, and owns the values. Writes go to a bufio.Writer, whose
+// first error sticks and is what its Flush returns, so a renderer checks
+// once at the end.
 package metrics
 
 import (
 	"bufio"
-	"fmt"
-	"io"
-	"sort"
 	"strconv"
-	"sync"
-	"sync/atomic"
 
 	"alaska/internal/stats"
 )
@@ -33,246 +23,50 @@ const (
 	KindHistogram Kind = "histogram"
 )
 
-// Registry holds an ordered set of metric families and renders them in
-// Prometheus text exposition format.
-type Registry struct {
-	mu       sync.Mutex
-	fams     []*Family
-	byName   map[string]*Family
-	onScrape []func()
+// WriteHeader writes a family's # HELP and # TYPE lines; its samples
+// follow.
+func WriteHeader(w *bufio.Writer, name string, kind Kind, help string) {
+	w.WriteString("# HELP " + name + " " + help + "\n# TYPE " + name + " " + string(kind) + "\n")
 }
 
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{byName: make(map[string]*Family)}
+// WriteSample writes one `name{labels} value` line. labels is the
+// pre-rendered label body, e.g. `op="get"`; "" for an unlabeled series.
+func WriteSample(w *bufio.Writer, name, labels string, v float64) {
+	writeSample(w, name, "", labels, "", v)
 }
 
-// OnScrape registers fn to run at the start of every WriteTo, before any
-// family renders — the hook for refreshing a cached snapshot that many
-// func-backed children then read, so one scrape costs one snapshot
-// instead of one per metric.
-func (r *Registry) OnScrape(fn func()) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.onScrape = append(r.onScrape, fn)
-}
-
-// Family registers (or returns the existing) family with the given name,
-// kind, and help text. Families render in registration order. Registering
-// the same name with a different kind panics — that is a boot-time
-// programming error, not a runtime condition.
-func (r *Registry) Family(name string, kind Kind, help string) *Family {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if f, ok := r.byName[name]; ok {
-		if f.kind != kind {
-			panic(fmt.Sprintf("metrics: family %s re-registered as %s (was %s)", name, kind, f.kind))
-		}
-		return f
-	}
-	f := &Family{name: name, kind: kind, help: help}
-	r.fams = append(r.fams, f)
-	r.byName[name] = f
-	return f
-}
-
-// Counter registers an unlabeled counter family with one child and
-// returns the counter.
-func (r *Registry) Counter(name, help string) *Counter {
-	return r.Family(name, KindCounter, help).Counter("")
-}
-
-// CounterFunc registers an unlabeled counter family rendered from fn at
-// scrape time (for counters that already live elsewhere as atomics).
-func (r *Registry) CounterFunc(name, help string, fn func() float64) {
-	r.Family(name, KindCounter, help).Func("", fn)
-}
-
-// GaugeFunc registers an unlabeled gauge family rendered from fn.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	r.Family(name, KindGauge, help).Func("", fn)
-}
-
-// Histogram registers an unlabeled histogram family rendered from rec.
-func (r *Registry) Histogram(name, help string, rec *stats.LatencyRecorder) {
-	r.Family(name, KindHistogram, help).Histogram("", rec)
-}
-
-// WriteTo renders every family in Prometheus text exposition format.
-// Scrapes serialize against each other (and against registration), never
-// against recording.
-func (r *Registry) WriteTo(w io.Writer) (int64, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, fn := range r.onScrape {
-		fn()
-	}
-	counting := &countingWriter{w: w}
-	bw := bufio.NewWriter(counting)
-	for _, f := range r.fams {
-		if err := f.render(bw); err != nil {
-			return counting.n, err
-		}
-	}
-	err := bw.Flush()
-	return counting.n, err
-}
-
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// Family is one named metric family; its children differ only in label
-// sets.
-type Family struct {
-	name string
-	kind Kind
-	help string
-
-	mu       sync.Mutex
-	children []*child
-}
-
-// child is one labeled series of a family, backed by exactly one of an
-// owned atomic counter, a scrape-time func, or a latency recorder.
-type child struct {
-	labels string // pre-rendered `op="get"` (no braces), "" for unlabeled
-	ctr    *Counter
-	fn     func() float64
-	hist   *stats.LatencyRecorder
-}
-
-// Counter registers (or returns) the child with the given label set and
-// returns its owned atomic counter. labels is the pre-rendered label
-// body, e.g. `op="get"`; "" for unlabeled.
-func (f *Family) Counter(labels string) *Counter {
-	if f.kind != KindCounter {
-		panic("metrics: Counter child on a " + string(f.kind) + " family")
-	}
-	c := f.child(labels)
-	if c.ctr == nil {
-		c.ctr = &Counter{}
-	}
-	return c.ctr
-}
-
-// Func registers a scrape-time func child (counter or gauge families).
-func (f *Family) Func(labels string, fn func() float64) {
-	if f.kind == KindHistogram {
-		panic("metrics: Func child on a histogram family")
-	}
-	f.child(labels).fn = fn
-}
-
-// Histogram registers rec as the child with the given label set. Every
-// recorder shares the stats package's fixed bucket layout, so children
-// of one family are always mergeable downstream.
-func (f *Family) Histogram(labels string, rec *stats.LatencyRecorder) {
-	if f.kind != KindHistogram {
-		panic("metrics: Histogram child on a " + string(f.kind) + " family")
-	}
-	f.child(labels).hist = rec
-}
-
-func (f *Family) child(labels string) *child {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for _, c := range f.children {
-		if c.labels == labels {
-			return c
-		}
-	}
-	c := &child{labels: labels}
-	f.children = append(f.children, c)
-	return c
-}
-
-func (f *Family) render(w *bufio.Writer) error {
-	f.mu.Lock()
-	children := make([]*child, len(f.children))
-	copy(children, f.children)
-	f.mu.Unlock()
-	sort.SliceStable(children, func(i, j int) bool { return children[i].labels < children[j].labels })
-
-	if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.kind); err != nil {
-		return err
-	}
-	for _, c := range children {
-		switch {
-		case c.ctr != nil:
-			if err := writeSample(w, f.name, "", c.labels, "", float64(c.ctr.Value())); err != nil {
-				return err
-			}
-		case c.fn != nil:
-			if err := writeSample(w, f.name, "", c.labels, "", c.fn()); err != nil {
-				return err
-			}
-		case c.hist != nil:
-			if err := renderHistogram(w, f.name, c.labels, c.hist); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// renderHistogram writes rec as cumulative le-buckets in seconds, plus
-// _sum and _count — the standard Prometheus histogram triple.
-func renderHistogram(w *bufio.Writer, name, labels string, rec *stats.LatencyRecorder) error {
+// WriteHistogram writes rec as cumulative le-buckets in seconds, plus _sum
+// and _count — the standard Prometheus histogram triple. Every recorder
+// shares the stats package's fixed bucket layout, so the children of one
+// family are always mergeable downstream.
+func WriteHistogram(w *bufio.Writer, name, labels string, rec *stats.LatencyRecorder) {
 	var cum int64
-	var err error
 	rec.ForEachBucket(func(boundNs, count int64) {
-		if err != nil {
-			return
-		}
 		cum += count
 		le := "+Inf"
 		if boundNs != stats.OverflowBound {
 			le = strconv.FormatFloat(float64(boundNs)/1e9, 'g', -1, 64)
 		}
-		err = writeSample(w, name, "_bucket", labels, `le="`+le+`"`, float64(cum))
+		writeSample(w, name, "_bucket", labels, `le="`+le+`"`, float64(cum))
 	})
-	if err != nil {
-		return err
-	}
-	if err := writeSample(w, name, "_sum", labels, "", rec.Sum().Seconds()); err != nil {
-		return err
-	}
-	return writeSample(w, name, "_count", labels, "", float64(rec.Count()))
+	writeSample(w, name, "_sum", labels, "", rec.Sum().Seconds())
+	writeSample(w, name, "_count", labels, "", float64(rec.Count()))
 }
 
 // writeSample writes one `name_suffix{labels,extra} value` line.
-func writeSample(w *bufio.Writer, name, suffix, labels, extra string, v float64) error {
-	if _, err := w.WriteString(name); err != nil {
-		return err
-	}
-	if _, err := w.WriteString(suffix); err != nil {
-		return err
-	}
-	lbl := labels
+func writeSample(w *bufio.Writer, name, suffix, labels, extra string, v float64) {
+	w.WriteString(name)
+	w.WriteString(suffix)
 	if extra != "" {
-		if lbl != "" {
-			lbl += "," + extra
-		} else {
-			lbl = extra
+		if labels != "" {
+			labels += ","
 		}
+		labels += extra
 	}
-	if lbl != "" {
-		if _, err := w.WriteString("{" + lbl + "}"); err != nil {
-			return err
-		}
+	if labels != "" {
+		w.WriteString("{" + labels + "}")
 	}
-	if _, err := w.WriteString(" " + formatValue(v) + "\n"); err != nil {
-		return err
-	}
-	return nil
+	w.WriteString(" " + formatValue(v) + "\n")
 }
 
 // formatValue renders v the way Prometheus expects: integral values
@@ -283,18 +77,3 @@ func formatValue(v float64) string {
 	}
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
-
-// Counter is a monotonically increasing counter. Add and Inc are single
-// atomic adds — safe on any hot path.
-type Counter struct {
-	v atomic.Int64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds n.
-func (c *Counter) Add(n int64) { c.v.Add(n) }
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"bufio"
 	"strconv"
 	"strings"
 	"sync"
@@ -10,28 +11,26 @@ import (
 	"alaska/internal/stats"
 )
 
-func render(t *testing.T, r *Registry) string {
+// render runs fn against a buffered writer and returns what it wrote.
+func render(t *testing.T, fn func(w *bufio.Writer)) string {
 	t.Helper()
 	var sb strings.Builder
-	n, err := r.WriteTo(&sb)
-	if err != nil {
-		t.Fatalf("WriteTo: %v", err)
-	}
-	if n != int64(sb.Len()) {
-		t.Fatalf("WriteTo reported %d bytes, wrote %d", n, sb.Len())
+	w := bufio.NewWriter(&sb)
+	fn(w)
+	if err := w.Flush(); err != nil {
+		t.Fatalf("Flush: %v", err)
 	}
 	return sb.String()
 }
 
 func TestCounterAndGaugeRendering(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("test_ops_total", "Ops.")
-	c.Add(41)
-	c.Inc()
-	r.GaugeFunc("test_items", "Items.", func() float64 { return 7 })
-	r.GaugeFunc("test_ratio", "Ratio.", func() float64 { return 1.25 })
-
-	out := render(t, r)
+	out := render(t, func(w *bufio.Writer) {
+		WriteHeader(w, "test_ops_total", KindCounter, "Ops.")
+		WriteSample(w, "test_ops_total", "", 42)
+		WriteHeader(w, "test_items", KindGauge, "Items.")
+		WriteSample(w, "test_items", "", 7)
+		WriteSample(w, "test_ratio", "", 1.25)
+	})
 	for _, want := range []string{
 		"# HELP test_ops_total Ops.\n# TYPE test_ops_total counter\ntest_ops_total 42\n",
 		"# TYPE test_items gauge\ntest_items 7\n",
@@ -43,44 +42,35 @@ func TestCounterAndGaugeRendering(t *testing.T) {
 	}
 }
 
-func TestLabeledChildrenSortAndRender(t *testing.T) {
-	r := NewRegistry()
-	f := r.Family("test_cmds_total", KindCounter, "Commands.")
-	f.Counter(`op="set"`).Add(2)
-	f.Counter(`op="get"`).Add(5)
-	// Re-registering a label set returns the same counter.
-	f.Counter(`op="get"`).Add(1)
-
-	out := render(t, r)
-	gi := strings.Index(out, `test_cmds_total{op="get"} 6`)
-	si := strings.Index(out, `test_cmds_total{op="set"} 2`)
-	if gi < 0 || si < 0 {
-		t.Fatalf("missing labeled samples:\n%s", out)
-	}
-	if gi > si {
-		t.Fatalf("children not sorted by labels:\n%s", out)
+func TestLabeledSampleRendering(t *testing.T) {
+	out := render(t, func(w *bufio.Writer) {
+		WriteSample(w, "test_cmds_total", `op="get"`, 6)
+		WriteSample(w, "test_big", "", 1<<53)
+	})
+	if want := "test_cmds_total{op=\"get\"} 6\ntest_big 9007199254740992\n"; out != want {
+		t.Fatalf("got %q, want %q", out, want)
 	}
 }
 
 func TestHistogramRendering(t *testing.T) {
-	r := NewRegistry()
 	rec := stats.NewLatencyRecorder()
 	rec.Record(3 * time.Microsecond)
 	rec.Record(5 * time.Millisecond)
 	rec.Record(time.Hour) // overflow bucket
-	r.Histogram("test_latency_seconds", "Latency.", rec)
-
-	out := render(t, r)
+	out := render(t, func(w *bufio.Writer) {
+		WriteHeader(w, "test_latency_seconds", KindHistogram, "Latency.")
+		WriteHistogram(w, "test_latency_seconds", `op="get"`, rec)
+	})
 	if !strings.Contains(out, "# TYPE test_latency_seconds histogram") {
 		t.Fatalf("missing TYPE line:\n%s", out)
 	}
-	if !strings.Contains(out, `test_latency_seconds_bucket{le="+Inf"} 3`) {
+	if !strings.Contains(out, `test_latency_seconds_bucket{op="get",le="+Inf"} 3`) {
 		t.Fatalf("+Inf bucket must be cumulative total:\n%s", out)
 	}
-	if !strings.Contains(out, "test_latency_seconds_count 3") {
+	if !strings.Contains(out, `test_latency_seconds_count{op="get"} 3`) {
 		t.Fatalf("missing _count:\n%s", out)
 	}
-	if !strings.Contains(out, "test_latency_seconds_sum ") {
+	if !strings.Contains(out, `test_latency_seconds_sum{op="get"} `) {
 		t.Fatalf("missing _sum:\n%s", out)
 	}
 
@@ -101,38 +91,10 @@ func TestHistogramRendering(t *testing.T) {
 	}
 }
 
-func TestOnScrapeRunsOncePerWriteTo(t *testing.T) {
-	r := NewRegistry()
-	calls := 0
-	r.OnScrape(func() { calls++ })
-	r.GaugeFunc("test_a", "A.", func() float64 { return 1 })
-	r.GaugeFunc("test_b", "B.", func() float64 { return 2 })
-	render(t, r)
-	render(t, r)
-	if calls != 2 {
-		t.Fatalf("OnScrape ran %d times over 2 scrapes, want 2", calls)
-	}
-}
-
-func TestKindMismatchPanics(t *testing.T) {
-	r := NewRegistry()
-	r.Family("test_x", KindCounter, "X.")
-	defer func() {
-		if recover() == nil {
-			t.Fatal("re-registering a family with a different kind must panic")
-		}
-	}()
-	r.Family("test_x", KindGauge, "X.")
-}
-
 // TestConcurrentRecordDuringScrape proves recording never serializes
-// against WriteTo (run under -race).
+// against rendering (run under -race).
 func TestConcurrentRecordDuringScrape(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("test_hot_total", "Hot.")
 	rec := stats.NewLatencyRecorder()
-	r.Histogram("test_hot_seconds", "Hot.", rec)
-
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for g := 0; g < 4; g++ {
@@ -145,13 +107,12 @@ func TestConcurrentRecordDuringScrape(t *testing.T) {
 					return
 				default:
 				}
-				c.Inc()
 				rec.Record(time.Microsecond)
 			}
 		}()
 	}
 	for i := 0; i < 50; i++ {
-		render(t, r)
+		render(t, func(w *bufio.Writer) { WriteHistogram(w, "test_hot_seconds", "", rec) })
 	}
 	close(stop)
 	wg.Wait()

@@ -15,7 +15,7 @@ import (
 // can firewall it independently and a scrape storm can never occupy
 // data-plane connection slots. Endpoints:
 //
-//	/metrics        Prometheus text exposition (see MetricsRegistry)
+//	/metrics        Prometheus text exposition (see WriteMetrics)
 //	/healthz        liveness probe ("ok" while the process serves)
 //	/readyz         readiness: booting|replaying|ok|degraded, 503 on
 //	                everything but ok, one detail line per subsystem
@@ -32,7 +32,7 @@ func NewAdminHandler(s *Server) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_, _ = s.MetricsRegistry().WriteTo(w)
+		_ = s.WriteMetrics(w) // a write error means the scraper went away; no one to tell
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")

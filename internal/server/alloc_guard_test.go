@@ -202,6 +202,15 @@ func TestAllocFreePipelinedMixedWithPersistence(t *testing.T) {
 	guard(t, persisting, nil, guardWALBatch, 5, 1)
 }
 
+// TestAllocFreeStats pins a plain `stats`: one reading, every row rendered
+// with strconv into the handler's scratch, on every backend and with the
+// pack log's rows too.
+func TestAllocFreeStats(t *testing.T) {
+	stats := []byte("stats\r\n")
+	guard(t, detached, guardSet, stats, 1, 0)
+	t.Run("persisting", func(t *testing.T) { guard(t, persisting, guardSet, stats, 1, 0) })
+}
+
 // TestAllocFreeSlowOpCapture pins the slow-op recording path itself: a
 // 1ns threshold makes every command a "slow op", so each iteration
 // claims a ring slot, locks the entry, and copies the key prefix

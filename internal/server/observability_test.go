@@ -31,25 +31,48 @@ func aggregateCount(srv *Server) int64 {
 
 func TestStatsResetConformance(t *testing.T) {
 	forEachBackend(t, Config{Addr: "127.0.0.1:0"}, func(t *testing.T, srv *Server) {
-		runTranscript(t, srv.Addr(), []step{
-			{"set k 0 0 3\r\nabc\r\n", "STORED\r\n"},
-			{"get k\r\n", "VALUE k 0 3\r\nabc\r\nEND\r\n"},
-			{"get missing\r\n", "END\r\n"},
-			{"stats reset\r\n", "RESET\r\n"},
-			// State survives the reset: the item is still there...
-			{"get k\r\n", "VALUE k 0 3\r\nabc\r\nEND\r\n"},
-		})
-		snap := srv.store.Snapshot()
+		c := dialRaw(t, srv.Addr())
+		defer c.Close()
+		send := func(req, want string) {
+			t.Helper()
+			if err := writeAll(c, req); err != nil {
+				t.Fatal(err)
+			}
+			expectRead(t, c, want)
+		}
+		stats := func() map[string]string {
+			rows := map[string]string{}
+			for _, row := range srv.StatsSnapshot() {
+				rows[row.Name] = row.Value
+			}
+			return rows
+		}
+		send("set k 0 0 3\r\nabc\r\n", "STORED\r\n")
+		send("get k\r\n", "VALUE k 0 3\r\nabc\r\nEND\r\n")
+		send("get missing\r\n", "END\r\n")
+		const hits, read = `alaskad_store_ops_total{op="get",outcome="hit"}`, "alaskad_bytes_read_total"
+		hitsBefore, readBefore := metricCount(t, srv, hits), metricCount(t, srv, read)
+		send("stats reset\r\n", "RESET\r\n")
+		// `stats` counts from the reset; /metrics counters never go back.
+		if st := stats(); st["get_hits"] != "0" || st["bytes_read"] != "0" {
+			t.Fatalf("after reset get_hits=%s bytes_read=%s, want 0/0", st["get_hits"], st["bytes_read"])
+		}
+		if h, r := metricCount(t, srv, hits), metricCount(t, srv, read); h < hitsBefore || r < readBefore {
+			t.Fatalf("stats reset moved /metrics backwards: get hits %d -> %d, bytes read %d -> %d", hitsBefore, h, readBefore, r)
+		}
+		// State survives the reset: the item is still there...
+		send("get k\r\n", "VALUE k 0 3\r\nabc\r\nEND\r\n")
+		st := stats()
 		// ...but only the post-reset get is counted.
-		if snap.Sets != 0 || snap.Gets != 1 || snap.Hits != 1 || snap.Misses != 0 {
-			t.Fatalf("post-reset counters: sets=%d gets=%d hits=%d misses=%d, want 0/1/1/0",
-				snap.Sets, snap.Gets, snap.Hits, snap.Misses)
+		if st["cmd_set"] != "0" || st["cmd_get"] != "1" || st["get_hits"] != "1" || st["get_misses"] != "0" {
+			t.Fatalf("post-reset counters: sets=%s gets=%s hits=%s misses=%s, want 0/1/1/0",
+				st["cmd_set"], st["cmd_get"], st["get_hits"], st["get_misses"])
 		}
-		if snap.Keys != 1 {
-			t.Fatalf("reset must not touch the live-key gauge: keys=%d, want 1", snap.Keys)
+		if st["curr_items"] != "1" {
+			t.Fatalf("reset must not touch the live-key gauge: curr_items=%s, want 1", st["curr_items"])
 		}
-		if n := srv.totalConns.Load(); n != 0 {
-			t.Fatalf("post-reset total_connections=%d, want 0", n)
+		if st["total_connections"] != "0" {
+			t.Fatalf("post-reset total_connections=%s, want 0", st["total_connections"])
 		}
 	})
 }
@@ -370,12 +393,12 @@ type nopWriter struct{}
 
 func (nopWriter) Write(p []byte) (int, error) { return len(p), nil }
 
-// metricCount scrapes the registry and returns the value of one
+// metricCount scrapes /metrics and returns the value of one
 // `<series> <n>` sample line.
 func metricCount(t *testing.T, srv *Server, series string) int64 {
 	t.Helper()
 	var sb strings.Builder
-	if _, err := srv.MetricsRegistry().WriteTo(&sb); err != nil {
+	if err := srv.WriteMetrics(&sb); err != nil {
 		t.Fatal(err)
 	}
 	for _, line := range strings.Split(sb.String(), "\n") {
@@ -444,7 +467,7 @@ func TestLatencyFoldConservesCounts(t *testing.T) {
 					// Every read surface, each folding first.
 					srv.StatsSnapshot()
 					srv.OpLatency("get")
-					_, _ = srv.MetricsRegistry().WriteTo(io.Discard)
+					_ = srv.WriteMetrics(io.Discard)
 					n := aggregateCount(srv)
 					if n < last {
 						t.Errorf("published aggregate went backwards: %d -> %d", last, n)

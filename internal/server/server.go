@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"net"
 	"net/http"
 	"os"
@@ -237,15 +236,13 @@ type Server struct {
 	// monotonic reading (a fake clock must be what every command sees).
 	ownClock bool
 
-	// Defragmentation telemetry, fed by the maintenance tick: the
-	// pause-free pass duration histogram and the sampled
-	// RSS/fragmentation gauges the metrics endpoint reports.
-	passLat     *stats.LatencyRecorder
-	sampledRSS  atomic.Uint64
-	sampledFrag atomic.Uint64 // math.Float64bits
+	// passLat times the pause-free defrag passes the maintenance tick runs.
+	passLat *stats.LatencyRecorder
 
-	registryOnce sync.Once
-	registry     *registryState
+	// rows is the stat table (statTable) that `stats`, /metrics and
+	// `stats reset` render from; metricRows is its /metrics order.
+	rows       []statRow
+	metricRows []*statRow
 
 	// admin is the -admin-addr HTTP server once AttachAdmin has run;
 	// Shutdown drains it (in-flight scrapes complete, then the port is
@@ -415,6 +412,8 @@ func New(store *kv.ShardedStore, cfg Config) *Server {
 	default:
 		s.cfg.Logger.Errorf("unknown ConnModel %q; using goroutine-per-connection", s.cfg.ConnModel)
 	}
+	s.rows = s.statTable()
+	s.metricRows = familyOrder(s.rows)
 	return s
 }
 
@@ -712,7 +711,6 @@ func (s *Server) tick(now time.Duration) {
 	// heap (and un-hostage their sub-heaps for truncation) even if never
 	// touched again.
 	s.store.Maintain(now)
-	s.sampleGauges()
 	s.reapIdle()
 	// Poller-side hardening rides the same tick: the sweep enforces
 	// IdleTimeout and WriteTimeout over the parked population with the
@@ -720,23 +718,6 @@ func (s *Server) tick(now time.Duration) {
 	if s.poller != nil {
 		s.poller.sweep()
 	}
-}
-
-// sampleGauges refreshes the sampled RSS/fragmentation gauges at the
-// maintenance tick. /metrics reports the sampled values instead of
-// walking the store per scrape, so a scrape storm cannot add store
-// traffic and the gauges line up in time with the defrag telemetry
-// captured on the same tick.
-func (s *Server) sampleGauges() {
-	snap := s.store.Snapshot()
-	s.sampledRSS.Store(uint64(snap.RSS))
-	frag := 0.0
-	if s.anch != nil {
-		frag = s.anch.Svc.Fragmentation()
-	} else if snap.Used > 0 {
-		frag = float64(snap.RSS) / float64(snap.Used)
-	}
-	s.sampledFrag.Store(math.Float64bits(frag))
 }
 
 // reapIdle closes connections that have not completed a command within
@@ -777,10 +758,11 @@ type connHandler struct {
 	// every subsequent command — the request path performs no per-op
 	// allocation once warm. None of them may be shared across handlers
 	// (pool_race_test.go proves they never alias).
-	fields [][]byte // tokenized command fields (slices into the input buffer)
-	val    []byte   // kv copy-out / RMW old-value scratch
-	val2   []byte   // encoded write-back value scratch (may not alias val)
-	hdr    []byte   // response header / numeric reply scratch
+	fields [][]byte  // tokenized command fields (slices into the input buffer)
+	val    []byte    // kv copy-out / RMW old-value scratch
+	val2   []byte    // encoded write-back value scratch (may not alias val)
+	hdr    []byte    // response header / numeric reply / `stats` body scratch
+	view   *statView // the `stats` reading, allocated by the first one
 
 	// Per-command observability capture, written by dispatch: the opcode
 	// for the per-op histograms and a fixed-array key prefix for the
@@ -1447,158 +1429,6 @@ func (h *connHandler) doVerbosity(args [][]byte) error {
 	return h.reply(respOK)
 }
 
-// statLine is one `STAT name value` row.
-type statLine struct {
-	name  string
-	value string
-}
-
-// StatsSnapshot assembles the server's full stats view: store counters,
-// memory metrics, connection counts, command latency percentiles, and —
-// on Anchorage — the defragmentation counters that show the heap being
-// compacted under traffic.
-func (s *Server) StatsSnapshot() []struct{ Name, Value string } {
-	lines := s.statLines()
-	out := make([]struct{ Name, Value string }, len(lines))
-	for i, l := range lines {
-		out[i] = struct{ Name, Value string }{l.name, l.value}
-	}
-	return out
-}
-
-func (s *Server) statLines() []statLine {
-	s.foldLatency()
-	snap := s.store.Snapshot()
-	uptime := time.Since(s.start)
-	parked, active, queued := s.pollerGauges()
-	lines := []statLine{
-		{"version", s.cfg.Version},
-		{"backend", s.store.Backend().Name()},
-		{"uptime_s", fmt.Sprintf("%.1f", uptime.Seconds())},
-		{"curr_connections", fmt.Sprintf("%d", s.currConns.Load())},
-		{"total_connections", fmt.Sprintf("%d", s.totalConns.Load())},
-		{"max_connections", fmt.Sprintf("%d", s.cfg.MaxConns)},
-		{"listen_disabled_num", fmt.Sprintf("%d", s.listenDisabled.Load())},
-		{"accept_errors", fmt.Sprintf("%d", s.acceptErrors.Load())},
-		{"idle_kicks", fmt.Sprintf("%d", s.idleKicks.Load())},
-		{"slow_client_kicks", fmt.Sprintf("%d", s.slowKicks.Load())},
-		{"conn_model", s.ConnModel()},
-		{"conns_parked", fmt.Sprintf("%d", parked)},
-		{"conns_active", fmt.Sprintf("%d", active)},
-		{"worker_queue_depth", fmt.Sprintf("%d", queued)},
-		{"cmd_flush", fmt.Sprintf("%d", s.cmdFlush.Load())},
-		{"cmd_get", fmt.Sprintf("%d", snap.Gets)},
-		{"cmd_set", fmt.Sprintf("%d", snap.Sets)},
-		{"get_hits", fmt.Sprintf("%d", snap.Hits)},
-		{"get_misses", fmt.Sprintf("%d", snap.Misses)},
-		{"delete_hits", fmt.Sprintf("%d", snap.DeleteHits)},
-		{"delete_misses", fmt.Sprintf("%d", snap.DeleteMisses)},
-		{"cas_hits", fmt.Sprintf("%d", snap.CasHits)},
-		{"cas_badval", fmt.Sprintf("%d", snap.CasBadval)},
-		{"cas_misses", fmt.Sprintf("%d", snap.CasMisses)},
-		{"incr_hits", fmt.Sprintf("%d", snap.IncrHits)},
-		{"incr_misses", fmt.Sprintf("%d", snap.IncrMisses)},
-		{"decr_hits", fmt.Sprintf("%d", snap.DecrHits)},
-		{"decr_misses", fmt.Sprintf("%d", snap.DecrMisses)},
-		{"touch_hits", fmt.Sprintf("%d", snap.TouchHits)},
-		{"touch_misses", fmt.Sprintf("%d", snap.TouchMisses)},
-		{"expired", fmt.Sprintf("%d", snap.Expired)},
-		{"expiry_sweeps", fmt.Sprintf("%d", snap.ExpirySweeps)},
-		{"evictions", fmt.Sprintf("%d", snap.Evictions)},
-		{"reclaimed", fmt.Sprintf("%d", snap.Reclaimed)},
-		{"evicted_unfetched", fmt.Sprintf("%d", snap.EvictedUnfetched)},
-		{"curr_items", fmt.Sprintf("%d", snap.Keys)},
-		// bytes is memcached's charged item total (value + key + per-item
-		// overhead) — what limit_maxbytes caps; used_bytes is the
-		// allocator-level live-byte count underneath it.
-		{"bytes", fmt.Sprintf("%d", snap.Bytes)},
-		{"limit_maxbytes", fmt.Sprintf("%d", snap.LimitMaxbytes)},
-		{"used_bytes", fmt.Sprintf("%d", snap.Used)},
-		{"rss_bytes", fmt.Sprintf("%d", snap.RSS)},
-		{"protocol_errors", fmt.Sprintf("%d", s.protocolErrors.Load())},
-		{"bytes_read", fmt.Sprintf("%d", s.bytesRead.Load())},
-		{"bytes_written", fmt.Sprintf("%d", s.bytesWritten.Load())},
-		{"slow_ops", fmt.Sprintf("%d", s.slowOpTotal())},
-		{"latency_mean_us", fmt.Sprintf("%.1f", float64(s.lat.Mean().Nanoseconds())/1e3)},
-		{"latency_p50_us", fmt.Sprintf("%.1f", float64(s.lat.Percentile(50).Nanoseconds())/1e3)},
-		{"latency_p99_us", fmt.Sprintf("%.1f", float64(s.lat.Percentile(99).Nanoseconds())/1e3)},
-		{"latency_p999_us", fmt.Sprintf("%.1f", float64(s.lat.Percentile(99.9).Nanoseconds())/1e3)},
-	}
-	if snap.Used > 0 {
-		lines = append(lines, statLine{"fragmentation", fmt.Sprintf("%.3f", float64(snap.RSS)/float64(snap.Used))})
-	}
-	if s.anch != nil {
-		m := s.anch.Svc.MetricsSnapshot()
-		lines = append(lines,
-			statLine{"defrag_concurrent_passes", fmt.Sprintf("%d", m.ConcurrentPasses)},
-			statLine{"defrag_barrier_passes", fmt.Sprintf("%d", m.Passes)},
-			statLine{"defrag_moved_bytes", fmt.Sprintf("%d", m.MovedBytes)},
-			statLine{"defrag_move_aborts", fmt.Sprintf("%d", m.MoveAborts)},
-			statLine{"defrag_truncated_bytes", fmt.Sprintf("%d", m.Truncated)},
-			statLine{"defrag_deferred_blocks", fmt.Sprintf("%d", m.DeferredBlocks)},
-			statLine{"defrag_pass_p99_us", fmt.Sprintf("%.1f", float64(s.passLat.Percentile(99).Nanoseconds())/1e3)},
-			statLine{"heap_fragmentation", fmt.Sprintf("%.3f", s.anch.Svc.Fragmentation())},
-		)
-	}
-	if w := s.cfg.WAL; w != nil {
-		ws := w.Stats()
-		lines = append(lines,
-			statLine{"wal_appended_records", fmt.Sprintf("%d", ws.AppendedRecords)},
-			statLine{"wal_appended_bytes", fmt.Sprintf("%d", ws.AppendedBytes)},
-			statLine{"wal_dropped_records", fmt.Sprintf("%d", ws.DroppedRecords)},
-			statLine{"wal_state", ws.State},
-			statLine{"wal_dropped_degraded", fmt.Sprintf("%d", ws.DroppedDegraded)},
-			statLine{"wal_degraded_entries", fmt.Sprintf("%d", ws.DegradedEntries)},
-			statLine{"wal_recoveries", fmt.Sprintf("%d", ws.Recoveries)},
-			statLine{"wal_fsyncs", fmt.Sprintf("%d", ws.Fsyncs)},
-			statLine{"wal_fsync_p99_us", fmt.Sprintf("%.1f", float64(w.FsyncLatency().Percentile(99).Nanoseconds())/1e3)},
-			statLine{"wal_io_errors", fmt.Sprintf("%d", ws.IOErrors)},
-			statLine{"wal_disk_bytes", fmt.Sprintf("%d", ws.DiskBytes)},
-			statLine{"wal_segments", fmt.Sprintf("%d", ws.Segments)},
-			statLine{"wal_rotations", fmt.Sprintf("%d", ws.Rotations)},
-			statLine{"wal_compactions", fmt.Sprintf("%d", ws.Compactions)},
-			statLine{"wal_snapshot_records", fmt.Sprintf("%d", ws.SnapshotRecords)},
-			statLine{"wal_replay_records", fmt.Sprintf("%d", ws.Replay.Records)},
-			statLine{"wal_replay_bytes", fmt.Sprintf("%d", ws.Replay.Bytes)},
-			statLine{"wal_replay_skipped_dead", fmt.Sprintf("%d", ws.Replay.SkippedDead)},
-			statLine{"wal_replay_torn_records", fmt.Sprintf("%d", ws.Replay.TornRecords)},
-			statLine{"wal_replay_crc_errors", fmt.Sprintf("%d", ws.Replay.CrcErrors)},
-			statLine{"wal_audit_runs", fmt.Sprintf("%d", ws.AuditRuns)},
-			statLine{"wal_audit_records", fmt.Sprintf("%d", ws.AuditRecords)},
-			statLine{"wal_audit_errors", fmt.Sprintf("%d", ws.AuditErrors)},
-		)
-	}
-	return lines
-}
-
-// ResetStats implements `stats reset`: the statistics counters — op
-// counts, hit/miss tallies, byte totals, latency histograms — go back
-// to zero, while state gauges (live connections, items, memory, the
-// ceiling) and protocol invariants (the cas unique counter, connection
-// ids) are untouched, memcached's split exactly.
-func (s *Server) ResetStats() {
-	s.store.ResetStats()
-	s.totalConns.Store(0)
-	s.protocolErrors.Store(0)
-	s.listenDisabled.Store(0)
-	s.acceptErrors.Store(0)
-	s.idleKicks.Store(0)
-	s.slowKicks.Store(0)
-	s.cmdFlush.Store(0)
-	s.bytesRead.Store(0)
-	s.bytesWritten.Store(0)
-	// Fold first, or observations still in a stripe from before the reset
-	// would reappear after it.
-	s.foldMu.Lock()
-	s.foldLatencyLocked()
-	s.lat.Reset()
-	for _, r := range s.perOp {
-		r.Reset()
-	}
-	s.foldMu.Unlock()
-	s.passLat.Reset()
-}
-
 // SlowOps returns the slow-op ring's current contents, newest first.
 // Reporting surfaces only.
 func (s *Server) SlowOps() []SlowOp { return s.slowOps.snapshot() }
@@ -1639,10 +1469,13 @@ func (h *connHandler) doStats(args [][]byte) error {
 		// Unknown stats sub-command: memcached answers ERROR.
 		return h.replyError(respError)
 	}
-	for _, l := range h.srv.statLines() {
-		if err := h.reply("STAT " + l.name + " " + l.value); err != nil {
-			return err
-		}
+	if h.view == nil {
+		h.view = new(statView)
+	}
+	h.srv.readStats(h.view)
+	h.hdr = h.srv.appendStats(h.hdr[:0], h.view)
+	if err := h.ev.writeFull(h.hdr); err != nil {
+		return err
 	}
 	return h.reply(respEnd)
 }

@@ -100,3 +100,51 @@ func TestSurfaceGoldens(t *testing.T) {
 		}
 	}
 }
+
+// TestStatTableRowsRender holds the stat table to its contract: a row is
+// on both surfaces or says why not, no name is declared twice, and each
+// row renders on every surface it names, on both golden servers.
+// Mutation: clear one row's metric name without giving it a why, and
+// this fails.
+func TestStatTableRowsRender(t *testing.T) {
+	for name, srv := range surfaceServers(t) {
+		stats := map[string]bool{}
+		for _, row := range srv.StatsSnapshot() {
+			stats[row.Name] = true
+		}
+		rec := httptest.NewRecorder()
+		NewAdminHandler(srv).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+		scrape := "\n" + rec.Body.String()
+		seen := map[string]bool{}
+		for i := range srv.rows {
+			r := &srv.rows[i]
+			if (r.stat == "" || r.metric == "") != (r.why != "") {
+				t.Errorf("%s: row %q/%q is on one surface without a why, or on both with one (%q)", name, r.stat, r.metric, r.why)
+			}
+			if r.stat != "" {
+				if seen[r.stat] || !stats[r.stat] {
+					t.Errorf("%s: `stats` row %s declared twice or not rendered", name, r.stat)
+				}
+				seen[r.stat] = true
+			}
+			if r.metric == "" {
+				continue
+			}
+			if child := r.metric + "{" + r.labels + "}"; seen[child] {
+				t.Errorf("%s: /metrics child %s declared twice", name, child)
+			} else {
+				seen[child] = true
+			}
+			series := r.metric
+			if r.h != nil {
+				series += "_count"
+			}
+			if r.labels != "" {
+				series += "{" + r.labels + "}"
+			}
+			if r.help == "" || r.kind == "" || !strings.Contains(scrape, "\n"+series+" ") {
+				t.Errorf("%s: /metrics has no %s sample (kind %q, help %q)", name, series, r.kind, r.help)
+			}
+		}
+	}
+}
