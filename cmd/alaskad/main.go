@@ -1,26 +1,13 @@
-// Command alaskad is a network-facing memcached-protocol server on the
-// Alaska heap: the paper's "production-scale system serving heavy
-// traffic" claim made concrete. It speaks the full memcached ASCII
-// storage surface (get/gets/gat/gats, set/add/replace/cas/append/
-// prepend, incr/decr, delete/touch, stats/version/quit) with enforced
-// TTLs over TCP, serves every value out of a pluggable heap backend,
-// and — on the Anchorage backend — defragments the heap under live
-// traffic: the §4.3 controller decides when and how much, and every pass
-// it runs is the §7 pause-free concurrent one. -defrag-frag-high is the
-// controller's F_ub and -defrag-budget its per-pass cap.
-//
-// Usage:
-//
-//	alaskad -addr :11211 -backend anchorage
-//	alaskad -backend malloc -shards 32 -max-memory 256MiB
-//
-// Drive it with alaska-loadgen, or telnet and type memcached commands.
+// Command alaskad serves the memcached ASCII protocol out of a pluggable
+// heap backend; on Anchorage, the Alaska heap, the §4.3 controller's §7
+// pause-free passes defragment it under live traffic. server.Boot
+// assembles the server; main binds its flags, boots it and serves.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"net"
+	"math"
 	"os"
 	"os/signal"
 	"strconv"
@@ -28,240 +15,125 @@ import (
 	"syscall"
 	"time"
 
-	"alaska/internal/anchorage"
 	"alaska/internal/fault"
-	"alaska/internal/health"
-	"alaska/internal/kv"
 	"alaska/internal/logx"
 	"alaska/internal/rlimit"
-	"alaska/internal/rt"
 	"alaska/internal/server"
-	"alaska/internal/wal"
 )
 
-const version = "0.3.0-alaska"
-
-// parseBytes accepts "1048576", "1MiB", "256KiB", "2GiB".
-func parseBytes(s string) (uint64, error) {
-	s = strings.TrimSpace(s)
-	mult := uint64(1)
-	for suffix, m := range map[string]uint64{"KiB": 1 << 10, "MiB": 1 << 20, "GiB": 1 << 30} {
-		if strings.HasSuffix(s, suffix) {
-			mult = m
-			s = strings.TrimSuffix(s, suffix)
-			break
+// parseBytes accepts "1048576", "1MiB", "256KiB", "2GiB", up to 2^64-1.
+func parseBytes(in string) (uint64, error) {
+	s, mult := strings.TrimSpace(in), uint64(1)
+	for i, suffix := range []string{"KiB", "MiB", "GiB"} {
+		if t, ok := strings.CutSuffix(s, suffix); ok {
+			s, mult = t, 1<<(10*(i+1))
 		}
 	}
 	v, err := strconv.ParseUint(strings.TrimSpace(s), 10, 64)
+	if err == nil && v > math.MaxUint64/mult {
+		err = fmt.Errorf("%q overflows 64 bits", in)
+	}
 	if err != nil {
 		return 0, err
 	}
 	return v * mult, nil
 }
 
-func main() {
-	addr := flag.String("addr", ":11211", "TCP listen address")
-	adminAddr := flag.String("admin-addr", "", "admin HTTP listen address serving /metrics, /healthz, /readyz, /debug/pprof, /debug/vars, /debug/slowops; empty = disabled")
-	backendName := flag.String("backend", "anchorage", "heap backend: malloc|mesh|anchorage")
-	shards := flag.Int("shards", 32, "store shard count")
-	maxMemory := flag.String("max-memory", "0", "total value-memory cap with LRU eviction (bytes, KiB/MiB/GiB suffixes; 0 = unlimited)")
-	maxValue := flag.String("max-value-size", "1MiB", "largest accepted value")
-	maxConns := flag.Int("max-conns", 0, "max concurrent connections (memcached -c): at the cap the accept loop pauses until a disconnect; 0 = unlimited")
-	idleTimeout := flag.Duration("idle-timeout", 0, "reap connections with no completed command for this long; 0 = never")
-	writeTimeout := flag.Duration("write-timeout", 5*time.Second, "deadline per socket write; a client that stops reading its responses is disconnected; 0 = none")
-	replyBacklog := flag.String("max-reply-backlog", "64MiB", "reply bytes buffered for a non-reading client before disconnect")
-	padDecr := flag.Bool("space-padded-decr", false, "memcached-classic decr compatibility: right-pad shrinking decr results with spaces to the old value length")
-	maintain := flag.Duration("maintain-interval", 50*time.Millisecond, "background maintenance tick")
-	fragHigh := flag.Float64("defrag-frag-high", 1.3, "F_ub of the defrag controller: past this fragmentation (extent/live) it runs pause-free passes until under F_lb (anchorage)")
-	budget := flag.String("defrag-budget", "1MiB", "most bytes one pause-free defrag pass moves")
-	seed := flag.Int64("seed", 1, "seed for the mesh backend's probe randomness")
-	persist := flag.Bool("persist", false, "enable the append-only pack log: every mutation is batch-appended to -data-dir and replayed at boot for a warm restart")
-	dataDir := flag.String("data-dir", "", "pack-log directory (required with -persist)")
-	fsyncInterval := flag.Duration("fsync-interval", 100*time.Millisecond, "pack-log fsync interval (writes do not wait for it): a hard kill loses at most this much acknowledged traffic")
-	faultScript := flag.String("fault-script", "", "DEV ONLY: inject scripted pack-log I/O faults, e.g. \"sync:after=40:times=6:err=eio\" (requires -persist; see internal/fault)")
-	slowOp := flag.Duration("slow-op-threshold", 10*time.Millisecond, "record commands slower than this in the slow-op ring (stats slow, /debug/slowops); negative = disabled")
-	connModel := flag.String("conn-model", "auto", "connection architecture: auto|event|goroutine (auto = epoll readiness poller on Linux, goroutine-per-connection elsewhere)")
-	workers := flag.Int("conn-workers", 0, "event-model worker pool size; 0 = 2 x GOMAXPROCS")
-	verbose := flag.Int("verbose", 0, "log verbosity: 0 errors, 1 lifecycle, 2+ per-connection churn (the wire `verbosity` command changes it at runtime)")
-	flag.Parse()
+// bytesVar binds a byte-count flag (parseBytes syntax) to *p, whose value
+// is its default, and rejects a count *p cannot hold.
+func bytesVar[T int | uint64](fs *flag.FlagSet, p *T, name, usage string) {
+	fs.Func(name, fmt.Sprintf("%s (default %d)", usage, *p), func(s string) error {
+		v, err := parseBytes(s)
+		if err == nil && (T(v) < 0 || uint64(T(v)) != v) {
+			return fmt.Errorf("%d does not fit in %T", v, T(v))
+		} else if err == nil {
+			*p = T(v)
+		}
+		return err
+	})
+}
 
-	logLevel := logx.LevelError
-	switch {
-	case *verbose == 1:
-		logLevel = logx.LevelInfo
-	case *verbose >= 2:
-		logLevel = logx.LevelDebug
-	}
-	logger := logx.New(os.Stderr, "alaskad: ", logLevel)
+// parseFlags binds each flag to a field of server.Defaults(), whose value
+// is the flag's default; persist, faultScript and verbose are main's own.
+func parseFlags(fs *flag.FlagSet, args []string) (c server.BootConfig, persist bool, faultScript string, verbose int) {
+	c = server.Defaults()
+	fs.StringVar(&c.Addr, "addr", c.Addr, "TCP listen address")
+	fs.StringVar(&c.AdminAddr, "admin-addr", c.AdminAddr, "admin HTTP listen address serving /metrics, /healthz, /readyz, /debug/pprof, /debug/vars, /debug/slowops; empty = disabled")
+	fs.StringVar(&c.Backend, "backend", c.Backend, "heap backend: malloc|mesh|anchorage")
+	fs.IntVar(&c.Shards, "shards", c.Shards, "store shard count")
+	bytesVar(fs, &c.MaxMemory, "max-memory", "total value-memory cap with LRU eviction (bytes, KiB/MiB/GiB suffixes; 0 = unlimited)")
+	bytesVar(fs, &c.MaxValueSize, "max-value-size", "largest accepted value")
+	fs.IntVar(&c.MaxConns, "max-conns", c.MaxConns, "max concurrent connections (memcached -c): at the cap the accept loop pauses until a disconnect; 0 = unlimited")
+	fs.DurationVar(&c.IdleTimeout, "idle-timeout", c.IdleTimeout, "reap connections with no completed command for this long; 0 = never")
+	fs.DurationVar(&c.WriteTimeout, "write-timeout", c.WriteTimeout, "deadline per socket write; a client that stops reading its responses is disconnected; 0 = none")
+	bytesVar(fs, &c.MaxReplyBacklog, "max-reply-backlog", "reply bytes buffered for a non-reading client before disconnect")
+	fs.BoolVar(&c.SpacePaddedDecr, "space-padded-decr", c.SpacePaddedDecr, "memcached-classic decr compatibility: right-pad shrinking decr results with spaces to the old value length")
+	fs.DurationVar(&c.MaintainInterval, "maintain-interval", c.MaintainInterval, "background maintenance tick")
+	fs.Int64Var(&c.Seed, "seed", c.Seed, "seed for the mesh backend's probe randomness")
+	fs.BoolVar(&persist, "persist", false, "enable the append-only pack log: every mutation is batch-appended to -data-dir and replayed at boot for a warm restart")
+	fs.StringVar(&c.PackLog.Dir, "data-dir", c.PackLog.Dir, "pack-log directory (required with -persist)")
+	fs.DurationVar(&c.PackLog.FsyncInterval, "fsync-interval", c.PackLog.FsyncInterval, "pack-log fsync interval (writes do not wait for it): a hard kill loses at most this much acknowledged traffic")
+	fs.StringVar(&faultScript, "fault-script", "", "DEV ONLY: inject scripted pack-log I/O faults, e.g. \"sync:after=40:times=6:err=eio\" (requires -persist; see internal/fault)")
+	fs.DurationVar(&c.SlowOpThreshold, "slow-op-threshold", c.SlowOpThreshold, "record commands slower than this in the slow-op ring (stats slow, /debug/slowops); negative = disabled")
+	fs.StringVar(&c.ConnModel, "conn-model", c.ConnModel, "connection architecture: auto|event|goroutine (auto = epoll readiness poller on Linux, goroutine-per-connection elsewhere)")
+	fs.IntVar(&c.Workers, "conn-workers", c.Workers, "event-model worker pool size; 0 = 2 x GOMAXPROCS")
+	fs.IntVar(&verbose, "verbose", 0, "log verbosity: 0 errors, 1 lifecycle, 2+ per-connection churn (the wire `verbosity` command changes it at runtime)")
+	_ = fs.Parse(args) // ExitOnError exits; ContinueOnError leaves a bad flag's field as it was
+	return c, persist, faultScript, verbose
+}
+
+func main() {
+	c, persist, faultScript, verbose := parseFlags(flag.CommandLine, os.Args[1:])
+	c.Logger = logx.New(os.Stderr, "alaskad: ", logx.Level(min(max(verbose, 0), int(logx.LevelDebug))))
 	fatalf := func(format string, args ...any) {
-		logger.Errorf(format, args...)
+		c.Logger.Errorf(format, args...)
 		os.Exit(1)
 	}
-
-	maxMem, err := parseBytes(*maxMemory)
-	if err != nil {
-		fatalf("bad -max-memory: %v", err)
-	}
-	maxVal, err := parseBytes(*maxValue)
-	if err != nil {
-		fatalf("bad -max-value-size: %v", err)
-	}
-	defragBudget, err := parseBytes(*budget)
-	if err != nil {
-		fatalf("bad -defrag-budget: %v", err)
-	}
-	maxBacklog, err := parseBytes(*replyBacklog)
-	if err != nil {
-		fatalf("bad -max-reply-backlog: %v", err)
-	}
-	if *shards < 1 {
-		fatalf("-shards must be >= 1")
-	}
-	if maxMem > 0 && maxMem < maxVal {
-		fatalf("-max-memory (%s) must be at least -max-value-size (%s): a cache that cannot hold its largest value rejects every store of that size", *maxMemory, *maxValue)
-	}
-	if *faultScript != "" && !*persist {
+	switch {
+	case !persist && faultScript != "":
 		fatalf("-fault-script injects pack-log I/O faults and requires -persist")
-	}
-
-	var backend kv.Backend
-	switch *backendName {
-	case "malloc":
-		backend = kv.NewMallocBackend()
-	case "mesh":
-		backend = kv.NewMeshBackend(*seed)
-	case "anchorage":
-		// CountedPins makes every connection's pins visible to the
-		// pause-free mover — the §7 requirement for running
-		// ConcurrentDefragPass concurrently with writing clients.
-		ab, err := kv.NewAnchorageBackend(anchorage.DefaultConfig(), rt.WithPinMode(rt.CountedPins))
+	case persist != (c.PackLog.Dir != ""):
+		fatalf("-persist and -data-dir must be used together")
+	case !persist:
+		c.PackLog = nil
+	case faultScript != "":
+		rules, err := fault.ParseScript(faultScript)
 		if err != nil {
-			fatalf("anchorage backend: %v", err)
+			fatalf("bad -fault-script: %v", err)
 		}
-		backend = ab
-	default:
-		fatalf("unknown -backend %q (want malloc|mesh|anchorage)", *backendName)
+		c.PackLog.FS = fault.NewScriptFS(nil, rules...)
+		fmt.Fprintf(os.Stderr, "alaskad: WARNING: -fault-script is armed (%s) — pack-log I/O WILL fail on schedule; chaos/dev use only\n", faultScript)
 	}
-
-	// The ceiling is store-wide, memcached -m style: the shards share one
-	// budget, so hot shards can use room cold shards don't need (the old
-	// per-shard maxMem/shards split also truncated to 0 when the cap was
-	// smaller than the shard count).
-	store := kv.NewShardedStore(backend, *shards, maxMem)
-
-	// Readiness: the registry tracks boot (booting → replaying → ok) and
-	// then follows the subsystem checks the server registers (WAL state,
-	// accept-gate saturation). Served as /readyz on the admin plane.
-	healthReg := health.New()
-
-	// Persistence: open the pack log, replay it into the store (warm
-	// restart), then start the writer and attach the mutation hooks —
-	// strictly in that order, so replay itself is never re-logged.
-	var wlog *wal.Log
-	if *persist || *dataDir != "" {
-		if !*persist || *dataDir == "" {
-			fatalf("-persist and -data-dir must be used together")
-		}
-		wopt := wal.Options{
-			Dir:           *dataDir,
-			FsyncInterval: *fsyncInterval,
-			Logger:        logger,
-		}
-		if *faultScript != "" {
-			rules, err := fault.ParseScript(*faultScript)
-			if err != nil {
-				fatalf("bad -fault-script: %v", err)
-			}
-			wopt.FS = fault.NewScriptFS(nil, rules...)
-			fmt.Fprintf(os.Stderr, "alaskad: WARNING: -fault-script is armed (%s) — pack-log I/O WILL fail on schedule; chaos/dev use only\n", *faultScript)
-		}
-		var err error
-		wlog, err = wal.Open(wopt)
-		if err != nil {
-			fatalf("wal open: %v", err)
-		}
-		healthReg.StartReplay()
-		rsess := store.NewSession()
-		replayStart := time.Now()
-		rs, err := wlog.Replay(store, rsess)
-		_ = rsess.Close()
-		if err != nil {
-			fatalf("wal replay: %v", err)
-		}
-		if err := wlog.Start(store); err != nil {
-			fatalf("wal start: %v", err)
-		}
-		store.SetMutationLog(wlog)
-		fmt.Fprintf(os.Stderr, "alaskad: warm restart: replayed %d records (%d sets, %d deletes, %d live items) from %s in %v; torn=%d crc_errors=%d\n",
-			rs.Records, rs.Sets, rs.Deletes, store.Len(), *dataDir, time.Since(replayStart).Round(time.Millisecond), rs.TornRecords, rs.CrcErrors)
-	}
-
-	srv := server.New(store, server.Config{
-		Addr:             *addr,
-		MaxValueSize:     int(maxVal),
-		MaintainInterval: *maintain,
-		DefragFragHigh:   *fragHigh,
-		DefragBudget:     defragBudget,
-		Version:          version + "-" + *backendName,
-		MaxConns:         *maxConns,
-		IdleTimeout:      *idleTimeout,
-		WriteTimeout:     *writeTimeout,
-		MaxReplyBacklog:  int(maxBacklog),
-		SpacePaddedDecr:  *padDecr,
-		ConnModel:        *connModel,
-		Workers:          *workers,
-		SlowOpThreshold:  *slowOp,
-		Logger:           logger,
-		WAL:              wlog,
-		Health:           healthReg,
-	})
-	// A server built to park 100k sockets should not die at a 1024-fd
-	// default soft limit: lift NOFILE to the hard ceiling up front.
+	// Parking 100k sockets needs more than a 1024-fd soft limit.
 	if nofile, err := rlimit.RaiseNOFILE(); err != nil {
-		logger.Errorf("could not raise RLIMIT_NOFILE (still %d fds): %v", nofile, err)
+		c.Logger.Errorf("could not raise RLIMIT_NOFILE (still %d fds): %v", nofile, err)
 	} else if nofile > 0 {
-		logger.Infof("RLIMIT_NOFILE soft limit now %d", nofile)
+		c.Logger.Infof("RLIMIT_NOFILE soft limit now %d", nofile)
 	}
-	if err := srv.Listen(); err != nil {
-		fatalf("listen: %v", err)
+	srv, rs, err := server.Boot(c)
+	if err != nil {
+		fatalf("%v", err)
 	}
-	// The startup line goes to stderr unconditionally (not through the
-	// leveled logger): scripted runs resolve ":0" addresses from it, and
-	// it is the one-line proof the process came up.
-	fmt.Fprintf(os.Stderr, "alaskad: serving memcached protocol on %s (backend=%s shards=%d max-memory=%s conn-model=%s)\n",
-		srv.Addr(), backend.Name(), *shards, *maxMemory, srv.ConnModel())
-
-	// The admin plane listens on its own socket so operators can firewall
-	// it independently and scrape storms never occupy data-plane
-	// connection slots.
-	if *adminAddr != "" {
-		aln, err := net.Listen("tcp", *adminAddr)
-		if err != nil {
-			fatalf("admin listen: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "alaskad: admin endpoint on http://%s (/metrics /healthz /readyz /debug/pprof /debug/vars /debug/slowops)\n", aln.Addr())
-		// Owned by the server: Shutdown drains in-flight scrapes and
-		// releases the port instead of leaking the listener.
-		srv.AttachAdmin(aln)
+	// Unconditional stderr, not the leveled logger: scripts parse these.
+	if c.PackLog != nil {
+		fmt.Fprintf(os.Stderr, "alaskad: warm restart: replayed %d records (%d sets, %d deletes, %d live items) from %s in %v; torn=%d crc_errors=%d\n",
+			rs.Records, rs.Sets, rs.Deletes, rs.Items, c.PackLog.Dir, rs.Elapsed.Round(time.Millisecond), rs.TornRecords, rs.CrcErrors)
 	}
-
-	// Boot is complete: listeners are up and replay (if any) finished.
-	// /readyz now follows the live subsystem checks.
-	healthReg.Ready()
-
+	fmt.Fprintf(os.Stderr, "alaskad: serving memcached protocol on %s (backend=%s shards=%d max-memory=%d conn-model=%s)\n",
+		srv.Addr(), c.Backend, c.Shards, c.MaxMemory, srv.ConnModel())
+	if addr := srv.AdminAddr(); addr != "" {
+		fmt.Fprintf(os.Stderr, "alaskad: admin endpoint on http://%s (/metrics /healthz /readyz /debug/pprof /debug/vars /debug/slowops)\n", addr)
+	}
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	go func() {
-		s := <-sig
-		logger.Infof("received %v, draining connections", s)
+		c.Logger.Infof("received %v, draining connections", <-sig)
 		_ = srv.Shutdown(5 * time.Second)
 	}()
-
 	if err := srv.Serve(); err != nil {
 		fatalf("serve: %v", err)
 	}
-	// Print a final stats block so a scripted run (CI smoke test) can
-	// check the server's own view of the session.
+	// A final stats block, for scripted runs (CI smokes) to check.
 	for _, l := range srv.StatsSnapshot() {
 		fmt.Printf("STAT %s %s\n", l.Name, l.Value)
 	}

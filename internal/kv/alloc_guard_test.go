@@ -3,7 +3,7 @@
 package kv
 
 // Allocation guards for the store proper, on every network-facing
-// backend — malloc, mesh, and anchorage built as cmd/alaskad builds it
+// backend — malloc, mesh, and anchorage built as server.Boot builds it
 // (CountedPins). A GET hit allocates nothing: it translates the handle
 // without a pin, the copy-out lands in the caller's scratch. An overwrite
 // that keeps the value's length allocates nothing either — it keeps its

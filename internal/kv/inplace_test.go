@@ -3,7 +3,7 @@ package kv
 // Tests for the in-place overwrite: a store whose value has the length of
 // the one it replaces keeps its entry, handle and block (insertLocked).
 // Three things are held here, each on malloc, mesh and anchorage as
-// cmd/alaskad builds it: a failed in-place write changes nothing; the
+// server.Boot builds it: a failed in-place write changes nothing; the
 // accounting (charged bytes, allocator bytes, live handles) never drifts
 // over a long random mix of stores that do and do not take the path, judged
 // against a plain map; and the log such a mix writes replays to the same
@@ -23,7 +23,7 @@ import (
 )
 
 // forEachBackend runs fn once per network-facing backend, handing it a
-// constructor. The anchorage one is built as cmd/alaskad builds it, plus
+// constructor. The anchorage one is built as server.Boot builds it, plus
 // whatever runtime options the caller adds; the others take none.
 func forEachBackend(t *testing.T, fn func(t *testing.T, mk func(...rt.Option) Backend)) {
 	t.Run("malloc", func(t *testing.T) { fn(t, func(...rt.Option) Backend { return NewMallocBackend() }) })

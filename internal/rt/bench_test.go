@@ -2,7 +2,7 @@ package rt_test
 
 // The allocation half of the handle tax: what one hfree + halloc of a
 // 512 B object costs against a populated heap, on the Anchorage service
-// (built as cmd/alaskad builds it, CountedPins) and on the non-moving
+// (built as server.Boot builds it, CountedPins) and on the non-moving
 // baseline, serially and with every P churning at once.
 //
 //	go test -run xxx -bench HallocHfree -benchtime 2s -cpu 1,2 ./internal/rt

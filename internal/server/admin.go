@@ -88,11 +88,19 @@ func NewAdminHandler(s *Server) http.Handler {
 // bare http.Serve leaked the listener (and whatever scrape it was
 // serving) on SIGTERM. Call before Serve.
 func (s *Server) AttachAdmin(ln net.Listener) {
-	srv := &http.Server{Handler: NewAdminHandler(s)}
+	srv := &http.Server{Addr: ln.Addr().String(), Handler: NewAdminHandler(s)}
 	s.admin = srv
 	go func() {
 		if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			s.cfg.Logger.Errorf("admin serve: %v", err)
 		}
 	}()
+}
+
+// AdminAddr returns the admin plane's bound address ("" before AttachAdmin).
+func (s *Server) AdminAddr() string {
+	if s.admin == nil {
+		return ""
+	}
+	return s.admin.Addr
 }

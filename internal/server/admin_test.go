@@ -15,28 +15,12 @@ import (
 	"testing"
 	"time"
 
-	"alaska/internal/kv"
 	"alaska/internal/wal"
 )
 
-func newAdminTestServer(t *testing.T) (*Server, string) {
-	t.Helper()
-	store := kv.NewShardedStore(kv.NewMallocBackend(), 4, 0)
-	srv := New(store, Config{Addr: "127.0.0.1:0", Version: "admin-test"})
-	if err := srv.Listen(); err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	go func() { _ = srv.Serve() }()
-	aln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("admin listen: %v", err)
-	}
-	srv.AttachAdmin(aln)
-	return srv, aln.Addr().String()
-}
-
 func TestAdminShutdownReleasesPortAndDrainsInflight(t *testing.T) {
-	srv, adminAddr := newAdminTestServer(t)
+	srv, _ := bootServer(t, BootConfig{Config: Config{Version: "admin-test"}, Backend: "malloc", Shards: 4})
+	adminAddr := srv.AdminAddr()
 
 	// The plane is up.
 	resp, err := http.Get("http://" + adminAddr + "/healthz")
@@ -103,28 +87,10 @@ func TestAdminShutdownReleasesPortAndDrainsInflight(t *testing.T) {
 // reach both stats surfaces when persistence is on — the CI smoke test
 // greps them from `stats`, operators scrape them from /metrics.
 func TestAdminServesMetricsWithWALStats(t *testing.T) {
-	wlog, err := wal.Open(wal.Options{Dir: t.TempDir(), AuditInterval: -1})
-	if err != nil {
-		t.Fatalf("wal open: %v", err)
-	}
-	store := kv.NewShardedStore(kv.NewMallocBackend(), 4, 0)
-	if err := wlog.Start(store); err != nil {
-		t.Fatalf("wal start: %v", err)
-	}
-	store.SetMutationLog(wlog)
-	srv := New(store, Config{Addr: "127.0.0.1:0", Version: "admin-test", WAL: wlog})
-	if err := srv.Listen(); err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	go func() { _ = srv.Serve() }()
-	aln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("admin listen: %v", err)
-	}
-	srv.AttachAdmin(aln)
-	defer srv.Shutdown(time.Second)
+	srv, _ := bootServer(t, BootConfig{Config: Config{Version: "admin-test"}, Backend: "malloc", Shards: 4,
+		PackLog: &wal.Options{Dir: t.TempDir(), AuditInterval: -1}})
 
-	resp, err := http.Get(fmt.Sprintf("http://%s/metrics", aln.Addr()))
+	resp, err := http.Get(fmt.Sprintf("http://%s/metrics", srv.AdminAddr()))
 	if err != nil {
 		t.Fatalf("metrics: %v", err)
 	}

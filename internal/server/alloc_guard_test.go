@@ -4,7 +4,7 @@ package server
 
 // Allocation guards: the request path must be allocation-free per op in
 // steady state on every network-facing backend — malloc, mesh, and
-// anchorage built as cmd/alaskad builds it (CountedPins), the system the
+// anchorage built as Boot builds it (CountedPins), the system the
 // paper is about and the one whose pins used to allocate. One harness: a
 // request goes through the one protocol engine, either detached from any
 // socket (detachedEngine + runEventBatch: framing scan, storage prescan,

@@ -201,7 +201,7 @@ func processBatch(e *eventIO, req []byte) (cmds int, st evStatus) {
 
 // benchEventPipelined is the server-side half of the benchmark's pipelined
 // workloads with the wire taken away: `engines` detached event engines,
-// one goroutine each, on one store built the way cmd/alaskad builds it
+// one goroutine each, on one store built the way Boot builds it
 // (anchorage + CountedPins, 32 shards) holding 20 000 × 512 B, each engine
 // fed b.N pre-rendered bursts of `burst` single-key commands over seeded
 // zipfian keys — all GETs (get_pipelined's shape), or with mixed every

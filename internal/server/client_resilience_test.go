@@ -59,13 +59,7 @@ func TestClientOpTimeout(t *testing.T) {
 // protocol position is unknown — it must not be replayed), and the next
 // op succeeds on a transparently redialed connection.
 func TestClientReconnectAfterDrop(t *testing.T) {
-	store := kv.NewShardedStore(kv.NewMallocBackend(), 4, 0)
-	srv := New(store, Config{Addr: "127.0.0.1:0", Version: "reconnect-test"})
-	if err := srv.Listen(); err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	go func() { _ = srv.Serve() }()
-	defer srv.Shutdown(time.Second)
+	srv := startServer(t, kv.NewMallocBackend(), Config{Addr: "127.0.0.1:0", Version: "reconnect-test"})
 
 	cl, err := Dial(srv.Addr())
 	if err != nil {
@@ -100,13 +94,7 @@ func TestClientReconnectAfterDrop(t *testing.T) {
 // error is terminal — later ops fail fast with errBroken instead of
 // writing into a dead socket.
 func TestClientNoReconnectStaysBroken(t *testing.T) {
-	store := kv.NewShardedStore(kv.NewMallocBackend(), 4, 0)
-	srv := New(store, Config{Addr: "127.0.0.1:0", Version: "broken-test"})
-	if err := srv.Listen(); err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	go func() { _ = srv.Serve() }()
-	defer srv.Shutdown(time.Second)
+	srv := startServer(t, kv.NewMallocBackend(), Config{Addr: "127.0.0.1:0", Version: "broken-test"})
 
 	cl, err := Dial(srv.Addr())
 	if err != nil {
@@ -124,12 +112,7 @@ func TestClientNoReconnectStaysBroken(t *testing.T) {
 // TestClientReconnectGivesUp: with the server gone for good, redial
 // exhausts its attempt budget and ops keep failing rather than spinning.
 func TestClientReconnectGivesUp(t *testing.T) {
-	store := kv.NewShardedStore(kv.NewMallocBackend(), 4, 0)
-	srv := New(store, Config{Addr: "127.0.0.1:0", Version: "giveup-test"})
-	if err := srv.Listen(); err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	go func() { _ = srv.Serve() }()
+	srv := startServer(t, kv.NewMallocBackend(), Config{Addr: "127.0.0.1:0", Version: "giveup-test"})
 
 	cl, err := Dial(srv.Addr())
 	if err != nil {

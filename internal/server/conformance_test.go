@@ -14,9 +14,7 @@ import (
 	"testing"
 	"time"
 
-	"alaska/internal/anchorage"
 	"alaska/internal/kv"
-	"alaska/internal/rt"
 )
 
 // startServer boots a server on a loopback port over the given backend.
@@ -28,17 +26,22 @@ func startServer(t *testing.T, backend kv.Backend, cfg Config) *Server {
 	return startServerWithCap(t, backend, cfg, 0)
 }
 
-// anchorageBackend builds the anchorage backend the way cmd/alaskad does.
-func anchorageBackend(t testing.TB) kv.Backend {
+// backends names the three network-facing backends, as Boot knows them.
+var backends = []string{"malloc", "mesh", "anchorage"}
+
+// testBackend builds the named backend with Boot's constructor (mesh
+// seeded 1).
+func testBackend(t testing.TB, name string) kv.Backend {
 	t.Helper()
-	// CountedPins: the pin-visibility mode required when writers run
-	// concurrently with the pause-free defrag pass (§7 contract).
-	backend, err := kv.NewAnchorageBackend(anchorage.DefaultConfig(), rt.WithPinMode(rt.CountedPins))
+	backend, err := newBackend(name, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return backend
 }
+
+// anchorageBackend builds the anchorage backend as Boot does.
+func anchorageBackend(t testing.TB) kv.Backend { return testBackend(t, "anchorage") }
 
 func startAnchorageServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
@@ -69,17 +72,10 @@ func forEachTransport(t *testing.T, cfg Config, fn func(t *testing.T, cfg Config
 // proven independent of both (the protocol layer must behave identically
 // over raw addresses, meshed pages, and Alaska handles).
 func forEachBackend(t *testing.T, cfg Config, fn func(t *testing.T, srv *Server)) {
-	for _, b := range []struct {
-		name string
-		new  func(testing.TB) kv.Backend
-	}{
-		{"malloc", func(testing.TB) kv.Backend { return kv.NewMallocBackend() }},
-		{"mesh", func(testing.TB) kv.Backend { return kv.NewMeshBackend(1) }},
-		{"anchorage", anchorageBackend},
-	} {
-		t.Run(b.name, func(t *testing.T) {
+	for _, name := range backends {
+		t.Run(name, func(t *testing.T) {
 			forEachTransport(t, cfg, func(t *testing.T, cfg Config) {
-				fn(t, startServer(t, b.new(t), cfg))
+				fn(t, startServer(t, testBackend(t, name), cfg))
 			})
 		})
 	}

@@ -16,9 +16,7 @@ import (
 	"testing"
 	"time"
 
-	"alaska/internal/anchorage"
 	"alaska/internal/kv"
-	"alaska/internal/rt"
 )
 
 // startServerWithCap is startServer with a store-wide memory ceiling.
@@ -44,19 +42,9 @@ func startServerWithCap(t *testing.T, backend kv.Backend, cfg Config, maxMemory 
 // forEachBackendWithCap runs fn against a ceiling-capped server on each
 // of the three network-facing backends.
 func forEachBackendWithCap(t *testing.T, cfg Config, maxMemory uint64, fn func(t *testing.T, srv *Server)) {
-	t.Run("malloc", func(t *testing.T) {
-		fn(t, startServerWithCap(t, kv.NewMallocBackend(), cfg, maxMemory))
-	})
-	t.Run("mesh", func(t *testing.T) {
-		fn(t, startServerWithCap(t, kv.NewMeshBackend(1), cfg, maxMemory))
-	})
-	t.Run("anchorage", func(t *testing.T) {
-		backend, err := kv.NewAnchorageBackend(anchorage.DefaultConfig(), rt.WithPinMode(rt.CountedPins))
-		if err != nil {
-			t.Fatal(err)
-		}
-		fn(t, startServerWithCap(t, backend, cfg, maxMemory))
-	})
+	for _, name := range backends {
+		t.Run(name, func(t *testing.T) { fn(t, startServerWithCap(t, testBackend(t, name), cfg, maxMemory)) })
+	}
 }
 
 // sameShardKeys returns n keys of equal length that all hash to one

@@ -21,9 +21,7 @@ import (
 	"testing"
 	"time"
 
-	"alaska/internal/anchorage"
 	"alaska/internal/kv"
-	"alaska/internal/rt"
 )
 
 // dialRaw opens a plain TCP connection to the server.
@@ -509,35 +507,10 @@ func TestShutdownReapRace(t *testing.T) {
 // pause-free defrag passes keep completing under live traffic — a dead
 // client never blocks defrag progress.
 func TestSlowLorisDefragRace(t *testing.T) {
-	forEachTransport(t, Config{
-		Addr:             "127.0.0.1:0",
-		MaintainInterval: 2 * time.Millisecond,
-		DefragFragHigh:   1.1,
-		DefragBudget:     256 * 1024,
-		IdleTimeout:      300 * time.Millisecond,
-	}, func(t *testing.T, cfg Config) {
-		acfg := anchorage.DefaultConfig()
-		acfg.SubHeapSize = 256 * 1024
-		acfg.FragLow = 1.1
-		acfg.WakeInterval = 5 * time.Millisecond
-		backend, err := kv.NewAnchorageBackend(acfg, rt.WithPinMode(rt.CountedPins))
-		if err != nil {
-			t.Fatal(err)
-		}
-		store := kv.NewShardedStore(backend, 8, 0)
-		srv := New(store, cfg)
-		if cfg.ConnModel == "event" {
-			requireEventModel(t, srv)
-		}
-		if err := srv.Listen(); err != nil {
-			t.Fatal(err)
-		}
-		go func() {
-			if err := srv.Serve(); err != nil {
-				t.Errorf("serve: %v", err)
-			}
-		}()
-		defer srv.Shutdown(5 * time.Second)
+	cfg := defragStress
+	cfg.IdleTimeout = 300 * time.Millisecond
+	forEachTransport(t, cfg, func(t *testing.T, cfg Config) {
+		srv := startDefragStressServer(t, cfg)
 
 		// Fragmenting traffic on 4 workers for the whole test.
 		stop := make(chan struct{})

@@ -302,7 +302,7 @@ func parseNumericValueB(data []byte) (uint64, bool) {
 }
 
 // appendValue packs flags+cas+data onto buf in the stored
-// representation — the allocation-free form of encodeValue.
+// representation: a 12-byte header (decodeValue splits it back off).
 func appendValue(buf []byte, flags uint32, cas uint64, data []byte) []byte {
 	buf = append(buf,
 		byte(flags>>24), byte(flags>>16), byte(flags>>8), byte(flags),

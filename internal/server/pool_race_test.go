@@ -17,38 +17,10 @@ import (
 	"strconv"
 	"sync"
 	"testing"
-	"time"
-
-	"alaska/internal/anchorage"
-	"alaska/internal/kv"
-	"alaska/internal/rt"
 )
 
 func TestPooledBuffersNoCrossConnectionAliasing(t *testing.T) {
-	acfg := anchorage.DefaultConfig()
-	acfg.SubHeapSize = 256 * 1024
-	acfg.FragLow = 1.1
-	acfg.WakeInterval = 5 * time.Millisecond
-	backend, err := kv.NewAnchorageBackend(acfg, rt.WithPinMode(rt.CountedPins))
-	if err != nil {
-		t.Fatal(err)
-	}
-	store := kv.NewShardedStore(backend, 8, 0)
-	srv := New(store, Config{
-		Addr:             "127.0.0.1:0",
-		MaintainInterval: 2 * time.Millisecond,
-		DefragFragHigh:   1.1,
-		DefragBudget:     256 * 1024,
-	})
-	if err := srv.Listen(); err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		if err := srv.Serve(); err != nil {
-			t.Errorf("serve: %v", err)
-		}
-	}()
-	defer srv.Shutdown(5 * time.Second)
+	srv := startDefragStressServer(t, defragStress)
 
 	const workers = 4
 	rounds := 1500

@@ -85,17 +85,6 @@ func deadlineFor(exptime int64, now time.Time) time.Time {
 	}
 }
 
-// encodeValue packs flags+cas+data into the stored representation. A
-// zero-length data body packs to exactly the 12-byte header and must
-// round-trip back to empty data with the same flags and cas.
-func encodeValue(flags uint32, cas uint64, data []byte) []byte {
-	buf := make([]byte, valueHeaderLen+len(data))
-	binary.BigEndian.PutUint32(buf[0:4], flags)
-	binary.BigEndian.PutUint64(buf[4:12], cas)
-	copy(buf[valueHeaderLen:], data)
-	return buf
-}
-
 // decodeValue splits a stored representation back into flags, cas, data.
 func decodeValue(stored []byte) (flags uint32, cas uint64, data []byte, err error) {
 	if len(stored) < valueHeaderLen {

@@ -15,36 +15,11 @@ import (
 	"testing"
 	"time"
 
-	"alaska/internal/anchorage"
 	"alaska/internal/kv"
-	"alaska/internal/rt"
 )
 
 func TestServerDefragUnderTrafficRace(t *testing.T) {
-	acfg := anchorage.DefaultConfig()
-	acfg.SubHeapSize = 256 * 1024
-	acfg.FragLow = 1.1
-	acfg.WakeInterval = 5 * time.Millisecond
-	backend, err := kv.NewAnchorageBackend(acfg, rt.WithPinMode(rt.CountedPins))
-	if err != nil {
-		t.Fatal(err)
-	}
-	store := kv.NewShardedStore(backend, 8, 0)
-	srv := New(store, Config{
-		Addr:             "127.0.0.1:0",
-		MaintainInterval: 2 * time.Millisecond,
-		DefragFragHigh:   1.1, // run pause-free passes almost continuously
-		DefragBudget:     256 * 1024,
-	})
-	if err := srv.Listen(); err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		if err := srv.Serve(); err != nil {
-			t.Errorf("serve: %v", err)
-		}
-	}()
-	defer srv.Shutdown(5 * time.Second)
+	srv := startDefragStressServer(t, defragStress)
 
 	workers := runtime.GOMAXPROCS(0)
 	if workers < 4 {
@@ -197,11 +172,7 @@ func TestServerDefragReturnsMemory(t *testing.T) {
 		ops = 5000
 	}
 	forEachTransport(t, Config{Addr: "127.0.0.1:0", MaintainInterval: 5 * time.Millisecond}, func(t *testing.T, cfg Config) {
-		backend, err := kv.NewAnchorageBackend(anchorage.DefaultConfig(), rt.WithPinMode(rt.CountedPins))
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := startServerWithCap(t, backend, cfg, 6<<20)
+		srv := startServerWithCap(t, anchorageBackend(t), cfg, 6<<20)
 		const workers = 4
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
@@ -250,7 +221,7 @@ func TestServerDefragReturnsMemory(t *testing.T) {
 		// under F_lb, and the tick drains the last vacated blocks.
 		var rss, active uint64
 		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
-			rss, active = backend.Space.RSS(), backend.Svc.ActiveBytes()
+			rss, active = srv.anch.Space.RSS(), srv.anch.Svc.ActiveBytes()
 			if float64(rss) <= 1.35*float64(active) || time.Now().After(deadline) {
 				break
 			}

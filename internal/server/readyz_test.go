@@ -83,34 +83,15 @@ func TestReadyzFlipsDegradedAndBack(t *testing.T) {
 		t.Fatalf("parse script: %v", err)
 	}
 	fs := fault.NewScriptFS(nil, rules...)
-	wlog, err := wal.Open(wal.Options{
+	srv, _ := bootServer(t, BootConfig{Config: Config{Version: "readyz-test"}, Backend: "malloc", Shards: 4, PackLog: &wal.Options{
 		Dir:           t.TempDir(),
 		FsyncInterval: 2 * time.Millisecond,
 		AuditInterval: -1,
 		DegradeAfter:  2,
 		ProbeInterval: 5 * time.Millisecond,
 		FS:            fs,
-	})
-	if err != nil {
-		t.Fatalf("wal open: %v", err)
-	}
-	store := kv.NewShardedStore(kv.NewMallocBackend(), 4, 0)
-	if err := wlog.Start(store); err != nil {
-		t.Fatalf("wal start: %v", err)
-	}
-	store.SetMutationLog(wlog)
-	srv := New(store, Config{Addr: "127.0.0.1:0", Version: "readyz-test", WAL: wlog})
-	if err := srv.Listen(); err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	go func() { _ = srv.Serve() }()
-	aln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("admin listen: %v", err)
-	}
-	srv.AttachAdmin(aln)
-	defer srv.Shutdown(time.Second)
-	addr := aln.Addr().String()
+	}})
+	wlog, addr := srv.cfg.WAL, srv.AdminAddr()
 
 	// Healthy WAL: ready, with a per-subsystem detail line.
 	if code, body := readyzGet(t, addr); code != http.StatusOK || !strings.Contains(body, "wal: ok") {
@@ -171,34 +152,14 @@ func TestReadyzReportsDurabilityGap(t *testing.T) {
 	fs := fault.NewScriptFS(nil,
 		fault.Rule{Op: fault.OpWrite, After: math.MaxInt, Delay: 50 * time.Millisecond},
 		fault.Rule{Op: fault.OpRename, Times: 0})
-	wlog, err := wal.Open(wal.Options{
+	srv, _ := bootServer(t, BootConfig{Config: Config{Version: "readyz-test"}, Backend: "malloc", Shards: 4, PackLog: &wal.Options{
 		Dir:           t.TempDir(),
 		FsyncInterval: 2 * time.Millisecond,
 		RingBytes:     1 << 10,
 		AuditInterval: -1,
 		FS:            fs,
-	})
-	if err != nil {
-		t.Fatalf("wal open: %v", err)
-	}
-	store := kv.NewShardedStore(kv.NewMallocBackend(), 4, 0)
-	if err := wlog.Start(store); err != nil {
-		t.Fatalf("wal start: %v", err)
-	}
-	defer wlog.Close()
-	store.SetMutationLog(wlog)
-	srv := New(store, Config{Addr: "127.0.0.1:0", Version: "readyz-test", WAL: wlog})
-	if err := srv.Listen(); err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	go func() { _ = srv.Serve() }()
-	aln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("admin listen: %v", err)
-	}
-	srv.AttachAdmin(aln)
-	defer srv.Shutdown(time.Second)
-	addr := aln.Addr().String()
+	}})
+	store, wlog, addr := srv.store, srv.cfg.WAL, srv.AdminAddr()
 
 	if code, body := readyzGet(t, addr); code != http.StatusOK || !strings.Contains(body, "wal: ok (persisting)") {
 		t.Fatalf("before the overflow: readyz = %d %q, want 200 with wal: ok (persisting)", code, body)

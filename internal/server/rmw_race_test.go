@@ -22,10 +22,19 @@ import (
 	"alaska/internal/rt"
 )
 
-// startDefragStressServer boots an anchorage server tuned so the
+// defragStress is a server config that steps the defrag controller
+// every 2 ms with F_ub 1.1, for startDefragStressServer.
+var defragStress = Config{
+	Addr:             "127.0.0.1:0",
+	MaintainInterval: 2 * time.Millisecond,
+	DefragFragHigh:   1.1,
+	DefragBudget:     256 * 1024,
+}
+
+// startDefragStressServer boots cfg on an anchorage backend tuned so the
 // controller runs the pause-free concurrent pass nearly continuously
 // under traffic.
-func startDefragStressServer(t *testing.T) *Server {
+func startDefragStressServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
 	acfg := anchorage.DefaultConfig()
 	acfg.SubHeapSize = 256 * 1024
@@ -35,23 +44,7 @@ func startDefragStressServer(t *testing.T) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := kv.NewShardedStore(backend, 8, 0)
-	srv := New(store, Config{
-		Addr:             "127.0.0.1:0",
-		MaintainInterval: 2 * time.Millisecond,
-		DefragFragHigh:   1.1,
-		DefragBudget:     256 * 1024,
-	})
-	if err := srv.Listen(); err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		if err := srv.Serve(); err != nil {
-			t.Errorf("serve: %v", err)
-		}
-	}()
-	t.Cleanup(func() { _ = srv.Shutdown(5 * time.Second) })
-	return srv
+	return startServer(t, backend, cfg)
 }
 
 // churn runs jittered sets on its own key range until stop closes,
@@ -86,7 +79,7 @@ func churn(t *testing.T, addr string, id int, stop <-chan struct{}, wg *sync.Wai
 // pause-free passes must relocate under the arithmetic without losing a
 // single update.
 func TestConcurrentIncrUnderDefragRace(t *testing.T) {
-	srv := startDefragStressServer(t)
+	srv := startDefragStressServer(t, defragStress)
 
 	setup, err := Dial(srv.Addr())
 	if err != nil {
@@ -204,7 +197,7 @@ func TestConcurrentIncrUnderDefragRace(t *testing.T) {
 // counter equals the total number of STORED replies — a double-winner
 // would fork a generation and leave the counter short.
 func TestCasContentionExactlyOneWinner(t *testing.T) {
-	srv := startDefragStressServer(t)
+	srv := startDefragStressServer(t, defragStress)
 
 	setup, err := Dial(srv.Addr())
 	if err != nil {

@@ -98,12 +98,12 @@ type Config struct {
 	Logger *logx.Logger
 	// WAL, when non-nil, is the persistence layer (already opened,
 	// replayed, started, and attached to the store via SetMutationLog —
-	// see cmd/alaskad). The server owns its remaining lifecycle: `stats`,
+	// see Boot). The server owns its remaining lifecycle: `stats`,
 	// /metrics and /readyz surface its counters, and Shutdown closes it
 	// after the last connection drains, so a clean stop loses nothing.
 	WAL *wal.Log
 	// Health is the readiness registry behind the admin /readyz endpoint.
-	// cmd/alaskad passes one that tracked the boot sequence (booting →
+	// Boot passes one that tracked the boot sequence (booting →
 	// replaying → ready); New registers the server's own subsystem checks
 	// (WAL degradation, accept-gate saturation) on it. nil = a registry
 	// that is already past boot, so embedded/test servers report ok.
@@ -605,14 +605,6 @@ func (s *Server) pollPendingAccept() (net.Conn, error) {
 	return c, nil
 }
 
-// ListenAndServe is Listen followed by Serve.
-func (s *Server) ListenAndServe() error {
-	if err := s.Listen(); err != nil {
-		return err
-	}
-	return s.Serve()
-}
-
 // Shutdown stops accepting, waits up to drain for in-flight connections
 // to finish their current commands and disconnect, then force-closes the
 // stragglers. Safe to call multiple times.
@@ -662,7 +654,7 @@ func (s *Server) Shutdown(drain time.Duration) error {
 		// http.Server.Shutdown releases the port immediately and waits for
 		// in-flight scrapes to complete, bounded by the same drain budget.
 		if s.admin != nil {
-			ctx, cancel := context.WithTimeout(context.Background(), maxDur(drain, time.Second))
+			ctx, cancel := context.WithTimeout(context.Background(), max(drain, time.Second))
 			if err := s.admin.Shutdown(ctx); err != nil {
 				_ = s.admin.Close()
 			}
@@ -676,13 +668,6 @@ func (s *Server) Shutdown(drain time.Duration) error {
 		}
 	})
 	return nil
-}
-
-func maxDur(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // maintainLoop is the background maintenance goroutine: a tick every

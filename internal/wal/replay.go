@@ -116,6 +116,7 @@ func scanSegment(path string, apply func(typ byte, payload []byte) error) (recor
 // ReplayStats, not as an error — a warm restart is best-effort.
 func (l *Log) Replay(store *kv.ShardedStore, sess kv.Session) (ReplayStats, error) {
 	var rs ReplayStats
+	start := time.Now()
 	clock := store.Clock
 	if clock == nil {
 		clock = time.Now
@@ -211,6 +212,7 @@ func (l *Log) Replay(store *kv.ShardedStore, sess kv.Session) (ReplayStats, erro
 		}
 	}
 	store.SweepExpired(math.MaxInt)
+	rs.Items, rs.Elapsed = store.Len(), time.Since(start)
 	l.replay = rs
 	return rs, nil
 }

@@ -68,6 +68,9 @@ import (
 	"alaska/internal/stats"
 )
 
+// DefaultFsyncInterval is Options.FsyncInterval's default.
+const DefaultFsyncInterval = 100 * time.Millisecond
+
 // Options configures a Log. Zero values take the documented defaults.
 type Options struct {
 	// Dir is the log directory (alaskad's -data-dir). Created if absent.
@@ -114,7 +117,7 @@ type Options struct {
 func (o *Options) withDefaults() Options {
 	out := *o
 	if out.FsyncInterval <= 0 {
-		out.FsyncInterval = 100 * time.Millisecond
+		out.FsyncInterval = DefaultFsyncInterval
 	}
 	if out.RingBytes == 0 {
 		out.RingBytes = 8 << 20
@@ -946,6 +949,10 @@ type ReplayStats struct {
 	CrcErrors      int64
 	TruncatedBytes int64 // bytes truncated off the final segment's tail
 	FailedRestores int64 // records that did not re-insert (e.g. over ceiling)
+	// Items is the store's live item count once replay ends; Elapsed is
+	// the replay's wall time.
+	Items   int
+	Elapsed time.Duration
 }
 
 // Stats is a point-in-time counter snapshot for the stats/metrics surfaces.
