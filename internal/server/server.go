@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"os"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -670,102 +669,6 @@ func (s *Server) Shutdown(drain time.Duration) error {
 	return nil
 }
 
-// maintainLoop is the background maintenance goroutine: a tick every
-// MaintainInterval until Shutdown.
-func (s *Server) maintainLoop() {
-	defer s.wg.Done()
-	ticker := time.NewTicker(s.cfg.MaintainInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-s.quit:
-			return
-		case <-ticker.C:
-			s.tick(time.Since(s.start))
-		}
-	}
-}
-
-// tick is one maintenance step at server age now. Log compaction is not
-// part of it: the WAL's writer decides and runs that in its own Step.
-func (s *Server) tick(now time.Duration) {
-	// The store's Maintain, as the figures call it: the backend's
-	// machinery (on Anchorage the §4.3 controller with its pause-free
-	// pass, then the grace-period drain) and one expiry-sweep increment
-	// (the next stretch of each shard's LRU list), so dead values release
-	// heap (and un-hostage their sub-heaps for truncation) even if never
-	// touched again.
-	s.store.Maintain(now)
-	s.reapIdle()
-	// Poller-side hardening rides the same tick: the sweep enforces
-	// IdleTimeout and WriteTimeout over the parked population with the
-	// same clock and counters.
-	if s.poller != nil {
-		s.poller.sweep()
-	}
-}
-
-// reapIdle closes connections that have not completed a command within
-// IdleTimeout. The blocked read errors out and the handler exits through
-// its normal cleanup path; because the wait was spent in the session's
-// idle (external) state, no barrier ever waited on the dead client — the
-// reap just returns its slot and handle pins to the system.
-func (s *Server) reapIdle() {
-	if s.cfg.IdleTimeout <= 0 {
-		return
-	}
-	now := s.cfg.Clock().UnixNano()
-	s.mu.Lock()
-	for c := range s.conns {
-		if now-c.pc.lastActive.Load() > int64(s.cfg.IdleTimeout) {
-			if c.kill() {
-				s.idleKicks.Add(1)
-			}
-		}
-	}
-	s.mu.Unlock()
-}
-
-// connHandler is the command half of the protocol engine: dispatch and the
-// do* handlers, over their own kv.Session (an rt.Thread under Alaska) and
-// scratch buffers. An event-transport worker owns one for its lifetime and
-// serves every ready connection through it; a goroutine-transport connection
-// owns one for the connection's. Its I/O half is always ev — commands read
-// their data block from, and write their replies into, the engine's buffers,
-// and the transport moves those to and from the socket.
-type connHandler struct {
-	srv  *Server
-	sess kv.Session
-	ev   *eventIO
-
-	// Pooled scratch memory: every buffer below is owned by this handler's
-	// goroutine, grows to the workload's steady state, and is reused for
-	// every subsequent command — the request path performs no per-op
-	// allocation once warm. None of them may be shared across handlers
-	// (pool_race_test.go proves they never alias).
-	fields [][]byte  // tokenized command fields (slices into the input buffer)
-	val    []byte    // kv copy-out / RMW old-value scratch
-	val2   []byte    // encoded write-back value scratch (may not alias val)
-	hdr    []byte    // response header / numeric reply / `stats` body scratch
-	view   *statView // the `stats` reading, allocated by the first one
-
-	// Per-command observability capture, written by dispatch: the opcode
-	// for the per-op histograms and a fixed-array key prefix for the
-	// slow-op ring. Fixed storage — recording stays allocation-free.
-	lastCmd  cmdCode
-	opKey    [slowOpKeyLen]byte
-	opKeyLen uint8
-	stripe   *latStripe // where recordOp records; taken once, at construction
-
-	// now is the time of the command being dispatched — the only time it
-	// uses: its deadline, its flush epoch, every store call it makes (so
-	// expiry, storedAt and the LRU stamp agree with both), and its slow-op
-	// stamp. The engine sets it before each dispatch from the one reading
-	// it takes per command (see Config.Clock); successive commands on a
-	// connection never see it go backwards.
-	now time.Time
-}
-
 // latStripe is one worker's private command-latency recorders, by opcode.
 // There are cfg.Workers of them, so each event-transport worker records
 // into lines no other worker writes; goroutine-transport handlers share
@@ -851,569 +754,6 @@ func (s *Server) handleConn(c *conn) {
 	}
 }
 
-// recordOp records one completed command's latency — once, into the
-// handler's stripe (the per-opcode recorder; the all-opcodes aggregate is
-// their sum, made by foldLatency) — and, past the slow threshold, into the
-// slow-op ring. Atomics and fixed arrays only — the allocation guards run
-// this exact path.
-//
-// d never covers a client's think time, on either transport: a command is
-// dispatched, timed and given its time only once its whole frame (line and
-// data block) is buffered. (The goroutine transport used to dispatch on the
-// line and wait for the body inside the timed region.) The engine reads the
-// clock once per command, after it: the first command of a process() call
-// is timed from just before its dispatch to reply generation, and each
-// later one from the end of the command before it, so its d also covers
-// that command's recordOp and safepoint poll and its own framing scan.
-//
-// A slow op is stamped with the command's own time (h.now, when it began),
-// not a fresh reading.
-func (s *Server) recordOp(h *connHandler, connID uint64, d time.Duration) {
-	h.stripe[h.lastCmd].Record(d)
-	if s.slowThreshNs > 0 && d.Nanoseconds() >= s.slowThreshNs {
-		s.slowOps.record(h.lastCmd, h.opKey[:h.opKeyLen], d, connID, h.now)
-	}
-}
-
-func (h *connHandler) reply(line string) error {
-	if err := h.ev.writeString(line); err != nil {
-		return err
-	}
-	return h.ev.writeString(crlf)
-}
-
-// replyError counts a protocol error and sends the error line.
-func (h *connHandler) replyError(line string) error {
-	h.srv.protocolErrors.Add(1)
-	return h.reply(line)
-}
-
-// cmdCode labels a command for the per-opcode latency histograms and
-// the slow-op ring, and names the storage command doStore is running.
-type cmdCode uint8
-
-const (
-	cmdGet cmdCode = iota
-	cmdGat
-	cmdSet
-	cmdAdd
-	cmdReplace
-	cmdCas
-	cmdAppend
-	cmdPrepend
-	cmdIncr
-	cmdDecr
-	cmdDelete
-	cmdTouch
-	cmdFlushAll
-	cmdStats
-	cmdOther // version, verbosity, quit, protocol errors
-	cmdCount
-)
-
-// cmdNames are the wire/metric labels, indexed by cmdCode.
-var cmdNames = [cmdCount]string{
-	"get", "gat", "set", "add", "replace", "cas", "append", "prepend",
-	"incr", "decr", "delete", "touch", "flush_all", "stats", "other",
-}
-
-// noteOp records the dispatched opcode and a fixed-size key prefix for
-// the observability plane. key aliases the input buffer; the copy into the
-// handler-owned array is what lets the slow-op ring reference it later
-// without holding (or allocating) request memory.
-func (h *connHandler) noteOp(code cmdCode, key []byte) {
-	h.lastCmd = code
-	h.opKeyLen = uint8(copy(h.opKey[:], key))
-}
-
-// firstKey returns the leading argument (the key for single- and
-// multi-key commands alike), or nil for a bare command.
-func firstKey(args [][]byte) []byte {
-	if len(args) > 0 {
-		return args[0]
-	}
-	return nil
-}
-
-// dispatch executes one tokenized command that is not a well-formed
-// storage command — the engine's dispatchBuffered, its only caller, runs
-// those itself (doStore). The returned error is an I/O failure (drop the
-// connection); protocol errors are answered in-band. fields alias the
-// input buffer.
-func (h *connHandler) dispatch(fields [][]byte) (quit bool, err error) {
-	if len(fields) == 0 {
-		h.noteOp(cmdOther, nil)
-		return false, h.replyError(respError)
-	}
-	cmd, args := fields[0], fields[1:]
-	switch string(cmd) { // compiles to allocation-free comparisons
-	case "get", "gets":
-		h.noteOp(cmdGet, firstKey(args))
-		return false, h.doGet(args, len(cmd) == 4)
-	case "gat", "gats":
-		// args[0] is the exptime; the first key follows it.
-		h.noteOp(cmdGat, firstKey(args[min(len(args), 1):]))
-		return false, h.doGat(args, len(cmd) == 4)
-	case "set", "add", "replace", "cas", "append", "prepend":
-		// Malformed, or parseStorageLine would have claimed it: no data
-		// block was waited for and none is read.
-		code, _ := storageCmd(cmd)
-		h.noteOp(code, firstKey(args))
-		return false, h.replyError(respBadFormat)
-	case "incr", "decr":
-		if cmd[0] == 'i' {
-			h.noteOp(cmdIncr, firstKey(args))
-		} else {
-			h.noteOp(cmdDecr, firstKey(args))
-		}
-		return false, h.doIncrDecr(args, cmd[0] == 'i')
-	case "delete":
-		h.noteOp(cmdDelete, firstKey(args))
-		return false, h.doDelete(args)
-	case "touch":
-		h.noteOp(cmdTouch, firstKey(args))
-		return false, h.doTouch(args)
-	case "flush_all":
-		h.noteOp(cmdFlushAll, nil)
-		return false, h.doFlushAll(args)
-	case "verbosity":
-		h.noteOp(cmdOther, nil)
-		return false, h.doVerbosity(args)
-	case "stats":
-		h.noteOp(cmdStats, nil)
-		return false, h.doStats(args)
-	case "version":
-		h.noteOp(cmdOther, nil)
-		return false, h.reply("VERSION " + h.srv.cfg.Version)
-	case "quit":
-		h.noteOp(cmdOther, nil)
-		return true, nil
-	default:
-		h.noteOp(cmdOther, nil)
-		return false, h.replyError(respError)
-	}
-}
-
-// emitValue writes one VALUE line (+ data block) for a stored
-// representation, decoding the flags/cas header. The header line is
-// assembled in the handler's hdr scratch and the data region is
-// appended straight to the reply buffer — a hit serializes with zero
-// allocation. ok is false when the header failed to decode: the
-// SERVER_ERROR line has already been sent and the caller must abort the
-// retrieval (no further VALUEs, no END) — interleaving an error line
-// between VALUE blocks would be unframeable.
-func (h *connHandler) emitValue(key []byte, stored []byte, withCAS bool) (ok bool, err error) {
-	flags, cas, data, derr := decodeValue(stored)
-	if derr != nil {
-		return false, h.replyError("SERVER_ERROR " + derr.Error())
-	}
-	hdr := append(h.hdr[:0], "VALUE "...)
-	hdr = append(hdr, key...)
-	hdr = append(hdr, ' ')
-	hdr = strconv.AppendUint(hdr, uint64(flags), 10)
-	hdr = append(hdr, ' ')
-	hdr = strconv.AppendUint(hdr, uint64(len(data)), 10)
-	if withCAS {
-		hdr = append(hdr, ' ')
-		hdr = strconv.AppendUint(hdr, cas, 10)
-	}
-	hdr = append(hdr, crlf...)
-	h.hdr = hdr
-	if err := h.ev.writeFull(hdr); err != nil {
-		return false, err
-	}
-	if err := h.ev.writeFull(data); err != nil {
-		return false, err
-	}
-	return true, h.ev.writeString(crlf)
-}
-
-func (h *connHandler) doGet(keys [][]byte, withCAS bool) error {
-	if len(keys) == 0 {
-		return h.replyError(respBadFormat)
-	}
-	for _, key := range keys {
-		if !validKeyB(key) {
-			return h.replyError(respBadFormat)
-		}
-		stored, hit, err := h.srv.store.GetIntoAt(h.sess, key, h.val[:0], h.now)
-		if cap(stored) > cap(h.val) {
-			h.val = stored // keep the grown scratch for the next hit
-		}
-		if err != nil {
-			return h.replyError("SERVER_ERROR " + err.Error())
-		}
-		if !hit {
-			continue // miss: omitted from the response
-		}
-		ok, err := h.emitValue(key, stored, withCAS)
-		if err != nil || !ok {
-			return err
-		}
-	}
-	return h.reply(respEnd)
-}
-
-// doGat is get-and-touch: retrieval that also moves each hit key's expiry
-// deadline, as one critical section per key.
-func (h *connHandler) doGat(args [][]byte, withCAS bool) error {
-	exptime, keys, perr := parseGatB(args)
-	if perr != nil {
-		return h.replyError(respBadFormat)
-	}
-	deadline := deadlineFor(exptime, h.now)
-	for _, key := range keys {
-		stored, hit, err := h.srv.store.GetAndTouchInto(h.sess, key, deadline, h.val[:0], h.now)
-		if cap(stored) > cap(h.val) {
-			h.val = stored
-		}
-		if err != nil {
-			return h.replyError("SERVER_ERROR " + err.Error())
-		}
-		if !hit {
-			continue
-		}
-		ok, err := h.emitValue(key, stored, withCAS)
-		if err != nil || !ok {
-			return err
-		}
-	}
-	return h.reply(respEnd)
-}
-
-// doStore runs the storage command op with the arguments the engine
-// parsed off its line (parseStorageLine), once the whole data block is
-// buffered. An oversized value never gets here: the engine turns it into
-// the discard framing state instead.
-func (h *connHandler) doStore(op cmdCode, sa storageArgsB) error {
-	data, ok, err := h.ev.readBody(sa.nbytes)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		// The data block wasn't CRLF-terminated: the stream is desynced.
-		// Report and have the framing layer drop input through the next
-		// newline, memcached-style. It discards rather than buffers — the
-		// desynced remainder is client-controlled and may be huge — and a
-		// client that goes quiet here gets the error flushed before the
-		// transport waits for more.
-		h.ev.pc.resync = true
-		return h.replyError(respBadChunk)
-	}
-	resp, errLine, err := h.executeStore(op, sa, data)
-	if err != nil {
-		if sa.noreply {
-			h.srv.protocolErrors.Add(1)
-			return nil
-		}
-		// A value that cannot fit under the memory ceiling at all is
-		// its own canonical line, whatever the command.
-		if errors.Is(err, kv.ErrTooLarge) {
-			return h.replyError(respTooLarge)
-		}
-		// Plain stores fail on allocation (memcached's canonical line);
-		// an RMW failure may equally be a read fault mid-Apply, so
-		// surface the real error there.
-		if op == cmdSet || op == cmdAdd || op == cmdReplace {
-			return h.replyError(respOutOfMemory)
-		}
-		return h.replyError("SERVER_ERROR " + err.Error())
-	}
-	if sa.noreply {
-		if errLine {
-			h.srv.protocolErrors.Add(1)
-		}
-		return nil
-	}
-	if errLine {
-		return h.replyError(resp)
-	}
-	return h.reply(resp)
-}
-
-// executeStore runs a parsed storage command against the store and
-// returns the response line; errLine marks an in-band error reply
-// (oversized concatenation, header decode failure) that must be counted
-// in protocol_errors. Every variant consumes a fresh cas unique: any
-// successful store makes previously handed-out uniques stale, which is
-// exactly the cas contract.
-//
-// Write-back values are encoded into the connection's val2 scratch (the
-// RMW old value lives in val), so the whole family — plain stores, cas,
-// append/prepend — stores without allocating.
-func (h *connHandler) executeStore(op cmdCode, sa storageArgsB, data []byte) (resp string, errLine bool, err error) {
-	newCas := h.srv.casCounter.Add(1)
-	deadline := deadlineFor(sa.exptime, h.now)
-	switch op {
-	case cmdSet, cmdAdd, cmdReplace:
-		mode := kv.SetAlways
-		switch op {
-		case cmdAdd:
-			mode = kv.SetAdd
-		case cmdReplace:
-			mode = kv.SetReplace
-		}
-		h.val2 = appendValue(h.val2[:0], sa.flags, newCas, data)
-		stored, serr := h.srv.store.SetExBytesAt(h.sess, sa.key, h.val2, mode, deadline, h.now)
-		if serr != nil {
-			return "", false, serr
-		}
-		if stored {
-			return respStored, false, nil
-		}
-		return respNotStored, false, nil
-	case cmdCas:
-		// Compare the stored unique and swap under the shard lock: the
-		// read, the comparison, and the write-back are one critical
-		// section, so exactly one of N racing cas commands with the same
-		// unique can win.
-		resp = respStored
-		h.val, err = h.srv.store.ApplyInto(h.sess, sa.key, h.val, h.now, func(old []byte, found bool) kv.ApplyOp {
-			if !found {
-				resp = respNotFound
-				return kv.ApplyOp{Stat: kv.StatCasMiss}
-			}
-			_, oldCas, _, derr := decodeValue(old)
-			if derr != nil {
-				resp, errLine = "SERVER_ERROR "+derr.Error(), true
-				return kv.ApplyOp{}
-			}
-			if oldCas != sa.casUnique {
-				resp = respExists
-				return kv.ApplyOp{Stat: kv.StatCasBadval}
-			}
-			h.val2 = appendValue(h.val2[:0], sa.flags, newCas, data)
-			return kv.ApplyOp{
-				Verdict: kv.ApplyStore,
-				Value:   h.val2,
-				Expire:  deadline,
-				Stat:    kv.StatCasHit,
-			}
-		})
-		return resp, errLine, err
-	case cmdAppend, cmdPrepend:
-		// Concatenation keeps the original flags and TTL (memcached
-		// ignores the flags/exptime arguments of append/prepend) but
-		// issues a new cas unique.
-		resp = respStored
-		h.val, err = h.srv.store.ApplyInto(h.sess, sa.key, h.val, h.now, func(old []byte, found bool) kv.ApplyOp {
-			if !found {
-				resp = respNotStored
-				return kv.ApplyOp{}
-			}
-			oldFlags, _, oldData, derr := decodeValue(old)
-			if derr != nil {
-				resp, errLine = "SERVER_ERROR "+derr.Error(), true
-				return kv.ApplyOp{}
-			}
-			// The merged body must respect the item size cap too: each
-			// append individually fitting must not let an item grow
-			// without bound (memcached rejects the concatenation the
-			// same way).
-			if len(oldData)+len(data) > h.srv.cfg.MaxValueSize {
-				resp, errLine = respTooLarge, true
-				return kv.ApplyOp{}
-			}
-			h.val2 = appendValue(h.val2[:0], oldFlags, newCas, nil)
-			if op == cmdAppend {
-				h.val2 = append(append(h.val2, oldData...), data...)
-			} else {
-				h.val2 = append(append(h.val2, data...), oldData...)
-			}
-			return kv.ApplyOp{
-				Verdict:    kv.ApplyStore,
-				Value:      h.val2,
-				KeepExpire: true,
-			}
-		})
-		return resp, errLine, err
-	}
-	return "", false, fmt.Errorf("server: unreachable storage command %q", cmdNames[op])
-}
-
-// doIncrDecr implements incr/decr: 64-bit unsigned arithmetic on the
-// decimal value, read-modify-write as one critical section. incr wraps at
-// 2^64; decr clamps at 0 (memcached's underflow rule). The new value
-// keeps the item's flags and TTL but gets a fresh cas unique. The result
-// digits are formatted once into the hdr scratch and serve as both the
-// write-back body and the reply — no allocation on a hit. With
-// SpacePaddedDecr, a shrinking decr result is stored right-padded with
-// spaces to the old value's length (memcached's classic in-place-update
-// artifact, visible to a subsequent get) while the reply stays the bare
-// number, exactly like memcached's out_string path.
-func (h *connHandler) doIncrDecr(args [][]byte, incr bool) error {
-	key, delta, noreply, perr := parseIncrDecrB(args)
-	if perr == errBadDelta {
-		if noreply {
-			h.srv.protocolErrors.Add(1)
-			return nil
-		}
-		return h.replyError(respBadDelta)
-	}
-	if perr != nil {
-		return h.replyError(respBadFormat)
-	}
-	newCas := h.srv.casCounter.Add(1)
-	hitStat, missStat := kv.StatIncrHit, kv.StatIncrMiss
-	if !incr {
-		hitStat, missStat = kv.StatDecrHit, kv.StatDecrMiss
-	}
-	var errResp string // in-band error line ("" = h.hdr carries the reply)
-	found := true
-	var err error
-	h.val, err = h.srv.store.ApplyInto(h.sess, key, h.val, h.now, func(old []byte, ok bool) kv.ApplyOp {
-		if !ok {
-			found = false
-			return kv.ApplyOp{Stat: missStat}
-		}
-		flags, _, data, derr := decodeValue(old)
-		if derr != nil {
-			errResp = "SERVER_ERROR " + derr.Error()
-			return kv.ApplyOp{}
-		}
-		val, numeric := parseNumericValueB(data)
-		if !numeric {
-			errResp = respNonNumeric
-			return kv.ApplyOp{}
-		}
-		var next uint64
-		if incr {
-			next = val + delta // wraps modulo 2^64, like memcached
-		} else if delta > val {
-			next = 0 // underflow clamps
-		} else {
-			next = val - delta
-		}
-		h.hdr = strconv.AppendUint(h.hdr[:0], next, 10)
-		h.val2 = appendValue(h.val2[:0], flags, newCas, h.hdr)
-		if !incr && h.srv.cfg.SpacePaddedDecr {
-			// memcached-classic: the stored value keeps the old length,
-			// right-padded with spaces (the in-place-update artifact a
-			// subsequent get exposes); the reply is the bare number.
-			for len(h.val2)-valueHeaderLen < len(data) {
-				h.val2 = append(h.val2, ' ')
-			}
-		}
-		return kv.ApplyOp{
-			Verdict:    kv.ApplyStore,
-			Value:      h.val2,
-			KeepExpire: true,
-			Stat:       hitStat,
-		}
-	})
-	if err != nil {
-		// An Apply failure here is a read or write-back fault, not
-		// necessarily memory pressure: surface the real error.
-		if noreply {
-			h.srv.protocolErrors.Add(1)
-			return nil
-		}
-		return h.replyError("SERVER_ERROR " + err.Error())
-	}
-	if noreply {
-		if errResp != "" {
-			h.srv.protocolErrors.Add(1)
-		}
-		return nil
-	}
-	if errResp != "" {
-		return h.replyError(errResp)
-	}
-	if !found {
-		return h.reply(respNotFound)
-	}
-	if werr := h.ev.writeFull(h.hdr); werr != nil {
-		return werr
-	}
-	return h.ev.writeString(crlf)
-}
-
-// doTouch updates a key's expiry deadline without touching its value.
-func (h *connHandler) doTouch(args [][]byte) error {
-	key, exptime, noreply, perr := parseTouchB(args)
-	if perr != nil {
-		return h.replyError(respBadFormat)
-	}
-	deadline := deadlineFor(exptime, h.now)
-	found, err := h.srv.store.TouchBytes(h.sess, key, deadline, h.now)
-	if err != nil {
-		return h.replyError("SERVER_ERROR " + err.Error())
-	}
-	if noreply {
-		return nil
-	}
-	if found {
-		return h.reply(respTouched)
-	}
-	return h.reply(respNotFound)
-}
-
-func (h *connHandler) doDelete(args [][]byte) error {
-	key, noreply, perr := parseDeleteB(args)
-	if perr != nil {
-		return h.replyError(respBadFormat)
-	}
-	existed, err := h.srv.store.DelBytes(h.sess, key, h.now)
-	if err != nil {
-		return h.replyError("SERVER_ERROR " + err.Error())
-	}
-	if noreply {
-		return nil
-	}
-	if existed {
-		return h.reply(respDeleted)
-	}
-	return h.reply(respNotFound)
-}
-
-// doFlushAll implements `flush_all [delay] [noreply]`: a store-wide
-// expiry epoch. Every value stored before now+delay is dead once the
-// clock reaches that moment, honored by the same lazy-expiry paths as
-// per-entry TTLs (plus one reclamation sweep by Maintain after the epoch
-// passes), so the command is O(1) regardless of item count.
-func (h *connHandler) doFlushAll(args [][]byte) error {
-	delay, noreply, perr := parseFlushAllB(args)
-	if perr != nil {
-		return h.replyError(respBadFormat)
-	}
-	at := h.now
-	if delay > 0 {
-		// The delay follows the exptime rules: relative seconds up to 30
-		// days, an absolute unix timestamp beyond.
-		at = deadlineFor(delay, h.now)
-	}
-	h.srv.store.FlushAll(at)
-	h.srv.cmdFlush.Add(1)
-	if noreply {
-		return nil
-	}
-	return h.reply(respOK)
-}
-
-// doVerbosity implements `verbosity <level> [noreply]`, wired to the
-// server's leveled logger: 0 = errors only, 1 = info, 2+ = per-connection
-// debug. With no logger configured the level is parsed for conformance
-// and dropped, which is how most memcached deployments treat the
-// command anyway.
-func (h *connHandler) doVerbosity(args [][]byte) error {
-	level, noreply, perr := parseVerbosityB(args)
-	if perr != nil {
-		return h.replyError(respBadFormat)
-	}
-	switch {
-	case level == 0:
-		h.srv.cfg.Logger.SetLevel(logx.LevelError)
-	case level == 1:
-		h.srv.cfg.Logger.SetLevel(logx.LevelInfo)
-	default:
-		h.srv.cfg.Logger.SetLevel(logx.LevelDebug)
-	}
-	if noreply {
-		return nil
-	}
-	return h.reply(respOK)
-}
-
 // SlowOps returns the slow-op ring's current contents, newest first.
 // Reporting surfaces only.
 func (s *Server) SlowOps() []SlowOp { return s.slowOps.snapshot() }
@@ -1436,81 +776,4 @@ func (s *Server) OpLatency(op string) *stats.LatencyRecorder {
 		}
 	}
 	return nil
-}
-
-func (h *connHandler) doStats(args [][]byte) error {
-	if len(args) > 0 {
-		if len(args) == 1 {
-			switch string(args[0]) {
-			case "items":
-				return h.doStatsItems()
-			case "reset":
-				h.srv.ResetStats()
-				return h.reply(respReset)
-			case "slow":
-				return h.doStatsSlow()
-			}
-		}
-		// Unknown stats sub-command: memcached answers ERROR.
-		return h.replyError(respError)
-	}
-	if h.view == nil {
-		h.view = new(statView)
-	}
-	h.srv.readStats(h.view)
-	h.hdr = h.srv.appendStats(h.hdr[:0], h.view)
-	if err := h.ev.writeFull(h.hdr); err != nil {
-		return err
-	}
-	return h.reply(respEnd)
-}
-
-// doStatsSlow renders the slow-op ring, newest first: one row set per
-// captured op with its command, key prefix, latency, connection id,
-// and age. The reporting path allocates freely — only recording is on
-// the hot path.
-func (h *connHandler) doStatsSlow() error {
-	for i, op := range h.srv.SlowOps() {
-		p := fmt.Sprintf("STAT slow:%d:", i)
-		lines := []string{
-			p + "cmd " + op.Cmd,
-			p + "key " + op.Key,
-			fmt.Sprintf("%slatency_us %.1f", p, float64(op.Latency.Nanoseconds())/1e3),
-			fmt.Sprintf("%sconn %d", p, op.ConnID),
-			fmt.Sprintf("%sage_s %.1f", p, h.now.Sub(op.When).Seconds()),
-		}
-		for _, l := range lines {
-			if err := h.reply(l); err != nil {
-				return err
-			}
-		}
-	}
-	return h.reply(respEnd)
-}
-
-// doStatsItems emits `stats items`-style per-shard accounting: one row
-// set per shard (the closest analogue of memcached's per-slab-class
-// item stats), covering live counts, charged bytes, LRU-tail age, and
-// the pressure counters.
-func (h *connHandler) doStatsItems() error {
-	for i, row := range h.srv.store.ItemsSnapshot() {
-		p := fmt.Sprintf("STAT items:%d:", i)
-		lines := []string{
-			fmt.Sprintf("%snumber %d", p, row.Number),
-			fmt.Sprintf("%sbytes %d", p, row.Bytes),
-			fmt.Sprintf("%sage %.0f", p, row.AgeSeconds),
-			fmt.Sprintf("%snumber_with_ttl %d", p, row.NumberWithTTL),
-			fmt.Sprintf("%snumber_fetched %d", p, row.NumberFetched),
-			fmt.Sprintf("%sevicted %d", p, row.Evictions),
-			fmt.Sprintf("%sevicted_unfetched %d", p, row.EvictedUnfetched),
-			fmt.Sprintf("%sreclaimed %d", p, row.Reclaimed),
-			fmt.Sprintf("%sexpired %d", p, row.Expired),
-		}
-		for _, l := range lines {
-			if err := h.reply(l); err != nil {
-				return err
-			}
-		}
-	}
-	return h.reply(respEnd)
 }
