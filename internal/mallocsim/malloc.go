@@ -21,7 +21,6 @@ package mallocsim
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"alaska/internal/mem"
@@ -331,32 +330,4 @@ func (a *Allocator) DefragHint(addr mem.Addr) bool {
 		}
 	}
 	return false
-}
-
-// FragPages returns, for diagnostics, the number of runs that are partially
-// occupied (the stranded memory a non-moving allocator cannot recover).
-func (a *Allocator) FragPages() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	n := 0
-	for _, r := range a.runList {
-		used := r.slots - r.nFree - r.bump
-		if used > 0 && used < r.slots {
-			n++
-		}
-	}
-	return n
-}
-
-// LiveAddrs returns all live small-object addresses in deterministic order
-// (test helper).
-func (a *Allocator) LiveAddrs() []mem.Addr {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make([]mem.Addr, 0, len(a.sizes))
-	for addr := range a.sizes {
-		out = append(out, addr)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

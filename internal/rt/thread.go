@@ -217,9 +217,6 @@ func (t *Thread) Safepoint() {
 	t.park()
 }
 
-// Epoch returns the thread's safepoint-crossing count.
-func (t *Thread) Epoch() uint64 { return t.epoch.Load() }
-
 func (t *Thread) park() {
 	r := t.rt
 	r.mu.Lock()

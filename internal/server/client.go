@@ -281,11 +281,6 @@ func (cl *Client) Append(key string, value []byte) (bool, error) {
 	return cl.store("append", key, 0, 0, value)
 }
 
-// Prepend concatenates value before key's current data.
-func (cl *Client) Prepend(key string, value []byte) (bool, error) {
-	return cl.store("prepend", key, 0, 0, value)
-}
-
 // CasStatus is the outcome of a compare-and-swap.
 type CasStatus int
 
@@ -392,11 +387,6 @@ func (cl *Client) Gat(exptime int64, key string) (value []byte, flags uint32, ok
 	return v, f, ok, err
 }
 
-// Gats is Gat returning the cas unique too.
-func (cl *Client) Gats(exptime int64, key string) (value []byte, flags uint32, cas uint64, ok bool, err error) {
-	return cl.retrieve("gats", key, exptime, true)
-}
-
 // Get fetches one key; ok is false on a miss. The returned value is
 // backed by the client's scratch buffer and valid until the next
 // retrieval.
@@ -496,23 +486,6 @@ func (cl *Client) FlushAll(delay int64) error {
 	}
 	if resp != respOK {
 		return fmt.Errorf("server: flush_all: %s", resp)
-	}
-	return nil
-}
-
-// Verbosity sets the server's logging verbosity (accepted and ignored
-// by alaskad, like most deployments treat it).
-func (cl *Client) Verbosity(level uint64) error {
-	fmt.Fprintf(cl.w, "verbosity %d\r\n", level)
-	if err := cl.flush(); err != nil {
-		return err
-	}
-	resp, err := cl.line()
-	if err != nil {
-		return err
-	}
-	if resp != respOK {
-		return fmt.Errorf("server: verbosity: %s", resp)
 	}
 	return nil
 }

@@ -126,19 +126,6 @@ func NewAlaska(m *ir.Module, costs CostModel) (*Machine, error) {
 	}, nil
 }
 
-// NewAlaskaWithRuntime builds a machine on an existing runtime (used by
-// defragmentation experiments where a service is attached).
-func NewAlaskaWithRuntime(m *ir.Module, costs CostModel, r *rt.Runtime) *Machine {
-	return &Machine{
-		Space:     r.Space,
-		Module:    m,
-		Costs:     costs,
-		Runtime:   r,
-		Thread:    r.NewThread(),
-		externals: builtinExternals(),
-	}
-}
-
 // RegisterExternal installs a host function.
 func (m *Machine) RegisterExternal(name string, fn External) {
 	m.externals[name] = fn

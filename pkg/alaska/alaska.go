@@ -77,7 +77,6 @@ type Option func(*config)
 type config struct {
 	useAnchorage bool
 	anchorageCfg anchorage.Config
-	pinMode      rt.PinMode
 	swapStore    swap.Store
 }
 
@@ -88,12 +87,6 @@ func WithAnchorage(cfg anchorage.Config) Option {
 		c.useAnchorage = true
 		c.anchorageCfg = cfg
 	}
-}
-
-// WithCountedPins selects the naïve atomic pin-count tracking (kept for
-// the ablation the paper argues against in §3.4).
-func WithCountedPins() Option {
-	return func(c *config) { c.pinMode = rt.CountedPins }
 }
 
 // WithSwapping enables the §7 handle-fault swapping extension backed by
@@ -120,7 +113,7 @@ func NewSystem(opts ...Option) (*System, error) {
 		svc = mallocsim.NewService(space)
 	}
 	sys := &System{space: space, anchor: anchor}
-	rtOpts := []rt.Option{rt.WithPinMode(c.pinMode)}
+	var rtOpts []rt.Option
 	if c.swapStore != nil {
 		rtOpts = append(rtOpts, rt.WithFaultHandler(func(r *rt.Runtime, id uint32) error {
 			return sys.swapper.SwapIn(id)
