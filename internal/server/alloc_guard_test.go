@@ -11,12 +11,11 @@ package server
 // dispatch, kv read-into / in-place store, reply append, recordOp with the
 // per-opcode histograms live — what a worker runs between a read and a
 // writev) or, for the TestAllocFree{GetHit,SetSteadyState,PipelinedMixed}
-// trio, through the goroutine transport's blocking driver over an
-// in-memory net.Conn, which adds handleConn's read/flush loop and
-// conn.Write. Every shape is pinned at exactly 0 allocs/op with
-// testing.AllocsPerRun — stores included, when the value keeps its length
-// and is overwritten in place; a store that changes the length is held to
-// hallocAllocs. (Excluded under -race: the detector's instrumentation
+// trio, through the goroutine transport over an in-memory net.Conn, which
+// adds the burst loop's reads and flushes through the conn seam. Every
+// shape is pinned at exactly 0 allocs/op with testing.AllocsPerRun —
+// stores included, when the value keeps its length and is overwritten in
+// place; a store that changes the length is held to hallocAllocs. (Excluded under -race: the detector's instrumentation
 // allocates.)
 
 import (
@@ -93,8 +92,8 @@ func engineRun(t *testing.T, srv *Server) guardRun {
 }
 
 // driverRun drives srv through the goroutine transport over a pipe: one
-// Write is one Read for the blocking driver, whose one flush per round trip
-// is one Read here. The closing version exchange would read a leftover
+// Write is one read through the conn seam, and the burst's one flush per
+// round trip is one Read here. The closing version exchange would read a leftover
 // reply instead, were that ever not so.
 func driverRun(t *testing.T, srv *Server) guardRun {
 	c := pipeConn(t, srv)
@@ -235,7 +234,7 @@ func TestEventParkReleasesMemory(t *testing.T) {
 	e := detachedEngine(guardServer(kv.NewMallocBackend(), Config{}))
 	pc := e.pc
 	// A burst that leaves residue: partial command in the input buffer,
-	// undrained reply bytes (a detached engine's tryFlush drains nothing).
+	// undrained reply bytes (a detached engine's seam takes nothing).
 	e.in = append(e.in[:0], "get half-a-comm"...)
 	e.rpos = 0
 	cmds := 0
@@ -253,7 +252,7 @@ func TestEventParkReleasesMemory(t *testing.T) {
 
 	// Wake, let it drain (consume everything), park again: both spills
 	// must be released — an idle parked connection holds no buffers.
-	e.begin(pc)
+	e.begin(pc, &scriptIO{})
 	e.rpos = len(e.in) // consume the partial line
 	e.spillOff = len(e.spill)
 	e.park()

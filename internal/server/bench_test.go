@@ -168,21 +168,18 @@ func BenchmarkLoopbackSetGet(b *testing.B) {
 	}
 }
 
-// detachedEngine attaches a worker's protocol engine to srv with no
-// socket under it (fd < 0: replies accumulate in the worker buffer exactly
-// as they do before a writev), for driving process() directly.
-func detachedEngine(srv *Server) *eventIO {
-	e := srv.newConnHandler(srv.store.NewSession()).ev
-	pc := &pollConn{fd: -1, id: 1}
-	pc.sched.Store(schedScheduled)
-	e.begin(pc)
-	return e
+// detachedEngine attaches a protocol engine to srv over the scripted seam
+// with nothing scripted — no read has bytes and no write makes progress, so
+// replies accumulate in the engine's buffer exactly as they do before a
+// writev — for driving process() directly.
+func detachedEngine(srv *Server) *engine {
+	return srv.newEngine(srv.store.NewSession(), &pollConn{id: 1}, &scriptIO{})
 }
 
 // runEventBatch feeds one pre-built request buffer through process() as
 // a single readiness burst and resets the reply buffer, exactly as a
 // worker would between bursts (minus the writev).
-func runEventBatch(tb testing.TB, e *eventIO, req []byte, want int) {
+func runEventBatch(tb testing.TB, e *engine, req []byte, want int) {
 	if cmds, st := processBatch(e, req); st != evNeedInput || cmds != want {
 		tb.Fatalf("process dispatched %d commands with status %d, want %d with evNeedInput", cmds, st, want)
 	}
@@ -190,7 +187,7 @@ func runEventBatch(tb testing.TB, e *eventIO, req []byte, want int) {
 
 // processBatch is runEventBatch without the verdict, for goroutines that
 // may not call Fatal.
-func processBatch(e *eventIO, req []byte) (cmds int, st evStatus) {
+func processBatch(e *engine, req []byte) (cmds int, st evStatus) {
 	e.in = append(e.in[:0], req...)
 	e.rpos = 0
 	st = e.process(&cmds)
@@ -227,7 +224,7 @@ func benchEventPipelined(b *testing.B, engines, burst int, mixed bool) {
 		}
 	}
 	load.Close()
-	es := make([]*eventIO, engines)
+	es := make([]*engine, engines)
 	reqs := make([][][]byte, engines)
 	for w := range es {
 		es[w] = detachedEngine(srv)
@@ -253,7 +250,7 @@ func benchEventPipelined(b *testing.B, engines, burst int, mixed bool) {
 	var wg sync.WaitGroup
 	for w := range es {
 		wg.Add(1)
-		go func(e *eventIO, mine [][]byte) {
+		go func(e *engine, mine [][]byte) {
 			defer wg.Done()
 			for i := 0; i < b.N; i++ {
 				if cmds, st := processBatch(e, mine[i%len(mine)]); st != evNeedInput || cmds != burst {
@@ -267,7 +264,7 @@ func benchEventPipelined(b *testing.B, engines, burst int, mixed bool) {
 	b.StopTimer()
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*burst*engines), unit)
 	for _, e := range es {
-		e.h.sess.Close()
+		e.sess.Close()
 	}
 	if got := srv.OpLatency("get").Count(); got != int64((b.N+1)*gets*engines) {
 		b.Fatalf("recorded %d gets, want %d", got, (b.N+1)*gets*engines)

@@ -10,48 +10,8 @@ import (
 	"alaska/internal/logx"
 )
 
-// connHandler is the command half of the protocol engine: dispatch and the
-// do* handlers, over their own kv.Session (an rt.Thread under Alaska) and
-// scratch buffers. An event-transport worker owns one for its lifetime and
-// serves every ready connection through it; a goroutine-transport connection
-// owns one for the connection's. Its I/O half is always ev — commands read
-// their data block from, and write their replies into, the engine's buffers,
-// and the transport moves those to and from the socket.
-type connHandler struct {
-	srv  *Server
-	sess kv.Session
-	ev   *eventIO
-
-	// Pooled scratch memory: every buffer below is owned by this handler's
-	// goroutine, grows to the workload's steady state, and is reused for
-	// every subsequent command — the request path performs no per-op
-	// allocation once warm. None of them may be shared across handlers
-	// (pool_race_test.go proves they never alias).
-	fields [][]byte  // tokenized command fields (slices into the input buffer)
-	val    []byte    // kv copy-out / RMW old-value scratch
-	val2   []byte    // encoded write-back value scratch (may not alias val)
-	hdr    []byte    // response header / numeric reply / `stats` body scratch
-	view   *statView // the `stats` reading, allocated by the first one
-
-	// Per-command observability capture, written by dispatch: the opcode
-	// for the per-op histograms and a fixed-array key prefix for the
-	// slow-op ring. Fixed storage — recording stays allocation-free.
-	lastCmd  cmdCode
-	opKey    [slowOpKeyLen]byte
-	opKeyLen uint8
-	stripe   *latStripe // where recordOp records; taken once, at construction
-
-	// now is the time of the command being dispatched — the only time it
-	// uses: its deadline, its flush epoch, every store call it makes (so
-	// expiry, storedAt and the LRU stamp agree with both), and its slow-op
-	// stamp. The engine sets it before each dispatch from the one reading
-	// it takes per command (see Config.Clock); successive commands on a
-	// connection never see it go backwards.
-	now time.Time
-}
-
 // recordOp records one completed command's latency — once, into the
-// handler's stripe (the per-opcode recorder; the all-opcodes aggregate is
+// engine's stripe (the per-opcode recorder; the all-opcodes aggregate is
 // their sum, made by foldLatency) — and, past the slow threshold, into the
 // slow-op ring. Atomics and fixed arrays only — the allocation guards run
 // this exact path.
@@ -65,26 +25,26 @@ type connHandler struct {
 // later one from the end of the command before it, so its d also covers
 // that command's recordOp and safepoint poll and its own framing scan.
 //
-// A slow op is stamped with the command's own time (h.now, when it began),
+// A slow op is stamped with the command's own time (e.now, when it began),
 // not a fresh reading.
-func (s *Server) recordOp(h *connHandler, connID uint64, d time.Duration) {
-	h.stripe[h.lastCmd].Record(d)
-	if s.slowThreshNs > 0 && d.Nanoseconds() >= s.slowThreshNs {
-		s.slowOps.record(h.lastCmd, h.opKey[:h.opKeyLen], d, connID, h.now)
+func (e *engine) recordOp(d time.Duration) {
+	e.stripe[e.lastCmd].Record(d)
+	if s := e.srv; s.slowThreshNs > 0 && d.Nanoseconds() >= s.slowThreshNs {
+		s.slowOps.record(e.lastCmd, e.opKey[:e.opKeyLen], d, e.pc.id, e.now)
 	}
 }
 
-func (h *connHandler) reply(line string) error {
-	if err := h.ev.writeString(line); err != nil {
+func (e *engine) reply(line string) error {
+	if err := e.writeString(line); err != nil {
 		return err
 	}
-	return h.ev.writeString(crlf)
+	return e.writeString(crlf)
 }
 
 // replyError counts a protocol error and sends the error line.
-func (h *connHandler) replyError(line string) error {
-	h.srv.protocolErrors.Add(1)
-	return h.reply(line)
+func (e *engine) replyError(line string) error {
+	e.srv.protocolErrors.Add(1)
+	return e.reply(line)
 }
 
 // cmdCode labels a command for the per-opcode latency histograms and
@@ -118,11 +78,11 @@ var cmdNames = [cmdCount]string{
 
 // noteOp records the dispatched opcode and a fixed-size key prefix for
 // the observability plane. key aliases the input buffer; the copy into the
-// handler-owned array is what lets the slow-op ring reference it later
+// engine-owned array is what lets the slow-op ring reference it later
 // without holding (or allocating) request memory.
-func (h *connHandler) noteOp(code cmdCode, key []byte) {
-	h.lastCmd = code
-	h.opKeyLen = uint8(copy(h.opKey[:], key))
+func (e *engine) noteOp(code cmdCode, key []byte) {
+	e.lastCmd = code
+	e.opKeyLen = uint8(copy(e.opKey[:], key))
 }
 
 // firstKey returns the leading argument (the key for single- and
@@ -139,74 +99,74 @@ func firstKey(args [][]byte) []byte {
 // those itself (doStore). The returned error is an I/O failure (drop the
 // connection); protocol errors are answered in-band. fields alias the
 // input buffer.
-func (h *connHandler) dispatch(fields [][]byte) (quit bool, err error) {
+func (e *engine) dispatch(fields [][]byte) (quit bool, err error) {
 	if len(fields) == 0 {
-		h.noteOp(cmdOther, nil)
-		return false, h.replyError(respError)
+		e.noteOp(cmdOther, nil)
+		return false, e.replyError(respError)
 	}
 	cmd, args := fields[0], fields[1:]
 	switch string(cmd) { // compiles to allocation-free comparisons
 	case "get", "gets":
-		h.noteOp(cmdGet, firstKey(args))
-		return false, h.doGet(args, len(cmd) == 4)
+		e.noteOp(cmdGet, firstKey(args))
+		return false, e.doGet(args, len(cmd) == 4)
 	case "gat", "gats":
 		// args[0] is the exptime; the first key follows it.
-		h.noteOp(cmdGat, firstKey(args[min(len(args), 1):]))
-		return false, h.doGat(args, len(cmd) == 4)
+		e.noteOp(cmdGat, firstKey(args[min(len(args), 1):]))
+		return false, e.doGat(args, len(cmd) == 4)
 	case "set", "add", "replace", "cas", "append", "prepend":
 		// Malformed, or parseStorageLine would have claimed it: no data
 		// block was waited for and none is read.
 		code, _ := storageCmd(cmd)
-		h.noteOp(code, firstKey(args))
-		return false, h.replyError(respBadFormat)
+		e.noteOp(code, firstKey(args))
+		return false, e.replyError(respBadFormat)
 	case "incr", "decr":
 		if cmd[0] == 'i' {
-			h.noteOp(cmdIncr, firstKey(args))
+			e.noteOp(cmdIncr, firstKey(args))
 		} else {
-			h.noteOp(cmdDecr, firstKey(args))
+			e.noteOp(cmdDecr, firstKey(args))
 		}
-		return false, h.doIncrDecr(args, cmd[0] == 'i')
+		return false, e.doIncrDecr(args, cmd[0] == 'i')
 	case "delete":
-		h.noteOp(cmdDelete, firstKey(args))
-		return false, h.doDelete(args)
+		e.noteOp(cmdDelete, firstKey(args))
+		return false, e.doDelete(args)
 	case "touch":
-		h.noteOp(cmdTouch, firstKey(args))
-		return false, h.doTouch(args)
+		e.noteOp(cmdTouch, firstKey(args))
+		return false, e.doTouch(args)
 	case "flush_all":
-		h.noteOp(cmdFlushAll, nil)
-		return false, h.doFlushAll(args)
+		e.noteOp(cmdFlushAll, nil)
+		return false, e.doFlushAll(args)
 	case "verbosity":
-		h.noteOp(cmdOther, nil)
-		return false, h.doVerbosity(args)
+		e.noteOp(cmdOther, nil)
+		return false, e.doVerbosity(args)
 	case "stats":
-		h.noteOp(cmdStats, nil)
-		return false, h.doStats(args)
+		e.noteOp(cmdStats, nil)
+		return false, e.doStats(args)
 	case "version":
-		h.noteOp(cmdOther, nil)
-		return false, h.reply("VERSION " + h.srv.cfg.Version)
+		e.noteOp(cmdOther, nil)
+		return false, e.reply("VERSION " + e.srv.cfg.Version)
 	case "quit":
-		h.noteOp(cmdOther, nil)
+		e.noteOp(cmdOther, nil)
 		return true, nil
 	default:
-		h.noteOp(cmdOther, nil)
-		return false, h.replyError(respError)
+		e.noteOp(cmdOther, nil)
+		return false, e.replyError(respError)
 	}
 }
 
 // emitValue writes one VALUE line (+ data block) for a stored
 // representation, decoding the flags/cas header. The header line is
-// assembled in the handler's hdr scratch and the data region is
+// assembled in the engine's hdr scratch and the data region is
 // appended straight to the reply buffer — a hit serializes with zero
 // allocation. ok is false when the header failed to decode: the
 // SERVER_ERROR line has already been sent and the caller must abort the
 // retrieval (no further VALUEs, no END) — interleaving an error line
 // between VALUE blocks would be unframeable.
-func (h *connHandler) emitValue(key []byte, stored []byte, withCAS bool) (ok bool, err error) {
+func (e *engine) emitValue(key []byte, stored []byte, withCAS bool) (ok bool, err error) {
 	flags, cas, data, derr := decodeValue(stored)
 	if derr != nil {
-		return false, h.replyError("SERVER_ERROR " + derr.Error())
+		return false, e.replyError("SERVER_ERROR " + derr.Error())
 	}
-	hdr := append(h.hdr[:0], "VALUE "...)
+	hdr := append(e.hdr[:0], "VALUE "...)
 	hdr = append(hdr, key...)
 	hdr = append(hdr, ' ')
 	hdr = strconv.AppendUint(hdr, uint64(flags), 10)
@@ -217,75 +177,75 @@ func (h *connHandler) emitValue(key []byte, stored []byte, withCAS bool) (ok boo
 		hdr = strconv.AppendUint(hdr, cas, 10)
 	}
 	hdr = append(hdr, crlf...)
-	h.hdr = hdr
-	if err := h.ev.writeFull(hdr); err != nil {
+	e.hdr = hdr
+	if err := e.writeFull(hdr); err != nil {
 		return false, err
 	}
-	if err := h.ev.writeFull(data); err != nil {
+	if err := e.writeFull(data); err != nil {
 		return false, err
 	}
-	return true, h.ev.writeString(crlf)
+	return true, e.writeString(crlf)
 }
 
-func (h *connHandler) doGet(keys [][]byte, withCAS bool) error {
+func (e *engine) doGet(keys [][]byte, withCAS bool) error {
 	if len(keys) == 0 {
-		return h.replyError(respBadFormat)
+		return e.replyError(respBadFormat)
 	}
 	for _, key := range keys {
 		if !validKeyB(key) {
-			return h.replyError(respBadFormat)
+			return e.replyError(respBadFormat)
 		}
-		stored, hit, err := h.srv.store.GetIntoAt(h.sess, key, h.val[:0], h.now)
-		if cap(stored) > cap(h.val) {
-			h.val = stored // keep the grown scratch for the next hit
+		stored, hit, err := e.srv.store.GetIntoAt(e.sess, key, e.val[:0], e.now)
+		if cap(stored) > cap(e.val) {
+			e.val = stored // keep the grown scratch for the next hit
 		}
 		if err != nil {
-			return h.replyError("SERVER_ERROR " + err.Error())
+			return e.replyError("SERVER_ERROR " + err.Error())
 		}
 		if !hit {
 			continue // miss: omitted from the response
 		}
-		ok, err := h.emitValue(key, stored, withCAS)
+		ok, err := e.emitValue(key, stored, withCAS)
 		if err != nil || !ok {
 			return err
 		}
 	}
-	return h.reply(respEnd)
+	return e.reply(respEnd)
 }
 
 // doGat is get-and-touch: retrieval that also moves each hit key's expiry
 // deadline, as one critical section per key.
-func (h *connHandler) doGat(args [][]byte, withCAS bool) error {
+func (e *engine) doGat(args [][]byte, withCAS bool) error {
 	exptime, keys, perr := parseGatB(args)
 	if perr != nil {
-		return h.replyError(respBadFormat)
+		return e.replyError(respBadFormat)
 	}
-	deadline := deadlineFor(exptime, h.now)
+	deadline := deadlineFor(exptime, e.now)
 	for _, key := range keys {
-		stored, hit, err := h.srv.store.GetAndTouchInto(h.sess, key, deadline, h.val[:0], h.now)
-		if cap(stored) > cap(h.val) {
-			h.val = stored
+		stored, hit, err := e.srv.store.GetAndTouchInto(e.sess, key, deadline, e.val[:0], e.now)
+		if cap(stored) > cap(e.val) {
+			e.val = stored
 		}
 		if err != nil {
-			return h.replyError("SERVER_ERROR " + err.Error())
+			return e.replyError("SERVER_ERROR " + err.Error())
 		}
 		if !hit {
 			continue
 		}
-		ok, err := h.emitValue(key, stored, withCAS)
+		ok, err := e.emitValue(key, stored, withCAS)
 		if err != nil || !ok {
 			return err
 		}
 	}
-	return h.reply(respEnd)
+	return e.reply(respEnd)
 }
 
 // doStore runs the storage command op with the arguments the engine
 // parsed off its line (parseStorageLine), once the whole data block is
 // buffered. An oversized value never gets here: the engine turns it into
 // the discard framing state instead.
-func (h *connHandler) doStore(op cmdCode, sa storageArgsB) error {
-	data, ok, err := h.ev.readBody(sa.nbytes)
+func (e *engine) doStore(op cmdCode, sa storageArgsB) error {
+	data, ok, err := e.readBody(sa.nbytes)
 	if err != nil {
 		return err
 	}
@@ -296,38 +256,38 @@ func (h *connHandler) doStore(op cmdCode, sa storageArgsB) error {
 		// desynced remainder is client-controlled and may be huge — and a
 		// client that goes quiet here gets the error flushed before the
 		// transport waits for more.
-		h.ev.pc.resync = true
-		return h.replyError(respBadChunk)
+		e.pc.resync = true
+		return e.replyError(respBadChunk)
 	}
-	resp, errLine, err := h.executeStore(op, sa, data)
+	resp, errLine, err := e.executeStore(op, sa, data)
 	if err != nil {
 		if sa.noreply {
-			h.srv.protocolErrors.Add(1)
+			e.srv.protocolErrors.Add(1)
 			return nil
 		}
 		// A value that cannot fit under the memory ceiling at all is
 		// its own canonical line, whatever the command.
 		if errors.Is(err, kv.ErrTooLarge) {
-			return h.replyError(respTooLarge)
+			return e.replyError(respTooLarge)
 		}
 		// Plain stores fail on allocation (memcached's canonical line);
 		// an RMW failure may equally be a read fault mid-Apply, so
 		// surface the real error there.
 		if op == cmdSet || op == cmdAdd || op == cmdReplace {
-			return h.replyError(respOutOfMemory)
+			return e.replyError(respOutOfMemory)
 		}
-		return h.replyError("SERVER_ERROR " + err.Error())
+		return e.replyError("SERVER_ERROR " + err.Error())
 	}
 	if sa.noreply {
 		if errLine {
-			h.srv.protocolErrors.Add(1)
+			e.srv.protocolErrors.Add(1)
 		}
 		return nil
 	}
 	if errLine {
-		return h.replyError(resp)
+		return e.replyError(resp)
 	}
-	return h.reply(resp)
+	return e.reply(resp)
 }
 
 // executeStore runs a parsed storage command against the store and
@@ -340,9 +300,9 @@ func (h *connHandler) doStore(op cmdCode, sa storageArgsB) error {
 // Write-back values are encoded into the connection's val2 scratch (the
 // RMW old value lives in val), so the whole family — plain stores, cas,
 // append/prepend — stores without allocating.
-func (h *connHandler) executeStore(op cmdCode, sa storageArgsB, data []byte) (resp string, errLine bool, err error) {
-	newCas := h.srv.casCounter.Add(1)
-	deadline := deadlineFor(sa.exptime, h.now)
+func (e *engine) executeStore(op cmdCode, sa storageArgsB, data []byte) (resp string, errLine bool, err error) {
+	newCas := e.srv.casCounter.Add(1)
+	deadline := deadlineFor(sa.exptime, e.now)
 	switch op {
 	case cmdSet, cmdAdd, cmdReplace:
 		mode := kv.SetAlways
@@ -352,8 +312,8 @@ func (h *connHandler) executeStore(op cmdCode, sa storageArgsB, data []byte) (re
 		case cmdReplace:
 			mode = kv.SetReplace
 		}
-		h.val2 = appendValue(h.val2[:0], sa.flags, newCas, data)
-		stored, serr := h.srv.store.SetExBytesAt(h.sess, sa.key, h.val2, mode, deadline, h.now)
+		e.val2 = appendValue(e.val2[:0], sa.flags, newCas, data)
+		stored, serr := e.srv.store.SetExBytesAt(e.sess, sa.key, e.val2, mode, deadline, e.now)
 		if serr != nil {
 			return "", false, serr
 		}
@@ -367,7 +327,7 @@ func (h *connHandler) executeStore(op cmdCode, sa storageArgsB, data []byte) (re
 		// section, so exactly one of N racing cas commands with the same
 		// unique can win.
 		resp = respStored
-		h.val, err = h.srv.store.ApplyInto(h.sess, sa.key, h.val, h.now, func(old []byte, found bool) kv.ApplyOp {
+		e.val, err = e.srv.store.ApplyInto(e.sess, sa.key, e.val, e.now, func(old []byte, found bool) kv.ApplyOp {
 			if !found {
 				resp = respNotFound
 				return kv.ApplyOp{Stat: kv.StatCasMiss}
@@ -381,10 +341,10 @@ func (h *connHandler) executeStore(op cmdCode, sa storageArgsB, data []byte) (re
 				resp = respExists
 				return kv.ApplyOp{Stat: kv.StatCasBadval}
 			}
-			h.val2 = appendValue(h.val2[:0], sa.flags, newCas, data)
+			e.val2 = appendValue(e.val2[:0], sa.flags, newCas, data)
 			return kv.ApplyOp{
 				Verdict: kv.ApplyStore,
-				Value:   h.val2,
+				Value:   e.val2,
 				Expire:  deadline,
 				Stat:    kv.StatCasHit,
 			}
@@ -395,7 +355,7 @@ func (h *connHandler) executeStore(op cmdCode, sa storageArgsB, data []byte) (re
 		// ignores the flags/exptime arguments of append/prepend) but
 		// issues a new cas unique.
 		resp = respStored
-		h.val, err = h.srv.store.ApplyInto(h.sess, sa.key, h.val, h.now, func(old []byte, found bool) kv.ApplyOp {
+		e.val, err = e.srv.store.ApplyInto(e.sess, sa.key, e.val, e.now, func(old []byte, found bool) kv.ApplyOp {
 			if !found {
 				resp = respNotStored
 				return kv.ApplyOp{}
@@ -409,19 +369,19 @@ func (h *connHandler) executeStore(op cmdCode, sa storageArgsB, data []byte) (re
 			// append individually fitting must not let an item grow
 			// without bound (memcached rejects the concatenation the
 			// same way).
-			if len(oldData)+len(data) > h.srv.cfg.MaxValueSize {
+			if len(oldData)+len(data) > e.srv.cfg.MaxValueSize {
 				resp, errLine = respTooLarge, true
 				return kv.ApplyOp{}
 			}
-			h.val2 = appendValue(h.val2[:0], oldFlags, newCas, nil)
+			e.val2 = appendValue(e.val2[:0], oldFlags, newCas, nil)
 			if op == cmdAppend {
-				h.val2 = append(append(h.val2, oldData...), data...)
+				e.val2 = append(append(e.val2, oldData...), data...)
 			} else {
-				h.val2 = append(append(h.val2, data...), oldData...)
+				e.val2 = append(append(e.val2, data...), oldData...)
 			}
 			return kv.ApplyOp{
 				Verdict:    kv.ApplyStore,
-				Value:      h.val2,
+				Value:      e.val2,
 				KeepExpire: true,
 			}
 		})
@@ -440,27 +400,27 @@ func (h *connHandler) executeStore(op cmdCode, sa storageArgsB, data []byte) (re
 // spaces to the old value's length (memcached's classic in-place-update
 // artifact, visible to a subsequent get) while the reply stays the bare
 // number, exactly like memcached's out_string path.
-func (h *connHandler) doIncrDecr(args [][]byte, incr bool) error {
+func (e *engine) doIncrDecr(args [][]byte, incr bool) error {
 	key, delta, noreply, perr := parseIncrDecrB(args)
 	if perr == errBadDelta {
 		if noreply {
-			h.srv.protocolErrors.Add(1)
+			e.srv.protocolErrors.Add(1)
 			return nil
 		}
-		return h.replyError(respBadDelta)
+		return e.replyError(respBadDelta)
 	}
 	if perr != nil {
-		return h.replyError(respBadFormat)
+		return e.replyError(respBadFormat)
 	}
-	newCas := h.srv.casCounter.Add(1)
+	newCas := e.srv.casCounter.Add(1)
 	hitStat, missStat := kv.StatIncrHit, kv.StatIncrMiss
 	if !incr {
 		hitStat, missStat = kv.StatDecrHit, kv.StatDecrMiss
 	}
-	var errResp string // in-band error line ("" = h.hdr carries the reply)
+	var errResp string // in-band error line ("" = e.hdr carries the reply)
 	found := true
 	var err error
-	h.val, err = h.srv.store.ApplyInto(h.sess, key, h.val, h.now, func(old []byte, ok bool) kv.ApplyOp {
+	e.val, err = e.srv.store.ApplyInto(e.sess, key, e.val, e.now, func(old []byte, ok bool) kv.ApplyOp {
 		if !ok {
 			found = false
 			return kv.ApplyOp{Stat: missStat}
@@ -483,19 +443,19 @@ func (h *connHandler) doIncrDecr(args [][]byte, incr bool) error {
 		} else {
 			next = val - delta
 		}
-		h.hdr = strconv.AppendUint(h.hdr[:0], next, 10)
-		h.val2 = appendValue(h.val2[:0], flags, newCas, h.hdr)
-		if !incr && h.srv.cfg.SpacePaddedDecr {
+		e.hdr = strconv.AppendUint(e.hdr[:0], next, 10)
+		e.val2 = appendValue(e.val2[:0], flags, newCas, e.hdr)
+		if !incr && e.srv.cfg.SpacePaddedDecr {
 			// memcached-classic: the stored value keeps the old length,
 			// right-padded with spaces (the in-place-update artifact a
 			// subsequent get exposes); the reply is the bare number.
-			for len(h.val2)-valueHeaderLen < len(data) {
-				h.val2 = append(h.val2, ' ')
+			for len(e.val2)-valueHeaderLen < len(data) {
+				e.val2 = append(e.val2, ' ')
 			}
 		}
 		return kv.ApplyOp{
 			Verdict:    kv.ApplyStore,
-			Value:      h.val2,
+			Value:      e.val2,
 			KeepExpire: true,
 			Stat:       hitStat,
 		}
@@ -504,65 +464,65 @@ func (h *connHandler) doIncrDecr(args [][]byte, incr bool) error {
 		// An Apply failure here is a read or write-back fault, not
 		// necessarily memory pressure: surface the real error.
 		if noreply {
-			h.srv.protocolErrors.Add(1)
+			e.srv.protocolErrors.Add(1)
 			return nil
 		}
-		return h.replyError("SERVER_ERROR " + err.Error())
+		return e.replyError("SERVER_ERROR " + err.Error())
 	}
 	if noreply {
 		if errResp != "" {
-			h.srv.protocolErrors.Add(1)
+			e.srv.protocolErrors.Add(1)
 		}
 		return nil
 	}
 	if errResp != "" {
-		return h.replyError(errResp)
+		return e.replyError(errResp)
 	}
 	if !found {
-		return h.reply(respNotFound)
+		return e.reply(respNotFound)
 	}
-	if werr := h.ev.writeFull(h.hdr); werr != nil {
+	if werr := e.writeFull(e.hdr); werr != nil {
 		return werr
 	}
-	return h.ev.writeString(crlf)
+	return e.writeString(crlf)
 }
 
 // doTouch updates a key's expiry deadline without touching its value.
-func (h *connHandler) doTouch(args [][]byte) error {
+func (e *engine) doTouch(args [][]byte) error {
 	key, exptime, noreply, perr := parseTouchB(args)
 	if perr != nil {
-		return h.replyError(respBadFormat)
+		return e.replyError(respBadFormat)
 	}
-	deadline := deadlineFor(exptime, h.now)
-	found, err := h.srv.store.TouchBytes(h.sess, key, deadline, h.now)
+	deadline := deadlineFor(exptime, e.now)
+	found, err := e.srv.store.TouchBytes(e.sess, key, deadline, e.now)
 	if err != nil {
-		return h.replyError("SERVER_ERROR " + err.Error())
+		return e.replyError("SERVER_ERROR " + err.Error())
 	}
 	if noreply {
 		return nil
 	}
 	if found {
-		return h.reply(respTouched)
+		return e.reply(respTouched)
 	}
-	return h.reply(respNotFound)
+	return e.reply(respNotFound)
 }
 
-func (h *connHandler) doDelete(args [][]byte) error {
+func (e *engine) doDelete(args [][]byte) error {
 	key, noreply, perr := parseDeleteB(args)
 	if perr != nil {
-		return h.replyError(respBadFormat)
+		return e.replyError(respBadFormat)
 	}
-	existed, err := h.srv.store.DelBytes(h.sess, key, h.now)
+	existed, err := e.srv.store.DelBytes(e.sess, key, e.now)
 	if err != nil {
-		return h.replyError("SERVER_ERROR " + err.Error())
+		return e.replyError("SERVER_ERROR " + err.Error())
 	}
 	if noreply {
 		return nil
 	}
 	if existed {
-		return h.reply(respDeleted)
+		return e.reply(respDeleted)
 	}
-	return h.reply(respNotFound)
+	return e.reply(respNotFound)
 }
 
 // doFlushAll implements `flush_all [delay] [noreply]`: a store-wide
@@ -570,23 +530,23 @@ func (h *connHandler) doDelete(args [][]byte) error {
 // clock reaches that moment, honored by the same lazy-expiry paths as
 // per-entry TTLs (plus one reclamation sweep by Maintain after the epoch
 // passes), so the command is O(1) regardless of item count.
-func (h *connHandler) doFlushAll(args [][]byte) error {
+func (e *engine) doFlushAll(args [][]byte) error {
 	delay, noreply, perr := parseFlushAllB(args)
 	if perr != nil {
-		return h.replyError(respBadFormat)
+		return e.replyError(respBadFormat)
 	}
-	at := h.now
+	at := e.now
 	if delay > 0 {
 		// The delay follows the exptime rules: relative seconds up to 30
 		// days, an absolute unix timestamp beyond.
-		at = deadlineFor(delay, h.now)
+		at = deadlineFor(delay, e.now)
 	}
-	h.srv.store.FlushAll(at)
-	h.srv.cmdFlush.Add(1)
+	e.srv.store.FlushAll(at)
+	e.srv.cmdFlush.Add(1)
 	if noreply {
 		return nil
 	}
-	return h.reply(respOK)
+	return e.reply(respOK)
 }
 
 // doVerbosity implements `verbosity <level> [noreply]`, wired to the
@@ -594,81 +554,81 @@ func (h *connHandler) doFlushAll(args [][]byte) error {
 // debug. With no logger configured the level is parsed for conformance
 // and dropped, which is how most memcached deployments treat the
 // command anyway.
-func (h *connHandler) doVerbosity(args [][]byte) error {
+func (e *engine) doVerbosity(args [][]byte) error {
 	level, noreply, perr := parseVerbosityB(args)
 	if perr != nil {
-		return h.replyError(respBadFormat)
+		return e.replyError(respBadFormat)
 	}
 	switch {
 	case level == 0:
-		h.srv.cfg.Logger.SetLevel(logx.LevelError)
+		e.srv.cfg.Logger.SetLevel(logx.LevelError)
 	case level == 1:
-		h.srv.cfg.Logger.SetLevel(logx.LevelInfo)
+		e.srv.cfg.Logger.SetLevel(logx.LevelInfo)
 	default:
-		h.srv.cfg.Logger.SetLevel(logx.LevelDebug)
+		e.srv.cfg.Logger.SetLevel(logx.LevelDebug)
 	}
 	if noreply {
 		return nil
 	}
-	return h.reply(respOK)
+	return e.reply(respOK)
 }
 
-func (h *connHandler) doStats(args [][]byte) error {
+func (e *engine) doStats(args [][]byte) error {
 	if len(args) > 0 {
 		if len(args) == 1 {
 			switch string(args[0]) {
 			case "items":
-				return h.doStatsItems()
+				return e.doStatsItems()
 			case "reset":
-				h.srv.ResetStats()
-				return h.reply(respReset)
+				e.srv.ResetStats()
+				return e.reply(respReset)
 			case "slow":
-				return h.doStatsSlow()
+				return e.doStatsSlow()
 			}
 		}
 		// Unknown stats sub-command: memcached answers ERROR.
-		return h.replyError(respError)
+		return e.replyError(respError)
 	}
-	if h.view == nil {
-		h.view = new(statView)
+	if e.view == nil {
+		e.view = new(statView)
 	}
-	h.srv.readStats(h.view)
-	h.hdr = h.srv.appendStats(h.hdr[:0], h.view)
-	if err := h.ev.writeFull(h.hdr); err != nil {
+	e.srv.readStats(e.view)
+	e.hdr = e.srv.appendStats(e.hdr[:0], e.view)
+	if err := e.writeFull(e.hdr); err != nil {
 		return err
 	}
-	return h.reply(respEnd)
+	return e.reply(respEnd)
 }
 
 // doStatsSlow renders the slow-op ring, newest first: one row set per
 // captured op with its command, key prefix, latency, connection id,
 // and age. The reporting path allocates freely — only recording is on
 // the hot path.
-func (h *connHandler) doStatsSlow() error {
-	for i, op := range h.srv.SlowOps() {
+func (e *engine) doStatsSlow() error {
+	for i, op := range e.srv.SlowOps() {
 		p := fmt.Sprintf("STAT slow:%d:", i)
 		lines := []string{
 			p + "cmd " + op.Cmd,
 			p + "key " + op.Key,
 			fmt.Sprintf("%slatency_us %.1f", p, float64(op.Latency.Nanoseconds())/1e3),
 			fmt.Sprintf("%sconn %d", p, op.ConnID),
-			fmt.Sprintf("%sage_s %.1f", p, h.now.Sub(op.When).Seconds()),
+			fmt.Sprintf("%sage_s %.1f", p, e.now.Sub(op.When).Seconds()),
 		}
 		for _, l := range lines {
-			if err := h.reply(l); err != nil {
+			if err := e.reply(l); err != nil {
 				return err
 			}
 		}
 	}
-	return h.reply(respEnd)
+	return e.reply(respEnd)
 }
 
 // doStatsItems emits `stats items`-style per-shard accounting: one row
 // set per shard (the closest analogue of memcached's per-slab-class
 // item stats), covering live counts, charged bytes, LRU-tail age, and
 // the pressure counters.
-func (h *connHandler) doStatsItems() error {
-	for i, row := range h.srv.store.ItemsSnapshot() {
+func (e *engine) doStatsItems() error {
+	for i, row := range e.srv.store.ItemsSnapshot() {
 		p := fmt.Sprintf("STAT items:%d:", i)
 		lines := []string{
 			fmt.Sprintf("%snumber %d", p, row.Number),
@@ -682,10 +642,10 @@ func (h *connHandler) doStatsItems() error {
 			fmt.Sprintf("%sexpired %d", p, row.Expired),
 		}
 		for _, l := range lines {
-			if err := h.reply(l); err != nil {
+			if err := e.reply(l); err != nil {
 				return err
 			}
 		}
 	}
-	return h.reply(respEnd)
+	return e.reply(respEnd)
 }

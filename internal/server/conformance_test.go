@@ -83,8 +83,8 @@ func forEachBackend(t *testing.T, cfg Config, fn func(t *testing.T, srv *Server)
 
 // pipeConn attaches an in-memory connection to srv's goroutine transport
 // and returns the client end. net.Pipe is unbuffered, so every Write here
-// is delivered to the blocking driver as one Read: the test, not the
-// kernel, decides where the engine sees a request split.
+// is delivered to the engine as one read through the conn seam: the test,
+// not the kernel, decides where the engine sees a request split.
 func pipeConn(t testing.TB, srv *Server) net.Conn {
 	client, server := net.Pipe()
 	srv.currConns.Add(1)

@@ -1,23 +1,31 @@
 package server
 
-// One engine, two transports. eventIO.process() is the server's only
-// protocol engine: a buffer-in / buffer-out state machine that frames
-// commands out of an input buffer, dispatches each once its whole frame is
-// there, and appends replies to an output buffer. It never reads a socket;
-// a transport feeds it and drains it:
+// One engine, three seams. The engine below is the server's only protocol
+// engine and its only burst loop: a buffer-in / buffer-out state machine
+// that frames commands out of an input buffer, dispatches each once its
+// whole frame is there (commands.go), and appends replies to an output
+// buffer. It moves bytes between those buffers and the socket only through
+// a two-method seam, connIO — read and writev, each reporting whether the
+// call would have blocked — and the transports differ only in that seam:
 //
 //   - the event transport (poller_linux.go): a parked connection is nothing
 //     but a registered fd plus the pollConn below (~200 B and usually-nil
 //     spill slices — no goroutine stack, no buffers, no rt.Thread). When
 //     epoll reports the fd, one of a fixed pool of workers attaches its own
-//     eventIO — buffers grow-only and reused across every connection the
-//     worker serves — reads until EAGAIN, and writevs the replies.
+//     engine — buffers grow-only and reused across every connection the
+//     worker serves — to the pollConn, whose raw nonblocking fd is the seam:
+//     the burst reads until EAGAIN and writevs the replies.
 //   - the goroutine transport (Server.handleConn, every platform): one
-//     goroutine and one eventIO per connection, over a detached pollConn
-//     (fd < 0), with blocking reads and deadline-bounded blocking writes.
+//     goroutine and one engine per connection, over the *conn seam —
+//     blocking reads and deadline-bounded blocking writes, made in the
+//     session's idle state.
+//   - tests and benchmarks: a scripted fake with no socket under it, which
+//     decides call by call how many bytes a read returns or a writev takes
+//     and when either would block.
 //
-// Both run the same instructions per command, so the zero-alloc contract,
-// the conformance transcripts and the per-command clock hold on either.
+// All three run the same instructions per command, so the zero-alloc
+// contract, the conformance transcripts and the per-command clock hold on
+// each.
 
 import (
 	"bytes"
@@ -25,6 +33,8 @@ import (
 	"net"
 	"sync/atomic"
 	"time"
+
+	"alaska/internal/kv"
 )
 
 const (
@@ -62,9 +72,8 @@ const (
 )
 
 // pollConn is the entire per-connection state of a parked connection —
-// and, detached (fd < 0, embedded in a conn), what the engine keeps of a
-// goroutine-transport connection, which uses none of the scheduling or
-// spill fields.
+// and, embedded in a conn, what the engine keeps of a goroutine-transport
+// connection, which uses none of the fd, scheduling or spill fields.
 type pollConn struct {
 	fd  int
 	id  uint64 // slow-op / debug-log attribution (Server.connIDs)
@@ -127,19 +136,30 @@ const (
 // dropped rather than desynced.
 var errEventShortBody = errors.New("server: event engine dispatched with incomplete body")
 
-// eventIO is the protocol engine's framing and buffer half (connHandler is
-// its command half). Its buffers are grow-only; a worker's are recycled
-// across every connection it serves, a connection's own residue living in
-// pollConn spill slices only while parked mid-command. dispatch and the do*
-// handlers read a data block with readBody and reply with writeFull /
-// writeString.
-type eventIO struct {
-	h  *connHandler
-	pc *pollConn
-	// c is the socket of a goroutine-transport connection: with fd < 0,
-	// tryFlush writes to it, blocking. nil on a worker's engine, and on a
-	// detached engine with no socket at all (tests, benchmarks).
-	c *conn
+// connIO is the engine's socket seam. read fills p; n == 0 with again false
+// is EOF or a failure. writev writes a, then b. again reports that the call
+// would have blocked and moved nothing: the burst ends there, and the event
+// worker parks the connection. A blocking seam's writev never reports it;
+// its read reports it once after every read that returned bytes.
+type connIO interface {
+	read(p []byte) (n int, again bool, err error)
+	writev(a, b []byte) (n int, again bool, err error)
+}
+
+// engine is the protocol engine: one connection's framing state and
+// buffers, and the command scratch its handlers (commands.go) run over with
+// their own kv.Session (an rt.Thread under Alaska). An event worker owns one
+// for its lifetime and attaches it to every connection it wakes (begin,
+// park); a goroutine-transport connection owns one for the connection's.
+// Its buffers are grow-only; a worker's are recycled across every
+// connection it serves, a connection's own residue living in pollConn spill
+// slices only while parked mid-command. The handlers read a data block with
+// readBody and reply with writeFull / writeString.
+type engine struct {
+	srv  *Server
+	sess kv.Session
+	pc   *pollConn
+	sock connIO
 
 	in       []byte // unconsumed input is in[rpos:]
 	rpos     int
@@ -147,18 +167,58 @@ type eventIO struct {
 
 	spill    []byte // pc.outSpill loaded at begin; [spillOff:] undrained
 	spillOff int
-	out      []byte // replies generated this burst; [outOff:] undrained
+	out      []byte // replies not yet drained; [outOff:] undrained
 	outOff   int
 
 	// stamped is set once process() has stamped pc.lastActive in this
 	// wake, so a write that drains everything need not read the clock to
 	// stamp it again.
 	stamped bool
+
+	// Pooled scratch memory: every buffer below is owned by this engine's
+	// goroutine, grows to the workload's steady state, and is reused for
+	// every subsequent command — the request path performs no per-op
+	// allocation once warm. None of them may be shared across engines
+	// (pool_race_test.go proves they never alias).
+	fields [][]byte  // tokenized command fields (slices into the input buffer)
+	val    []byte    // kv copy-out / RMW old-value scratch
+	val2   []byte    // encoded write-back value scratch (may not alias val)
+	hdr    []byte    // response header / numeric reply / `stats` body scratch
+	view   *statView // the `stats` reading, allocated by the first one
+
+	// Per-command observability capture, written by dispatch: the opcode
+	// for the per-op histograms and a fixed-array key prefix for the
+	// slow-op ring. Fixed storage — recording stays allocation-free.
+	lastCmd  cmdCode
+	opKey    [slowOpKeyLen]byte
+	opKeyLen uint8
+	stripe   *latStripe // where recordOp records; taken once, at construction
+
+	// now is the time of the command being dispatched — the only time it
+	// uses: its deadline, its flush epoch, every store call it makes (so
+	// expiry, storedAt and the LRU stamp agree with both), and its slow-op
+	// stamp. The engine sets it before each dispatch from the one reading
+	// it takes per command (see Config.Clock); successive commands on a
+	// connection never see it go backwards.
+	now time.Time
 }
 
-// begin attaches the engine to a woken connection, loading its spill.
-func (e *eventIO) begin(pc *pollConn) {
-	e.pc = pc
+// newEngine builds an engine over sess, hands it the next latency stripe
+// and, given a connection, attaches it (begin). A worker's engine starts
+// unattached.
+func (s *Server) newEngine(sess kv.Session, pc *pollConn, sock connIO) *engine {
+	n := s.nextStripe.Add(1) - 1
+	e := &engine{srv: s, sess: sess, stripe: &s.stripes[n%uint32(len(s.stripes))]}
+	if pc != nil {
+		e.begin(pc, sock)
+	}
+	return e
+}
+
+// begin attaches the engine to a woken connection and its seam, loading
+// its spill.
+func (e *engine) begin(pc *pollConn, sock connIO) {
+	e.pc, e.sock = pc, sock
 	if len(pc.inSpill) > 0 {
 		e.in = append(e.in[:0], pc.inSpill...)
 	} else {
@@ -177,7 +237,7 @@ func (e *eventIO) begin(pc *pollConn) {
 // connection's spill slices and detaches. Empty residue releases the
 // spill entirely (capacity above connSpillRetain is dropped), so an
 // idle parked connection holds no buffer memory at all.
-func (e *eventIO) park() {
+func (e *engine) park() {
 	pc := e.pc
 	left := e.in[e.rpos:]
 	if len(left) == 0 {
@@ -204,7 +264,7 @@ func (e *eventIO) park() {
 	e.outOff = 0
 	e.spill = nil
 	e.spillOff = 0
-	e.pc = nil
+	e.pc, e.sock = nil, nil
 }
 
 func shedSpill(b []byte) []byte {
@@ -224,7 +284,7 @@ func trimWorkerBuf(b []byte) []byte {
 // readBuf compacts consumed input and returns free space (at least
 // eventReadChunk, or whatever the pending command's body still needs)
 // for the next socket read; extend commits n read bytes.
-func (e *eventIO) readBuf() []byte {
+func (e *engine) readBuf() []byte {
 	if e.rpos > 0 {
 		n := copy(e.in, e.in[e.rpos:])
 		e.in = e.in[:n]
@@ -242,29 +302,25 @@ func (e *eventIO) readBuf() []byte {
 	return e.in[len(e.in):cap(e.in)]
 }
 
-func (e *eventIO) extend(n int) { e.in = e.in[:len(e.in)+n] }
+func (e *engine) extend(n int) { e.in = e.in[:len(e.in)+n] }
 
-// pendingOut is the undrained reply byte count (the event-mode reply
-// backlog).
-func (e *eventIO) pendingOut() int {
+// pendingOut is the undrained reply byte count (the reply backlog).
+func (e *engine) pendingOut() int {
 	return (len(e.spill) - e.spillOff) + (len(e.out) - e.outOff)
 }
 
-// tryFlush writevs [spill remainder, burst output] to the socket until
-// it would block or everything drained. EAGAIN is not an error — the
-// residue parks with the connection and EPOLLOUT finishes the job.
-// Write progress counts as activity; pending bytes with no progress
-// start the write-stall clock the sweeper enforces WriteTimeout with.
-// The common case — this wake ran commands and the write drained their
-// replies whole — reads no clock: process() already stamped the activity.
-// A partial write always reads it (the stall origin must be fresh), as
-// does a wake that only drained a parked spill.
-func (e *eventIO) tryFlush() error {
-	pc := e.pc
-	if pc.fd < 0 {
-		return e.flushBlocking()
-	}
-	srv := e.h.srv
+// flush writevs [spill remainder, pending output] through the seam until
+// it would block or everything drained. Would-block is not an error — the
+// residue parks with the connection and EPOLLOUT finishes the job. Write
+// progress counts as activity; pending bytes with no progress start the
+// write-stall clock the sweeper enforces WriteTimeout with. The common
+// case — this wake ran commands and the write drained their replies whole
+// — reads no clock: process() already stamped the activity. A partial
+// write always reads it (the stall origin must be fresh), as does a wake
+// that only drained a parked spill. Drained output starts the buffer over,
+// so an engine that never parks reuses it.
+func (e *engine) flush() error {
+	pc, srv := e.pc, e.srv
 	for {
 		a := e.spill[e.spillOff:]
 		b := e.out[e.outOff:]
@@ -272,7 +328,7 @@ func (e *eventIO) tryFlush() error {
 			pc.writeStall.Store(0)
 			return nil
 		}
-		n, again, err := writevRawFd(pc.fd, a, b)
+		n, again, err := e.sock.writev(a, b)
 		if n > 0 {
 			srv.bytesWritten.Add(int64(n))
 			if n >= len(a) {
@@ -286,6 +342,7 @@ func (e *eventIO) tryFlush() error {
 					pc.touch(srv.cfg.Clock().UnixNano())
 				}
 				pc.writeStall.Store(0)
+				e.out, e.outOff = trimWorkerBuf(e.out), 0
 				return nil
 			}
 			now := srv.cfg.Clock().UnixNano()
@@ -304,22 +361,6 @@ func (e *eventIO) tryFlush() error {
 	}
 }
 
-// flushBlocking is tryFlush on the goroutine transport: one blocking write
-// of everything pending (nothing is ever spilled — the connection never
-// parks), made in the session's idle state so a slow reader delays no
-// barrier, and bounded by the write deadline conn.Write applies. A detached
-// engine has no socket: its output accumulates in e.out.
-func (e *eventIO) flushBlocking() error {
-	if e.c == nil || len(e.out) == 0 {
-		return nil
-	}
-	e.h.sess.EnterIdle()
-	_, err := e.c.Write(e.out)
-	e.h.sess.ExitIdle()
-	e.out = trimWorkerBuf(e.out)
-	return err
-}
-
 // errEventBacklog drops a connection whose single command produced more
 // than the whole reply-backlog budget while the socket absorbed none of
 // it. (Between commands the event transport parks for EPOLLOUT instead;
@@ -328,14 +369,14 @@ func (e *eventIO) flushBlocking() error {
 // write deadline kicks the client, so it never gets here.)
 var errEventBacklog = errors.New("server: reply backlog exceeded mid-command")
 
-func (e *eventIO) maybeFlush() error {
+func (e *engine) maybeFlush() error {
 	if e.pendingOut() < eventFlushHighWater {
 		return nil
 	}
-	if err := e.tryFlush(); err != nil {
+	if err := e.flush(); err != nil {
 		return err
 	}
-	if cap := e.h.srv.cfg.MaxReplyBacklog; cap > 0 && e.pendingOut() > cap {
+	if cap := e.srv.cfg.MaxReplyBacklog; cap > 0 && e.pendingOut() > cap {
 		e.pc.slow.Store(true)
 		return errEventBacklog
 	}
@@ -345,12 +386,12 @@ func (e *eventIO) maybeFlush() error {
 // writeFull and writeString append reply bytes, streaming them out once
 // eventFlushHighWater are pending.
 
-func (e *eventIO) writeFull(p []byte) error {
+func (e *engine) writeFull(p []byte) error {
 	e.out = append(e.out, p...)
 	return e.maybeFlush()
 }
 
-func (e *eventIO) writeString(s string) error {
+func (e *engine) writeString(s string) error {
 	e.out = append(e.out, s...)
 	return e.maybeFlush()
 }
@@ -358,7 +399,7 @@ func (e *eventIO) writeString(s string) error {
 // readBody returns a storage command's data block straight out of the
 // input buffer — dispatchBuffered waited for all of it before running
 // the command, so this never blocks and never copies.
-func (e *eventIO) readBody(n int) ([]byte, bool, error) {
+func (e *engine) readBody(n int) ([]byte, bool, error) {
 	buf := e.in[e.rpos:]
 	if len(buf) < n+2 {
 		return nil, false, errEventShortBody
@@ -428,11 +469,11 @@ func updateTail(tail *[2]byte, chunk []byte) {
 // "resumable state machine" lives entirely in this framing layer. A call
 // that completed at least one command stamps the connection active on its
 // way out, at the time of the last of them.
-func (e *eventIO) process(cmds *int) evStatus {
+func (e *engine) process(cmds *int) evStatus {
 	before := *cmds
 	st := e.dispatchBuffered(cmds)
 	if *cmds > before {
-		e.pc.touch(e.h.now.UnixNano())
+		e.pc.touch(e.now.UnixNano())
 		e.stamped = true
 	}
 	return st
@@ -445,15 +486,14 @@ func (e *eventIO) process(cmds *int) evStatus {
 // whose latency is the step from the reading before it. See recordOp for
 // what that interval covers.
 //
-// The same readings are the commands' times (h.now): base for the first,
+// The same readings are the commands' times (e.now): base for the first,
 // base plus the reading taken after the command before for each later one
 // — a sequence that only advances, so a deadline, a flush epoch or a
 // storedAt written by one command of a burst is in the past for the next,
 // exactly as if each had read the clock itself. An operator-supplied
 // Config.Clock is called per command instead.
-func (e *eventIO) dispatchBuffered(cmds *int) evStatus {
-	h := e.h
-	srv := h.srv
+func (e *engine) dispatchBuffered(cmds *int) evStatus {
+	srv := e.srv
 	maxLine := srv.cfg.MaxLineLen
 	var base time.Time
 	var prev time.Duration
@@ -466,7 +506,7 @@ func (e *eventIO) dispatchBuffered(cmds *int) evStatus {
 		// (and, past WriteTimeout with no progress, is kicked by the
 		// sweep) instead of growing an unbounded queue.
 		if cap := srv.cfg.MaxReplyBacklog; cap > 0 && e.pendingOut() > cap {
-			if err := e.tryFlush(); err != nil {
+			if err := e.flush(); err != nil {
 				return evFatal
 			}
 			if e.pendingOut() > cap {
@@ -502,12 +542,12 @@ func (e *eventIO) dispatchBuffered(cmds *int) evStatus {
 			if pc.discardTail != [2]byte{'\r', '\n'} {
 				resp = respBadChunk
 			}
-			if h.replyError(resp) != nil {
+			if e.replyError(resp) != nil {
 				return evFatal
 			}
-			h.lastCmd = pc.discardCmd
+			e.lastCmd = pc.discardCmd
 			e.commandTime(&base, prev)
-			srv.recordOp(h, pc.id, 0)
+			e.recordOp(0)
 			*cmds++
 			continue
 		}
@@ -518,7 +558,7 @@ func (e *eventIO) dispatchBuffered(cmds *int) evStatus {
 		i := bytes.IndexByte(buf, '\n')
 		if i < 0 {
 			if len(buf) > maxLine+1 {
-				if h.replyError(respLineTooLong) != nil {
+				if e.replyError(respLineTooLong) != nil {
 					return evFatal
 				}
 				e.rpos = len(e.in)
@@ -531,7 +571,7 @@ func (e *eventIO) dispatchBuffered(cmds *int) evStatus {
 		if i > maxLine+1 {
 			// The newline is already buffered: report and resume right
 			// after it (the resync is instantaneous).
-			if h.replyError(respLineTooLong) != nil {
+			if e.replyError(respLineTooLong) != nil {
 				return evFatal
 			}
 			e.rpos += i + 1
@@ -544,14 +584,14 @@ func (e *eventIO) dispatchBuffered(cmds *int) evStatus {
 		// The line is tokenized in place, once (no per-command string
 		// materializes); the fields alias the input buffer, which does not
 		// move while the command runs.
-		h.fields = tokenize(line, h.fields[:0])
-		code, sa, isStore := parseStorageLine(h.fields)
+		e.fields = tokenize(line, e.fields[:0])
+		code, sa, isStore := parseStorageLine(e.fields)
 		if isStore {
 			if sa.nbytes > srv.cfg.MaxValueSize {
 				// Oversized value: consume the line now and drop the
 				// body as a framing state — it may dribble in across
 				// many readiness events and must never be buffered.
-				h.noteOp(code, sa.key)
+				e.noteOp(code, sa.key)
 				e.rpos += i + 1
 				pc.discardLeft = sa.nbytes + 2
 				pc.discardTail = [2]byte{}
@@ -568,18 +608,18 @@ func (e *eventIO) dispatchBuffered(cmds *int) evStatus {
 		var quit bool
 		var err error
 		if isStore {
-			h.noteOp(code, sa.key)
-			err = h.doStore(code, sa)
+			e.noteOp(code, sa.key)
+			err = e.doStore(code, sa)
 		} else {
-			quit, err = h.dispatch(h.fields)
+			quit, err = e.dispatch(e.fields)
 		}
 		if err != nil {
 			return evFatal
 		}
 		t := time.Since(base)
-		srv.recordOp(h, pc.id, t-prev)
+		e.recordOp(t - prev)
 		prev = t
-		h.sess.Safepoint()
+		e.sess.Safepoint()
 		*cmds++
 		if quit {
 			return evQuit
@@ -587,19 +627,78 @@ func (e *eventIO) dispatchBuffered(cmds *int) evStatus {
 	}
 }
 
-// commandTime sets h.now for the command about to complete or dispatch:
+// commandTime sets e.now for the command about to complete or dispatch:
 // the loop's latest reading (taking the base on first use), or one call
 // of the operator's clock.
-func (e *eventIO) commandTime(base *time.Time, prev time.Duration) {
-	h := e.h
+func (e *engine) commandTime(base *time.Time, prev time.Duration) {
 	if base.IsZero() {
 		*base = time.Now()
 	}
-	if h.srv.ownClock {
-		h.now = h.srv.cfg.Clock()
+	if e.srv.ownClock {
+		e.now = e.srv.cfg.Clock()
 		return
 	}
-	h.now = base.Add(prev)
+	e.now = base.Add(prev)
+}
+
+// burstResult is burst's verdict: how the transport re-arms the connection.
+type burstResult int
+
+const (
+	brClosed    burstResult = iota // done: the owner tears the connection down
+	brYield                        // budget spent with work left: requeue
+	brPark                         // wait for readability (plus writability if replies pend)
+	brParkWrite                    // backpressured: wait for writability only
+)
+
+// burst is the one burst loop, both transports': it drains buffered output,
+// processes buffered commands, and reads more input until the seam would
+// block, the burst budget is spent, or the connection ends. The event
+// worker maps the verdict to its epoll re-arm; the goroutine transport
+// calls it until brClosed.
+func (e *engine) burst() burstResult {
+	pc := e.pc
+	cmds := 0
+	for {
+		if pc.killed.Load() {
+			return brClosed
+		}
+		switch st := e.process(&cmds); st {
+		case evQuit, evFatal:
+			if st == evQuit {
+				_ = e.flush()
+			}
+			return brClosed
+		case evYield:
+			if e.flush() != nil {
+				return brClosed
+			}
+			return brYield
+		case evBackpressure:
+			return brParkWrite
+		case evNeedInput:
+			// Batch the pipelined burst's replies into one writev before
+			// (possibly) blocking for more input.
+			if e.flush() != nil {
+				return brClosed
+			}
+			if cmds >= burstCmdBudget {
+				return brYield // fairness: requeue before reading more
+			}
+			n, again, _ := e.sock.read(e.readBuf())
+			if n > 0 {
+				e.extend(n)
+				e.srv.bytesRead.Add(int64(n))
+				continue
+			}
+			if again {
+				return brPark
+			}
+			// EOF or hard error: flush what we can, then tear down.
+			_ = e.flush()
+			return brClosed
+		}
+	}
 }
 
 // connPoller is what Server sees of the event transport; the epoll

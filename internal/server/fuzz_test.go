@@ -90,7 +90,7 @@ func FuzzParseCommand(f *testing.F) {
 		// path), process() never holds more than a legal line plus a legal
 		// data block, and an over-length first line is answered, not
 		// buffered.
-		e.begin(&pollConn{fd: -1})
+		e.begin(&pollConn{}, &scriptIO{})
 		for in := line + "\n"; len(in) > 0; {
 			n := copy(e.readBuf()[:7], in)
 			e.extend(n)

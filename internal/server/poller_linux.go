@@ -15,8 +15,8 @@ package server
 // ever lost and the steady-state burst needs zero epoll syscalls (the
 // interest mask only changes — one EPOLL_CTL_MOD — when a park must
 // also watch writability). The ET contract is upheld structurally: the
-// burst loop reads until EAGAIN before parking, and tryFlush writevs
-// until EAGAIN. All fd syscalls — read, writev, EPOLL_CTL_MOD/DEL,
+// engine's burst loop reads until EAGAIN before parking, and its flush
+// writevs until EAGAIN. All fd syscalls — read, writev, EPOLL_CTL_MOD/DEL,
 // close — happen only while holding the sched token; the polling
 // leader and the maintenance sweep communicate through claim()/wake()
 // and the killed flag, never by touching the fd. Stale events after an
@@ -355,31 +355,20 @@ func (p *epollPoller) release(pc *pollConn) {
 	}
 }
 
-// closeConn tears a connection down. Caller must hold the sched token
-// (worker, registering thread, or a sweeper that won the parked CAS);
-// sched intentionally stays scheduled afterwards so late wakes are
-// inert no-ops.
+// closeConn tears a connection down through the one teardown
+// (Server.endConn), which counts a slow client's kick before the close: the
+// peer sees EOF the moment the fd closes and may read the stat right after.
+// Caller must hold the sched token (worker, registering thread, or a
+// sweeper that won the parked CAS); sched intentionally stays scheduled
+// afterwards so late wakes are inert no-ops.
 func (p *epollPoller) closeConn(pc *pollConn) {
 	if slot := p.slot(pc.fd); slot != nil {
 		slot.pc.CompareAndSwap(pc, nil)
 	}
-	s := p.srv
-	// Kicks are counted before the close: the peer sees EOF the moment
-	// the fd closes and may read the stat right after.
-	if pc.slow.Load() {
-		s.slowKicks.Add(1)
-	}
 	_ = syscall.EpollCtl(p.epfd, syscall.EPOLL_CTL_DEL, pc.fd, nil)
-	_ = syscall.Close(pc.fd)
+	p.srv.endConn(pc, pc)
 	pc.inSpill, pc.outSpill = nil, nil
 	p.live.Add(-1)
-	s.currConns.Add(-1)
-	if pc.slow.Load() {
-		s.cfg.Logger.Debugf("conn %d: kicked (slow client)", pc.id)
-	} else {
-		s.cfg.Logger.Debugf("conn %d: closed", pc.id)
-	}
-	s.releaseConnSlot()
 }
 
 // kickReason says why kill wants a connection closed, i.e. which kick
@@ -472,7 +461,7 @@ func (p *epollPoller) worker() {
 	defer p.wg.Done()
 	sess := p.srv.store.NewSession()
 	defer sess.Close()
-	e := p.srv.newConnHandler(sess).ev
+	e := p.srv.newEngine(sess, nil, nil)
 	r := newEpollReaper()
 	for {
 		sess.EnterIdle()
@@ -516,23 +505,16 @@ func (r *epollReaper) reap(fd uintptr) bool {
 	return true
 }
 
-type burstResult int
-
-const (
-	brClosed burstResult = iota
-	brYield
-	brPark      // wait for readability (plus writability if replies pend)
-	brParkWrite // backpressured: wait for writability only
-)
-
-func (p *epollPoller) serve(e *eventIO, pc *pollConn) {
+func (p *epollPoller) serve(e *engine, pc *pollConn) {
 	if pc.killed.Load() {
 		p.closeConn(pc)
 		return
 	}
-	e.begin(pc)
-	st := p.runBurst(e, pc)
+	e.begin(pc, pc)
+	st := e.burst()
 	if st == brClosed {
+		pc.killed.Store(true)
+		p.closeConn(pc)
 		return
 	}
 	hasOut := e.pendingOut() > 0
@@ -568,64 +550,6 @@ func (p *epollPoller) serve(e *eventIO, pc *pollConn) {
 		pc.armed = events
 	}
 	p.release(pc)
-}
-
-// runBurst drains buffered output, processes buffered commands, and
-// reads more input until the socket would block, the burst budget is
-// spent, or the connection ends.
-func (p *epollPoller) runBurst(e *eventIO, pc *pollConn) burstResult {
-	srv := p.srv
-	cmds := 0
-	for {
-		if pc.killed.Load() {
-			p.closeConn(pc)
-			return brClosed
-		}
-		switch st := e.process(&cmds); st {
-		case evQuit, evFatal:
-			if st == evQuit {
-				_ = e.tryFlush()
-			}
-			pc.killed.Store(true)
-			p.closeConn(pc)
-			return brClosed
-		case evYield:
-			if err := e.tryFlush(); err != nil {
-				pc.killed.Store(true)
-				p.closeConn(pc)
-				return brClosed
-			}
-			return brYield
-		case evBackpressure:
-			return brParkWrite
-		case evNeedInput:
-			// Batch the pipelined burst's replies into one writev before
-			// (possibly) blocking for more input.
-			if err := e.tryFlush(); err != nil {
-				pc.killed.Store(true)
-				p.closeConn(pc)
-				return brClosed
-			}
-			if cmds >= burstCmdBudget {
-				return brYield // fairness: requeue before reading more
-			}
-			buf := e.readBuf()
-			n, again, _ := readRawFd(pc.fd, buf)
-			if n > 0 {
-				e.extend(n)
-				srv.bytesRead.Add(int64(n))
-				continue
-			}
-			if again {
-				return brPark
-			}
-			// EOF or hard error: flush what we can, then tear down.
-			_ = e.tryFlush()
-			pc.killed.Store(true)
-			p.closeConn(pc)
-			return brClosed
-		}
-	}
 }
 
 // sweep enforces IdleTimeout and WriteTimeout over the parked
@@ -712,13 +636,13 @@ func (p *epollPoller) gauges() (parked, active, queued int64) {
 
 func (p *epollPoller) burstCount() int64 { return p.bursts.Load() }
 
-// --- raw nonblocking fd I/O -------------------------------------------
+// --- the event worker's seam: the raw nonblocking fd ------------------
 
-// readRawFd reads into p; again reports EAGAIN/EWOULDBLOCK. n==0 with
+// read reads into p; again reports EAGAIN/EWOULDBLOCK. n==0 with
 // again==false and err==nil is EOF.
-func readRawFd(fd int, p []byte) (n int, again bool, err error) {
+func (pc *pollConn) read(p []byte) (n int, again bool, err error) {
 	for {
-		n, err = syscall.Read(fd, p)
+		n, err = syscall.Read(pc.fd, p)
 		if err == syscall.EINTR {
 			continue
 		}
@@ -732,10 +656,10 @@ func readRawFd(fd int, p []byte) (n int, again bool, err error) {
 	}
 }
 
-// writevRawFd gather-writes [a, b] in one syscall; again reports
-// EAGAIN. Zero-length members are skipped (writev with an empty iovec
-// is legal but pointless).
-func writevRawFd(fd int, a, b []byte) (n int, again bool, err error) {
+// writev gather-writes [a, b] in one syscall; again reports EAGAIN.
+// Zero-length members are skipped (writev with an empty iovec is legal but
+// pointless).
+func (pc *pollConn) writev(a, b []byte) (n int, again bool, err error) {
 	var iov [2]syscall.Iovec
 	cnt := 0
 	if len(a) > 0 {
@@ -752,7 +676,7 @@ func writevRawFd(fd int, a, b []byte) (n int, again bool, err error) {
 		return 0, false, nil
 	}
 	for {
-		r, _, errno := syscall.Syscall(syscall.SYS_WRITEV, uintptr(fd),
+		r, _, errno := syscall.Syscall(syscall.SYS_WRITEV, uintptr(pc.fd),
 			uintptr(unsafe.Pointer(&iov[0])), uintptr(cnt))
 		if errno == syscall.EINTR {
 			continue
@@ -766,3 +690,7 @@ func writevRawFd(fd int, a, b []byte) (n int, again bool, err error) {
 		return int(r), false, nil
 	}
 }
+
+// Close closes the fd: the event transport's socket close, which the
+// teardown (Server.endConn) runs.
+func (pc *pollConn) Close() error { return syscall.Close(pc.fd) }

@@ -11,9 +11,3 @@ import "errors"
 var errPollerUnsupported = errors.New("server: readiness poller unsupported on this platform")
 
 func newPoller(*Server) (connPoller, error) { return nil, errPollerUnsupported }
-
-// tryFlush reaches writevRawFd only with fd >= 0, which only a poller hands
-// out.
-func writevRawFd(int, []byte, []byte) (int, bool, error) {
-	return 0, false, errPollerUnsupported
-}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -186,8 +187,8 @@ type Server struct {
 	wg    sync.WaitGroup // maintenance + accept loop
 	connW sync.WaitGroup // one per live connection
 	// connSem is the -max-conns accept gate (nil = unlimited): the accept
-	// loop acquires a slot before accepting and the handler releases it on
-	// exit, so at the cap the loop blocks — listen disabled — until a
+	// loop acquires a slot before accepting and the teardown (endConn)
+	// releases it, so at the cap the loop blocks — listen disabled — until a
 	// disconnect.
 	connSem chan struct{}
 
@@ -216,7 +217,7 @@ type Server struct {
 
 	// Observability plane. lat and perOp are the published command-latency
 	// recorders (all opcodes, and split by opcode behind /metrics). No
-	// command records into them: a handler records into its own latStripe
+	// command records into them: an engine records into its own latStripe
 	// and every reader calls foldLatency first, which drains the stripes
 	// in. slowOps is the slow-command flight recorder and slowThreshNs its
 	// precomputed hot-path gate. connIDs labels connections for slow-op
@@ -254,25 +255,64 @@ type Server struct {
 // conn is a goroutine-transport connection: the accepted socket plus the
 // safety bookkeeping a blocking driver needs around it — an idempotent
 // close (the handler's exit path, the idle reaper, and Shutdown may each
-// try to close it; whoever gets there first wins and the rest are no-ops),
-// a per-write deadline so a stalled client cannot wedge a flush forever,
-// and the socket byte counters. pc is the detached (fd < 0) pollConn its
-// engine runs over: the connection's id, the idle reaper's activity stamp,
-// the slow flag the exit path counts slow_client_kicks from, and the
+// try to close it; whoever gets there first wins and the rest are no-ops)
+// and a per-write deadline so a stalled client cannot wedge a flush
+// forever. It is its engine's seam (read, writev). pc is the engine's
+// per-connection state: the connection's id, the idle reaper's activity
+// stamp, the slow flag the teardown counts slow_client_kicks from, and the
 // framing state process() keeps between reads.
 type conn struct {
 	net.Conn
 	srv       *Server
+	sess      kv.Session
 	pc        pollConn
 	closeOnce sync.Once
 	closeErr  error
+	// woke is set by a read that returned bytes: the next read reports
+	// again instead of blocking, so the burst ends there and every blocking
+	// read starts a burst — and a burst budget — of its own, as every
+	// readiness does on the event transport.
+	woke bool
 }
 
-// Write applies the write deadline, so every socket write a slow client can
-// stall is bounded. A successful write is client-side drain progress and
+// read is a blocking socket read, made in the session's idle (external)
+// state so a quiet client never delays a barrier. A read that moved
+// nothing and failed nothing (a peer's empty write) reports again too.
+func (c *conn) read(p []byte) (int, bool, error) {
+	if c.woke {
+		c.woke = false
+		return 0, true, nil
+	}
+	c.sess.EnterIdle()
+	n, err := c.Conn.Read(p)
+	c.sess.ExitIdle()
+	c.woke = n > 0
+	return n, n == 0 && err == nil, err
+}
+
+// writev writes a, then b, blocking, in the session's idle state so a slow
+// reader delays no barrier. It never reports again.
+func (c *conn) writev(a, b []byte) (int, bool, error) {
+	c.sess.EnterIdle()
+	n, err := c.write(a)
+	if err == nil {
+		var m int
+		m, err = c.write(b)
+		n += m
+	}
+	c.sess.ExitIdle()
+	return n, false, err
+}
+
+// write applies the write deadline, so every socket write a slow client can
+// stall is bounded. A completed write is client-side drain progress and
 // counts as activity for the idle reaper — a client reading a large reply
-// slowly but steadily is making progress, not idling.
-func (c *conn) Write(p []byte) (int, error) {
+// slowly but steadily is making progress, not idling. (The engine stamps
+// activity once per burst; a blocking write can outlast that stamp.)
+func (c *conn) write(p []byte) (int, error) {
+	if len(p) == 0 {
+		return 0, nil // writev's spill half: a conn never parks, so never has one
+	}
 	if wt := c.srv.cfg.WriteTimeout; wt > 0 {
 		_ = c.Conn.SetWriteDeadline(time.Now().Add(wt))
 	}
@@ -281,17 +321,7 @@ func (c *conn) Write(p []byte) (int, error) {
 		c.pc.slow.Store(true)
 	}
 	if n > 0 {
-		c.srv.bytesWritten.Add(int64(n))
 		c.pc.touch(c.srv.cfg.Clock().UnixNano())
-	}
-	return n, err
-}
-
-// Read counts socket bytes into the server's bytes_read.
-func (c *conn) Read(p []byte) (int, error) {
-	n, err := c.Conn.Read(p)
-	if n > 0 {
-		c.srv.bytesRead.Add(int64(n))
 	}
 	return n, err
 }
@@ -546,7 +576,7 @@ func (s *Server) Serve() error {
 // serveConn hands an accepted connection to the goroutine transport.
 func (s *Server) serveConn(nc net.Conn, id uint64) {
 	c := &conn{Conn: nc, srv: s}
-	c.pc.fd, c.pc.id = -1, id
+	c.pc.id = id
 	c.pc.touch(s.cfg.Clock().UnixNano())
 	s.mu.Lock()
 	s.conns[c] = struct{}{}
@@ -671,19 +701,9 @@ func (s *Server) Shutdown(drain time.Duration) error {
 
 // latStripe is one worker's private command-latency recorders, by opcode.
 // There are cfg.Workers of them, so each event-transport worker records
-// into lines no other worker writes; goroutine-transport handlers share
+// into lines no other worker writes; goroutine-transport engines share
 // them round-robin.
 type latStripe [cmdCount]*stats.LatencyRecorder
-
-// newConnHandler builds a handler over sess, with its engine, and hands it
-// the next stripe. The transport attaches the engine to a connection
-// (eventIO.begin).
-func (s *Server) newConnHandler(sess kv.Session) *connHandler {
-	n := s.nextStripe.Add(1) - 1
-	h := &connHandler{srv: s, sess: sess, stripe: &s.stripes[n%uint32(len(s.stripes))]}
-	h.ev = &eventIO{h: h}
-	return h
-}
 
 // foldLatency drains every stripe into the published recorders; every
 // reader of s.lat or s.perOp calls it first. Nothing else adds to them
@@ -703,55 +723,43 @@ func (s *Server) foldLatencyLocked() {
 	}
 }
 
-// handleConn is the goroutine transport: a blocking driver over the one
-// protocol engine. It runs process() over what is buffered, writes what
-// that produced, and — once the engine has consumed every complete frame —
-// reads more. It costs a connection one goroutine and one eventIO (input
-// and reply buffers) for its lifetime, where the event transport parks a
-// bare fd; it is what every platform without a poller serves from. Every
-// socket read and write happens in the session's idle (external) state, so
-// a quiet or slow client never delays a barrier, and every write carries
-// the WriteTimeout deadline (conn.Write).
+// handleConn is the goroutine transport: one goroutine and one engine per
+// connection, whose seam is the conn, calling the engine's burst loop until
+// the connection ends. It costs a connection one goroutine and one engine's
+// buffers for its lifetime, where the event transport parks a bare fd; it is
+// what every platform without a poller serves from. Every socket read and
+// write happens in the session's idle (external) state, so a quiet or slow
+// client never delays a barrier, and every write carries the WriteTimeout
+// deadline (conn.write).
 func (s *Server) handleConn(c *conn) {
 	defer s.connW.Done()
-	defer func() {
-		s.mu.Lock()
-		delete(s.conns, c)
-		s.mu.Unlock()
-		s.currConns.Add(-1)
-		if c.pc.slow.Load() {
-			s.slowKicks.Add(1)
-			s.cfg.Logger.Debugf("conn %d: kicked (slow client)", c.pc.id)
-		} else {
-			s.cfg.Logger.Debugf("conn %d: closed", c.pc.id)
-		}
-		_ = c.Close()
-		s.releaseConnSlot()
-	}()
-	h := s.newConnHandler(s.store.NewSession())
-	defer h.sess.Close()
-	e := h.ev
-	e.c = c
-	e.begin(&c.pc)
-	for {
-		// The burst budget is the workers' fairness rule; a connection
-		// with a goroutine of its own starts a fresh one every pass.
-		cmds := 0
-		st := e.process(&cmds)
-		if st == evFatal || e.tryFlush() != nil || st == evQuit {
-			return
-		}
-		if st != evNeedInput {
-			continue
-		}
-		h.sess.EnterIdle()
-		n, err := c.Read(e.readBuf())
-		h.sess.ExitIdle()
-		e.extend(n)
-		if n == 0 && err != nil {
-			return // EOF, reap, or connection failure
-		}
+	c.sess = s.store.NewSession()
+	e := s.newEngine(c.sess, &c.pc, c)
+	for e.burst() != brClosed {
 	}
+	c.sess.Close()
+	s.mu.Lock()
+	delete(s.conns, c)
+	s.mu.Unlock()
+	s.endConn(&c.pc, c)
+}
+
+// endConn is the one teardown, run by a connection's owner on either
+// transport once the connection is done. It settles the counters a client
+// may read the moment it sees EOF — curr_connections and slow_client_kicks
+// (the reaper counts idle_kicks before it closes) — then closes the socket,
+// then frees the -max-conns slot, so the accept gate never admits a
+// connection while the closed one still holds its fd.
+func (s *Server) endConn(pc *pollConn, sock io.Closer) {
+	s.currConns.Add(-1)
+	if pc.slow.Load() {
+		s.slowKicks.Add(1)
+		s.cfg.Logger.Debugf("conn %d: kicked (slow client)", pc.id)
+	} else {
+		s.cfg.Logger.Debugf("conn %d: closed", pc.id)
+	}
+	_ = sock.Close()
+	s.releaseConnSlot()
 }
 
 // SlowOps returns the slow-op ring's current contents, newest first.
