@@ -156,10 +156,13 @@ type connIO interface {
 // slices only while parked mid-command. The handlers read a data block with
 // readBody and reply with writeFull / writeString.
 type engine struct {
-	srv  *Server
-	sess kv.Session
-	pc   *pollConn
-	sock connIO
+	// The fields every command writes sit between read-mostly ones — 32
+	// bytes at the head, 32 at the tail, then 16 of the allocator's
+	// 352-byte size class — so two workers' engines allocated side by side
+	// never write one cache line.
+	srv    *Server
+	sess   kv.Session
+	stripe *latStripe // where recordOp records; taken once, at construction
 
 	in       []byte // unconsumed input is in[rpos:]
 	rpos     int
@@ -180,11 +183,10 @@ type engine struct {
 	// every subsequent command — the request path performs no per-op
 	// allocation once warm. None of them may be shared across engines
 	// (pool_race_test.go proves they never alias).
-	fields [][]byte  // tokenized command fields (slices into the input buffer)
-	val    []byte    // kv copy-out / RMW old-value scratch
-	val2   []byte    // encoded write-back value scratch (may not alias val)
-	hdr    []byte    // response header / numeric reply / `stats` body scratch
-	view   *statView // the `stats` reading, allocated by the first one
+	fields [][]byte // tokenized command fields (slices into the input buffer)
+	val    []byte   // kv copy-out / RMW old-value scratch
+	val2   []byte   // encoded write-back value scratch (may not alias val)
+	hdr    []byte   // response header / numeric reply / `stats` body scratch
 
 	// Per-command observability capture, written by dispatch: the opcode
 	// for the per-op histograms and a fixed-array key prefix for the
@@ -192,7 +194,6 @@ type engine struct {
 	lastCmd  cmdCode
 	opKey    [slowOpKeyLen]byte
 	opKeyLen uint8
-	stripe   *latStripe // where recordOp records; taken once, at construction
 
 	// now is the time of the command being dispatched — the only time it
 	// uses: its deadline, its flush epoch, every store call it makes (so
@@ -201,6 +202,10 @@ type engine struct {
 	// it takes per command (see Config.Clock); successive commands on a
 	// connection never see it go backwards.
 	now time.Time
+
+	view *statView // the `stats` reading, allocated by the first one
+	pc   *pollConn // written once per wake (begin, park)
+	sock connIO
 }
 
 // newEngine builds an engine over sess, hands it the next latency stripe
