@@ -17,10 +17,13 @@
 // ApplyInto, TouchBytes, DelBytes) take that instant from the caller;
 // the no-now forms (Get, GetInto, SetExBytes, …) read the store's Clock
 // once, before taking the shard lock. Either way the reading predates
-// the shard-lock wait and is stale by at most that wait: two commands
-// racing for one shard may apply in the opposite order of their
-// readings, exactly as two clients racing memcached's once-a-second
-// current_time may. Maintenance (SweepExpired, ItemsSnapshot, Dump, WAL
+// the shard-lock wait and is stale by at most that wait, plus, for the
+// server's commands, the pipelined burst it arrived in: alaskad reads the
+// clock once per burst, and a command's time is that reading plus its
+// place in the burst in nanoseconds, so it is at most one burst stale.
+// Two commands racing for one shard may apply in the opposite order of
+// their readings, exactly as two clients racing memcached's
+// once-a-second current_time may. Maintenance (SweepExpired, ItemsSnapshot, Dump, WAL
 // replay) reads its own clock.
 package kv
 

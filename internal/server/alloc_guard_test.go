@@ -8,8 +8,8 @@ package server
 // paper is about and the one whose pins used to allocate. One harness: a
 // request goes through the one protocol engine, either detached from any
 // socket (detachedEngine + runEventBatch: framing scan, storage prescan,
-// dispatch, kv read-into / in-place store, reply append, recordOp with the
-// per-opcode histograms live — what a worker runs between a read and a
+// dispatch, kv read-into / in-place store, reply append, the call's fold
+// into the per-opcode histograms — what a worker runs between a read and a
 // writev) or, for the TestAllocFree{GetHit,SetSteadyState,PipelinedMixed}
 // trio, through the goroutine transport over an in-memory net.Conn, which
 // adds the burst loop's reads and flushes through the conn seam. Every
@@ -225,6 +225,27 @@ func TestAllocFreeSlowOpCapture(t *testing.T) {
 		})
 		return engineRun(t, srv)
 	}, guardSet, guardGet, 1, 0)
+}
+
+// TestAllocFreeSlowOpCapturePipelined is the same capture for a pipelined
+// call: guardBatch's five commands are one process() call, recorded as one
+// ring entry under its first command (set a) — one slot, one key copy per
+// call, allocation-free.
+func TestAllocFreeSlowOpCapturePipelined(t *testing.T) {
+	guard(t, func(t *testing.T, backend kv.Backend) guardRun {
+		srv := guardServer(backend, Config{SlowOpThreshold: time.Nanosecond})
+		run, calls := engineRun(t, srv), uint64(0)
+		t.Cleanup(func() {
+			ops := srv.SlowOps()
+			if srv.slowOpTotal() != calls || len(ops) == 0 || ops[0].Cmd != "set" || ops[0].Key != "a" {
+				t.Errorf("slow-op ring after %d calls of 5 commands: %d captures, head %+v", calls, srv.slowOpTotal(), ops[:min(len(ops), 1)])
+			}
+		})
+		return func(req []byte, cmds int) {
+			calls++
+			run(req, cmds)
+		}
+	}, nil, guardBatch, 5, 0)
 }
 
 // TestEventParkReleasesMemory: a connection parked with no residue sheds

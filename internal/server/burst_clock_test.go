@@ -263,3 +263,101 @@ func TestThinkTimeIsNotServerTime(t *testing.T) {
 		}
 	})
 }
+
+// accountingBurst is one read of 24 gets and 8 sets, a set of acct:0 first.
+var accountingBurst = func() (req, reply string) {
+	for i := 0; i < 8; i++ {
+		req += fmt.Sprintf("set acct:%d 0 0 4\r\nvvvv\r\n", i)
+		reply += "STORED\r\n"
+		for j := 0; j < 3; j++ {
+			req += fmt.Sprintf("get acct:%d\r\n", i)
+			reply += fmt.Sprintf("VALUE acct:%d 0 4\r\nvvvv\r\nEND\r\n", i)
+		}
+	}
+	return req, reply
+}
+
+// TestBurstAccounting: a process() call is timed once and its commands
+// share that time. On an engine over a scripted seam, one read of 24 gets
+// and 8 sets is one call: the get and set counts rise by exactly 24 and 8,
+// each command is one equal share (Sum(get)/24 == Sum(set)/8) and the
+// shares add up to no more than the call took, and at a 1 ns threshold
+// the call is one slow-op entry under its first command and key. A
+// following one-command call is recorded on its own. Over both
+// transports, where a loopback write may arrive in two reads, the counts
+// alone hold.
+//
+// Mutations: record each command at the whole call time (RecordN(d, …)
+// for RecordN(share, …) in foldCall) and the sums exceed the call; skip
+// clearing the tally after the fold (drop `e.tally[op] = 0`) and the
+// second call's get count doubles up.
+func TestBurstAccounting(t *testing.T) {
+	req, reply := accountingBurst()
+	t.Run("engine", func(t *testing.T) {
+		srv := New(kv.NewShardedStore(kv.NewMallocBackend(), 8, 0),
+			Config{ConnModel: "goroutine", SlowOpThreshold: time.Nanosecond})
+		sock := &scriptIO{take: func() int { return 1 << 20 }}
+		e := srv.newEngine(srv.store.NewSession(), &pollConn{id: 7}, sock)
+		defer e.sess.Close()
+		wake := func(in string) time.Duration {
+			t.Helper()
+			sock.reads = append(sock.reads, []byte(in))
+			start := time.Now()
+			if v := e.burst(); v != brPark {
+				t.Fatalf("burst verdict %d, want brPark", v)
+			}
+			return time.Since(start)
+		}
+
+		took := wake(req)
+		if got := string(sock.written); got != reply {
+			t.Fatalf("reply %q, want %q", got, reply)
+		}
+		get, set := srv.OpLatency("get"), srv.OpLatency("set")
+		if get.Count() != 24 || set.Count() != 8 {
+			t.Fatalf("one call of 24 gets and 8 sets recorded %d gets and %d sets", get.Count(), set.Count())
+		}
+		if get.Sum()/24 != set.Sum()/8 || get.Sum()%24 != 0 || set.Sum()%8 != 0 {
+			t.Fatalf("get sum %v over 24, set sum %v over 8: not one share per command", get.Sum(), set.Sum())
+		}
+		if total := get.Sum() + set.Sum(); total > took {
+			t.Fatalf("the call's 32 shares add up to %v, more than the %v the burst took", total, took)
+		}
+		ops := srv.SlowOps()
+		if len(ops) != 1 || ops[0].Cmd != "set" || ops[0].Key != "acct:0" || ops[0].ConnID != 7 || ops[0].Latency < get.Sum()+set.Sum() {
+			t.Fatalf("slow-op ring after one call: %+v, want one set acct:0 entry of the call's time", ops)
+		}
+
+		getSum := get.Sum()
+		took = wake("get acct:1\r\n")
+		get, set = srv.OpLatency("get"), srv.OpLatency("set")
+		if get.Count() != 25 || set.Count() != 8 {
+			t.Fatalf("a following one-command call left %d gets and %d sets, want 25 and 8", get.Count(), set.Count())
+		}
+		if d := get.Sum() - getSum; d <= 0 || d > took {
+			t.Fatalf("the one-command call recorded %v, outside (0, %v]", d, took)
+		}
+		if ops = srv.SlowOps(); len(ops) != 2 || ops[0].Cmd != "get" || ops[0].Key != "acct:1" {
+			t.Fatalf("slow-op ring after the second call: %+v, want get acct:1 at its head", ops)
+		}
+	})
+	forEachTransport(t, Config{MaintainInterval: time.Hour}, func(t *testing.T, cfg Config) {
+		srv := startServer(t, kv.NewMallocBackend(), cfg)
+		c := dialRaw(t, srv.Addr())
+		defer c.Close()
+		if err := writeAll(c, req); err != nil {
+			t.Fatal(err)
+		}
+		expectRead(t, c, reply)
+		if g, s := srv.OpLatency("get").Count(), srv.OpLatency("set").Count(); g != 24 || s != 8 {
+			t.Fatalf("recorded %d gets and %d sets, want 24 and 8", g, s)
+		}
+		if err := writeAll(c, "get acct:1\r\n"); err != nil {
+			t.Fatal(err)
+		}
+		expectRead(t, c, "VALUE acct:1 0 4\r\nvvvv\r\nEND\r\n")
+		if g, s := srv.OpLatency("get").Count(), srv.OpLatency("set").Count(); g != 25 || s != 8 {
+			t.Fatalf("after one more get: %d gets and %d sets, want 25 and 8", g, s)
+		}
+	})
+}

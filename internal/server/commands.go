@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"strconv"
 	"time"
 
@@ -10,27 +11,31 @@ import (
 	"alaska/internal/logx"
 )
 
-// recordOp records one completed command's latency — once, into the
-// engine's stripe (the per-opcode recorder; the all-opcodes aggregate is
-// their sum, made by foldLatency) — and, past the slow threshold, into the
-// slow-op ring. Atomics and fixed arrays only — the allocation guards run
-// this exact path.
+// foldCall records one process() call: its n commands and its time d, from
+// just before its first dispatch to the end of its last command's reply
+// generation. Each command is one observation of d/n in the engine's stripe
+// (the per-opcode recorders; the all-opcodes aggregate is their sum, made
+// by foldLatency) — one RecordN per opcode the call ran — so every count is
+// exact and the sum is d less the division's remainder (under n ns), and a
+// one-command call is timed exactly as that command. A call whose d reaches
+// the slow threshold is one slow-op entry: the first command's opcode and
+// key prefix, the call's d, stamped with that command's time at. Atomics
+// and fixed arrays only — the allocation guards run this exact path.
 //
 // d never covers a client's think time, on either transport: a command is
 // dispatched, timed and given its time only once its whole frame (line and
 // data block) is buffered. (The goroutine transport used to dispatch on the
-// line and wait for the body inside the timed region.) The engine reads the
-// clock once per command, after it: the first command of a process() call
-// is timed from just before its dispatch to reply generation, and each
-// later one from the end of the command before it, so its d also covers
-// that command's recordOp and safepoint poll and its own framing scan.
-//
-// A slow op is stamped with the command's own time (e.now, when it began),
-// not a fresh reading.
-func (e *engine) recordOp(d time.Duration) {
-	e.stripe[e.lastCmd].Record(d)
+// line and wait for the body inside the timed region.)
+func (e *engine) foldCall(d time.Duration, n int, at time.Time) {
+	share := d / time.Duration(n)
+	for m := e.seen; m != 0; m &= m - 1 {
+		op := bits.TrailingZeros16(m)
+		e.stripe[op].RecordN(share, int64(e.tally[op]))
+		e.tally[op] = 0
+	}
+	e.seen = 0
 	if s := e.srv; s.slowThreshNs > 0 && d.Nanoseconds() >= s.slowThreshNs {
-		s.slowOps.record(e.lastCmd, e.opKey[:e.opKeyLen], d, e.pc.id, e.now)
+		s.slowOps.record(e.firstCmd, e.opKey[:e.opKeyLen], d, e.pc.id, at)
 	}
 }
 
@@ -76,13 +81,17 @@ var cmdNames = [cmdCount]string{
 	"incr", "decr", "delete", "touch", "flush_all", "stats", "other",
 }
 
-// noteOp records the dispatched opcode and a fixed-size key prefix for
-// the observability plane. key aliases the input buffer; the copy into the
-// engine-owned array is what lets the slow-op ring reference it later
-// without holding (or allocating) request memory.
+// noteOp records the dispatched opcode for the call's tally and, for the
+// call's first command, the opcode and a fixed-size key prefix for the
+// slow-op ring — one copy per call. key aliases the input buffer; the copy
+// into the engine-owned array is what lets the slow-op ring reference it
+// later without holding (or allocating) request memory.
 func (e *engine) noteOp(code cmdCode, key []byte) {
 	e.lastCmd = code
-	e.opKeyLen = uint8(copy(e.opKey[:], key))
+	if e.seen == 0 {
+		e.firstCmd = code
+		e.opKeyLen = uint8(copy(e.opKey[:], key))
+	}
 }
 
 // firstKey returns the leading argument (the key for single- and

@@ -24,7 +24,7 @@ package server
 //     and when either would block.
 //
 // All three run the same instructions per command, so the zero-alloc
-// contract, the conformance transcripts and the per-command clock hold on
+// contract, the conformance transcripts and the per-call clock hold on
 // each.
 
 import (
@@ -40,7 +40,9 @@ import (
 const (
 	// burstCmdBudget bounds commands served in one scheduling quantum: a
 	// connection pipelining an endless stream is requeued behind other
-	// ready connections instead of monopolizing its worker.
+	// ready connections instead of monopolizing its worker. It bounds a
+	// process() call too, so a barrier waits at most one call for the
+	// engine's safepoint poll, and a call's per-opcode tally fits a byte.
 	burstCmdBudget = 128
 	// eventReadChunk is the minimum socket read size per readiness.
 	eventReadChunk = 16 << 10
@@ -157,12 +159,12 @@ type connIO interface {
 // readBody and reply with writeFull / writeString.
 type engine struct {
 	// The fields every command writes sit between read-mostly ones — 32
-	// bytes at the head, 32 at the tail, then 16 of the allocator's
+	// bytes at the head, 32 at the tail, then 8 of the allocator's
 	// 352-byte size class — so two workers' engines allocated side by side
 	// never write one cache line.
 	srv    *Server
 	sess   kv.Session
-	stripe *latStripe // where recordOp records; taken once, at construction
+	stripe *latStripe // where foldCall records; taken once, at construction
 
 	in       []byte // unconsumed input is in[rpos:]
 	rpos     int
@@ -177,6 +179,13 @@ type engine struct {
 	// wake, so a write that drains everything need not read the clock to
 	// stamp it again.
 	stamped bool
+	// Per-call observability, written by dispatch (noteOp) and folded by
+	// process (foldCall): lastCmd is the opcode of the command being
+	// dispatched, firstCmd the call's first, and seen has bit op set for
+	// every opcode tally has counted this call.
+	lastCmd  cmdCode
+	firstCmd cmdCode
+	seen     uint16
 
 	// Pooled scratch memory: every buffer below is owned by this engine's
 	// goroutine, grows to the workload's steady state, and is reused for
@@ -188,25 +197,27 @@ type engine struct {
 	val2   []byte   // encoded write-back value scratch (may not alias val)
 	hdr    []byte   // response header / numeric reply / `stats` body scratch
 
-	// Per-command observability capture, written by dispatch: the opcode
-	// for the per-op histograms and a fixed-array key prefix for the
-	// slow-op ring. Fixed storage — recording stays allocation-free.
-	lastCmd  cmdCode
+	// tally counts the call's completed commands by opcode, and opKey is
+	// the key prefix of its first, for the slow-op ring. Fixed storage —
+	// recording stays allocation-free.
+	tally    [cmdCount]uint8
 	opKey    [slowOpKeyLen]byte
 	opKeyLen uint8
 
 	// now is the time of the command being dispatched — the only time it
 	// uses: its deadline, its flush epoch, every store call it makes (so
-	// expiry, storedAt and the LRU stamp agree with both), and its slow-op
-	// stamp. The engine sets it before each dispatch from the one reading
-	// it takes per command (see Config.Clock); successive commands on a
-	// connection never see it go backwards.
+	// expiry, storedAt and the LRU stamp agree with both). The engine sets
+	// it before each dispatch from its call's one reading (commandTime);
+	// successive commands on an engine see it strictly increase.
 	now time.Time
 
 	view *statView // the `stats` reading, allocated by the first one
 	pc   *pollConn // written once per wake (begin, park)
 	sock connIO
 }
+
+// A call's tally counts at most burstCmdBudget commands per opcode in a byte.
+const _ uint8 = burstCmdBudget
 
 // newEngine builds an engine over sess, hands it the next latency stripe
 // and, given a connection, attaches it (begin). A worker's engine starts
@@ -471,37 +482,39 @@ func updateTail(tail *[2]byte, chunk []byte) {
 // buffered command. It only ever dispatches a command whose complete
 // line — and, for storage commands, complete data block — is already in
 // memory, so the shared dispatch code never blocks mid-command and the
-// "resumable state machine" lives entirely in this framing layer. A call
-// that completed at least one command stamps the connection active on its
-// way out, at the time of the last of them.
+// "resumable state machine" lives entirely in this framing layer.
+//
+// A call is the unit of accounting: the commands it dispatches back to
+// back from one buffer, at most burstCmdBudget. It reads the clock twice —
+// once before its first dispatch (commandTime), once after its last
+// command — and a call that completed at least one command then records
+// them (foldCall), polls the safepoint once, and stamps the connection
+// active at the time of its last command.
 func (e *engine) process(cmds *int) evStatus {
 	before := *cmds
-	st := e.dispatchBuffered(cmds)
-	if *cmds > before {
+	var c callClock
+	st := e.dispatchBuffered(cmds, &c)
+	if n := *cmds - before; n > 0 {
+		e.foldCall(time.Since(c.start), n, c.at)
+		e.sess.Safepoint()
 		e.pc.touch(e.now.UnixNano())
 		e.stamped = true
 	}
 	return st
 }
 
+// callClock is one process() call's clock, on process's stack.
+type callClock struct {
+	start time.Time // the reading before the first dispatch; zero until then
+	at    time.Time // the first command's time, its slow-op stamp
+}
+
 // dispatchBuffered is process()'s loop, counting completed commands into
-// *cmds. It reads the clock once per command: a base taken just before the
-// first dispatch of the call (not at entry — most calls in a burst find
-// nothing to dispatch), then one monotonic reading after each command,
-// whose latency is the step from the reading before it. See recordOp for
-// what that interval covers.
-//
-// The same readings are the commands' times (e.now): base for the first,
-// base plus the reading taken after the command before for each later one
-// — a sequence that only advances, so a deadline, a flush epoch or a
-// storedAt written by one command of a burst is in the past for the next,
-// exactly as if each had read the clock itself. An operator-supplied
-// Config.Clock is called per command instead.
-func (e *engine) dispatchBuffered(cmds *int) evStatus {
+// *cmds and, by opcode, into the call's tally. No command reads the clock:
+// commandTime gives each its time from the call's one reading.
+func (e *engine) dispatchBuffered(cmds *int, c *callClock) evStatus {
 	srv := e.srv
 	maxLine := srv.cfg.MaxLineLen
-	var base time.Time
-	var prev time.Duration
 	for {
 		if *cmds >= burstCmdBudget && e.rpos < len(e.in) {
 			return evYield
@@ -550,10 +563,11 @@ func (e *engine) dispatchBuffered(cmds *int) evStatus {
 			if e.replyError(resp) != nil {
 				return evFatal
 			}
-			e.lastCmd = pc.discardCmd
-			e.commandTime(&base, prev)
-			e.recordOp(0)
-			*cmds++
+			// The key left the buffer with the line, which may have
+			// been in an earlier call: the discard is counted keyless.
+			e.commandTime(c)
+			e.noteOp(pc.discardCmd, nil)
+			e.done(cmds)
 			continue
 		}
 		buf := e.in[e.rpos:]
@@ -596,7 +610,6 @@ func (e *engine) dispatchBuffered(cmds *int) evStatus {
 				// Oversized value: consume the line now and drop the
 				// body as a framing state — it may dribble in across
 				// many readiness events and must never be buffered.
-				e.noteOp(code, sa.key)
 				e.rpos += i + 1
 				pc.discardLeft = sa.nbytes + 2
 				pc.discardTail = [2]byte{}
@@ -609,7 +622,7 @@ func (e *engine) dispatchBuffered(cmds *int) evStatus {
 			}
 		}
 		e.rpos += i + 1
-		e.commandTime(&base, prev)
+		e.commandTime(c)
 		var quit bool
 		var err error
 		if isStore {
@@ -621,29 +634,45 @@ func (e *engine) dispatchBuffered(cmds *int) evStatus {
 		if err != nil {
 			return evFatal
 		}
-		t := time.Since(base)
-		e.recordOp(t - prev)
-		prev = t
-		e.sess.Safepoint()
-		*cmds++
+		e.done(cmds)
 		if quit {
 			return evQuit
 		}
 	}
 }
 
-// commandTime sets e.now for the command about to complete or dispatch:
-// the loop's latest reading (taking the base on first use), or one call
-// of the operator's clock.
-func (e *engine) commandTime(base *time.Time, prev time.Duration) {
-	if base.IsZero() {
-		*base = time.Now()
+// commandTime sets e.now for the command about to complete or dispatch.
+// The call's first takes the call's reading (not at entry — most calls in
+// a burst find nothing to dispatch): its time is that reading, or 1 ns past
+// the previous call's last command on this engine if the clock has not
+// moved beyond it; each later command's is 1 ns past the one before. The
+// times strictly increase whatever the clock's resolution, so a deadline,
+// a flush epoch or a storedAt written by one command is in the past for
+// the next, and a command's time is stale by at most its call. An
+// operator-supplied Config.Clock is called once per command instead.
+func (e *engine) commandTime(c *callClock) {
+	first := c.start.IsZero()
+	if first {
+		c.start = time.Now()
 	}
-	if e.srv.ownClock {
+	switch {
+	case e.srv.ownClock:
 		e.now = e.srv.cfg.Clock()
-		return
+	case first && c.start.After(e.now):
+		e.now = c.start
+	default:
+		e.now = e.now.Add(time.Nanosecond)
 	}
-	e.now = base.Add(prev)
+	if first {
+		c.at = e.now
+	}
+}
+
+// done counts the command just completed into *cmds and the call's tally.
+func (e *engine) done(cmds *int) {
+	e.tally[e.lastCmd]++
+	e.seen |= 1 << e.lastCmd
+	*cmds++
 }
 
 // burstResult is burst's verdict: how the transport re-arms the connection.

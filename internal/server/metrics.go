@@ -186,7 +186,7 @@ func (s *Server) statTable() []statRow {
 	}
 	for i, rec := range s.perOp {
 		rows = append(rows, statRow{metric: "alaskad_op_latency_seconds", labels: `op="` + cmdNames[i] + `"`, kind: histogram,
-			help: "Command latency by opcode: server-side time per command, reply generation included; a pipelined command is timed from the end of the one before it.",
+			help: "Command latency by opcode: server-side time per command, reply generation included; commands pipelined in one burst each get the burst's time divided by its command count.",
 			why:  "a histogram per opcode", h: rec})
 	}
 	if s.anch != nil {

@@ -50,10 +50,10 @@ type Config struct {
 	// share, and which is taken only once the command's whole frame — line
 	// and data block — is buffered, on either transport: a `set` whose body
 	// arrives a second after its line counts its TTL from the body. nil (the
-	// default): the engine derives it from one monotonic reading per command
-	// — a pipelined burst reads time.Now once and then steps it by the same
-	// time.Since that times each command — and maintenance reads time.Now.
-	// Non-nil: Clock is called once per command; swap in a fake to make
+	// default): the engine derives it from one monotonic reading per
+	// process() call — the i-th command of a call is that reading plus i ns,
+	// and never at or before the previous call's last command, so times
+	// strictly increase — and maintenance reads time.Now. Non-nil: Clock is called once per command; swap in a fake to make
 	// expiry and idle reaping deterministically testable.
 	Clock func() time.Time
 
@@ -88,9 +88,11 @@ type Config struct {
 	// the stream resynced at the next newline, instead of growing the
 	// read buffer without bound. Default 2048.
 	MaxLineLen int
-	// SlowOpThreshold records any command slower than this into the
-	// slow-op ring (`stats slow`, /debug/slowops on the admin port).
-	// Default 10ms; negative disables capture entirely.
+	// SlowOpThreshold records any process() call — the commands the
+	// engine runs back to back from one buffer, one for a client that
+	// does not pipeline — this slow or slower into the slow-op ring
+	// (`stats slow`, /debug/slowops on the admin port), as one entry under
+	// its first command. Default 10ms; negative disables capture entirely.
 	SlowOpThreshold time.Duration
 	// Logger receives the server's leveled log output: errors always,
 	// connection churn at debug (the wire `verbosity` command moves the
@@ -232,8 +234,8 @@ type Server struct {
 	slowOps      *slowRing
 	connIDs      atomic.Uint64
 	// ownClock records that the operator supplied Config.Clock, so each
-	// command's time is one call of it rather than a step of the engine's
-	// monotonic reading (a fake clock must be what every command sees).
+	// command's time is one call of it rather than its place in the call's
+	// one monotonic reading (a fake clock must be what every command sees).
 	ownClock bool
 
 	// passLat times the pause-free defrag passes the maintenance tick runs.
@@ -774,7 +776,7 @@ func (s *Server) slowOpTotal() uint64 { return s.slowOps.cur.Load() }
 // "get"), or nil when unknown. The recorder is the published one, brought
 // up to date by this call: a caller that keeps it reads it as of its last
 // OpLatency call (or the last `stats` or scrape). For what one observation
-// covers, see recordOp. The benchmark ledger and tests read histograms
+// covers, see foldCall. The benchmark ledger and tests read histograms
 // through this.
 func (s *Server) OpLatency(op string) *stats.LatencyRecorder {
 	s.foldLatency()

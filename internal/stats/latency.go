@@ -33,8 +33,8 @@ var latencyBoundsNs = func() []int64 {
 // fixed-layout histogram of operation durations with cheap recording,
 // cross-recorder merging, and percentile queries.
 //
-// Methods are safe for concurrent use, and Record is lock-free: one
-// atomic increment per bucket plus the running sum/count/max, so a
+// Methods are safe for concurrent use, and Record and RecordN are
+// lock-free: one atomic add to a bucket plus the running sum/count/max, so a
 // recorder shared by every connection of a busy server never serializes
 // the hot path behind a mutex. Queries (Percentile, Mean, Merge) read
 // the counters without stopping writers; a query racing a Record may see
@@ -74,11 +74,20 @@ func bucketFor(ns int64) int {
 }
 
 // Record adds one observation. Lock-free and allocation-free.
-func (r *LatencyRecorder) Record(d time.Duration) {
+func (r *LatencyRecorder) Record(d time.Duration) { r.RecordN(d, 1) }
+
+// RecordN adds n observations of d each — what n calls of Record(d) add,
+// in one bucket add and one add each to the count and the sum. A caller
+// that times a batch once records its share per item this way. n < 1
+// records nothing.
+func (r *LatencyRecorder) RecordN(d time.Duration, n int64) {
+	if n < 1 {
+		return
+	}
 	ns := d.Nanoseconds()
-	r.counts[bucketFor(ns)].Add(1)
-	r.n.Add(1)
-	r.sumNs.Add(ns)
+	r.counts[bucketFor(ns)].Add(n)
+	r.n.Add(n)
+	r.sumNs.Add(ns * n)
 	r.raiseMax(ns)
 }
 

@@ -45,6 +45,39 @@ func TestLatencyRecorderSingleSample(t *testing.T) {
 	}
 }
 
+// TestLatencyRecorderRecordN: RecordN(d, n) leaves the recorder exactly as
+// n calls of Record(d) do — every bucket, Count, Sum and Max — for n = 1,
+// for a batch, and in the overflow bucket; n < 1 records nothing.
+func TestLatencyRecorderRecordN(t *testing.T) {
+	durs := []time.Duration{0, 700 * time.Nanosecond, 3 * time.Microsecond, 9 * time.Millisecond, 42 * time.Second}
+	for _, n := range []int64{1, 2, 24, 128} {
+		batched, single := NewLatencyRecorder(), NewLatencyRecorder()
+		for _, d := range durs {
+			batched.RecordN(d, n)
+			for i := int64(0); i < n; i++ {
+				single.Record(d)
+			}
+		}
+		batched.RecordN(time.Hour, 0)
+		batched.RecordN(time.Hour, -3)
+		if batched.Count() != single.Count() || batched.Sum() != single.Sum() || batched.Max() != single.Max() {
+			t.Fatalf("n=%d: RecordN count/sum/max = %d/%v/%v, Record ×n %d/%v/%v", n,
+				batched.Count(), batched.Sum(), batched.Max(), single.Count(), single.Sum(), single.Max())
+		}
+		var got, want []int64
+		batched.ForEachBucket(func(_, c int64) { got = append(got, c) })
+		single.ForEachBucket(func(_, c int64) { want = append(want, c) })
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("n=%d: bucket %d holds %d after RecordN, %d after Record ×n", n, i, got[i], want[i])
+			}
+		}
+		if overflow := got[len(got)-1]; overflow != n {
+			t.Fatalf("n=%d: overflow bucket holds %d, want %d", n, overflow, n)
+		}
+	}
+}
+
 func TestLatencyRecorderOverflowBucket(t *testing.T) {
 	r := NewLatencyRecorder()
 	huge := 42 * time.Second // past the ~10s largest bound

@@ -103,6 +103,31 @@ func TestHistogramMergeMismatch(t *testing.T) {
 // and then cleared a counter in two steps, not one swap, would lose the
 // increments landing between them (run under -race).
 func TestDrainIntoUnderRecord(t *testing.T) {
+	drainUnderRecord(t, func(r *LatencyRecorder, d time.Duration, n int) {
+		for i := 0; i < n; i++ {
+			r.Record(d)
+		}
+	})
+}
+
+// TestDrainIntoUnderRecordN is TestDrainIntoUnderRecord with each writer
+// recording its observations in batches through RecordN, as an engine
+// folds a pipelined call: the batch's bucket, count and sum adds race the
+// drain as three separate atomics, and once the writers stop nothing is
+// lost.
+func TestDrainIntoUnderRecordN(t *testing.T) {
+	drainUnderRecord(t, func(r *LatencyRecorder, d time.Duration, n int) {
+		for _, k := range []int{1, 7, 32, 24} {
+			for left := n / 4; left > 0; left -= min(k, left) {
+				r.RecordN(d, int64(min(k, left)))
+			}
+		}
+	})
+}
+
+// drainUnderRecord runs the drain-under-record check with record putting n
+// observations of d into the recorder.
+func drainUnderRecord(t *testing.T, record func(r *LatencyRecorder, d time.Duration, n int)) {
 	const writers, perWriter = 4, 20000
 	// Four durations in four different buckets; writer w uses durs[w].
 	durs := [writers]time.Duration{3 * time.Microsecond, 40 * time.Microsecond, 700 * time.Microsecond, 9 * time.Millisecond}
@@ -130,9 +155,7 @@ func TestDrainIntoUnderRecord(t *testing.T) {
 		wg.Add(1)
 		go func(d time.Duration) {
 			defer wg.Done()
-			for i := 0; i < perWriter; i++ {
-				src.Record(d)
-			}
+			record(src, d, perWriter)
 		}(durs[w])
 	}
 	wg.Wait()
