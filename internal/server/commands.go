@@ -24,8 +24,7 @@ import (
 //
 // d never covers a client's think time, on either transport: a command is
 // dispatched, timed and given its time only once its whole frame (line and
-// data block) is buffered. (The goroutine transport used to dispatch on the
-// line and wait for the body inside the timed region.)
+// data block) is buffered.
 func (e *engine) foldCall(d time.Duration, n int, at time.Time) {
 	share := d / time.Duration(n)
 	for m := e.seen; m != 0; m &= m - 1 {

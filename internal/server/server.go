@@ -53,8 +53,9 @@ type Config struct {
 	// default): the engine derives it from one monotonic reading per
 	// process() call — the i-th command of a call is that reading plus i ns,
 	// and never at or before the previous call's last command, so times
-	// strictly increase — and maintenance reads time.Now. Non-nil: Clock is called once per command; swap in a fake to make
-	// expiry and idle reaping deterministically testable.
+	// strictly increase — and maintenance reads time.Now. Non-nil: Clock
+	// is called once per command; swap in a fake to make expiry and idle
+	// reaping deterministically testable.
 	Clock func() time.Time
 
 	// MaxConns caps concurrent connections (memcached's -c): at the cap
