@@ -267,7 +267,7 @@ func TestThinkTimeIsNotServerTime(t *testing.T) {
 }
 
 // accountingBurst is one read of 24 gets and 8 sets, a set of acct:0 first.
-var accountingBurst = func() (req, reply string) {
+func accountingBurst() (req, reply string) {
 	for i := 0; i < 8; i++ {
 		req += fmt.Sprintf("set acct:%d 0 0 4\r\nvvvv\r\n", i)
 		reply += "STORED\r\n"
