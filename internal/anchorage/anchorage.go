@@ -766,13 +766,6 @@ func (s *Service) truncateFrom(lo int) {
 	}
 }
 
-// NumSubHeaps reports how many sub-heaps exist (diagnostics).
-func (s *Service) NumSubHeaps() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.heaps)
-}
-
 // RevalidateFaultHandler returns the accessor side of the §7 protocol for
 // runtimes that run ConcurrentDefragPass: a translation that faults on a
 // moving entry revalidates it in place, aborting the in-flight move, waits

@@ -107,8 +107,8 @@ func TestOversizedObjectGetsDedicatedSubHeap(t *testing.T) {
 	if _, err := r.Halloc(256 * 1024); err != nil {
 		t.Fatal(err)
 	}
-	if svc.NumSubHeaps() != 1 {
-		t.Errorf("sub-heaps = %d, want 1", svc.NumSubHeaps())
+	if n := len(svc.heaps); n != 1 {
+		t.Errorf("sub-heaps = %d, want 1", n)
 	}
 	if svc.HeapExtent() < 256*1024 {
 		t.Errorf("extent = %d", svc.HeapExtent())

@@ -70,15 +70,6 @@ type DefragResult struct {
 	Pauses    time.Duration // total stop-the-world time
 }
 
-// Saving returns the paper's headline metric: how much of the peak RSS was
-// recovered by the end (Figure 1: "up to 40% in Redis").
-func (r DefragResult) Saving() float64 {
-	if r.PeakRSS == 0 {
-		return 0
-	}
-	return 1 - float64(r.FinalRSS)/float64(r.PeakRSS)
-}
-
 // newBackend constructs the named backend for a defrag run.
 func newBackend(name string, cfg DefragConfig) (kv.Backend, error) {
 	switch name {

@@ -10,16 +10,6 @@ import (
 
 func allForTest() []workloads.Benchmark { return workloads.All() }
 
-func TestSavingMetric(t *testing.T) {
-	r := DefragResult{PeakRSS: 100, FinalRSS: 60}
-	if got := r.Saving(); got != 0.4 {
-		t.Errorf("Saving = %v, want 0.4", got)
-	}
-	if got := (DefragResult{}).Saving(); got != 0 {
-		t.Errorf("empty Saving = %v", got)
-	}
-}
-
 func TestEnvelopeEmpty(t *testing.T) {
 	lo, hi := Envelope(nil)
 	if len(lo.Points) != 0 || len(hi.Points) != 0 {

@@ -15,7 +15,8 @@
 // packed into one atomic word of the entry's 16-byte slot, and a move is
 // one CAS on that word. Entries are allocated with per-shard bump pointers
 // and recycled through free lists (free list consulted first), matching
-// §4.2.1. See sharded.go for the sharded, read-lock-free implementation.
+// §4.2.1. Table (sharded.go) is the one implementation: sharded, and
+// read-lock-free on the translation path.
 package handle
 
 import (
@@ -118,12 +119,3 @@ func (e *ErrBadHandle) Error() string {
 // ErrHandleFault signals that a translation hit an invalidated entry and
 // the runtime's fault path must run.
 var ErrHandleFault = fmt.Errorf("handle: fault (entry invalid)")
-
-// Table is the handle table type the rest of the repository programs
-// against. It is an alias for the sharded, read-lock-free implementation
-// (sharded.go), kept so the seed's call sites — which predate sharding —
-// migrate without source changes. New code may use ShardedTable directly.
-type Table = ShardedTable
-
-// NewTable returns an empty handle table.
-func NewTable() *Table { return NewShardedTable() }

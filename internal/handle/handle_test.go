@@ -118,8 +118,8 @@ func TestReservePublishUnreserve(t *testing.T) {
 		t.Error("Free of a reserved, unpublished ID succeeded")
 	}
 	tb.ForEachLive(func(got uint32, _ Entry) { t.Errorf("ForEachLive visited reserved ID %d", got) })
-	if tb.Live() != 0 || tb.Peak() != 0 {
-		t.Errorf("Live/Peak = %d/%d with only a reservation, want 0/0", tb.Live(), tb.Peak())
+	if tb.Live() != 0 {
+		t.Errorf("Live = %d with only a reservation, want 0", tb.Live())
 	}
 	tb.Unreserve(id)
 	id2, err := tb.Reserve(32)
@@ -290,7 +290,7 @@ func TestPinCounts(t *testing.T) {
 	}
 }
 
-func TestLivePeakAndForEach(t *testing.T) {
+func TestLiveAndForEach(t *testing.T) {
 	tb := NewTable()
 	var ids []uint32
 	for i := 0; i < 10; i++ {
@@ -305,8 +305,8 @@ func TestLivePeakAndForEach(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if tb.Live() != 5 || tb.Peak() != 10 {
-		t.Errorf("Live=%d Peak=%d, want 5, 10", tb.Live(), tb.Peak())
+	if tb.Live() != 5 {
+		t.Errorf("Live = %d, want 5", tb.Live())
 	}
 	n := 0
 	tb.ForEachLive(func(id uint32, e Entry) { n++ })

@@ -15,7 +15,7 @@ import (
 // allocation must reproduce the seed's ID sequence (0, 1, 2, …) even
 // though the shard index lives in the low bits.
 func TestShardedIDLayout(t *testing.T) {
-	tb := NewShardedTable()
+	tb := NewTable()
 	for want := uint32(0); want < 3*ShardCount; want++ {
 		id, err := tb.Alloc(mem.Addr(0x1000+want), 16)
 		if err != nil {
@@ -34,7 +34,7 @@ func TestShardedIDLayout(t *testing.T) {
 // holds globally: a recycled ID parked on a distant shard is found before
 // any shard bumps a fresh one.
 func TestShardedFreeReuseAcrossShards(t *testing.T) {
-	tb := NewShardedTable()
+	tb := NewTable()
 	var ids []uint32
 	for i := 0; i < 2*ShardCount; i++ {
 		id, err := tb.Alloc(0x1000, 16)
@@ -65,7 +65,7 @@ func TestShardedFreeReuseAcrossShards(t *testing.T) {
 // a shared victim set, so the CAS paths race against frees, backing swings,
 // and each other.
 func TestShardedTableRace(t *testing.T) {
-	tb := NewShardedTable()
+	tb := NewTable()
 	workers := runtime.GOMAXPROCS(0) * 2
 	if workers < 4 {
 		workers = 4
@@ -207,7 +207,7 @@ func TestShardedTableRace(t *testing.T) {
 // recycling races bump allocation across shards; the invariant is that no
 // two live objects ever share an ID (checked via translation integrity).
 func TestShardedAllocFreeChurnRace(t *testing.T) {
-	tb := NewShardedTable()
+	tb := NewTable()
 	workers := runtime.GOMAXPROCS(0)
 	if workers < 4 {
 		workers = 4

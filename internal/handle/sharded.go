@@ -170,9 +170,9 @@ func (sh *tableShard) growTo(local uint32) *slot {
 	return &ndir[ci][local&chunkMask]
 }
 
-// ShardedTable is the sharded, read-lock-free handle table. The zero value
-// is not usable; call NewShardedTable (or NewTable).
-type ShardedTable struct {
+// Table is the handle table: sharded, with a read-lock-free translation
+// path. The zero value is not usable; call NewTable.
+type Table struct {
 	shards [ShardCount]tableShard
 	// rr is the round-robin allocation cursor: it spreads both the shard
 	// locks and the resulting IDs across shards, and — because the shard
@@ -188,15 +188,14 @@ type ShardedTable struct {
 	// with one probe instead of a scan.
 	freeHint atomic.Uint32
 	live     atomic.Int64
-	peak     atomic.Int64
 }
 
-// NewShardedTable returns an empty sharded handle table.
-func NewShardedTable() *ShardedTable { return &ShardedTable{} }
+// NewTable returns an empty handle table.
+func NewTable() *Table { return &Table{} }
 
 // locate returns an ID's slot, nil if its shard's storage never grew that
 // far.
-func (t *ShardedTable) locate(id uint32) *slot {
+func (t *Table) locate(id uint32) *slot {
 	return t.shards[id&shardMask].slotAt(id >> shardBits)
 }
 
@@ -205,7 +204,7 @@ func makeID(shard, local uint32) uint32 { return local<<shardBits | shard }
 
 // Alloc reserves a handle ID and publishes its entry in one call, for
 // callers that know the backing address up front.
-func (t *ShardedTable) Alloc(backing mem.Addr, size uint64) (uint32, error) {
+func (t *Table) Alloc(backing mem.Addr, size uint64) (uint32, error) {
 	id, err := t.Reserve(size)
 	if err == nil {
 		t.Publish(id, backing, size)
@@ -214,8 +213,8 @@ func (t *ShardedTable) Alloc(backing mem.Addr, size uint64) (uint32, error) {
 }
 
 // Publish installs the entry of a reserved ID — size first, then the word
-// under the next publication count — and maintains live/peak accounting.
-func (t *ShardedTable) Publish(id uint32, backing mem.Addr, size uint64) {
+// under the next publication count — and counts it live.
+func (t *Table) Publish(id uint32, backing mem.Addr, size uint64) {
 	s := t.locate(id)
 	w := wAllocated | pack(backing) | (s.w.Load()+1<<genShift)&genMask
 	if size == MaxObjectSize {
@@ -224,13 +223,7 @@ func (t *ShardedTable) Publish(id uint32, backing mem.Addr, size uint64) {
 	s.pins.Store(0)
 	s.size.Store(uint32(size))
 	s.w.Store(w)
-	l := t.live.Add(1)
-	for {
-		p := t.peak.Load()
-		if l <= p || t.peak.CompareAndSwap(p, l) {
-			return
-		}
-	}
+	t.live.Add(1)
 }
 
 // Reserve takes a handle ID without publishing an entry for it: until
@@ -239,7 +232,7 @@ func (t *ShardedTable) Publish(id uint32, backing mem.Addr, size uint64) {
 // An unpublished reservation goes back with Unreserve. Recycled IDs are
 // preferred over bump allocation (§4.2.1); the probe starts at the
 // round-robin cursor so concurrent allocators fan out across shards.
-func (t *ShardedTable) Reserve(size uint64) (uint32, error) {
+func (t *Table) Reserve(size uint64) (uint32, error) {
 	if size > MaxObjectSize {
 		return 0, fmt.Errorf("handle: object of %d bytes exceeds 4 GiB handle limit", size)
 	}
@@ -289,7 +282,7 @@ func (t *ShardedTable) Reserve(size uint64) (uint32, error) {
 
 // Unreserve puts a reserved, never-published ID — or, from Free, one just
 // unpublished — on its shard's free list.
-func (t *ShardedTable) Unreserve(id uint32) {
+func (t *Table) Unreserve(id uint32) {
 	sh := &t.shards[id&shardMask]
 	sh.mu.Lock()
 	sh.free = append(sh.free, id>>shardBits)
@@ -325,7 +318,7 @@ func unallocated(id uint32, what string) error {
 // Free unpublishes an entry (keeping its publication count) and recycles
 // its ID. The unpublish is a CAS so a concurrent double-free is detected
 // rather than corrupting the free list.
-func (t *ShardedTable) Free(id uint32) error {
+func (t *Table) Free(id uint32) error {
 	s := t.locate(id)
 	if _, _, ok := s.swing(wAllocated, wAllocated, ^genMask, 0); !ok {
 		return unallocated(id, "free")
@@ -340,7 +333,7 @@ func (t *ShardedTable) Free(id uint32) error {
 // lock or a store: shard → chunk directory → slot, then the slot's one
 // line. Raw pointers pass through unchanged (§4.1.2). FlagInvalid yields
 // ErrHandleFault so the runtime can run the §7 fault path.
-func (t *ShardedTable) Translate(h Handle) (mem.Addr, error) {
+func (t *Table) Translate(h Handle) (mem.Addr, error) {
 	if !h.IsHandle() {
 		return mem.Addr(h), nil
 	}
@@ -363,7 +356,7 @@ func (t *ShardedTable) Translate(h Handle) (mem.Addr, error) {
 
 // Get returns the entry for id (with the live pin count folded in, for the
 // CountedPins ablation).
-func (t *ShardedTable) Get(id uint32) (Entry, error) {
+func (t *Table) Get(id uint32) (Entry, error) {
 	s := t.locate(id)
 	if s == nil {
 		return Entry{}, unallocated(id, "get")
@@ -379,7 +372,7 @@ func (t *ShardedTable) Get(id uint32) (Entry, error) {
 
 // SetBacking points the entry's backing storage at a new address — the
 // O(1) relocation update: one store in the paper, one CAS here.
-func (t *ShardedTable) SetBacking(id uint32, backing mem.Addr) error {
+func (t *Table) SetBacking(id uint32, backing mem.Addr) error {
 	if _, _, ok := t.locate(id).swing(wAllocated, wAllocated, addrMask, pack(backing)); !ok {
 		return unallocated(id, "SetBacking")
 	}
@@ -387,7 +380,7 @@ func (t *ShardedTable) SetBacking(id uint32, backing mem.Addr) error {
 }
 
 // SetInvalid sets or clears the handle-fault bit on an entry.
-func (t *ShardedTable) SetInvalid(id uint32, invalid bool) error {
+func (t *Table) SetInvalid(id uint32, invalid bool) error {
 	var set uint64
 	if invalid {
 		set = wInvalid
@@ -402,7 +395,7 @@ func (t *ShardedTable) SetInvalid(id uint32, invalid bool) error {
 // state and returns a snapshot of the pre-move entry — the first step of
 // the §7 concurrent relocation protocol. It fails if the entry is free or
 // already moving.
-func (t *ShardedTable) BeginSpeculativeMove(id uint32) (Entry, error) {
+func (t *Table) BeginSpeculativeMove(id uint32) (Entry, error) {
 	old, size, ok := t.locate(id).swing(wAllocated|wInvalid, wAllocated, 0, wInvalid)
 	switch {
 	case ok:
@@ -419,7 +412,7 @@ func (t *ShardedTable) BeginSpeculativeMove(id uint32) (Entry, error) {
 // revalidated it (the abort path) or it was freed mid-move, it returns
 // false and the entry — which the accessor restored to its original
 // backing — is left untouched.
-func (t *ShardedTable) CommitSpeculativeMove(id uint32, newAddr mem.Addr) bool {
+func (t *Table) CommitSpeculativeMove(id uint32, newAddr mem.Addr) bool {
 	_, _, ok := t.locate(id).swing(wAllocated|wInvalid, wAllocated|wInvalid, addrMask|wInvalid, pack(newAddr))
 	return ok
 }
@@ -428,7 +421,7 @@ func (t *ShardedTable) CommitSpeculativeMove(id uint32, newAddr mem.Addr) bool {
 // the accessor's side of the §7 protocol (run from the handle-fault
 // handler). It returns true if this call performed the transition (thereby
 // aborting any in-flight move), false if the entry was already valid.
-func (t *ShardedTable) Revalidate(id uint32) (bool, error) {
+func (t *Table) Revalidate(id uint32) (bool, error) {
 	old, _, ok := t.locate(id).swing(wAllocated|wInvalid, wAllocated|wInvalid, wInvalid, 0)
 	if !ok && old&wAllocated == 0 {
 		return false, unallocated(id, "revalidate")
@@ -439,7 +432,7 @@ func (t *ShardedTable) Revalidate(id uint32) (bool, error) {
 // AddPin adjusts the per-entry atomic pin count (the CountedPins ablation
 // path). With the sharded table this is the naïve design's true cost — one
 // contended atomic RMW — rather than that plus a global table lock.
-func (t *ShardedTable) AddPin(id uint32, delta int32) error {
+func (t *Table) AddPin(id uint32, delta int32) error {
 	s := t.locate(id)
 	if s == nil || s.w.Load()&wAllocated == 0 {
 		return unallocated(id, "pin")
@@ -451,7 +444,7 @@ func (t *ShardedTable) AddPin(id uint32, delta int32) error {
 }
 
 // PinCount returns the per-entry pin count (ablation path only).
-func (t *ShardedTable) PinCount(id uint32) int32 {
+func (t *Table) PinCount(id uint32) int32 {
 	s := t.locate(id)
 	if s == nil {
 		return 0
@@ -460,14 +453,11 @@ func (t *ShardedTable) PinCount(id uint32) int32 {
 }
 
 // Live returns the number of allocated entries.
-func (t *ShardedTable) Live() int { return int(t.live.Load()) }
-
-// Peak returns the high-water mark of live entries.
-func (t *ShardedTable) Peak() int { return int(t.peak.Load()) }
+func (t *Table) Live() int { return int(t.live.Load()) }
 
 // Extent returns how many IDs the bump allocators have ever handed out;
 // the table's memory overhead is Extent() HTEs regardless of recycling.
-func (t *ShardedTable) Extent() uint32 {
+func (t *Table) Extent() uint32 {
 	var n uint32
 	for i := range t.shards {
 		sh := &t.shards[i]
@@ -483,7 +473,7 @@ func (t *ShardedTable) Extent() uint32 {
 // may not be observed, and IDs are visited in per-shard (not global
 // numeric) order. Callers needing a stable view run inside a barrier,
 // where the world is stopped.
-func (t *ShardedTable) ForEachLive(fn func(id uint32, e Entry)) {
+func (t *Table) ForEachLive(fn func(id uint32, e Entry)) {
 	for shard := uint32(0); shard < ShardCount; shard++ {
 		sh := &t.shards[shard]
 		dirp := sh.dir.Load()

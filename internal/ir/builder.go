@@ -13,9 +13,6 @@ func NewBuilder(f *Func) *Builder {
 	return &Builder{Fn: f, cur: f.Entry()}
 }
 
-// Block returns the current insertion block.
-func (bu *Builder) Block() *Block { return bu.cur }
-
 // SetBlock moves the insertion point to the end of b.
 func (bu *Builder) SetBlock(b *Block) { bu.cur = b }
 

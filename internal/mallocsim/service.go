@@ -20,9 +20,6 @@ func NewService(space *mem.Space) *Service {
 	return &Service{a: New(space)}
 }
 
-// Allocator exposes the underlying allocator (for tests and stats).
-func (s *Service) Allocator() *Allocator { return s.a }
-
 // Init implements rt.Service.
 func (s *Service) Init(*rt.Runtime) error { return nil }
 

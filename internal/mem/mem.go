@@ -20,10 +20,10 @@
 // # Concurrency
 //
 // All methods are safe for concurrent use, and the access path — Read,
-// Write, the fixed-width loads and stores, Copy, Resolve, RSS, Faults —
-// takes no lock: the region list is an immutable sorted slice behind an
-// atomic pointer (Map/MapAt/Unmap copy it, serialised among themselves by
-// a plain mutex), residency is one bit per page in atomic words, and the
+// Write, the fixed-width loads and stores, Copy, RSS, Faults — takes no
+// lock: the region list is an immutable sorted slice behind an atomic
+// pointer (Map and Unmap copy it, serialised between themselves by a plain
+// mutex), residency is one bit per page in atomic words, and the
 // RSS and fault counters are atomics bumped only by the goroutine whose
 // own read-modify-write flipped a page's bit. The accounting is therefore
 // exact once callers quiesce: RSS() is PageSize × the set bits of every
@@ -73,7 +73,7 @@ type Addr uint64
 const baseStart Addr = 0x0000_1000_0000
 
 // AddrLimit bounds every mapping: a handle table entry packs its backing
-// address into 48 bits, so Map and MapAt refuse a region ending beyond it.
+// address into 48 bits, so Map refuses a region ending beyond it.
 const AddrLimit Addr = 1 << 48
 
 // A Region is a contiguous page-aligned virtual mapping inside a Space.
@@ -92,7 +92,7 @@ type Region struct {
 // concurrent use; see the package doc for what is lock-free.
 type Space struct {
 	// regions is the immutable base-sorted region list; mapMu serialises
-	// the writers that replace it (Map, MapAt, Unmap) and guards nextBase.
+	// the writers that replace it (Map, Unmap) and guards nextBase.
 	regions  atomic.Pointer[[]*Region]
 	mapMu    sync.Mutex
 	nextBase Addr
@@ -108,26 +108,6 @@ func NewSpace() *Space {
 	s := &Space{nextBase: baseStart}
 	s.regions.Store(new([]*Region))
 	return s
-}
-
-// insertLocked publishes a copy of the region list with a fresh region
-// [base, base+size) inserted in base order. Caller holds s.mapMu.
-func (s *Space) insertLocked(base Addr, size uint64) *Region {
-	r := &Region{
-		space:    s,
-		base:     base,
-		size:     size,
-		data:     make([]byte, size),
-		resident: make([]atomic.Uint64, (size/PageSize+63)/64),
-	}
-	old := *s.regions.Load()
-	i := 0
-	for i < len(old) && old[i].base < base {
-		i++
-	}
-	next := slices.Insert(slices.Clone(old), i, r)
-	s.regions.Store(&next)
-	return r
 }
 
 // roundUpPage rounds n up to a multiple of PageSize.
@@ -162,36 +142,17 @@ func (s *Space) Map(size uint64) (*Region, error) {
 	// Leave a one-page guard gap between regions so out-of-bounds addresses
 	// fault instead of silently landing in a neighbour.
 	s.nextBase += Addr(size) + PageSize
-	return s.insertLocked(base, size), nil
-}
-
-// MapAt reserves a region at a caller-chosen base address. Alaska places its
-// handle table at a fixed virtual address so translation need not mask the
-// top handle bit (§4.2.1); MapAt lets the runtime do the same. The base must
-// be page-aligned and must not overlap an existing region.
-func (s *Space) MapAt(base Addr, size uint64) (*Region, error) {
-	if base == 0 || uint64(base)%PageSize != 0 {
-		return nil, fmt.Errorf("mem: MapAt base %#x not page aligned", base)
+	r := &Region{
+		space:    s,
+		base:     base,
+		size:     size,
+		data:     make([]byte, size),
+		resident: make([]atomic.Uint64, (size/PageSize+63)/64),
 	}
-	if size == 0 {
-		return nil, fmt.Errorf("mem: MapAt of zero bytes")
-	}
-	if err := checkLimit(base, size); err != nil {
-		return nil, err
-	}
-	size = roundUpPage(size)
-	s.mapMu.Lock()
-	defer s.mapMu.Unlock()
-	for _, r := range *s.regions.Load() {
-		if base < r.base+Addr(r.size) && r.base < base+Addr(size) {
-			return nil, fmt.Errorf("mem: MapAt [%#x,%#x) overlaps region [%#x,%#x)",
-				base, base+Addr(size), r.base, r.base+Addr(r.size))
-		}
-	}
-	if base+Addr(size) > s.nextBase {
-		s.nextBase = base + Addr(size) + PageSize
-	}
-	return s.insertLocked(base, size), nil
+	// Bases only grow, so appending keeps the list base-sorted.
+	next := append(slices.Clone(*s.regions.Load()), r)
+	s.regions.Store(&next)
+	return r, nil
 }
 
 // Unmap removes a region from the space, releasing its resident pages.
@@ -233,15 +194,6 @@ func (s *Space) find(addr Addr) *Region {
 		}
 	}
 	return nil
-}
-
-// Resolve returns the region containing addr and the byte offset within it.
-func (s *Space) Resolve(addr Addr) (*Region, uint64, error) {
-	r := s.find(addr)
-	if r == nil {
-		return nil, 0, &Fault{Addr: addr, Op: "resolve"}
-	}
-	return r, uint64(addr - r.base), nil
 }
 
 // Fault is the error returned for accesses to unmapped addresses — the
@@ -360,35 +312,6 @@ func (s *Space) ReadU64(addr Addr) (uint64, error) {
 	return binary.LittleEndian.Uint64(r.data[off:]), nil
 }
 
-// WriteU32 stores a 32-bit little-endian word at addr.
-func (s *Space) WriteU32(addr Addr, v uint32) error {
-	r, off, err := s.access(addr, 4, "write")
-	if err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint32(r.data[off:], v)
-	return nil
-}
-
-// ReadU32 loads a 32-bit little-endian word from addr.
-func (s *Space) ReadU32(addr Addr) (uint32, error) {
-	r, off, err := s.access(addr, 4, "read")
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(r.data[off:]), nil
-}
-
-// WriteU8 stores one byte at addr.
-func (s *Space) WriteU8(addr Addr, v uint8) error {
-	r, off, err := s.access(addr, 1, "write")
-	if err != nil {
-		return err
-	}
-	r.data[off] = v
-	return nil
-}
-
 // ReadU8 loads one byte from addr.
 func (s *Space) ReadU8(addr Addr) (uint8, error) {
 	r, off, err := s.access(addr, 1, "read")
@@ -454,9 +377,6 @@ func (s *Space) RSS() uint64 {
 // Faults returns the cumulative count of demand-paging events.
 func (s *Space) Faults() int64 { return s.faults.Load() }
 
-// NumRegions returns the number of live mappings.
-func (s *Space) NumRegions() int { return len(*s.regions.Load()) }
-
 // Base returns the region's base address.
 func (r *Region) Base() Addr { return r.base }
 
@@ -476,6 +396,3 @@ func (r *Region) ResidentPages() int {
 func (r *Region) Contains(addr Addr) bool {
 	return addr >= r.base && addr < r.base+Addr(r.size)
 }
-
-// End returns one past the region's last byte.
-func (r *Region) End() Addr { return r.base + Addr(r.size) }

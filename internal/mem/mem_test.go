@@ -31,8 +31,8 @@ func TestMapAlignsAndSeparates(t *testing.T) {
 	if uint64(r1.Base())%PageSize != 0 || uint64(r2.Base())%PageSize != 0 {
 		t.Errorf("bases not page aligned: %#x %#x", r1.Base(), r2.Base())
 	}
-	if r2.Base() < r1.End()+PageSize {
-		t.Errorf("no guard gap between regions: r1 end %#x, r2 base %#x", r1.End(), r2.Base())
+	if r2.Base() < r1.Base()+Addr(r1.Size())+PageSize {
+		t.Errorf("no guard gap between regions: r1 end %#x, r2 base %#x", r1.Base()+Addr(r1.Size()), r2.Base())
 	}
 }
 
@@ -71,14 +71,7 @@ func TestWordAccessors(t *testing.T) {
 	if err != nil || v != 0xdeadbeefcafef00d {
 		t.Errorf("ReadU64 = %#x, %v", v, err)
 	}
-	if err := s.WriteU32(a+8, 0x12345678); err != nil {
-		t.Fatal(err)
-	}
-	v32, err := s.ReadU32(a + 8)
-	if err != nil || v32 != 0x12345678 {
-		t.Errorf("ReadU32 = %#x, %v", v32, err)
-	}
-	if err := s.WriteU8(a+12, 0xab); err != nil {
+	if err := s.Write(a+12, []byte{0xab}); err != nil {
 		t.Fatal(err)
 	}
 	v8, err := s.ReadU8(a + 12)
@@ -102,7 +95,7 @@ func TestAccessPastEndFaults(t *testing.T) {
 	s := NewSpace()
 	r := mustMap(t, s, PageSize)
 	var f *Fault
-	err := s.Write(r.End()-4, []byte{1, 2, 3, 4, 5})
+	err := s.Write(r.Base()+Addr(r.Size())-4, []byte{1, 2, 3, 4, 5})
 	if !errors.As(err, &f) {
 		t.Errorf("straddling write = %v, want Fault", err)
 	}
@@ -113,7 +106,7 @@ func TestGuardGapFaults(t *testing.T) {
 	r1 := mustMap(t, s, PageSize)
 	mustMap(t, s, PageSize)
 	var f *Fault
-	if err := s.WriteU8(r1.End(), 1); !errors.As(err, &f) {
+	if err := s.Write(r1.Base()+Addr(r1.Size()), []byte{1}); !errors.As(err, &f) {
 		t.Errorf("write into guard gap = %v, want Fault", err)
 	}
 }
@@ -124,14 +117,14 @@ func TestRSSDemandPaging(t *testing.T) {
 	if s.RSS() != 0 {
 		t.Fatalf("RSS after Map = %d, want 0 (demand paged)", s.RSS())
 	}
-	if err := s.WriteU8(r.Base(), 1); err != nil {
+	if err := s.Write(r.Base(), []byte{1}); err != nil {
 		t.Fatal(err)
 	}
 	if s.RSS() != PageSize {
 		t.Errorf("RSS after one touch = %d, want %d", s.RSS(), PageSize)
 	}
 	// Touch the same page again: no growth.
-	if err := s.WriteU8(r.Base()+1, 2); err != nil {
+	if err := s.Write(r.Base()+1, []byte{2}); err != nil {
 		t.Fatal(err)
 	}
 	if s.RSS() != PageSize {
@@ -161,7 +154,7 @@ func TestDontNeedReleasesWholePagesOnly(t *testing.T) {
 	s := NewSpace()
 	r := mustMap(t, s, 4*PageSize)
 	for i := uint64(0); i < 4; i++ {
-		if err := s.WriteU8(r.Base()+Addr(i*PageSize), byte(i+1)); err != nil {
+		if err := s.Write(r.Base()+Addr(i*PageSize), []byte{byte(i + 1)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -196,7 +189,7 @@ func TestDontNeedReleasesWholePagesOnly(t *testing.T) {
 func TestDontNeedThenRetouchGrowsRSS(t *testing.T) {
 	s := NewSpace()
 	r := mustMap(t, s, PageSize)
-	if err := s.WriteU8(r.Base(), 9); err != nil {
+	if err := s.Write(r.Base(), []byte{9}); err != nil {
 		t.Fatal(err)
 	}
 	f0 := s.Faults()
@@ -206,7 +199,7 @@ func TestDontNeedThenRetouchGrowsRSS(t *testing.T) {
 	if s.RSS() != 0 {
 		t.Fatalf("RSS after DontNeed = %d, want 0", s.RSS())
 	}
-	if err := s.WriteU8(r.Base(), 9); err != nil {
+	if err := s.Write(r.Base(), []byte{9}); err != nil {
 		t.Fatal(err)
 	}
 	if s.RSS() != PageSize {
@@ -248,66 +241,38 @@ func TestUnmapReducesRSS(t *testing.T) {
 	if s.RSS() != 0 {
 		t.Errorf("RSS after Unmap = %d, want 0", s.RSS())
 	}
-	if s.NumRegions() != 0 {
-		t.Errorf("regions after Unmap = %d, want 0", s.NumRegions())
+	if n := len(*s.regions.Load()); n != 0 {
+		t.Errorf("regions after Unmap = %d, want 0", n)
 	}
 	if err := s.Unmap(r); err == nil {
 		t.Error("double Unmap succeeded, want error")
 	}
 	var f *Fault
-	if err := s.WriteU8(r.Base(), 1); !errors.As(err, &f) {
+	if err := s.Write(r.Base(), []byte{1}); !errors.As(err, &f) {
 		t.Errorf("write after Unmap = %v, want Fault", err)
 	}
 }
 
-func TestMapAt(t *testing.T) {
-	s := NewSpace()
-	const base = Addr(0x7000_0000_0000)
-	r, err := s.MapAt(base, PageSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Base() != base {
-		t.Errorf("base = %#x, want %#x", r.Base(), base)
-	}
-	if _, err := s.MapAt(base, PageSize); err == nil {
-		t.Error("overlapping MapAt succeeded, want error")
-	}
-	if _, err := s.MapAt(base+1, PageSize); err == nil {
-		t.Error("unaligned MapAt succeeded, want error")
-	}
-	// Subsequent Map must not collide with the fixed mapping.
-	r2 := mustMap(t, s, PageSize)
-	if r2.Base() >= base && r2.Base() < base+PageSize {
-		t.Errorf("Map collided with MapAt region at %#x", r2.Base())
-	}
-}
-
 // TestAddrLimit: a handle table entry packs its backing into 48 bits, so
-// no mapping may end beyond 2^48 — refused with an error by MapAt and, once
-// the space has been walked up there, by Map — and a size whose rounding
-// would wrap is refused before it is rounded.
+// no mapping may end beyond 2^48 — Map refuses it with an error once the
+// space has been walked up there — and a size whose rounding would wrap is
+// refused before it is rounded.
 func TestAddrLimit(t *testing.T) {
 	s := NewSpace()
-	if _, err := s.MapAt(AddrLimit, PageSize); err == nil {
-		t.Error("MapAt at 2^48 succeeded, want error")
-	}
-	if _, err := s.MapAt(AddrLimit-PageSize, PageSize+1); err == nil {
-		t.Error("MapAt ending one byte beyond 2^48 succeeded, want error")
-	}
 	for _, size := range []uint64{uint64(AddrLimit) + 1, ^uint64(0), ^uint64(0) - PageSize + 2} {
 		if _, err := s.Map(size); err == nil {
 			t.Errorf("Map(%#x) succeeded, want error", size)
 		}
-		if _, err := s.MapAt(PageSize, size); err == nil {
-			t.Errorf("MapAt(_, %#x) succeeded, want error", size)
-		}
 	}
-	r, err := s.MapAt(AddrLimit-PageSize, PageSize)
+	s.nextBase = AddrLimit - PageSize // as if earlier mappings had walked it up here
+	if _, err := s.Map(PageSize + 1); err == nil {
+		t.Error("Map ending one byte beyond 2^48 succeeded, want error")
+	}
+	r, err := s.Map(PageSize)
 	if err != nil {
-		t.Fatalf("MapAt of the last page below 2^48: %v", err)
+		t.Fatalf("Map of the last page below 2^48: %v", err)
 	}
-	if err := s.WriteU8(r.End()-1, 7); err != nil {
+	if err := s.Write(r.Base()+Addr(r.Size())-1, []byte{7}); err != nil {
 		t.Errorf("write to address 2^48-1: %v", err)
 	}
 	if _, err := s.Map(PageSize); err == nil {
@@ -318,12 +283,11 @@ func TestAddrLimit(t *testing.T) {
 func TestResolve(t *testing.T) {
 	s := NewSpace()
 	r := mustMap(t, s, 2*PageSize)
-	got, off, err := s.Resolve(r.Base() + 123)
-	if err != nil || got != r || off != 123 {
-		t.Errorf("Resolve = %v, %d, %v", got, off, err)
+	if got := s.find(r.Base() + 123); got != r {
+		t.Errorf("find inside the region = %p, want %p", got, r)
 	}
-	if _, _, err := s.Resolve(5); err == nil {
-		t.Error("Resolve of unmapped succeeded")
+	if got := s.find(5); got != nil {
+		t.Errorf("find of unmapped = %p, want nil", got)
 	}
 }
 
@@ -371,7 +335,7 @@ func TestRSSInvariantProperty(t *testing.T) {
 				}
 				delete(live, page)
 			} else {
-				if s.WriteU8(r.Base()+Addr(page*PageSize+uint64(rng.Intn(PageSize))), 1) != nil {
+				if s.Write(r.Base()+Addr(page*PageSize+uint64(rng.Intn(PageSize))), []byte{1}) != nil {
 					return false
 				}
 				live[page] = true

@@ -101,7 +101,7 @@ func TestLockFreeAccessRace(t *testing.T) {
 				r, k := regions[i%len(regions)], i/len(regions)
 				a := r.Base() + Addr((sharedPages+(accessors+g)*ownPages+k%ownPages)*PageSize)
 				before := s.Faults()
-				if err := s.WriteU8(a+17, 0xFF); err != nil {
+				if err := s.Write(a+17, []byte{0xFF}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -142,14 +142,14 @@ func TestLockFreeAccessRace(t *testing.T) {
 					return
 				}
 				for p := 0; p < mapperPages; p++ {
-					if err := s.WriteU32(r.Base()+Addr(p*PageSize), 7); err != nil {
+					if err := s.WriteU64(r.Base()+Addr(p*PageSize), 7); err != nil {
 						t.Error(err)
 						return
 					}
 				}
 				flips.Add(mapperPages)
-				if got, _, err := s.Resolve(r.Base() + PageSize); err != nil || got != r {
-					t.Errorf("Resolve inside a fresh region = %p, %v; want %p", got, err, r)
+				if got := s.find(r.Base() + PageSize); got != r {
+					t.Errorf("find inside a fresh region = %p, want %p", got, r)
 					return
 				}
 				if n := r.ResidentPages(); n != mapperPages {
@@ -165,8 +165,8 @@ func TestLockFreeAccessRace(t *testing.T) {
 	}
 	wg.Wait()
 
-	if got, want := s.NumRegions(), len(regions); got != want {
-		t.Errorf("NumRegions = %d after quiescing, want %d", got, want)
+	if got, want := len(*s.regions.Load()), len(regions); got != want {
+		t.Errorf("%d regions after quiescing, want %d", got, want)
 	}
 	if got, want := s.RSS(), uint64(mappedResidentPages(s))*PageSize; got != want {
 		t.Errorf("RSS = %d after quiescing, want %d (PageSize × set residency bits)", got, want)
@@ -192,7 +192,7 @@ func TestUnmapRacesInFlightTouch(t *testing.T) {
 	}
 	s := NewSpace()
 	keep := mustMap(t, s, 2*PageSize)
-	if err := s.WriteU8(keep.Base(), 1); err != nil {
+	if err := s.Write(keep.Base(), []byte{1}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < rounds; i++ {

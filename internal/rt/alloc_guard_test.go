@@ -34,8 +34,8 @@ func TestAllocFreePinUnpin(t *testing.T) {
 			if avg := testing.AllocsPerRun(1000, pinBoth); avg != 0 {
 				t.Fatalf("nested Pin + unpin allocates %.2f allocs/op, want 0", avg)
 			}
-			if d := th.FrameDepth(); d != 0 {
-				t.Fatalf("FrameDepth = %d after balanced pins, want 0", d)
+			if d := len(th.frames); d != 0 {
+				t.Fatalf("pin-stack depth = %d after balanced pins, want 0", d)
 			}
 			if mode == CountedPins {
 				if n := r.Table.PinCount(outer.ID()) + r.Table.PinCount(inner.ID()); n != 0 {

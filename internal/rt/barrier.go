@@ -27,9 +27,6 @@ func (s *BarrierScope) Pinned(id uint32) bool {
 	return false
 }
 
-// PinnedCount returns the number of distinct pinned handles.
-func (s *BarrierScope) PinnedCount() int { return len(s.pinned) }
-
 // Relocate copies the object owned by id to dst and updates its HTE — the
 // single-reference update that makes handle-based movement O(1). It fails
 // if the object is pinned.

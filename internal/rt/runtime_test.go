@@ -247,7 +247,7 @@ func TestTranslateAndPinPointerPassthrough(t *testing.T) {
 		t.Errorf("pointer passthrough = %#x, %v", a, err)
 	}
 	r.Barrier(th, func(s *BarrierScope) {
-		if s.PinnedCount() != 0 {
+		if len(s.pinned) != 0 {
 			t.Error("raw pointer was recorded as a pin")
 		}
 	})

@@ -130,9 +130,6 @@ func (t *Thread) PopFrame() {
 	t.frames = t.frames[:last]
 }
 
-// FrameDepth returns the pin-stack depth (for tests and diagnostics).
-func (t *Thread) FrameDepth() int { return len(t.frames) }
-
 // TranslateAndPin records h in slot of the current pin set and returns the
 // raw backing address. This is the runtime half of a compiler-inserted
 // translate: store to the pin set, then the table load of Figure 5.

@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"fmt"
 	"sync/atomic"
 	"time"
 )
@@ -217,12 +216,4 @@ func (r *LatencyRecorder) Percentile(p float64) time.Duration {
 		}
 	}
 	return time.Duration(r.maxNs.Load())
-}
-
-// Summary renders the standard one-line report: count, mean, and the
-// p50/p99/p999 tail.
-func (r *LatencyRecorder) Summary() string {
-	return fmt.Sprintf("n=%d mean=%v p50=%v p99=%v p999=%v max=%v",
-		r.Count(), r.Mean(), r.Percentile(50), r.Percentile(99),
-		r.Percentile(99.9), r.Max())
 }

@@ -83,18 +83,6 @@ func TestLatencyRecorderConcurrent(t *testing.T) {
 	}
 }
 
-func TestHistogramMergeMismatch(t *testing.T) {
-	a := NewHistogram([]float64{1, 2, 3})
-	b := NewHistogram([]float64{1, 2})
-	if err := a.Merge(b); err == nil {
-		t.Fatal("merge of mismatched layouts succeeded")
-	}
-	c := NewHistogram([]float64{1, 2, 4})
-	if err := a.Merge(c); err == nil {
-		t.Fatal("merge of mismatched bounds succeeded")
-	}
-}
-
 // TestDrainIntoUnderRecord is the fold a striped recorder relies on:
 // writers Record known durations into one stripe while a reader keeps
 // draining it into two destinations. Once the writers stop and a last

@@ -1,6 +1,7 @@
 // Package stats provides the small statistical and reporting toolkit the
-// experiment harnesses share: geometric means, percentiles, time series,
-// and CSV/table rendering.
+// experiment harnesses share: geometric means, time series, CSV/table
+// rendering, and the lock-free latency recorder (LatencyRecorder) the server
+// and the load generator report percentiles from.
 package stats
 
 import (
@@ -30,51 +31,6 @@ func Geomean(overheads []float64) float64 {
 	return math.Exp(logSum/float64(len(overheads))) - 1
 }
 
-// Mean returns the arithmetic mean.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// Stddev returns the sample standard deviation.
-func Stddev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		s += (x - m) * (x - m)
-	}
-	return math.Sqrt(s / float64(len(xs)-1))
-}
-
-// Percentile returns the p-th percentile (0..100) by nearest-rank.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := int(math.Ceil(p/100*float64(len(sorted)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	return sorted[rank]
-}
-
 // Point is one sample of a time series.
 type Point struct {
 	T time.Duration
@@ -90,25 +46,6 @@ type Series struct {
 // Add appends a sample.
 func (s *Series) Add(t time.Duration, v float64) {
 	s.Points = append(s.Points, Point{t, v})
-}
-
-// Max returns the series' maximum value (0 for empty).
-func (s *Series) Max() float64 {
-	var m float64
-	for _, p := range s.Points {
-		if p.V > m {
-			m = p.V
-		}
-	}
-	return m
-}
-
-// Last returns the final value (0 for empty).
-func (s *Series) Last() float64 {
-	if len(s.Points) == 0 {
-		return 0
-	}
-	return s.Points[len(s.Points)-1].V
 }
 
 // At returns the value at or immediately before t (0 if before all data).
@@ -188,93 +125,4 @@ func Table(w io.Writer, header []string, rows [][]string) error {
 		}
 	}
 	return nil
-}
-
-// Histogram is a fixed-boundary latency histogram.
-type Histogram struct {
-	bounds []float64 // upper bounds
-	counts []int64
-	sum    float64
-	n      int64
-	max    float64
-}
-
-// NewHistogram builds a histogram with the given ascending upper bounds;
-// an overflow bucket is added automatically.
-func NewHistogram(bounds []float64) *Histogram {
-	return &Histogram{bounds: bounds, counts: make([]int64, len(bounds)+1)}
-}
-
-// Observe records one sample.
-func (h *Histogram) Observe(v float64) {
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i]++
-	h.sum += v
-	h.n++
-	if v > h.max {
-		h.max = v
-	}
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.n }
-
-// Clone returns an independent copy of the histogram.
-func (h *Histogram) Clone() *Histogram {
-	c := &Histogram{bounds: h.bounds, sum: h.sum, n: h.n, max: h.max}
-	c.counts = append([]int64(nil), h.counts...)
-	return c
-}
-
-// Merge folds other's observations into h. The histograms must share the
-// same bucket layout.
-func (h *Histogram) Merge(other *Histogram) error {
-	if len(other.bounds) != len(h.bounds) {
-		return fmt.Errorf("stats: merge of histograms with %d and %d bounds",
-			len(h.bounds), len(other.bounds))
-	}
-	for i, b := range h.bounds {
-		if other.bounds[i] != b {
-			return fmt.Errorf("stats: merge of histograms with mismatched bound %d", i)
-		}
-	}
-	for i, c := range other.counts {
-		h.counts[i] += c
-	}
-	h.sum += other.sum
-	h.n += other.n
-	if other.max > h.max {
-		h.max = other.max
-	}
-	return nil
-}
-
-// Mean returns the mean observation.
-func (h *Histogram) Mean() float64 {
-	if h.n == 0 {
-		return 0
-	}
-	return h.sum / float64(h.n)
-}
-
-// Max returns the largest observation.
-func (h *Histogram) Max() float64 { return h.max }
-
-// Quantile approximates the q-th quantile (0..1) from bucket boundaries.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.n == 0 {
-		return 0
-	}
-	target := int64(q * float64(h.n))
-	var cum int64
-	for i, c := range h.counts {
-		cum += c
-		if cum > target {
-			if i < len(h.bounds) {
-				return h.bounds[i]
-			}
-			return h.max
-		}
-	}
-	return h.max
 }

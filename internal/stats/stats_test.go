@@ -3,11 +3,8 @@ package stats
 import (
 	"bytes"
 	"math"
-	"math/rand"
-	"sort"
 	"strings"
 	"testing"
-	"testing/quick"
 	"time"
 )
 
@@ -30,79 +27,16 @@ func TestGeomean(t *testing.T) {
 	}
 }
 
-func TestMeanStddev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if m := Mean(xs); !almost(m, 5) {
-		t.Errorf("Mean = %v", m)
-	}
-	if s := Stddev(xs); math.Abs(s-2.138089935) > 1e-6 {
-		t.Errorf("Stddev = %v", s)
-	}
-	if Stddev([]float64{1}) != 0 {
-		t.Error("Stddev of singleton should be 0")
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	if p := Percentile(xs, 50); p != 5 {
-		t.Errorf("P50 = %v", p)
-	}
-	if p := Percentile(xs, 100); p != 10 {
-		t.Errorf("P100 = %v", p)
-	}
-	if p := Percentile(xs, 0); p != 1 {
-		t.Errorf("P0 = %v", p)
-	}
-	if p := Percentile(nil, 50); p != 0 {
-		t.Errorf("P50(nil) = %v", p)
-	}
-}
-
-func TestPercentileIsMonotoneProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		xs := make([]float64, 1+rng.Intn(50))
-		for i := range xs {
-			xs[i] = rng.Float64() * 100
-		}
-		prev := math.Inf(-1)
-		for p := 0.0; p <= 100; p += 5 {
-			v := Percentile(xs, p)
-			if v < prev {
-				return false
-			}
-			prev = v
-		}
-		sorted := append([]float64(nil), xs...)
-		sort.Float64s(sorted)
-		return Percentile(xs, 0) == sorted[0] && Percentile(xs, 100) == sorted[len(sorted)-1]
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestSeries(t *testing.T) {
 	s := &Series{Name: "rss"}
 	s.Add(0, 10)
 	s.Add(time.Second, 20)
 	s.Add(2*time.Second, 15)
-	if s.Max() != 20 {
-		t.Errorf("Max = %v", s.Max())
-	}
-	if s.Last() != 15 {
-		t.Errorf("Last = %v", s.Last())
-	}
 	if v := s.At(1500 * time.Millisecond); v != 20 {
 		t.Errorf("At(1.5s) = %v, want 20 (step interpolation)", v)
 	}
 	if v := s.At(-time.Second); v != 0 {
 		t.Errorf("At before data = %v", v)
-	}
-	empty := &Series{}
-	if empty.Max() != 0 || empty.Last() != 0 {
-		t.Error("empty series should report zeros")
 	}
 }
 
@@ -141,56 +75,5 @@ func TestTable(t *testing.T) {
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	if len(lines) != 4 {
 		t.Errorf("table has %d lines, want 4", len(lines))
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram([]float64{1, 10, 100})
-	for i := 0; i < 90; i++ {
-		h.Observe(0.5)
-	}
-	for i := 0; i < 10; i++ {
-		h.Observe(50)
-	}
-	if h.Count() != 100 {
-		t.Errorf("Count = %d", h.Count())
-	}
-	if m := h.Mean(); !almost(m, (90*0.5+10*50)/100) {
-		t.Errorf("Mean = %v", m)
-	}
-	if h.Max() != 50 {
-		t.Errorf("Max = %v", h.Max())
-	}
-	if q := h.Quantile(0.5); q != 1 {
-		t.Errorf("Q50 = %v, want bucket bound 1", q)
-	}
-	if q := h.Quantile(0.99); q != 100 {
-		t.Errorf("Q99 = %v, want bucket bound 100", q)
-	}
-	empty := NewHistogram([]float64{1})
-	if empty.Quantile(0.5) != 0 || empty.Mean() != 0 {
-		t.Error("empty histogram should report zeros")
-	}
-}
-
-func TestHistogramQuantileMonotoneProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		h := NewHistogram([]float64{1, 2, 4, 8, 16, 32})
-		for i := 0; i < 200; i++ {
-			h.Observe(rng.Float64() * 40)
-		}
-		prev := -1.0
-		for q := 0.0; q <= 1.0; q += 0.05 {
-			v := h.Quantile(q)
-			if v < prev {
-				return false
-			}
-			prev = v
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
 	}
 }

@@ -127,15 +127,6 @@ func New(r *rt.Runtime, store Store) *Swapper {
 	return &Swapper{rt: r, store: store, sizes: make(map[uint32]uint64)}
 }
 
-// Handler returns the rt.FaultHandler to install via rt.WithFaultHandler
-// (or Runtime configuration) so faulting translations swap objects back
-// in transparently.
-func (s *Swapper) Handler() rt.FaultHandler {
-	return func(r *rt.Runtime, id uint32) error {
-		return s.SwapIn(id)
-	}
-}
-
 // SwapOut evicts the object behind id: its bytes go to the store, its
 // backing memory is freed, and its HTE is invalidated. It must only be
 // called for unpinned objects — use it from within a barrier, or on
@@ -208,12 +199,4 @@ func (s *Swapper) SwapIn(id uint32) error {
 	s.SwappedIn++
 	s.BytesIn += int64(size)
 	return nil
-}
-
-// Swapped reports whether id is currently swapped out.
-func (s *Swapper) Swapped(id uint32) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.sizes[id]
-	return ok
 }

@@ -72,7 +72,7 @@ func TestSwapOutAndFaultBackIn(t *testing.T) {
 			t.Errorf("SwapOut: %v", err)
 		}
 	})
-	if !sw.Swapped(h.ID()) {
+	if _, ok := sw.sizes[h.ID()]; !ok {
 		t.Fatal("object not marked swapped")
 	}
 	// The next translation faults and transparently swaps back in.
@@ -87,7 +87,7 @@ func TestSwapOutAndFaultBackIn(t *testing.T) {
 	if !bytes.Equal(got, payload) {
 		t.Error("contents corrupted across swap")
 	}
-	if sw.Swapped(h.ID()) {
+	if _, ok := sw.sizes[h.ID()]; ok {
 		t.Error("object still marked swapped after fault")
 	}
 	if sw.SwappedOut != 1 || sw.SwappedIn != 1 {

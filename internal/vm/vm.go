@@ -126,11 +126,6 @@ func NewAlaska(m *ir.Module, costs CostModel) (*Machine, error) {
 	}, nil
 }
 
-// RegisterExternal installs a host function.
-func (m *Machine) RegisterExternal(name string, fn External) {
-	m.externals[name] = fn
-}
-
 // Run executes the named function with the given arguments and returns its
 // result.
 func (m *Machine) Run(fnName string, args ...uint64) (uint64, error) {

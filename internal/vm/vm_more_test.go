@@ -178,9 +178,9 @@ func TestCustomExternal(t *testing.T) {
 	b.Ret(r)
 	f.Finish()
 	m := NewBaseline(&ir.Module{Funcs: []*ir.Func{f}}, DefaultCosts)
-	m.RegisterExternal("my_ext", func(m *Machine, args []uint64) (uint64, error) {
+	m.externals["my_ext"] = func(m *Machine, args []uint64) (uint64, error) {
 		return args[0] * 2, nil
-	})
+	}
 	v, err := m.Run("main")
 	if err != nil {
 		t.Fatal(err)
@@ -297,9 +297,15 @@ func TestPinFramesBalancedAcrossCalls(t *testing.T) {
 	if _, err := ma.Run("main"); err != nil {
 		t.Fatal(err)
 	}
-	if d := ma.Thread.FrameDepth(); d != 0 {
-		t.Errorf("pin stack depth after run = %d, want 0", d)
-	}
+	// PopFrame panics only on an empty pin stack.
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("pin stack not empty after run: PopFrame found a frame to pop")
+			}
+		}()
+		ma.Thread.PopFrame()
+	}()
 	if err := ma.Close(); err != nil {
 		t.Fatal(err)
 	}
