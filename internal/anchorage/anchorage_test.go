@@ -344,7 +344,7 @@ func TestControllerTriggersOnHighFragmentation(t *testing.T) {
 				if k := len(moved) - 1; k == ran {
 					// Passes continue until F_lb or a pass that moves nothing.
 					done := moved[k] == 0 || frag[k] < cfg.FragLow
-					if waiting := ctl.State() == Waiting; waiting != done {
+					if waiting := ctl.state == Waiting; waiting != done {
 						t.Errorf("pass %d moved %d bytes to fragmentation %.3f (F_lb %.2f): controller waiting = %v",
 							k, moved[k], frag[k], cfg.FragLow, waiting)
 					}
@@ -354,7 +354,7 @@ func TestControllerTriggersOnHighFragmentation(t *testing.T) {
 			if svc.Fragmentation() > cfg.FragHigh {
 				t.Errorf("controller failed to reduce fragmentation: %v", svc.Fragmentation())
 			}
-			if ctl.State() != Waiting {
+			if ctl.state != Waiting {
 				t.Error("controller still defragmenting at the end of the window")
 			}
 			if total == 0 {
@@ -391,7 +391,7 @@ func TestControllerStaysIdleWhenUnfragmented(t *testing.T) {
 				}
 				now += 500 * time.Millisecond
 			}
-			if ctl.State() != Waiting {
+			if ctl.state != Waiting {
 				t.Error("controller left waiting state")
 			}
 			checkPassKind(t, svc, tc.barrier, false)

@@ -68,9 +68,6 @@ func NewController(svc *Service, cfg Config, pass Pass) *Controller {
 	return &Controller{svc: svc, cfg: cfg, pass: pass}
 }
 
-// State returns the current controller state.
-func (c *Controller) State() ControllerState { return c.state }
-
 // Step advances the controller to time now. If the controller decides to
 // defragment, it runs one pass and returns the pass's T_defrag (for
 // BarrierPass, the simulated stop-the-world pause); otherwise it returns

@@ -168,9 +168,6 @@ type Loop struct {
 	Depth int
 }
 
-// Contains reports whether the loop body contains block b.
-func (l *Loop) Contains(b *Block) bool { return l.Blocks[b] }
-
 // ContainsInstr reports whether the loop body contains instruction i.
 func (l *Loop) ContainsInstr(i *Instr) bool { return i.Block != nil && l.Blocks[i.Block] }
 

@@ -49,9 +49,6 @@ func (bu *Builder) Bin(op int, a, b *Instr) *Instr {
 // Add emits a + b.
 func (bu *Builder) Add(a, b *Instr) *Instr { return bu.Bin(BinAdd, a, b) }
 
-// Sub emits a - b.
-func (bu *Builder) Sub(a, b *Instr) *Instr { return bu.Bin(BinSub, a, b) }
-
 // Mul emits a * b.
 func (bu *Builder) Mul(a, b *Instr) *Instr { return bu.Bin(BinMul, a, b) }
 

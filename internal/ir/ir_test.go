@@ -160,10 +160,10 @@ func TestLoopForestSingleLoop(t *testing.T) {
 	if loop.Depth != 1 {
 		t.Errorf("depth = %d, want 1", loop.Depth)
 	}
-	if !loop.Contains(l.Body) || !loop.Contains(l.Latch) {
+	if !loop.Blocks[l.Body] || !loop.Blocks[l.Latch] {
 		t.Error("loop body/latch not in loop")
 	}
-	if loop.Contains(l.Exit) {
+	if loop.Blocks[l.Exit] {
 		t.Error("exit block should not be in loop")
 	}
 }
@@ -233,7 +233,7 @@ func TestPreheaderCreatedWhenMissing(t *testing.T) {
 	if l.Preheader == nil {
 		t.Fatal("no preheader created")
 	}
-	if l.Contains(l.Preheader) {
+	if l.Blocks[l.Preheader] {
 		t.Error("preheader must be outside the loop")
 	}
 	// The preheader must dominate the header.

@@ -248,9 +248,6 @@ func (s *ShardedStore) iterateRefs(visit func(ref Ref, size uint64, update func(
 	}
 }
 
-// MaxMemory returns the store-wide charged-byte ceiling (0 = unlimited).
-func (s *ShardedStore) MaxMemory() uint64 { return s.maxMemory }
-
 // Backend returns the underlying backend.
 func (s *ShardedStore) Backend() Backend { return s.backend }
 

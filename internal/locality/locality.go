@@ -48,14 +48,6 @@ func (t *Tracker) Touch(id uint32) {
 	t.counts[id]++
 }
 
-// Reset clears the trace between optimization rounds.
-func (t *Tracker) Reset() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.trace = t.trace[:0]
-	t.counts = make(map[uint32]int64)
-}
-
 // plan returns the object IDs in first-touch trace order — the classic
 // online layout heuristic: objects accessed together end up adjacent.
 func (t *Tracker) plan() []uint32 {

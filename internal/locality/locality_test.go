@@ -35,10 +35,6 @@ func TestTrackerPlanFirstTouchOrder(t *testing.T) {
 			t.Errorf("plan[%d] = %d, want %d", i, plan[i], want[i])
 		}
 	}
-	tr.Reset()
-	if len(tr.plan()) != 0 {
-		t.Error("plan nonempty after Reset")
-	}
 }
 
 func TestTrackerBounded(t *testing.T) {

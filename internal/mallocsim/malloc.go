@@ -297,13 +297,6 @@ func (a *Allocator) HeapExtent() uint64 {
 	return a.extent
 }
 
-// Stats returns (allocs, frees, purged runs).
-func (a *Allocator) Stats() (allocs, frees, purged int64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.allocs, a.frees, a.purgedRuns
-}
-
 // DefragHint reports whether the object at addr would benefit from being
 // reallocated: it sits in a sparsely-occupied run while denser placement
 // exists for its class. This models jemalloc's get_defrag_hint, the

@@ -52,9 +52,6 @@ func (s *BarrierScope) Relocate(id uint32, dst mem.Addr) error {
 	return nil
 }
 
-// Runtime returns the runtime the scope belongs to.
-func (s *BarrierScope) Runtime() *Runtime { return s.rt }
-
 // Barrier stops the world, unifies all threads' pin sets, and runs fn with
 // the resulting scope; then it resumes all threads (§4.1.3, "Barriers and
 // Pin Set Unification").

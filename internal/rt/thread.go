@@ -99,9 +99,6 @@ func (t *Thread) Destroy() error {
 	return nil
 }
 
-// Runtime returns the owning runtime.
-func (t *Thread) Runtime() *Runtime { return t.rt }
-
 // PushFrame allocates a pin set of n slots for a function invocation. The
 // compiler computes n statically via interference-graph colouring.
 func (t *Thread) PushFrame(n int) {

@@ -23,13 +23,14 @@ import (
 )
 
 // forEachModelBackend is forEachBackend with the transport as the outer
-// subtest level and under its CLI name ("goroutine", "epoll"), which keeps
-// the burst-clock subtest ids what they have been since these tests landed.
+// subtest level, named "goroutine" and "epoll" (the event transport), which
+// keeps the burst-clock subtest ids what they have been since these tests
+// landed.
 func forEachModelBackend(t *testing.T, cfg Config, fn func(t *testing.T, srv *Server)) {
-	for _, model := range []string{"goroutine", "epoll"} {
-		t.Run(model, func(t *testing.T) {
+	for _, leg := range [][2]string{{"goroutine", "goroutine"}, {"epoll", "event"}} {
+		t.Run(leg[0], func(t *testing.T) {
 			cfg := cfg
-			cfg.ConnModel = model
+			cfg.ConnModel = leg[1]
 			forEachBackend(t, cfg, fn)
 		})
 	}

@@ -87,7 +87,6 @@ func forEachBackend(t *testing.T, cfg Config, fn func(t *testing.T, srv *Server)
 // not the kernel, decides where the engine sees a request split.
 func pipeConn(t testing.TB, srv *Server) net.Conn {
 	client, server := net.Pipe()
-	srv.currConns.Add(1)
 	srv.serveConn(server, srv.connIDs.Add(1))
 	t.Cleanup(func() { _ = client.Close() })
 	return client

@@ -63,10 +63,10 @@ const (
 
 // scheduling states of pollConn.sched. The token protocol: exactly one
 // thread "owns" a connection (may touch its fd or spill buffers) at a
-// time — the worker serving it, the registering accept loop, or a
-// sweeper that won the CAS from schedParked. Epoll readiness and kill
-// requests never touch the fd themselves; they hand the connection to
-// an owner via wake().
+// time — the worker serving it, the registering accept loop, or a kill
+// whose abort won the CAS from schedParked. Epoll readiness never touches
+// the fd itself; it hands the connection to an owner via wake(), and a
+// kill that loses that CAS leaves the close to the owner.
 const (
 	schedParked    = 0 // owned by nobody; fd armed in epoll
 	schedScheduled = 1 // owned: queued or being served
@@ -738,16 +738,18 @@ func (e *engine) burst() burstResult {
 // connPoller is what Server sees of the event transport; the epoll
 // implementation lives in poller_linux.go, and newPoller on platforms
 // without one reports unsupported (the server then serves every connection
-// on the goroutine transport).
+// on the goroutine transport). The connection lifecycle is the server's on
+// both transports — one registry (Server.conns), one sweep, one kill, one
+// drain — so the poller only schedules: it enters a connection with
+// Server.track, closes one through Server.endConn, and is each of its
+// connections' aborter.
 type connPoller interface {
 	start()
 	// register transfers ownership of an accepted connection to the
-	// poller (dup + park). On error the caller still owns c and falls
-	// back to a goroutine handler.
+	// poller (dup + park + track). On error the caller still owns c and
+	// falls back to a goroutine handler.
 	register(c net.Conn, id uint64) error
-	sweep()
-	killAll()
-	drained() bool
+	// stop ends the workers and the poll loop, after the drain.
 	stop()
 	gauges() (parked, active, queued int64)
 	burstCount() int64

@@ -24,7 +24,7 @@ func startServerWithCap(t *testing.T, backend kv.Backend, cfg Config, maxMemory 
 	t.Helper()
 	store := kv.NewShardedStore(backend, 8, maxMemory)
 	srv := New(store, cfg)
-	if cfg.ConnModel == "event" || cfg.ConnModel == "epoll" {
+	if cfg.ConnModel == "event" {
 		requireEventModel(t, srv)
 	}
 	if err := srv.Listen(); err != nil {

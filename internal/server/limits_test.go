@@ -453,52 +453,64 @@ func TestAcceptErrorRetry(t *testing.T) {
 
 // TestShutdownReapRace hammers the three closers of a connection —
 // handler exit, idle reaper, Shutdown's force-close — against each
-// other. Run under -race: the pass criterion is no race, no double-close
-// panic, and Shutdown returning.
+// other, on both transports. Run under -race: the pass criterion is no
+// race, no double-close panic, Shutdown returning, and the one registry
+// empty behind it — curr_connections 0, no entry left in srv.conns, and
+// each connection's kick counted at most once (idle_kicks ≤ 8). Dropping
+// the registry delete from endConn fails it.
 func TestShutdownReapRace(t *testing.T) {
-	for round := 0; round < 5; round++ {
-		store := kv.NewShardedStore(kv.NewMallocBackend(), 8, 0)
-		srv := New(store, Config{
-			Addr:             "127.0.0.1:0",
-			IdleTimeout:      5 * time.Millisecond,
-			MaintainInterval: time.Millisecond,
-		})
-		if err := srv.Listen(); err != nil {
-			t.Fatal(err)
-		}
-		go func() { _ = srv.Serve() }()
+	forEachTransport(t, Config{
+		Addr:             "127.0.0.1:0",
+		IdleTimeout:      5 * time.Millisecond,
+		MaintainInterval: time.Millisecond,
+	}, func(t *testing.T, cfg Config) {
+		for round := 0; round < 5; round++ {
+			srv := startServer(t, kv.NewMallocBackend(), cfg)
 
-		var wg sync.WaitGroup
-		conns := make([]net.Conn, 0, 8)
-		for i := 0; i < 8; i++ {
-			c, err := net.DialTimeout("tcp", srv.Addr(), 5*time.Second)
-			if err != nil {
-				t.Fatal(err)
+			var wg sync.WaitGroup
+			conns := make([]net.Conn, 0, 8)
+			for i := 0; i < 8; i++ {
+				c, err := net.DialTimeout("tcp", srv.Addr(), 5*time.Second)
+				if err != nil {
+					t.Fatal(err)
+				}
+				conns = append(conns, c)
+				if i%2 == 0 {
+					fmt.Fprintf(c, "set k%d 0 0 3\r\nabc\r\n", i)
+				} // odd conns idle immediately and get reaped
 			}
-			conns = append(conns, c)
-			if i%2 == 0 {
-				fmt.Fprintf(c, "set k%d 0 0 3\r\nabc\r\n", i)
-			} // odd conns idle immediately and get reaped
-		}
-		// Let the reaper start kicking, then race Shutdown against it and
-		// against client-side closes.
-		time.Sleep(8 * time.Millisecond)
-		wg.Add(2)
-		go func() { defer wg.Done(); _ = srv.Shutdown(20 * time.Millisecond) }()
-		go func() {
-			defer wg.Done()
-			for _, c := range conns {
-				_ = c.Close()
+			// Let the reaper start kicking, then race Shutdown against it and
+			// against client-side closes.
+			time.Sleep(8 * time.Millisecond)
+			wg.Add(2)
+			go func() { defer wg.Done(); _ = srv.Shutdown(20 * time.Millisecond) }()
+			go func() {
+				defer wg.Done()
+				for _, c := range conns {
+					_ = c.Close()
+				}
+			}()
+			done := make(chan struct{})
+			go func() { wg.Wait(); close(done) }()
+			select {
+			case <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatal("Shutdown deadlocked against the idle reaper")
 			}
-		}()
-		done := make(chan struct{})
-		go func() { wg.Wait(); close(done) }()
-		select {
-		case <-done:
-		case <-time.After(10 * time.Second):
-			t.Fatal("Shutdown deadlocked against the idle reaper")
+			if n := srv.currConns.Load(); n != 0 {
+				t.Errorf("round %d: curr_connections = %d after Shutdown, want 0", round, n)
+			}
+			srv.mu.Lock()
+			left := len(srv.conns)
+			srv.mu.Unlock()
+			if left != 0 {
+				t.Errorf("round %d: %d connections still registered after Shutdown", round, left)
+			}
+			if k := srv.idleKicks.Load(); k > int64(len(conns)) {
+				t.Errorf("round %d: idle_kicks = %d for %d connections", round, k, len(conns))
+			}
 		}
-	}
+	})
 }
 
 // TestSlowLorisDefragRace is the acceptance criterion tying the reaper

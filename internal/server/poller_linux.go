@@ -18,12 +18,14 @@ package server
 // engine's burst loop reads until EAGAIN before parking, and its flush
 // writevs until EAGAIN. All fd syscalls — read, writev, EPOLL_CTL_MOD/DEL,
 // close — happen only while holding the sched token; the polling
-// leader and the maintenance sweep communicate through claim()/wake()
-// and the killed flag, never by touching the fd. Stale events after an
+// leader and Server.kill communicate through claim()/wake(), the killed
+// flag and the parked→scheduled CAS (abort), never by touching the fd of a
+// connection another thread owns. Stale events after an
 // fd is closed and reused are dropped by the per-slot generation
 // counter carried in EpollEvent.Pad.
 
 import (
+	"errors"
 	"net"
 	"os"
 	"sync"
@@ -79,8 +81,6 @@ type epollPoller struct {
 	slots  []*fdSlot
 
 	parked atomic.Int64
-	live   atomic.Int64
-	active atomic.Int64
 	bursts atomic.Int64
 
 	startOnce sync.Once
@@ -145,11 +145,10 @@ func (p *epollPoller) slot(fd int) *fdSlot {
 	return s
 }
 
-// slotFor returns fd's slot, growing the table as needed. Every entry
-// of a published table is non-nil and the backing array is never
-// written again after publication — growth copies into a fresh array
-// and pre-fills the new tail — so sweep/killAll may walk a snapshot
-// taken under RLock without holding the lock.
+// slotFor returns fd's slot, growing the table as needed. Entries are
+// never replaced — growth copies the pointers into a fresh array and
+// pre-fills the new tail — so a *fdSlot stays valid after slotMu is
+// released.
 func (p *epollPoller) slotFor(fd int) *fdSlot {
 	if s := p.slot(fd); s != nil {
 		return s
@@ -168,6 +167,9 @@ func (p *epollPoller) slotFor(fd int) *fdSlot {
 	return s
 }
 
+// errShuttingDown refuses a registration once Shutdown has begun.
+var errShuttingDown = errors.New("server: shutting down")
+
 func dupCloexec(fd int) (int, error) {
 	nfd, _, errno := syscall.Syscall(syscall.SYS_FCNTL, uintptr(fd), syscall.F_DUPFD_CLOEXEC, 0)
 	if errno != 0 {
@@ -177,9 +179,10 @@ func dupCloexec(fd int) (int, error) {
 }
 
 // register dups the accepted socket's fd out of the runtime netpoller,
-// parks it in epoll, and closes the original net.Conn. On any error the
-// original connection is untouched and the caller falls back to the
-// goroutine transport.
+// parks it in epoll, enters it into the server's registry, and closes the
+// original net.Conn. On any error — Shutdown included — the original
+// connection is untouched and the caller hands it to the goroutine
+// transport (which closes it once Shutdown has begun).
 func (p *epollPoller) register(nc net.Conn, id uint64) error {
 	sc, ok := nc.(syscall.Conn)
 	if !ok {
@@ -202,8 +205,8 @@ func (p *epollPoller) register(nc net.Conn, id uint64) error {
 	_ = syscall.SetNonblock(fd, true)
 	pc := &pollConn{fd: fd, id: id}
 	pc.touch(p.srv.cfg.Clock().UnixNano())
-	// Hold the sched token through registration so a racing sweep or
-	// shutdown can't close the fd mid-arm; release() below parks it.
+	// Hold the sched token through registration so a racing kill can't
+	// close the fd mid-arm; release() below parks it.
 	pc.sched.Store(schedScheduled)
 	slot := p.slotFor(fd)
 	gen := slot.gen.Add(1)
@@ -212,7 +215,6 @@ func (p *epollPoller) register(nc net.Conn, id uint64) error {
 	}
 	pc.gen = gen
 	slot.pc.Store(pc)
-	p.live.Add(1)
 	// Edge-triggered, armed once: readable edges (and a possible
 	// already-readable edge delivered at ADD) drive the connection's
 	// whole lifetime with no per-burst re-arm. EPOLLOUT joins the mask
@@ -223,9 +225,15 @@ func (p *epollPoller) register(nc net.Conn, id uint64) error {
 		Fd:     int32(fd),
 		Pad:    int32(gen),
 	}
-	if err := syscall.EpollCtl(p.epfd, syscall.EPOLL_CTL_ADD, fd, &ev); err != nil {
+	err = syscall.EpollCtl(p.epfd, syscall.EPOLL_CTL_ADD, fd, &ev)
+	if err == nil && !p.srv.track(pc, p) {
+		// nc still holds the file description, so the dup's close alone
+		// would leave it in the epoll set.
+		_ = syscall.EpollCtl(p.epfd, syscall.EPOLL_CTL_DEL, fd, nil)
+		err = errShuttingDown
+	}
+	if err != nil {
 		slot.pc.CompareAndSwap(pc, nil)
-		p.live.Add(-1)
 		_ = syscall.Close(fd)
 		return err
 	}
@@ -331,7 +339,7 @@ func (p *epollPoller) next(r *epollReaper) *pollConn {
 
 // release gives up the sched token after (re-)arming epoll: park if
 // nothing happened meanwhile, requeue on a rewake, close on a kill. The
-// post-park killed recheck closes the race where a sweeper sets killed
+// post-park killed recheck closes the race where a kill sets killed
 // between our check and the CAS to parked.
 func (p *epollPoller) release(pc *pollConn) {
 	for {
@@ -358,8 +366,8 @@ func (p *epollPoller) release(pc *pollConn) {
 // closeConn tears a connection down through the one teardown
 // (Server.endConn), which counts a slow client's kick before the close: the
 // peer sees EOF the moment the fd closes and may read the stat right after.
-// Caller must hold the sched token (worker, registering thread, or a
-// sweeper that won the parked CAS); sched intentionally stays scheduled
+// Caller must hold the sched token (worker, registering thread, or an
+// abort that won the parked CAS); sched intentionally stays scheduled
 // afterwards so late wakes are inert no-ops.
 func (p *epollPoller) closeConn(pc *pollConn) {
 	if slot := p.slot(pc.fd); slot != nil {
@@ -368,34 +376,12 @@ func (p *epollPoller) closeConn(pc *pollConn) {
 	_ = syscall.EpollCtl(p.epfd, syscall.EPOLL_CTL_DEL, pc.fd, nil)
 	p.srv.endConn(pc, pc)
 	pc.inSpill, pc.outSpill = nil, nil
-	p.live.Add(-1)
 }
 
-// kickReason says why kill wants a connection closed, i.e. which kick
-// counter (if any) the reap belongs to.
-type kickReason int
-
-const (
-	kickShutdown kickReason = iota
-	kickIdle
-	kickSlow
-)
-
-// kill requests a close. Only the call that wins the close intent counts
-// the reap (so each is counted exactly once), and it does so before the
-// close can become visible to the peer: idle_kicks here,
-// slow_client_kicks in closeConn. The close itself happens here if the
-// connection was parked, or on its current owner's next check.
-func (p *epollPoller) kill(pc *pollConn, why kickReason) {
-	if !pc.killed.CompareAndSwap(false, true) {
-		return
-	}
-	switch why {
-	case kickIdle:
-		p.srv.idleKicks.Add(1)
-	case kickSlow:
-		pc.slow.Store(true)
-	}
+// abort is Server.kill's last step on the event transport: a parked
+// connection is closed here, with no worker burst; one a worker holds
+// (queued or mid-burst) closes on its owner's next killed check.
+func (p *epollPoller) abort(pc *pollConn) {
 	if pc.sched.CompareAndSwap(schedParked, schedScheduled) {
 		p.parked.Add(-1)
 		p.closeConn(pc)
@@ -424,10 +410,7 @@ func (p *epollPoller) pollOnce(r *epollReaper) (direct *pollConn, ok bool) {
 			fd := int(evs[i].Fd)
 			if fd == p.wakeR && evs[i].Pad == 0 {
 				if p.stopFlag.Load() {
-					if direct != nil {
-						p.enqueue(direct) // stop() drains the queue
-					}
-					return nil, false
+					return nil, false // every connection closed before stop
 				}
 				var buf [64]byte
 				_, _ = syscall.Read(p.wakeR, buf[:])
@@ -470,10 +453,8 @@ func (p *epollPoller) worker() {
 		if pc == nil {
 			return
 		}
-		p.active.Add(1)
 		p.bursts.Add(1)
 		p.serve(e, pc)
-		p.active.Add(-1)
 	}
 }
 
@@ -552,58 +533,8 @@ func (p *epollPoller) serve(e *engine, pc *pollConn) {
 	p.release(pc)
 }
 
-// sweep enforces IdleTimeout and WriteTimeout over the parked
-// population, on the maintenance tick and the configured clock (so the
-// mock-clock reaper tests drive it deterministically).
-func (p *epollPoller) sweep() {
-	srv := p.srv
-	idle, wto := srv.cfg.IdleTimeout, srv.cfg.WriteTimeout
-	if idle <= 0 && wto <= 0 {
-		return
-	}
-	now := srv.cfg.Clock().UnixNano()
-	p.slotMu.RLock()
-	slots := p.slots
-	p.slotMu.RUnlock()
-	for _, slot := range slots {
-		if slot == nil {
-			continue
-		}
-		pc := slot.pc.Load()
-		if pc == nil {
-			continue
-		}
-		if idle > 0 && now-pc.lastActive.Load() > int64(idle) {
-			p.kill(pc, kickIdle)
-			continue
-		}
-		if wto > 0 {
-			if ws := pc.writeStall.Load(); ws != 0 && now-ws > int64(wto) {
-				p.kill(pc, kickSlow)
-			}
-		}
-	}
-}
-
-func (p *epollPoller) killAll() {
-	p.slotMu.RLock()
-	slots := p.slots
-	p.slotMu.RUnlock()
-	for _, slot := range slots {
-		if slot == nil {
-			continue
-		}
-		if pc := slot.pc.Load(); pc != nil {
-			p.kill(pc, kickShutdown)
-		}
-	}
-}
-
-func (p *epollPoller) drained() bool { return p.live.Load() == 0 }
-
-// stop shuts the worker pool and poll loop down. All connections must
-// already be closed (killAll + drained); queued stragglers are still
-// drained here so no fd leaks.
+// stop shuts the worker pool and poll loop down. Shutdown calls it once
+// every connection has left the registry, so the run queue is empty.
 func (p *epollPoller) stop() {
 	p.mu.Lock()
 	p.stopped = true
@@ -612,14 +543,6 @@ func (p *epollPoller) stop() {
 	p.stopFlag.Store(true)
 	_, _ = syscall.Write(p.wakeW, []byte{1})
 	p.wg.Wait()
-	// Close any connections still sitting in the run queue (their owner
-	// token is the queue itself; workers are gone).
-	for _, pc := range p.runq[p.runqHead:] {
-		if pc != nil {
-			pc.killed.Store(true)
-			p.closeConn(pc)
-		}
-	}
 	_ = p.epFile.Close() // owns epfd
 	_ = syscall.Close(p.wakeR)
 	_ = syscall.Close(p.wakeW)
@@ -627,7 +550,7 @@ func (p *epollPoller) stop() {
 
 func (p *epollPoller) gauges() (parked, active, queued int64) {
 	parked = p.parked.Load()
-	active = p.live.Load() - parked
+	active = p.srv.currConns.Load() - parked
 	p.mu.Lock()
 	queued = int64(len(p.runq) - p.runqHead)
 	p.mu.Unlock()

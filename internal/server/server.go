@@ -66,12 +66,16 @@ type Config struct {
 	// IdleTimeout reaps a connection that has not completed a command
 	// line (or made write progress) for this long — a slow-loris socket
 	// is closed instead of pinning its kv.Session and connection slot
-	// forever. Counted in idle_kicks. 0 = never reap.
+	// forever. The maintenance tick's one sweep (Server.sweep) enforces it
+	// over every connection of either transport. Counted in idle_kicks.
+	// 0 = never reap.
 	IdleTimeout time.Duration
-	// WriteTimeout is the deadline applied to every socket write: a client
-	// that stops reading its own responses is disconnected once the kernel
-	// buffers fill and a write misses the deadline. Counted in
-	// slow_client_kicks. 0 = no deadline.
+	// WriteTimeout bounds how long a client that stops reading its own
+	// responses keeps its connection once the kernel buffers fill: the
+	// same sweep kicks a connection whose replies have waited on the
+	// socket this long, and the goroutine transport also puts it on every
+	// socket write as a deadline, because a blocked write has no other way
+	// to return. Counted in slow_client_kicks. 0 = no limit.
 	WriteTimeout time.Duration
 	// MaxReplyBacklog caps reply bytes pending for a client that is not
 	// draining them. The engine streams replies to the socket once
@@ -113,9 +117,11 @@ type Config struct {
 	Health *health.Registry
 	// ConnModel selects the transport under the one protocol engine: "auto"
 	// (default) uses the readiness poller where the platform has one (epoll
-	// on Linux) and a goroutine per connection elsewhere; "epoll" / "event"
-	// insist on the poller (still falling back, with an error logged, if
-	// unsupported); "goroutine" forces a goroutine per connection. Under the
+	// on Linux) and a goroutine per connection elsewhere; "event" insists on
+	// the poller (still falling back, with an error logged, if
+	// unsupported); "goroutine" forces a goroutine per connection. Either
+	// way the connection lifecycle — one registry (Server.conns), one sweep,
+	// one shutdown drain — is the server's, not the transport's. Under the
 	// poller, idle connections are parked as bare fds — no goroutine stack,
 	// no buffers, no rt.Thread — and a fixed worker pool serves the ready
 	// ones, so the defrag barrier only ever waits on the worker set.
@@ -188,15 +194,19 @@ type Server struct {
 	ln    net.Listener
 	quit  chan struct{}
 	wg    sync.WaitGroup // maintenance + accept loop
-	connW sync.WaitGroup // one per live connection
+	connW sync.WaitGroup // one per registered connection (track … endConn)
 	// connSem is the -max-conns accept gate (nil = unlimited): the accept
 	// loop acquires a slot before accepting and the teardown (endConn)
 	// releases it, so at the cap the loop blocks — listen disabled — until a
 	// disconnect.
 	connSem chan struct{}
 
-	mu    sync.Mutex
-	conns map[*conn]struct{}
+	mu sync.Mutex
+	// conns is the registry of every live connection, both transports:
+	// each enters once (track) and leaves once (endConn), mapped to its
+	// transport's last step of kill. The maintenance sweep and Shutdown's
+	// force-close walk it through reap.
+	conns map[*pollConn]aborter
 	start time.Time
 
 	// poller is the event-driven connection core (nil when the platform
@@ -255,22 +265,17 @@ type Server struct {
 	closeOnce sync.Once
 }
 
-// conn is a goroutine-transport connection: the accepted socket plus the
-// safety bookkeeping a blocking driver needs around it — an idempotent
-// close (the handler's exit path, the idle reaper, and Shutdown may each
-// try to close it; whoever gets there first wins and the rest are no-ops)
-// and a per-write deadline so a stalled client cannot wedge a flush
-// forever. It is its engine's seam (read, writev). pc is the engine's
-// per-connection state: the connection's id, the idle reaper's activity
-// stamp, the slow flag the teardown counts slow_client_kicks from, and the
-// framing state process() keeps between reads.
+// conn is a goroutine-transport connection: the accepted socket plus a
+// per-write deadline, so a stalled client cannot wedge a flush forever. It
+// is its engine's seam (read, writev). pc is the engine's per-connection
+// state: the connection's id, the sweep's activity stamp, the slow flag the
+// teardown counts slow_client_kicks from, and the framing state process()
+// keeps between reads.
 type conn struct {
 	net.Conn
-	srv       *Server
-	sess      kv.Session
-	pc        pollConn
-	closeOnce sync.Once
-	closeErr  error
+	srv  *Server
+	sess kv.Session
+	pc   pollConn
 	// woke is set by a read that returned bytes: the next read reports
 	// again instead of blocking, so the burst ends there and every blocking
 	// read starts a burst — and a burst budget — of its own, as every
@@ -329,23 +334,10 @@ func (c *conn) write(p []byte) (int, error) {
 	return n, err
 }
 
-// kill closes the socket exactly once, reporting whether this call was
-// the one that performed the close (so each reap is counted once even
-// when the reaper, Shutdown, and the handler race).
-func (c *conn) kill() bool {
-	killed := false
-	c.closeOnce.Do(func() {
-		c.closeErr = c.Conn.Close()
-		killed = true
-	})
-	return killed
-}
-
-// Close makes the wrapper itself idempotent for every other closer.
-func (c *conn) Close() error {
-	c.kill()
-	return c.closeErr
-}
+// abort is kill's last step on the goroutine transport: closing the socket
+// returns the handler's blocked read, and the handler tears the connection
+// down. A socket closes more than once harmlessly.
+func (c *conn) abort(*pollConn) { _ = c.Conn.Close() }
 
 // New builds a server over the store. The store's backend decides the
 // maintenance behavior: on Anchorage, the §4.3 controller carrying out
@@ -357,7 +349,7 @@ func New(store *kv.ShardedStore, cfg Config) *Server {
 		cfg:   cfg.withDefaults(),
 		store: store,
 		quit:  make(chan struct{}),
-		conns: make(map[*conn]struct{}),
+		conns: make(map[*pollConn]aborter),
 		lat:   stats.NewLatencyRecorder(),
 		// Stamped at construction, not in Serve: the admin plane (and
 		// its uptime gauge) can be serving scrapes before the accept
@@ -432,7 +424,7 @@ func New(store *kv.ShardedStore, cfg Config) *Server {
 	store.Clock = s.cfg.Clock
 	switch s.cfg.ConnModel {
 	case "goroutine":
-	case "auto", "epoll", "event":
+	case "auto", "event":
 		p, err := newPoller(s)
 		if err != nil {
 			if s.cfg.ConnModel != "auto" {
@@ -559,13 +551,12 @@ func (s *Server) Serve() error {
 		id := s.connIDs.Add(1)
 		s.cfg.Logger.Debugf("conn %d: accepted %s", id, c.RemoteAddr())
 		s.totalConns.Add(1)
-		s.currConns.Add(1)
 		if s.poller != nil {
 			// Event transport: the connection becomes a parked fd in the
 			// poller — no goroutine, no session, no buffers until it
 			// turns readable. On registration failure (non-syscall conn,
-			// fd-table pressure) the original connection is untouched and
-			// serves through the goroutine transport below.
+			// fd-table pressure, Shutdown) the original connection is
+			// untouched and goes to the goroutine transport below.
 			if err := s.poller.register(c, id); err == nil {
 				continue
 			} else {
@@ -576,16 +567,38 @@ func (s *Server) Serve() error {
 	}
 }
 
-// serveConn hands an accepted connection to the goroutine transport.
+// serveConn hands an accepted connection to the goroutine transport, or
+// closes it if Shutdown has begun.
 func (s *Server) serveConn(nc net.Conn, id uint64) {
 	c := &conn{Conn: nc, srv: s}
 	c.pc.id = id
 	c.pc.touch(s.cfg.Clock().UnixNano())
-	s.mu.Lock()
-	s.conns[c] = struct{}{}
-	s.mu.Unlock()
-	s.connW.Add(1)
+	if !s.track(&c.pc, c) {
+		_ = nc.Close()
+		s.releaseConnSlot()
+		return
+	}
 	go s.handleConn(c)
+}
+
+// track enters a connection into the registry with a as its transport's
+// close step, counting it in curr_connections and connW. Once Shutdown has
+// closed quit it enters nothing and reports false; the caller then closes
+// the connection. The check and the Add share mu with Shutdown's close of
+// quit, as Serve's start does, so Shutdown's wait covers every connection
+// that got in.
+func (s *Server) track(pc *pollConn, a aborter) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	select {
+	case <-s.quit:
+		return false
+	default:
+	}
+	s.conns[pc] = a
+	s.currConns.Add(1)
+	s.connW.Add(1)
+	return true
 }
 
 // acquireConnSlot blocks while the server sits at -max-conns, reporting
@@ -639,7 +652,8 @@ func (s *Server) pollPendingAccept() (net.Conn, error) {
 
 // Shutdown stops accepting, waits up to drain for in-flight connections
 // to finish their current commands and disconnect, then force-closes the
-// stragglers. Safe to call multiple times.
+// stragglers through the one reap and waits for their teardown. Both waits
+// are the one connW, on either transport. Safe to call multiple times.
 func (s *Server) Shutdown(drain time.Duration) error {
 	s.closeOnce.Do(func() {
 		s.mu.Lock()
@@ -651,30 +665,12 @@ func (s *Server) Shutdown(drain time.Duration) error {
 		done := make(chan struct{})
 		go func() {
 			s.connW.Wait()
-			// Poller-owned connections count too: wait for clients to
-			// disconnect voluntarily during the drain window (killAll
-			// below unblocks this after the deadline).
-			if s.poller != nil {
-				for !s.poller.drained() {
-					time.Sleep(time.Millisecond)
-				}
-			}
 			close(done)
 		}()
 		select {
 		case <-done:
 		case <-time.After(drain):
-			// Connections idling in a read only notice via conn close. The
-			// close is idempotent, so racing the idle reaper or a handler's
-			// own exit path is harmless.
-			s.mu.Lock()
-			for c := range s.conns {
-				_ = c.Close()
-			}
-			s.mu.Unlock()
-			if s.poller != nil {
-				s.poller.killAll()
-			}
+			s.reap(func(*pollConn) (kickReason, bool) { return kickShutdown, true })
 			<-done
 		}
 		if s.poller != nil {
@@ -735,25 +731,27 @@ func (s *Server) foldLatencyLocked() {
 // client never delays a barrier, and every write carries the WriteTimeout
 // deadline (conn.write).
 func (s *Server) handleConn(c *conn) {
-	defer s.connW.Done()
 	c.sess = s.store.NewSession()
 	e := s.newEngine(c.sess, &c.pc, c)
 	for e.burst() != brClosed {
 	}
+	c.pc.killed.Store(true) // it ended: a late sweep counts no kick
 	c.sess.Close()
-	s.mu.Lock()
-	delete(s.conns, c)
-	s.mu.Unlock()
 	s.endConn(&c.pc, c)
 }
 
 // endConn is the one teardown, run by a connection's owner on either
-// transport once the connection is done. It settles the counters a client
-// may read the moment it sees EOF — curr_connections and slow_client_kicks
-// (the reaper counts idle_kicks before it closes) — then closes the socket,
-// then frees the -max-conns slot, so the accept gate never admits a
-// connection while the closed one still holds its fd.
+// transport once the connection is done, and the one way out of the
+// registry. It settles the counters a client may read the moment it sees
+// EOF — curr_connections and slow_client_kicks (kill counts idle_kicks
+// before it closes) — then closes the socket, then frees the -max-conns
+// slot, so the accept gate never admits a connection while the closed one
+// still holds its fd. Its connW.Done is last, so a drained Shutdown has
+// nothing left to close.
 func (s *Server) endConn(pc *pollConn, sock io.Closer) {
+	s.mu.Lock()
+	delete(s.conns, pc)
+	s.mu.Unlock()
 	s.currConns.Add(-1)
 	if pc.slow.Load() {
 		s.slowKicks.Add(1)
@@ -763,6 +761,7 @@ func (s *Server) endConn(pc *pollConn, sock io.Closer) {
 	}
 	_ = sock.Close()
 	s.releaseConnSlot()
+	s.connW.Done()
 }
 
 // SlowOps returns the slow-op ring's current contents, newest first.

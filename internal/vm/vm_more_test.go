@@ -83,7 +83,7 @@ func TestGEPNegativeOffsetOnHandle(t *testing.T) {
 	p := b.Alloc(b.Const(32))
 	eight := b.Const(8)
 	interior := b.GEP(p, b.Const(16))
-	back := b.GEP(interior, b.Sub(b.Const(0), eight)) // -8 -> offset 8
+	back := b.GEP(interior, b.Bin(ir.BinSub, b.Const(0), eight)) // -8 -> offset 8
 	c7 := b.Const(7)
 	b.Store(back, c7)
 	v := b.Load(b.GEP(p, eight), ir.Int)

@@ -322,9 +322,6 @@ func parseSegName(name string) (uint64, bool) {
 
 func (l *Log) segPath(seq uint64) string { return filepath.Join(l.opt.Dir, segName(seq)) }
 
-// Dir returns the log directory.
-func (l *Log) Dir() string { return l.opt.Dir }
-
 // Start opens a fresh active segment after the replayed history and
 // launches the writer and audit goroutines. store (may be nil in
 // low-level tests) becomes the compaction source; its live set is what

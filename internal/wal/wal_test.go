@@ -319,7 +319,7 @@ func TestCompactRewritesLiveSet(t *testing.T) {
 	}
 
 	dst := newStore()
-	_, rs := replayInto(t, l.Dir(), dst)
+	_, rs := replayInto(t, l.opt.Dir, dst)
 	if rs.TornRecords != 0 || rs.CrcErrors != 0 {
 		t.Fatalf("compacted log replayed dirty: %+v", rs)
 	}
@@ -354,7 +354,7 @@ func overflowRing(t *testing.T, l *Log, src *kv.ShardedStore, sess kv.Session, r
 func wantReplayed(t *testing.T, l *Log, r int) {
 	t.Helper()
 	dst := newStore()
-	_, _ = replayInto(t, l.Dir(), dst)
+	_, _ = replayInto(t, l.opt.Dir, dst)
 	dsess := dst.NewSession()
 	defer dsess.Close()
 	for i := 0; i < 64; i++ {
