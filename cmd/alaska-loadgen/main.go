@@ -1,604 +1,50 @@
 // Command alaska-loadgen drives an alaskad server (or any memcached-
-// ASCII-protocol server) with YCSB workload mixes — or a read-modify-
-// write/TTL mix — over real TCP connections and reports throughput and
-// latency percentiles.
-//
-// Usage:
+// ASCII-protocol server) with YCSB mixes, a read-modify-write/TTL mix or
+// a cache-fill churn (internal/loadgen, one flag per Config field), prints
+// throughput, latency and the server's stats, and exits 1 if an op failed.
 //
 //	alaska-loadgen -addr localhost:11211 -workload ycsb-a -connections 8 -duration 10s
-//	alaska-loadgen -workload ycsb-b -records 50000 -value-size 1024 -csv
 //	alaska-loadgen -workload rmw -ttl 1 -connections 4 -duration 5s
 //	alaska-loadgen -rate 20000 -warmup 2s -latency-csv lat.csv -duration 30s
-//
-// Each connection runs on its own goroutine with its own scrambled-
-// zipfian generator, mirroring how memcached benchmarks (and the
-// paper's Figure 12 harness) spread load across client threads.
-//
-// The `rmw` workload hammers the commands most exposed to a concurrent
-// mover — incr on shared counters, append, gets+cas loops — interleaved
-// with expiring sets (-ttl), so the defrag control loop runs against
-// mutating, dying data rather than a read-mostly keyspace.
-//
-// By default the generator is closed-loop: each connection issues its
-// next request the moment the previous response lands, so a slowing
-// server silently sheds offered load. -rate switches to open-loop fixed
-// arrivals: operations are scheduled on a fixed timetable and latency is
-// measured from the *intended* start (coordinated-omission-corrected),
-// so queueing delay under overload shows up in the tail instead of
-// vanishing. -warmup excludes the ramp from the report, and
-// -latency-csv emits a per-second latency-over-time series to plot
-// against the server's stats (RSS vs latency).
 package main
 
 import (
+	"context"
 	"flag"
-	"fmt"
 	"log"
-	"math/rand"
-	"net"
 	"os"
-	"sort"
-	"strconv"
-	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"alaska/internal/rlimit"
-	"alaska/internal/server"
-	"alaska/internal/stats"
-	"alaska/internal/ycsb"
+	"alaska/internal/loadgen"
 )
-
-// countOpenFDs reports the process's current open-fd count via
-// /proc/self/fd, or -1 where that isn't readable (non-Linux).
-func countOpenFDs() int {
-	ents, err := os.ReadDir("/proc/self/fd")
-	if err != nil {
-		return -1
-	}
-	return len(ents)
-}
-
-func parseWorkload(s string) (ycsb.Workload, error) {
-	switch strings.ToLower(strings.TrimPrefix(strings.ToLower(s), "ycsb-")) {
-	case "a":
-		return ycsb.WorkloadA, nil
-	case "b":
-		return ycsb.WorkloadB, nil
-	case "c":
-		return ycsb.WorkloadC, nil
-	case "f":
-		return ycsb.WorkloadF, nil
-	}
-	return 0, fmt.Errorf("unknown workload %q (want ycsb-a|ycsb-b|ycsb-c|ycsb-f|rmw|churn)", s)
-}
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("alaska-loadgen: ")
-	addr := flag.String("addr", "localhost:11211", "server address")
-	workloadFlag := flag.String("workload", "ycsb-a", "mix: ycsb-a|ycsb-b|ycsb-c|ycsb-f|rmw")
-	ttl := flag.Int64("ttl", 0, "exptime (seconds) attached to every stored value; 0 = no expiry")
-	conns := flag.Int("connections", 8, "concurrent client connections")
-	records := flag.Int("records", 10000, "preloaded record count")
-	valueSize := flag.Int("value-size", 512, "value payload bytes")
-	valueJitter := flag.Float64("value-jitter", 0, "randomize update sizes down to (1-jitter)*value-size; nonzero churns the heap into fragmentation")
-	duration := flag.Duration("duration", 5*time.Second, "measured run length")
-	warmup := flag.Duration("warmup", 0, "ramp-up excluded from the measured stats")
-	rate := flag.Float64("rate", 0, "open-loop target ops/s across all connections (latency measured from intended start); 0 = closed loop")
-	latencyCSV := flag.String("latency-csv", "", "write a per-second latency-over-time CSV of the measured window to this file")
-	hold := flag.Int("hold", 0, "extra connections opened before the run and held idle (never sending a byte) — exercises -max-conns and -idle-timeout")
-	noLoad := flag.Bool("no-load", false, "skip the preload phase and run against whatever the server already holds — measures a warm server, e.g. right after a -persist restart")
-	clientTimeout := flag.Duration("client-timeout", 0, "per-op deadline on every worker connection, with reconnect-on-error: a worker that hits a transport fault counts the error and keeps driving instead of dying; 0 = off (first error kills the worker)")
-	seed := flag.Int64("seed", 42, "base RNG seed")
-	showStats := flag.Bool("server-stats", true, "fetch and print server stats after the run")
-	csv := flag.Bool("csv", false, "emit a one-line CSV result instead of the report")
+	var c loadgen.Config
+	flag.StringVar(&c.Addr, "addr", "localhost:11211", "server address")
+	flag.StringVar(&c.Workload, "workload", "ycsb-a", "mix: "+loadgen.Workloads())
+	flag.Int64Var(&c.TTL, "ttl", 0, "exptime (seconds) attached to every stored value; 0 = no expiry")
+	flag.IntVar(&c.Connections, "connections", 8, "concurrent client connections")
+	flag.IntVar(&c.Records, "records", 10000, "preloaded record count")
+	flag.IntVar(&c.ValueSize, "value-size", 512, "value payload bytes")
+	flag.Float64Var(&c.ValueJitter, "value-jitter", 0, "randomize update sizes down to (1-jitter)*value-size; nonzero churns the heap into fragmentation")
+	flag.DurationVar(&c.Duration, "duration", 5*time.Second, "measured run length")
+	flag.DurationVar(&c.Warmup, "warmup", 0, "ramp-up excluded from the measured stats")
+	flag.Float64Var(&c.Rate, "rate", 0, "open-loop target ops/s across all connections (latency measured from intended start); 0 = closed loop")
+	flag.StringVar(&c.LatencyCSV, "latency-csv", "", "write a per-second latency-over-time CSV of the measured window to this file")
+	flag.IntVar(&c.Hold, "hold", 0, "extra connections opened before the run and held idle (never sending a byte) — exercises -max-conns and -idle-timeout")
+	flag.BoolVar(&c.NoLoad, "no-load", false, "skip the preload phase and run against whatever the server already holds — measures a warm server, e.g. right after a -persist restart")
+	flag.DurationVar(&c.ClientTimeout, "client-timeout", 0, "per-op deadline on every worker connection, with reconnect-on-error: a worker that hits a transport fault counts the error and keeps driving instead of dying; 0 = off (first error kills the worker)")
+	flag.Int64Var(&c.Seed, "seed", 42, "base RNG seed")
 	flag.Parse()
 
-	rmw := strings.EqualFold(*workloadFlag, "rmw")
-	churn := strings.EqualFold(*workloadFlag, "churn")
-	var w ycsb.Workload
-	if !rmw && !churn {
-		var err error
-		w, err = parseWorkload(*workloadFlag)
-		if err != nil {
-			log.Fatal(err)
-		}
+	rep, err := loadgen.Run(context.Background(), c)
+	if err != nil {
+		log.Fatal(err)
 	}
-	if *conns < 1 || *records < 1 {
-		log.Fatal("-connections and -records must be positive")
-	}
-	if *valueJitter < 0 || *valueJitter > 1 {
-		log.Fatal("-value-jitter must be in [0,1]")
-	}
-
-	// Large hold populations need the fds to match: lift the soft
-	// NOFILE limit to the hard ceiling before dialing, and fail with a
-	// clear message when even that cannot cover the request (plus the
-	// worker connections and a little slack for stdio/sockets).
-	need := uint64(*hold + *conns + 64)
-	if nofile, err := rlimit.RaiseNOFILE(); err != nil {
-		if uint64(*hold) > 0 && nofile > 0 && need > nofile {
-			log.Fatalf("cannot raise RLIMIT_NOFILE past %d (%v); -hold %d + -connections %d needs ~%d fds — raise the hard limit (ulimit -Hn) and retry",
-				nofile, err, *hold, *conns, need)
-		}
-		log.Printf("warning: could not raise RLIMIT_NOFILE: %v", err)
-	} else if nofile > 0 && need > nofile {
-		log.Fatalf("RLIMIT_NOFILE hard limit is %d but -hold %d + -connections %d needs ~%d fds — raise the hard limit (ulimit -Hn) and retry",
-			nofile, *hold, *conns, need)
-	}
-
-	// Peak open-fd sampler: the proof the hold population was really
-	// open, not queued behind a dial failure.
-	var peakFDs atomic.Int64
-	sampleFDs := func() {
-		if n := int64(countOpenFDs()); n > peakFDs.Load() {
-			peakFDs.Store(n)
-		}
-	}
-	fdSamplerStop := make(chan struct{})
-	go func() {
-		t := time.NewTicker(100 * time.Millisecond)
-		defer t.Stop()
-		for {
-			select {
-			case <-fdSamplerStop:
-				return
-			case <-t.C:
-				sampleFDs()
-			}
-		}
-	}()
-
-	// Idle holds: opened before anything else so they are the connections
-	// occupying the server's -max-conns slots (and, with -idle-timeout,
-	// the ones its reaper kicks). Each blocks in a read until the server
-	// closes it or the run ends. Dial failures are counted and reported
-	// rather than fatal — a partial hold population is still a valid
-	// (smaller) experiment.
-	var holdKicked atomic.Int64
-	var holdClosing atomic.Bool
-	var holdWG sync.WaitGroup
-	holdFailed := 0
-	holdConns := make([]net.Conn, 0, *hold)
-	for i := 0; i < *hold; i++ {
-		c, err := net.DialTimeout("tcp", *addr, 5*time.Second)
-		if err != nil {
-			holdFailed++
-			if holdFailed == 1 {
-				log.Printf("hold dial: %v (continuing; failures reported in summary)", err)
-			}
-			continue
-		}
-		holdConns = append(holdConns, c)
-		holdWG.Add(1)
-		go func(c net.Conn) {
-			defer holdWG.Done()
-			if _, err := c.Read(make([]byte, 1)); err != nil && !holdClosing.Load() {
-				holdKicked.Add(1) // the server hung up on us
-			}
-		}(c)
-	}
-	if *hold > 0 {
-		// Let the holds claim their accept slots before the workers dial.
-		time.Sleep(300 * time.Millisecond)
-		sampleFDs()
-	}
-
-	// Load phase: split the keyspace across connections, pipelined with
-	// noreply for speed, then a synchronous version round-trip per
-	// connection to barrier on completion. The churn workload skips it —
-	// filling on miss IS the workload, and a keyspace chosen to dwarf the
-	// server's -max-memory would only churn the preload through eviction.
-	loadStart := time.Now()
-	var wg sync.WaitGroup
-	var loadErr atomic.Value
-	loadConns := *conns
-	if churn || *noLoad {
-		loadConns = 0
-	}
-	for c := 0; c < loadConns; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			cl, err := server.Dial(*addr)
-			if err != nil {
-				loadErr.Store(err)
-				return
-			}
-			defer cl.Close()
-			val := make([]byte, *valueSize)
-			for i := range val {
-				val[i] = byte(i)
-			}
-			for i := c; i < *records; i += *conns {
-				if err := cl.SetNoreply(ycsb.Key(uint64(i)), 0, val); err != nil {
-					loadErr.Store(err)
-					return
-				}
-				if i%256 == 0 {
-					if err := cl.Flush(); err != nil {
-						loadErr.Store(err)
-						return
-					}
-				}
-			}
-			if rmw {
-				// Counter keyspace for incr/decr: numeric values, no TTL
-				// (an expired counter would just read as NOT_FOUND).
-				for i := c; i < counterKeys(*records); i += *conns {
-					if err := cl.SetNoreply(counterKey(i), 0, []byte("0")); err != nil {
-						loadErr.Store(err)
-						return
-					}
-				}
-			}
-			if _, err := cl.Version(); err != nil { // flush + sync
-				loadErr.Store(err)
-			}
-		}(c)
-	}
-	wg.Wait()
-	if e := loadErr.Load(); e != nil {
-		log.Fatalf("load phase: %v", e)
-	}
-	loadDur := time.Since(loadStart)
-
-	// Run phase. The timeline is start → (warmup) → measureStart →
-	// (duration) → deadline: every worker runs the whole span, but only
-	// operations *intended* to start inside the measured window are
-	// recorded.
-	recorders := make([]*stats.LatencyRecorder, *conns)
-	var totalOps, errOps atomic.Int64
-	var hits, misses atomic.Int64
-	start := time.Now()
-	measureStart := start.Add(*warmup)
-	deadline := measureStart.Add(*duration)
-	// Per-second latency-over-time buckets (LatencyRecorder is safe for
-	// concurrent use, so the workers share them).
-	var buckets []*stats.LatencyRecorder
-	if *latencyCSV != "" {
-		buckets = make([]*stats.LatencyRecorder, int(duration.Seconds())+1)
-		for i := range buckets {
-			buckets[i] = stats.NewLatencyRecorder()
-		}
-	}
-	// interval is the open-loop arrival spacing per connection.
-	var interval time.Duration
-	if *rate > 0 {
-		interval = time.Duration(float64(*conns) / *rate * float64(time.Second))
-		if interval <= 0 {
-			log.Fatal("-rate too high for -connections")
-		}
-	}
-	// With -client-timeout, workers survive a server fault window: ops
-	// are deadline-bounded, transport errors redial with backoff, and the
-	// worker counts the failure and keeps driving instead of dying — so a
-	// chaos run measures the server through the fault, not the silence
-	// after the first error.
-	resilient := *clientTimeout > 0
-	for c := 0; c < *conns; c++ {
-		recorders[c] = stats.NewLatencyRecorder()
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			cl, err := server.Dial(*addr)
-			if err != nil {
-				errOps.Add(1)
-				return
-			}
-			defer cl.Close()
-			if resilient {
-				cl.SetOpTimeout(*clientTimeout)
-				cl.EnableReconnect(5, 50*time.Millisecond, time.Second)
-			}
-			val := make([]byte, *valueSize)
-			rec := recorders[c]
-			rng := rand.New(rand.NewSource(*seed + 1000 + int64(c)))
-			size := func(n int) int {
-				if *valueJitter == 0 {
-					return n
-				}
-				s := n - int(*valueJitter*rng.Float64()*float64(n))
-				if s < 1 {
-					s = 1
-				}
-				return s
-			}
-			// pace returns the op's intended start. Closed loop: now.
-			// Open loop: the next slot of this connection's fixed
-			// timetable (staggered across connections), sleeping until it
-			// arrives — and never sleeping to catch up when the server
-			// has fallen behind, so queueing delay accrues to latency.
-			next := start.Add(time.Duration(c) * interval / time.Duration(*conns))
-			pace := func() time.Time {
-				if interval <= 0 {
-					return time.Now()
-				}
-				intended := next
-				next = next.Add(interval)
-				if d := time.Until(intended); d > 0 {
-					time.Sleep(d)
-				}
-				return intended
-			}
-			// finish records one completed op against its intended start
-			// if that start fell inside the measured window.
-			finish := func(intended time.Time) {
-				end := time.Now()
-				if intended.Before(measureStart) {
-					return
-				}
-				lat := end.Sub(intended)
-				rec.Record(lat)
-				totalOps.Add(1)
-				// Ops completing after the window still count in the
-				// merged totals above but are dropped from the per-second
-				// series — clamping them into the final row would inflate
-				// its load and tail.
-				if buckets != nil {
-					if idx := int(end.Sub(measureStart) / time.Second); idx >= 0 && idx < len(buckets) {
-						buckets[idx].Record(lat)
-					}
-				}
-			}
-			if churn {
-				// Cache-fill churn: zipfian gets over a keyspace sized well
-				// past the server's memory ceiling, set-on-miss. Steady
-				// state is a cache running flat against -max-memory, so the
-				// hit rate measures how much useful working set the server
-				// keeps per byte of heap.
-				gen, err := ycsb.NewGenerator(ycsb.WorkloadC, *records, *valueSize, *seed+int64(c)+1)
-				if err != nil {
-					errOps.Add(1)
-					return
-				}
-				for time.Now().Before(deadline) {
-					key := gen.Next().Key
-					opStart := pace()
-					_, _, ok, err := cl.Get(key)
-					if err != nil {
-						errOps.Add(1)
-						if resilient {
-							continue
-						}
-						return
-					}
-					if ok {
-						hits.Add(1)
-					} else {
-						misses.Add(1)
-						if err := cl.SetEx(key, 0, *ttl, val[:size(*valueSize)]); err != nil {
-							errOps.Add(1)
-							if resilient {
-								continue
-							}
-							return
-						}
-					}
-					finish(opStart)
-				}
-				return
-			}
-			if rmw {
-				// RMW/TTL mix: every stored value carries -ttl, counters
-				// absorb incrs, and gets+cas loops contend for the same
-				// keys — read-modify-write under live defrag, the access
-				// pattern the paper's pause-free claim has to survive.
-				for time.Now().Before(deadline) {
-					key := ycsb.Key(uint64(rng.Intn(*records)))
-					opStart := pace()
-					var opErr error
-					switch r := rng.Intn(100); {
-					case r < 35:
-						_, _, _, opErr = cl.Get(key)
-					case r < 60:
-						opErr = cl.SetEx(key, 0, *ttl, val[:size(*valueSize)])
-					case r < 75:
-						_, _, opErr = cl.Incr(counterKey(rng.Intn(counterKeys(*records))), 1)
-					case r < 87:
-						// NOT_STORED (key expired/evicted) is a valid outcome.
-						_, opErr = cl.Append(key, []byte("+x"))
-					default:
-						// One optimistic cas round; EXISTS/NOT_FOUND are
-						// valid outcomes under contention and expiry.
-						if v, _, casID, ok, gerr := cl.Gets(key); gerr != nil {
-							opErr = gerr
-						} else if ok {
-							_, opErr = cl.Cas(key, 0, *ttl, casID, append(v[:len(v):len(v)], '!'))
-						}
-					}
-					if opErr != nil {
-						errOps.Add(1)
-						if resilient {
-							continue
-						}
-						return
-					}
-					finish(opStart)
-				}
-				return
-			}
-			gen, err := ycsb.NewGenerator(w, *records, *valueSize, *seed+int64(c)+1)
-			if err != nil {
-				errOps.Add(1)
-				return
-			}
-			for time.Now().Before(deadline) {
-				op := gen.Next()
-				opStart := pace()
-				var opErr error
-				switch op.Type {
-				case ycsb.Read:
-					var ok bool
-					_, _, ok, opErr = cl.Get(op.Key)
-					if opErr == nil {
-						if ok {
-							hits.Add(1)
-						} else {
-							misses.Add(1)
-						}
-					}
-				case ycsb.ReadModifyWrite:
-					if _, _, _, opErr = cl.Get(op.Key); opErr == nil {
-						opErr = cl.SetEx(op.Key, 0, *ttl, val[:size(op.ValueSize)])
-					}
-				default: // Update / Insert
-					opErr = cl.SetEx(op.Key, 0, *ttl, val[:size(op.ValueSize)])
-				}
-				if opErr != nil {
-					errOps.Add(1)
-					if resilient {
-						continue
-					}
-					return
-				}
-				finish(opStart)
-			}
-		}(c)
-	}
-	wg.Wait()
-
-	// Final fd sample while everything is still open, then stop the
-	// sampler and release the idle holds (any still open were not
-	// kicked).
-	sampleFDs()
-	close(fdSamplerStop)
-	holdClosing.Store(true)
-	for _, c := range holdConns {
-		_ = c.Close()
-	}
-	holdWG.Wait()
-
-	if *latencyCSV != "" {
-		if err := writeLatencyCSV(*latencyCSV, buckets); err != nil {
-			log.Fatalf("latency csv: %v", err)
-		}
-	}
-
-	merged := stats.NewLatencyRecorder()
-	for _, r := range recorders {
-		merged.Merge(r)
-	}
-	ops := totalOps.Load()
-	throughput := float64(ops) / duration.Seconds()
-
-	if *csv {
-		fmt.Println("workload,connections,records,value_bytes,duration_s,ops,ops_per_s,errors,mean_us,p50_us,p99_us,p999_us,max_us")
-		fmt.Printf("%s,%d,%d,%d,%.2f,%d,%.0f,%d,%.1f,%.1f,%.1f,%.1f,%.1f\n",
-			*workloadFlag, *conns, *records, *valueSize, duration.Seconds(), ops, throughput, errOps.Load(),
-			us(merged.Mean()), us(merged.Percentile(50)), us(merged.Percentile(99)),
-			us(merged.Percentile(99.9)), us(merged.Max()))
-	} else {
-		fmt.Printf("workload=%s connections=%d records=%d value=%dB\n",
-			strings.ToUpper(*workloadFlag), *conns, *records, *valueSize)
-		if churn {
-			fmt.Println("load: skipped (churn fills on miss)")
-		} else if *noLoad {
-			fmt.Println("load: skipped (-no-load: measuring the server's existing contents)")
-		} else {
-			fmt.Printf("load: %d records in %v\n", *records, loadDur.Round(time.Millisecond))
-		}
-		if *rate > 0 {
-			fmt.Printf("open-loop: target %.0f ops/s, warmup %v\n", *rate, *warmup)
-		}
-		fmt.Printf("run: %d ops in %v = %.0f ops/s, errors: %d\n",
-			ops, *duration, throughput, errOps.Load())
-		fmt.Printf("latency: mean=%v p50=%v p99=%v p999=%v max=%v\n",
-			merged.Mean(), merged.Percentile(50), merged.Percentile(99),
-			merged.Percentile(99.9), merged.Max())
-		// Read hit rate for the YCSB mixes: with -no-load after a -persist
-		// restart, this is the warm-restart figure of merit (the churn
-		// workload prints its own fill-rate line below instead).
-		if h, m := hits.Load(), misses.Load(); !churn && h+m > 0 {
-			fmt.Printf("reads: hits=%d misses=%d hit_rate=%.4f\n", h, m, float64(h)/float64(h+m))
-		}
-		if *hold > 0 {
-			fmt.Printf("idle holds: %d opened, %d failed, %d kicked by server\n",
-				len(holdConns), holdFailed, holdKicked.Load())
-		}
-		if peak := peakFDs.Load(); peak > 0 {
-			fmt.Printf("peak open fds: %d\n", peak)
-		}
-	}
-
-	if *showStats || churn {
-		cl, err := server.Dial(*addr)
-		if err != nil {
-			log.Fatalf("stats fetch: %v", err)
-		}
-		st, err := cl.Stats()
-		cl.Close()
-		if err != nil {
-			log.Fatalf("stats: %v", err)
-		}
-		if churn && !*csv {
-			// The figure of merit for a capped cache: how much hit rate
-			// the server buys per MiB of real memory. A defragmenting
-			// backend holds more live values in the same RSS, so it scores
-			// higher at an identical -max-memory.
-			h, m := hits.Load(), misses.Load()
-			hitRate := 0.0
-			if h+m > 0 {
-				hitRate = float64(h) / float64(h+m)
-			}
-			fmt.Printf("churn: hits=%d misses=%d hit_rate=%.4f\n", h, m, hitRate)
-			if rss, perr := strconv.ParseUint(st["rss_bytes"], 10, 64); perr == nil && rss > 0 {
-				fmt.Printf("churn: rss_bytes=%d hit_rate_per_rss_mib=%.6f\n",
-					rss, hitRate/(float64(rss)/(1<<20)))
-			}
-		}
-		if *showStats {
-			keys := make([]string, 0, len(st))
-			for k := range st {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			fmt.Println("server stats after run:")
-			for _, k := range keys {
-				fmt.Printf("  %s %s\n", k, st[k])
-			}
-		}
-	}
-	if errOps.Load() > 0 {
+	rep.Print(os.Stdout)
+	if rep.Errors > 0 {
 		os.Exit(1)
 	}
 }
-
-func us(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
-
-// writeLatencyCSV emits the per-second latency-over-time series: one row
-// per elapsed second of the measured window, ready to join against the
-// server's stats for RSS-vs-latency plots.
-func writeLatencyCSV(path string, buckets []*stats.LatencyRecorder) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if _, err := fmt.Fprintln(f, "elapsed_s,ops,p50_us,p99_us,p999_us,max_us"); err != nil {
-		return err
-	}
-	for i, b := range buckets {
-		if _, err := fmt.Fprintf(f, "%d,%d,%.1f,%.1f,%.1f,%.1f\n",
-			i, b.Count(), us(b.Percentile(50)), us(b.Percentile(99)),
-			us(b.Percentile(99.9)), us(b.Max())); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// counterKeys sizes the rmw workload's shared-counter keyspace: a tenth
-// of the record count, at least one, so counters see real incr
-// contention.
-func counterKeys(records int) int {
-	n := records / 10
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-func counterKey(i int) string { return ycsb.FixedKey("ctr", uint64(i), 8) }

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"math"
@@ -82,27 +83,37 @@ func parseFlags(fs *flag.FlagSet, args []string) (c server.BootConfig, persist b
 	return c, persist, faultScript, verbose
 }
 
-func main() {
-	c, persist, faultScript, verbose := parseFlags(flag.CommandLine, os.Args[1:])
+// bootConfig is parseFlags's BootConfig with its logger, and with
+// -persist and -fault-script applied to its pack log.
+func bootConfig(fs *flag.FlagSet, args []string) (server.BootConfig, error) {
+	c, persist, faultScript, verbose := parseFlags(fs, args)
 	c.Logger = logx.New(os.Stderr, "alaskad: ", logx.Level(min(max(verbose, 0), int(logx.LevelDebug))))
-	fatalf := func(format string, args ...any) {
-		c.Logger.Errorf(format, args...)
-		os.Exit(1)
-	}
 	switch {
 	case !persist && faultScript != "":
-		fatalf("-fault-script injects pack-log I/O faults and requires -persist")
+		return c, errors.New("-fault-script injects pack-log I/O faults and requires -persist")
 	case persist != (c.PackLog.Dir != ""):
-		fatalf("-persist and -data-dir must be used together")
+		return c, errors.New("-persist and -data-dir must be used together")
 	case !persist:
 		c.PackLog = nil
 	case faultScript != "":
 		rules, err := fault.ParseScript(faultScript)
 		if err != nil {
-			fatalf("bad -fault-script: %v", err)
+			return c, fmt.Errorf("bad -fault-script: %v", err)
 		}
 		c.PackLog.FS = fault.NewScriptFS(nil, rules...)
 		fmt.Fprintf(os.Stderr, "alaskad: WARNING: -fault-script is armed (%s) — pack-log I/O WILL fail on schedule; chaos/dev use only\n", faultScript)
+	}
+	return c, nil
+}
+
+func main() {
+	c, err := bootConfig(flag.CommandLine, os.Args[1:])
+	fatalf := func(format string, args ...any) {
+		c.Logger.Errorf(format, args...)
+		os.Exit(1)
+	}
+	if err != nil {
+		fatalf("%v", err)
 	}
 	// Parking 100k sockets needs more than a 1024-fd soft limit.
 	if nofile, err := rlimit.RaiseNOFILE(); err != nil {
@@ -114,7 +125,7 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	// Unconditional stderr, not the leveled logger: scripts parse these.
+	// Unconditional stderr, not the leveled logger: the smoke tests parse these.
 	if c.PackLog != nil {
 		fmt.Fprintf(os.Stderr, "alaskad: warm restart: replayed %d records (%d sets, %d deletes, %d live items) from %s in %v; torn=%d crc_errors=%d\n",
 			rs.Records, rs.Sets, rs.Deletes, rs.Items, c.PackLog.Dir, rs.Elapsed.Round(time.Millisecond), rs.TornRecords, rs.CrcErrors)
@@ -132,9 +143,5 @@ func main() {
 	}()
 	if err := srv.Serve(); err != nil {
 		fatalf("serve: %v", err)
-	}
-	// A final stats block, for scripted runs (CI smokes) to check.
-	for _, l := range srv.StatsSnapshot() {
-		fmt.Printf("STAT %s %s\n", l.Name, l.Value)
 	}
 }
